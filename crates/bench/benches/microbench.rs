@@ -108,7 +108,7 @@ fn bench_pipelined_dispatch(c: &mut Criterion) {
             .map(|&qid| (qid, (0..8).map(|i| (i * 8, data.clone())).collect()))
             .collect();
         b.iter(|| {
-            dev.write_batch_multi(black_box(&batches), TransferMethod::ByteExpress)
+            dev.write_batch(black_box(&batches), TransferMethod::ByteExpress)
                 .unwrap()
         });
     });

@@ -70,9 +70,9 @@ fn run(ops: &[(u64, Vec<u8>)], group: usize, cq_coalesce: u16) -> RunStats {
     for (g, batch) in ops.chunks(group).enumerate() {
         let qid = queues[g % 2];
         let completions = dev
-            .write_batch(qid, batch, TransferMethod::ByteExpress)
+            .write_batch(&[(qid, batch.to_vec())], TransferMethod::ByteExpress)
             .expect("batched writes must succeed");
-        assert_eq!(completions.len(), batch.len());
+        assert_eq!(completions[0].len(), batch.len());
     }
     let traffic = dev.traffic().since(&before);
     let driver_doorbells = dev.driver_mut().stats().doorbells - db_before;

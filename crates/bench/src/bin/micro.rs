@@ -24,7 +24,7 @@ use std::time::Instant;
 
 /// Queues for the pipelined window.
 const QUEUES: usize = 4;
-/// Commands per queue per `write_batch_multi` round.
+/// Commands per queue per `write_batch` round.
 const ROUND_QD: usize = 8;
 
 fn window_value(ops: u64, wall_ms: f64, rate_key: &'static str, rate: f64) -> Value {
@@ -63,13 +63,13 @@ fn pipelined_window(total_cmds: usize) -> (u64, f64, f64) {
     // Warmup: fill every pool (scratch payload, spare buffers, ring state)
     // so the timed region is the allocation-free steady state.
     for _ in 0..16 {
-        dev.write_batch_multi(&batches, TransferMethod::ByteExpress)
+        dev.write_batch(&batches, TransferMethod::ByteExpress)
             .expect("warmup writes must succeed");
     }
 
     let t0 = Instant::now();
     for _ in 0..rounds {
-        dev.write_batch_multi(&batches, TransferMethod::ByteExpress)
+        dev.write_batch(&batches, TransferMethod::ByteExpress)
             .expect("pipelined writes must succeed");
     }
     let wall = t0.elapsed();

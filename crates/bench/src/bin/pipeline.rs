@@ -90,7 +90,7 @@ fn run(model: ExecutionModel, qd: usize) -> RunStats {
     let before = dev.traffic();
     let t0 = dev.now();
     let completions = dev
-        .write_batch_multi(&batches, TransferMethod::ByteExpress)
+        .write_batch(&batches, TransferMethod::ByteExpress)
         .expect("pipelined writes must succeed");
     let elapsed = dev.now() - t0;
     let wire = dev.traffic().since(&before).non_doorbell_wire_bytes();
@@ -132,7 +132,7 @@ fn overlap_evidence(qd: usize) -> (Vec<Event>, (usize, usize, usize, bool)) {
     let queues: Vec<QueueId> = dev.queues().to_vec();
     let ops = schedule(QUEUES * qd);
     let batches = split(&queues, &ops, qd);
-    dev.write_batch_multi(&batches, TransferMethod::ByteExpress)
+    dev.write_batch(&batches, TransferMethod::ByteExpress)
         .expect("traced run must succeed");
 
     let events = dev.trace_events();
@@ -182,7 +182,7 @@ fn steady_state_window(rounds: usize, qd: usize) -> (usize, u64) {
     let batches = split(&queues, &ops, qd);
     let mut commands = 0u64;
     for _ in 0..rounds {
-        dev.write_batch_multi(&batches, TransferMethod::ByteExpress)
+        dev.write_batch(&batches, TransferMethod::ByteExpress)
             .expect("steady-state writes must succeed");
         commands += (QUEUES * qd) as u64;
     }

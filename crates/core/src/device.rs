@@ -197,16 +197,16 @@ impl DeviceBuilder {
     /// Installs a deterministic fault schedule (seeded from
     /// `cfg.seed`), shared by the link, controller, and NAND models. The
     /// admin queue is exempt, so bring-up always succeeds. Pair with
-    /// [`DeviceBuilder::retry_policy`] — faults without recovery make
-    /// `execute` panic on the first lost completion.
+    /// [`DeviceBuilder::retry_policy`] — faults without recovery surface
+    /// the first lost completion as a `Timeout` error.
     pub fn fault_config(mut self, cfg: FaultConfig) -> Self {
         self.fault_config = Some(cfg);
         self
     }
 
     /// Installs the driver's timeout/retry/degradation policy. Without one
-    /// the driver keeps the original fail-fast behaviour and the wire
-    /// traffic is byte-identical to a build without recovery support.
+    /// every command gets a single attempt and the wire traffic is
+    /// byte-identical to a build without recovery support.
     pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.retry_policy = Some(policy);
         self
@@ -357,6 +357,14 @@ impl DeviceBuilder {
     }
 }
 
+/// The block-write passthrough command for `data` at `lba`.
+fn block_write_cmd(lba: u64, data: &[u8]) -> PassthruCmd {
+    let mut cmd = PassthruCmd::to_device(IoOpcode::Write, 1, data.to_vec());
+    cmd.cdw10_15[0] = lba as u32;
+    cmd.cdw10_15[1] = (lba >> 32) as u32;
+    cmd
+}
+
 /// A ready-to-use simulated NVMe device with its host driver.
 ///
 /// `Device` is the entry point for everything downstream: block I/O here,
@@ -383,7 +391,7 @@ impl fmt::Debug for Device {
 }
 
 /// One queue's worth of `(lba, payload)` writes, as consumed by
-/// [`Device::write_batch_multi`].
+/// [`Device::write_batch`].
 pub type QueueBatch = (QueueId, Vec<(u64, Vec<u8>)>);
 
 impl Device {
@@ -591,145 +599,76 @@ impl Device {
         data: &[u8],
         method: TransferMethod,
     ) -> Result<Completion, DeviceError> {
-        let mut cmd = PassthruCmd::to_device(IoOpcode::Write, 1, data.to_vec());
-        cmd.cdw10_15[0] = lba as u32;
-        cmd.cdw10_15[1] = (lba >> 32) as u32;
-        let completion = self.passthru(&cmd, method)?;
+        let completion = self.passthru(&block_write_cmd(lba, data), method)?;
         if !completion.status.is_success() {
             return Err(DeviceError::Command(completion.status));
         }
         Ok(completion)
     }
 
-    /// Writes a batch of `(lba, data)` pairs on one queue with a single
-    /// coalesced SQ doorbell for the whole group (intermediate flushes
-    /// only if an installed [`FlushPolicy`]'s bounds trigger), then drives
-    /// the controller and polls until every command completes. Completions
-    /// return in submission order.
-    ///
-    /// # Errors
-    ///
-    /// [`DeviceError::Driver`] if any submission is rejected (commands
-    /// already placed still execute before the error returns);
-    /// [`DeviceError::Command`] on the first failed completion status.
-    pub fn write_batch(
-        &mut self,
-        qid: QueueId,
-        items: &[(u64, Vec<u8>)],
-        method: TransferMethod,
-    ) -> Result<Vec<Completion>, DeviceError> {
-        let cmds: Vec<(PassthruCmd, TransferMethod)> = items
-            .iter()
-            .map(|(lba, data)| {
-                let mut cmd = PassthruCmd::to_device(IoOpcode::Write, 1, data.clone());
-                cmd.cdw10_15[0] = *lba as u32;
-                cmd.cdw10_15[1] = (*lba >> 32) as u32;
-                (cmd, method)
-            })
-            .collect();
-        let batch = self.driver.submit_batch(qid, &cmds);
-        let completions = self.drain_batch(qid, &batch.submitted)?;
-        if let Some(e) = batch.error {
-            return Err(DeviceError::Driver(e));
-        }
-        if let Some(c) = completions.iter().find(|c| !c.status.is_success()) {
-            return Err(DeviceError::Command(c.status));
-        }
-        Ok(completions)
-    }
-
-    /// Writes batches across *several* queues: every batch is submitted
-    /// (doorbells rung) before any completion is reaped, so all queues'
-    /// commands are visible to the controller at once. Under
+    /// Writes batches of `(lba, data)` pairs, one batch per queue. Each
+    /// batch goes out with a single coalesced SQ doorbell (intermediate
+    /// flushes only if an installed [`FlushPolicy`]'s bounds trigger), and
+    /// every batch is submitted before any completion is reaped, so all
+    /// queues' commands are visible to the controller at once. Under
     /// [`ExecutionModel::Pipelined`] their media time overlaps — this is
-    /// the entry point for multi-queue / queue-depth scaling measurements;
-    /// under `Serial` it is equivalent to sequential [`Device::write_batch`]
-    /// calls with deferred draining. Returns per-batch completions in
-    /// submission order.
+    /// the entry point for multi-queue / queue-depth scaling measurements.
+    /// Queues are then waited on in submission order; returns per-batch
+    /// completions, each in submission order.
     ///
     /// # Errors
     ///
-    /// [`DeviceError::Driver`] if any submission is rejected;
-    /// [`DeviceError::Command`] on the first failed completion status.
-    pub fn write_batch_multi(
+    /// [`DeviceError::Driver`] if a submission is rejected or a completion
+    /// is lost; [`DeviceError::Command`] on the first failed completion
+    /// status. Either way every command already rung is waited for before
+    /// the error returns, so nothing is left in flight behind it.
+    pub fn write_batch(
         &mut self,
         batches: &[QueueBatch],
         method: TransferMethod,
     ) -> Result<Vec<Vec<Completion>>, DeviceError> {
-        let mut submitted = Vec::with_capacity(batches.len());
+        let mut error = None;
+        let mut rung = Vec::with_capacity(batches.len());
         for (qid, items) in batches {
             let cmds: Vec<(PassthruCmd, TransferMethod)> = items
                 .iter()
-                .map(|(lba, data)| {
-                    let mut cmd = PassthruCmd::to_device(IoOpcode::Write, 1, data.clone());
-                    cmd.cdw10_15[0] = *lba as u32;
-                    cmd.cdw10_15[1] = (*lba >> 32) as u32;
-                    (cmd, method)
-                })
+                .map(|(lba, data)| (block_write_cmd(*lba, data), method))
                 .collect();
             let batch = self.driver.submit_batch(*qid, &cmds);
+            rung.push((*qid, batch.submitted));
             if let Some(e) = batch.error {
-                return Err(DeviceError::Driver(e));
+                error = Some(DeviceError::Driver(e));
+                break;
             }
-            self.driver.flush_sq(*qid)?;
-            submitted.push((*qid, batch.submitted));
         }
-        let mut out = Vec::with_capacity(submitted.len());
-        for (qid, cmds) in &submitted {
-            let completions = self.drain_batch(*qid, cmds)?;
-            if let Some(c) = completions.iter().find(|c| !c.status.is_success()) {
-                return Err(DeviceError::Command(c.status));
+        let mut out = Vec::with_capacity(rung.len());
+        let mut polled = Vec::new();
+        for (qid, submitted) in &rung {
+            polled.clear();
+            if let Err(e) = self
+                .driver
+                .wait_for(*qid, &mut self.ctrl, submitted, &mut polled)
+            {
+                error.get_or_insert(DeviceError::Driver(e));
+                continue;
             }
-            out.push(completions);
-        }
-        Ok(out)
-    }
-
-    /// Pumps controller + completion poll until every submitted cid of a
-    /// batch has completed; results in submission order.
-    fn drain_batch(
-        &mut self,
-        qid: QueueId,
-        submitted: &[bx_driver::SubmittedCmd],
-    ) -> Result<Vec<Completion>, DeviceError> {
-        let mut pending: std::collections::HashMap<u16, usize> = submitted
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.cid, i))
-            .collect();
-        let mut out: Vec<Option<Completion>> = submitted.iter().map(|_| None).collect();
-        let poll_step = self.driver.retry_policy().map(|p| p.poll_interval);
-        let mut idle_passes = 0u32;
-        while !pending.is_empty() {
-            self.ctrl.process_available();
-            let got = self.driver.poll_completions(qid)?;
-            if got.is_empty() {
-                idle_passes += 1;
-                match poll_step {
-                    // With a retry policy the clock advance drives the
-                    // timeout reaper, which eventually posts a synthetic
-                    // completion for every lost cid — so this terminates.
-                    Some(step) => {
-                        self.bus.clock.advance(step);
-                    }
-                    None => assert!(
-                        idle_passes < 4,
-                        "controller must complete the submitted batch"
-                    ),
-                }
-            } else {
-                idle_passes = 0;
-            }
-            for c in got {
-                if let Some(i) = pending.remove(&c.cid) {
-                    out[i] = Some(c);
+            // Completions may arrive out of submission order (Pipelined);
+            // hand them back in the order the caller submitted them.
+            let mut done = Vec::with_capacity(submitted.len());
+            for cmd in submitted {
+                if let Some(i) = polled.iter().position(|c| c.cid == cmd.cid) {
+                    done.push(polled.swap_remove(i));
                 }
             }
+            if let Some(c) = done.iter().find(|c| !c.status.is_success()) {
+                error.get_or_insert(DeviceError::Command(c.status));
+            }
+            out.push(done);
         }
-        Ok(out
-            .into_iter()
-            .map(|c| c.expect("filled when pending emptied"))
-            .collect())
+        match error {
+            Some(e) => Err(e),
+            None => Ok(out),
+        }
     }
 
     /// Reads `len` bytes from logical block `lba`.

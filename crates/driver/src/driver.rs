@@ -6,7 +6,7 @@ use crate::recovery::{
     is_idempotent, BxRole, CmdContext, DegradeState, RecoveryStats, RetryPolicy,
 };
 use crate::timing::DriverTiming;
-use bx_hostsim::{MemError, Nanos, PageRef, PhysAddr, PAGE_SIZE};
+use bx_hostsim::{HostMemory, MemError, Nanos, PageRef, PhysAddr, PAGE_SIZE};
 use bx_nvme::passthru::DataDirection;
 use bx_nvme::prp::{pages_spanned, PrpError, PrpSegments};
 use bx_nvme::sqe::DataPointerKind;
@@ -207,6 +207,7 @@ struct ResponseBuf {
 
 #[derive(Debug)]
 struct Inflight {
+    opcode: u8,
     submitted_at: Nanos,
     /// Completion deadline in virtual time; set only when a [`RetryPolicy`]
     /// is installed. Expired entries are reaped by `poll_completions` as
@@ -215,6 +216,21 @@ struct Inflight {
     data_pages: Vec<PageRef>,
     list_pages: Vec<PageRef>,
     response: Option<ResponseBuf>,
+}
+
+impl Inflight {
+    /// Hands every host page mapped for the command back to the allocator.
+    fn free_pages(self, mem: &mut HostMemory) -> Result<(), MemError> {
+        if let Some(resp) = self.response {
+            for p in resp.pages.into_iter().chain(resp.list_pages) {
+                mem.free_page(p)?;
+            }
+        }
+        for p in self.data_pages.into_iter().chain(self.list_pages) {
+            mem.free_page(p)?;
+        }
+        Ok(())
+    }
 }
 
 /// Fixed-layout in-flight command table: a dense slab of `(cid, Inflight)`
@@ -238,9 +254,12 @@ struct InflightTable {
 
 impl InflightTable {
     fn contains(&self, cid: u16) -> bool {
-        self.slot_of_cid
-            .get(cid as usize)
-            .is_some_and(|&slot| slot != 0)
+        self.get(cid).is_some()
+    }
+
+    fn get(&self, cid: u16) -> Option<&Inflight> {
+        let slot = self.slot_of_cid.get(cid as usize)?.checked_sub(1)?;
+        self.slots.get(slot as usize)?.as_ref().map(|(_, inf)| inf)
     }
 
     fn insert(&mut self, cid: u16, inflight: Inflight) {
@@ -402,9 +421,9 @@ impl NvmeDriver {
     }
 
     /// Installs (or with `None`, removes) the timeout/retry/degradation
-    /// policy. With no policy the driver behaves exactly as before the
-    /// recovery machinery existed: `execute` panics on a lost completion
-    /// and nothing is ever reaped or resubmitted.
+    /// policy. With no policy nothing is ever reaped or resubmitted:
+    /// `execute` makes one attempt and reports a lost completion as
+    /// [`DriverError::Timeout`].
     pub fn set_retry_policy(&mut self, policy: Option<RetryPolicy>) {
         self.retry_policy = policy;
     }
@@ -568,14 +587,7 @@ impl NvmeDriver {
         a.cq.pop_slot();
         a.sq.complete_up_to(cqe.sq_head());
         bus.clock.advance(timing.completion_handling);
-        bus.doorbells
-            .borrow_mut()
-            .ring_cq_head(QueueId(0), a.cq.head());
-        let t = bus
-            .link
-            .borrow_mut()
-            .host_posted_write(TrafficClass::Doorbell, 4);
-        bus.clock.advance(t);
+        ring_cq_head(&bus, QueueId(0), a.cq.head());
         self.stats.doorbells += 1;
         Ok(cqe)
     }
@@ -690,7 +702,8 @@ impl NvmeDriver {
     ///
     /// # Errors
     ///
-    /// See [`DriverError`]. On error nothing was placed in the queue.
+    /// See [`DriverError`]. On error nothing was placed in the queue and
+    /// every host page mapped for the command has been freed.
     pub fn submit(
         &mut self,
         qid: QueueId,
@@ -710,6 +723,7 @@ impl NvmeDriver {
         }
 
         let mut inflight = Inflight {
+            opcode: cmd.opcode,
             submitted_at,
             deadline: self
                 .retry_policy
@@ -718,85 +732,11 @@ impl NvmeDriver {
             list_pages: Vec::new(),
             response: None,
         };
-
-        match cmd.direction {
-            DataDirection::ToDevice => {
-                if cmd.data.is_empty() {
-                    return Err(DriverError::EmptyPayload);
-                }
-                sqe.set_data_len(cmd.data.len() as u32);
-                match method.resolve(cmd.data.len()) {
-                    TransferMethod::Prp => {
-                        self.trace_sqe_insert(qid.0, cid, TransferMethod::Prp, cmd);
-                        self.submit_prp(qid, sqe, &cmd.data, &mut inflight)?;
-                    }
-                    TransferMethod::Sgl => {
-                        if cmd.data.len() < self.sgl_threshold {
-                            // The kernel's default behaviour: SGL only above
-                            // the threshold; PRP otherwise (§5). The trace
-                            // records what actually went on the wire.
-                            self.stats.sgl_fallbacks += 1;
-                            self.trace_sqe_insert(qid.0, cid, TransferMethod::Prp, cmd);
-                            self.submit_prp(qid, sqe, &cmd.data, &mut inflight)?;
-                        } else {
-                            self.trace_sqe_insert(qid.0, cid, TransferMethod::Sgl, cmd);
-                            self.submit_sgl(qid, sqe, &cmd.data, &mut inflight)?;
-                        }
-                    }
-                    TransferMethod::ByteExpress => {
-                        self.trace_sqe_insert(qid.0, cid, TransferMethod::ByteExpress, cmd);
-                        self.submit_byteexpress(qid, sqe, &cmd.data)?;
-                    }
-                    TransferMethod::BandSlim { embed_first } => {
-                        self.trace_sqe_insert(
-                            qid.0,
-                            cid,
-                            TransferMethod::BandSlim { embed_first },
-                            cmd,
-                        );
-                        self.submit_bandslim(qid, sqe, &cmd.data, embed_first)?;
-                    }
-                    TransferMethod::MmioByte => {
-                        // No SQ slot on the byte-interface path, but the
-                        // command is still owned by this queue pair: spans
-                        // carry the real qid, and the BAR-window submission
-                        // is stamped with it so the device can echo it on
-                        // the status word (completion routing).
-                        self.trace_sqe_insert(qid.0, cid, TransferMethod::MmioByte, cmd);
-                        self.submit_mmio_byte(qid, sqe, &cmd.data)?;
-                    }
-                    // bx-lint: allow(panic-freedom, reason = "resolve() above maps Hybrid to a concrete method; this arm is a driver bug, not a reachable state")
-                    TransferMethod::Hybrid { .. } => unreachable!("resolved above"),
-                }
-            }
-            DataDirection::FromDevice => {
-                // Response rides a PRP-described host buffer regardless of
-                // the submit method (ByteExpress targets host→device small
-                // payloads; reads return over ordinary DMA).
-                let response = self.alloc_response_buf(cmd.response_len, &mut sqe)?;
-                inflight.response = Some(response);
-                sqe.set_data_len(cmd.response_len as u32);
-                // Reads return over a PRP-described response buffer no
-                // matter which submit method the caller named.
-                self.bus
-                    .trace
-                    .emit_cmd(CmdKey::new(qid.0, cid), || EventKind::SqeInsert {
-                        method: "prp",
-                        opcode: cmd.opcode,
-                        len: cmd.response_len,
-                    });
-                self.insert_and_ring(qid, sqe, self.timing.sqe_insert)?;
-            }
-            DataDirection::None => {
-                self.bus
-                    .trace
-                    .emit_cmd(CmdKey::new(qid.0, cid), || EventKind::SqeInsert {
-                        method: "none",
-                        opcode: cmd.opcode,
-                        len: 0,
-                    });
-                self.insert_and_ring(qid, sqe, self.timing.sqe_insert)?;
-            }
+        if let Err(e) = self.place(qid, sqe, cmd, method, &mut inflight) {
+            // Pages are mapped before the ring-space check; a rejected
+            // command must hand them back or every retry leaks them.
+            inflight.free_pages(&mut self.bus.mem.borrow_mut())?;
+            return Err(e);
         }
 
         self.stats.submissions += 1;
@@ -813,6 +753,87 @@ impl NvmeDriver {
             cid,
             submitted_at,
         })
+    }
+
+    /// Maps the command's data phase per `method` and places it in the
+    /// ring (or the BAR window). Pages it maps are recorded in `inflight`
+    /// as they are allocated, so the caller can free them on error.
+    fn place(
+        &mut self,
+        qid: QueueId,
+        mut sqe: SubmissionEntry,
+        cmd: &PassthruCmd,
+        method: TransferMethod,
+        inflight: &mut Inflight,
+    ) -> Result<(), DriverError> {
+        let cid = sqe.cid();
+        match cmd.direction {
+            DataDirection::ToDevice => {
+                if cmd.data.is_empty() {
+                    return Err(DriverError::EmptyPayload);
+                }
+                // The SQE's length field is 24 bits wide, whatever the method.
+                if cmd.data.len() > inline::MAX_INLINE_LEN {
+                    return Err(DriverError::PayloadTooLarge {
+                        len: cmd.data.len(),
+                        max: inline::MAX_INLINE_LEN,
+                    });
+                }
+                sqe.set_data_len(cmd.data.len() as u32);
+                let resolved = match method.resolve(cmd.data.len()) {
+                    // The kernel's default behaviour: SGL only above the
+                    // threshold; PRP otherwise (§5). The trace records what
+                    // actually went on the wire.
+                    TransferMethod::Sgl if cmd.data.len() < self.sgl_threshold => {
+                        self.stats.sgl_fallbacks += 1;
+                        TransferMethod::Prp
+                    }
+                    resolved => resolved,
+                };
+                self.trace_sqe_insert(qid.0, cid, resolved, cmd);
+                match resolved {
+                    TransferMethod::Prp => self.submit_prp(qid, sqe, &cmd.data, inflight),
+                    TransferMethod::Sgl => self.submit_sgl(qid, sqe, &cmd.data, inflight),
+                    TransferMethod::ByteExpress => self.submit_byteexpress(qid, sqe, &cmd.data),
+                    TransferMethod::BandSlim { embed_first } => {
+                        self.submit_bandslim(qid, sqe, &cmd.data, embed_first)
+                    }
+                    // No SQ slot on the byte-interface path, but the command
+                    // is still owned by this queue pair: spans carry the real
+                    // qid, and the BAR-window submission is stamped with it
+                    // so the device can echo it on the status word
+                    // (completion routing).
+                    TransferMethod::MmioByte => self.submit_mmio_byte(qid, sqe, &cmd.data),
+                    // bx-lint: allow(panic-freedom, reason = "resolve() above maps Hybrid to a concrete method; this arm is a driver bug, not a reachable state")
+                    TransferMethod::Hybrid { .. } => unreachable!("resolved above"),
+                }
+            }
+            DataDirection::FromDevice => {
+                // Reads return over a PRP-described host buffer no matter
+                // which submit method the caller named (ByteExpress targets
+                // host→device small payloads).
+                self.alloc_response_buf(cmd.response_len, &mut sqe, inflight)?;
+                sqe.set_data_len(cmd.response_len as u32);
+                self.bus
+                    .trace
+                    .emit_cmd(CmdKey::new(qid.0, cid), || EventKind::SqeInsert {
+                        method: "prp",
+                        opcode: cmd.opcode,
+                        len: cmd.response_len,
+                    });
+                self.insert_and_ring(qid, sqe, self.timing.sqe_insert)
+            }
+            DataDirection::None => {
+                self.bus
+                    .trace
+                    .emit_cmd(CmdKey::new(qid.0, cid), || EventKind::SqeInsert {
+                        method: "none",
+                        opcode: cmd.opcode,
+                        len: 0,
+                    });
+                self.insert_and_ring(qid, sqe, self.timing.sqe_insert)
+            }
+        }
     }
 
     /// Flight-recorder hook: the span-opening event for one submission.
@@ -870,6 +891,7 @@ impl NvmeDriver {
             let seg_page = {
                 let mut mem = self.bus.mem.borrow_mut();
                 let page = mem.alloc_page()?;
+                inflight.list_pages.push(page);
                 let mut remaining = data.len();
                 for (i, p) in pages.iter().enumerate() {
                     let chunk = remaining.min(PAGE_SIZE);
@@ -879,7 +901,6 @@ impl NvmeDriver {
                 }
                 page
             };
-            inflight.list_pages.push(seg_page);
             let first =
                 sgl::SglDescriptor::last_segment(seg_page.addr(), (pages.len() * 16) as u32);
             sqe.set_sgl_bytes(&first.to_bytes());
@@ -915,12 +936,6 @@ impl NvmeDriver {
             InlineMode::QueueLocal => inline::chunks_for_len(data.len()),
             InlineMode::Reassembly => inline::chunks_for_len_reassembly(data.len()),
         };
-        if data.len() > inline::MAX_INLINE_LEN {
-            return Err(DriverError::PayloadTooLarge {
-                len: data.len(),
-                max: inline::MAX_INLINE_LEN,
-            });
-        }
         if let Some(id) = &self.identify {
             if !id.vendor.byteexpress {
                 return Err(DriverError::Unsupported("ByteExpress inline transfer"));
@@ -1114,32 +1129,33 @@ impl NvmeDriver {
         Ok(pages)
     }
 
-    /// Allocates a PRP-described response buffer and points the SQE at it.
+    /// Allocates a PRP-described response buffer, recorded in `inflight`
+    /// page by page, and points the SQE at it.
     fn alloc_response_buf(
         &mut self,
         len: usize,
         sqe: &mut SubmissionEntry,
-    ) -> Result<ResponseBuf, DriverError> {
+        inflight: &mut Inflight,
+    ) -> Result<(), DriverError> {
         if len == 0 {
             return Err(DriverError::EmptyPayload);
         }
         let n = pages_spanned(0, len);
         let mut mem = self.bus.mem.borrow_mut();
-        let mut pages = Vec::with_capacity(n);
-        let mut addrs = Vec::with_capacity(n);
+        let resp = inflight.response.insert(ResponseBuf {
+            pages: Vec::with_capacity(n),
+            list_pages: Vec::new(),
+            len,
+        });
         for _ in 0..n {
-            let p = mem.alloc_page()?;
-            addrs.push(p.addr());
-            pages.push(p);
+            resp.pages.push(mem.alloc_page()?);
         }
+        let addrs: Vec<PhysAddr> = resp.pages.iter().map(|p| p.addr()).collect();
         let prp = PrpSegments::build(&mut mem, &addrs, 0, len)?;
         sqe.set_prp1(prp.prp1);
         sqe.set_prp2(prp.prp2);
-        Ok(ResponseBuf {
-            list_pages: prp.list_pages,
-            pages,
-            len,
-        })
+        resp.list_pages = prp.list_pages;
+        Ok(())
     }
 
     fn insert_and_ring(
@@ -1418,13 +1434,7 @@ impl NvmeDriver {
             if coalesce > 0 && consumed_since_ring >= coalesce {
                 // Reap-limit reached: acknowledge this group of CQEs with
                 // a head doorbell write and keep draining.
-                let head = qp.cq.head();
-                bus.doorbells.borrow_mut().ring_cq_head(qid, head);
-                let t = bus
-                    .link
-                    .borrow_mut()
-                    .host_posted_write(TrafficClass::Doorbell, 4);
-                bus.clock.advance(t);
+                ring_cq_head(&bus, qid, qp.cq.head());
                 cq_rings += 1;
                 consumed_since_ring = 0;
             }
@@ -1442,7 +1452,7 @@ impl NvmeDriver {
             if let Some(inflight) = inflight {
                 submitted_at = inflight.submitted_at;
                 let mut mem = bus.mem.borrow_mut();
-                if let Some(resp) = inflight.response {
+                if let Some(resp) = &inflight.response {
                     if cqe.status().is_success() {
                         // Response pages are not physically contiguous; read
                         // them page by page, as the PRP list describes.
@@ -1456,13 +1466,8 @@ impl NvmeDriver {
                         }
                         data = Some(buf);
                     }
-                    for p in resp.pages.into_iter().chain(resp.list_pages) {
-                        mem.free_page(p)?;
-                    }
                 }
-                for p in inflight.data_pages.into_iter().chain(inflight.list_pages) {
-                    mem.free_page(p)?;
-                }
+                inflight.free_pages(&mut mem)?;
             }
             bus.trace.emit_cmd(CmdKey::new(qid.0, cqe.cid()), || {
                 EventKind::CompletionConsumed {
@@ -1500,15 +1505,7 @@ impl NvmeDriver {
                 // bx-lint: allow(panic-freedom, reason = "cids were collected from this table two lines up with no intervening removal")
                 let inflight = qp.inflight.remove(cid).expect("listed above");
                 let submitted_at = inflight.submitted_at;
-                let mut mem = bus.mem.borrow_mut();
-                if let Some(resp) = inflight.response {
-                    for p in resp.pages.into_iter().chain(resp.list_pages) {
-                        mem.free_page(p)?;
-                    }
-                }
-                for p in inflight.data_pages.into_iter().chain(inflight.list_pages) {
-                    mem.free_page(p)?;
-                }
+                inflight.free_pages(&mut bus.mem.borrow_mut())?;
                 reaped += 1;
                 bus.trace
                     .emit_cmd(CmdKey::new(qid.0, cid), || EventKind::TimeoutReap);
@@ -1523,13 +1520,7 @@ impl NvmeDriver {
             }
         }
         if consumed_since_ring > 0 {
-            let head = qp.cq.head();
-            bus.doorbells.borrow_mut().ring_cq_head(qid, head);
-            let t = bus
-                .link
-                .borrow_mut()
-                .host_posted_write(TrafficClass::Doorbell, 4);
-            bus.clock.advance(t);
+            ring_cq_head(&bus, qid, qp.cq.head());
             cq_rings += 1;
         }
         let depth = qp.inflight.len() as u64;
@@ -1544,19 +1535,94 @@ impl NvmeDriver {
         Ok(())
     }
 
-    /// Submit + drive the controller + poll: the synchronous convenience the
-    /// examples and benchmarks use.
+    /// One pass of the blocking engine: let the controller run, then poll
+    /// `qid` into `out`.
+    fn pump(
+        &mut self,
+        qid: QueueId,
+        ctrl: &mut Controller,
+        out: &mut Vec<Completion>,
+    ) -> Result<(), DriverError> {
+        ctrl.process_available();
+        self.poll_completions_into(qid, out)
+    }
+
+    /// The one blocking wait: pumps `ctrl` and polls `qid` into `out`
+    /// until none of `cmds` (submitted on `qid`) is in flight any more —
+    /// each has been consumed as a CQE or status word, or reaped by the
+    /// timeout sweep. Everything polled along the way lands in `out`,
+    /// awaited or not.
     ///
-    /// Without a [`RetryPolicy`] this is the original fail-fast path: one
-    /// submission, and a missing completion is a bug that panics. With a
-    /// policy installed (see [`NvmeDriver::set_retry_policy`]) it runs the
-    /// recovering ladder instead: deadline → timeout reap → classified
-    /// retry with capped exponential backoff → ByteExpress→PRP degradation.
+    /// With a [`RetryPolicy`] the clock advances by
+    /// [`RetryPolicy::poll_step`] after every pass that completed none of
+    /// `cmds`, so the reaper's deadline is always reached. Without one
+    /// nothing can unblock a stalled command, so a pass that completes none
+    /// of `cmds` and yields nothing at all gives up.
     ///
     /// # Errors
     ///
-    /// Propagates submit/poll failures; on the recovery path also
-    /// [`DriverError::Timeout`] / [`DriverError::RetriesExhausted`].
+    /// Propagates poll failures. [`DriverError::Timeout`] for a lost
+    /// completion when no policy is installed; the command stays tracked in
+    /// flight, so a later poll still consumes its completion if it arrives.
+    pub fn wait_for(
+        &mut self,
+        qid: QueueId,
+        ctrl: &mut Controller,
+        cmds: &[SubmittedCmd],
+        out: &mut Vec<Completion>,
+    ) -> Result<(), DriverError> {
+        let mut missing = self.still_inflight(qid, cmds).count();
+        while missing > 0 {
+            let polled = out.len();
+            self.pump(qid, ctrl, out)?;
+            let still = self.still_inflight(qid, cmds).count();
+            if still == missing {
+                if let Some(policy) = self.retry_policy {
+                    self.bus.clock.advance(policy.poll_step());
+                } else if out.len() == polled {
+                    let now = self.bus.clock.now();
+                    if let Some((cid, lost)) = self.still_inflight(qid, cmds).next() {
+                        return Err(DriverError::Timeout {
+                            ctx: CmdContext {
+                                qid,
+                                cid,
+                                opcode: lost.opcode,
+                            },
+                            waited: now.saturating_sub(lost.submitted_at),
+                            attempts: 1,
+                        });
+                    }
+                }
+            }
+            missing = still;
+        }
+        Ok(())
+    }
+
+    /// The members of `cmds` still tracked in flight on `qid`.
+    fn still_inflight<'a>(
+        &'a self,
+        qid: QueueId,
+        cmds: &'a [SubmittedCmd],
+    ) -> impl Iterator<Item = (u16, &'a Inflight)> {
+        let table = self.queues.get(&qid.0).map(|qp| &qp.inflight);
+        cmds.iter()
+            .filter_map(move |cmd| Some((cmd.cid, table?.get(cmd.cid)?)))
+    }
+
+    /// Submit, ring, wait: the synchronous convenience the examples and
+    /// benchmarks use, and the driver's only submit-and-wait loop.
+    ///
+    /// Without a [`RetryPolicy`] the loop runs once: one submission, and a
+    /// lost completion is [`DriverError::Timeout`]. With a policy installed
+    /// (see [`NvmeDriver::set_retry_policy`]) the same wait sits inside the
+    /// recovery ladder: deadline → timeout reap → classified retry with
+    /// capped exponential backoff → ByteExpress→PRP degradation.
+    ///
+    /// # Errors
+    ///
+    /// Propagates submit/poll failures; [`DriverError::Timeout`] /
+    /// [`DriverError::RetriesExhausted`] when the command never succeeds.
     pub fn execute(
         &mut self,
         qid: QueueId,
@@ -1564,23 +1630,96 @@ impl NvmeDriver {
         cmd: &PassthruCmd,
         method: TransferMethod,
     ) -> Result<Completion, DriverError> {
-        if self.retry_policy.is_some() {
-            return self.execute_recover(qid, ctrl, cmd, method);
+        let started = self.bus.clock.now();
+        let mut polled = Vec::new();
+        let mut attempt: u32 = 0;
+        let mut last_ctx: Option<CmdContext> = None;
+        loop {
+            if attempt > 0 {
+                // Drain stragglers (late CQEs from the previous attempt)
+                // before claiming fresh SQ slots.
+                self.pump(qid, ctrl, &mut polled)?;
+            }
+            let (effective, role) = self.plan_method(qid, cmd, method)?;
+            let submitted = match self.submit(qid, cmd, effective) {
+                Ok(s) => s,
+                Err(e) => {
+                    return Err(match last_ctx {
+                        Some(ctx) => DriverError::Submission {
+                            ctx,
+                            cause: Box::new(e),
+                        },
+                        None => e,
+                    });
+                }
+            };
+            // Synchronous callers see one doorbell per command regardless
+            // of any installed flush policy — and the recovery ladder wants
+            // its deadline clock to start against a visible submission.
+            self.flush_sq(qid)?;
+            let ctx = CmdContext {
+                qid,
+                cid: submitted.cid,
+                opcode: cmd.opcode,
+            };
+            last_ctx = Some(ctx);
+
+            // Returns once our cid has been polled — a real completion, or
+            // the synthetic CommandAborted the timeout reaper posts once
+            // the deadline passes.
+            polled.clear();
+            self.wait_for(qid, ctrl, &[submitted], &mut polled)?;
+            let Some(idx) = polled.iter().position(|c| c.cid == submitted.cid) else {
+                return Err(DriverError::Timeout {
+                    ctx,
+                    waited: self.bus.clock.now().saturating_sub(started),
+                    attempts: attempt + 1,
+                });
+            };
+            let mut completion = polled.swap_remove(idx);
+            completion.submitted_at = started;
+            let Some(policy) = self.retry_policy else {
+                return Ok(completion);
+            };
+
+            let success = completion.status.is_success();
+            self.note_attempt(qid, role, success);
+            if success || !(completion.status.is_retriable() && is_idempotent(cmd.opcode)) {
+                // Done — or non-retriable (or unsafe to repeat): surface the
+                // error status to the caller exactly like the no-policy path.
+                return Ok(completion);
+            }
+            if attempt >= policy.max_retries {
+                self.recovery.retries_exhausted += 1;
+                return Err(if completion.status == Status::CommandAborted {
+                    DriverError::Timeout {
+                        ctx,
+                        waited: self.bus.clock.now().saturating_sub(started),
+                        attempts: attempt + 1,
+                    }
+                } else {
+                    DriverError::RetriesExhausted {
+                        ctx,
+                        attempts: attempt + 1,
+                        last_status: completion.status,
+                    }
+                });
+            }
+            let key = CmdKey::new(ctx.qid.0, ctx.cid);
+            self.bus.trace.emit_cmd(key, || EventKind::Retry {
+                attempt: attempt + 1,
+                backoff: policy.backoff(attempt),
+            });
+            self.bus.clock.advance(policy.backoff(attempt));
+            self.recovery.retries += 1;
+            let retries = self.recovery.retries;
+            self.bus.trace.emit_gauge(|| EventKind::GaugeSample {
+                gauge: "driver_retries",
+                scope: 0,
+                value: retries,
+            });
+            attempt += 1;
         }
-        let submitted = self.submit(qid, cmd, method)?;
-        // Synchronous callers see one doorbell per command regardless of
-        // any installed flush policy.
-        self.flush_sq(qid)?;
-        ctrl.process_available();
-        let mut completions = self.poll_completions(qid)?;
-        let idx = completions
-            .iter()
-            .position(|c| c.cid == submitted.cid)
-            // bx-lint: allow(panic-freedom, reason = "the synchronous controller model drains every in-flight command inside process_available()")
-            .expect("controller must complete the submitted command");
-        let mut completion = completions.swap_remove(idx);
-        completion.submitted_at = submitted.submitted_at;
-        Ok(completion)
     }
 
     /// Picks the transfer method for one attempt, honouring the queue's
@@ -1591,24 +1730,22 @@ impl NvmeDriver {
         cmd: &PassthruCmd,
         requested: TransferMethod,
     ) -> Result<(TransferMethod, BxRole), DriverError> {
-        if cmd.direction != DataDirection::ToDevice {
-            return Ok((requested, BxRole::NotBx));
-        }
+        // Degradation is recovery machinery for host→device payloads:
+        // anything else goes out as asked.
+        let policy = match self.retry_policy {
+            Some(p) if cmd.direction == DataDirection::ToDevice => p,
+            _ => return Ok((requested, BxRole::NotBx)),
+        };
         let resolved = requested.resolve(cmd.data.len());
         if resolved != TransferMethod::ByteExpress {
             return Ok((resolved, BxRole::NotBx));
         }
-        let probe_after = self
-            .retry_policy
-            // bx-lint: allow(panic-freedom, reason = "plan_method is private to execute_recover, which requires an installed RetryPolicy")
-            .expect("plan_method is only called on the recovery path")
-            .probe_after;
         let qp = self.queue_mut(qid)?;
         if !qp.degrade.degraded {
             return Ok((TransferMethod::ByteExpress, BxRole::Normal));
         }
         qp.degrade.ops_since_probe += 1;
-        if qp.degrade.ops_since_probe >= probe_after {
+        if qp.degrade.ops_since_probe >= policy.probe_after {
             qp.degrade.ops_since_probe = 0;
             self.recovery.probes += 1;
             self.bus.trace.emit(None, || EventKind::ProbeIssued);
@@ -1658,115 +1795,16 @@ impl NvmeDriver {
             self.bus.trace.emit(None, || EventKind::QueueRepromoted);
         }
     }
+}
 
-    /// The recovering execute: deadline-bounded wait, classified retry with
-    /// capped exponential backoff, ByteExpress→PRP graceful degradation.
-    fn execute_recover(
-        &mut self,
-        qid: QueueId,
-        ctrl: &mut Controller,
-        cmd: &PassthruCmd,
-        method: TransferMethod,
-    ) -> Result<Completion, DriverError> {
-        // bx-lint: allow(panic-freedom, reason = "execute_with_recovery verifies a RetryPolicy is installed before dispatching here")
-        let policy = self.retry_policy.expect("caller checked");
-        let started = self.bus.clock.now();
-        let mut attempt: u32 = 0;
-        let mut last_ctx: Option<CmdContext> = None;
-        loop {
-            if attempt > 0 {
-                // Drain stragglers (late CQEs from the previous attempt)
-                // before claiming fresh SQ slots.
-                ctrl.process_available();
-                self.poll_completions(qid)?;
-            }
-            let (effective, role) = self.plan_method(qid, cmd, method)?;
-            let submitted = match self.submit(qid, cmd, effective) {
-                Ok(s) => s,
-                Err(e) => {
-                    return Err(match last_ctx {
-                        Some(ctx) => DriverError::Submission {
-                            ctx,
-                            cause: Box::new(e),
-                        },
-                        None => e,
-                    });
-                }
-            };
-            // A deferred doorbell would stall the attempt until the delay
-            // bound; the recovery ladder wants its deadline clock to start
-            // against a visible submission.
-            self.flush_sq(qid)?;
-            let ctx = CmdContext {
-                qid,
-                cid: submitted.cid,
-                opcode: cmd.opcode,
-            };
-            last_ctx = Some(ctx);
-
-            // Pump device + completion poll until our cid appears — either a
-            // real CQE or the synthetic CommandAborted the timeout reaper
-            // posts once the deadline passes. The clock advances every
-            // iteration, so this loop always terminates.
-            let completion = loop {
-                ctrl.process_available();
-                let done = self
-                    .poll_completions(qid)?
-                    .into_iter()
-                    .find(|c| c.cid == submitted.cid);
-                if let Some(c) = done {
-                    break c;
-                }
-                self.bus.clock.advance(policy.poll_step());
-            };
-
-            if completion.status.is_success() {
-                self.note_attempt(qid, role, true);
-                let mut c = completion;
-                c.submitted_at = started;
-                return Ok(c);
-            }
-
-            self.note_attempt(qid, role, false);
-            if !(completion.status.is_retriable() && is_idempotent(cmd.opcode)) {
-                // Non-retriable (or unsafe to repeat): surface the error
-                // status to the caller exactly like the fail-fast path.
-                let mut c = completion;
-                c.submitted_at = started;
-                return Ok(c);
-            }
-            if attempt >= policy.max_retries {
-                self.recovery.retries_exhausted += 1;
-                return Err(if completion.status == Status::CommandAborted {
-                    DriverError::Timeout {
-                        ctx,
-                        waited: self.bus.clock.now().saturating_sub(started),
-                        attempts: attempt + 1,
-                    }
-                } else {
-                    DriverError::RetriesExhausted {
-                        ctx,
-                        attempts: attempt + 1,
-                        last_status: completion.status,
-                    }
-                });
-            }
-            let key = CmdKey::new(ctx.qid.0, ctx.cid);
-            self.bus.trace.emit_cmd(key, || EventKind::Retry {
-                attempt: attempt + 1,
-                backoff: policy.backoff(attempt),
-            });
-            self.bus.clock.advance(policy.backoff(attempt));
-            self.recovery.retries += 1;
-            let retries = self.recovery.retries;
-            self.bus.trace.emit_gauge(|| EventKind::GaugeSample {
-                gauge: "driver_retries",
-                scope: 0,
-                value: retries,
-            });
-            attempt += 1;
-        }
-    }
+/// Rings a CQ head doorbell: one posted 4-byte MMIO write.
+fn ring_cq_head(bus: &SystemBus, qid: QueueId, head: u16) {
+    bus.doorbells.borrow_mut().ring_cq_head(qid, head);
+    let t = bus
+        .link
+        .borrow_mut()
+        .host_posted_write(TrafficClass::Doorbell, 4);
+    bus.clock.advance(t);
 }
 
 impl QueuePair {

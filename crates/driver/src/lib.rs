@@ -23,6 +23,14 @@
 //! ([`NvmeDriver::submit_batch`] + [`FlushPolicy`]): SQEs and chunk trains
 //! for many commands are packed back-to-back and the tail doorbell rings
 //! once per batch, with CQ-side completion coalescing to match.
+//!
+//! Every way of driving a command is the same four calls —
+//! [`NvmeDriver::submit`], [`NvmeDriver::flush_sq`],
+//! `Controller::process_available`, [`NvmeDriver::poll_completions_into`].
+//! Blocking callers loop over them in [`NvmeDriver::wait_for`] (under
+//! [`NvmeDriver::execute`] and `Device::write_batch`); the async
+//! [`Reactor`] makes the same calls from [`Reactor::turn`] without
+//! blocking.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,8 +45,6 @@ pub mod timing;
 pub use batch::{BatchSubmission, FlushPolicy};
 pub use driver::{Completion, DriverError, DriverStats, NvmeDriver, SubmittedCmd};
 pub use method::{InlineMode, TransferMethod};
-pub use reactor::{
-    CommandFuture, Drive, Reactor, ReactorConfig, ReactorStats, ShardHandle, ShardStats, SimDrive,
-};
+pub use reactor::{CommandFuture, Reactor, ReactorConfig, ReactorStats, ShardHandle, ShardStats};
 pub use recovery::{is_idempotent, CmdContext, RecoveryStats, RetryPolicy};
 pub use timing::DriverTiming;

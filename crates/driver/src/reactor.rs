@@ -4,24 +4,23 @@
 //! command per caller at a time; realistic many-client concurrency on top of
 //! the pipelined controller needs commands from *many* logical clients in
 //! flight together, each resolving independently when its completion
-//! arrives. This module provides that as an io_uring-style reactor, shaped
-//! after ringbahn's `Drive` trait and xaio's `send_one`/`send_many`/`flush`
-//! sender contract:
+//! arrives. This module provides that as an io_uring-style reactor over
+//! the same four calls the synchronous path makes — `submit`, `flush_sq`
+//! (and `flush_sq_if_due`), `Controller::process_available`,
+//! `poll_completions_into` — with no layer in between:
 //!
-//! * [`Drive`] — the submission/flush contract a backend implements:
-//!   `poll_prepare` stages a command (backpressure surfaces as
-//!   `Poll::Pending`, *not* an error), `poll_submit` lets the installed
-//!   [`FlushPolicy`] decide whether a doorbell is due, `poll_flush` forces
-//!   the staged tail out. [`SimDrive`] implements it over [`NvmeDriver`].
 //! * **Shards** — thread-per-core style ownership: each shard owns its own
 //!   `NvmeDriver` (its own queues, cid spaces, inflight tables, flush
 //!   state), so no locking is needed across shards. The shared [`SystemBus`]
 //!   stays single-threaded behind per-shard handles — the simulation's
 //!   virtual clock is global, and `Rc<RefCell<_>>` sharing models the
 //!   per-core handles without pretending the clock itself scales.
-//! * [`CommandFuture`] — one in-flight command; resolves when the
-//!   dispatcher routes its completion (ring CQE or byte-interface status
-//!   word alike) back to the shard's waker-keyed waiter table.
+//! * [`CommandFuture`] — one in-flight command: [`NvmeDriver::submit`] on
+//!   first poll (SQ backpressure surfaces as `Poll::Pending`, *not* an
+//!   error), a due doorbell rung per the installed [`FlushPolicy`];
+//!   resolves when the dispatcher routes its completion (ring CQE or
+//!   byte-interface status word alike) back to the shard's waker-keyed
+//!   waiter table.
 //! * The **dispatcher** ([`Reactor::turn`]) — flushes every shard's staged
 //!   doorbells, runs the controller, then drains each queue *on its owning
 //!   shard* and wakes exactly the futures whose completions arrived. The
@@ -36,7 +35,7 @@
 //! make progress.
 
 use crate::batch::FlushPolicy;
-use crate::driver::{Completion, DriverError, DriverStats, NvmeDriver, SubmittedCmd};
+use crate::driver::{Completion, DriverError, DriverStats, NvmeDriver};
 use crate::method::TransferMethod;
 use crate::recovery::{RecoveryStats, RetryPolicy};
 use bx_hostsim::Nanos;
@@ -52,134 +51,6 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
-
-/// The submission-side contract between command futures and a queue
-/// backend, after ringbahn's `Drive`.
-///
-/// All three methods are poll-shaped so a backend may exert backpressure
-/// (`poll_prepare` returning [`Poll::Pending`] when the SQ is full) or
-/// defer doorbells (`poll_submit` letting a flush policy batch across
-/// callers). The simulator implementation ([`SimDrive`]) never returns
-/// `Pending` from the flush methods — the MMIO doorbell write is
-/// synchronous — but the contract leaves room for backends where it is not.
-pub trait Drive {
-    /// Stages `cmd` into `qid`'s submission queue and begins tracking it in
-    /// flight. Returns `Pending` (not an error) when the queue has no room;
-    /// the caller re-polls after completions drain.
-    fn poll_prepare(
-        &mut self,
-        cx: &mut Context<'_>,
-        qid: QueueId,
-        cmd: &PassthruCmd,
-        method: TransferMethod,
-    ) -> Poll<Result<SubmittedCmd, DriverError>>;
-
-    /// Gives the backend's flush policy a chance to ring a due doorbell
-    /// (max-delay bound exceeded); does nothing when no flush is due.
-    fn poll_submit(&mut self, cx: &mut Context<'_>, qid: QueueId) -> Poll<Result<(), DriverError>>;
-
-    /// Forces any staged-but-unrung tail out to the device. Returns whether
-    /// a doorbell was actually rung.
-    fn poll_flush(&mut self, cx: &mut Context<'_>, qid: QueueId)
-        -> Poll<Result<bool, DriverError>>;
-
-    /// Appends every ready completion on `qid` — ring CQEs and
-    /// byte-interface status words alike — into `out`.
-    fn drain_completions(
-        &mut self,
-        qid: QueueId,
-        out: &mut Vec<Completion>,
-    ) -> Result<(), DriverError>;
-
-    /// Commands submitted on `qid` whose completions have not yet drained.
-    fn inflight(&self, qid: QueueId) -> usize;
-
-    /// The concrete simulator drive, when this is one — lets the reactor
-    /// surface driver/recovery counters without closing the trait to mock
-    /// backends (which keep the default `None`).
-    fn as_sim(&self) -> Option<&SimDrive> {
-        None
-    }
-}
-
-/// [`Drive`] implemented over the in-simulator [`NvmeDriver`].
-///
-/// A thin adapter: `poll_prepare` maps [`DriverError::QueueFull`] to
-/// `Pending` (the reactor wakes capacity waiters after every drain, when SQ
-/// slots have been released by consumed CQEs), and the flush methods map to
-/// the driver's doorbell-coalescing entry points.
-#[derive(Debug)]
-pub struct SimDrive {
-    driver: NvmeDriver,
-}
-
-impl SimDrive {
-    /// Wraps an [`NvmeDriver`] (with its queues already created).
-    pub fn new(driver: NvmeDriver) -> Self {
-        SimDrive { driver }
-    }
-
-    /// The wrapped driver, for stats and configuration.
-    pub fn driver(&self) -> &NvmeDriver {
-        &self.driver
-    }
-
-    /// Mutable access to the wrapped driver.
-    pub fn driver_mut(&mut self) -> &mut NvmeDriver {
-        &mut self.driver
-    }
-}
-
-impl Drive for SimDrive {
-    fn poll_prepare(
-        &mut self,
-        _cx: &mut Context<'_>,
-        qid: QueueId,
-        cmd: &PassthruCmd,
-        method: TransferMethod,
-    ) -> Poll<Result<SubmittedCmd, DriverError>> {
-        match self.driver.submit(qid, cmd, method) {
-            Ok(sub) => Poll::Ready(Ok(sub)),
-            // Backpressure, not failure: the waker is parked by the caller
-            // (the shard's capacity list) and re-polled after a drain frees
-            // SQ slots.
-            Err(DriverError::QueueFull { .. }) => Poll::Pending,
-            Err(e) => Poll::Ready(Err(e)),
-        }
-    }
-
-    fn poll_submit(
-        &mut self,
-        _cx: &mut Context<'_>,
-        qid: QueueId,
-    ) -> Poll<Result<(), DriverError>> {
-        Poll::Ready(self.driver.flush_sq_if_due(qid))
-    }
-
-    fn poll_flush(
-        &mut self,
-        _cx: &mut Context<'_>,
-        qid: QueueId,
-    ) -> Poll<Result<bool, DriverError>> {
-        Poll::Ready(self.driver.flush_sq(qid))
-    }
-
-    fn drain_completions(
-        &mut self,
-        qid: QueueId,
-        out: &mut Vec<Completion>,
-    ) -> Result<(), DriverError> {
-        self.driver.poll_completions_into(qid, out)
-    }
-
-    fn inflight(&self, qid: QueueId) -> usize {
-        self.driver.inflight_len(qid)
-    }
-
-    fn as_sim(&self) -> Option<&SimDrive> {
-        Some(self)
-    }
-}
 
 /// One parked completion waiter: the waker to call and, once the
 /// dispatcher has routed it, the completion itself.
@@ -201,13 +72,13 @@ pub struct ShardStats {
     pub orphaned: u64,
 }
 
-/// The state one shard owns exclusively: its drive (driver, queues, cid
-/// spaces, inflight tables), its waiter table, and its backpressure list.
+/// The state one shard owns exclusively: its driver (queues, cid spaces,
+/// inflight tables), its waiter table, and its backpressure list.
 /// Nothing here is ever touched from another shard — the dispatcher drains
 /// each queue through the shard that owns it.
 struct Shard {
     index: u16,
-    drive: Box<dyn Drive>,
+    driver: NvmeDriver,
     queues: Vec<QueueId>,
     /// Round-robin cursor for spreading `ShardHandle::submit` across the
     /// shard's queues.
@@ -356,7 +227,7 @@ impl Reactor {
             }
             shards.push(Rc::new(RefCell::new(Shard {
                 index: index as u16,
-                drive: Box::new(SimDrive::new(driver)),
+                driver,
                 queues,
                 next_queue: 0,
                 waiters: BTreeMap::new(),
@@ -426,18 +297,15 @@ impl Reactor {
     pub fn recovery_stats(&self) -> RecoveryStats {
         let mut acc = RecoveryStats::default();
         for shard in &self.shards {
-            let shard = shard.borrow();
-            let r = shard.drive.as_sim().map(|s| s.driver().recovery_stats());
-            if let Some(r) = r {
-                acc.timeouts += r.timeouts;
-                acc.retries += r.retries;
-                acc.retries_exhausted += r.retries_exhausted;
-                acc.bx_failures += r.bx_failures;
-                acc.fallbacks += r.fallbacks;
-                acc.probes += r.probes;
-                acc.repromotions += r.repromotions;
-                acc.spurious_completions += r.spurious_completions;
-            }
+            let r = shard.borrow().driver.recovery_stats();
+            acc.timeouts += r.timeouts;
+            acc.retries += r.retries;
+            acc.retries_exhausted += r.retries_exhausted;
+            acc.bx_failures += r.bx_failures;
+            acc.fallbacks += r.fallbacks;
+            acc.probes += r.probes;
+            acc.repromotions += r.repromotions;
+            acc.spurious_completions += r.spurious_completions;
         }
         acc
     }
@@ -446,17 +314,15 @@ impl Reactor {
     pub fn driver_stats(&self) -> DriverStats {
         let mut acc = DriverStats::default();
         for shard in &self.shards {
-            let shard = shard.borrow();
-            if let Some(s) = shard.drive.as_sim().map(|s| s.driver().stats()) {
-                acc.submissions += s.submissions;
-                acc.doorbells += s.doorbells;
-                acc.chunks_written += s.chunks_written;
-                acc.frags_issued += s.frags_issued;
-                acc.pages_mapped += s.pages_mapped;
-                acc.sgl_fallbacks += s.sgl_fallbacks;
-                acc.batch_flushes += s.batch_flushes;
-                acc.batched_cmds += s.batched_cmds;
-            }
+            let s = shard.borrow().driver.stats();
+            acc.submissions += s.submissions;
+            acc.doorbells += s.doorbells;
+            acc.chunks_written += s.chunks_written;
+            acc.frags_issued += s.frags_issued;
+            acc.pages_mapped += s.pages_mapped;
+            acc.sgl_fallbacks += s.sgl_fallbacks;
+            acc.batch_flushes += s.batch_flushes;
+            acc.batched_cmds += s.batched_cmds;
         }
         acc
     }
@@ -470,7 +336,7 @@ impl Reactor {
                 shard
                     .queues
                     .iter()
-                    .map(|&q| shard.drive.inflight(q))
+                    .map(|&q| shard.driver.inflight_len(q))
                     .sum::<usize>()
             })
             .sum()
@@ -487,29 +353,25 @@ impl Reactor {
     /// CQEs and byte-interface status words take the same route.
     pub fn turn(&mut self) -> usize {
         self.turns += 1;
-        let mut noop_cx = Context::from_waker(Waker::noop());
         for shard in &self.shards {
-            let mut shard = shard.borrow_mut();
-            let queues = shard.queues.clone();
-            for qid in queues {
+            let shard = &mut *shard.borrow_mut();
+            for &qid in &shard.queues {
                 // Force the staged tail out: the executor only calls turn()
                 // when no task is runnable, so anything staged has no other
                 // doorbell coming.
-                let _ = shard.drive.poll_flush(&mut noop_cx, qid);
+                let _ = shard.driver.flush_sq(qid);
             }
         }
         self.ctrl.borrow_mut().process_available();
         let mut dispatched = 0usize;
         for shard in &self.shards {
-            let mut shard = shard.borrow_mut();
-            let shard = &mut *shard;
-            let queues = shard.queues.clone();
+            let shard = &mut *shard.borrow_mut();
             let mut shard_dispatched = 0u16;
-            for qid in queues {
+            for &qid in &shard.queues {
                 shard.drained.clear();
                 if shard
-                    .drive
-                    .drain_completions(qid, &mut shard.drained)
+                    .driver
+                    .poll_completions_into(qid, &mut shard.drained)
                     .is_err()
                 {
                     continue;
@@ -737,19 +599,21 @@ impl Future for CommandFuture {
                         "CommandFuture polled after completion",
                     )));
                 };
-                match shard.drive.poll_prepare(cx, this.qid, cmd, this.method) {
-                    Poll::Pending => {
-                        // SQ full: park on the shard's capacity list; the
-                        // dispatcher wakes it after the next drain.
+                match shard.driver.submit(this.qid, cmd, this.method) {
+                    Err(DriverError::QueueFull { .. }) => {
+                        // Backpressure, not failure: park on the shard's
+                        // capacity list; the dispatcher wakes it after the
+                        // next drain, when consumed CQEs have released SQ
+                        // slots.
                         shard.capacity.push(cx.waker().clone());
                         // bx-lint: allow(borrow-across-pending, reason = "guard drops as this tail expression returns; wakes are deferred flag-sets, never re-entrant polls")
                         Poll::Pending
                     }
-                    Poll::Ready(Err(e)) => {
+                    Err(e) => {
                         this.state = FutureState::Done;
                         Poll::Ready(Err(e))
                     }
-                    Poll::Ready(Ok(sub)) => {
+                    Ok(sub) => {
                         this.cmd = None;
                         this.state = FutureState::Waiting { cid: sub.cid };
                         shard.stats.submitted += 1;
@@ -762,7 +626,7 @@ impl Future for CommandFuture {
                         );
                         // Let the flush policy ring a due doorbell now
                         // rather than waiting for the executor to go idle.
-                        let _ = shard.drive.poll_submit(cx, this.qid);
+                        let _ = shard.driver.flush_sq_if_due(this.qid);
                         // bx-lint: allow(borrow-across-pending, reason = "guard drops as this tail expression returns; wakes are deferred flag-sets, never re-entrant polls")
                         Poll::Pending
                     }

@@ -15,9 +15,10 @@ use std::fmt;
 
 /// Timeout/retry/degradation policy for [`crate::NvmeDriver`].
 ///
-/// Installing a policy (see `NvmeDriver::set_retry_policy`) switches
-/// `execute` onto the recovering path; without one the driver keeps its
-/// original panic-on-lost-completion behaviour, byte-identical on the wire.
+/// Installing a policy (see `NvmeDriver::set_retry_policy`) wraps the
+/// recovery ladder around `execute`'s wait; without one `execute` makes a
+/// single attempt and reports a lost completion as `DriverError::Timeout`,
+/// byte-identical on the wire to a driver with no recovery support.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Per-attempt completion deadline. Must exceed the controller's

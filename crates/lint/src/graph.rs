@@ -21,9 +21,9 @@
 //!   external code has no workspace body to analyze.
 //! * `self.name(..)` — resolves to the enclosing impl's own method when one
 //!   exists, otherwise to **every** method of that name in the workspace
-//!   (trait dispatch is resolved conservatively: a call through `dyn Drive`
-//!   reaches every `Drive` impl, and by-name fallback widens that further
-//!   rather than guessing).
+//!   (trait dispatch is resolved conservatively: a call through a `dyn Trait`
+//!   receiver reaches every impl of that method, and by-name fallback widens
+//!   that further rather than guessing).
 //! * `recv.name(..)` — by-name over all methods of that name (same
 //!   conservative dispatch policy).
 //! * `name(..)` — free functions in the same file first, falling back

@@ -315,8 +315,11 @@ pub fn lint_file(rel: &str, lx: &Lexed, cfg: &Config) -> Vec<Finding> {
 }
 
 /// Directories never scanned: third-party vendored code, build output,
-/// the VCS store, and bx-lint's own deliberately-bad fixtures.
-const SKIP_DIRS: [&str; 4] = ["vendor", "target", ".git", "fixtures"];
+/// the VCS store, bx-lint's own deliberately-bad fixtures, and the
+/// standalone `benchmark/` package — not a workspace member, and a host
+/// wall-clock harness by design, so the simulator's invariants (virtual
+/// time only, no panics on hot paths) do not apply to it.
+const SKIP_DIRS: [&str; 5] = ["vendor", "target", ".git", "fixtures", "benchmark"];
 
 /// Recursively collects `.rs` files under `root`, repo-relative, sorted.
 pub fn collect_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {

@@ -109,7 +109,7 @@ proptest! {
     fn used_slots_is_true_modular_distance(depth in 2u16..=1024, head_steps in 0u16..1024, extra in 0u16..1024) {
         let head = head_steps % depth;
         let used = extra % depth;
-        // Drive the ring to (head, head + used mod depth) via real ops.
+        // Bring the ring to (head, head + used mod depth) via real ops.
         let mut q = sq(depth);
         let mut pushed: u64 = 0;
         for _ in 0..head {

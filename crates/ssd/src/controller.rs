@@ -177,10 +177,11 @@ struct BandSlimPending {
     next_frag: u32,
 }
 
-/// A completion whose delivery was decoupled from firmware dispatch
-/// ([`ExecutionModel::Pipelined`]): scheduled at `complete_at` on the
-/// controller's event queue, delivered (response DMA + CQE post, or MMIO
-/// status-window push) when virtual time reaches it.
+/// A dispatched command's completion, between firmware dispatch and
+/// delivery (response DMA + CQE post, or MMIO status-window push). Under
+/// [`ExecutionModel::Serial`] it is delivered inline; under
+/// [`ExecutionModel::Pipelined`] it waits on the controller's event queue
+/// until virtual time reaches `complete_at`.
 enum DeferredCompletion {
     /// An I/O-queue command. Keyed by queue *id*, not index — queues may be
     /// deleted while a completion is in flight, in which case it is dropped
@@ -629,16 +630,22 @@ impl Controller {
             if self.power_tick() {
                 return delivered;
             }
-            delivered += self.deliver_completion(ev);
+            delivered += self.deliver_completion(&ev);
         }
         delivered
     }
 
-    /// Finishes one deferred command: response DMA + CQE post (or the MMIO
-    /// status-window push). Runs at or after the command's `complete_at`.
-    fn deliver_completion(&mut self, ev: DeferredCompletion) -> usize {
-        match ev {
-            DeferredCompletion::Cqe { qid, sqe, outcome } => {
+    /// Delivers one command's completion: response DMA + CQE post (or the
+    /// MMIO status-window push) — response DMA included, since the data only
+    /// exists once the media op finishes. Runs at or after the command's
+    /// `complete_at`, under either execution model.
+    fn deliver_completion(&mut self, ev: &DeferredCompletion) -> usize {
+        match *ev {
+            DeferredCompletion::Cqe {
+                qid,
+                ref sqe,
+                ref outcome,
+            } => {
                 let Some(qi) = self.queues.iter().position(|q| q.id.0 == qid) else {
                     // Queue pair deleted while the command was in flight;
                     // the completion has nowhere to land.
@@ -646,10 +653,10 @@ impl Controller {
                 };
                 if let Some(response) = &outcome.response {
                     if !response.is_empty() {
-                        self.dma_response(&sqe, response);
+                        self.dma_response(sqe, response);
                     }
                 }
-                self.post_completion(qi, sqe.cid(), &outcome);
+                self.post_completion(qi, sqe.cid(), outcome);
                 1
             }
             DeferredCompletion::Mmio {
@@ -749,38 +756,15 @@ impl Controller {
         };
         let payload = (!sub.payload.is_empty()).then_some(sub.payload.as_slice());
         let outcome = self.firmware.handle(ctx, &sub.sqe, payload);
-        if self.execution == ExecutionModel::Pipelined {
-            let until = outcome.complete_at.max(self.bus.clock.now());
-            self.bus
-                .trace
-                .emit_cmd(key, || EventKind::CqeDeferred { until });
-            self.deferred.push(
-                until,
-                DeferredCompletion::Mmio {
-                    qid: sub.qid,
-                    cid: sub.sqe.cid(),
-                    status: outcome.status,
-                    result: outcome.result,
-                },
-            );
-            return Some(0);
-        }
-        self.bus.clock.advance_to(outcome.complete_at);
-        self.bus
-            .mmio_window
-            .borrow_mut()
-            .completions
-            .push_back(crate::bus::MmioCompletion {
+        Some(self.finish(
+            outcome.complete_at,
+            DeferredCompletion::Mmio {
                 qid: sub.qid,
                 cid: sub.sqe.cid(),
                 status: outcome.status,
                 result: outcome.result,
-            });
-        self.bus.trace.emit_cmd(key, || EventKind::CqePost {
-            status: outcome.status.to_wire(),
-        });
-        self.stats.commands_completed += 1;
-        Some(1)
+            },
+        ))
     }
 
     fn admin_has_work(&self) -> bool {
@@ -1236,16 +1220,9 @@ impl Controller {
         }
     }
 
-    /// Runs firmware and posts the completion (including any device→host
-    /// response DMA). Returns the number of completions posted *now*.
-    ///
-    /// Under `Serial` the clock advances through the command's full
-    /// `complete_at` — the controller is frozen until the media finishes.
-    /// Under `Pipelined` the dispatch returns immediately (the firmware has
-    /// issued the program/read; per-die busy-until state in [`NandArray`]
-    /// keeps same-die work queued) and the completion — response DMA
-    /// included, since the data only exists once the media op finishes — is
-    /// scheduled for `complete_at` on the deferred-event queue.
+    /// Runs firmware on one gathered command and hands the outcome to
+    /// [`Controller::finish`]. Returns the number of completions posted
+    /// *now*.
     fn dispatch_and_complete(
         &mut self,
         qi: usize,
@@ -1265,34 +1242,43 @@ impl Controller {
         if self.power_tick() {
             return 0;
         }
-        if self.execution == ExecutionModel::Pipelined {
-            let qid = self.queues[qi].id.0;
-            let until = outcome.complete_at.max(self.bus.clock.now());
-            self.bus
-                .trace
-                .emit_cmd(CmdKey::new(qid, sqe.cid()), || EventKind::CqeDeferred {
-                    until,
-                });
-            self.deferred.push(
-                until,
-                DeferredCompletion::Cqe {
-                    qid,
-                    sqe: *sqe,
-                    outcome,
-                },
-            );
-            return 0;
-        }
-        self.bus.clock.advance_to(outcome.complete_at);
+        let qid = self.queues[qi].id.0;
+        self.finish(
+            outcome.complete_at,
+            DeferredCompletion::Cqe {
+                qid,
+                sqe: *sqe,
+                outcome,
+            },
+        )
+    }
 
-        // Device→host response: DMA into the command's PRP-described buffer.
-        if let Some(response) = &outcome.response {
-            if !response.is_empty() {
-                self.dma_response(sqe, response);
+    /// The one completion path, and the controller's only branch on
+    /// [`ExecutionModel`]: what happens between firmware dispatch and
+    /// [`Controller::deliver_completion`]. `Serial` freezes the controller
+    /// until the media finishes — the clock advances to `complete_at` and
+    /// the completion is delivered inline. `Pipelined` schedules the same
+    /// delivery on the deferred-event queue and returns at once. Returns
+    /// the number of completions posted *now*.
+    fn finish(&mut self, complete_at: Nanos, ev: DeferredCompletion) -> usize {
+        match self.execution {
+            ExecutionModel::Serial => {
+                self.bus.clock.advance_to(complete_at);
+                self.deliver_completion(&ev)
+            }
+            ExecutionModel::Pipelined => {
+                let until = complete_at.max(self.bus.clock.now());
+                let key = match &ev {
+                    DeferredCompletion::Cqe { qid, sqe, .. } => CmdKey::new(*qid, sqe.cid()),
+                    DeferredCompletion::Mmio { qid, cid, .. } => CmdKey::new(*qid, *cid),
+                };
+                self.bus
+                    .trace
+                    .emit_cmd(key, || EventKind::CqeDeferred { until });
+                self.deferred.push(until, ev);
+                0
             }
         }
-        self.post_completion(qi, sqe.cid(), &outcome);
-        1
     }
 
     fn dma_response(&mut self, sqe: &SubmissionEntry, response: &[u8]) {

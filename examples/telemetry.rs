@@ -26,8 +26,7 @@ fn workload(dev: &mut Device) -> Result<(), byteexpress::DeviceError> {
             })
             .collect();
         dev.write_batch(
-            queues[round as usize % 2],
-            &batch,
+            &[(queues[round as usize % 2], batch)],
             TransferMethod::ByteExpress,
         )?;
     }

@@ -39,7 +39,7 @@ fn golden_events() -> Vec<byteexpress::Event> {
         })
         .collect();
     let q = dev.queues()[0];
-    dev.write_batch(q, &batch, TransferMethod::ByteExpress)
+    dev.write_batch(&[(q, batch)], TransferMethod::ByteExpress)
         .expect("golden writes must succeed");
     dev.trace_events()
 }

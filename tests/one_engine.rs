@@ -1,0 +1,101 @@
+//! `Device::write_batch` and `Device::write` share one submit-and-wait
+//! engine (DESIGN.md §15), so they agree where the old hand-written loops
+//! had drifted apart: a zero poll interval cannot hang a batch, a rejected
+//! queue does not strand the queues rung before it, and a lost completion
+//! without a retry policy is an error rather than a panic.
+
+use byteexpress::driver::DriverError;
+use byteexpress::nvme::inline::MAX_INLINE_LEN;
+use byteexpress::{
+    Device, DeviceBuilder, DeviceError, FaultConfig, Nanos, RetryPolicy, Status, TransferMethod,
+};
+
+fn drop_every_doorbell() -> FaultConfig {
+    FaultConfig {
+        drop_doorbell: 1.0,
+        ..FaultConfig::disabled()
+    }
+}
+
+fn items(n: u64) -> Vec<(u64, Vec<u8>)> {
+    (0..n).map(|i| (i * 8, vec![i as u8; 64])).collect()
+}
+
+#[test]
+fn zero_poll_interval_batch_times_out_instead_of_hanging() {
+    let timeout = Nanos::from_us(50);
+    let mut dev = DeviceBuilder::new()
+        .nand_io(false)
+        .fault_config(drop_every_doorbell())
+        .retry_policy(RetryPolicy {
+            timeout,
+            poll_interval: Nanos::ZERO,
+            ..RetryPolicy::default()
+        })
+        .build();
+    let q = dev.queues()[0];
+    let t0 = dev.now();
+    let err = dev
+        .write_batch(&[(q, items(4))], TransferMethod::ByteExpress)
+        .unwrap_err();
+    // Every command was reaped at its deadline, one clamped poll step at a
+    // time — the same rule `Device::write` waits by.
+    assert_eq!(err, DeviceError::Command(Status::CommandAborted));
+    assert!(
+        dev.now() - t0 < timeout + timeout,
+        "waited {}",
+        dev.now() - t0
+    );
+    assert_eq!(dev.recovery_stats().timeouts, 4);
+    assert_eq!(dev.driver_mut().inflight_len(q), 0);
+}
+
+#[test]
+fn rejected_queue_does_not_strand_the_queues_before_it() {
+    let mut dev = Device::builder().nand_io(false).queue_count(2).build();
+    let (first, second) = (dev.queues()[0], dev.queues()[1]);
+    let oversized = vec![(0u64, vec![0u8; MAX_INLINE_LEN + 1])];
+    let completed_before = dev.controller().stats().commands_completed;
+    let err = dev
+        .write_batch(
+            &[(first, items(4)), (second, oversized)],
+            TransferMethod::ByteExpress,
+        )
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            DeviceError::Driver(DriverError::PayloadTooLarge { .. })
+        ),
+        "{err}"
+    );
+    // The first queue was already rung: its commands ran and were reaped
+    // before the error came back.
+    assert_eq!(dev.driver_mut().inflight_len(first), 0);
+    assert_eq!(dev.driver_mut().inflight_len(second), 0);
+    assert_eq!(
+        dev.controller().stats().commands_completed - completed_before,
+        4
+    );
+}
+
+#[test]
+fn lost_completion_without_policy_is_an_error_not_a_panic() {
+    let mut dev = Device::builder()
+        .nand_io(false)
+        .fault_config(drop_every_doorbell())
+        .build();
+    let q = dev.queues()[0];
+    let lost = |r: Result<(), DeviceError>| match r {
+        Err(DeviceError::Driver(DriverError::Timeout { attempts: 1, .. })) => {}
+        other => panic!("expected a single-attempt Timeout, got {other:?}"),
+    };
+    lost(
+        dev.write(0, &[0xAB; 64], TransferMethod::ByteExpress)
+            .map(|_| ()),
+    );
+    lost(
+        dev.write_batch(&[(q, items(3))], TransferMethod::Prp)
+            .map(|_| ()),
+    );
+}

@@ -49,7 +49,7 @@ fn run(model: ExecutionModel, qd: u64, trace: bool) -> (u64, u64, u64) {
     let queues: Vec<_> = dev.queues().to_vec();
     let t0 = dev.now();
     let before = dev.traffic();
-    dev.write_batch_multi(&batches(&queues, qd), TransferMethod::ByteExpress)
+    dev.write_batch(&batches(&queues, qd), TransferMethod::ByteExpress)
         .expect("writes succeed");
     let elapsed = (dev.now() - t0).as_ns();
     let wire = dev.traffic().since(&before).non_doorbell_wire_bytes();
@@ -123,7 +123,7 @@ fn pipelined_run_is_deterministic() {
 fn pipelined_trace_proves_nand_fetch_overlap() {
     let mut dev = rig(ExecutionModel::Pipelined, true);
     let queues: Vec<_> = dev.queues().to_vec();
-    dev.write_batch_multi(&batches(&queues, 8), TransferMethod::ByteExpress)
+    dev.write_batch(&batches(&queues, 8), TransferMethod::ByteExpress)
         .expect("writes succeed");
     let events = dev.trace_events();
 
@@ -177,7 +177,7 @@ fn pipelined_completions_cross_submission_order() {
         (queues[1], vec![(64u64, vec![0xBB; 64])]),
         (queues[2], vec![(128u64, vec![0xCC; 64])]),
     ];
-    dev.write_batch_multi(&work, TransferMethod::Prp)
+    dev.write_batch(&work, TransferMethod::Prp)
         .expect("writes succeed");
     let posts: Vec<u16> = dev
         .trace_events()

@@ -54,7 +54,7 @@ fn golden_run() -> (u64, u64, u64, u64, u64) {
                     (n * 8, payload(n))
                 })
                 .collect();
-            dev.write_batch(queues[(round as usize + g) % 2], &batch, method)
+            dev.write_batch(&[(queues[(round as usize + g) % 2], batch)], method)
                 .expect("golden writes must succeed");
         }
     }

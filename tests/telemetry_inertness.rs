@@ -39,8 +39,7 @@ fn run(configure: impl FnOnce(byteexpress::DeviceBuilder) -> byteexpress::Device
             })
             .collect();
         dev.write_batch(
-            queues[round as usize % 2],
-            &batch,
+            &[(queues[round as usize % 2], batch)],
             TransferMethod::ByteExpress,
         )
         .expect("inertness workload must succeed");
