@@ -94,6 +94,11 @@ pub struct BlockFirmware {
     nand_io: bool,
     /// Device-DRAM page buffer offset (landing zone in NAND-off mode).
     page_buffer: usize,
+    /// One page of staging for sub-page write tails, zero beyond
+    /// `staged_len`: padding the next tail clears only what the last one
+    /// left behind, not the whole page.
+    staging: Vec<u8>,
+    staged_len: usize,
 }
 
 impl BlockFirmware {
@@ -107,6 +112,8 @@ impl BlockFirmware {
         BlockFirmware {
             nand_io,
             page_buffer: region.offset,
+            staging: vec![0; PAGE_SIZE],
+            staged_len: 0,
         }
     }
 
@@ -147,9 +154,17 @@ impl FirmwareHandler for BlockFirmware {
                 let mut t = ctx.now;
                 let base_lpn = sqe.slba();
                 for (i, chunk) in data.chunks(PAGE_SIZE).enumerate() {
-                    let mut page = vec![0u8; PAGE_SIZE];
-                    page[..chunk.len()].copy_from_slice(chunk);
-                    match ctx.ftl.write(base_lpn + i as u64, &page, ctx.nand, t) {
+                    let page = if chunk.len() == PAGE_SIZE {
+                        chunk
+                    } else {
+                        self.staging[..chunk.len()].copy_from_slice(chunk);
+                        if chunk.len() < self.staged_len {
+                            self.staging[chunk.len()..self.staged_len].fill(0);
+                        }
+                        self.staged_len = chunk.len();
+                        &self.staging
+                    };
+                    match ctx.ftl.write(base_lpn + i as u64, page, ctx.nand, t) {
                         Ok(done) => t = done,
                         Err(e) => return CommandOutcome::fail(ftl_status(&e), ctx.now),
                     }

@@ -26,6 +26,7 @@
 
 use crate::nand::Ppa;
 use bx_hostsim::Nanos;
+use std::collections::VecDeque;
 
 /// Amortized SLC program latency charged per appended record: 85 × 48 B
 /// records pack into one 4 KB metadata page, and a ~170 µs SLC page program
@@ -87,18 +88,30 @@ const KIND_TRIM: u8 = 2;
 const KIND_RETIRE: u8 = 3;
 const FLAG_HAS_PREV: u8 = 1;
 
-/// Bitwise CRC-32 (IEEE 802.3 polynomial, reflected). Slow but dependency-
-/// free; journal volumes are tiny.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// CRC-32 remainders of every byte value (IEEE 802.3 polynomial, reflected),
+/// computed at compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        table[byte] = crc;
+        byte += 1;
     }
-    !crc
+    table
+};
+
+/// Table-driven CRC-32 (IEEE 802.3). One lookup per byte: every append
+/// checksums its record, so this sits on the NAND-on write path.
+fn crc32(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(0xFFFF_FFFF_u32, |crc, &b| {
+        (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize]
+    })
 }
 
 fn encode(rec: &JournalRecord) -> [u8; RECORD_BYTES] {
@@ -243,7 +256,12 @@ pub struct JournalStats {
 /// The append-only mapping journal (reserved SLC metadata region).
 #[derive(Debug)]
 pub struct MapJournal {
-    records: Vec<StoredRecord>,
+    /// The live tail, in ascending `seq`: appended at the back, reclaimed
+    /// from the front once a durable checkpoint covers a prefix — NVLog's
+    /// constant-time append with prefix reclamation.
+    records: VecDeque<StoredRecord>,
+    /// Oldest first: the newest durable snapshot, then at most one still in
+    /// flight.
     checkpoints: Vec<Checkpoint>,
     next_seq: u32,
     /// The journal region's program busy chain.
@@ -256,7 +274,7 @@ impl MapJournal {
     /// An empty journal with the default checkpoint threshold.
     pub fn new() -> Self {
         MapJournal {
-            records: Vec::new(),
+            records: VecDeque::new(),
             checkpoints: Vec::new(),
             next_seq: 0,
             busy_until: Nanos::ZERO,
@@ -297,7 +315,7 @@ impl MapJournal {
         self.next_seq += 1;
         let rec = JournalRecord { seq, op };
         self.busy_until = self.busy_until.max(now) + JOURNAL_APPEND_LATENCY;
-        self.records.push(StoredRecord {
+        self.records.push_back(StoredRecord {
             bytes: encode(&rec),
             seq,
             durable_at: self.busy_until,
@@ -318,12 +336,20 @@ impl MapJournal {
     /// in-flight targets stay live: their map entries in the snapshot may
     /// point at pages a later cut tears, and only their journal records (with
     /// the prev-PPA fallback) can repair that on replay.
+    ///
+    /// Does nothing while the previous snapshot is still programming: the
+    /// tail cannot shrink until that one is durable, so a second snapshot
+    /// would absorb nothing, only lengthen the busy chain — and a storm of
+    /// them would push the last durable snapshot out of the region.
     pub fn write_checkpoint(
         &mut self,
         map: &[Option<Ppa>],
         bad: impl IntoIterator<Item = (u16, u16, u32)>,
         now: Nanos,
     ) {
+        if self.checkpoints.last().is_some_and(|c| c.durable_at > now) {
+            return;
+        }
         // Longest prefix of the live tail whose targets are durable.
         let mut covers_below = self.checkpoints.last().map(|c| c.covers_below).unwrap_or(0);
         for rec in &self.records {
@@ -340,16 +366,20 @@ impl MapJournal {
             bad: bad.into_iter().collect(),
             durable_at: self.busy_until,
         });
-        // Keep at most two snapshots: the newest may not be durable yet when
-        // a cut lands, in which case recovery falls back to its predecessor.
-        if self.checkpoints.len() > 2 {
-            self.checkpoints.remove(0);
+        // The new snapshot may not be durable yet when a cut lands, in which
+        // case recovery falls back to the newest durable one — whose covered
+        // records are already pruned, so it must stay. Anything older is
+        // superseded.
+        if let Some(fallback) = self.checkpoints.iter().rposition(|c| c.durable_at <= now) {
+            self.checkpoints.drain(..fallback);
         }
         self.stats.checkpoints += 1;
         self.prune_covered(now);
     }
 
-    /// Drops records absorbed by a checkpoint that is already durable.
+    /// Drops records absorbed by a checkpoint that is already durable. They
+    /// are a prefix of the tail (`seq` ascends), so the cost is the number
+    /// dropped, not the number live.
     fn prune_covered(&mut self, now: Nanos) {
         let Some(covers) = self
             .checkpoints
@@ -360,9 +390,10 @@ impl MapJournal {
         else {
             return;
         };
-        let before = self.records.len();
-        self.records.retain(|r| r.seq >= covers);
-        self.stats.pruned += (before - self.records.len()) as u64;
+        while self.records.front().is_some_and(|r| r.seq < covers) {
+            self.records.pop_front();
+            self.stats.pruned += 1;
+        }
     }
 
     /// A power cut at instant `at`: checkpoints and records that had not
@@ -430,6 +461,7 @@ impl Default for MapJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ppa(channel: u16, die: u16, block: u32, page: u32) -> Ppa {
         Ppa {
@@ -437,6 +469,191 @@ mod tests {
             die,
             block,
             page,
+        }
+    }
+
+    /// The bit-at-a-time CRC-32 the table replaced: the reference.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    /// The journal as it was before the prefix prune: a `Vec` tail swept by
+    /// `retain` on every append, records kept decoded with a torn flag. Same
+    /// checkpoint policy as [`MapJournal`].
+    #[derive(Default)]
+    struct NaiveJournal {
+        /// `(record, durable_at, target_done, torn)`.
+        records: Vec<(JournalRecord, Nanos, Nanos, bool)>,
+        /// `(covers_below, durable_at)`.
+        checkpoints: Vec<(u32, Nanos)>,
+        next_seq: u32,
+        busy_until: Nanos,
+        stats: JournalStats,
+    }
+
+    impl NaiveJournal {
+        fn prune(&mut self, now: Nanos) {
+            let durable = self.checkpoints.iter().filter(|c| c.1 <= now);
+            let Some(covers) = durable.map(|c| c.0).max() else {
+                return;
+            };
+            let before = self.records.len();
+            self.records.retain(|r| r.0.seq >= covers);
+            self.stats.pruned += (before - self.records.len()) as u64;
+        }
+
+        fn append(&mut self, op: JournalOp, target_done: Nanos, now: Nanos) -> Nanos {
+            self.prune(now);
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.busy_until = self.busy_until.max(now) + JOURNAL_APPEND_LATENCY;
+            self.records.push((
+                JournalRecord { seq, op },
+                self.busy_until,
+                target_done,
+                false,
+            ));
+            self.stats.appends += 1;
+            self.busy_until
+        }
+
+        fn write_checkpoint(&mut self, now: Nanos) {
+            if self.checkpoints.last().is_some_and(|c| c.1 > now) {
+                return;
+            }
+            let mut covers = self.checkpoints.last().map_or(0, |c| c.0);
+            for r in self.records.iter().take_while(|r| r.2 <= now) {
+                covers = r.0.seq + 1;
+            }
+            self.busy_until = self.busy_until.max(now) + CHECKPOINT_LATENCY;
+            let newest_durable = self.checkpoints.iter().rposition(|c| c.1 <= now);
+            self.checkpoints.drain(..newest_durable.unwrap_or(0));
+            self.checkpoints.push((covers, self.busy_until));
+            self.stats.checkpoints += 1;
+            self.prune(now);
+        }
+
+        fn power_cut(&mut self, at: Nanos) {
+            self.checkpoints.retain(|c| c.1 <= at);
+            if let Some(first_torn) = self.records.iter().position(|r| r.1 > at) {
+                self.records.truncate(first_torn + 1);
+                self.records[first_torn].3 = true;
+            }
+            self.busy_until = at;
+        }
+
+        fn replayable(&self, from_seq: u32) -> (Vec<JournalRecord>, bool) {
+            let intact = self.records.iter().take_while(|r| !r.3);
+            let out: Vec<JournalRecord> =
+                intact.map(|r| r.0).filter(|r| r.seq >= from_seq).collect();
+            (out, self.records.iter().any(|r| r.3))
+        }
+
+        fn truncate_torn(&mut self) {
+            if let Some(pos) = self.records.iter().position(|r| r.3) {
+                self.stats.torn_records += (self.records.len() - pos) as u64;
+                self.records.truncate(pos);
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Advance the clock by `gap_us`, append a record whose target lands
+        /// `target_us` later.
+        Append {
+            gap_us: u64,
+            target_us: u64,
+        },
+        Checkpoint,
+        /// Cut `back_us` before the clock (never before the previous cut),
+        /// then recover: replay, truncate the torn tail.
+        CutAndRecover {
+            back_us: u64,
+        },
+    }
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            12 => (0..60u64, 0..400u64)
+                .prop_map(|(gap_us, target_us)| Step::Append { gap_us, target_us }),
+            3 => Just(Step::Checkpoint),
+            1 => (0..150u64).prop_map(|back_us| Step::CutAndRecover { back_us }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn table_crc_equals_bitwise_crc(
+            bytes in proptest::collection::vec(any::<u8>(), 0..200),
+        ) {
+            prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        }
+
+        /// The prefix prune drops exactly what the full `retain` sweep did,
+        /// through checkpoints, power cuts and torn-tail truncation.
+        #[test]
+        fn matches_the_retain_journal(
+            steps in proptest::collection::vec(step_strategy(), 1..300),
+        ) {
+            let mut journal = MapJournal::new();
+            journal.set_checkpoint_threshold(4);
+            let mut naive = NaiveJournal::default();
+            let mut now = Nanos::ZERO;
+            let mut floor = Nanos::ZERO;
+            for (i, step) in steps.into_iter().enumerate() {
+                match step {
+                    Step::Append { gap_us, target_us } => {
+                        now += Nanos::from_us(gap_us);
+                        let op = JournalOp::Trim { lpn: i as u64 };
+                        let target = now + Nanos::from_us(target_us);
+                        prop_assert_eq!(
+                            journal.append(op, target, now),
+                            naive.append(op, target, now)
+                        );
+                        if journal.needs_checkpoint() {
+                            journal.write_checkpoint(&[], [], now);
+                            naive.write_checkpoint(now);
+                        }
+                    }
+                    Step::Checkpoint => {
+                        journal.write_checkpoint(&[], [], now);
+                        naive.write_checkpoint(now);
+                    }
+                    Step::CutAndRecover { back_us } => {
+                        let at = now.saturating_sub(Nanos::from_us(back_us)).max(floor);
+                        journal.power_cut(at);
+                        naive.power_cut(at);
+                        let base = journal.recovery_base().map_or(0, |c| c.covers_below);
+                        prop_assert_eq!(base, naive.checkpoints.last().map_or(0, |c| c.0));
+                        prop_assert_eq!(journal.replayable(base), naive.replayable(base));
+                        journal.truncate_torn();
+                        naive.truncate_torn();
+                        floor = at;
+                        now = at;
+                    }
+                }
+                prop_assert_eq!(journal.live_records(), naive.records.len());
+                prop_assert_eq!(journal.stats(), naive.stats);
+                prop_assert_eq!(journal.replayable_from_start(), naive.replayable(0));
+                prop_assert_eq!(journal.durable_horizon(), naive.busy_until);
+            }
         }
     }
 

@@ -6,7 +6,9 @@
 //! discipline, and a dense page store so reads return exactly the bytes
 //! programmed (end-to-end integrity, not just timing). The store is indexed
 //! by a deterministic die-major page index — never by hashed keys — so no
-//! randomized-hash iteration order can influence traces or timing.
+//! randomized-hash iteration order can influence traces or timing. Each
+//! slot keeps a page only up to its last non-zero byte and reads pad the
+//! rest back, so a 64 B payload in a 4 KB page costs the simulator 64 B.
 //!
 //! The controller can disable NAND I/O entirely (`NandConfig::disabled`) to
 //! reproduce the paper's transfer-latency-only experiments ("with NAND I/O
@@ -174,9 +176,25 @@ enum PageState {
 }
 
 /// Spare page buffers retained across erase cycles, capping steady-state
-/// allocation: GC erase → reprogram loops reuse the same page-sized buffers
-/// instead of freeing and reallocating them. 256 × 4 KB ≈ 1 MB worst case.
+/// allocation: GC erase → reprogram loops reuse the same buffers instead of
+/// freeing and reallocating them. 256 × 4 KB ≈ 1 MB worst case.
 const SPARE_PAGE_POOL: usize = 256;
+
+/// Length of `page` up to and including its last non-zero byte. Zero
+/// padding is stripped 64 bytes at a time — a sub-page payload leaves
+/// kilobytes of it, and a bytewise scan would cost more than the copy it
+/// saves.
+fn stored_len(page: &[u8]) -> usize {
+    const STRIDE: usize = 64;
+    let zero_strides = page
+        .rchunks_exact(STRIDE)
+        .take_while(|stride| stride.iter().fold(0, |acc, &b| acc | b) == 0)
+        .count();
+    let head = &page[..page.len() - zero_strides * STRIDE];
+    head.iter()
+        .rposition(|&b| b != 0)
+        .map_or(0, |last| last + 1)
+}
 
 /// The NAND array: data store plus per-die timing state.
 #[derive(Debug)]
@@ -186,6 +204,9 @@ pub struct NandArray {
     /// the highest page touched. Dense indexing keeps every traversal (and
     /// therefore every trace/wire consequence) deterministic — no
     /// randomized-hash iteration order can leak out of the media model.
+    /// `Some(bytes)` is a programmed page cut after its last non-zero byte
+    /// (`Some(empty)` is an all-zero page, still data); [`NandArray::read`]
+    /// restores the zero tail.
     data: Vec<Option<Vec<u8>>>,
     /// Page program state, dense by the same global page index; pages beyond
     /// the vector's current length are implicitly `Erased`.
@@ -337,24 +358,16 @@ impl NandArray {
                 start + self.cfg.transfer_time(self.cfg.page_size) + self.cfg.program_latency;
             return Err(NandError::ProgramFailed(ppa));
         }
-        // Land the bytes without allocating in steady state: reuse the slot's
-        // previous buffer or a spare recovered by an earlier erase.
+        // Land the bytes without allocating in steady state: an erased slot
+        // holds no buffer, so take a spare recovered by an earlier erase.
+        let mut buf = self.spare_pages.pop().unwrap_or_default();
+        buf.clear();
+        buf.extend_from_slice(&data[..stored_len(data)]);
         if idx >= self.data.len() {
             self.data.resize_with(idx + 1, || None);
         }
         // bx-lint: allow(panic-freedom, reason = "index resized into range above")
-        match &mut self.data[idx] {
-            Some(buf) => {
-                buf.clear();
-                buf.extend_from_slice(data);
-            }
-            slot => {
-                let mut buf = self.spare_pages.pop().unwrap_or_default();
-                buf.clear();
-                buf.extend_from_slice(data);
-                *slot = Some(buf);
-            }
-        }
+        self.data[idx] = Some(buf);
         self.stats.programs += 1;
 
         let die = self.cfg.die_index(ppa);
@@ -380,11 +393,14 @@ impl NandArray {
             return Ok((vec![0; self.cfg.page_size], now));
         }
         let idx = self.cfg.page_index(ppa);
-        let data = self
+        let stored = self
             .data
             .get(idx)
-            .and_then(|slot| slot.clone())
+            .and_then(|slot| slot.as_deref())
             .ok_or(NandError::ReadUnwritten(ppa))?;
+        let mut data = Vec::with_capacity(self.cfg.page_size);
+        data.extend_from_slice(stored);
+        data.resize(self.cfg.page_size, 0);
         self.stats.reads += 1;
         let die = self.cfg.die_index(ppa);
         let start = self.die_busy_until[die].max(now);
@@ -527,6 +543,28 @@ impl NandArray {
     }
 }
 
+/// `(name, page)` for the shapes the trimmed store treats differently.
+#[cfg(test)]
+pub(crate) fn shaped_pages() -> Vec<(&'static str, Vec<u8>)> {
+    let mut zero_tailed = vec![0u8; 4096];
+    zero_tailed[..64].fill(0xA5);
+    let mut ragged = vec![0u8; 4096];
+    ragged[..200].fill(0x11);
+    ragged[130] = 0;
+    let mut trailing = vec![0u8; 4096];
+    trailing[4095] = 1;
+    let mut leading = vec![0u8; 4096];
+    leading[0] = 9;
+    vec![
+        ("all zero", vec![0u8; 4096]),
+        ("zero-tailed", zero_tailed),
+        ("zero-tailed, off-stride, inner zero", ragged),
+        ("full", vec![0xFF; 4096]),
+        ("single trailing byte", trailing),
+        ("single leading byte", leading),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -552,6 +590,55 @@ mod tests {
         assert!(done >= Nanos::from_us(300));
         let (back, _) = n.read(ppa(0, 0, 0, 0), done).unwrap();
         assert_eq!(back, data);
+    }
+
+    #[test]
+    fn stored_len_is_the_last_non_zero_byte() {
+        for (name, page) in shaped_pages() {
+            let want = page.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+            assert_eq!(stored_len(&page), want, "{name}");
+        }
+        assert_eq!(stored_len(&[]), 0);
+        assert_eq!(stored_len(&[0, 3, 0]), 2);
+    }
+
+    #[test]
+    fn every_page_shape_reads_back_whole() {
+        let mut n = array();
+        let mut t = Nanos::ZERO;
+        for (i, (name, page)) in shaped_pages().into_iter().enumerate() {
+            let at = ppa(0, 0, 0, i as u32);
+            t = n.program(at, &page, t).unwrap();
+            assert!(n.has_data(at), "{name}: a programmed page is data");
+            let (back, _) = n.read(at, t).unwrap();
+            assert_eq!(back.len(), 4096, "{name}");
+            assert_eq!(back, page, "{name}");
+        }
+        // The length check is on what the caller passed, not what is stored.
+        assert_eq!(
+            n.program(ppa(0, 0, 1, 0), &[0u8; 64], t).unwrap_err(),
+            NandError::BadLength {
+                got: 64,
+                want: 4096
+            }
+        );
+    }
+
+    #[test]
+    fn power_cut_tears_every_page_shape_alike() {
+        for (name, page) in shaped_pages() {
+            let mut n = array();
+            let t1 = n.program(ppa(0, 0, 0, 0), &page, Nanos::ZERO).unwrap();
+            let t2 = n.program(ppa(0, 0, 0, 1), &page, Nanos::ZERO).unwrap();
+            assert_eq!(n.power_cut(t2 - Nanos::from_ns(1)), 1, "{name}");
+            assert!(n.has_data(ppa(0, 0, 0, 0)), "{name}: completed program");
+            assert_eq!(n.read(ppa(0, 0, 0, 0), t1).unwrap().0, page, "{name}");
+            assert!(!n.has_data(ppa(0, 0, 0, 1)), "{name}: torn program");
+            assert!(matches!(
+                n.read(ppa(0, 0, 0, 1), t2),
+                Err(NandError::ReadUnwritten(_))
+            ));
+        }
     }
 
     #[test]
@@ -735,7 +822,7 @@ mod tests {
         // GC-like loop: program, erase, reprogram the same block. After the
         // first cycle the erase-recovered buffers are reused, so the spare
         // pool never grows past one block's worth of pages.
-        for round in 0..3u8 {
+        for round in 1..4u8 {
             for page in 0..4 {
                 t = n
                     .program(ppa(0, 0, 0, page), &vec![round; 4096], t)
@@ -745,7 +832,7 @@ mod tests {
             assert_eq!(back, vec![round; 4096]);
             t = n.erase(0, 0, 0, t).unwrap();
         }
-        assert!(n.spare_pages.len() <= 4);
+        assert_eq!(n.spare_pages.len(), 4);
         assert!(n.spare_pages.iter().all(|b| b.capacity() >= 4096));
     }
 
