@@ -7,12 +7,97 @@
 //! 4. PCIe generation sensitivity (§5: "higher-bandwidth PCIe generations
 //!    could influence the relative impact of data movement optimizations").
 //! 5. SGL threshold (§5: Linux's 32 KB default vs reconfigured).
+//! 6. The §3.1 MMIO byte-interface baseline.
+//! 7. Doorbell batching (doorbell TLPs per command, unbatched vs groups of 8).
+//! 8. Serial vs Pipelined execution across queue depths (window IOPS, p99).
+//!
+//! Sections 7 and 8 run fixed-size schedules (128 and 4 × QD writes) and
+//! ignore `n_ops`. Nothing here is asserted: the properties behind the
+//! numbers are pinned by `crates/driver/tests/batch_and_wrap.rs` and
+//! `tests/pipelined_exec.rs`.
 //!
 //! `cargo run -p bx-bench --release --bin ablation [-- n_ops]`
 
 use bx_bench::{bench_args, fmt_bytes, section, JsonReport};
-use byteexpress::{Device, FetchPolicy, LinkConfig, TransferMethod};
+use byteexpress::{
+    Device, ExecutionModel, FetchPolicy, FlushPolicy, LatencySamples, LinkConfig, Nanos,
+    QueueBatch, TransferMethod,
+};
 use serde::Value;
+
+/// Deterministic (lba, bytes) schedule for sections 7–8: sizes walk
+/// 16..=256 B, i.e. 1 to 4 ByteExpress chunks.
+fn schedule(n: usize) -> Vec<(u64, Vec<u8>)> {
+    let mut seed: u64 = 0xB1E55ED;
+    (0..n)
+        .map(|i| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let len = 16 + (seed >> 33) as usize % 241;
+            let data = (0..len)
+                .map(|j| ((seed as usize + j) % 256) as u8)
+                .collect();
+            (i as u64 * 8, data)
+        })
+        .collect()
+}
+
+/// Writes `ops` over two queues in batches of `group` (1 = unbatched, CQ
+/// head rung per CQE); returns (doorbell TLPs, non-doorbell wire bytes).
+fn doorbell_run(ops: &[(u64, Vec<u8>)], group: u16) -> (u64, u64) {
+    let mut dev = Device::builder()
+        .nand_io(true)
+        .queue_count(2)
+        .cq_coalesce(group)
+        .flush_policy(FlushPolicy {
+            max_batch: group,
+            max_delay: Nanos::from_ms(1),
+        })
+        .build();
+    let queues = dev.queues().to_vec();
+    let before = dev.traffic(); // excludes the admin bring-up doorbells
+    for (g, batch) in ops.chunks(group as usize).enumerate() {
+        dev.write_batch(
+            &[(queues[g % 2], batch.to_vec())],
+            TransferMethod::ByteExpress,
+        )
+        .unwrap();
+    }
+    let t = dev.traffic().since(&before);
+    (t.doorbell_tlps(), t.non_doorbell_wire_bytes())
+}
+
+/// `qd` writes on each of four queues, all submitted before any drain;
+/// returns (window IOPS, p99) over first submit → last completion.
+fn window_run(model: ExecutionModel, qd: usize) -> (f64, Nanos) {
+    let mut dev = Device::builder()
+        .nand_io(true)
+        .queue_count(4)
+        .queue_depth(64)
+        .execution_model(model)
+        .build();
+    let ops = schedule(4 * qd);
+    let batches: Vec<QueueBatch> = dev
+        .queues()
+        .iter()
+        .zip(ops.chunks(qd))
+        .map(|(&qid, chunk)| (qid, chunk.to_vec()))
+        .collect();
+    let done: Vec<_> = dev
+        .write_batch(&batches, TransferMethod::ByteExpress)
+        .unwrap()
+        .into_iter()
+        .flatten()
+        .collect();
+    let first = done.iter().map(|c| c.submitted_at).min().unwrap();
+    let last = done.iter().map(|c| c.completed_at).max().unwrap();
+    let lat: LatencySamples = done.iter().map(|c| c.latency()).collect();
+    (
+        lat.throughput_over_window(first, last),
+        lat.percentile(99.0),
+    )
+}
 
 fn main() {
     let args = bench_args();
@@ -194,6 +279,67 @@ fn main() {
          size — but it abandons the NVMe\ncommand model: dedicated buffers, \
          a new host API, and device-side transactional coordination,\nwhich \
          is exactly why the paper pursues the SQ-inline design instead)"
+    );
+
+    // --- 7. doorbell batching ---
+    section("Ablation 7: doorbell batching (128 ByteExpress writes, 16-256 B, 2 queues)");
+    println!(
+        "{:>12} {:>14} {:>14} {:>20}",
+        "submission", "doorbell TLPs", "doorbells/cmd", "non-doorbell wire"
+    );
+    let ops = schedule(128);
+    for (label, group) in [("unbatched", 1u16), ("groups of 8", 8)] {
+        let (doorbells, wire) = doorbell_run(&ops, group);
+        let per_cmd = doorbells as f64 / ops.len() as f64;
+        println!(
+            "{:>12} {:>14} {:>14.2} {:>18} B",
+            label,
+            doorbells,
+            per_cmd,
+            fmt_bytes(wire)
+        );
+        json.push(
+            format!("doorbells_group_{group}"),
+            Value::object([
+                ("doorbells_per_cmd", Value::F64(per_cmd)),
+                ("non_doorbell_wire_bytes", Value::U64(wire)),
+            ]),
+        );
+    }
+    println!("(batching moves when the bell rings, never what crosses the wire)");
+
+    // --- 8. execution model ---
+    section("Ablation 8: Serial vs Pipelined execution (4 queues x QD writes, NAND on)");
+    println!(
+        "{:>6} {:>14} {:>16} {:>9} {:>14} {:>14}",
+        "QD", "serial IOPS", "pipelined IOPS", "speedup", "serial p99", "pipelined p99"
+    );
+    for qd in [1usize, 2, 4, 8, 16] {
+        let (s_iops, s_p99) = window_run(ExecutionModel::Serial, qd);
+        let (p_iops, p_p99) = window_run(ExecutionModel::Pipelined, qd);
+        println!(
+            "{:>6} {:>14.0} {:>16.0} {:>8.2}x {:>11} ns {:>11} ns",
+            qd,
+            s_iops,
+            p_iops,
+            p_iops / s_iops,
+            s_p99.as_ns(),
+            p_p99.as_ns()
+        );
+        json.push(
+            format!("execution_qd{qd}"),
+            Value::object([
+                ("serial_iops", Value::F64(s_iops)),
+                ("pipelined_iops", Value::F64(p_iops)),
+                ("serial_p99_ns", Value::U64(s_p99.as_ns())),
+                ("pipelined_p99_ns", Value::U64(p_p99.as_ns())),
+            ]),
+        );
+    }
+    println!(
+        "(Serial stalls the controller clock through every NAND program, so \
+         it cannot scale with QD;\nPipelined overlaps programs across dies \
+         until die contention saturates it)"
     );
     json.finish(args.json);
 }

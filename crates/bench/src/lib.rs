@@ -1,34 +1,33 @@
-//! # bx-bench — the figure/table regeneration harness
+//! # bx-bench — the figure/table printing harness
 //!
-//! One binary per evaluation artifact in the paper:
+//! One binary per evaluation artifact in the paper. They print; they gate
+//! nothing — regressions are caught by the test suite and by `bxperf`
+//! (`benchmark/`, `BENCHMARK.json`).
 //!
-//! | Binary   | Regenerates                                                      |
-//! |----------|------------------------------------------------------------------|
-//! | `fig1`   | Fig 1(a) value-size distribution, (b) PRP staircase, (c) amplification |
-//! | `fig4`   | Fig 4 query/segment lengths                                       |
-//! | `fig5`   | Fig 5 traffic + latency across payload sizes and methods          |
-//! | `table1` | Table 1 driver-submit / controller-fetch overheads                |
-//! | `fig6`   | Fig 6 KV-SSD MixGraph + FillRandom (traffic, throughput, p1–p99)  |
-//! | `fig7`   | Fig 7 CSD pushdown traffic + throughput                           |
-//! | `ablation` | Hybrid threshold, reassembly tax, MPS/PCIe-gen/SGL sweeps, MMIO baseline |
-//! | `energy` | Link energy per op / per payload byte (§1's power motivation)   |
-//! | `batch`  | Doorbell-coalesced batched submission + WRR arbitration self-check |
-//! | `pipeline` | Serial vs Pipelined execution: IOPS speedup, QD sweep, overlap self-check |
+//! | Binary     | Prints                                                          |
+//! |------------|-----------------------------------------------------------------|
+//! | `fig1`     | Fig 1(a) value-size distribution, (b) PRP staircase, (c) amplification |
+//! | `fig4`     | Fig 4 query/segment lengths                                     |
+//! | `fig5`     | Fig 5 traffic + latency across payload sizes and methods        |
+//! | `fig6`     | Fig 6 KV-SSD MixGraph + FillRandom (traffic, throughput, p1–p99) |
+//! | `fig7`     | Fig 7 CSD pushdown traffic + throughput                         |
+//! | `table1`   | Table 1 driver-submit / controller-fetch overheads              |
+//! | `ablation` | Beyond the paper: hybrid threshold, reassembly tax, MPS/PCIe-gen/SGL sweeps, MMIO baseline, doorbell batching, Serial vs Pipelined QD sweep |
+//! | `energy`   | Link energy per op / per payload byte (§1's power motivation)   |
+//! | `trace`    | Writes Chrome-trace/Perfetto files + timelines under `target/trace/` |
 //!
 //! Run each with `cargo run -p bx-bench --release --bin <name> [-- n_ops]`.
 //! Op counts default to fast-but-stable values; pass a count to match the
 //! paper's 1 M-op runs. Every binary also accepts `--json`, which appends
 //! one machine-readable JSON document as the final stdout line (the human
-//! tables still print above it). The `trace` binary additionally writes
-//! Chrome-trace/Perfetto files under `target/trace/`.
+//! tables still print above it). Anything else on the command line is an
+//! error (exit 2).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use byteexpress::{RunReport, TransferMethod};
 use serde::Value;
-
-pub mod report;
 
 /// Options every figure binary understands: an optional op-count override
 /// (first bare argument) plus the `--json` report flag.
@@ -40,30 +39,29 @@ pub struct BenchArgs {
     pub json: bool,
 }
 
-fn parse_args(args: impl Iterator<Item = String>) -> BenchArgs {
+fn parse_args(args: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
     let mut parsed = BenchArgs::default();
     for a in args {
         match a.as_str() {
             "--json" => parsed.json = true,
-            s => {
-                if let Ok(n) = s.parse() {
-                    parsed.ops = Some(n);
-                }
-            }
+            s if s.starts_with('-') => return Err(format!("unknown flag `{s}`")),
+            s => match s.parse() {
+                Ok(n) => parsed.ops = Some(n),
+                Err(_) => return Err(format!("op count `{s}` is not a number")),
+            },
         }
     }
-    parsed
+    Ok(parsed)
 }
 
-/// Parses the process arguments.
+/// Parses the process arguments. An unknown flag or a non-numeric op count
+/// is reported on stderr and exits with status 2: a typo must not silently
+/// run the default count or drop the JSON line.
 pub fn bench_args() -> BenchArgs {
-    parse_args(std::env::args().skip(1))
-}
-
-/// Parses the optional op-count CLI argument, with a default (flags such as
-/// `--json` are skipped, not misparsed).
-pub fn ops_arg(default: usize) -> usize {
-    bench_args().ops.unwrap_or(default)
+    parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}\nusage: <bin> [n_ops] [--json]");
+        std::process::exit(2)
+    })
 }
 
 /// Accumulates one binary's measurements into the `--json` report.
@@ -74,24 +72,14 @@ pub fn ops_arg(default: usize) -> usize {
 pub struct JsonReport {
     bin: &'static str,
     entries: Vec<(String, Value)>,
-    /// Wall-clock start, for the self-profile appended by `finish`. Real
-    /// time is fine here: the bench harness is the one layer outside the
-    /// virtual-time purity boundary (bx-lint exempts it).
-    started: std::time::Instant,
-    /// `(recorded events, simulated commands)` from a traced run, when the
-    /// binary had one to measure recorder overhead against.
-    trace_stats: Option<(usize, u64)>,
 }
 
 impl JsonReport {
-    /// An empty report for the named binary. Starts the wall clock for the
-    /// self-profile.
+    /// An empty report for the named binary.
     pub fn new(bin: &'static str) -> Self {
         JsonReport {
             bin,
             entries: Vec::new(),
-            started: std::time::Instant::now(),
-            trace_stats: None,
         }
     }
 
@@ -105,45 +93,11 @@ impl JsonReport {
         self.push(key, report.to_value());
     }
 
-    /// Feeds recorder volume from a traced run into the self-profile:
-    /// `events` recorded over `commands` simulated commands.
-    pub fn set_trace_stats(&mut self, events: usize, commands: u64) {
-        self.trace_stats = Some((events, commands));
-    }
-
-    /// The harness self-profile: wall-clock cost of the whole binary and —
-    /// when [`JsonReport::set_trace_stats`] was fed — recorder overhead
-    /// (events/sec of wall time, events per simulated command, and the
-    /// recorder's peak buffer footprint at `events × sizeof(Event)`).
-    fn self_profile(&self) -> Value {
-        let wall = self.started.elapsed();
-        let mut fields = vec![("wall_ms", Value::F64(wall.as_secs_f64() * 1e3))];
-        if let Some((events, commands)) = self.trace_stats {
-            let secs = wall.as_secs_f64().max(1e-9);
-            fields.push(("trace_events", Value::U64(events as u64)));
-            fields.push(("commands", Value::U64(commands)));
-            fields.push(("events_per_sec", Value::F64(events as f64 / secs)));
-            if commands > 0 {
-                fields.push((
-                    "events_per_command",
-                    Value::F64(events as f64 / commands as f64),
-                ));
-            }
-            fields.push((
-                "recorder_bytes",
-                Value::U64((events * std::mem::size_of::<byteexpress::Event>()) as u64),
-            ));
-        }
-        Value::object(fields)
-    }
-
-    /// The whole report as one JSON value, self-profile appended last.
+    /// The whole report as one JSON value.
     pub fn to_value(&self) -> Value {
-        let mut entries = self.entries.clone();
-        entries.push(("self_profile".to_string(), self.self_profile()));
         Value::object([
             ("bin", Value::Str(self.bin.to_string())),
-            ("results", Value::Object(entries)),
+            ("results", Value::Object(self.entries.clone())),
         ])
     }
 
@@ -154,11 +108,6 @@ impl JsonReport {
             println!("{}", self.to_value().to_json());
         }
     }
-}
-
-/// Shorthand: any `Serialize` value as a [`Value`].
-pub fn json_of<T: serde::Serialize>(v: &T) -> Value {
-    v.to_value()
 }
 
 /// The three methods every figure compares, in paper order.
@@ -209,7 +158,8 @@ mod tests {
 
     #[test]
     fn args_parse_flags_and_count_in_any_order() {
-        let of = |v: &[&str]| parse_args(v.iter().map(|s| s.to_string()));
+        let parse = |v: &[&str]| parse_args(v.iter().map(|s| s.to_string()));
+        let of = |v: &[&str]| parse(v).unwrap();
         assert_eq!(of(&[]), BenchArgs::default());
         assert_eq!(
             of(&["5000"]),
@@ -232,6 +182,9 @@ mod tests {
                 json: true
             }
         );
+        // A typo is an error, never a silent default run.
+        assert!(parse(&["--jsno"]).unwrap_err().contains("--jsno"));
+        assert!(parse(&["10O0", "--json"]).unwrap_err().contains("10O0"));
     }
 
     #[test]

@@ -247,7 +247,7 @@ impl DeviceBuilder {
     /// [`ExecutionModel::Pipelined`] decouples dispatch from completion via
     /// a deterministic event queue, so commands on different queues and
     /// NAND dies overlap in virtual time — the regime where queue-depth and
-    /// multi-queue IOPS scaling become visible (`pipeline` bench bin).
+    /// multi-queue IOPS scaling become visible (`ablation` prints the sweep).
     pub fn execution_model(mut self, model: ExecutionModel) -> Self {
         self.execution_model = model;
         self
@@ -468,9 +468,9 @@ impl Device {
     }
 
     /// Mutable access to the controller, for callers that pump the
-    /// submit→complete loop by hand (e.g. the allocation-counting test and
-    /// wall-clock microbenches, which cannot afford the per-call `Vec`s the
-    /// convenience batch APIs return).
+    /// submit→complete loop by hand (e.g. the allocation-counting test,
+    /// which cannot afford the per-call `Vec`s the convenience batch APIs
+    /// return).
     pub fn controller_mut(&mut self) -> &mut Controller {
         &mut self.ctrl
     }

@@ -210,7 +210,7 @@ struct Inflight {
     opcode: u8,
     submitted_at: Nanos,
     /// Completion deadline in virtual time; set only when a [`RetryPolicy`]
-    /// is installed. Expired entries are reaped by `poll_completions` as
+    /// is installed. Expired entries are reaped by `poll_completions_into` as
     /// synthetic `CommandAborted` completions.
     deadline: Option<Nanos>,
     data_pages: Vec<PageRef>,
@@ -1323,25 +1323,14 @@ impl NvmeDriver {
             .emit(None, || EventKind::DoorbellRing { tail });
     }
 
-    /// Consumes all ready completions on `qid`.
+    /// Consumes all ready completions on `qid`, appending them to the
+    /// caller-owned `out`.
     ///
     /// Reads CQEs by phase bit, releases the command's mapped pages, copies
     /// out any response data, updates SQ flow control, and rings the CQ head
-    /// doorbell once per batch.
-    ///
-    /// # Errors
-    ///
-    /// [`DriverError::UnknownQueue`] for a bad queue id.
-    pub fn poll_completions(&mut self, qid: QueueId) -> Result<Vec<Completion>, DriverError> {
-        let mut out = Vec::new();
-        self.poll_completions_into(qid, &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`NvmeDriver::poll_completions`], but appends into a
-    /// caller-provided buffer instead of allocating a fresh `Vec` per poll.
-    /// Hot loops reuse one buffer (`clear()` between sweeps) so the polling
-    /// side of a pipelined submit→complete window is allocation-free.
+    /// doorbell once per batch. Hot loops reuse one buffer (`clear()`
+    /// between sweeps) so the polling side of a pipelined submit→complete
+    /// window is allocation-free.
     ///
     /// # Errors
     ///

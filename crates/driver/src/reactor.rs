@@ -1,6 +1,6 @@
 //! The completion-driven async reactor (ROADMAP item 1).
 //!
-//! The synchronous API (`execute` → `poll_completions`) expresses one
+//! The synchronous API (`execute` → `poll_completions_into`) expresses one
 //! command per caller at a time; realistic many-client concurrency on top of
 //! the pipelined controller needs commands from *many* logical clients in
 //! flight together, each resolving independently when its completion

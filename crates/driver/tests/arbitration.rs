@@ -141,8 +141,9 @@ fn weighted_round_robin_interleaves_by_weight() {
 
     // Both queues' commands all complete.
     r.ctrl.process_available();
-    let done_a = r.driver.poll_completions(r.qa).unwrap();
-    let done_b = r.driver.poll_completions(r.qb).unwrap();
+    let (mut done_a, mut done_b) = (Vec::new(), Vec::new());
+    r.driver.poll_completions_into(r.qa, &mut done_a).unwrap();
+    r.driver.poll_completions_into(r.qb, &mut done_b).unwrap();
     assert_eq!(done_a.len(), 12);
     assert_eq!(done_b.len(), 12);
     assert!(done_a.iter().chain(&done_b).all(|c| c.status.is_success()));
@@ -207,8 +208,9 @@ fn wrr_interleaves_reassembly_chunks_across_queues() {
         "the weight-2 queue drains its train first: {qids:?}"
     );
 
-    let done_a = r.driver.poll_completions(r.qa).unwrap();
-    let done_b = r.driver.poll_completions(r.qb).unwrap();
+    let (mut done_a, mut done_b) = (Vec::new(), Vec::new());
+    r.driver.poll_completions_into(r.qa, &mut done_a).unwrap();
+    r.driver.poll_completions_into(r.qb, &mut done_b).unwrap();
     assert_eq!(done_a.len(), 1);
     assert_eq!(done_b.len(), 1);
     assert!(done_a[0].status.is_success(), "{:?}", done_a[0].status);
@@ -230,6 +232,7 @@ fn burst_on_single_queue_preserves_order() {
     assert_eq!(qids, vec![r.qa.0; 10]);
     // Grant log: one 8-credit grant, then the 2-command remainder.
     assert_eq!(grants(&r.sink), vec![(r.qa.0, 8), (r.qa.0, 2)]);
-    let done = r.driver.poll_completions(r.qa).unwrap();
+    let mut done = Vec::new();
+    r.driver.poll_completions_into(r.qa, &mut done).unwrap();
     assert_eq!(done.len(), 10);
 }

@@ -338,7 +338,7 @@ fn queue_fills_without_completion_processing() {
     assert!(matches!(err, DriverError::QueueFull { .. }), "{err}");
     // After the controller drains and we poll, slots free up.
     ctrl.process_available();
-    driver.poll_completions(qid).unwrap();
+    driver.poll_completions_into(qid, &mut Vec::new()).unwrap();
     driver
         .submit(qid, &write_cmd(0, vec![1; 64]), TransferMethod::ByteExpress)
         .unwrap();

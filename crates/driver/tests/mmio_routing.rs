@@ -80,7 +80,9 @@ fn completions_route_to_submitting_queue() {
     // first poll must not steal the other queues' status words.
     let mut polled: Vec<(QueueId, Vec<bx_driver::Completion>)> = Vec::new();
     for &qid in r.qids.iter().rev() {
-        polled.push((qid, r.driver.poll_completions(qid).unwrap()));
+        let mut got = Vec::new();
+        r.driver.poll_completions_into(qid, &mut got).unwrap();
+        polled.push((qid, got));
     }
     for (qid, completions) in &polled {
         let mine: Vec<u16> = expected
@@ -123,8 +125,10 @@ fn foreign_completions_stay_queued() {
     r.ctrl.process_available();
 
     // Queue B polls first: it must see nothing and leave A's entry alone.
-    assert!(r.driver.poll_completions(qb).unwrap().is_empty());
-    let got = r.driver.poll_completions(qa).unwrap();
+    let mut got = Vec::new();
+    r.driver.poll_completions_into(qb, &mut got).unwrap();
+    assert!(got.is_empty());
+    r.driver.poll_completions_into(qa, &mut got).unwrap();
     assert_eq!(got.len(), 1);
     assert!(got[0].status.is_success());
 }
@@ -146,7 +150,8 @@ fn late_byte_interface_completion_counts_spurious() {
     // command as timed out.
     bus.clock
         .advance(RetryPolicy::default().timeout + bx_hostsim::Nanos::from_ms(1));
-    let reaped = r.driver.poll_completions(qid).unwrap();
+    let mut reaped = Vec::new();
+    r.driver.poll_completions_into(qid, &mut reaped).unwrap();
     assert_eq!(reaped.len(), 1);
     assert!(!reaped[0].status.is_success());
     assert_eq!(r.driver.recovery_stats().timeouts, 1);
@@ -154,7 +159,8 @@ fn late_byte_interface_completion_counts_spurious() {
     // Now the device completes the original attempt; its status word is
     // late — consumed, counted as spurious.
     r.ctrl.process_available();
-    let late = r.driver.poll_completions(qid).unwrap();
+    let mut late = Vec::new();
+    r.driver.poll_completions_into(qid, &mut late).unwrap();
     assert_eq!(late.len(), 1);
     assert_eq!(r.driver.recovery_stats().spurious_completions, 1);
 }
@@ -176,7 +182,9 @@ fn trace_attribution_uses_real_qid() {
     }
     r.ctrl.process_available();
     for &qid in &r.qids.clone() {
-        r.driver.poll_completions(qid).unwrap();
+        r.driver
+            .poll_completions_into(qid, &mut Vec::new())
+            .unwrap();
     }
 
     let events = r.trace.as_ref().unwrap().events();

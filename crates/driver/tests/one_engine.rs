@@ -64,7 +64,8 @@ fn rejected_submits_free_their_host_pages() {
 
     // The accepted commands complete and hand their pages back too.
     ctrl.process_available();
-    let done = driver.poll_completions(qid).unwrap();
+    let mut done = Vec::new();
+    driver.poll_completions_into(qid, &mut done).unwrap();
     assert_eq!(done.len(), 3);
     assert_eq!(free_pages(&bus), idle);
 }

@@ -3,10 +3,11 @@
 //! surfacing, and determinism.
 
 use bx_driver::reactor::{Reactor, ReactorConfig};
-use bx_driver::{Completion, DriverError, FlushPolicy, RetryPolicy, TransferMethod};
+use bx_driver::{Completion, DriverError, FlushPolicy, NvmeDriver, RetryPolicy, TransferMethod};
 use bx_hostsim::{FaultConfig, Nanos};
 use bx_nvme::{IoOpcode, PassthruCmd};
-use bx_ssd::ExecutionModel;
+use bx_pcie::LinkConfig;
+use bx_ssd::{BlockFirmware, Controller, ControllerConfig, ExecutionModel, NandConfig, SystemBus};
 use std::future::Future;
 use std::pin::Pin;
 
@@ -162,6 +163,65 @@ fn mmio_byte_routes_through_dispatcher() {
     let rec = reactor.recovery_stats();
     assert_eq!(rec.timeouts, 0);
     assert_eq!(rec.spurious_completions, 0);
+    assert_eq!(reactor.inflight(), 0);
+}
+
+/// The reactor earns its keep: 32 client futures on 4 shards finish 256
+/// NAND-backed ByteExpress writes in at most two thirds of the virtual time
+/// the synchronous QD-1 `execute` loop needs for the same writes on an
+/// identical single-queue platform — ≥ 1.5× the IOPS (measured ≈ 24×: QD 1
+/// serializes every NAND program, concurrent futures overlap the dies).
+#[test]
+fn async_window_beats_sync_qd1() {
+    const CLIENTS: u64 = 32;
+    const PER_CLIENT: u64 = 8;
+    let mut reactor = Reactor::new(ReactorConfig {
+        shards: 4,
+        nand_io: true,
+        retry_policy: Some(RetryPolicy::default()),
+        ..ReactorConfig::default()
+    })
+    .expect("reactor construction");
+    let mut tasks: Vec<Task<Result<(), DriverError>>> = Vec::new();
+    for client in 0..CLIENTS {
+        let handle = reactor.handle(client as usize % 4);
+        tasks.push(Box::pin(async move {
+            for i in 0..PER_CLIENT {
+                let cmd = write_cmd((client * PER_CLIENT + i) * 8, vec![client as u8; 64]);
+                let c = handle.submit(cmd, TransferMethod::ByteExpress).await?;
+                assert!(c.status.is_success());
+            }
+            Ok(())
+        }));
+    }
+    for r in reactor.run(tasks) {
+        r.expect("async write");
+    }
+    let async_ns = reactor.bus().clock.now().as_ns();
+
+    let bus = SystemBus::new(LinkConfig::gen2_x8(), 64 << 20, 2);
+    let cfg = ControllerConfig {
+        nand: NandConfig::small(),
+        execution_model: ExecutionModel::Pipelined,
+        ..ControllerConfig::default()
+    };
+    let mut ctrl = Controller::new(bus.clone(), cfg, |dram| {
+        Box::new(BlockFirmware::new(dram, true))
+    });
+    let mut driver = NvmeDriver::new(bus.clone());
+    let qid = driver.create_io_queue(&mut ctrl, 256).unwrap();
+    for i in 0..CLIENTS * PER_CLIENT {
+        let cmd = write_cmd(i * 8, vec![i as u8; 64]);
+        let c = driver
+            .execute(qid, &mut ctrl, &cmd, TransferMethod::ByteExpress)
+            .expect("sync write");
+        assert!(c.status.is_success());
+    }
+    let sync_ns = bus.clock.now().as_ns();
+    assert!(
+        async_ns * 3 <= sync_ns * 2,
+        "async window must reach 1.5x sync QD1 IOPS: async={async_ns}ns sync={sync_ns}ns"
+    );
 }
 
 /// A fault that swallows every doorbell: with a retry policy installed the

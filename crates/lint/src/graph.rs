@@ -921,7 +921,7 @@ mod tests {
             "pub fn entry() { helper() }\nfn helper() { x.unwrap(); }",
         )]);
         let json = g.to_json();
-        let v = crate::sarif::json::parse(&json).expect("graph json parses");
+        let v = serde::Value::parse_json(&json).expect("graph json parses");
         let items = v
             .get("items")
             .and_then(|i| i.as_array())

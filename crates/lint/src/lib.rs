@@ -5,8 +5,8 @@
 //! simulator that must never observe wall-clock time, hot paths that must
 //! not abort, a flight recorder that must never silently drop an event
 //! kind, and a strict no-`unsafe` posture. bx-lint walks every workspace
-//! source with a hand-rolled token scanner (no `syn` — the vendored offline
-//! build stays dependency-free) and enforces the token rules:
+//! source with a hand-rolled token scanner (no `syn`, no dependency on any
+//! crate it checks) and enforces the token rules:
 //!
 //! | rule                  | invariant guarded                                   |
 //! |-----------------------|-----------------------------------------------------|

@@ -1,13 +1,11 @@
-//! SARIF 2.1.0 emission, a dependency-free JSON parser, and the finding
-//! baseline.
+//! SARIF 2.1.0 emission and the finding baseline.
 //!
-//! bx-lint stays dependency-free (the vendored offline build is the point),
-//! so both directions are hand-rolled: a small serializer producing the
-//! subset of SARIF that CI annotation tooling consumes (tool descriptor with
-//! per-rule metadata, results with physical locations and stable partial
-//! fingerprints), and a strict recursive-descent JSON parser used to (a)
-//! round-trip-test the emitter against itself and (b) load the committed
-//! `lint_baseline.json`.
+//! A small hand-rolled serializer produces the subset of SARIF that CI
+//! annotation tooling consumes (tool descriptor with per-rule metadata,
+//! results with physical locations and stable partial fingerprints). Reading
+//! back — the emitter's round-trip test and the committed
+//! `lint_baseline.json` — goes through the workspace's one strict JSON
+//! parser, `serde::Value::parse_json` (the vendored offline stand-in).
 //!
 //! ## Baseline semantics
 //!
@@ -21,6 +19,7 @@
 
 use crate::rules;
 use crate::{Finding, Report};
+use serde::Value;
 use std::collections::BTreeMap;
 
 /// Escapes a string for embedding in a JSON document.
@@ -81,7 +80,7 @@ pub fn to_sarif(report: &Report) -> String {
 /// Parses a SARIF document produced by [`to_sarif`] back into findings.
 /// Used by the round-trip test and available for downstream tooling.
 pub fn parse_sarif(s: &str) -> Result<Vec<Finding>, String> {
-    let v = json::parse(s)?;
+    let v = Value::parse_json(s)?;
     let version = v
         .get("version")
         .and_then(|v| v.as_str())
@@ -168,7 +167,7 @@ impl Baseline {
 
     /// Parses `{"version":1,"findings":[{"fingerprint":"..","count":N},..]}`.
     pub fn parse(s: &str) -> Result<Baseline, String> {
-        let v = json::parse(s)?;
+        let v = Value::parse_json(s)?;
         let version = v
             .get("version")
             .and_then(|v| v.as_u64())
@@ -217,254 +216,6 @@ impl Baseline {
     }
 }
 
-/// A strict, minimal JSON document model with a recursive-descent parser.
-pub mod json {
-    use std::collections::BTreeMap;
-
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`
-        Null,
-        /// `true` / `false`
-        Bool(bool),
-        /// Any JSON number (stored as f64; `as_u64` checks integrality).
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object (sorted keys).
-        Obj(BTreeMap<String, Value>),
-    }
-
-    impl Value {
-        /// Object field lookup.
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(m) => m.get(key),
-                _ => None,
-            }
-        }
-
-        /// String content, if a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// Non-negative integer content, if an integral number.
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                    Some(*n as u64)
-                }
-                _ => None,
-            }
-        }
-
-        /// Array content, if an array.
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses a complete JSON document (trailing content is an error).
-    pub fn parse(s: &str) -> Result<Value, String> {
-        let chars: Vec<char> = s.chars().collect();
-        let mut p = Parser { chars, i: 0 };
-        p.ws();
-        let v = p.value()?;
-        p.ws();
-        if p.i != p.chars.len() {
-            return Err(format!("trailing content at offset {}", p.i));
-        }
-        Ok(v)
-    }
-
-    struct Parser {
-        chars: Vec<char>,
-        i: usize,
-    }
-
-    impl Parser {
-        fn ws(&mut self) {
-            while self
-                .chars
-                .get(self.i)
-                .is_some_and(|c| c.is_ascii_whitespace())
-            {
-                self.i += 1;
-            }
-        }
-
-        fn peek(&self) -> Option<char> {
-            self.chars.get(self.i).copied()
-        }
-
-        fn eat(&mut self, c: char) -> Result<(), String> {
-            if self.peek() == Some(c) {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(format!(
-                    "expected `{c}` at offset {}, found {:?}",
-                    self.i,
-                    self.peek()
-                ))
-            }
-        }
-
-        fn lit(&mut self, word: &str, v: Value) -> Result<Value, String> {
-            for c in word.chars() {
-                self.eat(c)?;
-            }
-            Ok(v)
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek() {
-                Some('{') => self.object(),
-                Some('[') => self.array(),
-                Some('"') => Ok(Value::Str(self.string()?)),
-                Some('t') => self.lit("true", Value::Bool(true)),
-                Some('f') => self.lit("false", Value::Bool(false)),
-                Some('n') => self.lit("null", Value::Null),
-                Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
-                other => Err(format!("unexpected {other:?} at offset {}", self.i)),
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.eat('{')?;
-            let mut map = BTreeMap::new();
-            self.ws();
-            if self.peek() == Some('}') {
-                self.i += 1;
-                return Ok(Value::Obj(map));
-            }
-            loop {
-                self.ws();
-                let key = self.string()?;
-                self.ws();
-                self.eat(':')?;
-                self.ws();
-                let val = self.value()?;
-                map.insert(key, val);
-                self.ws();
-                match self.peek() {
-                    Some(',') => self.i += 1,
-                    Some('}') => {
-                        self.i += 1;
-                        return Ok(Value::Obj(map));
-                    }
-                    other => {
-                        return Err(format!(
-                            "expected `,` or `}}` at offset {}, found {other:?}",
-                            self.i
-                        ))
-                    }
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.eat('[')?;
-            let mut out = Vec::new();
-            self.ws();
-            if self.peek() == Some(']') {
-                self.i += 1;
-                return Ok(Value::Arr(out));
-            }
-            loop {
-                self.ws();
-                out.push(self.value()?);
-                self.ws();
-                match self.peek() {
-                    Some(',') => self.i += 1,
-                    Some(']') => {
-                        self.i += 1;
-                        return Ok(Value::Arr(out));
-                    }
-                    other => {
-                        return Err(format!(
-                            "expected `,` or `]` at offset {}, found {other:?}",
-                            self.i
-                        ))
-                    }
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.eat('"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    None => return Err("unterminated string".into()),
-                    Some('"') => {
-                        self.i += 1;
-                        return Ok(out);
-                    }
-                    Some('\\') => {
-                        self.i += 1;
-                        match self.peek() {
-                            Some('"') => out.push('"'),
-                            Some('\\') => out.push('\\'),
-                            Some('/') => out.push('/'),
-                            Some('n') => out.push('\n'),
-                            Some('r') => out.push('\r'),
-                            Some('t') => out.push('\t'),
-                            Some('b') => out.push('\u{8}'),
-                            Some('f') => out.push('\u{c}'),
-                            Some('u') => {
-                                let mut code = 0u32;
-                                for _ in 0..4 {
-                                    self.i += 1;
-                                    let d = self
-                                        .peek()
-                                        .and_then(|c| c.to_digit(16))
-                                        .ok_or("bad \\u escape")?;
-                                    code = code * 16 + d;
-                                }
-                                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            }
-                            other => return Err(format!("bad escape {other:?}")),
-                        }
-                        self.i += 1;
-                    }
-                    Some(c) => {
-                        out.push(c);
-                        self.i += 1;
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.i;
-            if self.peek() == Some('-') {
-                self.i += 1;
-            }
-            while self
-                .peek()
-                .is_some_and(|c| c.is_ascii_digit() || matches!(c, '.' | 'e' | 'E' | '+' | '-'))
-            {
-                self.i += 1;
-            }
-            let text: String = self.chars[start..self.i].iter().collect();
-            text.parse::<f64>()
-                .map(Value::Num)
-                .map_err(|e| format!("bad number `{text}`: {e}"))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,21 +231,7 @@ mod tests {
     }
 
     #[test]
-    fn json_parser_handles_the_grammar() {
-        let v =
-            json::parse(r#"{"a": [1, 2.5, -3], "b": {"c": "x\ny \"q\""}, "t": true, "n": null}"#)
-                .unwrap();
-        assert_eq!(v.get("a").unwrap().as_array().unwrap()[0].as_u64(), Some(1));
-        assert_eq!(
-            v.get("b").unwrap().get("c").unwrap().as_str(),
-            Some("x\ny \"q\"")
-        );
-        assert!(json::parse("{\"a\":1} trailing").is_err());
-        assert!(json::parse("{\"a\":}").is_err());
-    }
-
-    #[test]
-    fn sarif_round_trips_through_own_parser() {
+    fn sarif_round_trips_through_the_parser() {
         let report = Report {
             findings: vec![
                 finding(
@@ -538,7 +275,7 @@ mod tests {
             files_scanned: 0,
             wall_ms: 0,
         };
-        let v = json::parse(&to_sarif(&report)).unwrap();
+        let v = Value::parse_json(&to_sarif(&report)).unwrap();
         let rules_arr = v.get("runs").unwrap().as_array().unwrap()[0]
             .get("tool")
             .unwrap()

@@ -204,7 +204,7 @@ fn graph_json_dump_is_parseable_and_complete() {
         ("crates/a/src/codec.rs", "pub fn encode() {}"),
     ]);
     let doc = g.to_json();
-    let v = bx_lint::sarif::json::parse(&doc).expect("graph JSON parses");
+    let v = serde::Value::parse_json(&doc).expect("graph JSON parses");
     let items = v.get("items").and_then(|x| x.as_array()).unwrap();
     assert_eq!(items.len(), g.items.len());
 }

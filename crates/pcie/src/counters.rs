@@ -166,7 +166,7 @@ impl TrafficCounters {
     }
 
     /// Number of doorbell MMIO writes (each SQ tail or CQ head update is one
-    /// posted TLP). The batching benchmarks assert this drops while
+    /// posted TLP). `batch_and_wrap.rs` asserts this drops while
     /// [`TrafficCounters::non_doorbell_wire_bytes`] stays byte-identical.
     pub fn doorbell_tlps(&self) -> u64 {
         self.class(TrafficClass::Doorbell).tlps

@@ -56,7 +56,10 @@ fn chunks_interleave_across_queues() {
 
     // Collect completions from all queues and verify integrity.
     for (q, qid) in qids.iter().enumerate() {
-        let completions = dev.driver_mut().poll_completions(*qid).unwrap();
+        let mut completions = Vec::new();
+        dev.driver_mut()
+            .poll_completions_into(*qid, &mut completions)
+            .unwrap();
         assert!(
             completions.iter().all(|c| c.status == Status::Success),
             "queue {q}: {completions:?}"

@@ -12,8 +12,8 @@
 //!    is pure analysis — it advances no clock and appends no event.
 
 use byteexpress::{
-    derive_timeseries, openmetrics, validate_openmetrics, Device, EventKind, MetricsRegistry,
-    Nanos, TransferMethod,
+    derive_timeseries, openmetrics, validate_openmetrics, Device, EventKind, ExecutionModel,
+    MetricsRegistry, Nanos, TransferMethod,
 };
 
 /// One fixed workload; returns the device after running it.
@@ -145,4 +145,24 @@ fn gauge_series_survive_into_the_derived_timeseries() {
         reg.gauge("ftl_journal_depth", 0).is_some(),
         "registry keeps the last journal-depth sample"
     );
+}
+
+/// The OpenMetrics exposition is a faithful view of the registry on the
+/// busiest stream the recorder produces — a pipelined, gauged run: it
+/// validates, carries counter families, and every family's total read back
+/// from the text equals the registry's own total.
+#[test]
+fn openmetrics_totals_agree_with_registry_on_a_pipelined_gauged_trace() {
+    let dev = run(|b| {
+        b.execution_model(ExecutionModel::Pipelined)
+            .trace_gauges(true)
+    });
+    let reg = MetricsRegistry::from_events(&dev.trace_events());
+    let summary = validate_openmetrics(&openmetrics(&reg)).expect("exposition must validate");
+    assert!(!summary.counter_totals.is_empty(), "no counter families");
+    assert!(!summary.gauge_scopes.is_empty(), "no gauge families");
+    for (name, total) in &summary.counter_totals {
+        assert_eq!(*total, reg.counter_total(name), "family {name}");
+    }
+    assert_eq!(summary.counter_totals["commands_completed"], 24);
 }
