@@ -353,15 +353,23 @@ impl DeviceBuilder {
             qids,
             queue_depths: vec![self.queue_depth; self.queue_count],
             identify,
+            write_cmd: PassthruCmd::to_device(IoOpcode::Write, 1, Vec::new()),
         }
     }
 }
 
-/// The block-write passthrough command for `data` at `lba`.
-fn block_write_cmd(lba: u64, data: &[u8]) -> PassthruCmd {
-    let mut cmd = PassthruCmd::to_device(IoOpcode::Write, 1, data.to_vec());
+/// Makes `cmd` the block write of `data` at `lba`, reusing its payload
+/// buffer.
+fn set_block_write(cmd: &mut PassthruCmd, lba: u64, data: &[u8]) {
     cmd.cdw10_15[0] = lba as u32;
     cmd.cdw10_15[1] = (lba >> 32) as u32;
+    cmd.set_data(data);
+}
+
+/// The block-write passthrough command for `data` at `lba`.
+fn block_write_cmd(lba: u64, data: &[u8]) -> PassthruCmd {
+    let mut cmd = PassthruCmd::to_device(IoOpcode::Write, 1, Vec::new());
+    set_block_write(&mut cmd, lba, data);
     cmd
 }
 
@@ -379,6 +387,9 @@ pub struct Device {
     /// re-create the same topology.
     queue_depths: Vec<u16>,
     identify: bx_nvme::IdentifyController,
+    /// [`Device::write`]'s command, refilled per call so its payload buffer
+    /// is reused.
+    write_cmd: PassthruCmd,
 }
 
 impl fmt::Debug for Device {
@@ -538,10 +549,10 @@ impl Device {
     /// memory exhaustion).
     pub fn power_cycle(&mut self) -> Result<RecoveryReport, DeviceError> {
         let report = self.ctrl.power_cycle();
-        self.driver.reset_after_power_cycle();
+        self.driver.reset_after_power_cycle()?;
         self.identify = self.driver.initialize(&mut self.ctrl)?;
         self.qids.clear();
-        for depth in self.queue_depths.clone() {
+        for &depth in &self.queue_depths {
             self.qids
                 .push(self.driver.create_io_queue(&mut self.ctrl, depth)?);
         }
@@ -599,7 +610,11 @@ impl Device {
         data: &[u8],
         method: TransferMethod,
     ) -> Result<Completion, DeviceError> {
-        let completion = self.passthru(&block_write_cmd(lba, data), method)?;
+        set_block_write(&mut self.write_cmd, lba, data);
+        let qid = self.qids[0];
+        let completion = self
+            .driver
+            .execute(qid, &mut self.ctrl, &self.write_cmd, method)?;
         if !completion.status.is_success() {
             return Err(DeviceError::Command(completion.status));
         }

@@ -8,7 +8,7 @@ use crate::recovery::{
 use crate::timing::DriverTiming;
 use bx_hostsim::{HostMemory, MemError, Nanos, PageRef, PhysAddr, PAGE_SIZE};
 use bx_nvme::passthru::DataDirection;
-use bx_nvme::prp::{pages_spanned, PrpError, PrpSegments};
+use bx_nvme::prp::{self, pages_spanned, PrpError};
 use bx_nvme::sqe::DataPointerKind;
 use bx_nvme::{
     admin, bandslim, inline, sgl, CompletionEntry, CqRing, IdentifyController, PassthruCmd,
@@ -199,13 +199,6 @@ impl Completion {
 }
 
 #[derive(Debug)]
-struct ResponseBuf {
-    pages: Vec<PageRef>,
-    list_pages: Vec<PageRef>,
-    len: usize,
-}
-
-#[derive(Debug)]
 struct Inflight {
     opcode: u8,
     submitted_at: Nanos,
@@ -213,23 +206,23 @@ struct Inflight {
     /// is installed. Expired entries are reaped by `poll_completions_into` as
     /// synthetic `CommandAborted` completions.
     deadline: Option<Nanos>,
-    data_pages: Vec<PageRef>,
-    list_pages: Vec<PageRef>,
-    response: Option<ResponseBuf>,
+    /// Every host page mapped for the command: the pages of its payload or
+    /// response buffer in transfer order, then any PRP/SGL list pages. The
+    /// list is one of the driver's recycled `spare_page_lists`.
+    pages: Vec<PageRef>,
+    /// Bytes of response buffer at the front of `pages` (0: a command that
+    /// returns no data).
+    response_len: usize,
 }
 
 impl Inflight {
-    /// Hands every host page mapped for the command back to the allocator.
-    fn free_pages(self, mem: &mut HostMemory) -> Result<(), MemError> {
-        if let Some(resp) = self.response {
-            for p in resp.pages.into_iter().chain(resp.list_pages) {
-                mem.free_page(p)?;
-            }
-        }
-        for p in self.data_pages.into_iter().chain(self.list_pages) {
+    /// Hands every host page mapped for the command back to the allocator;
+    /// returns the emptied list for reuse.
+    fn free_pages(mut self, mem: &mut HostMemory) -> Result<Vec<PageRef>, MemError> {
+        for p in self.pages.drain(..) {
             mem.free_page(p)?;
         }
-        Ok(())
+        Ok(self.pages)
     }
 }
 
@@ -331,6 +324,18 @@ struct QueuePair {
     first_pending_at: Nanos,
 }
 
+impl QueuePair {
+    /// Returns the ring pages, and the mapped pages of every command still
+    /// in flight, to the allocator: the pair is gone from the device.
+    fn release(self, mem: &mut HostMemory) -> Result<(), MemError> {
+        for slot in self.inflight.slots.into_iter().flatten() {
+            slot.1.free_pages(mem)?;
+        }
+        mem.free_contiguous(self.sq.region())?;
+        mem.free_contiguous(self.cq.region())
+    }
+}
+
 /// The driver's admin queue pair.
 struct AdminQueue {
     sq: SqRing,
@@ -359,6 +364,13 @@ pub struct NvmeDriver {
     /// 0 means once per poll sweep (the maximally coalesced default);
     /// 1 reproduces a naive per-CQE driver.
     cq_coalesce: u16,
+    /// Emptied page lists of completed commands, handed to the next ones.
+    spare_page_lists: Vec<Vec<PageRef>>,
+    /// Addresses of the data pages of the command being mapped, for
+    /// [`prp::describe`]. Refilled per command.
+    page_addrs: Vec<PhysAddr>,
+    /// [`NvmeDriver::execute`]'s poll buffer.
+    polled: Vec<Completion>,
 }
 
 impl fmt::Debug for NvmeDriver {
@@ -398,6 +410,9 @@ impl NvmeDriver {
             recovery: RecoveryStats::default(),
             flush_policy: None,
             cq_coalesce: 0,
+            spare_page_lists: Vec::new(),
+            page_addrs: Vec::new(),
+            polled: Vec::new(),
         }
     }
 
@@ -532,16 +547,29 @@ impl NvmeDriver {
     }
 
     /// Drops every handle into the (now vanished) controller state after a
-    /// power cut: queue pairs, the admin queue, cached identify data. Host
-    /// policy knobs — retry, flush, CQ coalescing, inline mode, SGL
-    /// threshold — and cumulative stats survive; they live in host memory.
-    /// Call [`NvmeDriver::initialize`] and re-create I/O queues afterwards,
-    /// exactly as the kernel re-probes a device that dropped off the bus.
-    pub fn reset_after_power_cycle(&mut self) {
-        self.queues.clear();
-        self.admin = None;
+    /// power cut: queue pairs, the admin queue, cached identify data — and
+    /// returns their ring pages, and the pages of commands in flight at the
+    /// cut, to host memory. Host policy knobs — retry, flush, CQ
+    /// coalescing, inline mode, SGL threshold — and cumulative stats
+    /// survive; they live in host memory. Call [`NvmeDriver::initialize`]
+    /// and re-create I/O queues afterwards, exactly as the kernel re-probes
+    /// a device that dropped off the bus.
+    ///
+    /// # Errors
+    ///
+    /// [`DriverError::Mem`] if a page turns out not to be allocated.
+    pub fn reset_after_power_cycle(&mut self) -> Result<(), DriverError> {
+        let mut mem = self.bus.mem.borrow_mut();
+        for (_, qp) in std::mem::take(&mut self.queues) {
+            qp.release(&mut mem)?;
+        }
+        if let Some(admin) = self.admin.take() {
+            mem.free_contiguous(admin.sq.region())?;
+            mem.free_contiguous(admin.cq.region())?;
+        }
         self.identify = None;
         self.next_io_qid = 1;
+        Ok(())
     }
 
     fn admin_cid(&mut self) -> Result<u16, DriverError> {
@@ -557,8 +585,7 @@ impl NvmeDriver {
         ctrl: &mut Controller,
         sqe: SubmissionEntry,
     ) -> Result<CompletionEntry, DriverError> {
-        let bus = self.bus.clone();
-        let timing = self.timing.clone();
+        let (bus, timing) = (&self.bus, &self.timing);
         let a = self.admin.as_mut().ok_or(DriverError::NotReady)?;
         let slot = a.sq.push_slot();
         bus.mem
@@ -587,7 +614,7 @@ impl NvmeDriver {
         a.cq.pop_slot();
         a.sq.complete_up_to(cqe.sq_head());
         bus.clock.advance(timing.completion_handling);
-        ring_cq_head(&bus, QueueId(0), a.cq.head());
+        ring_cq_head(bus, QueueId(0), a.cq.head());
         self.stats.doorbells += 1;
         Ok(cqe)
     }
@@ -601,6 +628,11 @@ impl NvmeDriver {
         let cq_pages = (depth as usize * CQE_BYTES).div_ceil(PAGE_SIZE);
         let sq = mem.alloc_contiguous(sq_pages)?;
         let cq = mem.alloc_contiguous(cq_pages)?;
+        // Frames come back from earlier rings and data buffers with their
+        // old contents; a stale CQE whose phase bit happens to match would
+        // be consumed as a completion.
+        mem.fill(sq.base(), sq.len(), 0)?;
+        mem.fill(cq.base(), cq.len(), 0)?;
         Ok((
             bx_hostsim::DmaRegion::new(sq.base(), depth as usize * SQE_BYTES),
             bx_hostsim::DmaRegion::new(cq.base(), depth as usize * CQE_BYTES),
@@ -622,25 +654,14 @@ impl NvmeDriver {
         depth: u16,
     ) -> Result<QueueId, DriverError> {
         let (sq_region, cq_region) = self.alloc_rings(depth)?;
-        let id = if self.admin.is_some() {
-            let qid = self.next_io_qid;
-            let cid = self.admin_cid()?;
-            let cqe =
-                self.admin_execute(ctrl, admin::create_io_cq(cid, qid, depth, cq_region.base()))?;
-            if !cqe.status().is_success() {
-                return Err(DriverError::AdminFailed(cqe.status()));
+        let id = match self.create_on_controller(ctrl, depth, sq_region, cq_region) {
+            Ok(id) => id,
+            Err(e) => {
+                let mut mem = self.bus.mem.borrow_mut();
+                mem.free_contiguous(sq_region)?;
+                mem.free_contiguous(cq_region)?;
+                return Err(e);
             }
-            let cid = self.admin_cid()?;
-            let cqe = self.admin_execute(
-                ctrl,
-                admin::create_io_sq(cid, qid, depth, sq_region.base(), qid),
-            )?;
-            if !cqe.status().is_success() {
-                return Err(DriverError::AdminFailed(cqe.status()));
-            }
-            QueueId(qid)
-        } else {
-            ctrl.register_io_queue(sq_region, cq_region, depth)
         };
         self.next_io_qid = id.0 + 1;
         self.queues.insert(
@@ -660,8 +681,39 @@ impl NvmeDriver {
         Ok(id)
     }
 
+    /// Creates the pair over its allocated rings: admin Create-IO-CQ then
+    /// Create-IO-SQ, or direct registration for an uninitialized driver.
+    fn create_on_controller(
+        &mut self,
+        ctrl: &mut Controller,
+        depth: u16,
+        sq_region: bx_hostsim::DmaRegion,
+        cq_region: bx_hostsim::DmaRegion,
+    ) -> Result<QueueId, DriverError> {
+        if self.admin.is_none() {
+            return Ok(ctrl.register_io_queue(sq_region, cq_region, depth));
+        }
+        let qid = self.next_io_qid;
+        let cid = self.admin_cid()?;
+        let cqe =
+            self.admin_execute(ctrl, admin::create_io_cq(cid, qid, depth, cq_region.base()))?;
+        if !cqe.status().is_success() {
+            return Err(DriverError::AdminFailed(cqe.status()));
+        }
+        let cid = self.admin_cid()?;
+        let cqe = self.admin_execute(
+            ctrl,
+            admin::create_io_sq(cid, qid, depth, sq_region.base(), qid),
+        )?;
+        if !cqe.status().is_success() {
+            return Err(DriverError::AdminFailed(cqe.status()));
+        }
+        Ok(QueueId(qid))
+    }
+
     /// Deletes an I/O queue pair via admin commands (SQ first, then CQ, per
-    /// spec ordering) and releases the driver-side state.
+    /// spec ordering) and releases the driver-side state, ring pages and
+    /// the pages of commands still in flight included.
     ///
     /// # Errors
     ///
@@ -688,14 +740,14 @@ impl NvmeDriver {
         if !cqe.status().is_success() {
             return Err(DriverError::AdminFailed(cqe.status()));
         }
-        self.queues.remove(&qid.0);
+        if let Some(qp) = self.queues.remove(&qid.0) {
+            qp.release(&mut self.bus.mem.borrow_mut())?;
+        }
         Ok(())
     }
 
     fn queue_mut(&mut self, qid: QueueId) -> Result<&mut QueuePair, DriverError> {
-        self.queues
-            .get_mut(&qid.0)
-            .ok_or(DriverError::UnknownQueue(qid))
+        queue_in(&mut self.queues, qid)
     }
 
     /// Submits a passthrough command using `method` for its data phase.
@@ -728,14 +780,14 @@ impl NvmeDriver {
             deadline: self
                 .retry_policy
                 .map(|p| submitted_at.checked_add(p.timeout).unwrap_or(submitted_at)),
-            data_pages: Vec::new(),
-            list_pages: Vec::new(),
-            response: None,
+            pages: self.spare_page_lists.pop().unwrap_or_default(),
+            response_len: 0,
         };
         if let Err(e) = self.place(qid, sqe, cmd, method, &mut inflight) {
             // Pages are mapped before the ring-space check; a rejected
             // command must hand them back or every retry leaks them.
-            inflight.free_pages(&mut self.bus.mem.borrow_mut())?;
+            let pages = inflight.free_pages(&mut self.bus.mem.borrow_mut())?;
+            self.spare_page_lists.push(pages);
             return Err(e);
         }
 
@@ -857,17 +909,20 @@ impl NvmeDriver {
         data: &[u8],
         inflight: &mut Inflight,
     ) -> Result<(), DriverError> {
-        let pages = self.map_payload_pages(data, inflight)?;
-        let prp = {
-            let mut mem = self.bus.mem.borrow_mut();
-            PrpSegments::build(&mut mem, &pages, 0, data.len())?
-        };
-        sqe.set_prp1(prp.prp1);
-        sqe.set_prp2(prp.prp2);
-        inflight.list_pages.extend(prp.list_pages.iter().copied());
+        self.map_payload_pages(data, inflight)?;
+        let (prp1, prp2) = prp::describe(
+            &mut self.bus.mem.borrow_mut(),
+            &self.page_addrs,
+            0,
+            data.len(),
+            &mut inflight.pages,
+        )?;
+        sqe.set_prp1(prp1);
+        sqe.set_prp2(prp2);
+        let pages = self.page_addrs.len() as u64;
         self.bus
             .clock
-            .advance(self.timing.prp_setup + self.timing.prp_per_page * pages.len() as u64);
+            .advance(self.timing.prp_setup + self.timing.prp_per_page * pages);
         self.insert_and_ring(qid, sqe, self.timing.sqe_insert)
     }
 
@@ -880,34 +935,33 @@ impl NvmeDriver {
         data: &[u8],
         inflight: &mut Inflight,
     ) -> Result<(), DriverError> {
-        let pages = self.map_payload_pages(data, inflight)?;
+        self.map_payload_pages(data, inflight)?;
+        let pages = &self.page_addrs;
         sqe.set_data_pointer_kind(DataPointerKind::Sgl);
-        if pages.len() == 1 {
-            let desc = sgl::SglDescriptor::data_block(pages[0], data.len() as u32);
+        if let [page] = pages[..] {
+            let desc = sgl::SglDescriptor::data_block(page, data.len() as u32);
             sqe.set_sgl_bytes(&desc.to_bytes());
         } else {
             // Descriptor array in its own page; the command carries a
             // last-segment pointer to it.
-            let seg_page = {
-                let mut mem = self.bus.mem.borrow_mut();
-                let page = mem.alloc_page()?;
-                inflight.list_pages.push(page);
-                let mut remaining = data.len();
-                for (i, p) in pages.iter().enumerate() {
-                    let chunk = remaining.min(PAGE_SIZE);
-                    let desc = sgl::SglDescriptor::data_block(*p, chunk as u32);
-                    mem.write(page.addr().offset((i * 16) as u64), &desc.to_bytes())?;
-                    remaining -= chunk;
-                }
-                page
-            };
+            let mut mem = self.bus.mem.borrow_mut();
+            let seg_page = mem.alloc_page()?;
+            inflight.pages.push(seg_page);
+            let mut remaining = data.len();
+            for (i, p) in pages.iter().enumerate() {
+                let chunk = remaining.min(PAGE_SIZE);
+                let desc = sgl::SglDescriptor::data_block(*p, chunk as u32);
+                mem.write(seg_page.addr().offset((i * 16) as u64), &desc.to_bytes())?;
+                remaining -= chunk;
+            }
             let first =
                 sgl::SglDescriptor::last_segment(seg_page.addr(), (pages.len() * 16) as u32);
             sqe.set_sgl_bytes(&first.to_bytes());
         }
+        let pages = pages.len() as u64;
         self.bus
             .clock
-            .advance(self.timing.sgl_setup + self.timing.prp_per_page * pages.len() as u64);
+            .advance(self.timing.sgl_setup + self.timing.prp_per_page * pages);
         self.insert_and_ring(qid, sqe, self.timing.sqe_insert)
     }
 
@@ -947,8 +1001,7 @@ impl NvmeDriver {
         inline::set_inline_len(&mut sqe, data.len());
 
         let needed = 1 + n_chunks as u16;
-        let timing = self.timing.clone();
-        let bus = self.bus.clone();
+        let (bus, timing) = (&self.bus, &self.timing);
         // Fault hook: lose one chunk of a reassembly train before it is
         // written, modelling a corrupted store that never lands. Only
         // reassembly mode tolerates this detectably — the controller parks
@@ -961,7 +1014,7 @@ impl NvmeDriver {
         } else {
             None
         };
-        let qp = self.queue_mut(qid)?;
+        let qp = queue_in(&mut self.queues, qid)?;
         let depth_limit = qp.sq.depth() - 1;
         if needed > depth_limit {
             let max_chunks = (depth_limit - 1) as usize;
@@ -1110,23 +1163,24 @@ impl NvmeDriver {
         Ok(())
     }
 
-    /// Copies a payload into freshly mapped host pages.
+    /// Copies a payload into freshly mapped host pages, recorded in
+    /// `inflight` (and their addresses in `page_addrs`) as they are
+    /// allocated.
     fn map_payload_pages(
         &mut self,
         data: &[u8],
         inflight: &mut Inflight,
-    ) -> Result<Vec<PhysAddr>, DriverError> {
-        let n = pages_spanned(0, data.len());
+    ) -> Result<(), DriverError> {
         let mut mem = self.bus.mem.borrow_mut();
-        let mut pages = Vec::with_capacity(n);
+        self.page_addrs.clear();
         for chunk in data.chunks(PAGE_SIZE) {
             let page = mem.alloc_page()?;
+            inflight.pages.push(page);
+            self.page_addrs.push(page.addr());
             mem.write(page.addr(), chunk)?;
-            inflight.data_pages.push(page);
-            pages.push(page.addr());
         }
-        self.stats.pages_mapped += n as u64;
-        Ok(pages)
+        self.stats.pages_mapped += self.page_addrs.len() as u64;
+        Ok(())
     }
 
     /// Allocates a PRP-described response buffer, recorded in `inflight`
@@ -1140,21 +1194,17 @@ impl NvmeDriver {
         if len == 0 {
             return Err(DriverError::EmptyPayload);
         }
-        let n = pages_spanned(0, len);
         let mut mem = self.bus.mem.borrow_mut();
-        let resp = inflight.response.insert(ResponseBuf {
-            pages: Vec::with_capacity(n),
-            list_pages: Vec::new(),
-            len,
-        });
-        for _ in 0..n {
-            resp.pages.push(mem.alloc_page()?);
+        inflight.response_len = len;
+        self.page_addrs.clear();
+        for _ in 0..pages_spanned(0, len) {
+            let page = mem.alloc_page()?;
+            inflight.pages.push(page);
+            self.page_addrs.push(page.addr());
         }
-        let addrs: Vec<PhysAddr> = resp.pages.iter().map(|p| p.addr()).collect();
-        let prp = PrpSegments::build(&mut mem, &addrs, 0, len)?;
-        sqe.set_prp1(prp.prp1);
-        sqe.set_prp2(prp.prp2);
-        resp.list_pages = prp.list_pages;
+        let (prp1, prp2) = prp::describe(&mut mem, &self.page_addrs, 0, len, &mut inflight.pages)?;
+        sqe.set_prp1(prp1);
+        sqe.set_prp2(prp2);
         Ok(())
     }
 
@@ -1164,8 +1214,8 @@ impl NvmeDriver {
         sqe: SubmissionEntry,
         insert_cost: Nanos,
     ) -> Result<(), DriverError> {
-        let bus = self.bus.clone();
-        let qp = self.queue_mut(qid)?;
+        let bus = &self.bus;
+        let qp = queue_in(&mut self.queues, qid)?;
         if !qp.sq.can_push(1) {
             return Err(DriverError::QueueFull { needed: 1, free: 0 });
         }
@@ -1344,13 +1394,13 @@ impl NvmeDriver {
         // the poll loop is where virtual time advances while submissions
         // sit deferred.
         self.flush_sq_if_due(qid)?;
-        let bus = self.bus.clone();
-        let timing = self.timing.clone();
+        let (bus, timing) = (&self.bus, &self.timing);
         let policy = self.retry_policy;
         let coalesce = self.cq_coalesce as u64;
         let mut cq_rings = 0u64;
         let mut consumed_since_ring = 0u64;
         let mut spurious = 0u64;
+        let qp = queue_in(&mut self.queues, qid)?;
         // Byte-interface completions are polled from the BAR status area
         // (one synchronous MMIO read per poll sweep when any are pending).
         // Only status words stamped with THIS queue's id are consumed — the
@@ -1358,28 +1408,14 @@ impl NvmeDriver {
         // queue, so a poll on queue B must never steal (and mis-time)
         // completions belonging to queue A. Foreign entries stay queued, in
         // order, for their own queue's poll.
-        let mmio: Vec<bx_ssd::MmioCompletion> = {
-            let mut window = bus.mmio_window.borrow_mut();
-            if window.completions.iter().any(|c| c.qid == qid.0) {
-                let mut mine = Vec::with_capacity(window.completions.len());
-                window.completions.retain(|c| {
-                    if c.qid == qid.0 {
-                        mine.push(*c);
-                        false
-                    } else {
-                        true
-                    }
-                });
-                mine
-            } else {
-                Vec::new()
-            }
-        };
-        let qp = self.queue_mut(qid)?;
-        if !mmio.is_empty() {
+        let mut window = bus.mmio_window.borrow_mut();
+        if window.completions.iter().any(|c| c.qid == qid.0) {
             let t = bus.link.borrow_mut().host_mmio_read(TrafficClass::Mmio, 8);
             bus.clock.advance(t);
-            for c in mmio {
+            window.completions.retain(|c| {
+                if c.qid != qid.0 {
+                    return true;
+                }
                 let inflight = qp.inflight.remove(c.cid);
                 if inflight.is_none() && policy.is_some() {
                     // Same accounting as the CQE ring path below: a status
@@ -1405,8 +1441,10 @@ impl NvmeDriver {
                     submitted_at,
                     completed_at: bus.clock.now(),
                 });
-            }
+                false
+            });
         }
+        drop(window);
         loop {
             let slot = qp.cq.head();
             let addr = qp.cq.slot_addr(slot);
@@ -1423,7 +1461,7 @@ impl NvmeDriver {
             if coalesce > 0 && consumed_since_ring >= coalesce {
                 // Reap-limit reached: acknowledge this group of CQEs with
                 // a head doorbell write and keep draining.
-                ring_cq_head(&bus, qid, qp.cq.head());
+                ring_cq_head(bus, qid, qp.cq.head());
                 cq_rings += 1;
                 consumed_since_ring = 0;
             }
@@ -1441,22 +1479,20 @@ impl NvmeDriver {
             if let Some(inflight) = inflight {
                 submitted_at = inflight.submitted_at;
                 let mut mem = bus.mem.borrow_mut();
-                if let Some(resp) = &inflight.response {
-                    if cqe.status().is_success() {
-                        // Response pages are not physically contiguous; read
-                        // them page by page, as the PRP list describes.
-                        let mut buf = Vec::with_capacity(resp.len);
-                        for page in &resp.pages {
-                            let take = (resp.len - buf.len()).min(PAGE_SIZE);
-                            buf.extend_from_slice(&mem.read_vec(page.addr(), take)?);
-                            if buf.len() == resp.len {
-                                break;
-                            }
+                if inflight.response_len > 0 && cqe.status().is_success() {
+                    // Response pages are not physically contiguous; copy
+                    // them out page by page, as the PRP list describes.
+                    let mut buf = Vec::with_capacity(inflight.response_len);
+                    for page in &inflight.pages {
+                        let take = (inflight.response_len - buf.len()).min(PAGE_SIZE);
+                        if take == 0 {
+                            break;
                         }
-                        data = Some(buf);
+                        buf.extend_from_slice(mem.slice(page.addr(), take)?);
                     }
+                    data = Some(buf);
                 }
-                inflight.free_pages(&mut mem)?;
+                self.spare_page_lists.push(inflight.free_pages(&mut mem)?);
             }
             bus.trace.emit_cmd(CmdKey::new(qid.0, cqe.cid()), || {
                 EventKind::CompletionConsumed {
@@ -1494,7 +1530,8 @@ impl NvmeDriver {
                 // bx-lint: allow(panic-freedom, reason = "cids were collected from this table two lines up with no intervening removal")
                 let inflight = qp.inflight.remove(cid).expect("listed above");
                 let submitted_at = inflight.submitted_at;
-                inflight.free_pages(&mut bus.mem.borrow_mut())?;
+                self.spare_page_lists
+                    .push(inflight.free_pages(&mut bus.mem.borrow_mut())?);
                 reaped += 1;
                 bus.trace
                     .emit_cmd(CmdKey::new(qid.0, cid), || EventKind::TimeoutReap);
@@ -1509,7 +1546,7 @@ impl NvmeDriver {
             }
         }
         if consumed_since_ring > 0 {
-            ring_cq_head(&bus, qid, qp.cq.head());
+            ring_cq_head(bus, qid, qp.cq.head());
             cq_rings += 1;
         }
         let depth = qp.inflight.len() as u64;
@@ -1619,15 +1656,30 @@ impl NvmeDriver {
         cmd: &PassthruCmd,
         method: TransferMethod,
     ) -> Result<Completion, DriverError> {
+        let mut polled = std::mem::take(&mut self.polled);
+        polled.clear();
+        let done = self.execute_polling_into(qid, ctrl, cmd, method, &mut polled);
+        self.polled = polled;
+        done
+    }
+
+    /// [`NvmeDriver::execute`] over a caller-owned poll buffer.
+    fn execute_polling_into(
+        &mut self,
+        qid: QueueId,
+        ctrl: &mut Controller,
+        cmd: &PassthruCmd,
+        method: TransferMethod,
+        polled: &mut Vec<Completion>,
+    ) -> Result<Completion, DriverError> {
         let started = self.bus.clock.now();
-        let mut polled = Vec::new();
         let mut attempt: u32 = 0;
         let mut last_ctx: Option<CmdContext> = None;
         loop {
             if attempt > 0 {
                 // Drain stragglers (late CQEs from the previous attempt)
                 // before claiming fresh SQ slots.
-                self.pump(qid, ctrl, &mut polled)?;
+                self.pump(qid, ctrl, polled)?;
             }
             let (effective, role) = self.plan_method(qid, cmd, method)?;
             let submitted = match self.submit(qid, cmd, effective) {
@@ -1657,7 +1709,7 @@ impl NvmeDriver {
             // the synthetic CommandAborted the timeout reaper posts once
             // the deadline passes.
             polled.clear();
-            self.wait_for(qid, ctrl, &[submitted], &mut polled)?;
+            self.wait_for(qid, ctrl, &[submitted], polled)?;
             let Some(idx) = polled.iter().position(|c| c.cid == submitted.cid) else {
                 return Err(DriverError::Timeout {
                     ctx,
@@ -1784,6 +1836,15 @@ impl NvmeDriver {
             self.bus.trace.emit(None, || EventKind::QueueRepromoted);
         }
     }
+}
+
+/// The pair `qid` names — borrowing the queue table alone, so the caller
+/// keeps the driver's bus, timing and recycled lists at hand.
+fn queue_in(
+    queues: &mut BTreeMap<u16, QueuePair>,
+    qid: QueueId,
+) -> Result<&mut QueuePair, DriverError> {
+    queues.get_mut(&qid.0).ok_or(DriverError::UnknownQueue(qid))
 }
 
 /// Rings a CQ head doorbell: one posted 4-byte MMIO write.

@@ -58,13 +58,16 @@ fn io_through_admin_created_queue() {
 
 #[test]
 fn queue_delete_then_recreate() {
-    let (_bus, mut ctrl, mut driver) = default_platform();
+    let (bus, mut ctrl, mut driver) = default_platform();
+    let free_pages = || bus.mem.borrow().allocator().free_pages();
     driver.initialize(&mut ctrl).unwrap();
     let q1 = driver.create_io_queue(&mut ctrl, 64).unwrap();
+    let one_pair = free_pages();
     let q2 = driver.create_io_queue(&mut ctrl, 64).unwrap();
     assert_ne!(q1, q2);
 
     driver.delete_io_queue(&mut ctrl, q1).unwrap();
+    assert_eq!(free_pages(), one_pair, "q1's ring pages must come back");
     // q1 is gone: submissions fail driver-side.
     let err = driver
         .submit(

@@ -212,15 +212,10 @@ impl PageAllocator {
                 }
                 run += 1;
                 if run == n {
-                    for f in start..start + n {
-                        self.allocated[f] = true;
-                        let addr = (f * PAGE_SIZE) as u64;
-                        self.free.retain(|&a| a != addr);
-                    }
-                    return Ok(DmaRegion::new(
-                        PhysAddr((start * PAGE_SIZE) as u64),
-                        n * PAGE_SIZE,
-                    ));
+                    self.allocated[start..start + n].fill(true);
+                    let claimed = (start * PAGE_SIZE) as u64..((start + n) * PAGE_SIZE) as u64;
+                    self.free.retain(|a| !claimed.contains(a));
+                    return Ok(DmaRegion::new(PhysAddr(claimed.start), n * PAGE_SIZE));
                 }
             }
         }
@@ -243,6 +238,30 @@ impl PageAllocator {
         }
         self.allocated[frame] = false;
         self.free.push(addr);
+        Ok(())
+    }
+
+    /// Returns every frame of a region handed out by
+    /// [`PageAllocator::alloc_contiguous`] to the free list, lowest address
+    /// on top so it is the next one allocated.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::BadFree`] — and nothing freed — unless the region is a
+    /// page-aligned run of allocated frames.
+    pub fn free_contiguous(&mut self, region: DmaRegion) -> Result<(), MemError> {
+        let bad = MemError::BadFree(region.base());
+        if !region.base().is_page_aligned() {
+            return Err(bad);
+        }
+        let first = (region.base().0 / PAGE_SIZE as u64) as usize;
+        let frames = first..first + region.len().div_ceil(PAGE_SIZE);
+        match self.allocated.get_mut(frames.clone()) {
+            Some(run) if run.iter().all(|&a| a) => run.fill(false),
+            _ => return Err(bad),
+        }
+        self.free
+            .extend(frames.rev().map(|f| (f * PAGE_SIZE) as u64));
         Ok(())
     }
 
@@ -308,6 +327,17 @@ impl HostMemory {
     pub fn write(&mut self, addr: PhysAddr, data: &[u8]) -> Result<(), MemError> {
         let start = self.check(addr, data.len())?;
         self.bytes[start..start + data.len()].copy_from_slice(data);
+        Ok(())
+    }
+
+    /// Sets `len` bytes at `addr` to `value`.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::OutOfBounds`] if the range exceeds capacity.
+    pub fn fill(&mut self, addr: PhysAddr, len: usize, value: u8) -> Result<(), MemError> {
+        let start = self.check(addr, len)?;
+        self.bytes[start..start + len].fill(value);
         Ok(())
     }
 
@@ -409,6 +439,15 @@ impl HostMemory {
         self.allocator.free(page)
     }
 
+    /// Frees a region allocated by [`HostMemory::alloc_contiguous`].
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::BadFree`] on invalid frees.
+    pub fn free_contiguous(&mut self, region: DmaRegion) -> Result<(), MemError> {
+        self.allocator.free_contiguous(region)
+    }
+
     /// The underlying allocator, for capacity introspection.
     pub fn allocator(&self) -> &PageAllocator {
         &self.allocator
@@ -424,6 +463,18 @@ mod tests {
         let mut m = HostMemory::with_capacity(4 * PAGE_SIZE);
         m.write(PhysAddr(100), b"byteexpress").unwrap();
         assert_eq!(m.read_vec(PhysAddr(100), 11).unwrap(), b"byteexpress");
+    }
+
+    #[test]
+    fn fill_sets_exactly_the_range() {
+        let mut m = HostMemory::with_capacity(PAGE_SIZE);
+        m.write(PhysAddr(8), &[9; 8]).unwrap();
+        m.fill(PhysAddr(10), 4, 0).unwrap();
+        assert_eq!(
+            m.read_vec(PhysAddr(8), 8).unwrap(),
+            [9, 9, 0, 0, 0, 0, 9, 9]
+        );
+        assert!(m.fill(PhysAddr(PAGE_SIZE as u64 - 1), 2, 0).is_err());
     }
 
     #[test]
@@ -491,6 +542,55 @@ mod tests {
                 "allocator handed out a frame inside the contiguous region"
             );
         }
+    }
+
+    /// The loop `alloc_contiguous` used to run: one `retain` over the whole
+    /// free list per claimed page.
+    fn alloc_contiguous_per_page(a: &mut PageAllocator, n: usize) -> Option<PhysAddr> {
+        let start = (0..a.total_pages.checked_sub(n)? + 1)
+            .find(|&s| a.allocated[s..s + n].iter().all(|&used| !used))?;
+        for f in start..start + n {
+            a.allocated[f] = true;
+            let addr = (f * PAGE_SIZE) as u64;
+            a.free.retain(|&x| x != addr);
+        }
+        Some(PhysAddr((start * PAGE_SIZE) as u64))
+    }
+
+    #[test]
+    fn contiguous_allocation_matches_the_per_page_loop() {
+        let mut new = PageAllocator::new(64 * PAGE_SIZE);
+        let mut old = PageAllocator::new(64 * PAGE_SIZE);
+        // Fragment both alike: single pages out, every third one back.
+        for a in [&mut new, &mut old] {
+            let pages: Vec<PageRef> = (0..20).map(|_| a.alloc().unwrap()).collect();
+            for p in pages.into_iter().step_by(3) {
+                a.free(p).unwrap();
+            }
+        }
+        for n in [1, 2, 5, 16, 3, 1, 30] {
+            let got = new.alloc_contiguous(n).ok().map(|r| r.base());
+            assert_eq!(got, alloc_contiguous_per_page(&mut old, n), "n={n}");
+            assert_eq!(new.free, old.free, "free-list order after n={n}");
+            assert_eq!(new.allocated, old.allocated);
+        }
+    }
+
+    #[test]
+    fn free_contiguous_returns_the_region_lowest_frame_first() {
+        let mut m = HostMemory::with_capacity(8 * PAGE_SIZE);
+        let r = m.alloc_contiguous(3).unwrap();
+        let tail = DmaRegion::new(r.at(PAGE_SIZE), 2 * PAGE_SIZE);
+        assert_eq!(m.allocator().free_pages(), 5);
+        m.free_contiguous(r).unwrap();
+        assert_eq!(m.allocator().free_pages(), 8);
+        assert_eq!(m.alloc_page().unwrap().addr(), r.base());
+        // Not a run of allocated frames any more: nothing is freed.
+        assert_eq!(m.free_contiguous(r), Err(MemError::BadFree(r.base())));
+        assert_eq!(m.free_contiguous(tail), Err(MemError::BadFree(tail.base())));
+        let past_end = DmaRegion::new(PhysAddr(7 * PAGE_SIZE as u64), 2 * PAGE_SIZE);
+        assert!(m.free_contiguous(past_end).is_err());
+        assert_eq!(m.allocator().free_pages(), 7);
     }
 
     #[test]

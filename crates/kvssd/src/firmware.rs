@@ -1,10 +1,11 @@
 //! Device-side key-value firmware.
 //!
 //! A log-structured value store: PUTs append `[key(16) | len(2)]` headers +
-//! value bytes into a DRAM staging page; full pages flush to NAND through
-//! the FTL (when NAND I/O is enabled). The key index lives in device DRAM
-//! (a `BTreeMap`, deterministic iteration for the iterator command) and can
-//! be rebuilt from the on-media headers after a simulated power cycle
+//! value bytes into a DRAM staging page, DELETEs append a header alone with
+//! the tombstone length; full pages flush to NAND through the FTL (when
+//! NAND I/O is enabled). The key index lives in device DRAM (a `BTreeMap`,
+//! deterministic iteration for the iterator command) and can be rebuilt from
+//! the on-media headers after a simulated power cycle
 //! ([`KvFirmware::recover_index`] exercised via the `KvRecover` test hook).
 
 use bx_hostsim::{Nanos, PAGE_SIZE};
@@ -22,6 +23,12 @@ pub const MAX_VALUE_LEN: usize = PAGE_SIZE - ENTRY_HEADER;
 
 /// Per-entry on-media header: 16-byte padded key + 2-byte value length.
 const ENTRY_HEADER: usize = MAX_KEY_LEN + 2;
+
+/// The length field of a tombstone entry: a header with no value bytes that
+/// deletes its key on replay.
+const TOMBSTONE_LEN: u16 = u16::MAX;
+// No value can have the tombstone's length.
+const _: () = assert!(MAX_VALUE_LEN < TOMBSTONE_LEN as usize);
 
 /// A key padded to the fixed wire width.
 pub type PaddedKey = [u8; MAX_KEY_LEN];
@@ -55,12 +62,14 @@ pub fn key_into_cdws(key: &PaddedKey, cdw10_15: &mut [u32; 6]) {
     }
 }
 
+/// Where a value's bytes sit in the log: page `lpn`, byte offset `off`
+/// within it. The page with `lpn == next_lpn` is the one being filled — it
+/// is the DRAM staging page; every lower one has been flushed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ValueLoc {
-    /// Still in the DRAM staging page.
-    Staged { off: usize, len: usize },
-    /// Flushed to NAND at `lpn`, byte offset `off` within the page.
-    Flushed { lpn: u64, off: usize, len: usize },
+struct ValueLoc {
+    lpn: u64,
+    off: u16,
+    len: u16,
 }
 
 /// Device-side operation counters, shared with the host store handle.
@@ -110,12 +119,10 @@ pub struct KvFirmware {
     durable_puts: bool,
     timing: KvTiming,
     index: BTreeMap<PaddedKey, ValueLoc>,
-    /// Staging page region in device DRAM.
+    /// Staging page region in device DRAM, zero beyond `staging_used`.
     staging_off: usize,
     staging_used: usize,
-    /// Keys whose values sit in the current staging page.
-    staged_keys: Vec<PaddedKey>,
-    /// Next log LPN to flush into.
+    /// The log LPN the staging page will flush into.
     next_lpn: u64,
     /// With NAND off, flushed pages are retained in a DRAM log region
     /// instead (pure-transfer benchmarking still gets correct GETs).
@@ -157,7 +164,6 @@ impl KvFirmware {
             index: BTreeMap::new(),
             staging_off: staging.offset,
             staging_used: 0,
-            staged_keys: Vec::new(),
             next_lpn: 0,
             dram_log_off: log.offset,
             dram_log_pages: log_pages,
@@ -186,41 +192,88 @@ impl KvFirmware {
             return Ok(now);
         }
         let lpn = self.next_lpn;
-        let page = ctx
-            .dram
-            .read(self.staging_off, PAGE_SIZE)
-            .map_err(|_| Status::InternalError)?
-            .to_vec();
         let done = if self.nand_io {
-            if lpn >= ctx.ftl.capacity_pages() {
-                return Err(Status::CapacityExceeded);
-            }
-            ctx.ftl
-                .write(lpn, &page, ctx.nand, now)
-                .map_err(|_| Status::InternalError)?
+            self.program_staging(ctx, now)?
         } else {
             if (lpn as usize) >= self.dram_log_pages {
                 return Err(Status::CapacityExceeded);
             }
             ctx.dram
-                .write(self.dram_log_off + lpn as usize * PAGE_SIZE, &page)
+                .copy_within(
+                    self.staging_off,
+                    self.dram_log_off + lpn as usize * PAGE_SIZE,
+                    PAGE_SIZE,
+                )
                 .map_err(|_| Status::InternalError)?;
             now + self.timing.log_append
         };
+        // Every index entry pointing into the staging page carries this
+        // LPN already: moving the frontier is what makes them flushed.
         self.next_lpn += 1;
-        for key in self.staged_keys.drain(..) {
-            if let Some(ValueLoc::Staged { off, len }) = self.index.get(&key).copied() {
-                self.index.insert(key, ValueLoc::Flushed { lpn, off, len });
-            }
-        }
-        self.staging_used = 0;
-        // Zero the staging page so recovery never replays stale entry
-        // headers left over from the previous fill.
+        // Zero what the fill wrote so recovery never replays stale entry
+        // headers left over from it.
         ctx.dram
-            .write(self.staging_off, &[0u8; PAGE_SIZE])
+            .write(self.staging_off, &[0u8; PAGE_SIZE][..self.staging_used])
             .map_err(|_| Status::InternalError)?;
+        self.staging_used = 0;
         self.stats.borrow_mut().flushes += 1;
         Ok(done)
+    }
+
+    /// Programs the staging page, as it stands, to the current log LPN,
+    /// straight from device DRAM. Returns the completion instant.
+    fn program_staging(&self, ctx: &mut FirmwareCtx<'_>, now: Nanos) -> Result<Nanos, Status> {
+        if self.next_lpn >= ctx.ftl.capacity_pages() {
+            return Err(Status::CapacityExceeded);
+        }
+        let page = ctx
+            .dram
+            .read(self.staging_off, PAGE_SIZE)
+            .map_err(|_| Status::InternalError)?;
+        ctx.ftl
+            .write(self.next_lpn, page, ctx.nand, now)
+            .map_err(|_| Status::InternalError)
+    }
+
+    /// Appends one log entry — header plus `value` — to the staging page,
+    /// flushing first if it does not fit. `len_field` is the value length,
+    /// or [`TOMBSTONE_LEN`] with an empty `value`. Returns the entry's
+    /// offset in the page and advances `now` past any flush.
+    fn stage_entry(
+        &mut self,
+        ctx: &mut FirmwareCtx<'_>,
+        key: &PaddedKey,
+        len_field: u16,
+        value: &[u8],
+        now: &mut Nanos,
+    ) -> Result<usize, Status> {
+        let entry = ENTRY_HEADER + value.len();
+        if self.staging_used + entry > PAGE_SIZE {
+            *now = self.flush_staging(ctx, *now)?;
+        }
+        // On-media entry header enables index recovery after power cycles.
+        let off = self.staging_used;
+        let mut header = [0u8; ENTRY_HEADER];
+        header[..MAX_KEY_LEN].copy_from_slice(key);
+        header[MAX_KEY_LEN..].copy_from_slice(&len_field.to_le_bytes());
+        ctx.dram
+            .write(self.staging_off + off, &header)
+            .and_then(|()| ctx.dram.write(self.staging_off + off + ENTRY_HEADER, value))
+            .map_err(|_| Status::InternalError)?;
+        self.staging_used += entry;
+        Ok(off)
+    }
+
+    /// Write-through durability: land the partial staging page at the
+    /// current log LPN before acking. The FTL journals the remap and the
+    /// ack waits for `max(program done, record durable)`, so a later power
+    /// cut can at worst fall back to the previous write-through of the same
+    /// LPN — exactly the last acked state.
+    fn write_through(&self, ctx: &mut FirmwareCtx<'_>, now: &mut Nanos) -> Result<(), Status> {
+        if self.durable_puts && self.nand_io {
+            *now = self.program_staging(ctx, *now)?;
+        }
+        Ok(())
     }
 
     fn put(&mut self, ctx: &mut FirmwareCtx<'_>, key: PaddedKey, value: &[u8]) -> CommandOutcome {
@@ -228,52 +281,21 @@ impl KvFirmware {
         if value.len() > MAX_VALUE_LEN {
             return CommandOutcome::fail(Status::KvInvalidSize, now);
         }
-        let entry = ENTRY_HEADER + value.len();
-        if self.staging_used + entry > PAGE_SIZE {
-            match self.flush_staging(ctx, now) {
-                Ok(t) => now = t,
-                Err(s) => return CommandOutcome::fail(s, now),
-            }
-        }
-        // On-media entry header enables index recovery after power cycles.
-        let off = self.staging_used;
-        let mut header = [0u8; ENTRY_HEADER];
-        header[..MAX_KEY_LEN].copy_from_slice(&key);
-        header[MAX_KEY_LEN..].copy_from_slice(&(value.len() as u16).to_le_bytes());
-        if ctx.dram.write(self.staging_off + off, &header).is_err()
-            || ctx
-                .dram
-                .write(self.staging_off + off + ENTRY_HEADER, value)
-                .is_err()
-        {
-            return CommandOutcome::fail(Status::InternalError, now);
-        }
-        self.staging_used += entry;
+        let len = value.len() as u16;
+        let off = match self.stage_entry(ctx, &key, len, value, &mut now) {
+            Ok(off) => off,
+            Err(s) => return CommandOutcome::fail(s, now),
+        };
         self.index.insert(
             key,
-            ValueLoc::Staged {
-                off: off + ENTRY_HEADER,
-                len: value.len(),
+            ValueLoc {
+                lpn: self.next_lpn,
+                off: (off + ENTRY_HEADER) as u16,
+                len,
             },
         );
-        self.staged_keys.push(key);
-        // Write-through durability: land the partial staging page at the
-        // current log LPN before acking. The FTL journals the remap and the
-        // ack waits for `max(program done, record durable)`, so a later
-        // power cut can at worst fall back to the previous write-through of
-        // the same LPN — exactly the last acked state.
-        if self.durable_puts && self.nand_io {
-            if self.next_lpn >= ctx.ftl.capacity_pages() {
-                return CommandOutcome::fail(Status::CapacityExceeded, now);
-            }
-            let page = match ctx.dram.read(self.staging_off, PAGE_SIZE) {
-                Ok(p) => p.to_vec(),
-                Err(_) => return CommandOutcome::fail(Status::InternalError, now),
-            };
-            match ctx.ftl.write(self.next_lpn, &page, ctx.nand, now) {
-                Ok(t) => now = t,
-                Err(_) => return CommandOutcome::fail(Status::InternalError, now),
-            }
+        if let Err(s) = self.write_through(ctx, &mut now) {
+            return CommandOutcome::fail(s, now);
         }
         let mut stats = self.stats.borrow_mut();
         stats.puts += 1;
@@ -288,44 +310,55 @@ impl KvFirmware {
             return CommandOutcome::fail(Status::KvKeyNotFound, now);
         };
         self.stats.borrow_mut().hits += 1;
-        let (bytes, done) = match loc {
-            ValueLoc::Staged { off, len } => {
-                let data = match ctx.dram.read(self.staging_off + off, len) {
-                    Ok(d) => d.to_vec(),
-                    Err(_) => return CommandOutcome::fail(Status::InternalError, now),
-                };
-                (data, now + self.timing.dram_read)
-            }
-            ValueLoc::Flushed { lpn, off, len } => {
-                if self.nand_io {
-                    match ctx.ftl.read(lpn, ctx.nand, now) {
-                        Ok((page, t)) => (page[off..off + len].to_vec(), t),
-                        Err(_) => return CommandOutcome::fail(Status::InternalError, now),
-                    }
-                } else {
-                    let base = self.dram_log_off + lpn as usize * PAGE_SIZE;
-                    match ctx.dram.read(base + off, len) {
-                        Ok(d) => (d.to_vec(), now + self.timing.dram_read),
-                        Err(_) => return CommandOutcome::fail(Status::InternalError, now),
-                    }
-                }
-            }
+        let (off, len) = (loc.off as usize, loc.len as usize);
+        // The page being filled is the DRAM staging page; with NAND off the
+        // flushed ones are in DRAM too.
+        let dram_page = if loc.lpn == self.next_lpn {
+            Some(self.staging_off)
+        } else if !self.nand_io {
+            Some(self.dram_log_off + loc.lpn as usize * PAGE_SIZE)
+        } else {
+            None
+        };
+        let mut value = Vec::with_capacity(len);
+        let done = match dram_page {
+            Some(page) => ctx.dram.read(page + off, len).ok().map(|bytes| {
+                value.extend_from_slice(bytes);
+                now + self.timing.dram_read
+            }),
+            None => ctx
+                .ftl
+                .read_range(loc.lpn, off, len, ctx.nand, now, &mut value)
+                .ok(),
+        };
+        let Some(done) = done else {
+            return CommandOutcome::fail(Status::InternalError, now);
         };
         CommandOutcome {
             status: Status::Success,
-            result: bytes.len() as u32,
-            response: Some(bytes),
+            result: value.len() as u32,
+            response: Some(value),
             complete_at: done,
         }
     }
 
-    fn delete(&mut self, ctx: &FirmwareCtx<'_>, key: PaddedKey) -> CommandOutcome {
-        let now = ctx.now + self.timing.index_op;
+    /// DELETE appends a tombstone through the PUT path — staged, flushed
+    /// and written through alike — so replay drops the key as well. An
+    /// absent key writes nothing.
+    fn delete(&mut self, ctx: &mut FirmwareCtx<'_>, key: PaddedKey) -> CommandOutcome {
+        let mut now = ctx.now + self.timing.index_op;
         self.stats.borrow_mut().deletes += 1;
-        if self.index.remove(&key).is_some() {
-            CommandOutcome::ok(now)
-        } else {
-            CommandOutcome::fail(Status::KvKeyNotFound, now)
+        if !self.index.contains_key(&key) {
+            return CommandOutcome::fail(Status::KvKeyNotFound, now);
+        }
+        now += self.timing.log_append;
+        if let Err(s) = self.stage_entry(ctx, &key, TOMBSTONE_LEN, &[], &mut now) {
+            return CommandOutcome::fail(s, now);
+        }
+        self.index.remove(&key);
+        match self.write_through(ctx, &mut now) {
+            Ok(()) => CommandOutcome::ok(now),
+            Err(s) => CommandOutcome::fail(s, now),
         }
     }
 
@@ -339,27 +372,22 @@ impl KvFirmware {
             return CommandOutcome::fail(Status::InvalidField, now);
         }
         let max_keys = (buf_len - 8) / MAX_KEY_LEN;
-        let keys: Vec<PaddedKey> = self
-            .index
-            .keys()
-            .skip(cursor as usize)
-            .take(max_keys)
-            .copied()
-            .collect();
-        let next = if (cursor as usize + keys.len()) < self.index.len() {
-            cursor + keys.len() as u32
+        let start = (cursor as usize).min(self.index.len());
+        let count = max_keys.min(self.index.len() - start);
+        let next = if start + count < self.index.len() {
+            cursor + count as u32
         } else {
             u32::MAX
         };
-        let mut resp = Vec::with_capacity(8 + keys.len() * MAX_KEY_LEN);
-        resp.extend_from_slice(&(keys.len() as u32).to_le_bytes());
+        let mut resp = Vec::with_capacity(8 + count * MAX_KEY_LEN);
+        resp.extend_from_slice(&(count as u32).to_le_bytes());
         resp.extend_from_slice(&next.to_le_bytes());
-        for k in &keys {
+        for k in self.index.keys().skip(start).take(count) {
             resp.extend_from_slice(k);
         }
         CommandOutcome {
             status: Status::Success,
-            result: keys.len() as u32,
+            result: count as u32,
             response: Some(resp),
             complete_at: now + self.timing.dram_read,
         }
@@ -387,10 +415,10 @@ impl KvFirmware {
             if off + vlen > batch.len() {
                 return CommandOutcome::fail(Status::InvalidField, ctx.now);
             }
-            let value = batch[off..off + vlen].to_vec();
+            let value = &batch[off..off + vlen];
             off += vlen;
             ctx.now = last.complete_at;
-            last = self.put(ctx, key, &value);
+            last = self.put(ctx, key, value);
             if !last.status.is_success() {
                 return last;
             }
@@ -418,67 +446,74 @@ impl KvFirmware {
         if !include_staging {
             // Power loss: the volatile staging page is gone.
             self.staging_used = 0;
-            self.staged_keys.clear();
             let _ = ctx.dram.write(self.staging_off, &[0u8; PAGE_SIZE]);
         }
         let mut recovered = 0;
         let mut now = ctx.now;
+        let mut nand_page = Vec::with_capacity(PAGE_SIZE);
         for lpn in 0..self.next_lpn {
-            let page: Vec<u8> = if self.nand_io {
-                match ctx.ftl.read(lpn, ctx.nand, now) {
-                    Ok((p, t)) => {
-                        now = t;
-                        p
-                    }
+            let page = if self.nand_io {
+                nand_page.clear();
+                match ctx
+                    .ftl
+                    .read_range(lpn, 0, PAGE_SIZE, ctx.nand, now, &mut nand_page)
+                {
+                    Ok(t) => now = t,
                     Err(_) => continue,
                 }
+                &nand_page
             } else {
                 match ctx
                     .dram
                     .read(self.dram_log_off + lpn as usize * PAGE_SIZE, PAGE_SIZE)
                 {
-                    Ok(p) => p.to_vec(),
+                    Ok(p) => p,
                     Err(_) => continue,
                 }
             };
-            recovered += Self::replay_page(&mut self.index, &page, |off, len| ValueLoc::Flushed {
-                lpn,
-                off,
-                len,
-            });
+            recovered += Self::replay_page(&mut self.index, page, lpn);
         }
         // Staging page last: newest entries win.
         if include_staging && self.staging_used > 0 {
             if let Ok(page) = ctx.dram.read(self.staging_off, PAGE_SIZE) {
-                let page = page.to_vec();
-                recovered += Self::replay_page(&mut self.index, &page, |off, len| {
-                    ValueLoc::Staged { off, len }
-                });
+                recovered += Self::replay_page(&mut self.index, page, self.next_lpn);
             }
         }
         recovered
     }
 
-    fn replay_page(
-        index: &mut BTreeMap<PaddedKey, ValueLoc>,
-        page: &[u8],
-        mut loc: impl FnMut(usize, usize) -> ValueLoc,
-    ) -> usize {
+    /// Replays the entries of log page `lpn` onto `index`; returns how many
+    /// values it (re)inserted. Tombstones remove their key and count for
+    /// nothing.
+    fn replay_page(index: &mut BTreeMap<PaddedKey, ValueLoc>, page: &[u8], lpn: u64) -> usize {
         let mut off = 0;
         let mut n = 0;
         while off + ENTRY_HEADER <= page.len() {
             let mut key = [0u8; MAX_KEY_LEN];
             key.copy_from_slice(&page[off..off + MAX_KEY_LEN]);
-            let len =
-                u16::from_le_bytes([page[off + MAX_KEY_LEN], page[off + MAX_KEY_LEN + 1]]) as usize;
+            let len_field =
+                u16::from_le_bytes([page[off + MAX_KEY_LEN], page[off + MAX_KEY_LEN + 1]]);
+            off += ENTRY_HEADER;
+            if len_field == TOMBSTONE_LEN {
+                index.remove(&key);
+                continue;
+            }
+            let len = len_field as usize;
             if key == [0u8; MAX_KEY_LEN] && len == 0 {
                 break; // end of log page
             }
-            if off + ENTRY_HEADER + len > page.len() {
+            if off + len > page.len() {
                 break; // torn entry
             }
-            index.insert(key, loc(off + ENTRY_HEADER, len));
-            off += ENTRY_HEADER + len;
+            index.insert(
+                key,
+                ValueLoc {
+                    lpn,
+                    off: off as u16,
+                    len: len_field,
+                },
+            );
+            off += len;
             n += 1;
         }
         n
@@ -506,7 +541,7 @@ impl FirmwareHandler for KvFirmware {
                 self.put(&mut ctx, key, value)
             }
             Some(IoOpcode::KvGet) => self.get(&mut ctx, key),
-            Some(IoOpcode::KvDelete) => self.delete(&ctx, key),
+            Some(IoOpcode::KvDelete) => self.delete(&mut ctx, key),
             Some(IoOpcode::KvIter) => {
                 let cursor = sqe.cdw(14);
                 let buf_len = sqe.data_len() as usize;
@@ -537,7 +572,6 @@ impl FirmwareHandler for KvFirmware {
         // re-derived from the recovered FTL map: the log is written
         // strictly sequentially, so the mapped prefix IS the persisted log.
         self.staging_used = 0;
-        self.staged_keys.clear();
         self.next_lpn = 0;
         if self.nand_io {
             while self.next_lpn < ctx.ftl.capacity_pages() && ctx.ftl.is_mapped(self.next_lpn) {
@@ -574,43 +608,50 @@ mod tests {
         }
     }
 
-    fn put(r: &mut Rig, key: &[u8], value: &[u8]) -> CommandOutcome {
-        let mut sqe = SubmissionEntry::io(IoOpcode::KvPut, 1, 1);
+    /// Runs one keyed command at virtual time `now`.
+    fn key_cmd(
+        r: &mut Rig,
+        op: IoOpcode,
+        key: &[u8],
+        payload: Option<&[u8]>,
+        now: Nanos,
+    ) -> CommandOutcome {
+        let mut sqe = SubmissionEntry::io(op, 1, 1);
         let mut cdws = [0u32; 6];
         key_into_cdws(&pad_key(key), &mut cdws);
         for (i, v) in cdws.iter().enumerate() {
             sqe.set_cdw(10 + i, *v);
         }
-        sqe.set_data_len(value.len() as u32);
-        r.fw.handle(
-            FirmwareCtx {
-                nand: &mut r.nand,
-                ftl: &mut r.ftl,
-                dram: &mut r.dram,
-                now: Nanos::ZERO,
-            },
-            &sqe,
-            Some(value),
-        )
+        if let Some(value) = payload {
+            sqe.set_data_len(value.len() as u32);
+        }
+        let (fw, ctx) = r.at(now);
+        fw.handle(ctx, &sqe, payload)
+    }
+
+    impl Rig {
+        /// The firmware and the context to run it in at `now`.
+        fn at(&mut self, now: Nanos) -> (&mut KvFirmware, FirmwareCtx<'_>) {
+            let ctx = FirmwareCtx {
+                nand: &mut self.nand,
+                ftl: &mut self.ftl,
+                dram: &mut self.dram,
+                now,
+            };
+            (&mut self.fw, ctx)
+        }
+    }
+
+    fn put(r: &mut Rig, key: &[u8], value: &[u8]) -> CommandOutcome {
+        key_cmd(r, IoOpcode::KvPut, key, Some(value), Nanos::ZERO)
     }
 
     fn get(r: &mut Rig, key: &[u8]) -> CommandOutcome {
-        let mut sqe = SubmissionEntry::io(IoOpcode::KvGet, 1, 1);
-        let mut cdws = [0u32; 6];
-        key_into_cdws(&pad_key(key), &mut cdws);
-        for (i, v) in cdws.iter().enumerate() {
-            sqe.set_cdw(10 + i, *v);
-        }
-        r.fw.handle(
-            FirmwareCtx {
-                nand: &mut r.nand,
-                ftl: &mut r.ftl,
-                dram: &mut r.dram,
-                now: Nanos::ZERO,
-            },
-            &sqe,
-            None,
-        )
+        key_cmd(r, IoOpcode::KvGet, key, None, Nanos::ZERO)
+    }
+
+    fn delete(r: &mut Rig, key: &[u8]) -> CommandOutcome {
+        key_cmd(r, IoOpcode::KvDelete, key, None, Nanos::ZERO)
     }
 
     #[test]
@@ -675,24 +716,51 @@ mod tests {
     fn delete_removes_key() {
         let mut r = rig(true);
         put(&mut r, b"gone", b"v");
-        let mut sqe = SubmissionEntry::io(IoOpcode::KvDelete, 1, 1);
-        let mut cdws = [0u32; 6];
-        key_into_cdws(&pad_key(b"gone"), &mut cdws);
-        for (i, v) in cdws.iter().enumerate() {
-            sqe.set_cdw(10 + i, *v);
-        }
-        let out = r.fw.handle(
-            FirmwareCtx {
-                nand: &mut r.nand,
-                ftl: &mut r.ftl,
-                dram: &mut r.dram,
-                now: Nanos::ZERO,
-            },
-            &sqe,
-            None,
-        );
-        assert!(out.status.is_success());
+        assert!(delete(&mut r, b"gone").status.is_success());
         assert_eq!(get(&mut r, b"gone").status, Status::KvKeyNotFound);
+    }
+
+    #[test]
+    fn delete_appends_a_tombstone_only_for_a_present_key() {
+        let mut r = rig(true);
+        put(&mut r, b"k", b"v");
+        let used = r.fw.staging_used;
+        assert_eq!(delete(&mut r, b"absent").status, Status::KvKeyNotFound);
+        assert_eq!(r.fw.staging_used, used, "absent key: no log write");
+        assert!(delete(&mut r, b"k").status.is_success());
+        assert_eq!(r.fw.staging_used, used + ENTRY_HEADER);
+        assert_eq!(delete(&mut r, b"k").status, Status::KvKeyNotFound);
+        assert_eq!(r.fw.staging_used, used + ENTRY_HEADER);
+        // The tombstone is a header with the reserved length and no value.
+        let entry = r.dram.read(r.fw.staging_off + used, ENTRY_HEADER).unwrap();
+        assert_eq!(entry[..MAX_KEY_LEN], pad_key(b"k"));
+        assert_eq!(entry[MAX_KEY_LEN..], TOMBSTONE_LEN.to_le_bytes());
+    }
+
+    #[test]
+    fn replay_applies_tombstones_in_log_order() {
+        let mut r = rig(true);
+        put(&mut r, b"a", b"1");
+        put(&mut r, b"b", b"2");
+        delete(&mut r, b"a");
+        put(&mut r, b"pad", &[3; 4030]); // flushes the page holding the tombstone
+        assert_eq!((r.fw.next_lpn, r.fw.staging_used), (1, ENTRY_HEADER + 4030));
+        delete(&mut r, b"b"); // tombstone still staged
+        put(&mut r, b"a", b"again"); // a later PUT outlives an earlier tombstone
+        assert_eq!(r.fw.next_lpn, 1);
+        let (fw, mut ctx) = r.at(Nanos::ZERO);
+        assert_eq!(
+            fw.recover_index(&mut ctx, true),
+            4,
+            "a, b, pad, a: no tombstone"
+        );
+        assert_eq!(get(&mut r, b"a").response.unwrap(), b"again");
+        assert_eq!(get(&mut r, b"b").status, Status::KvKeyNotFound);
+        // A crash loses the staged tail: b's tombstone and a's second PUT.
+        let (fw, mut ctx) = r.at(Nanos::ZERO);
+        fw.recover_index(&mut ctx, false);
+        assert_eq!(get(&mut r, b"a").status, Status::KvKeyNotFound);
+        assert_eq!(get(&mut r, b"b").response.unwrap(), b"2");
     }
 
     #[test]
@@ -711,15 +779,8 @@ mod tests {
         }
         let before = r.fw.key_count();
         // Simulated power cycle: wipe the index, rebuild from media.
-        let recovered = r.fw.recover_index(
-            &mut FirmwareCtx {
-                nand: &mut r.nand,
-                ftl: &mut r.ftl,
-                dram: &mut r.dram,
-                now: Nanos::ZERO,
-            },
-            true,
-        );
+        let (fw, mut ctx) = r.at(Nanos::ZERO);
+        let recovered = fw.recover_index(&mut ctx, true);
         assert!(recovered >= before, "recovered {recovered} of {before}");
         assert_eq!(r.fw.key_count(), before);
         assert_eq!(get(&mut r, b"key-0077").response.unwrap(), b"value-77");
@@ -735,5 +796,169 @@ mod tests {
             sqe.set_cdw(10 + i, *v);
         }
         assert_eq!(key_from_sqe(&sqe), key);
+    }
+
+    /// One step of the model-based test below.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Put(u8, usize),
+        Get(u8),
+        Delete(u8),
+        /// `recover_index(true)`: a restart that keeps device DRAM.
+        GracefulRecover,
+        /// `recover_index(false)`: the staging page is lost.
+        CrashRecover,
+        /// A quiescent hard cut, FTL recovery, then `on_power_cycle`.
+        PowerCycle,
+    }
+
+    fn steps() -> impl proptest::strategy::Strategy<Value = Vec<Step>> {
+        use proptest::prelude::*;
+        const KEYS: u8 = 10;
+        // Small values pack many to a page; the large ones force a flush
+        // every step or two.
+        let len = prop_oneof![3 => 0usize..=80, 2 => 900usize..=MAX_VALUE_LEN];
+        proptest::collection::vec(
+            prop_oneof![
+                8 => (0..KEYS, len).prop_map(|(k, l)| Step::Put(k, l)),
+                6 => (0..KEYS).prop_map(Step::Get),
+                3 => (0..KEYS).prop_map(Step::Delete),
+                1 => Just(Step::GracefulRecover),
+                1 => Just(Step::CrashRecover),
+                1 => Just(Step::PowerCycle),
+            ],
+            1..120,
+        )
+    }
+
+    /// What the log must hold, kept the way the firmware used to keep it: a
+    /// map of live values plus the set of keys whose newest entry is in the
+    /// page still being filled.
+    #[derive(Default)]
+    struct Model {
+        live: BTreeMap<u8, Vec<u8>>,
+        /// `live` as of the last flush: what a lost staging page leaves.
+        flushed: BTreeMap<u8, Vec<u8>>,
+        staged: std::collections::BTreeSet<u8>,
+        staging_used: usize,
+    }
+
+    impl Model {
+        /// Accounts for one appended entry, flushing first if it would not
+        /// fit.
+        fn append(&mut self, value_len: usize) {
+            if self.staging_used + ENTRY_HEADER + value_len > PAGE_SIZE {
+                self.flush();
+            }
+            self.staging_used += ENTRY_HEADER + value_len;
+        }
+
+        fn flush(&mut self) {
+            self.flushed = self.live.clone();
+            self.staged.clear();
+            self.staging_used = 0;
+        }
+
+        fn lose_staging(&mut self) {
+            self.live = self.flushed.clone();
+            self.staged.clear();
+            self.staging_used = 0;
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Values, DELETE statuses and survival across all three kinds of
+        /// recovery match the model — and a GET costs a DRAM read exactly
+        /// when the model says its entry has not been flushed.
+        #[test]
+        fn hash_log_matches_the_model(
+            steps in steps(),
+            nand_io in proptest::prelude::any::<bool>(),
+            durable in proptest::prelude::any::<bool>(),
+        ) {
+            let mut r = rig(nand_io);
+            r.fw.set_durable_puts(durable);
+            let durable = durable && nand_io;
+            let timing = KvTiming::default();
+            let mut m = Model::default();
+            let mut t = Nanos::ZERO;
+            let key = |k: u8| [b'k', b'0' + k];
+            for (i, step) in steps.into_iter().enumerate() {
+                match step {
+                    Step::Put(k, len) => {
+                        let value = vec![(i as u8) | 1; len];
+                        let out = key_cmd(&mut r, IoOpcode::KvPut, &key(k), Some(&value), t);
+                        assert!(out.status.is_success(), "step {i}: {:?}", out.status);
+                        t = out.complete_at;
+                        m.append(len);
+                        m.live.insert(k, value);
+                        m.staged.insert(k);
+                    }
+                    Step::Get(k) => {
+                        let out = key_cmd(&mut r, IoOpcode::KvGet, &key(k), None, t);
+                        let Some(want) = m.live.get(&k) else {
+                            assert_eq!(out.status, Status::KvKeyNotFound, "step {i}");
+                            continue;
+                        };
+                        assert_eq!(out.response.as_ref(), Some(want), "step {i}");
+                        let took = out.complete_at - t;
+                        if m.staged.contains(&k) || !nand_io {
+                            assert_eq!(took, timing.index_op + timing.dram_read, "step {i}");
+                        } else {
+                            assert!(took >= r.nand.config().read_latency, "step {i}: {took}");
+                        }
+                        t = out.complete_at;
+                    }
+                    Step::Delete(k) => {
+                        let out = key_cmd(&mut r, IoOpcode::KvDelete, &key(k), None, t);
+                        if m.live.contains_key(&k) {
+                            assert!(out.status.is_success(), "step {i}: {:?}", out.status);
+                            m.append(0);
+                            m.live.remove(&k);
+                            m.staged.remove(&k);
+                        } else {
+                            assert_eq!(out.status, Status::KvKeyNotFound, "step {i}");
+                        }
+                        t = out.complete_at;
+                    }
+                    Step::GracefulRecover => {
+                        let (fw, mut ctx) = r.at(t);
+                        fw.recover_index(&mut ctx, true);
+                    }
+                    // Write-through mode is left out: a polite
+                    // `recover_index(false)` forgets the page NAND still
+                    // holds at the log frontier, so what a later hard cycle
+                    // finds there is not a function of the acked history.
+                    Step::CrashRecover if durable => {}
+                    Step::CrashRecover => {
+                        let (fw, mut ctx) = r.at(t);
+                        fw.recover_index(&mut ctx, false);
+                        m.lose_staging();
+                    }
+                    Step::PowerCycle => {
+                        r.nand.power_cut(t);
+                        r.ftl.power_fail(t);
+                        r.dram.wipe();
+                        r.ftl.recover(&r.nand);
+                        let (fw, ctx) = r.at(t);
+                        fw.on_power_cycle(ctx);
+                        if durable {
+                            // Every acked entry was written through; the
+                            // partial page is now a flushed one.
+                            m.flush();
+                        } else if nand_io {
+                            m.lose_staging();
+                        } else {
+                            // The DRAM log went with the DRAM.
+                            m = Model::default();
+                        }
+                    }
+                }
+                assert_eq!(r.fw.key_count(), m.live.len(), "step {i}");
+                assert_eq!(r.fw.staging_used, m.staging_used, "step {i}");
+            }
+        }
     }
 }

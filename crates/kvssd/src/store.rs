@@ -123,6 +123,8 @@ pub struct KvStore {
     engine: KvEngine,
     stats: Rc<RefCell<KvDeviceStats>>,
     lsm_stats: Rc<RefCell<LsmStats>>,
+    /// The one PUT command, refilled per call so its value buffer is reused.
+    put_cmd: PassthruCmd,
 }
 
 impl fmt::Debug for KvStore {
@@ -178,6 +180,7 @@ impl KvStore {
             engine: cfg.engine,
             stats,
             lsm_stats,
+            put_cmd: PassthruCmd::to_device(IoOpcode::KvPut, 1, Vec::new()),
         }
     }
 
@@ -281,9 +284,9 @@ impl KvStore {
         if value.len() > MAX_VALUE_LEN {
             return Err(KvError::ValueTooLarge { len: value.len() });
         }
-        let mut cmd = PassthruCmd::to_device(IoOpcode::KvPut, 1, value.to_vec());
-        cmd.cdw10_15 = Self::key_cmd(IoOpcode::KvPut, key)?;
-        let completion = self.dev.passthru(&cmd, self.method)?;
+        self.put_cmd.cdw10_15 = Self::key_cmd(IoOpcode::KvPut, key)?;
+        self.put_cmd.set_data(value);
+        let completion = self.dev.passthru(&self.put_cmd, self.method)?;
         if !completion.status.is_success() {
             return Err(KvError::Device(DeviceError::Command(completion.status)));
         }

@@ -110,21 +110,21 @@ pub fn head_len(sqe: &SubmissionEntry) -> Option<usize> {
     (v >> 24 == BANDSLIM_MAGIC).then_some((v & 0x00FF_FFFF) as usize)
 }
 
-/// Extracts the embedded payload prefix (`embedded` bytes) from a head
-/// command.
-pub fn decode_head(sqe: &SubmissionEntry, embedded: usize) -> Vec<u8> {
+/// Appends the embedded payload prefix (`embedded` bytes) of a head command
+/// to `out`.
+///
+/// # Panics
+///
+/// Panics if `embedded` exceeds [`HEAD_CAPACITY`].
+pub fn decode_head(sqe: &SubmissionEntry, embedded: usize, out: &mut Vec<u8>) {
     assert!(embedded <= HEAD_CAPACITY);
     let img = sqe.to_bytes();
-    let mut out = Vec::with_capacity(embedded);
+    let mut left = embedded;
     for (start, end) in HEAD_REGIONS {
-        for &b in &img[start..end] {
-            if out.len() == embedded {
-                return out;
-            }
-            out.push(b);
-        }
+        let take = left.min(end - start);
+        out.extend_from_slice(&img[start..start + take]);
+        left -= take;
     }
-    out
 }
 
 /// Builds a fragment command carrying `data` (≤ 48 bytes) as fragment
@@ -150,19 +150,18 @@ pub fn is_frag(sqe: &SubmissionEntry) -> bool {
     sqe.opcode_raw() == FRAG_OPCODE
 }
 
-/// Extracts `(frag_no, data)` from a fragment command. `take` is the number
-/// of meaningful bytes (the last fragment may be partial).
+/// Appends a fragment command's data to `out` and returns its fragment
+/// number. `take` is the number of meaningful bytes (the last fragment may
+/// be partial).
 ///
 /// # Panics
 ///
 /// Panics if `take` exceeds [`FRAG_CAPACITY`].
-pub fn decode_frag(sqe: &SubmissionEntry, take: usize) -> (u32, Vec<u8>) {
+pub fn decode_frag(sqe: &SubmissionEntry, take: usize, out: &mut Vec<u8>) -> u32 {
     assert!(take <= FRAG_CAPACITY);
     let img = sqe.to_bytes();
-    (
-        sqe.cdw3(),
-        img[FRAG_REGION.0..FRAG_REGION.0 + take].to_vec(),
-    )
+    out.extend_from_slice(&img[FRAG_REGION.0..FRAG_REGION.0 + take]);
+    sqe.cdw3()
 }
 
 /// Number of commands (head + fragments) BandSlim issues for `len` payload
@@ -180,6 +179,12 @@ mod tests {
     use super::*;
     use crate::opcode::IoOpcode;
 
+    fn head_bytes(sqe: &SubmissionEntry, embedded: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        decode_head(sqe, embedded, &mut out);
+        out
+    }
+
     #[test]
     fn head_embeds_small_payload() {
         let mut sqe = SubmissionEntry::io(IoOpcode::KvPut, 1, 1);
@@ -188,7 +193,7 @@ mod tests {
         let taken = encode_head(&mut sqe, &payload, HEAD_CAPACITY);
         assert_eq!(taken, 20);
         assert_eq!(head_len(&sqe), Some(20));
-        assert_eq!(decode_head(&sqe, 20), payload);
+        assert_eq!(head_bytes(&sqe, 20), payload);
         assert_eq!(sqe.cdw(10), 0xAABB);
         assert_eq!(sqe.opcode_raw(), 0xC1);
     }
@@ -200,7 +205,7 @@ mod tests {
         let taken = encode_head(&mut sqe, &payload, HEAD_CAPACITY);
         assert_eq!(taken, HEAD_CAPACITY);
         assert_eq!(head_len(&sqe), Some(100));
-        assert_eq!(decode_head(&sqe, taken), vec![3u8; 32]);
+        assert_eq!(head_bytes(&sqe, taken), vec![3u8; 32]);
     }
 
     #[test]
@@ -223,15 +228,17 @@ mod tests {
         let sqe = encode_frag(9, 1, 3, &data);
         assert!(is_frag(&sqe));
         assert_eq!(sqe.cid(), 9);
-        let (no, back) = decode_frag(&sqe, 48);
-        assert_eq!(no, 3);
-        assert_eq!(back, data);
+        let mut back = vec![0xEE];
+        assert_eq!(decode_frag(&sqe, 48, &mut back), 3);
+        assert_eq!(back[0], 0xEE, "appends");
+        assert_eq!(back[1..], data);
     }
 
     #[test]
     fn partial_frag() {
         let sqe = encode_frag(1, 1, 0, &[5; 10]);
-        let (_, back) = decode_frag(&sqe, 10);
+        let mut back = Vec::new();
+        decode_frag(&sqe, 10, &mut back);
         assert_eq!(back, vec![5; 10]);
     }
 
@@ -254,6 +261,6 @@ mod tests {
         let payload: Vec<u8> = (0..32).collect();
         encode_head(&mut sqe, &payload, HEAD_CAPACITY);
         let back = SubmissionEntry::from_bytes(&sqe.to_bytes());
-        assert_eq!(decode_head(&back, 32), payload);
+        assert_eq!(head_bytes(&back, 32), payload);
     }
 }

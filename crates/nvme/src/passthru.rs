@@ -86,6 +86,13 @@ impl PassthruCmd {
         self
     }
 
+    /// Replaces the payload with a copy of `data`, keeping the buffer: a
+    /// caller that issues one command after another allocates it once.
+    pub fn set_data(&mut self, data: &[u8]) {
+        self.data.clear();
+        self.data.extend_from_slice(data);
+    }
+
     /// The payload length for to-device commands, else 0.
     pub fn data_len(&self) -> usize {
         match self.direction {
@@ -105,6 +112,15 @@ mod tests {
         assert_eq!(c.opcode, 0xC1);
         assert_eq!(c.data_len(), 3);
         assert_eq!(c.direction, DataDirection::ToDevice);
+    }
+
+    #[test]
+    fn set_data_replaces_the_payload_in_place() {
+        let mut c = PassthruCmd::to_device(IoOpcode::KvPut, 1, vec![1; 64]);
+        let buffer = c.data.as_ptr();
+        c.set_data(&[2, 3]);
+        assert_eq!(c.data, [2, 3]);
+        assert_eq!(c.data.as_ptr(), buffer);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   PRP1, PRP2, and, for transfers spanning more than two pages, a PRP list
 //!   written into freshly allocated host pages (with list chaining for very
 //!   large transfers).
-//! * The **controller** uses [`walk`] to recover the page list, reporting each
+//! * The **controller** uses [`walk`] to visit the page list, reporting each
 //!   PRP-list DMA read through a callback so the caller can account its PCIe
 //!   traffic.
 
@@ -82,45 +82,15 @@ impl PrpSegments {
     ///
     /// # Errors
     ///
-    /// * [`PrpError::EmptyTransfer`] for `len == 0`.
-    /// * [`PrpError::ShortPageSet`] if `pages` cannot hold `offset + len`.
-    /// * [`PrpError::Mem`] if list pages cannot be allocated/written.
+    /// As [`describe`], whose owning wrapper this is.
     pub fn build(
         mem: &mut HostMemory,
         pages: &[PhysAddr],
         offset: usize,
         len: usize,
     ) -> Result<PrpSegments, PrpError> {
-        if len == 0 {
-            return Err(PrpError::EmptyTransfer);
-        }
-        assert!(offset < PAGE_SIZE, "offset must be within the first page");
-        let need = pages_spanned(offset, len);
-        if pages.len() < need {
-            return Err(PrpError::ShortPageSet {
-                have: pages.len(),
-                need,
-            });
-        }
-        for &p in &pages[..need] {
-            if !p.is_page_aligned() {
-                return Err(PrpError::Misaligned(p));
-            }
-        }
-
-        let prp1 = pages[0].offset(offset as u64);
         let mut list_pages = Vec::new();
-
-        let prp2 = match need {
-            1 => PhysAddr(0),
-            2 => pages[1],
-            _ => {
-                // Entries 1..need go into a chained list.
-                let tail = &pages[1..need];
-                write_list(mem, tail, &mut list_pages)?
-            }
-        };
-
+        let (prp1, prp2) = describe(mem, pages, offset, len, &mut list_pages)?;
         Ok(PrpSegments {
             prp1,
             prp2,
@@ -140,6 +110,51 @@ impl PrpSegments {
         }
         Ok(())
     }
+}
+
+/// Computes `(PRP1, PRP2)` for a buffer made of `pages` whole page frames,
+/// carrying `len` bytes starting at byte `offset` within the first page.
+/// Transfers spanning more than two pages get a PRP list: the pages
+/// allocated for it are appended to `list_pages` — also when a later one
+/// cannot be had — for the caller to free after completion.
+///
+/// # Errors
+///
+/// * [`PrpError::EmptyTransfer`] for `len == 0`.
+/// * [`PrpError::ShortPageSet`] if `pages` cannot hold `offset + len`.
+/// * [`PrpError::Mem`] if list pages cannot be allocated/written.
+pub fn describe(
+    mem: &mut HostMemory,
+    pages: &[PhysAddr],
+    offset: usize,
+    len: usize,
+    list_pages: &mut Vec<PageRef>,
+) -> Result<(PhysAddr, PhysAddr), PrpError> {
+    if len == 0 {
+        return Err(PrpError::EmptyTransfer);
+    }
+    assert!(offset < PAGE_SIZE, "offset must be within the first page");
+    let need = pages_spanned(offset, len);
+    if pages.len() < need {
+        return Err(PrpError::ShortPageSet {
+            have: pages.len(),
+            need,
+        });
+    }
+    for &p in &pages[..need] {
+        if !p.is_page_aligned() {
+            return Err(PrpError::Misaligned(p));
+        }
+    }
+
+    let prp1 = pages[0].offset(offset as u64);
+    let prp2 = match need {
+        1 => PhysAddr(0),
+        2 => pages[1],
+        // Entries 1..need go into a chained list.
+        _ => write_list(mem, &pages[1..need], list_pages)?,
+    };
+    Ok((prp1, prp2))
 }
 
 /// Number of pages spanned by `len` bytes starting at `offset` into a page.
@@ -190,12 +205,15 @@ pub struct PrpSegment {
     pub len: usize,
 }
 
-/// Controller-side PRP traversal: recovers the data segments for a transfer
-/// of `len` bytes described by `prp1`/`prp2`.
+/// Controller-side PRP traversal: visits, in transfer order, the data
+/// segments of a transfer of `len` bytes described by `prp1`/`prp2`.
 ///
 /// `on_list_read(addr, bytes)` is invoked for every PRP-list page the
 /// controller must DMA from host memory, so the caller can charge the PCIe
-/// link for those reads (the paper's PRP-list overhead).
+/// link for those reads (the paper's PRP-list overhead); `on_segment` for
+/// every segment, the ones of a list page after that page's read. A
+/// malformed list is an error only once the walk reaches it: segments
+/// before it have been visited by then.
 ///
 /// # Errors
 ///
@@ -208,22 +226,22 @@ pub fn walk(
     prp2: PhysAddr,
     len: usize,
     mut on_list_read: impl FnMut(PhysAddr, usize),
-) -> Result<Vec<PrpSegment>, PrpError> {
+    mut on_segment: impl FnMut(PrpSegment),
+) -> Result<(), PrpError> {
     if len == 0 {
         return Err(PrpError::EmptyTransfer);
     }
-    let mut segments = Vec::new();
     let mut remaining = len;
 
     // First segment: from the PRP1 offset to page end.
     let first_len = remaining.min(PAGE_SIZE - prp1.page_offset());
-    segments.push(PrpSegment {
+    on_segment(PrpSegment {
         addr: prp1,
         len: first_len,
     });
     remaining -= first_len;
     if remaining == 0 {
-        return Ok(segments);
+        return Ok(());
     }
 
     let total_pages = pages_spanned(prp1.page_offset(), len);
@@ -231,11 +249,11 @@ pub fn walk(
         if !prp2.is_page_aligned() {
             return Err(PrpError::Misaligned(prp2));
         }
-        segments.push(PrpSegment {
+        on_segment(PrpSegment {
             addr: prp2,
             len: remaining,
         });
-        return Ok(segments);
+        return Ok(());
     }
 
     // PRP list walk.
@@ -264,7 +282,7 @@ pub fn walk(
                 return Err(PrpError::Misaligned(entry));
             }
             let seg_len = remaining.min(PAGE_SIZE);
-            segments.push(PrpSegment {
+            on_segment(PrpSegment {
                 addr: entry,
                 len: seg_len,
             });
@@ -280,12 +298,25 @@ pub fn walk(
             list_addr = next;
         }
     }
-    Ok(segments)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`walk`], collecting what it visits.
+    fn walk_segments(
+        mem: &HostMemory,
+        prp1: PhysAddr,
+        prp2: PhysAddr,
+        len: usize,
+        on_list_read: impl FnMut(PhysAddr, usize),
+    ) -> Result<Vec<PrpSegment>, PrpError> {
+        let mut segments = Vec::new();
+        walk(mem, prp1, prp2, len, on_list_read, |seg| segments.push(seg))?;
+        Ok(segments)
+    }
 
     fn mem() -> HostMemory {
         HostMemory::with_capacity(4096 * PAGE_SIZE)
@@ -350,7 +381,7 @@ mod tests {
             let need = pages_spanned(offset, len);
             let pages = alloc_pages(&mut m, need);
             let prp = PrpSegments::build(&mut m, &pages, offset, len).unwrap();
-            let segs = walk(&m, prp.prp1, prp.prp2, len, |_, _| {}).unwrap();
+            let segs = walk_segments(&m, prp.prp1, prp.prp2, len, |_, _| {}).unwrap();
             let total: usize = segs.iter().map(|s| s.len).sum();
             assert_eq!(total, len, "offset={offset} len={len}");
             assert_eq!(segs[0].addr, pages[0].offset(offset as u64));
@@ -366,7 +397,7 @@ mod tests {
         let pages = alloc_pages(&mut m, 8);
         let prp = PrpSegments::build(&mut m, &pages, 0, 8 * PAGE_SIZE).unwrap();
         let mut list_reads = Vec::new();
-        walk(&m, prp.prp1, prp.prp2, 8 * PAGE_SIZE, |a, b| {
+        walk_segments(&m, prp.prp1, prp.prp2, 8 * PAGE_SIZE, |a, b| {
             list_reads.push((a, b))
         })
         .unwrap();
@@ -384,7 +415,7 @@ mod tests {
         let prp = PrpSegments::build(&mut m, &pages, 0, len).unwrap();
         assert_eq!(prp.list_pages.len(), 2);
         let mut list_reads = 0;
-        let segs = walk(&m, prp.prp1, prp.prp2, len, |_, _| list_reads += 1).unwrap();
+        let segs = walk_segments(&m, prp.prp1, prp.prp2, len, |_, _| list_reads += 1).unwrap();
         assert_eq!(segs.len(), n);
         assert_eq!(list_reads, 2);
         let total: usize = segs.iter().map(|s| s.len).sum();
@@ -408,7 +439,7 @@ mod tests {
             PrpError::EmptyTransfer
         );
         assert_eq!(
-            walk(&m, PhysAddr(0), PhysAddr(0), 0, |_, _| {}).unwrap_err(),
+            walk_segments(&m, PhysAddr(0), PhysAddr(0), 0, |_, _| {}).unwrap_err(),
             PrpError::EmptyTransfer
         );
     }
@@ -418,7 +449,8 @@ mod tests {
         let mut m = mem();
         let pages = alloc_pages(&mut m, 2);
         // Hand-build a bogus transfer: PRP2 not aligned.
-        let err = walk(&m, pages[0], pages[1].offset(3), PAGE_SIZE * 2, |_, _| {}).unwrap_err();
+        let err =
+            walk_segments(&m, pages[0], pages[1].offset(3), PAGE_SIZE * 2, |_, _| {}).unwrap_err();
         assert!(matches!(err, PrpError::Misaligned(_)));
     }
 

@@ -65,6 +65,11 @@ impl SqRing {
         self.id
     }
 
+    /// The host memory the ring occupies.
+    pub fn region(&self) -> DmaRegion {
+        self.region
+    }
+
     /// Ring depth in entries.
     pub fn depth(&self) -> u16 {
         self.depth
@@ -181,6 +186,11 @@ impl CqRing {
     /// The queue identifier.
     pub fn id(&self) -> QueueId {
         self.id
+    }
+
+    /// The host memory the ring occupies.
+    pub fn region(&self) -> DmaRegion {
+        self.region
     }
 
     /// Ring depth in entries.

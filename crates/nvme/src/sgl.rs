@@ -186,11 +186,14 @@ pub struct SglExtent {
 }
 
 /// Walks an SGL starting from the descriptor embedded in the command,
-/// following segment descriptors through host memory, and returns the data
-/// extents.
+/// following segment descriptors through host memory, and visits the data
+/// extents in transfer order.
 ///
 /// `on_segment_read(addr, bytes)` is invoked for each descriptor-array fetch
-/// so callers can account its PCIe traffic.
+/// so callers can account its PCIe traffic; `on_extent` for each extent as
+/// the walk finds it. A malformed chain is an error only once the walk
+/// reaches the fault — or, for a wrong total, its end: extents before that
+/// have been visited by then.
 ///
 /// # Errors
 ///
@@ -202,63 +205,42 @@ pub fn walk(
     first: SglDescriptor,
     expected_len: usize,
     mut on_segment_read: impl FnMut(PhysAddr, usize),
-) -> Result<Vec<SglExtent>, SglError> {
-    let mut extents = Vec::new();
+    mut on_extent: impl FnMut(SglExtent),
+) -> Result<(), SglError> {
     let mut described = 0usize;
+    let mut data = |desc: &SglDescriptor| {
+        let len = desc.len as usize;
+        described += len;
+        on_extent(SglExtent {
+            addr: (desc.kind == SglDescriptorType::DataBlock).then_some(desc.addr),
+            len,
+        });
+    };
     let mut depth = 0usize;
     let mut cursor = Some(first);
 
     while let Some(desc) = cursor.take() {
         match desc.kind {
-            SglDescriptorType::DataBlock => {
-                extents.push(SglExtent {
-                    addr: Some(desc.addr),
-                    len: desc.len as usize,
-                });
-                described += desc.len as usize;
-            }
-            SglDescriptorType::BitBucket => {
-                extents.push(SglExtent {
-                    addr: None,
-                    len: desc.len as usize,
-                });
-                described += desc.len as usize;
-            }
+            SglDescriptorType::DataBlock | SglDescriptorType::BitBucket => data(&desc),
             SglDescriptorType::Segment | SglDescriptorType::LastSegment => {
                 depth += 1;
                 if depth > 16 {
                     return Err(SglError::TooDeep);
                 }
                 on_segment_read(desc.addr, desc.len as usize);
-                let count = desc.len as usize / 16;
-                let mut next_cursor = None;
-                for i in 0..count {
+                for i in 0..desc.len as usize / 16 {
                     let mut raw = [0u8; 16];
                     mem.read(desc.addr.offset((i * 16) as u64), &mut raw)?;
                     let d = SglDescriptor::from_bytes(&raw)?;
                     match d.kind {
-                        SglDescriptorType::DataBlock => {
-                            extents.push(SglExtent {
-                                addr: Some(d.addr),
-                                len: d.len as usize,
-                            });
-                            described += d.len as usize;
-                        }
-                        SglDescriptorType::BitBucket => {
-                            extents.push(SglExtent {
-                                addr: None,
-                                len: d.len as usize,
-                            });
-                            described += d.len as usize;
-                        }
+                        SglDescriptorType::DataBlock | SglDescriptorType::BitBucket => data(&d),
+                        // Per spec, a segment pointer may only be the last
+                        // descriptor in a segment.
                         SglDescriptorType::Segment | SglDescriptorType::LastSegment => {
-                            // Per spec, a segment pointer may only be the last
-                            // descriptor in a segment.
-                            next_cursor = Some(d);
+                            cursor = Some(d);
                         }
                     }
                 }
-                cursor = next_cursor;
             }
         }
     }
@@ -269,13 +251,27 @@ pub fn walk(
             expected: expected_len,
         });
     }
-    Ok(extents)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bx_hostsim::PAGE_SIZE;
+
+    /// [`walk`], collecting what it visits.
+    fn walk_extents(
+        mem: &HostMemory,
+        first: SglDescriptor,
+        expected_len: usize,
+        on_segment_read: impl FnMut(PhysAddr, usize),
+    ) -> Result<Vec<SglExtent>, SglError> {
+        let mut extents = Vec::new();
+        walk(mem, first, expected_len, on_segment_read, |e| {
+            extents.push(e)
+        })?;
+        Ok(extents)
+    }
 
     #[test]
     fn descriptor_round_trip() {
@@ -303,7 +299,7 @@ mod tests {
     fn single_data_block_walk() {
         let mem = HostMemory::with_capacity(PAGE_SIZE);
         let d = SglDescriptor::data_block(PhysAddr(64), 100);
-        let extents = walk(&mem, d, 100, |_, _| {}).unwrap();
+        let extents = walk_extents(&mem, d, 100, |_, _| {}).unwrap();
         assert_eq!(extents.len(), 1);
         assert_eq!(extents[0].addr, Some(PhysAddr(64)));
         assert_eq!(extents[0].len, 100);
@@ -314,7 +310,7 @@ mod tests {
         let mem = HostMemory::with_capacity(PAGE_SIZE);
         let d = SglDescriptor::data_block(PhysAddr(64), 100);
         assert_eq!(
-            walk(&mem, d, 101, |_, _| {}).unwrap_err(),
+            walk_extents(&mem, d, 101, |_, _| {}).unwrap_err(),
             SglError::LengthMismatch {
                 described: 100,
                 expected: 101
@@ -334,7 +330,7 @@ mod tests {
 
         let first = SglDescriptor::last_segment(seg_addr, 32);
         let mut fetches = Vec::new();
-        let extents = walk(&mem, first, 100, |a, l| fetches.push((a, l))).unwrap();
+        let extents = walk_extents(&mem, first, 100, |a, l| fetches.push((a, l))).unwrap();
         assert_eq!(extents.len(), 2);
         assert_eq!(fetches, vec![(seg_addr, 32)]);
         assert_eq!(extents[1].len, 70);
@@ -344,7 +340,7 @@ mod tests {
     fn bit_bucket_counts_toward_length() {
         let mem = HostMemory::with_capacity(PAGE_SIZE);
         let d = SglDescriptor::bit_bucket(4096);
-        let extents = walk(&mem, d, 4096, |_, _| {}).unwrap();
+        let extents = walk_extents(&mem, d, 4096, |_, _| {}).unwrap();
         assert_eq!(extents[0].addr, None);
     }
 
@@ -363,7 +359,7 @@ mod tests {
 
         let first = SglDescriptor::segment(seg_a, 32);
         let mut seg_reads = 0;
-        let extents = walk(&mem, first, 30, |_, _| seg_reads += 1).unwrap();
+        let extents = walk_extents(&mem, first, 30, |_, _| seg_reads += 1).unwrap();
         assert_eq!(extents.len(), 2);
         assert_eq!(seg_reads, 2);
     }

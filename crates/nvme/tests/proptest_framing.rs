@@ -21,7 +21,8 @@ proptest! {
         prop_assert_eq!(bandslim::head_embedded(&head), embedded);
 
         // Controller-side reconstruction: head prefix + fragments.
-        let mut out = bandslim::decode_head(&head, embedded);
+        let mut out = Vec::new();
+        bandslim::decode_head(&head, embedded, &mut out);
         let mut off = embedded;
         let mut frag_no = 0u32;
         while off < payload.len() {
@@ -30,9 +31,7 @@ proptest! {
             prop_assert!(bandslim::is_frag(&frag));
             // Survive the wire.
             let frag = SubmissionEntry::from_bytes(&frag.to_bytes());
-            let (no, data) = bandslim::decode_frag(&frag, take);
-            prop_assert_eq!(no, frag_no);
-            out.extend_from_slice(&data);
+            prop_assert_eq!(bandslim::decode_frag(&frag, take, &mut out), frag_no);
             off += take;
             frag_no += 1;
         }
@@ -79,9 +78,8 @@ proptest! {
         }
         let total: usize = lens.iter().map(|&l| l as usize).sum();
         let first = SglDescriptor::last_segment(seg_page, (lens.len() * 16) as u32);
-        let extents = sgl_walk(&mem, first, total, |_, _| {}).unwrap();
-        let got: Vec<(Option<PhysAddr>, usize)> =
-            extents.iter().map(|e| (e.addr, e.len)).collect();
+        let mut got = Vec::new();
+        sgl_walk(&mem, first, total, |_, _| {}, |e| got.push((e.addr, e.len))).unwrap();
         prop_assert_eq!(got, expected);
     }
 
@@ -90,10 +88,10 @@ proptest! {
     fn sgl_length_mismatch_always_detected(len in 1u32..10000, delta in 1usize..100) {
         let mem = HostMemory::with_capacity(PAGE_SIZE);
         let d = SglDescriptor::data_block(PhysAddr(64), len);
-        let over = sgl_walk(&mem, d, len as usize + delta, |_, _| {}).is_err();
+        let over = sgl_walk(&mem, d, len as usize + delta, |_, _| {}, |_| {}).is_err();
         prop_assert!(over);
         let short_len = (len as usize).saturating_sub(delta);
-        let under = sgl_walk(&mem, d, short_len, |_, _| {}).is_err();
+        let under = sgl_walk(&mem, d, short_len, |_, _| {}, |_| {}).is_err();
         prop_assert!(under, "walk accepted a short length");
     }
 }

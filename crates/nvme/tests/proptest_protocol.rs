@@ -84,7 +84,8 @@ proptest! {
         prop_assume!(need <= 24);
         let pages: Vec<PhysAddr> = (0..need).map(|_| mem.alloc_page().unwrap().addr()).collect();
         let prp = PrpSegments::build(&mut mem, &pages, offset, len).unwrap();
-        let segs = walk(&mem, prp.prp1, prp.prp2, len, |_, _| {}).unwrap();
+        let mut segs = Vec::new();
+        walk(&mem, prp.prp1, prp.prp2, len, |_, _| {}, |seg| segs.push(seg)).unwrap();
         // Exact coverage, in order, no overlaps.
         let total: usize = segs.iter().map(|s| s.len).sum();
         prop_assert_eq!(total, len);

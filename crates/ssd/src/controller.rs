@@ -234,11 +234,19 @@ pub struct Controller {
     /// [`Controller::power_cycle`] restores it. Every processing entry
     /// point returns immediately while set.
     powered_off: bool,
-    /// Reusable host→device payload staging buffer: gather paths take it,
-    /// fill it, and `recycle_payload` returns the largest buffer seen so
-    /// steady-state command processing performs no heap allocation.
+    /// Reusable host→device payload staging buffer: every gather path —
+    /// inline chunks, PRP/SGL data, BandSlim head and fragments — takes it
+    /// and fills it, and `recycle_payload` returns the largest buffer seen,
+    /// so steady-state command processing performs no heap allocation.
     scratch_payload: Vec<u8>,
+    /// Reusable list of the extents a PRP/SGL walk visits: descriptor reads
+    /// are charged for the whole walk before the first data byte moves.
+    scratch_extents: Vec<Extent>,
 }
+
+/// One contiguous piece of a command's host buffer — a PRP segment or an
+/// SGL extent (`addr` is `None` only for an SGL bit bucket).
+type Extent = sgl::SglExtent;
 
 impl std::fmt::Debug for Controller {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -289,6 +297,7 @@ impl Controller {
             deferred: EventQueue::new(),
             powered_off: false,
             scratch_payload: Vec::new(),
+            scratch_extents: Vec::new(),
         }
     }
 
@@ -793,11 +802,9 @@ impl Controller {
         let sqe = SubmissionEntry::from_bytes(&img);
 
         let outcome = self.handle_admin(&sqe);
-        let bus = self.bus.clone();
-        let timing = self.timing.clone();
         // bx-lint: allow(panic-freedom, reason = "same gate as the fetch above; the admin queue cannot unlatch mid-command")
         let q = self.admin.as_mut().expect("admin queue latched");
-        post_to_queue(&bus, &timing, q, sqe.cid(), &outcome);
+        post_to_queue(&self.bus, &self.timing, q, sqe.cid(), &outcome);
         self.stats.admin_commands += 1;
         self.stats.commands_completed += 1;
     }
@@ -989,9 +996,7 @@ impl Controller {
     /// grown to the largest payload seen.
     fn gather_inline(&mut self, qi: usize, len: usize) -> Vec<u8> {
         let n = inline::chunks_for_len(len);
-        let mut payload = std::mem::take(&mut self.scratch_payload);
-        payload.clear();
-        payload.reserve(len);
+        let mut payload = self.take_scratch_payload(len);
         for _ in 0..n {
             // Queue-local: the *same* queue's next entry, no switching
             // mid-transaction. Chunk fetches pipeline, so the marginal
@@ -1010,6 +1015,14 @@ impl Controller {
             self.stats.chunks_fetched += 1;
         }
         self.stats.inline_payload_bytes += payload.len() as u64;
+        payload
+    }
+
+    /// The staging buffer, emptied, with room for `len` bytes.
+    fn take_scratch_payload(&mut self, len: usize) -> Vec<u8> {
+        let mut payload = std::mem::take(&mut self.scratch_payload);
+        payload.clear();
+        payload.reserve(len);
         payload
     }
 
@@ -1099,7 +1112,8 @@ impl Controller {
         total: usize,
     ) -> Option<Vec<u8>> {
         let embedded = bandslim::head_embedded(sqe).min(total);
-        let buf = bandslim::decode_head(sqe, embedded);
+        let mut buf = self.take_scratch_payload(total);
+        bandslim::decode_head(sqe, embedded, &mut buf);
         self.stats.bandslim_payload_bytes += embedded as u64;
         if embedded >= total {
             return Some(buf);
@@ -1127,97 +1141,121 @@ impl Controller {
         };
         let remaining = pending.total - pending.buf.len();
         let take = remaining.min(bandslim::FRAG_CAPACITY);
-        let (frag_no, data) = bandslim::decode_frag(sqe, take);
-        if frag_no != pending.next_frag || sqe.cid() != pending.head.cid() {
+        let frag_no = bandslim::decode_frag(sqe, take, &mut pending.buf);
+        let completed = if frag_no != pending.next_frag || sqe.cid() != pending.head.cid() {
             // Out-of-order or cross-command fragment — the serialization
             // BandSlim requires was violated.
             let out = CommandOutcome::fail(Status::InvalidField, self.bus.clock.now());
-            let cid = pending.head.cid();
-            self.post_completion(qi, cid, &out);
-            return 1;
-        }
-        pending.next_frag += 1;
-        pending.buf.extend_from_slice(&data);
-        self.stats.bandslim_payload_bytes += data.len() as u64;
-
-        if pending.buf.len() >= pending.total {
-            let head = pending.head;
-            let payload = pending.buf;
-            let key = CmdKey::new(self.queues[qi].id.0, head.cid());
+            self.post_completion(qi, pending.head.cid(), &out);
+            1
+        } else {
+            pending.next_frag += 1;
+            self.stats.bandslim_payload_bytes += take as u64;
+            if pending.buf.len() < pending.total {
+                self.queues[qi].bandslim_pending = Some(pending);
+                return 0;
+            }
+            let key = CmdKey::new(self.queues[qi].id.0, pending.head.cid());
             self.bus.trace.emit_cmd(key, || EventKind::DataFetch {
                 kind: "bandslim",
-                bytes: payload.len(),
+                bytes: pending.buf.len(),
             });
-            return self.dispatch_and_complete(qi, &head, Some(&payload));
-        }
-        self.queues[qi].bandslim_pending = Some(pending);
-        0
+            self.dispatch_and_complete(qi, &pending.head, Some(&pending.buf))
+        };
+        self.recycle_payload(pending.buf);
+        completed
     }
 
-    /// Gathers payload via the command's data pointer (PRP or SGL).
+    /// Gathers payload via the command's data pointer (PRP or SGL) into the
+    /// staging buffer.
     fn gather_dptr(&mut self, sqe: &SubmissionEntry) -> Option<Vec<u8>> {
         let len = sqe.data_len() as usize;
         if len == 0 {
             return None;
         }
         self.bus.clock.advance(self.timing.prp_setup);
-        match sqe.data_pointer_kind() {
-            DataPointerKind::Prp => {
-                let mem = self.bus.mem.borrow();
-                let link = &self.bus.link;
-                let clock = &self.bus.clock;
-                let segments = prp::walk(&mem, sqe.prp1(), sqe.prp2(), len, |_, bytes| {
-                    let t = link.borrow_mut().device_read(TrafficClass::PrpList, bytes);
-                    clock.advance(t);
-                })
-                .ok()?;
-                let mut out = Vec::with_capacity(len);
-                for seg in segments {
-                    // PRP moves whole pages over the wire regardless of how
-                    // few bytes the host cares about — the paper's Fig 1
-                    // amplification. We charge the page-granular traffic and
-                    // copy the segment bytes.
-                    let wire_len = seg.len.max(page_granular_len(seg.len));
-                    let t = self
-                        .bus
-                        .link
-                        .borrow_mut()
-                        .device_read(TrafficClass::PrpData, wire_len);
-                    self.bus.clock.advance(t);
-                    out.extend_from_slice(mem.slice(seg.addr, seg.len).ok()?);
-                }
-                self.stats.prp_payload_bytes += out.len() as u64;
-                Some(out)
-            }
+        let mut payload = self.take_scratch_payload(len);
+        let mut extents = std::mem::take(&mut self.scratch_extents);
+        let gathered = self.gather_extents(sqe, len, &mut extents, &mut payload);
+        self.scratch_extents = extents;
+        if gathered.is_none() {
+            self.recycle_payload(payload);
+            return None;
+        }
+        Some(payload)
+    }
+
+    /// Walks the command's PRP or SGL into `extents`, then copies what they
+    /// describe into `payload`, charging the link for every read.
+    fn gather_extents(
+        &mut self,
+        sqe: &SubmissionEntry,
+        len: usize,
+        extents: &mut Vec<Extent>,
+        payload: &mut Vec<u8>,
+    ) -> Option<()> {
+        let kind = sqe.data_pointer_kind();
+        let (descriptors, data) = match kind {
+            DataPointerKind::Prp => (TrafficClass::PrpList, TrafficClass::PrpData),
+            DataPointerKind::Sgl => (TrafficClass::SglDescriptor, TrafficClass::SglData),
+        };
+        let mem = self.bus.mem.borrow();
+        let (link, clock) = (&self.bus.link, &self.bus.clock);
+        let read = |class, bytes| {
+            let t = link.borrow_mut().device_read(class, bytes);
+            clock.advance(t);
+        };
+        extents.clear();
+        match kind {
+            DataPointerKind::Prp => prp::walk(
+                &mem,
+                sqe.prp1(),
+                sqe.prp2(),
+                len,
+                |_, bytes| read(descriptors, bytes),
+                |seg| {
+                    extents.push(Extent {
+                        addr: Some(seg.addr),
+                        len: seg.len,
+                    })
+                },
+            )
+            .ok()?,
             DataPointerKind::Sgl => {
-                let mem = self.bus.mem.borrow();
-                let link = &self.bus.link;
-                let clock = &self.bus.clock;
                 let first = sgl::SglDescriptor::from_bytes(&sqe.sgl_bytes()).ok()?;
-                let extents = sgl::walk(&mem, first, len, |_, bytes| {
-                    let t = link
-                        .borrow_mut()
-                        .device_read(TrafficClass::SglDescriptor, bytes);
-                    clock.advance(t);
-                })
-                .ok()?;
-                let mut out = Vec::with_capacity(len);
-                for ext in extents {
-                    let t = self
-                        .bus
-                        .link
-                        .borrow_mut()
-                        .device_read(TrafficClass::SglData, ext.len);
-                    self.bus.clock.advance(t);
-                    match ext.addr {
-                        Some(addr) => out.extend_from_slice(mem.slice(addr, ext.len).ok()?),
-                        None => out.extend(std::iter::repeat_n(0u8, ext.len)),
-                    }
-                }
-                self.stats.sgl_payload_bytes += out.len() as u64;
-                Some(out)
+                sgl::walk(
+                    &mem,
+                    first,
+                    len,
+                    |_, bytes| read(descriptors, bytes),
+                    |extent| extents.push(extent),
+                )
+                .ok()?
             }
         }
+        for extent in extents.iter() {
+            read(
+                data,
+                match kind {
+                    // PRP moves whole pages over the wire regardless of how
+                    // few bytes the host cares about — the paper's Fig 1
+                    // amplification. We charge the page-granular traffic
+                    // and copy the segment bytes.
+                    DataPointerKind::Prp => extent.len.max(page_granular_len(extent.len)),
+                    DataPointerKind::Sgl => extent.len,
+                },
+            );
+            match extent.addr {
+                Some(addr) => payload.extend_from_slice(mem.slice(addr, extent.len).ok()?),
+                None => payload.resize(payload.len() + extent.len, 0),
+            }
+        }
+        let moved = payload.len() as u64;
+        match kind {
+            DataPointerKind::Prp => self.stats.prp_payload_bytes += moved,
+            DataPointerKind::Sgl => self.stats.sgl_payload_bytes += moved,
+        }
+        Some(())
     }
 
     /// Runs firmware on one gathered command and hands the outcome to
@@ -1287,45 +1325,50 @@ impl Controller {
         // many bytes the firmware actually returned. Walk the full buffer,
         // then write only the response bytes into its leading segments.
         let buffer_len = (sqe.data_len() as usize).max(response.len());
-        let Ok(segments) = ({
-            let mem = self.bus.mem.borrow();
-            prp::walk(&mem, sqe.prp1(), sqe.prp2(), buffer_len, |_, bytes| {
-                let t = self
-                    .bus
-                    .link
+        let mut segments = std::mem::take(&mut self.scratch_extents);
+        segments.clear();
+        let (link, clock) = (&self.bus.link, &self.bus.clock);
+        let walked = prp::walk(
+            &self.bus.mem.borrow(),
+            sqe.prp1(),
+            sqe.prp2(),
+            buffer_len,
+            |_, bytes| {
+                let t = link.borrow_mut().device_read(TrafficClass::PrpList, bytes);
+                clock.advance(t);
+            },
+            |seg| {
+                segments.push(Extent {
+                    addr: Some(seg.addr),
+                    len: seg.len,
+                })
+            },
+        );
+        if walked.is_ok() {
+            let mut mem = self.bus.mem.borrow_mut();
+            let mut rest = response;
+            for seg in &segments {
+                // A PRP segment always has an address.
+                let Some(addr) = seg.addr else { continue };
+                if rest.is_empty() {
+                    break;
+                }
+                let (chunk, tail) = rest.split_at(seg.len.min(rest.len()));
+                mem.write(addr, chunk)
+                    // bx-lint: allow(panic-freedom, reason = "segment extents were validated by the SGL/PRP walk that produced them")
+                    .expect("response buffer in bounds");
+                let t = link
                     .borrow_mut()
-                    .device_read(TrafficClass::PrpList, bytes);
-                self.bus.clock.advance(t);
-            })
-        }) else {
-            return;
-        };
-        let mut off = 0usize;
-        for seg in segments {
-            if off >= response.len() {
-                break;
+                    .device_posted_write(TrafficClass::DeviceToHostData, chunk.len());
+                clock.advance(t);
+                rest = tail;
             }
-            let end = (off + seg.len).min(response.len());
-            self.bus
-                .mem
-                .borrow_mut()
-                .write(seg.addr, &response[off..end])
-                // bx-lint: allow(panic-freedom, reason = "segment extents were validated by the SGL/PRP walk that produced them")
-                .expect("response buffer in bounds");
-            let t = self
-                .bus
-                .link
-                .borrow_mut()
-                .device_posted_write(TrafficClass::DeviceToHostData, end - off);
-            self.bus.clock.advance(t);
-            off = end;
         }
+        self.scratch_extents = segments;
     }
 
     fn post_completion(&mut self, qi: usize, cid: u16, outcome: &CommandOutcome) {
-        let bus = self.bus.clone();
-        let timing = self.timing.clone();
-        post_to_queue(&bus, &timing, &mut self.queues[qi], cid, outcome);
+        post_to_queue(&self.bus, &self.timing, &mut self.queues[qi], cid, outcome);
         self.stats.commands_completed += 1;
     }
 

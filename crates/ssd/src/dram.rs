@@ -172,6 +172,19 @@ impl DeviceDram {
         Ok(&self.bytes[offset..offset + len])
     }
 
+    /// Copies `len` bytes from offset `src` to offset `dst` (the ranges may
+    /// overlap).
+    ///
+    /// # Errors
+    ///
+    /// [`DramError::OutOfBounds`] if either range runs beyond capacity.
+    pub fn copy_within(&mut self, src: usize, dst: usize, len: usize) -> Result<(), DramError> {
+        self.check(src, len)?;
+        self.check(dst, len)?;
+        self.bytes.copy_within(src..src + len, dst);
+        Ok(())
+    }
+
     /// A power cut: DRAM contents are gone. The region *layout* survives —
     /// it is firmware configuration re-derived identically at startup, and
     /// keeping it lets recovery code reuse region handles — but every byte
@@ -192,6 +205,22 @@ mod tests {
         d.write(r.offset, b"value").unwrap();
         assert_eq!(d.read(r.offset, 5).unwrap(), b"value");
         assert_eq!(d.region("kv-log").unwrap(), r);
+    }
+
+    #[test]
+    fn copy_within_moves_bytes_and_checks_both_ranges() {
+        let mut d = DeviceDram::new(64);
+        d.write(4, b"staged").unwrap();
+        d.copy_within(4, 40, 6).unwrap();
+        assert_eq!(d.read(40, 6).unwrap(), b"staged");
+        assert!(matches!(
+            d.copy_within(60, 0, 8),
+            Err(DramError::OutOfBounds { offset: 60, .. })
+        ));
+        assert!(matches!(
+            d.copy_within(0, 60, 8),
+            Err(DramError::OutOfBounds { offset: 60, .. })
+        ));
     }
 
     #[test]

@@ -189,12 +189,12 @@ impl FirmwareHandler for BlockFirmware {
                 let base_lpn = sqe.slba();
                 let pages = len.div_ceil(PAGE_SIZE);
                 for i in 0..pages {
-                    match ctx.ftl.read(base_lpn + i as u64, ctx.nand, t) {
-                        Ok((data, done)) => {
-                            t = done;
-                            let take = (len - out.len()).min(PAGE_SIZE);
-                            out.extend_from_slice(&data[..take]);
-                        }
+                    let take = (len - out.len()).min(PAGE_SIZE);
+                    match ctx
+                        .ftl
+                        .read_range(base_lpn + i as u64, 0, take, ctx.nand, t, &mut out)
+                    {
+                        Ok(done) => t = done,
                         Err(e) => return CommandOutcome::fail(ftl_status(&e), ctx.now),
                     }
                 }

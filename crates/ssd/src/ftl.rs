@@ -158,6 +158,9 @@ pub struct Ftl {
     /// The write-ahead mapping journal: acks wait for its records, recovery
     /// replays them.
     journal: MapJournal,
+    /// The one page buffer every relocation (GC, bad-block migration) reads
+    /// into and programs from.
+    relocation_page: Vec<u8>,
     /// Flight-recorder sink (inert unless recording).
     trace: TraceSink,
 }
@@ -209,6 +212,7 @@ impl Ftl {
             erase_counts: BTreeMap::new(),
             bad: BTreeSet::new(),
             journal: MapJournal::new(),
+            relocation_page: Vec::new(),
             trace: TraceSink::disabled(),
         }
     }
@@ -423,9 +427,10 @@ impl Ftl {
         )))
     }
 
-    /// Moves every live page off a retired block. Data stays readable in
-    /// place until its relocation lands, so a mid-migration error leaves no
-    /// window where an acknowledged write is unreachable.
+    /// Moves every live page off a block — a retired one, or a GC victim.
+    /// Data stays readable in place until its relocation lands, so a
+    /// mid-migration error leaves no window where an acknowledged write is
+    /// unreachable.
     fn migrate_block(
         &mut self,
         id: BlockId,
@@ -433,18 +438,24 @@ impl Ftl {
         mut now: Nanos,
         depth: u32,
     ) -> Result<Nanos, FtlError> {
-        for page in 0..self.pages_per_block {
-            let Some(lpn) = self.blocks.get(&id).and_then(|i| i.owner[page as usize]) else {
+        // A relocation whose program fails migrates the failed block from
+        // inside this loop; that nested pass finds the buffer taken and
+        // grows its own.
+        let mut page = std::mem::take(&mut self.relocation_page);
+        let page_size = nand.config().page_size;
+        for slot in 0..self.pages_per_block {
+            let Some(lpn) = self.blocks.get(&id).and_then(|i| i.owner[slot as usize]) else {
                 continue;
             };
-            let src = self.die_to_ppa(id.die, id.block, page);
-            let (data, t_read) = nand.read(src, now)?;
-            now = t_read;
-            let (dst, t_prog) = self.program_remapped(lpn, &data, nand, now, depth)?;
+            let src = self.die_to_ppa(id.die, id.block, slot);
+            page.clear();
+            now = nand.read_range(src, 0, page_size, now, &mut page)?;
+            let (dst, t_prog) = self.program_remapped(lpn, &page, nand, now, depth)?;
             now = t_prog;
             self.commit_mapping(lpn, dst, t_prog, now);
             self.stats.gc_writes += 1;
         }
+        self.relocation_page = page;
         Ok(now)
     }
 
@@ -483,19 +494,42 @@ impl Ftl {
         Ok(done.max(durable))
     }
 
-    /// Reads one logical page.
+    /// Reads one whole logical page: the full-range call of
+    /// [`Ftl::read_range`].
     ///
     /// # Errors
     ///
-    /// * [`FtlError::LpnOutOfRange`] beyond capacity.
-    /// * [`FtlError::Unmapped`] if never written.
-    /// * [`FtlError::Nand`] on NAND-level failures.
+    /// As [`Ftl::read_range`].
     pub fn read(
         &mut self,
         lpn: u64,
         nand: &mut NandArray,
         now: Nanos,
     ) -> Result<(Vec<u8>, Nanos), FtlError> {
+        let page_size = nand.config().page_size;
+        let mut data = Vec::with_capacity(page_size);
+        let done = self.read_range(lpn, 0, page_size, nand, now, &mut data)?;
+        Ok((data, done))
+    }
+
+    /// Reads one logical page and appends bytes `off..off + len` of it to
+    /// `out` (see [`NandArray::read_range`]); returns the completion instant.
+    ///
+    /// # Errors
+    ///
+    /// * [`FtlError::LpnOutOfRange`] beyond capacity.
+    /// * [`FtlError::Unmapped`] if never written.
+    /// * [`FtlError::Nand`] on NAND-level failures, a range past the page
+    ///   end included.
+    pub fn read_range(
+        &mut self,
+        lpn: u64,
+        off: usize,
+        len: usize,
+        nand: &mut NandArray,
+        now: Nanos,
+        out: &mut Vec<u8>,
+    ) -> Result<Nanos, FtlError> {
         if lpn >= self.exported_pages {
             return Err(FtlError::LpnOutOfRange {
                 lpn,
@@ -503,7 +537,7 @@ impl Ftl {
             });
         }
         let ppa = self.map[lpn as usize].ok_or(FtlError::Unmapped(lpn))?;
-        Ok(nand.read(ppa, now)?)
+        Ok(nand.read_range(ppa, off, len, now, out)?)
     }
 
     /// Invalidates a logical page (TRIM/deallocate): the mapping is dropped
@@ -548,23 +582,8 @@ impl Ftl {
             if valid_count == self.pages_per_block {
                 break;
             }
-            // bx-lint: allow(panic-freedom, reason = "the victim index only holds ids of blocks in this map")
-            let info = self.blocks.get(&victim).expect("victim exists").clone();
-
-            // Relocate live pages.
-            let mut moved = 0u32;
-            for page in 0..self.pages_per_block {
-                if let Some(lpn) = info.owner[page as usize] {
-                    let src = self.die_to_ppa(victim.die, victim.block, page);
-                    let (data, t_read) = nand.read(src, now)?;
-                    now = t_read;
-                    let (dst, t_prog) = self.program_remapped(lpn, &data, nand, now, 0)?;
-                    now = t_prog;
-                    self.commit_mapping(lpn, dst, t_prog, now);
-                    self.stats.gc_writes += 1;
-                    moved += 1;
-                }
-            }
+            // Relocate its `valid_count` live pages.
+            now = self.migrate_block(victim, nand, now, 0)?;
             // Never destroy the old copy of a page before its replacement —
             // data *and* the journal record naming it — is on the medium: a
             // cut between erase and relocation-durable would otherwise lose
@@ -581,7 +600,7 @@ impl Ftl {
             self.stats.gc_erases += 1;
             *self.erase_counts.entry(victim).or_insert(0) += 1;
             self.trace.emit(None, || EventKind::GcCycle {
-                moved_pages: moved,
+                moved_pages: valid_count,
                 erased_blocks: 1,
             });
         }

@@ -138,9 +138,10 @@ pub enum NandError {
     ProgramWithoutErase(Ppa),
     /// Read of a page that was never programmed.
     ReadUnwritten(Ppa),
-    /// Data length does not match the page size.
+    /// Program data is not exactly one page, or a read range runs past the
+    /// page end.
     BadLength {
-        /// Bytes provided.
+        /// Bytes provided (program) or the range's end offset (read).
         got: usize,
         /// Page size expected.
         want: usize,
@@ -159,7 +160,7 @@ impl fmt::Display for NandError {
             NandError::ProgramWithoutErase(p) => write!(f, "program without erase at {p}"),
             NandError::ReadUnwritten(p) => write!(f, "read of unwritten page {p}"),
             NandError::BadLength { got, want } => {
-                write!(f, "bad page data length: got {got}, want {want}")
+                write!(f, "bad page data length: got {got}, page is {want}")
             }
             NandError::ProgramFailed(p) => write!(f, "page program failed at {p}"),
             NandError::Uncorrectable(p) => write!(f, "uncorrectable read at {p}"),
@@ -205,8 +206,8 @@ pub struct NandArray {
     /// therefore every trace/wire consequence) deterministic — no
     /// randomized-hash iteration order can leak out of the media model.
     /// `Some(bytes)` is a programmed page cut after its last non-zero byte
-    /// (`Some(empty)` is an all-zero page, still data); [`NandArray::read`]
-    /// restores the zero tail.
+    /// (`Some(empty)` is an all-zero page, still data);
+    /// [`NandArray::read_range`] restores the zero tail.
     data: Vec<Option<Vec<u8>>>,
     /// Page program state, dense by the same global page index; pages beyond
     /// the vector's current length are implicitly `Erased`.
@@ -380,17 +381,51 @@ impl NandArray {
         Ok(done)
     }
 
-    /// Reads a page, starting no earlier than `now`. Returns the data and
-    /// the completion instant.
+    /// Reads a whole page, starting no earlier than `now`. Returns the data
+    /// and the completion instant: the full-range call of
+    /// [`NandArray::read_range`].
+    ///
+    /// # Errors
+    ///
+    /// As [`NandArray::read_range`].
+    pub fn read(&mut self, ppa: Ppa, now: Nanos) -> Result<(Vec<u8>, Nanos), NandError> {
+        let mut data = Vec::with_capacity(self.cfg.page_size);
+        let done = self.read_range(ppa, 0, self.cfg.page_size, now, &mut data)?;
+        Ok((data, done))
+    }
+
+    /// Reads a page, starting no earlier than `now`, and appends bytes
+    /// `off..off + len` of it to `out`; returns the completion instant. The
+    /// die senses and transfers the whole page whatever the range — timing,
+    /// statistics, fault draws and the trace event do not depend on it — but
+    /// the simulator copies only the bytes asked for. `out` is untouched on
+    /// error.
     ///
     /// # Errors
     ///
     /// * [`NandError::BadAddress`] outside the geometry.
+    /// * [`NandError::BadLength`] if the range runs past the page end.
     /// * [`NandError::ReadUnwritten`] for never-programmed pages.
-    pub fn read(&mut self, ppa: Ppa, now: Nanos) -> Result<(Vec<u8>, Nanos), NandError> {
+    /// * [`NandError::Uncorrectable`] on an injected read beyond the ECC.
+    pub fn read_range(
+        &mut self,
+        ppa: Ppa,
+        off: usize,
+        len: usize,
+        now: Nanos,
+        out: &mut Vec<u8>,
+    ) -> Result<Nanos, NandError> {
         self.check(ppa)?;
+        let end = off.saturating_add(len);
+        if end > self.cfg.page_size {
+            return Err(NandError::BadLength {
+                got: end,
+                want: self.cfg.page_size,
+            });
+        }
         if !self.cfg.enabled {
-            return Ok((vec![0; self.cfg.page_size], now));
+            out.resize(out.len() + len, 0);
+            return Ok(now);
         }
         let idx = self.cfg.page_index(ppa);
         let stored = self
@@ -398,9 +433,6 @@ impl NandArray {
             .get(idx)
             .and_then(|slot| slot.as_deref())
             .ok_or(NandError::ReadUnwritten(ppa))?;
-        let mut data = Vec::with_capacity(self.cfg.page_size);
-        data.extend_from_slice(stored);
-        data.resize(self.cfg.page_size, 0);
         self.stats.reads += 1;
         let die = self.cfg.die_index(ppa);
         let start = self.die_busy_until[die].max(now);
@@ -420,8 +452,16 @@ impl NandArray {
                 }
             }
         }
+        // The slot holds the page up to its last non-zero byte; whatever of
+        // the range lies beyond that is the stripped zero tail.
+        let held = stored
+            .get(off.min(stored.len())..end.min(stored.len()))
+            .unwrap_or_default();
+        let filled = out.len() + len;
+        out.extend_from_slice(held);
+        out.resize(filled, 0);
         self.trace_op("read", ppa, start, done);
-        Ok((data, done))
+        Ok(done)
     }
 
     /// Erases a block, returning the completion instant.
@@ -568,6 +608,9 @@ pub(crate) fn shaped_pages() -> Vec<(&'static str, Vec<u8>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bx_hostsim::{FaultConfig, FaultInjector};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn array() -> NandArray {
         NandArray::new(NandConfig::small())
@@ -834,6 +877,92 @@ mod tests {
         }
         assert_eq!(n.spare_pages.len(), 4);
         assert!(n.spare_pages.iter().all(|b| b.capacity() >= 4096));
+    }
+
+    /// `(shape, off, len)` read requests: anywhere in or past the page,
+    /// around the short shapes' stored lengths (0, 1, 64, 200), empty, and
+    /// ending exactly at the page end.
+    fn range_requests() -> impl proptest::strategy::Strategy<Value = (usize, usize, usize)> {
+        use proptest::prelude::*;
+        let shapes = shaped_pages().len();
+        prop_oneof![
+            4 => (0..shapes, 0usize..=4200, 0usize..=4200),
+            4 => (0..shapes, 0usize..=260, 0usize..=260),
+            1 => (0..shapes, 0usize..=4096, Just(0usize)),
+            2 => (0..shapes, 0usize..=4096).prop_map(|(shape, off)| (shape, off, 4096 - off)),
+        ]
+    }
+
+    proptest::proptest! {
+        /// A range read is the matching slice of a whole-page read and is
+        /// indistinguishable from it on the die: same completion instant,
+        /// same counters, same fault-injector draws.
+        #[test]
+        fn read_range_is_a_slice_of_read(
+            requests in proptest::collection::vec(range_requests(), 1..60),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let faults = || {
+                Rc::new(RefCell::new(FaultInjector::new(FaultConfig {
+                    seed,
+                    nand_read_bitflip: 0.3,
+                    nand_max_flips: 8,
+                    ecc_correctable_bits: 4,
+                    ..FaultConfig::disabled()
+                })))
+            };
+            let (whole_faults, range_faults) = (faults(), faults());
+            let (mut whole, mut ranged) = (array(), array());
+            whole.set_fault_injector(whole_faults.clone());
+            ranged.set_fault_injector(range_faults.clone());
+            let mut t = Nanos::ZERO;
+            for (i, (_, page)) in shaped_pages().iter().enumerate() {
+                whole.program(ppa(0, 0, 0, i as u32), page, t).unwrap();
+                t = ranged.program(ppa(0, 0, 0, i as u32), page, t).unwrap();
+            }
+            for (shape, off, len) in requests {
+                let at = ppa(0, 0, 0, shape as u32);
+                let mut out = vec![0xEE];
+                let got = ranged.read_range(at, off, len, t, &mut out);
+                if off + len > 4096 {
+                    // Refused before the die is touched: no read to compare.
+                    assert_eq!(got, Err(NandError::BadLength { got: off + len, want: 4096 }));
+                    assert_eq!(out, [0xEE]);
+                    assert_eq!(ranged.stats(), whole.stats());
+                    continue;
+                }
+                match whole.read(at, t) {
+                    Ok((page, done)) => {
+                        assert_eq!(got, Ok(done));
+                        assert_eq!(out[0], 0xEE, "appends, never overwrites");
+                        assert_eq!(out[1..], page[off..off + len]);
+                        t = done;
+                    }
+                    Err(e) => {
+                        assert_eq!(got, Err(e));
+                        assert_eq!(out, [0xEE], "untouched on error");
+                    }
+                }
+                assert_eq!(ranged.stats(), whole.stats());
+                assert_eq!(ranged.die_ready_at(at), whole.die_ready_at(at));
+                assert_eq!(range_faults.borrow().counters(), whole_faults.borrow().counters());
+            }
+            // Same number of draws throughout: the next one agrees too.
+            assert_eq!(
+                range_faults.borrow_mut().nand_read_flips(),
+                whole_faults.borrow_mut().nand_read_flips()
+            );
+        }
+    }
+
+    #[test]
+    fn read_range_with_nand_off_appends_zeros() {
+        let mut n = NandArray::new(NandConfig::disabled());
+        let mut out = vec![7];
+        let t = Nanos::from_ns(5);
+        assert_eq!(n.read_range(ppa(0, 0, 0, 0), 10, 3, t, &mut out), Ok(t));
+        assert_eq!(out, [7, 0, 0, 0]);
+        assert!(n.read_range(ppa(0, 0, 0, 0), 4096, 1, t, &mut out).is_err());
     }
 
     #[test]

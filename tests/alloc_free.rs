@@ -1,19 +1,27 @@
-//! Proof that the pipelined ByteExpress hot path is allocation-free in
-//! steady state.
+//! Proof that the data path allocates for the bytes it hands back and for
+//! nothing else.
 //!
-//! A counting `#[global_allocator]` wraps `System`; after a warmup phase
-//! fills every pool (driver cid slab, SQ ring images, controller scratch
-//! payload, deferred-completion queue, reassembly spare buffers), a
-//! 10k-command pipelined submit→complete window must perform **zero** heap
-//! allocations. This pins the PR-8 tentpole: in-flight command state lives
-//! in a slab, inline chunks encode into a stack buffer, `gather_inline`
-//! streams into a recycled scratch `Vec`, and completions poll into a
-//! caller-owned buffer via `poll_completions_into`.
+//! A counting `#[global_allocator]` wraps `System`. Two kinds of armed
+//! window, all after a warm-up that fills every recycled buffer:
+//!
+//! * the original one: a hand-pumped 10k-command pipelined ByteExpress
+//!   submit→complete window performs **zero** heap allocations — in-flight
+//!   command state lives in a slab, inline chunks encode into a stack
+//!   buffer, `gather_inline` streams into a recycled scratch `Vec`, and
+//!   completions poll into a caller-owned buffer via
+//!   `poll_completions_into`;
+//! * a census over the *public synchronous API* — `Device::write` by every
+//!   transfer method, `Device::read`, `KvStore::{put, get}` — counting
+//!   allocations and bytes per operation against the budget DESIGN §14
+//!   states: writes allocate nothing, reads allocate the buffer handed
+//!   back plus the firmware's response, and NAND-on writes only what the
+//!   page store keeps.
 //!
 //! The file holds exactly one `#[test]` so no sibling test thread can
 //! allocate while the counter is armed.
 
 use bx_driver::Completion;
+use bx_kvssd::{KvStore, KvStoreConfig, MAX_VALUE_LEN};
 use byteexpress::{Device, ExecutionModel, IoOpcode, PassthruCmd, QueueId, TransferMethod};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -22,13 +30,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 struct CountingAlloc;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
+/// Allocations and reallocations.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static REALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes asked for: allocation sizes plus what reallocations grew by.
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if ARMED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
         System.alloc(layout)
     }
@@ -36,13 +47,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         if ARMED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if ARMED.load(Ordering::Relaxed) {
-            REALLOCS.fetch_add(1, Ordering::Relaxed);
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            let grown = new_size.saturating_sub(layout.size());
+            BYTES.fetch_add(grown as u64, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
     }
@@ -113,6 +127,142 @@ fn round(
     done
 }
 
+/// Heap activity of one armed window, per operation.
+#[derive(Debug, Clone, Copy)]
+struct Census {
+    /// Allocations and reallocations.
+    allocs: f64,
+    bytes: f64,
+}
+
+/// Runs `op(i)` for `i` in `0..ops` with the counter armed.
+fn census(ops: usize, mut op: impl FnMut(usize)) -> Census {
+    ALLOCS.store(0, Ordering::SeqCst);
+    BYTES.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    for i in 0..ops {
+        op(i);
+    }
+    ARMED.store(false, Ordering::SeqCst);
+    Census {
+        allocs: ALLOCS.load(Ordering::SeqCst) as f64 / ops as f64,
+        bytes: BYTES.load(Ordering::SeqCst) as f64 / ops as f64,
+    }
+}
+
+/// `Device::write` by every method and size, NAND off: nothing at all.
+fn census_block_writes() {
+    let mut dev = Device::builder().nand_io(false).build();
+    let data = vec![0x5Au8; 4096];
+    let methods = [
+        TransferMethod::Prp,
+        TransferMethod::BandSlim { embed_first: true },
+        TransferMethod::ByteExpress,
+        TransferMethod::hybrid_default(),
+    ];
+    for method in methods {
+        for size in [64, 256, 1024, 4096] {
+            let mut write = |i: usize| {
+                dev.write(i as u64 % 512, &data[..size], method)
+                    .expect("write must succeed");
+            };
+            (0..64).for_each(&mut write);
+            let c = census(1_000, write);
+            assert_eq!(
+                (c.allocs, c.bytes),
+                (0.0, 0.0),
+                "{method} {size} B, NAND off"
+            );
+        }
+    }
+}
+
+/// NAND on: a ByteExpress write keeps one buffer — the page store's, for
+/// the page it programs — and a read hands one back.
+fn census_block_nand() {
+    let mut dev = Device::builder().build();
+    let data = vec![0xC3u8; 256];
+    let mut write = |i: usize| {
+        dev.write(i as u64 % 2_048, &data, TransferMethod::ByteExpress)
+            .expect("write must succeed");
+    };
+    (0..2_048).for_each(&mut write);
+    let c = census(2_000, write);
+    assert!(
+        c.allocs <= 1.1 && c.bytes <= 2.0 * data.len() as f64,
+        "ByteExpress 256 B, NAND on: {c:?}"
+    );
+
+    let mut read = |i: usize| {
+        let back = dev.read(i as u64 % 2_048, data.len()).expect("read");
+        assert_eq!(back, data);
+    };
+    (0..64).for_each(&mut read);
+    let c = census(1_000, read);
+    // The `Vec` returned (`response_len` bytes) and the firmware's response.
+    let budget = (data.len() + data.len() + 64) as f64;
+    assert!(
+        c.allocs <= 2.0 && c.bytes <= budget,
+        "Device::read 256 B: {c:?}"
+    );
+}
+
+fn census_kv() {
+    const KEYS: usize = 1_000;
+    let keys: Vec<Vec<u8>> = (0..KEYS)
+        .map(|i| format!("key-{i:05}").into_bytes())
+        .collect();
+    let value = [0x77u8; 40];
+
+    // PUT over existing keys: the index has its nodes, so what is left is
+    // the page store's buffer per flushed page and amortised table growth.
+    let mut store = KvStore::open(KvStoreConfig::default());
+    let mut put = |i: usize| {
+        store.put(&keys[i % KEYS], &value).expect("put");
+    };
+    (0..2 * KEYS).for_each(&mut put);
+    let c = census(2_000, put);
+    assert!(c.allocs <= 0.05, "KvStore::put 40 B: {c:?}");
+    assert!(
+        store.device_stats().flushes > 20,
+        "window must span flushes"
+    );
+
+    // GET of a flushed value: the `Vec` returned (cut from `response_len`
+    // bytes) and the firmware's value-sized response. The first keys were
+    // last written a thousand PUTs ago: long flushed.
+    let get = |store: &mut KvStore, i: usize| {
+        let got = store.get(&keys[i % 500]).expect("get");
+        assert_eq!(got.as_deref(), Some(&value[..]));
+    };
+    (0..64).for_each(|i| get(&mut store, i));
+    let reads_before = store.device().controller().nand_stats().reads;
+    let c = census(1_000, |i| get(&mut store, i));
+    let budget = (MAX_VALUE_LEN + value.len() + 64) as f64;
+    assert!(
+        c.allocs <= 2.0 && c.bytes <= budget,
+        "KvStore::get 40 B: {c:?}"
+    );
+    let reads = store.device().controller().nand_stats().reads - reads_before;
+    assert_eq!(reads, 1_000, "every GET must have gone to NAND");
+
+    // Durable PUT: one page-store buffer per op (the staging page written
+    // through, cut at its last byte), and no page-sized temporary on top.
+    let mut durable = KvStore::open(KvStoreConfig {
+        durable_puts: true,
+        ..KvStoreConfig::default()
+    });
+    let mut put = |i: usize| {
+        durable.put(&keys[i % KEYS], &value).expect("durable put");
+    };
+    (0..2 * KEYS).for_each(&mut put);
+    let c = census(2_000, put);
+    assert!(
+        c.allocs <= 1.3 && c.bytes <= 4096.0,
+        "durable KvStore::put 40 B: {c:?}"
+    );
+}
+
 #[test]
 fn pipelined_hot_path_is_allocation_free_in_steady_state() {
     let mut dev = Device::builder()
@@ -137,20 +287,19 @@ fn pipelined_hot_path_is_allocation_free_in_steady_state() {
 
     // The measured window: >= 10k commands with the counter armed.
     let rounds = WINDOW_CMDS.div_ceil(per_round);
-    ARMED.store(true, Ordering::SeqCst);
     let mut total = 0usize;
-    for _ in 0..rounds {
-        total += round(&mut dev, &queues, &cmds, &mut buf);
-    }
-    ARMED.store(false, Ordering::SeqCst);
+    let c = census(rounds, |_| {
+        total += round(&mut dev, &queues, &cmds, &mut buf)
+    });
 
     assert!(total >= WINDOW_CMDS, "window too small: {total}");
-    let allocs = ALLOCS.load(Ordering::SeqCst);
-    let reallocs = REALLOCS.load(Ordering::SeqCst);
     assert_eq!(
-        (allocs, reallocs),
-        (0, 0),
-        "steady-state pipelined window must not touch the heap \
-         ({total} commands performed {allocs} allocs + {reallocs} reallocs)"
+        (c.allocs, c.bytes),
+        (0.0, 0.0),
+        "steady-state pipelined window must not touch the heap ({total} commands)"
     );
+
+    census_block_writes();
+    census_block_nand();
+    census_kv();
 }

@@ -213,3 +213,72 @@ fn overwrites_resolve_to_newest_after_recovery() {
         );
     }
 }
+
+/// Stores twenty 40 B values, deletes `k07`, restarts the store with
+/// `restart`, and expects the key gone and its neighbours intact.
+/// `flush_after_delete` pushes the tombstone out of the volatile staging
+/// page first, for restarts that lose it.
+fn deleted_key_stays_deleted(
+    cfg: KvStoreConfig,
+    flush_after_delete: bool,
+    restart: impl FnOnce(&mut KvStore),
+) {
+    let mut s = KvStore::open(cfg);
+    let key = |i: u32| format!("k{i:02}").into_bytes();
+    for i in 0..20 {
+        s.put(&key(i), &[i as u8 + 1; 40]).unwrap();
+    }
+    assert!(s.delete(&key(7)).unwrap());
+    assert!(!s.delete(&key(7)).unwrap(), "already gone");
+    if flush_after_delete {
+        for f in 0..100u32 {
+            s.put(format!("fill-{f:03}").as_bytes(), &[0xF1; 80])
+                .unwrap();
+        }
+        assert!(s.device_stats().flushes >= 2, "tombstone must be on NAND");
+    }
+    restart(&mut s);
+    assert_eq!(s.get(&key(7)).unwrap(), None, "deleted key came back");
+    assert!(!s.delete(&key(7)).unwrap());
+    for i in (0..20).filter(|&i| i != 7) {
+        assert_eq!(s.get(&key(i)).unwrap().unwrap(), [i as u8 + 1; 40]);
+    }
+    // The key is free to be stored again.
+    s.put(&key(7), b"again").unwrap();
+    assert_eq!(s.get(&key(7)).unwrap().unwrap(), b"again");
+}
+
+#[test]
+fn delete_survives_a_graceful_restart() {
+    // The tombstone is still in the staging page, which a graceful restart
+    // replays last.
+    deleted_key_stays_deleted(KvStoreConfig::default(), false, |s| {
+        s.power_cycle(true).unwrap();
+    });
+    deleted_key_stays_deleted(KvStoreConfig::default(), true, |s| {
+        s.power_cycle(true).unwrap();
+    });
+}
+
+#[test]
+fn delete_survives_a_crash_once_its_tombstone_is_flushed() {
+    deleted_key_stays_deleted(KvStoreConfig::default(), true, |s| {
+        s.power_cycle(false).unwrap();
+    });
+}
+
+#[test]
+fn delete_survives_a_hard_power_cycle() {
+    // Volatile staging: durable once flushed, like a PUT.
+    deleted_key_stays_deleted(KvStoreConfig::default(), true, |s| {
+        s.hard_power_cycle().unwrap();
+    });
+    // Write-through: durable at the ack.
+    let durable = KvStoreConfig {
+        durable_puts: true,
+        ..Default::default()
+    };
+    deleted_key_stays_deleted(durable, false, |s| {
+        s.hard_power_cycle().unwrap();
+    });
+}

@@ -7,7 +7,8 @@
 use byteexpress::driver::DriverError;
 use byteexpress::nvme::inline::MAX_INLINE_LEN;
 use byteexpress::{
-    Device, DeviceBuilder, DeviceError, FaultConfig, Nanos, RetryPolicy, Status, TransferMethod,
+    Device, DeviceBuilder, DeviceError, FaultConfig, IoOpcode, Nanos, PassthruCmd, QueueId,
+    RetryPolicy, Status, TransferMethod,
 };
 
 fn drop_every_doorbell() -> FaultConfig {
@@ -98,4 +99,58 @@ fn lost_completion_without_policy_is_an_error_not_a_panic() {
         dev.write_batch(&[(q, items(3))], TransferMethod::Prp)
             .map(|_| ()),
     );
+}
+
+/// Leaves a three-page PRP write (data pages plus a list page) and a read
+/// (a response page) in flight on `q`: submitted, never processed.
+fn strand_commands(dev: &mut Device, q: QueueId) {
+    let write = PassthruCmd::to_device(IoOpcode::Write, 1, vec![0x3C; 3 * 4096]);
+    let read = PassthruCmd::from_device(IoOpcode::Read, 1, 4096);
+    for cmd in [&write, &read] {
+        dev.driver_mut()
+            .submit(q, cmd, TransferMethod::Prp)
+            .expect("submit");
+    }
+}
+
+#[test]
+fn power_cycles_and_queue_deletion_return_every_host_page() {
+    let free_pages = |dev: &Device| dev.bus().mem.borrow().allocator().free_pages();
+    // Depth 64: one SQ page and one CQ page per queue pair.
+    let mut dev = Device::builder().queue_count(2).queue_depth(64).build();
+    let idle = free_pages(&dev);
+
+    // Rings and the pages of commands in flight at the cut come back.
+    let q = dev.queues()[0];
+    strand_commands(&mut dev, q);
+    assert_eq!(free_pages(&dev), idle - 5);
+    dev.power_cycle().unwrap();
+    assert_eq!(free_pages(&dev), idle, "a power cycle leaked host pages");
+    for _ in 0..3 {
+        dev.power_cycle().unwrap();
+    }
+    assert_eq!(free_pages(&dev), idle);
+
+    // The same for a queue pair deleted under its commands: its two ring
+    // pages come back with theirs.
+    let doomed = dev.queues()[1];
+    strand_commands(&mut dev, doomed);
+    dev.delete_io_queue(doomed).unwrap();
+    assert_eq!(
+        free_pages(&dev),
+        idle + 2,
+        "queue deletion leaked host pages"
+    );
+    // A pair the controller refuses — there is no doorbell left for a third
+    // queue id — keeps nothing either.
+    assert!(dev.add_io_queue(64).is_err());
+    assert_eq!(free_pages(&dev), idle + 2);
+
+    // The recycled frames carry stale bytes; rings built on them must not
+    // read any of it as a completion.
+    dev.power_cycle().unwrap();
+    let data = vec![0xA7; 512];
+    dev.write(3, &data, TransferMethod::Prp).unwrap();
+    assert_eq!(dev.read(3, data.len()).unwrap(), data);
+    assert_eq!(free_pages(&dev), idle + 2);
 }
