@@ -24,6 +24,9 @@
 //! error (exit 2).
 
 #![forbid(unsafe_code)]
+// Printed tables must not depend on hash order. The panic family stays off
+// here: these are CLI printers that `unwrap` argv and stdout.
+#![deny(clippy::iter_over_hash_type)]
 #![warn(missing_docs)]
 
 use byteexpress::{RunReport, TransferMethod};

@@ -8,7 +8,7 @@ use bx_driver::{
 };
 use bx_hostsim::{FaultConfig, FaultCounters, Nanos};
 use bx_nvme::{IoOpcode, PassthruCmd, QueueId, Status};
-use bx_pcie::{LinkConfig, TrafficCounters};
+use bx_pcie::{LinkConfig, LinkConfigError, TrafficCounters};
 use bx_ssd::{
     Arbitration, BlockFirmware, Controller, ControllerConfig, ControllerTiming, DeviceDram,
     ExecutionModel, FetchPolicy, FirmwareHandler, NandConfig, RecoveryReport, SystemBus,
@@ -22,6 +22,8 @@ pub enum DeviceError {
     Driver(DriverError),
     /// The device completed the command with a failure status.
     Command(Status),
+    /// [`DeviceBuilder::try_build`] was handed a structurally invalid link.
+    Link(LinkConfigError),
 }
 
 impl fmt::Display for DeviceError {
@@ -29,6 +31,7 @@ impl fmt::Display for DeviceError {
         match self {
             DeviceError::Driver(e) => write!(f, "driver error: {e}"),
             DeviceError::Command(s) => write!(f, "command failed: {s}"),
+            DeviceError::Link(e) => write!(f, "invalid LinkConfig: {e}"),
         }
     }
 }
@@ -130,14 +133,10 @@ impl DeviceBuilder {
 
     /// Sets the PCIe link configuration.
     ///
-    /// The config is validated here (and again in [`DeviceBuilder::build`],
-    /// which covers hand-mutated defaults): a structurally invalid link —
-    /// zero or non-power-of-two MPS/MRRS, bogus lane count — is a hard
-    /// error, not something the TLP segmenters quietly clamp.
+    /// [`DeviceBuilder::try_build`] validates it: a structurally invalid
+    /// link — zero or non-power-of-two MPS/MRRS, bogus lane count — is a
+    /// hard error, not something the TLP segmenters quietly clamp.
     pub fn link(mut self, link: LinkConfig) -> Self {
-        if let Err(e) = link.validate() {
-            panic!("invalid LinkConfig: {e}");
-        }
         self.link = link;
         self
     }
@@ -280,10 +279,22 @@ impl DeviceBuilder {
     /// Builds the device, performing the full NVMe bring-up: admin queue
     /// registers, controller enable, Identify, and admin-command queue
     /// creation.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`DeviceBuilder::try_build`] returns an error.
+    #[expect(
+        clippy::panic,
+        reason = "the infallible convenience over try_build; a configuration that cannot be built is the caller's bug"
+    )]
     pub fn build(self) -> Device {
-        if let Err(e) = self.link.validate() {
-            panic!("invalid LinkConfig: {e}");
-        }
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`DeviceBuilder::build`], with an invalid link, a failed bring-up or
+    /// queues that do not fit host memory reported instead of panicking.
+    pub fn try_build(self) -> Result<Device, DeviceError> {
+        self.link.validate().map_err(DeviceError::Link)?;
         // One doorbell pair per I/O queue plus the admin queue.
         let mut bus = SystemBus::new(self.link, self.host_mem_capacity, self.queue_count + 1);
         if self.trace {
@@ -335,18 +346,12 @@ impl DeviceBuilder {
         driver.set_retry_policy(self.retry_policy);
         driver.set_flush_policy(self.flush_policy);
         driver.set_cq_coalesce(self.cq_coalesce);
-        let identify = driver
-            .initialize(&mut ctrl)
-            .expect("controller bring-up must succeed");
+        let identify = driver.initialize(&mut ctrl)?;
         let mut qids = Vec::with_capacity(self.queue_count);
         for _ in 0..self.queue_count {
-            qids.push(
-                driver
-                    .create_io_queue(&mut ctrl, self.queue_depth)
-                    .expect("host memory must fit the configured queues"),
-            );
+            qids.push(driver.create_io_queue(&mut ctrl, self.queue_depth)?);
         }
-        Device {
+        Ok(Device {
             bus,
             driver,
             ctrl,
@@ -354,7 +359,7 @@ impl DeviceBuilder {
             queue_depths: vec![self.queue_depth; self.queue_count],
             identify,
             write_cmd: PassthruCmd::to_device(IoOpcode::Write, 1, Vec::new()),
-        }
+        })
     }
 }
 
@@ -891,7 +896,18 @@ mod tests {
     fn builder_rejects_zero_mps_link() {
         let mut link = LinkConfig::gen2_x8();
         link.max_payload_size = 0;
-        let _ = Device::builder().link(link);
+        let _ = Device::builder().link(link).build();
+    }
+
+    #[test]
+    fn try_build_rejects_zero_mps_link() {
+        let mut link = LinkConfig::gen2_x8();
+        link.max_payload_size = 0;
+        let err = Device::builder().link(link).try_build().err();
+        assert_eq!(
+            err,
+            Some(DeviceError::Link(LinkConfigError::BadMaxPayloadSize(0)))
+        );
     }
 
     #[test]
@@ -900,5 +916,12 @@ mod tests {
         let mut builder = Device::builder();
         builder.link.max_read_request_size = 300;
         let _ = builder.build();
+    }
+
+    #[test]
+    fn try_build_rejects_hand_mutated_bad_link() {
+        let mut builder = Device::builder();
+        builder.link.max_read_request_size = 300;
+        assert!(builder.try_build().is_err());
     }
 }

@@ -43,6 +43,20 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// No input may panic the library, and nothing may depend on hash order: a
+// site that stays carries an `#[expect]` with its reason (DESIGN.md §11).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::iter_over_hash_type
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod device;
@@ -58,7 +72,7 @@ pub use bx_driver::{
 };
 pub use bx_hostsim::{EventQueue, FaultConfig, FaultCounters, Nanos, PhysAddr, PAGE_SIZE};
 pub use bx_nvme::{IoOpcode, PassthruCmd, QueueId, Status, SubmissionEntry};
-pub use bx_pcie::{LinkConfig, PcmCounters, TrafficClass, TrafficCounters};
+pub use bx_pcie::{LinkConfig, LinkConfigError, PcmCounters, TrafficClass, TrafficCounters};
 pub use bx_ssd::{
     Arbitration, ControllerTiming, ExecutionModel, FetchPolicy, FirmwareCtx, FirmwareHandler,
     NandConfig, RecoveryReport, SystemBus,

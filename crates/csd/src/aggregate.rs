@@ -195,6 +195,10 @@ pub fn host_aggregate(
     let mut out = Vec::with_capacity(groups.len());
     for (_, (group, acc)) in groups {
         let mut values = Vec::with_capacity(aggregates.len());
+        #[expect(
+            clippy::expect_used,
+            reason = "every Sum/Avg/Min/Max column was pushed onto numeric_cols by the resolve loop above"
+        )]
         let slot_of = |col: &str| {
             numeric_cols
                 .iter()
@@ -204,6 +208,7 @@ pub fn host_aggregate(
         for a in &aggregates {
             values.push(match a {
                 Aggregate::Column(c) => {
+                    #[expect(clippy::expect_used, reason = "the resolve loop above returned NotGrouped for any projected column missing from group_cols")]
                     let pos = group_cols.iter().position(|g| g == c).expect("validated");
                     group[pos].clone()
                 }

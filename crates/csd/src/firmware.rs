@@ -108,10 +108,18 @@ impl CsdFirmware {
         nand_io: bool,
         stats: Rc<RefCell<CsdDeviceStats>>,
     ) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "construction-time sizing bug, not a runtime state; DRAM capacity is a build parameter"
+        )]
         let result = dram
             .alloc_region("csd-result", RESULT_CAPACITY)
             .expect("device DRAM too small for CSD result workspace");
         let log_pages = (dram.remaining() / 2) / PAGE_SIZE;
+        #[expect(
+            clippy::expect_used,
+            reason = "construction-time sizing bug, not a runtime state; DRAM capacity is a build parameter"
+        )]
         let log = dram
             .alloc_region("csd-dram-log", log_pages * PAGE_SIZE)
             .expect("device DRAM too small for CSD page log");

@@ -24,6 +24,20 @@
 //!   tables.
 
 #![forbid(unsafe_code)]
+// No input may panic the library, and nothing may depend on hash order: a
+// site that stays carries an `#[expect]` with its reason (DESIGN.md §11).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::iter_over_hash_type
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod aggregate;

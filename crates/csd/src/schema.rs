@@ -180,7 +180,10 @@ impl<'a> Cursor<'a> {
         String::from_utf8(b.to_vec()).ok()
     }
 
-    #[allow(dead_code)]
+    #[allow(
+        dead_code,
+        reason = "no decoder asks how much is left yet; kept beside the take_* family"
+    )]
     pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }

@@ -262,7 +262,7 @@ impl InflightTable {
         debug_assert!(!self.contains(cid), "cid {cid} already in flight");
         let slot = match self.free.pop() {
             Some(slot) => {
-                // bx-lint: allow(panic-freedom, reason = "free-list entries index slots pushed below")
+                // Free-list entries index slots pushed below.
                 self.slots[slot as usize] = Some((cid, inflight));
                 slot
             }
@@ -271,7 +271,7 @@ impl InflightTable {
                 (self.slots.len() - 1) as u32
             }
         };
-        // bx-lint: allow(panic-freedom, reason = "slot_of_cid spans the full u16 cid space")
+        // `slot_of_cid` spans the full u16 cid space.
         self.slot_of_cid[cid as usize] = slot + 1;
         self.live += 1;
     }
@@ -280,7 +280,7 @@ impl InflightTable {
         let indexed = self.slot_of_cid.get_mut(cid as usize)?;
         let slot = indexed.checked_sub(1)?;
         *indexed = 0;
-        // bx-lint: allow(panic-freedom, reason = "non-zero index entries always name a live slot")
+        // Non-zero index entries always name a live slot.
         let (stored_cid, inflight) = self.slots[slot as usize].take()?;
         debug_assert_eq!(stored_cid, cid);
         self.free.push(slot);
@@ -856,7 +856,10 @@ impl NvmeDriver {
                     // so the device can echo it on the status word
                     // (completion routing).
                     TransferMethod::MmioByte => self.submit_mmio_byte(qid, sqe, &cmd.data),
-                    // bx-lint: allow(panic-freedom, reason = "resolve() above maps Hybrid to a concrete method; this arm is a driver bug, not a reachable state")
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "resolve() above maps Hybrid to a concrete method; this arm is a driver bug, not a reachable state"
+                    )]
                     TransferMethod::Hybrid { .. } => unreachable!("resolved above"),
                 }
             }
@@ -1036,7 +1039,6 @@ impl NvmeDriver {
 
         // The critical section the paper leans on: command and chunks are
         // placed contiguously while holding the SQ lock.
-        // bx-lint: allow(blocking-in-poll, reason = "models the kernel SQ lock; uncontended by construction in the single-threaded sim, never held across a yield")
         let _guard = qp.lock.lock();
         let slot = qp.sq.push_slot();
         bus.mem
@@ -1219,7 +1221,6 @@ impl NvmeDriver {
         if !qp.sq.can_push(1) {
             return Err(DriverError::QueueFull { needed: 1, free: 0 });
         }
-        // bx-lint: allow(blocking-in-poll, reason = "models the kernel SQ lock; uncontended by construction in the single-threaded sim, never held across a yield")
         let _guard = qp.lock.lock();
         let slot = qp.sq.push_slot();
         bus.mem
@@ -1527,7 +1528,10 @@ impl NvmeDriver {
             // history dependent); sort so reaps surface in cid order.
             expired.sort_unstable();
             for cid in expired {
-                // bx-lint: allow(panic-freedom, reason = "cids were collected from this table two lines up with no intervening removal")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "cids were collected from this table two lines up with no intervening removal"
+                )]
                 let inflight = qp.inflight.remove(cid).expect("listed above");
                 let submitted_at = inflight.submitted_at;
                 self.spare_page_lists
@@ -1858,6 +1862,10 @@ fn ring_cq_head(bus: &SystemBus, qid: QueueId, head: u16) {
 }
 
 impl QueuePair {
+    #[expect(
+        clippy::panic,
+        reason = "queue depth is bounded far below 65536 in-flight cids; exhaustion is unrepresentable"
+    )]
     fn alloc_cid(&mut self) -> u16 {
         // Wrapping CID allocation, skipping ids still in flight.
         for _ in 0..=u16::MAX {
@@ -1867,7 +1875,6 @@ impl QueuePair {
                 return cid;
             }
         }
-        // bx-lint: allow(panic-freedom, reason = "queue depth is bounded far below 65536 in-flight cids; exhaustion is unrepresentable")
         panic!("no free command identifiers");
     }
 }

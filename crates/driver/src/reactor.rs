@@ -95,7 +95,7 @@ struct Shard {
 
 impl Shard {
     fn pick_queue(&mut self) -> QueueId {
-        // bx-lint: allow(panic-freedom, reason = "Reactor::new always creates at least one queue per shard")
+        // `Reactor::new` always creates at least one queue per shard.
         let qid = self.queues[self.next_queue % self.queues.len()];
         self.next_queue = (self.next_queue + 1) % self.queues.len();
         qid
@@ -426,6 +426,10 @@ impl Reactor {
     /// Panics if the task set deadlocks: some task is pending while no
     /// command is in flight and no completion can ever arrive (e.g. a
     /// future awaiting something the reactor does not drive).
+    #[expect(
+        clippy::panic,
+        reason = "a pending task with zero commands in flight can never be woken — failing loudly beats spinning forever"
+    )]
     pub fn run<T>(&mut self, tasks: Vec<Pin<Box<dyn Future<Output = T>>>>) -> Vec<T> {
         struct Slot<T> {
             future: Pin<Box<dyn Future<Output = T>>>,
@@ -473,7 +477,6 @@ impl Reactor {
                         .emit(None, || EventKind::ReactorIdleAdvance { step });
                     self.bus.clock.advance(step);
                 } else {
-                    // bx-lint: allow(panic-freedom, reason = "a pending task with zero commands in flight can never be woken — failing loudly beats spinning forever")
                     panic!(
                         "reactor deadlock: {remaining} task(s) pending with no command in flight"
                     );
@@ -606,7 +609,6 @@ impl Future for CommandFuture {
                         // next drain, when consumed CQEs have released SQ
                         // slots.
                         shard.capacity.push(cx.waker().clone());
-                        // bx-lint: allow(borrow-across-pending, reason = "guard drops as this tail expression returns; wakes are deferred flag-sets, never re-entrant polls")
                         Poll::Pending
                     }
                     Err(e) => {
@@ -627,7 +629,6 @@ impl Future for CommandFuture {
                         // Let the flush policy ring a due doorbell now
                         // rather than waiting for the executor to go idle.
                         let _ = shard.driver.flush_sq_if_due(this.qid);
-                        // bx-lint: allow(borrow-across-pending, reason = "guard drops as this tail expression returns; wakes are deferred flag-sets, never re-entrant polls")
                         Poll::Pending
                     }
                 }
@@ -648,7 +649,6 @@ impl Future for CommandFuture {
                     }
                     None => {
                         waiter.waker = Some(cx.waker().clone());
-                        // bx-lint: allow(borrow-across-pending, reason = "guard drops as this tail expression returns; wakes are deferred flag-sets, never re-entrant polls")
                         Poll::Pending
                     }
                 }

@@ -271,7 +271,7 @@ mod tests {
         fn deterministic_and_matches_model(
             times in proptest::collection::vec(0u64..50, 1..200)
         ) {
-            let pushes: Vec<(u64, usize)> = times.iter().copied().zip(0..).map(|(t, i)| (t, i)).collect();
+            let pushes: Vec<(u64, usize)> = times.iter().copied().zip(0..).collect();
             let drain = |pushes: &[(u64, usize)]| {
                 let mut q = EventQueue::new();
                 for &(t, i) in pushes {

@@ -149,11 +149,19 @@ impl KvFirmware {
         nand_io: bool,
         stats: Rc<RefCell<KvDeviceStats>>,
     ) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "construction-time sizing bug, not a runtime state; DRAM capacity is a build parameter"
+        )]
         let staging = dram
             .alloc_region("kv-staging", PAGE_SIZE)
             .expect("device DRAM too small for KV staging");
         // DRAM-resident log for NAND-off mode: half the remaining DRAM.
         let log_pages = (dram.remaining() / 2) / PAGE_SIZE;
+        #[expect(
+            clippy::expect_used,
+            reason = "construction-time sizing bug, not a runtime state; DRAM capacity is a build parameter"
+        )]
         let log = dram
             .alloc_region("kv-dram-log", log_pages * PAGE_SIZE)
             .expect("device DRAM too small for KV log");

@@ -73,7 +73,7 @@ struct RunMeta {
     /// First key of each page, for page-level binary search.
     page_index: Vec<PaddedKey>,
     /// Entry count (reported by stats/debugging; not used on hot paths).
-    #[allow(dead_code)]
+    #[allow(dead_code, reason = "read only through the Debug derive")]
     entries: usize,
 }
 
@@ -106,6 +106,10 @@ impl LsmKvFirmware {
     /// Like [`LsmKvFirmware::new`], sharing `stats` with the host handle.
     pub fn with_stats(dram: &mut DeviceDram, nand_io: bool, stats: Rc<RefCell<LsmStats>>) -> Self {
         let log_pages = (dram.remaining() / 2) / PAGE_SIZE;
+        #[expect(
+            clippy::expect_used,
+            reason = "construction-time sizing bug, not a runtime state; DRAM capacity is a build parameter"
+        )]
         let log = dram
             .alloc_region("lsm-dram-log", log_pages * PAGE_SIZE)
             .expect("device DRAM too small for LSM page log");
@@ -221,7 +225,10 @@ impl LsmKvFirmware {
             if *count > 0 {
                 page[..4].copy_from_slice(&count.to_le_bytes());
                 pages.push(std::mem::replace(page, vec![0u8; PAGE_SIZE]));
-                // bx-lint: allow(transitive-panic, reason = "count > 0 implies first was set when the first entry was appended to this page")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "count > 0 implies first was set when the first entry was appended to this page"
+                )]
                 page_index.push(first.take().expect("page has entries"));
                 *off = 4;
                 *count = 0;

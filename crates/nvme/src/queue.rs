@@ -7,6 +7,10 @@
 //! side learns the other's index through doorbells and CQE fields, exactly as
 //! in the spec.
 
+// Ring and bitmap arithmetic: a computed index aborts on the one input
+// nobody tested, so every `x[i]` here is an `#[expect]` with its bound.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::sqe::SubmissionEntry;
 use bx_hostsim::{DmaRegion, PhysAddr};
 use std::fmt;
@@ -292,34 +296,46 @@ impl DoorbellArray {
     /// # Panics
     ///
     /// Panics on an out-of-range queue id.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "out-of-range queue id is a documented panic (BAR access fault in hardware)"
+    )]
     pub fn ring_sq_tail(&mut self, q: QueueId, tail: u16) {
         debug_assert!(
             (q.0 as usize) < self.sq_tails.len(),
             "queue id out of range"
         );
-        // bx-lint: allow(panic-freedom, reason = "out-of-range queue id is a documented panic (BAR access fault in hardware)")
         self.sq_tails[q.0 as usize] = tail;
     }
 
     /// Reads the SQ tail doorbell for `q` (controller side).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "out-of-range queue id is a documented panic (BAR access fault in hardware)"
+    )]
     pub fn sq_tail(&self, q: QueueId) -> u16 {
-        // bx-lint: allow(panic-freedom, reason = "out-of-range queue id is a documented panic (BAR access fault in hardware)")
         self.sq_tails[q.0 as usize]
     }
 
     /// Writes the CQ head doorbell for `q`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "out-of-range queue id is a documented panic (BAR access fault in hardware)"
+    )]
     pub fn ring_cq_head(&mut self, q: QueueId, head: u16) {
         debug_assert!(
             (q.0 as usize) < self.cq_heads.len(),
             "queue id out of range"
         );
-        // bx-lint: allow(panic-freedom, reason = "out-of-range queue id is a documented panic (BAR access fault in hardware)")
         self.cq_heads[q.0 as usize] = head;
     }
 
     /// Reads the CQ head doorbell for `q` (controller side).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "out-of-range queue id is a documented panic (BAR access fault in hardware)"
+    )]
     pub fn cq_head(&self, q: QueueId) -> u16 {
-        // bx-lint: allow(panic-freedom, reason = "out-of-range queue id is a documented panic (BAR access fault in hardware)")
         self.cq_heads[q.0 as usize]
     }
 

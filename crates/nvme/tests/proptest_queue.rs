@@ -44,7 +44,7 @@ proptest! {
         let mut completed: u64 = 0;
         for _ in 0..300 {
             let outstanding = (pushed - completed) as u16;
-            let push = q.can_push(1) && (outstanding == 0 || next(&mut seed) % 2 == 0);
+            let push = q.can_push(1) && (outstanding == 0 || next(&mut seed).is_multiple_of(2));
             if push {
                 q.push_slot();
                 pushed += 1;
@@ -93,7 +93,7 @@ proptest! {
         let mut prod = CqProducer::new(depth);
         for k in 0..pops {
             let wraps = k / depth as u32;
-            prop_assert_eq!(ring.expected_phase(), wraps % 2 == 0);
+            prop_assert_eq!(ring.expected_phase(), wraps.is_multiple_of(2));
             prop_assert_eq!(ring.head() as u32, k % depth as u32);
             let (slot, phase) = prod.produce();
             prop_assert_eq!(slot, ring.head());
@@ -117,7 +117,7 @@ proptest! {
             pushed += 1;
         }
         q.complete_up_to(head);
-        prop_assume!(used <= depth - 1);
+        prop_assume!(used < depth);
         for _ in 0..used {
             q.push_slot();
             pushed += 1;

@@ -1,8 +1,8 @@
-//! Property tests pinning the wire layout of every registered ring type:
+//! Property tests pinning the wire layout of every ring type:
 //! encode→decode is the identity on arbitrary bit patterns, and the encoded
-//! images have exactly the sizes the const asserts (and bx-lint's wire
-//! registry) claim. A layout drift that somehow slips past the const pins
-//! fails here on the first shrunk counterexample.
+//! images have exactly the sizes the const asserts claim. A layout drift
+//! that somehow slips past the const pins fails here on the first shrunk
+//! counterexample.
 
 use bx_nvme::inline::{ChunkHeader, REASSEMBLY_HEADER_BYTES};
 use bx_nvme::sgl::SglDescriptor;

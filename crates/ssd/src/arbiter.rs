@@ -15,6 +15,10 @@
 //! bursts trade fairness granularity for fetch locality; weighted mode
 //! lets a hot queue drain faster without starving the rest.
 
+// Ring and bitmap arithmetic: a computed index aborts on the one input
+// nobody tested, so every `x[i]` here is an `#[expect]` with its bound.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 /// SQ arbitration mode (the spec's CC.AMS plus arbitration burst).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arbitration {

@@ -355,11 +355,14 @@ impl Controller {
     ///
     /// Panics on an unknown queue id.
     pub fn set_queue_weight(&mut self, q: QueueId, weight: u8) {
+        #[expect(
+            clippy::panic,
+            reason = "documented panic: configuring a nonexistent queue is a harness bug, not a runtime state"
+        )]
         let queue = self
             .queues
             .iter_mut()
             .find(|io| io.id == q)
-            // bx-lint: allow(panic-freedom, reason = "documented panic: configuring a nonexistent queue is a harness bug, not a runtime state")
             .unwrap_or_else(|| panic!("unknown queue {q}"));
         queue.weight = weight;
     }
@@ -719,7 +722,10 @@ impl Controller {
                 .is_some_and(|p| now.saturating_sub(p.parked_at) > self.stall_deadline);
             // Never evict a train that still has fetchable entries queued.
             if expired && !self.queue_has_work(qi) {
-                // bx-lint: allow(panic-freedom, reason = "is_some_and on the same field two lines up makes take() infallible here")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "is_some_and on the same field two lines up makes take() infallible here"
+                )]
                 let pending = self.queues[qi].inline_pending.take().expect("checked");
                 let outcome = CommandOutcome::fail(Status::DataTransferError, now);
                 let key = CmdKey::new(self.queues[qi].id.0, pending.sqe.cid());
@@ -789,7 +795,10 @@ impl Controller {
         }
         self.bus.clock.advance(self.timing.fetch_dispatch_overhead);
         let img = {
-            // bx-lint: allow(panic-freedom, reason = "process_admin_one is gated on admin doorbell state, which only exists once the admin queue is latched")
+            #[expect(
+                clippy::expect_used,
+                reason = "process_admin_one is gated on admin doorbell state, which only exists once the admin queue is latched"
+            )]
             let q = self.admin.as_mut().expect("admin queue latched");
             fetch_image(&self.bus, q)
         };
@@ -802,7 +811,10 @@ impl Controller {
         let sqe = SubmissionEntry::from_bytes(&img);
 
         let outcome = self.handle_admin(&sqe);
-        // bx-lint: allow(panic-freedom, reason = "same gate as the fetch above; the admin queue cannot unlatch mid-command")
+        #[expect(
+            clippy::expect_used,
+            reason = "same gate as the fetch above; the admin queue cannot unlatch mid-command"
+        )]
         let q = self.admin.as_mut().expect("admin queue latched");
         post_to_queue(&self.bus, &self.timing, q, sqe.cid(), &outcome);
         self.stats.admin_commands += 1;
@@ -930,6 +942,7 @@ impl Controller {
             opcode: sqe.opcode_raw(),
         });
 
+        let mut completed = 0;
         // Gather the host→device payload per transfer method.
         let payload: Option<Vec<u8>> = if let Some(len) = inline::inline_len(&sqe) {
             match self.fetch_policy {
@@ -954,7 +967,19 @@ impl Controller {
                 }
             }
         } else if let Some(total) = bandslim::head_len(&sqe) {
-            match self.begin_bandslim(qi, &sqe, total) {
+            // A head while an earlier one still waits for fragments strands
+            // that one: fail it as an out-of-order fragment would.
+            if let Some(stale) = self.queues[qi].bandslim_pending.take() {
+                completed += self.fail_bandslim(qi, stale.head.cid());
+                self.recycle_payload(stale.buf);
+            }
+            // CDW3 is wire-supplied (up to 255); no head carries more than
+            // `HEAD_CAPACITY` bytes.
+            let embedded = bandslim::head_embedded(&sqe).min(total);
+            if embedded > bandslim::HEAD_CAPACITY {
+                return completed + self.fail_bandslim(qi, sqe.cid());
+            }
+            match self.begin_bandslim(qi, &sqe, total, embedded) {
                 Some(p) => {
                     self.bus.trace.emit_cmd(key, || EventKind::DataFetch {
                         kind: "bandslim",
@@ -962,7 +987,7 @@ impl Controller {
                     });
                     Some(p)
                 }
-                None => return 0, // fragments still to come
+                None => return completed, // fragments still to come
             }
         } else if opcode_moves_data_in(&sqe) {
             let payload = self.gather_dptr(&sqe);
@@ -981,7 +1006,7 @@ impl Controller {
             None
         };
 
-        let completed = self.dispatch_and_complete(qi, &sqe, payload.as_deref());
+        completed += self.dispatch_and_complete(qi, &sqe, payload.as_deref());
         if let Some(buf) = payload {
             self.recycle_payload(buf);
         }
@@ -1062,10 +1087,13 @@ impl Controller {
         let (hdr, data) = inline::split_reassembly_chunk(&img);
         let accepted = self.reassembly.accept_at(hdr, data, self.bus.clock.now());
         let qid = self.queues[qi].id.0;
+        #[expect(
+            clippy::expect_used,
+            reason = "chunk slots are only fetched while a head command is parked; queue_has_work enforces this"
+        )]
         let pending = self.queues[qi]
             .inline_pending
             .as_mut()
-            // bx-lint: allow(panic-freedom, reason = "chunk slots are only fetched while a head command is parked; queue_has_work enforces this")
             .expect("chunk fetch requires a parked command");
         pending.remaining -= 1;
         let last = pending.remaining == 0;
@@ -1078,9 +1106,15 @@ impl Controller {
 
         match (accepted, last) {
             (Ok(Some(completed)), true) => {
-                // bx-lint: allow(panic-freedom, reason = "the parked command was borrowed above; only this arm consumes it")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the parked command was borrowed above; only this arm consumes it"
+                )]
                 let pending = self.queues[qi].inline_pending.take().expect("parked");
-                // bx-lint: allow(panic-freedom, reason = "commands park in inline_pending only after inline_len() succeeded at dispatch")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "commands park in inline_pending only after inline_len() succeeded at dispatch"
+                )]
                 let len = inline::inline_len(&pending.sqe).expect("inline command");
                 let mut payload = completed.data;
                 payload.truncate(len);
@@ -1095,7 +1129,10 @@ impl Controller {
             // Last chunk but no completed payload: the train was malformed
             // (duplicate ids, wrong totals). Fail the command visibly.
             (Ok(None), true) | (Err(_), true) => {
-                // bx-lint: allow(panic-freedom, reason = "the parked command was borrowed above; only the terminal arms consume it")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the parked command was borrowed above; only the terminal arms consume it"
+                )]
                 let pending = self.queues[qi].inline_pending.take().expect("parked");
                 let outcome = CommandOutcome::fail(Status::DataTransferError, self.bus.clock.now());
                 self.post_completion(qi, pending.sqe.cid(), &outcome);
@@ -1104,14 +1141,15 @@ impl Controller {
         }
     }
 
-    /// Starts (or finishes, if fully embedded) a BandSlim transfer.
+    /// Starts (or finishes, if fully embedded) a BandSlim transfer of
+    /// `total` bytes, `embedded` (≤ `HEAD_CAPACITY`) of them in the head.
     fn begin_bandslim(
         &mut self,
         qi: usize,
         sqe: &SubmissionEntry,
         total: usize,
+        embedded: usize,
     ) -> Option<Vec<u8>> {
-        let embedded = bandslim::head_embedded(sqe).min(total);
         let mut buf = self.take_scratch_payload(total);
         bandslim::decode_head(sqe, embedded, &mut buf);
         self.stats.bandslim_payload_bytes += embedded as u64;
@@ -1127,6 +1165,14 @@ impl Controller {
         None
     }
 
+    /// Fails BandSlim command `cid`, whose framing the host broke; returns
+    /// the one completion posted.
+    fn fail_bandslim(&mut self, qi: usize, cid: u16) -> usize {
+        let out = CommandOutcome::fail(Status::InvalidField, self.bus.clock.now());
+        self.post_completion(qi, cid, &out);
+        1
+    }
+
     /// Consumes one BandSlim fragment; dispatches the head command when the
     /// payload is complete.
     fn absorb_bandslim_frag(&mut self, qi: usize, sqe: &SubmissionEntry) -> usize {
@@ -1135,9 +1181,7 @@ impl Controller {
 
         let Some(mut pending) = self.queues[qi].bandslim_pending.take() else {
             // Orphan fragment: fail it visibly.
-            let out = CommandOutcome::fail(Status::InvalidField, self.bus.clock.now());
-            self.post_completion(qi, sqe.cid(), &out);
-            return 1;
+            return self.fail_bandslim(qi, sqe.cid());
         };
         let remaining = pending.total - pending.buf.len();
         let take = remaining.min(bandslim::FRAG_CAPACITY);
@@ -1145,9 +1189,7 @@ impl Controller {
         let completed = if frag_no != pending.next_frag || sqe.cid() != pending.head.cid() {
             // Out-of-order or cross-command fragment — the serialization
             // BandSlim requires was violated.
-            let out = CommandOutcome::fail(Status::InvalidField, self.bus.clock.now());
-            self.post_completion(qi, pending.head.cid(), &out);
-            1
+            self.fail_bandslim(qi, pending.head.cid())
         } else {
             pending.next_frag += 1;
             self.stats.bandslim_payload_bytes += take as u64;
@@ -1354,9 +1396,11 @@ impl Controller {
                     break;
                 }
                 let (chunk, tail) = rest.split_at(seg.len.min(rest.len()));
-                mem.write(addr, chunk)
-                    // bx-lint: allow(panic-freedom, reason = "segment extents were validated by the SGL/PRP walk that produced them")
-                    .expect("response buffer in bounds");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "segment extents were validated by the SGL/PRP walk that produced them"
+                )]
+                mem.write(addr, chunk).expect("response buffer in bounds");
                 let t = link
                     .borrow_mut()
                     .device_posted_write(TrafficClass::DeviceToHostData, chunk.len());
@@ -1473,10 +1517,13 @@ fn fetch_image(bus: &SystemBus, q: &mut IoQueue) -> [u8; 64] {
     let addr = q.sq_base.offset(q.fetch_head as u64 * SQE_BYTES as u64);
     q.fetch_head = (q.fetch_head + 1) % q.sq_depth;
     let mut img = [0u8; 64];
+    #[expect(
+        clippy::expect_used,
+        reason = "ring geometry is asserted at queue creation; slot math cannot escape the region"
+    )]
     bus.mem
         .borrow()
         .read(addr, &mut img)
-        // bx-lint: allow(panic-freedom, reason = "ring geometry is asserted at queue creation; slot math cannot escape the region")
         .expect("SQ ring must be in bounds");
     img
 }
@@ -1500,10 +1547,13 @@ fn post_to_queue(
     let mut cqe = CompletionEntry::new(cid, q.id.0, q.fetch_head, outcome.status, phase);
     cqe.set_result(outcome.result);
     let addr = q.cq_base.offset(slot as u64 * CQE_BYTES as u64);
+    #[expect(
+        clippy::expect_used,
+        reason = "ring geometry is asserted at queue creation; slot math cannot escape the region"
+    )]
     bus.mem
         .borrow_mut()
         .write(addr, &cqe.to_bytes())
-        // bx-lint: allow(panic-freedom, reason = "ring geometry is asserted at queue creation; slot math cannot escape the region")
         .expect("CQ ring in bounds");
     let t = {
         let mut link = bus.link.borrow_mut();
@@ -1534,6 +1584,7 @@ mod tests {
     use super::*;
     use crate::firmware::BlockFirmware;
     use bx_pcie::LinkConfig;
+    use proptest::prelude::*;
 
     /// A minimal hand-rolled driver for controller unit tests: writes SQEs
     /// and chunks straight into SQ memory and rings doorbells. The real
@@ -1773,6 +1824,155 @@ mod tests {
         ctrl.process_available();
         let cqe = drv.pop_cqe().unwrap();
         assert_eq!(cqe.status(), Status::InvalidField);
+    }
+
+    /// A BandSlim head for `len` payload bytes whose CDW3 claims `count` of
+    /// them embedded — any `count`, not only what `encode_head` would record.
+    fn bandslim_head(cid: u16, len: usize, count: u32) -> SubmissionEntry {
+        let mut head = SubmissionEntry::io(IoOpcode::Write, cid, 1);
+        let embedded = [0x5A; bandslim::HEAD_CAPACITY];
+        let embedded = &embedded[..len.min(embedded.len())];
+        bandslim::encode_head(&mut head, embedded, bandslim::HEAD_CAPACITY);
+        head.set_cdw2(head.cdw2() & 0xFF00_0000 | len as u32);
+        head.set_cdw3(count);
+        head
+    }
+
+    #[test]
+    fn bandslim_head_with_oversized_embed_count_fails_visibly() {
+        let (bus, mut ctrl) = setup(false);
+        let mut drv = MiniDriver::new(&bus, &mut ctrl, 64);
+
+        drv.push_raw(&bandslim_head(5, 300, 200).to_bytes());
+        drv.ring();
+        assert_eq!(ctrl.process_available(), 1);
+        let cqe = drv.pop_cqe().unwrap();
+        assert_eq!((cqe.cid(), cqe.status()), (5, Status::InvalidField));
+        assert!(drv.pop_cqe().is_none());
+
+        // The controller still serves the next command.
+        drv.push_raw(&bandslim_head(6, 20, 20).to_bytes());
+        drv.ring();
+        assert_eq!(ctrl.process_available(), 1);
+        let cqe = drv.pop_cqe().unwrap();
+        assert_eq!((cqe.cid(), cqe.status()), (6, Status::Success));
+    }
+
+    /// One raw BandSlim SQ entry with wire-supplied framing fields.
+    #[derive(Debug, Clone)]
+    enum BandSlimEntry {
+        Head { cid: u16, len: usize, count: u32 },
+        Frag { cid: u16, frag_no: u32 },
+    }
+
+    fn bandslim_entry() -> impl Strategy<Value = BandSlimEntry> {
+        // Few cids and small fragment numbers, so fragments do hit the
+        // pending head in order; the wide arms are the hostile field values.
+        let len = prop_oneof![8 => 0..400usize, 1 => Just(0x00FF_FFFF)];
+        let count = prop_oneof![4 => 0..=40u32, 1 => any::<u32>()];
+        let frag_no = prop_oneof![6 => 0..4u32, 1 => any::<u32>()];
+        prop_oneof![
+            2 => (0..4u16, len, count)
+                .prop_map(|(cid, len, count)| BandSlimEntry::Head { cid, len, count }),
+            3 => (0..4u16, frag_no).prop_map(|(cid, frag_no)| BandSlimEntry::Frag { cid, frag_no }),
+        ]
+    }
+
+    /// What the controller owes the host for a stream of BandSlim entries:
+    /// the `(cid, status)` of every CQE, in order. `pending` is the head
+    /// still waiting for fragments: `(cid, total, received, next fragment)`.
+    #[derive(Default)]
+    struct BandSlimModel {
+        pending: Option<(u16, usize, usize, u32)>,
+        cqes: Vec<(u16, Status)>,
+    }
+
+    impl BandSlimModel {
+        fn dispatch(&mut self, cid: u16, total: usize) {
+            // BlockFirmware, NAND off: a write lands unless it is empty.
+            let status = if total == 0 {
+                Status::InvalidField
+            } else {
+                Status::Success
+            };
+            self.cqes.push((cid, status));
+        }
+
+        fn feed(&mut self, entry: &BandSlimEntry) {
+            match *entry {
+                BandSlimEntry::Head { cid, len, count } => {
+                    if let Some((stale, ..)) = self.pending.take() {
+                        self.cqes.push((stale, Status::InvalidField));
+                    }
+                    let embedded = ((count & 0xFF) as usize).min(len);
+                    if embedded > bandslim::HEAD_CAPACITY {
+                        self.cqes.push((cid, Status::InvalidField));
+                    } else if embedded == len {
+                        self.dispatch(cid, len);
+                    } else {
+                        self.pending = Some((cid, len, embedded, 0));
+                    }
+                }
+                BandSlimEntry::Frag { cid, frag_no } => match self.pending.take() {
+                    None => self.cqes.push((cid, Status::InvalidField)),
+                    Some((head, _, _, next)) if (cid, frag_no) != (head, next) => {
+                        self.cqes.push((head, Status::InvalidField));
+                    }
+                    Some((head, total, received, next)) => {
+                        let received = received + (total - received).min(bandslim::FRAG_CAPACITY);
+                        if received == total {
+                            self.dispatch(head, total);
+                        } else {
+                            self.pending = Some((head, total, received, next + 1));
+                        }
+                    }
+                },
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Wire-supplied BandSlim framing — any CDW2 length, CDW3 count or
+        /// fragment number, any cid, with and without a head pending, in and
+        /// out of order — never panics the controller: every head is
+        /// answered exactly once, nothing else is except an orphan fragment,
+        /// and a well-formed command after the garbage still succeeds.
+        #[test]
+        fn hostile_bandslim_framing_never_panics(
+            garbage in proptest::collection::vec(bandslim_entry(), 1..60),
+        ) {
+            let (bus, mut ctrl) = setup(false);
+            let mut drv = MiniDriver::new(&bus, &mut ctrl, 64);
+            let mut model = BandSlimModel::default();
+            // A 128-byte write: 32 bytes in the head, 48 in each fragment.
+            let well_formed = [
+                BandSlimEntry::Head { cid: 9, len: 128, count: 32 },
+                BandSlimEntry::Frag { cid: 9, frag_no: 0 },
+                BandSlimEntry::Frag { cid: 9, frag_no: 1 },
+            ];
+            let mut cqes = Vec::new();
+            for entry in garbage.iter().chain(&well_formed) {
+                let sqe = match *entry {
+                    BandSlimEntry::Head { cid, len, count } => bandslim_head(cid, len, count),
+                    BandSlimEntry::Frag { cid, frag_no } => {
+                        bandslim::encode_frag(cid, 1, frag_no, &[0xA5; bandslim::FRAG_CAPACITY])
+                    }
+                };
+                drv.push_raw(&sqe.to_bytes());
+                drv.ring();
+                let posted = ctrl.process_available();
+                let before = cqes.len();
+                while let Some(cqe) = drv.pop_cqe() {
+                    cqes.push((cqe.cid(), cqe.status()));
+                }
+                prop_assert_eq!(posted, cqes.len() - before);
+                model.feed(entry);
+            }
+            prop_assert_eq!(cqes.last(), Some(&(9, Status::Success)));
+            prop_assert_eq!(cqes, model.cqes);
+        }
     }
 
     #[test]

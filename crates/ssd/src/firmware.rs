@@ -105,9 +105,12 @@ impl BlockFirmware {
     /// Creates block firmware; `nand_io = false` reproduces the paper's
     /// NAND-off transfer benchmarks.
     pub fn new(dram: &mut DeviceDram, nand_io: bool) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "construction-time sizing bug, not a runtime state; DRAM capacity is a build parameter"
+        )]
         let region = dram
             .alloc_region("block-page-buffer", 4 * PAGE_SIZE)
-            // bx-lint: allow(panic-freedom, reason = "construction-time sizing bug, not a runtime state; DRAM capacity is a build parameter")
             .expect("device DRAM too small for page buffer");
         BlockFirmware {
             nand_io,

@@ -264,9 +264,15 @@ impl Ftl {
         if self.erase_counts.is_empty() {
             return (0, 0, 0.0);
         }
-        // bx-lint: allow(panic-freedom, reason = "is_empty() returned false three lines up")
+        #[expect(
+            clippy::expect_used,
+            reason = "is_empty() returned false three lines up"
+        )]
         let min = *self.erase_counts.values().min().expect("non-empty");
-        // bx-lint: allow(panic-freedom, reason = "is_empty() returned false three lines up")
+        #[expect(
+            clippy::expect_used,
+            reason = "is_empty() returned false three lines up"
+        )]
         let max = *self.erase_counts.values().max().expect("non-empty");
         let mean = self.erase_counts.values().map(|&c| c as f64).sum::<f64>()
             / self.erase_counts.len() as f64;
@@ -303,7 +309,10 @@ impl Ftl {
             if let Some((block, page)) = self.active[die] {
                 let ppa = self.die_to_ppa(die, block, page);
                 let id = BlockId { die, block };
-                // bx-lint: allow(panic-freedom, reason = "active[die] entries are inserted into blocks in the branch above before use")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "active[die] entries are inserted into blocks in the branch above before use"
+                )]
                 let info = self.blocks.get_mut(&id).expect("active block tracked");
                 info.owner[page as usize] = Some(lpn);
                 info.valid_count += 1;
@@ -422,7 +431,10 @@ impl Ftl {
             }
         }
         Err(FtlError::Nand(NandError::ProgramFailed(
-            // bx-lint: allow(panic-freedom, reason = "retry loop bound is a compile-time positive constant, so the loop body ran and set last_failed")
+            #[expect(
+                clippy::expect_used,
+                reason = "retry loop bound is a compile-time positive constant, so the loop body ran and set last_failed"
+            )]
             last_failed.expect("loop ran at least once"),
         )))
     }
@@ -1353,7 +1365,7 @@ mod tests {
             let mut last_done = Nanos::ZERO;
             for i in 0..30u64 {
                 last_done = ftl.write(i % 6, &page(i as u8), &mut nand, t).unwrap();
-                t = t + Nanos::from_us(37);
+                t += Nanos::from_us(37);
             }
             let cut = last_done - Nanos::from_ns(1);
             nand.power_cut(cut);

@@ -313,7 +313,7 @@ impl NandArray {
         if idx >= self.page_state.len() {
             self.page_state.resize(idx + 1, PageState::Erased);
         }
-        // bx-lint: allow(panic-freedom, reason = "index resized into range above")
+        // Index resized into range above.
         &mut self.page_state[idx]
     }
 
@@ -367,7 +367,7 @@ impl NandArray {
         if idx >= self.data.len() {
             self.data.resize_with(idx + 1, || None);
         }
-        // bx-lint: allow(panic-freedom, reason = "index resized into range above")
+        // Index resized into range above.
         self.data[idx] = Some(buf);
         self.stats.programs += 1;
 

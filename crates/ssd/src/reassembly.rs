@@ -25,6 +25,10 @@
 //! random iteration order leaked straight into CQE and trace order (the
 //! regression is pinned by `eviction_order_is_sorted_and_stable`).
 
+// Ring and bitmap arithmetic: a computed index aborts on the one input
+// nobody tested, so every `x[i]` here is an `#[expect]` with its bound.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use bx_hostsim::Nanos;
 use bx_nvme::inline::{ChunkHeader, REASSEMBLY_CHUNK_PAYLOAD};
 use std::collections::BTreeMap;
@@ -135,16 +139,18 @@ impl Slot {
         RECORD_BYTES + (total as usize).div_ceil(8)
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "chunk_no < total is checked by accept_at and the bitmap is sized ceil(total/64) at insert"
+    )]
     fn mark(&mut self, chunk_no: u16) -> bool {
         debug_assert!(chunk_no < self.total, "chunk_no validated by accept_at");
         let w = chunk_no as usize / 64;
         let b = chunk_no as usize % 64;
         debug_assert!(w < self.bitmap.len(), "bitmap sized for total at insert");
-        // bx-lint: allow(panic-freedom, reason = "chunk_no < total is checked by accept_at and the bitmap is sized ceil(total/64) at insert")
         if self.bitmap[w] >> b & 1 == 1 {
             return false;
         }
-        // bx-lint: allow(panic-freedom, reason = "same bound as the read above")
         self.bitmap[w] |= 1 << b;
         self.received += 1;
         debug_assert!(
@@ -238,7 +244,10 @@ impl ReassemblyEngine {
                 self.slots.len() - 1
             }
         };
-        // bx-lint: allow(panic-freedom, reason = "idx comes from the free list or was just pushed; both are < slots.len()")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "idx comes from the free list or was just pushed; both are < slots.len()"
+        )]
         let slot = &mut self.slots[idx];
         slot.total = total;
         slot.received = 0;
@@ -260,7 +269,10 @@ impl ReassemblyEngine {
     /// the freed slot's index (already pushed onto the free list).
     fn release(&mut self, payload_id: u32) -> Option<usize> {
         let idx = self.index.remove(&payload_id)?;
-        // bx-lint: allow(panic-freedom, reason = "index only ever stores live slab indices")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "index only ever stores live slab indices"
+        )]
         let total = self.slots[idx].total;
         self.sram_used -= Slot::sram_bytes(total);
         self.free.push(idx);
@@ -323,7 +335,10 @@ impl ReassemblyEngine {
                 idx
             }
         };
-        // bx-lint: allow(panic-freedom, reason = "idx came from the index map or alloc_slot; both are < slots.len()")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "idx came from the index map or alloc_slot; both are < slots.len()"
+        )]
         let slot = &mut self.slots[idx];
         if slot.total != hdr.total {
             return Err(ReassemblyError::InconsistentTotal {
@@ -339,7 +354,10 @@ impl ReassemblyEngine {
         // Direct placement at the chunk's DRAM offset.
         let off = hdr.chunk_no as usize * REASSEMBLY_CHUNK_PAYLOAD;
         let take = data.len().min(REASSEMBLY_CHUNK_PAYLOAD);
-        // bx-lint: allow(panic-freedom, reason = "buffer is sized total*56 at insert and chunk_no < total")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "buffer is sized total*56 at insert and chunk_no < total"
+        )]
         slot.buffer[off..off + take].copy_from_slice(&data[..take]);
 
         if slot.received == slot.total {
@@ -372,13 +390,14 @@ impl ReassemblyEngine {
     /// `stall_eviction_boundary_is_exclusive` tests.
     pub fn evict_stalled(&mut self, now: Nanos, deadline: Nanos) -> Vec<u32> {
         let slots = &self.slots;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "index only ever stores live slab indices"
+        )]
         let expired: Vec<u32> = self
             .index
             .iter()
-            .filter(|(_, &idx)| {
-                // bx-lint: allow(panic-freedom, reason = "index only ever stores live slab indices")
-                now.saturating_sub(slots[idx].first_seen) > deadline
-            })
+            .filter(|(_, &idx)| now.saturating_sub(slots[idx].first_seen) > deadline)
             .map(|(&id, _)| id)
             .collect();
         for id in &expired {

@@ -12,6 +12,13 @@
 //! `&'static str` labels rather than typed enums so this crate can sit below
 //! `bx-pcie`/`bx-driver` in the dependency graph.
 
+// A new `EventKind` variant must be named by every handler: with no `_ =>`
+// arm allowed here, rustc's exhaustiveness check (E0004) finds each one.
+#![deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
+
 use bx_hostsim::Nanos;
 use serde::{Serialize, Value};
 use std::fmt;

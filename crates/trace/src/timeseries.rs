@@ -211,7 +211,7 @@ impl Builder {
                     .peek()
                     .is_some_and(|&(t, _)| t < end || i + 1 == self.buckets)
                 {
-                    // bx-lint: allow(panic-freedom, reason = "peek() just confirmed a next element")
+                    #[expect(clippy::expect_used, reason = "peek() just confirmed a next element")]
                     let (_, d) = it.next().expect("peeked");
                     level += d;
                 }
@@ -235,7 +235,7 @@ impl Builder {
                     .peek()
                     .is_some_and(|&(t, _)| t < end || i + 1 == self.buckets)
                 {
-                    // bx-lint: allow(panic-freedom, reason = "peek() just confirmed a next element")
+                    #[expect(clippy::expect_used, reason = "peek() just confirmed a next element")]
                     let (_, v) = it.next().expect("peeked");
                     level = v as f64;
                 }

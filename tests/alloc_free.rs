@@ -20,6 +20,11 @@
 //! The file holds exactly one `#[test]` so no sibling test thread can
 //! allocate while the counter is armed.
 
+#![allow(
+    unsafe_code,
+    reason = "a counting #[global_allocator] has to implement the unsafe GlobalAlloc trait; every method only forwards to System"
+)]
+
 use bx_driver::Completion;
 use bx_kvssd::{KvStore, KvStoreConfig, MAX_VALUE_LEN};
 use byteexpress::{Device, ExecutionModel, IoOpcode, PassthruCmd, QueueId, TransferMethod};

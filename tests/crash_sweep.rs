@@ -160,7 +160,6 @@ fn exhaustive_sweep(
     puts: usize,
     cap: u64,
 ) -> u64 {
-    let mut crashed = 0;
     for cut in 0..cap {
         let run = run_crash_schedule(seed, cut, execution, fetch, puts);
         verify(&run, &format!("{execution:?}/{fetch:?} cut={cut}"));
@@ -170,9 +169,9 @@ fn exhaustive_sweep(
                 "a schedule with no cut must ack every PUT"
             );
             assert_eq!(run.acked.len(), KEYS.min(puts), "all keys acked");
-            return crashed;
+            // Every schedule before this one crashed.
+            return cut;
         }
-        crashed += 1;
     }
     panic!("sweep never reached quiescence within {cap} schedules");
 }

@@ -13,10 +13,7 @@ fn payload(n: u64) -> Vec<u8> {
 }
 
 /// Four queues × `qd` commands each, distinct LBAs.
-fn batches(
-    queues: &[byteexpress::QueueId],
-    qd: u64,
-) -> Vec<(byteexpress::QueueId, Vec<(u64, Vec<u8>)>)> {
+fn batches(queues: &[byteexpress::QueueId], qd: u64) -> Vec<byteexpress::QueueBatch> {
     queues
         .iter()
         .enumerate()

@@ -70,7 +70,7 @@ proptest! {
         let chunk = [0xA5u8; REASSEMBLY_CHUNK_PAYLOAD];
 
         for op in ops {
-            now = now + Nanos::from_ns(250);
+            now += Nanos::from_ns(250);
             match op {
                 Op::Chunk { id, total, chunk_no } => {
                     let hdr = ChunkHeader { payload_id: id, chunk_no, total };
