@@ -71,7 +71,6 @@ pub struct DeviceBuilder {
     fetch_policy: FetchPolicy,
     dram_capacity: usize,
     host_mem_capacity: usize,
-    controller_timing: ControllerTiming,
     firmware: Option<FirmwareFactory>,
     fault_config: Option<FaultConfig>,
     retry_policy: Option<RetryPolicy>,
@@ -98,20 +97,11 @@ impl Default for DeviceBuilder {
         DeviceBuilder {
             link: LinkConfig::gen2_x8(),
             nand: NandConfig::small(),
-            // BX_QUEUE_DEPTH overrides the default so the whole test suite
-            // can run at, say, a prime depth — the non-power-of-two ring
-            // occupancy regression stays covered end to end. Explicit
-            // `queue_depth()` calls still win.
-            queue_depth: std::env::var("BX_QUEUE_DEPTH")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&d| d >= 2)
-                .unwrap_or(1024),
+            queue_depth: 1024,
             queue_count: 1,
             fetch_policy: FetchPolicy::QueueLocal,
             dram_capacity: 64 << 20,
             host_mem_capacity: 256 << 20,
-            controller_timing: ControllerTiming::default(),
             firmware: None,
             fault_config: None,
             retry_policy: None,
@@ -177,12 +167,6 @@ impl DeviceBuilder {
         self
     }
 
-    /// Overrides controller timing constants.
-    pub fn controller_timing(mut self, timing: ControllerTiming) -> Self {
-        self.controller_timing = timing;
-        self
-    }
-
     /// Installs custom firmware (KV-SSD, CSD). Defaults to block firmware
     /// with NAND I/O matching [`DeviceBuilder::nand_io`].
     pub fn firmware(
@@ -233,7 +217,8 @@ impl DeviceBuilder {
 
     /// Selects the controller's SQ arbitration mode (round-robin or
     /// weighted-round-robin with an arbitration burst). Per-queue weights
-    /// are set after build via [`Device::set_queue_weight`].
+    /// are set after build via [`Controller::set_queue_weight`] on
+    /// [`Device::controller_mut`].
     pub fn arbitration(mut self, arbitration: Arbitration) -> Self {
         self.arbitration = arbitration;
         self
@@ -310,7 +295,7 @@ impl DeviceBuilder {
         }
         let nand_enabled = self.nand.enabled;
         let cfg = ControllerConfig {
-            timing: self.controller_timing,
+            timing: ControllerTiming::default(),
             nand: self.nand,
             dram_capacity: self.dram_capacity,
             over_provision: 0.25,
@@ -465,17 +450,6 @@ impl Device {
     /// Mutable access to the driver (threshold/mode reconfiguration).
     pub fn driver_mut(&mut self) -> &mut NvmeDriver {
         &mut self.driver
-    }
-
-    /// Sets a queue's weighted-round-robin arbitration share (meaningful
-    /// under [`Arbitration::WeightedRoundRobin`]; ignored by plain
-    /// round-robin).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown queue id.
-    pub fn set_queue_weight(&mut self, qid: QueueId, weight: u8) {
-        self.ctrl.set_queue_weight(qid, weight);
     }
 
     /// The controller (stats inspection).

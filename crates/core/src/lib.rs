@@ -72,7 +72,7 @@ pub use bx_driver::{
 };
 pub use bx_hostsim::{EventQueue, FaultConfig, FaultCounters, Nanos, PhysAddr, PAGE_SIZE};
 pub use bx_nvme::{IoOpcode, PassthruCmd, QueueId, Status, SubmissionEntry};
-pub use bx_pcie::{LinkConfig, LinkConfigError, PcmCounters, TrafficClass, TrafficCounters};
+pub use bx_pcie::{LinkConfig, LinkConfigError, TrafficClass, TrafficCounters};
 pub use bx_ssd::{
     Arbitration, ControllerTiming, ExecutionModel, FetchPolicy, FirmwareCtx, FirmwareHandler,
     NandConfig, RecoveryReport, SystemBus,

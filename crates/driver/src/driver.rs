@@ -16,7 +16,7 @@ use bx_nvme::{
 };
 use bx_pcie::TrafficClass;
 use bx_ssd::registers::{Register, RegisterFile, CC_ENABLE};
-use bx_ssd::{Controller, SystemBus};
+use bx_ssd::{Controller, Platform, SystemBus};
 use bx_trace::{CmdKey, EventKind};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -350,7 +350,6 @@ pub struct NvmeDriver {
     queues: BTreeMap<u16, QueuePair>,
     admin: Option<AdminQueue>,
     identify: Option<IdentifyController>,
-    next_io_qid: u16,
     sgl_threshold: usize,
     inline_mode: InlineMode,
     next_payload_id: u32,
@@ -390,18 +389,12 @@ pub const DEFAULT_SGL_THRESHOLD: usize = 32 * 1024;
 impl NvmeDriver {
     /// Creates a driver on `bus` with default timing.
     pub fn new(bus: SystemBus) -> Self {
-        Self::with_timing(bus, DriverTiming::default())
-    }
-
-    /// Creates a driver with explicit timing constants.
-    pub fn with_timing(bus: SystemBus, timing: DriverTiming) -> Self {
         NvmeDriver {
             bus,
-            timing,
+            timing: DriverTiming::default(),
             queues: BTreeMap::new(),
             admin: None,
             identify: None,
-            next_io_qid: 1,
             sgl_threshold: DEFAULT_SGL_THRESHOLD,
             inline_mode: InlineMode::QueueLocal,
             next_payload_id: 1,
@@ -504,7 +497,8 @@ impl NvmeDriver {
     /// [`DriverError::AdminFailed`] if Identify fails.
     pub fn initialize(&mut self, ctrl: &mut Controller) -> Result<IdentifyController, DriverError> {
         const ADMIN_DEPTH: u16 = 32;
-        let (sq_region, cq_region) = self.alloc_rings(ADMIN_DEPTH)?;
+        let platform = self.bus.platform();
+        let (sq_region, cq_region) = alloc_rings(&mut platform.borrow_mut().mem, ADMIN_DEPTH)?;
         ctrl.mmio_write(
             Register::Aqa,
             RegisterFile::aqa_value(ADMIN_DEPTH, ADMIN_DEPTH),
@@ -522,19 +516,16 @@ impl NvmeDriver {
         });
 
         // Identify controller.
-        let buf = self.bus.mem.borrow_mut().alloc_page()?;
+        let buf = platform.borrow_mut().mem.alloc_page()?;
         let cid = self.admin_cid()?;
         let sqe = admin::identify_controller(cid, buf.addr());
         let cqe = self.admin_execute(ctrl, sqe)?;
         if !cqe.status().is_success() {
             return Err(DriverError::AdminFailed(cqe.status()));
         }
-        let page = self
-            .bus
-            .mem
-            .borrow()
-            .read_vec(buf.addr(), bx_nvme::IDENTIFY_BYTES)?;
-        self.bus.mem.borrow_mut().free_page(buf)?;
+        let mem = &mut platform.borrow_mut().mem;
+        let page = mem.read_vec(buf.addr(), bx_nvme::IDENTIFY_BYTES)?;
+        mem.free_page(buf)?;
         let identify = IdentifyController::decode(&page)
             .ok_or(DriverError::AdminFailed(Status::InternalError))?;
         self.identify = Some(identify.clone());
@@ -559,16 +550,16 @@ impl NvmeDriver {
     ///
     /// [`DriverError::Mem`] if a page turns out not to be allocated.
     pub fn reset_after_power_cycle(&mut self) -> Result<(), DriverError> {
-        let mut mem = self.bus.mem.borrow_mut();
+        let platform = self.bus.platform();
+        let mem = &mut platform.borrow_mut().mem;
         for (_, qp) in std::mem::take(&mut self.queues) {
-            qp.release(&mut mem)?;
+            qp.release(mem)?;
         }
         if let Some(admin) = self.admin.take() {
             mem.free_contiguous(admin.sq.region())?;
             mem.free_contiguous(admin.cq.region())?;
         }
         self.identify = None;
-        self.next_io_qid = 1;
         Ok(())
     }
 
@@ -579,34 +570,31 @@ impl NvmeDriver {
         Ok(cid)
     }
 
-    /// Synchronously executes one admin command.
+    /// Synchronously executes one admin command. Borrows the platform on
+    /// either side of the controller call it brackets, never across it.
     fn admin_execute(
         &mut self,
         ctrl: &mut Controller,
         sqe: SubmissionEntry,
     ) -> Result<CompletionEntry, DriverError> {
         let (bus, timing) = (&self.bus, &self.timing);
+        let platform = bus.platform();
         let a = self.admin.as_mut().ok_or(DriverError::NotReady)?;
-        let slot = a.sq.push_slot();
-        bus.mem
-            .borrow_mut()
-            .write(a.sq.slot_addr(slot), &sqe.to_bytes())?;
-        bus.clock.advance(timing.sqe_insert);
-        let tail = a.sq.tail();
-        bus.doorbells.borrow_mut().ring_sq_tail(QueueId(0), tail);
-        let t = bus
-            .link
-            .borrow_mut()
-            .host_posted_write(TrafficClass::Doorbell, 4);
-        bus.clock.advance(t);
-        self.stats.doorbells += 1;
+        {
+            let p = &mut *platform.borrow_mut();
+            let slot = a.sq.push_slot();
+            p.mem.write(a.sq.slot_addr(slot), &sqe.to_bytes())?;
+            bus.clock.advance(timing.sqe_insert);
+            p.ring_sq_tail(QueueId(0), a.sq.tail());
+            self.stats.doorbells += 1;
+        }
 
         ctrl.process_available();
 
-        let a = self.admin.as_mut().ok_or(DriverError::NotReady)?;
+        let p = &mut *platform.borrow_mut();
         let slot = a.cq.head();
         let mut img = [0u8; CQE_BYTES];
-        bus.mem.borrow().read(a.cq.slot_addr(slot), &mut img)?;
+        p.mem.read(a.cq.slot_addr(slot), &mut img)?;
         let cqe = CompletionEntry::from_bytes(&img);
         if cqe.phase() != a.cq.expected_phase() {
             return Err(DriverError::AdminFailed(Status::InternalError));
@@ -614,29 +602,9 @@ impl NvmeDriver {
         a.cq.pop_slot();
         a.sq.complete_up_to(cqe.sq_head());
         bus.clock.advance(timing.completion_handling);
-        ring_cq_head(bus, QueueId(0), a.cq.head());
+        p.ring_cq_head(QueueId(0), a.cq.head());
         self.stats.doorbells += 1;
         Ok(cqe)
-    }
-
-    fn alloc_rings(
-        &mut self,
-        depth: u16,
-    ) -> Result<(bx_hostsim::DmaRegion, bx_hostsim::DmaRegion), DriverError> {
-        let mut mem = self.bus.mem.borrow_mut();
-        let sq_pages = (depth as usize * SQE_BYTES).div_ceil(PAGE_SIZE);
-        let cq_pages = (depth as usize * CQE_BYTES).div_ceil(PAGE_SIZE);
-        let sq = mem.alloc_contiguous(sq_pages)?;
-        let cq = mem.alloc_contiguous(cq_pages)?;
-        // Frames come back from earlier rings and data buffers with their
-        // old contents; a stale CQE whose phase bit happens to match would
-        // be consumed as a completion.
-        mem.fill(sq.base(), sq.len(), 0)?;
-        mem.fill(cq.base(), cq.len(), 0)?;
-        Ok((
-            bx_hostsim::DmaRegion::new(sq.base(), depth as usize * SQE_BYTES),
-            bx_hostsim::DmaRegion::new(cq.base(), depth as usize * CQE_BYTES),
-        ))
     }
 
     /// Allocates queue rings in host memory and creates the pair on the
@@ -653,17 +621,17 @@ impl NvmeDriver {
         ctrl: &mut Controller,
         depth: u16,
     ) -> Result<QueueId, DriverError> {
-        let (sq_region, cq_region) = self.alloc_rings(depth)?;
+        let platform = self.bus.platform();
+        let (sq_region, cq_region) = alloc_rings(&mut platform.borrow_mut().mem, depth)?;
         let id = match self.create_on_controller(ctrl, depth, sq_region, cq_region) {
             Ok(id) => id,
             Err(e) => {
-                let mut mem = self.bus.mem.borrow_mut();
+                let mem = &mut platform.borrow_mut().mem;
                 mem.free_contiguous(sq_region)?;
                 mem.free_contiguous(cq_region)?;
                 return Err(e);
             }
         };
-        self.next_io_qid = id.0 + 1;
         self.queues.insert(
             id.0,
             QueuePair {
@@ -682,7 +650,9 @@ impl NvmeDriver {
     }
 
     /// Creates the pair over its allocated rings: admin Create-IO-CQ then
-    /// Create-IO-SQ, or direct registration for an uninitialized driver.
+    /// Create-IO-SQ under the lowest free I/O queue id (a deleted pair's id
+    /// is reused: the doorbell array has no slot past the initial count), or
+    /// direct registration for an uninitialized driver.
     fn create_on_controller(
         &mut self,
         ctrl: &mut Controller,
@@ -693,7 +663,9 @@ impl NvmeDriver {
         if self.admin.is_none() {
             return Ok(ctrl.register_io_queue(sq_region, cq_region, depth));
         }
-        let qid = self.next_io_qid;
+        let qid = (1..=u16::MAX)
+            .find(|q| !self.queues.contains_key(q))
+            .ok_or(DriverError::Unsupported("more than 65535 I/O queues"))?;
         let cid = self.admin_cid()?;
         let cqe =
             self.admin_execute(ctrl, admin::create_io_cq(cid, qid, depth, cq_region.base()))?;
@@ -706,6 +678,10 @@ impl NvmeDriver {
             admin::create_io_sq(cid, qid, depth, sq_region.base(), qid),
         )?;
         if !cqe.status().is_success() {
+            // The CQ just created has no SQ and never will: delete it, or
+            // the controller keeps the id bound and refuses the next pair.
+            let cid = self.admin_cid()?;
+            self.admin_execute(ctrl, admin::delete_io_cq(cid, qid))?;
             return Err(DriverError::AdminFailed(cqe.status()));
         }
         Ok(QueueId(qid))
@@ -741,7 +717,7 @@ impl NvmeDriver {
             return Err(DriverError::AdminFailed(cqe.status()));
         }
         if let Some(qp) = self.queues.remove(&qid.0) {
-            qp.release(&mut self.bus.mem.borrow_mut())?;
+            qp.release(&mut self.bus.platform().borrow_mut().mem)?;
         }
         Ok(())
     }
@@ -762,6 +738,8 @@ impl NvmeDriver {
         cmd: &PassthruCmd,
         method: TransferMethod,
     ) -> Result<SubmittedCmd, DriverError> {
+        let platform = self.bus.platform();
+        let p = &mut *platform.borrow_mut();
         let submitted_at = self.bus.clock.now();
         // Build the base SQE from the passthrough command.
         let qp = self.queue_mut(qid)?;
@@ -783,10 +761,10 @@ impl NvmeDriver {
             pages: self.spare_page_lists.pop().unwrap_or_default(),
             response_len: 0,
         };
-        if let Err(e) = self.place(qid, sqe, cmd, method, &mut inflight) {
+        if let Err(e) = self.place(p, qid, sqe, cmd, method, &mut inflight) {
             // Pages are mapped before the ring-space check; a rejected
             // command must hand them back or every retry leaks them.
-            let pages = inflight.free_pages(&mut self.bus.mem.borrow_mut())?;
+            let pages = inflight.free_pages(&mut p.mem)?;
             self.spare_page_lists.push(pages);
             return Err(e);
         }
@@ -812,6 +790,7 @@ impl NvmeDriver {
     /// as they are allocated, so the caller can free them on error.
     fn place(
         &mut self,
+        p: &mut Platform,
         qid: QueueId,
         mut sqe: SubmissionEntry,
         cmd: &PassthruCmd,
@@ -844,18 +823,18 @@ impl NvmeDriver {
                 };
                 self.trace_sqe_insert(qid.0, cid, resolved, cmd);
                 match resolved {
-                    TransferMethod::Prp => self.submit_prp(qid, sqe, &cmd.data, inflight),
-                    TransferMethod::Sgl => self.submit_sgl(qid, sqe, &cmd.data, inflight),
-                    TransferMethod::ByteExpress => self.submit_byteexpress(qid, sqe, &cmd.data),
+                    TransferMethod::Prp => self.submit_prp(p, qid, sqe, &cmd.data, inflight),
+                    TransferMethod::Sgl => self.submit_sgl(p, qid, sqe, &cmd.data, inflight),
+                    TransferMethod::ByteExpress => self.submit_byteexpress(p, qid, sqe, &cmd.data),
                     TransferMethod::BandSlim { embed_first } => {
-                        self.submit_bandslim(qid, sqe, &cmd.data, embed_first)
+                        self.submit_bandslim(p, qid, sqe, &cmd.data, embed_first)
                     }
                     // No SQ slot on the byte-interface path, but the command
                     // is still owned by this queue pair: spans carry the real
                     // qid, and the BAR-window submission is stamped with it
                     // so the device can echo it on the status word
                     // (completion routing).
-                    TransferMethod::MmioByte => self.submit_mmio_byte(qid, sqe, &cmd.data),
+                    TransferMethod::MmioByte => self.submit_mmio_byte(p, qid, sqe, &cmd.data),
                     #[expect(
                         clippy::unreachable,
                         reason = "resolve() above maps Hybrid to a concrete method; this arm is a driver bug, not a reachable state"
@@ -867,7 +846,7 @@ impl NvmeDriver {
                 // Reads return over a PRP-described host buffer no matter
                 // which submit method the caller named (ByteExpress targets
                 // host→device small payloads).
-                self.alloc_response_buf(cmd.response_len, &mut sqe, inflight)?;
+                self.alloc_response_buf(&mut p.mem, cmd.response_len, &mut sqe, inflight)?;
                 sqe.set_data_len(cmd.response_len as u32);
                 self.bus
                     .trace
@@ -876,7 +855,7 @@ impl NvmeDriver {
                         opcode: cmd.opcode,
                         len: cmd.response_len,
                     });
-                self.insert_and_ring(qid, sqe, self.timing.sqe_insert)
+                self.insert_and_ring(p, qid, sqe, self.timing.sqe_insert)
             }
             DataDirection::None => {
                 self.bus
@@ -886,7 +865,7 @@ impl NvmeDriver {
                         opcode: cmd.opcode,
                         len: 0,
                     });
-                self.insert_and_ring(qid, sqe, self.timing.sqe_insert)
+                self.insert_and_ring(p, qid, sqe, self.timing.sqe_insert)
             }
         }
     }
@@ -907,14 +886,15 @@ impl NvmeDriver {
     /// DMA map), point PRP1/PRP2 (+ list) at them.
     fn submit_prp(
         &mut self,
+        p: &mut Platform,
         qid: QueueId,
         mut sqe: SubmissionEntry,
         data: &[u8],
         inflight: &mut Inflight,
     ) -> Result<(), DriverError> {
-        self.map_payload_pages(data, inflight)?;
+        self.map_payload_pages(&mut p.mem, data, inflight)?;
         let (prp1, prp2) = prp::describe(
-            &mut self.bus.mem.borrow_mut(),
+            &mut p.mem,
             &self.page_addrs,
             0,
             data.len(),
@@ -926,19 +906,20 @@ impl NvmeDriver {
         self.bus
             .clock
             .advance(self.timing.prp_setup + self.timing.prp_per_page * pages);
-        self.insert_and_ring(qid, sqe, self.timing.sqe_insert)
+        self.insert_and_ring(p, qid, sqe, self.timing.sqe_insert)
     }
 
     /// SGL path: a data-block descriptor per page, chained through a
     /// last-segment array when more than one.
     fn submit_sgl(
         &mut self,
+        p: &mut Platform,
         qid: QueueId,
         mut sqe: SubmissionEntry,
         data: &[u8],
         inflight: &mut Inflight,
     ) -> Result<(), DriverError> {
-        self.map_payload_pages(data, inflight)?;
+        self.map_payload_pages(&mut p.mem, data, inflight)?;
         let pages = &self.page_addrs;
         sqe.set_data_pointer_kind(DataPointerKind::Sgl);
         if let [page] = pages[..] {
@@ -947,14 +928,14 @@ impl NvmeDriver {
         } else {
             // Descriptor array in its own page; the command carries a
             // last-segment pointer to it.
-            let mut mem = self.bus.mem.borrow_mut();
-            let seg_page = mem.alloc_page()?;
+            let seg_page = p.mem.alloc_page()?;
             inflight.pages.push(seg_page);
             let mut remaining = data.len();
-            for (i, p) in pages.iter().enumerate() {
+            for (i, page) in pages.iter().enumerate() {
                 let chunk = remaining.min(PAGE_SIZE);
-                let desc = sgl::SglDescriptor::data_block(*p, chunk as u32);
-                mem.write(seg_page.addr().offset((i * 16) as u64), &desc.to_bytes())?;
+                let desc = sgl::SglDescriptor::data_block(*page, chunk as u32);
+                p.mem
+                    .write(seg_page.addr().offset((i * 16) as u64), &desc.to_bytes())?;
                 remaining -= chunk;
             }
             let first =
@@ -965,7 +946,7 @@ impl NvmeDriver {
         self.bus
             .clock
             .advance(self.timing.sgl_setup + self.timing.prp_per_page * pages);
-        self.insert_and_ring(qid, sqe, self.timing.sqe_insert)
+        self.insert_and_ring(p, qid, sqe, self.timing.sqe_insert)
     }
 
     /// ByteExpress path (§3.3): under the SQ lock, write the command with the
@@ -973,6 +954,7 @@ impl NvmeDriver {
     /// chunks in the following slots, and ring the doorbell once.
     fn submit_byteexpress(
         &mut self,
+        p: &mut Platform,
         qid: QueueId,
         mut sqe: SubmissionEntry,
         data: &[u8],
@@ -1041,9 +1023,7 @@ impl NvmeDriver {
         // placed contiguously while holding the SQ lock.
         let _guard = qp.lock.lock();
         let slot = qp.sq.push_slot();
-        bus.mem
-            .borrow_mut()
-            .write(qp.sq.slot_addr(slot), &sqe.to_bytes())?;
+        p.mem.write(qp.sq.slot_addr(slot), &sqe.to_bytes())?;
         bus.clock.advance(timing.bx_cmd_insert);
         let mut written = 0u64;
         let mut chunk = [0u8; inline::BYTEEXPRESS_CHUNK_SIZE];
@@ -1056,7 +1036,7 @@ impl NvmeDriver {
                 Some(id) => inline::encode_reassembly_chunk_into(id, data, i, &mut chunk),
             };
             let slot = qp.sq.push_slot();
-            bus.mem.borrow_mut().write(qp.sq.slot_addr(slot), &chunk)?;
+            p.mem.write(qp.sq.slot_addr(slot), &chunk)?;
             bus.clock.advance(timing.per_chunk_insert);
             written += 1;
         }
@@ -1069,13 +1049,14 @@ impl NvmeDriver {
                 bytes: data.len(),
             }
         });
-        self.note_sq_tail(qid, tail)
+        self.note_sq_tail(p, qid, tail)
     }
 
     /// BandSlim path (§3.2): payload embedded in the head command plus a
     /// serialized train of fragment commands, each with its own doorbell.
     fn submit_bandslim(
         &mut self,
+        p: &mut Platform,
         qid: QueueId,
         mut sqe: SubmissionEntry,
         data: &[u8],
@@ -1105,7 +1086,7 @@ impl NvmeDriver {
         let embedded = bandslim::encode_head(&mut sqe, data, embed_cap);
         let cid = sqe.cid();
         let nsid = sqe.nsid();
-        self.insert_and_ring(qid, sqe, self.timing.sqe_insert)?;
+        self.insert_and_ring(p, qid, sqe, self.timing.sqe_insert)?;
 
         let mut off = embedded;
         let mut frag_no = 0u32;
@@ -1113,7 +1094,7 @@ impl NvmeDriver {
             let take = (data.len() - off).min(bandslim::FRAG_CAPACITY);
             let frag = bandslim::encode_frag(cid, nsid, frag_no, &data[off..off + take]);
             self.bus.clock.advance(self.timing.bandslim_frag_build);
-            self.insert_and_ring(qid, frag, self.timing.sqe_insert)?;
+            self.insert_and_ring(p, qid, frag, self.timing.sqe_insert)?;
             self.stats.frags_issued += 1;
             off += take;
             frag_no += 1;
@@ -1128,6 +1109,7 @@ impl NvmeDriver {
     /// no NVMe completion either (the host polls a status word).
     fn submit_mmio_byte(
         &mut self,
+        p: &mut Platform,
         qid: QueueId,
         sqe: SubmissionEntry,
         data: &[u8],
@@ -1135,33 +1117,23 @@ impl NvmeDriver {
         let total = SQE_BYTES + data.len();
         // Traffic: one posted MMIO write per 64-byte cacheline.
         let lines = total.div_ceil(64);
-        {
-            let mut link = self.bus.link.borrow_mut();
-            for i in 0..lines {
-                let len = (total - i * 64).min(64);
-                link.host_posted_write(TrafficClass::Mmio, len);
-            }
+        for i in 0..lines {
+            let len = (total - i * 64).min(64);
+            p.link.host_posted_write(TrafficClass::Mmio, len);
         }
         // Latency: the cachelines stream through the WC buffer — pay the
         // serialization once plus one propagation and the flush, not a
         // round trip per line.
-        let wire = self
-            .bus
-            .link
-            .borrow()
-            .config()
-            .wire_time(total + lines * 24);
-        let prop = self.bus.link.borrow().config().propagation;
-        self.bus.clock.advance(wire + prop + self.timing.wc_flush);
+        let link = p.link.config();
+        let wire = link.wire_time(total + lines * 24);
         self.bus
-            .mmio_window
-            .borrow_mut()
-            .submissions
-            .push_back(bx_ssd::MmioSubmission {
-                qid: qid.0,
-                sqe,
-                payload: data.to_vec(),
-            });
+            .clock
+            .advance(wire + link.propagation + self.timing.wc_flush);
+        p.mmio_window.submissions.push_back(bx_ssd::MmioSubmission {
+            qid: qid.0,
+            sqe,
+            payload: data.to_vec(),
+        });
         Ok(())
     }
 
@@ -1170,10 +1142,10 @@ impl NvmeDriver {
     /// allocated.
     fn map_payload_pages(
         &mut self,
+        mem: &mut HostMemory,
         data: &[u8],
         inflight: &mut Inflight,
     ) -> Result<(), DriverError> {
-        let mut mem = self.bus.mem.borrow_mut();
         self.page_addrs.clear();
         for chunk in data.chunks(PAGE_SIZE) {
             let page = mem.alloc_page()?;
@@ -1189,6 +1161,7 @@ impl NvmeDriver {
     /// page by page, and points the SQE at it.
     fn alloc_response_buf(
         &mut self,
+        mem: &mut HostMemory,
         len: usize,
         sqe: &mut SubmissionEntry,
         inflight: &mut Inflight,
@@ -1196,7 +1169,6 @@ impl NvmeDriver {
         if len == 0 {
             return Err(DriverError::EmptyPayload);
         }
-        let mut mem = self.bus.mem.borrow_mut();
         inflight.response_len = len;
         self.page_addrs.clear();
         for _ in 0..pages_spanned(0, len) {
@@ -1204,7 +1176,7 @@ impl NvmeDriver {
             inflight.pages.push(page);
             self.page_addrs.push(page.addr());
         }
-        let (prp1, prp2) = prp::describe(&mut mem, &self.page_addrs, 0, len, &mut inflight.pages)?;
+        let (prp1, prp2) = prp::describe(mem, &self.page_addrs, 0, len, &mut inflight.pages)?;
         sqe.set_prp1(prp1);
         sqe.set_prp2(prp2);
         Ok(())
@@ -1212,32 +1184,35 @@ impl NvmeDriver {
 
     fn insert_and_ring(
         &mut self,
+        p: &mut Platform,
         qid: QueueId,
         sqe: SubmissionEntry,
         insert_cost: Nanos,
     ) -> Result<(), DriverError> {
-        let bus = &self.bus;
         let qp = queue_in(&mut self.queues, qid)?;
         if !qp.sq.can_push(1) {
             return Err(DriverError::QueueFull { needed: 1, free: 0 });
         }
         let _guard = qp.lock.lock();
         let slot = qp.sq.push_slot();
-        bus.mem
-            .borrow_mut()
-            .write(qp.sq.slot_addr(slot), &sqe.to_bytes())?;
-        bus.clock.advance(insert_cost);
+        p.mem.write(qp.sq.slot_addr(slot), &sqe.to_bytes())?;
+        self.bus.clock.advance(insert_cost);
         let tail = qp.sq.tail();
         drop(_guard);
-        self.note_sq_tail(qid, tail)
+        self.note_sq_tail(p, qid, tail)
     }
 
     /// Routes a freshly advanced SQ tail either straight to the doorbell
     /// (no flush policy) or into the queue's deferral state, ringing only
     /// when the policy's max-batch or max-delay bound is hit.
-    fn note_sq_tail(&mut self, qid: QueueId, tail: u16) -> Result<(), DriverError> {
+    fn note_sq_tail(
+        &mut self,
+        p: &mut Platform,
+        qid: QueueId,
+        tail: u16,
+    ) -> Result<(), DriverError> {
         let Some(policy) = self.flush_policy else {
-            self.ring_sq_doorbell(qid, tail);
+            self.ring_sq_doorbell(p, qid, tail);
             return Ok(());
         };
         let now = self.bus.clock.now();
@@ -1250,7 +1225,7 @@ impl NvmeDriver {
         if qp.pending_cmds >= policy.max_batch.max(1)
             || now.saturating_sub(qp.first_pending_at) >= policy.max_delay
         {
-            self.flush_sq(qid)?;
+            self.flush_staged(p, qid)?;
         }
         Ok(())
     }
@@ -1263,6 +1238,13 @@ impl NvmeDriver {
     ///
     /// [`DriverError::UnknownQueue`] for a bad queue id.
     pub fn flush_sq(&mut self, qid: QueueId) -> Result<bool, DriverError> {
+        let platform = self.bus.platform();
+        let p = &mut *platform.borrow_mut();
+        self.flush_staged(p, qid)
+    }
+
+    /// [`NvmeDriver::flush_sq`] below the entry point.
+    fn flush_staged(&mut self, p: &mut Platform, qid: QueueId) -> Result<bool, DriverError> {
         let qp = self.queue_mut(qid)?;
         let Some(tail) = qp.pending_tail.take() else {
             return Ok(false);
@@ -1274,7 +1256,7 @@ impl NvmeDriver {
         self.bus
             .trace
             .emit(None, || EventKind::BatchFlush { cmds, tail });
-        self.ring_sq_doorbell(qid, tail);
+        self.ring_sq_doorbell(p, qid, tail);
         Ok(true)
     }
 
@@ -1288,18 +1270,24 @@ impl NvmeDriver {
     ///
     /// [`DriverError::UnknownQueue`] for a bad queue id.
     pub fn flush_sq_if_due(&mut self, qid: QueueId) -> Result<(), DriverError> {
-        if let Some(policy) = self.flush_policy {
-            let now = self.bus.clock.now();
-            let due = {
-                let qp = self.queue_mut(qid)?;
-                qp.pending_tail.is_some()
-                    && now.saturating_sub(qp.first_pending_at) >= policy.max_delay
-            };
-            if due {
-                self.flush_sq(qid)?;
-            }
+        if self.flush_is_due(qid)? {
+            self.flush_sq(qid)?;
         }
         Ok(())
+    }
+
+    /// Whether the oldest command staged on `qid` has outwaited the flush
+    /// policy's max-delay bound.
+    fn flush_is_due(&mut self, qid: QueueId) -> Result<bool, DriverError> {
+        let Some(policy) = self.flush_policy else {
+            return Ok(false);
+        };
+        let now = self.bus.clock.now();
+        let qp = self.queue_mut(qid)?;
+        Ok(
+            qp.pending_tail.is_some()
+                && now.saturating_sub(qp.first_pending_at) >= policy.max_delay,
+        )
     }
 
     /// Submits a group of commands to one queue, ringing the SQ tail
@@ -1350,7 +1338,7 @@ impl NvmeDriver {
         BatchSubmission { submitted, error }
     }
 
-    fn ring_sq_doorbell(&mut self, qid: QueueId, tail: u16) {
+    fn ring_sq_doorbell(&mut self, p: &mut Platform, qid: QueueId, tail: u16) {
         // Fault hook: the posted doorbell TLP is lost on the link — the
         // device's tail view never updates and nothing crosses the wire.
         // The driver's ring tail already advanced, so a later doorbell on
@@ -1359,13 +1347,7 @@ impl NvmeDriver {
         if qid.0 != 0 && self.bus.faults.borrow_mut().drop_doorbell() {
             return;
         }
-        self.bus.doorbells.borrow_mut().ring_sq_tail(qid, tail);
-        let t = self
-            .bus
-            .link
-            .borrow_mut()
-            .host_posted_write(TrafficClass::Doorbell, 4);
-        self.bus.clock.advance(t);
+        p.ring_sq_tail(qid, tail);
         self.stats.doorbells += 1;
         // Emitted only for doorbells that actually reached the device; a
         // fault-dropped ring above leaves no trace, like the wire.
@@ -1391,10 +1373,14 @@ impl NvmeDriver {
         qid: QueueId,
         out: &mut Vec<Completion>,
     ) -> Result<(), DriverError> {
+        let platform = self.bus.platform();
+        let p = &mut *platform.borrow_mut();
         // Staged SQ tails past the flush policy's delay bound ring here —
         // the poll loop is where virtual time advances while submissions
         // sit deferred.
-        self.flush_sq_if_due(qid)?;
+        if self.flush_is_due(qid)? {
+            self.flush_staged(p, qid)?;
+        }
         let (bus, timing) = (&self.bus, &self.timing);
         let policy = self.retry_policy;
         let coalesce = self.cq_coalesce as u64;
@@ -1409,48 +1395,38 @@ impl NvmeDriver {
         // queue, so a poll on queue B must never steal (and mis-time)
         // completions belonging to queue A. Foreign entries stay queued, in
         // order, for their own queue's poll.
-        let mut window = bus.mmio_window.borrow_mut();
-        if window.completions.iter().any(|c| c.qid == qid.0) {
-            let t = bus.link.borrow_mut().host_mmio_read(TrafficClass::Mmio, 8);
-            bus.clock.advance(t);
-            window.completions.retain(|c| {
+        if p.mmio_window.completions.iter().any(|c| c.qid == qid.0) {
+            bus.clock
+                .advance(p.link.host_mmio_read(TrafficClass::Mmio, 8));
+            let mut i = 0;
+            while let Some(&c) = p.mmio_window.completions.get(i) {
                 if c.qid != qid.0 {
-                    return true;
+                    i += 1;
+                    continue;
                 }
+                p.mmio_window.completions.remove(i);
                 let inflight = qp.inflight.remove(c.cid);
-                if inflight.is_none() && policy.is_some() {
-                    // Same accounting as the CQE ring path below: a status
-                    // word for an untracked cid is late or duplicate (e.g.
-                    // the original attempt completing after a timeout reap
-                    // and resubmission). Count it instead of silently
-                    // falsifying its submission time.
-                    spurious += 1;
-                }
-                let submitted_at = inflight
-                    .map(|i| i.submitted_at)
-                    .unwrap_or_else(|| bus.clock.now());
+                // Same accounting as the CQE ring path below: a status word
+                // for an untracked cid is late or duplicate (e.g. the
+                // original attempt completing after a timeout reap and
+                // resubmission). Count it instead of silently falsifying
+                // its submission time.
+                spurious += u64::from(inflight.is_none() && policy.is_some());
                 bus.trace.emit_cmd(CmdKey::new(qid.0, c.cid), || {
                     EventKind::CompletionConsumed {
                         status: c.status.to_wire(),
                     }
                 });
-                out.push(Completion {
-                    cid: c.cid,
-                    status: c.status,
-                    result: c.result,
-                    data: None,
-                    submitted_at,
-                    completed_at: bus.clock.now(),
-                });
-                false
-            });
+                let now = bus.clock.now();
+                let done = (c.cid, c.status, c.result);
+                out.push(retire(p, &mut self.spare_page_lists, inflight, done, now)?);
+            }
         }
-        drop(window);
         loop {
             let slot = qp.cq.head();
             let addr = qp.cq.slot_addr(slot);
             let mut img = [0u8; CQE_BYTES];
-            bus.mem.borrow().read(addr, &mut img)?;
+            p.mem.read(addr, &mut img)?;
             let cqe = CompletionEntry::from_bytes(&img);
             if cqe.phase() != qp.cq.expected_phase() {
                 break;
@@ -1462,52 +1438,25 @@ impl NvmeDriver {
             if coalesce > 0 && consumed_since_ring >= coalesce {
                 // Reap-limit reached: acknowledge this group of CQEs with
                 // a head doorbell write and keep draining.
-                ring_cq_head(bus, qid, qp.cq.head());
+                p.ring_cq_head(qid, qp.cq.head());
                 cq_rings += 1;
                 consumed_since_ring = 0;
             }
 
             let inflight = qp.inflight.remove(cqe.cid());
-            if inflight.is_none() && policy.is_some() {
-                // A CQE for a command no longer tracked: late or duplicate,
-                // e.g. the original attempt completing after a timeout reap
-                // and resubmission. Its effect is idempotent by the retry
-                // guard; consume and count it.
-                spurious += 1;
-            }
-            let mut data = None;
-            let mut submitted_at = bus.clock.now();
-            if let Some(inflight) = inflight {
-                submitted_at = inflight.submitted_at;
-                let mut mem = bus.mem.borrow_mut();
-                if inflight.response_len > 0 && cqe.status().is_success() {
-                    // Response pages are not physically contiguous; copy
-                    // them out page by page, as the PRP list describes.
-                    let mut buf = Vec::with_capacity(inflight.response_len);
-                    for page in &inflight.pages {
-                        let take = (inflight.response_len - buf.len()).min(PAGE_SIZE);
-                        if take == 0 {
-                            break;
-                        }
-                        buf.extend_from_slice(mem.slice(page.addr(), take)?);
-                    }
-                    data = Some(buf);
-                }
-                self.spare_page_lists.push(inflight.free_pages(&mut mem)?);
-            }
+            // A CQE for a command no longer tracked: late or duplicate,
+            // e.g. the original attempt completing after a timeout reap and
+            // resubmission. Its effect is idempotent by the retry guard;
+            // consume and count it.
+            spurious += u64::from(inflight.is_none() && policy.is_some());
             bus.trace.emit_cmd(CmdKey::new(qid.0, cqe.cid()), || {
                 EventKind::CompletionConsumed {
                     status: cqe.status().to_wire(),
                 }
             });
-            out.push(Completion {
-                cid: cqe.cid(),
-                status: cqe.status(),
-                result: cqe.result(),
-                data,
-                submitted_at,
-                completed_at: bus.clock.now(),
-            });
+            let now = bus.clock.now();
+            let done = (cqe.cid(), cqe.status(), cqe.result());
+            out.push(retire(p, &mut self.spare_page_lists, inflight, done, now)?);
         }
         // Timeout detection: reap in-flight commands past their deadline as
         // synthetic CommandAborted completions (retriable, DNR clear), so a
@@ -1528,29 +1477,16 @@ impl NvmeDriver {
             // history dependent); sort so reaps surface in cid order.
             expired.sort_unstable();
             for cid in expired {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "cids were collected from this table two lines up with no intervening removal"
-                )]
-                let inflight = qp.inflight.remove(cid).expect("listed above");
-                let submitted_at = inflight.submitted_at;
-                self.spare_page_lists
-                    .push(inflight.free_pages(&mut bus.mem.borrow_mut())?);
+                let inflight = qp.inflight.remove(cid);
                 reaped += 1;
                 bus.trace
                     .emit_cmd(CmdKey::new(qid.0, cid), || EventKind::TimeoutReap);
-                out.push(Completion {
-                    cid,
-                    status: Status::CommandAborted,
-                    result: 0,
-                    data: None,
-                    submitted_at,
-                    completed_at: now,
-                });
+                let done = (cid, Status::CommandAborted, 0);
+                out.push(retire(p, &mut self.spare_page_lists, inflight, done, now)?);
             }
         }
         if consumed_since_ring > 0 {
-            ring_cq_head(bus, qid, qp.cq.head());
+            p.ring_cq_head(qid, qp.cq.head());
             cq_rings += 1;
         }
         let depth = qp.inflight.len() as u64;
@@ -1851,14 +1787,65 @@ fn queue_in(
     queues.get_mut(&qid.0).ok_or(DriverError::UnknownQueue(qid))
 }
 
-/// Rings a CQ head doorbell: one posted 4-byte MMIO write.
-fn ring_cq_head(bus: &SystemBus, qid: QueueId, head: u16) {
-    bus.doorbells.borrow_mut().ring_cq_head(qid, head);
-    let t = bus
-        .link
-        .borrow_mut()
-        .host_posted_write(TrafficClass::Doorbell, 4);
-    bus.clock.advance(t);
+/// Allocates zeroed SQ and CQ rings of `depth` entries.
+fn alloc_rings(
+    mem: &mut HostMemory,
+    depth: u16,
+) -> Result<(bx_hostsim::DmaRegion, bx_hostsim::DmaRegion), DriverError> {
+    let sq_pages = (depth as usize * SQE_BYTES).div_ceil(PAGE_SIZE);
+    let cq_pages = (depth as usize * CQE_BYTES).div_ceil(PAGE_SIZE);
+    let sq = mem.alloc_contiguous(sq_pages)?;
+    let cq = mem.alloc_contiguous(cq_pages)?;
+    // Frames come back from earlier rings and data buffers with their
+    // old contents; a stale CQE whose phase bit happens to match would
+    // be consumed as a completion.
+    mem.fill(sq.base(), sq.len(), 0)?;
+    mem.fill(cq.base(), cq.len(), 0)?;
+    Ok((
+        bx_hostsim::DmaRegion::new(sq.base(), depth as usize * SQE_BYTES),
+        bx_hostsim::DmaRegion::new(cq.base(), depth as usize * CQE_BYTES),
+    ))
+}
+
+/// Retires one command as `done` — `(cid, status, result)` — at `now`:
+/// copies out the response a successful read left in its buffer and returns
+/// the command's mapped pages, their emptied list to `spare`. `inflight` is
+/// `None` for a late or duplicate completion, which has no submission time
+/// but its own.
+fn retire(
+    p: &mut Platform,
+    spare: &mut Vec<Vec<PageRef>>,
+    inflight: Option<Inflight>,
+    (cid, status, result): (u16, Status, u32),
+    now: Nanos,
+) -> Result<Completion, MemError> {
+    let mut data = None;
+    let mut submitted_at = now;
+    if let Some(inflight) = inflight {
+        submitted_at = inflight.submitted_at;
+        if inflight.response_len > 0 && status.is_success() {
+            // Response pages are not physically contiguous; copy them out
+            // page by page, as the PRP list describes.
+            let mut buf = Vec::with_capacity(inflight.response_len);
+            for page in &inflight.pages {
+                let take = (inflight.response_len - buf.len()).min(PAGE_SIZE);
+                if take == 0 {
+                    break;
+                }
+                buf.extend_from_slice(p.mem.slice(page.addr(), take)?);
+            }
+            data = Some(buf);
+        }
+        spare.push(inflight.free_pages(&mut p.mem)?);
+    }
+    Ok(Completion {
+        cid,
+        status,
+        result,
+        data,
+        submitted_at,
+        completed_at: now,
+    })
 }
 
 impl QueuePair {

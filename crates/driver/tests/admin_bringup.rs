@@ -1,7 +1,7 @@
 //! Admin-path integration: register bring-up, Identify, queue lifecycle.
 
 use bx_driver::{DriverError, InlineMode, NvmeDriver, TransferMethod};
-use bx_nvme::{IdentifyController, PassthruCmd, Status, VendorCaps};
+use bx_nvme::{DoorbellArray, IdentifyController, PassthruCmd, Status, VendorCaps};
 use bx_pcie::LinkConfig;
 use bx_ssd::registers::Register;
 use bx_ssd::{
@@ -59,7 +59,7 @@ fn io_through_admin_created_queue() {
 #[test]
 fn queue_delete_then_recreate() {
     let (bus, mut ctrl, mut driver) = default_platform();
-    let free_pages = || bus.mem.borrow().allocator().free_pages();
+    let free_pages = || bus.platform().borrow().mem.allocator().free_pages();
     driver.initialize(&mut ctrl).unwrap();
     let q1 = driver.create_io_queue(&mut ctrl, 64).unwrap();
     let one_pair = free_pages();
@@ -86,9 +86,40 @@ fn queue_delete_then_recreate() {
             TransferMethod::ByteExpress,
         )
         .unwrap();
-    // A new queue can be created after deletion.
+    // A new queue can be created after deletion, and takes the freed id.
     let q3 = driver.create_io_queue(&mut ctrl, 64).unwrap();
-    assert!(q3.0 > q2.0);
+    assert_eq!(q3, q1);
+    assert_eq!(free_pages(), one_pair - 2);
+}
+
+#[test]
+fn refused_sq_does_not_strand_its_cq() {
+    // Doorbells for the admin pair and one I/O pair only.
+    let bus = SystemBus::new(LinkConfig::gen2_x8(), 64 << 20, 2);
+    let cfg = ControllerConfig {
+        nand: NandConfig::disabled(),
+        ..ControllerConfig::default()
+    };
+    let mut ctrl = Controller::new(bus.clone(), cfg, |dram| {
+        Box::new(BlockFirmware::new(dram, false))
+    });
+    let mut driver = NvmeDriver::new(bus.clone());
+    driver.initialize(&mut ctrl).unwrap();
+    driver.create_io_queue(&mut ctrl, 64).unwrap();
+    // Create-IO-CQ 2 is accepted; Create-IO-SQ 2 has no doorbell.
+    let err = driver.create_io_queue(&mut ctrl, 64).unwrap_err();
+    assert_eq!(err, DriverError::AdminFailed(Status::InvalidField));
+
+    // Once a doorbell for it exists, the controller takes a fresh pair on
+    // the id — it holds no CQ 2 left over from the refused attempt.
+    bus.platform().borrow_mut().doorbells = DoorbellArray::new(3);
+    let q2 = driver.create_io_queue(&mut ctrl, 64).unwrap();
+    assert_eq!(q2.0, 2);
+    let cmd = PassthruCmd::to_device(bx_nvme::IoOpcode::Write, 1, vec![7u8; 100]);
+    let c = driver
+        .execute(q2, &mut ctrl, &cmd, TransferMethod::ByteExpress)
+        .unwrap();
+    assert_eq!(c.status, Status::Success);
 }
 
 #[test]

@@ -348,7 +348,7 @@ fn queue_fills_without_completion_processing() {
 #[test]
 fn prp_pages_recycled_across_ops() {
     let mut r = rig(false);
-    let free_before = r.bus.mem.borrow().allocator().free_pages();
+    let free_before = r.bus.platform().borrow().mem.allocator().free_pages();
     for i in 0..200u64 {
         r.driver
             .execute(
@@ -359,7 +359,10 @@ fn prp_pages_recycled_across_ops() {
             )
             .unwrap();
     }
-    assert_eq!(r.bus.mem.borrow().allocator().free_pages(), free_before);
+    assert_eq!(
+        r.bus.platform().borrow().mem.allocator().free_pages(),
+        free_before
+    );
 }
 
 /// NAND-on writes through ByteExpress cost NAND program time; NAND-off ones

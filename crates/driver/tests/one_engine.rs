@@ -29,7 +29,7 @@ fn write_cmd(lba: u64, data: Vec<u8>) -> PassthruCmd {
 }
 
 fn free_pages(bus: &SystemBus) -> usize {
-    bus.mem.borrow().allocator().free_pages()
+    bus.platform().borrow().mem.allocator().free_pages()
 }
 
 #[test]

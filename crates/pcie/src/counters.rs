@@ -241,39 +241,6 @@ impl fmt::Display for TrafficCounters {
     }
 }
 
-/// Interval-based traffic reader in the style of Intel PCM: snapshot at the
-/// start of a measurement window, read the delta at the end.
-///
-/// # Example
-///
-/// ```
-/// use bx_pcie::{LinkConfig, PcieLink, PcmCounters, TrafficClass};
-///
-/// let mut link = PcieLink::new(LinkConfig::gen2_x8());
-/// let pcm = PcmCounters::start(&link);
-/// link.device_read(TrafficClass::PrpData, 4096);
-/// let delta = pcm.stop(&link);
-/// assert!(delta.total_bytes() >= 4096);
-/// ```
-#[derive(Debug, Clone)]
-pub struct PcmCounters {
-    baseline: TrafficCounters,
-}
-
-impl PcmCounters {
-    /// Snapshots the link's counters as the measurement baseline.
-    pub fn start(link: &crate::link::PcieLink) -> Self {
-        PcmCounters {
-            baseline: link.counters().clone(),
-        }
-    }
-
-    /// Returns traffic accumulated since [`PcmCounters::start`].
-    pub fn stop(&self, link: &crate::link::PcieLink) -> TrafficCounters {
-        link.counters().since(&self.baseline)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,35 +330,6 @@ mod tests {
         // the direction total clamps, but the fresh class survives).
         assert_eq!(delta.class(TrafficClass::Mmio).tlps, 1);
         assert!(delta.total_bytes() < baseline.total_bytes());
-    }
-
-    /// The PCM facade measures exactly the traffic between start and stop.
-    #[test]
-    fn pcm_counters_measure_the_interval() {
-        use crate::config::LinkConfig;
-        use crate::link::PcieLink;
-
-        let mut link = PcieLink::new(LinkConfig::gen2_x8());
-        // Traffic before the window must not be attributed to it.
-        link.host_posted_write(TrafficClass::Mmio, 64);
-
-        let pcm = PcmCounters::start(&link);
-        link.device_read(TrafficClass::PrpData, 4096);
-        link.device_posted_write(TrafficClass::Cqe, 16);
-        let delta = pcm.stop(&link);
-
-        assert_eq!(delta.class(TrafficClass::Mmio), ClassBytes::default());
-        assert_eq!(delta.class(TrafficClass::PrpData).payload_bytes, 4096);
-        assert_eq!(delta.class(TrafficClass::Cqe).payload_bytes, 16);
-
-        // Traffic after stop() is likewise excluded: stop() is a pure read.
-        link.host_posted_write(TrafficClass::Doorbell, 4);
-        assert_eq!(
-            pcm.stop(&link).class(TrafficClass::Doorbell).tlps,
-            1,
-            "a second stop() sees the extra doorbell"
-        );
-        assert_eq!(delta.class(TrafficClass::Doorbell), ClassBytes::default());
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod link;
 pub mod tlp;
 
 pub use config::{Generation, LinkConfig, LinkConfigError};
-pub use counters::{ClassBytes, PcmCounters, TrafficClass, TrafficCounters};
+pub use counters::{ClassBytes, TrafficClass, TrafficCounters};
 pub use energy::{EnergyModel, Picojoules};
 pub use link::PcieLink;
 pub use tlp::{TlpKind, TlpStream};

@@ -6,10 +6,26 @@
 //! The simulation is single-threaded (deterministic virtual time), so shared
 //! ownership is `Rc<RefCell<_>>`; the multi-threaded ordering stress harness
 //! lives separately in the driver crate.
+//!
+//! Everything host and device both touch is one [`Platform`] behind one
+//! cell, and one rule says who borrows it: **a public entry point of
+//! `NvmeDriver` or `Controller` borrows the platform at its top; every
+//! function below it takes `p: &mut Platform` and never borrows; a function
+//! that is handed `&mut Controller` borrows around its calls into it and
+//! holds no borrow across one.** So no path can nest two borrows, and that
+//! is checkable from signatures. (The driver's private `admin_execute` is
+//! the one function below an entry point that borrows: it brackets a
+//! controller call.) What is left for the end state — entry points taking
+//! `&mut Platform`, no `Rc` — is a signature change.
+//!
+//! The fault injector stays outside the platform, in its own cell:
+//! `NandArray` consults it from inside `FirmwareHandler::handle`, which runs
+//! while the controller holds the platform. The clock and the trace sink are
+//! cell-like handles already and are never borrowed.
 
 use bx_hostsim::{FaultConfig, FaultCounters, FaultInjector, HostMemory, SimClock};
-use bx_nvme::{DoorbellArray, Status, SubmissionEntry};
-use bx_pcie::{LinkConfig, PcieLink, TrafficCounters};
+use bx_nvme::{DoorbellArray, QueueId, Status, SubmissionEntry};
+use bx_pcie::{LinkConfig, PcieLink, TrafficClass, TrafficCounters};
 use bx_trace::TraceSink;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -64,17 +80,49 @@ pub struct MmioWindow {
     pub completions: VecDeque<MmioCompletion>,
 }
 
+/// Everything the host and the device both touch. One owner at a time: see
+/// the module doc for who borrows it.
+#[derive(Debug)]
+pub struct Platform {
+    /// Simulated host DRAM.
+    pub mem: HostMemory,
+    /// The PCIe link (traffic + timing).
+    pub link: PcieLink,
+    /// BAR doorbell registers.
+    pub doorbells: DoorbellArray,
+    /// The byte-interface BAR window (the §3.1 MMIO baseline).
+    pub mmio_window: MmioWindow,
+    /// The shared virtual clock ([`SystemBus::clock`]'s timeline), at hand
+    /// so a link transaction can charge the latency it returns.
+    pub clock: SimClock,
+}
+
+impl Platform {
+    /// A posted host→device write (BAR register, doorbell), charged to the
+    /// clock.
+    pub fn host_posted_write(&mut self, class: TrafficClass, len: usize) {
+        self.clock.advance(self.link.host_posted_write(class, len));
+    }
+
+    /// Rings an SQ tail doorbell: the register update plus its posted
+    /// 4-byte MMIO write.
+    pub fn ring_sq_tail(&mut self, qid: QueueId, tail: u16) {
+        self.doorbells.ring_sq_tail(qid, tail);
+        self.host_posted_write(TrafficClass::Doorbell, 4);
+    }
+
+    /// Rings a CQ head doorbell: the register update plus its posted
+    /// 4-byte MMIO write.
+    pub fn ring_cq_head(&mut self, qid: QueueId, head: u16) {
+        self.doorbells.ring_cq_head(qid, head);
+        self.host_posted_write(TrafficClass::Doorbell, 4);
+    }
+}
+
 /// Shared handles to the simulated platform.
 #[derive(Debug, Clone)]
 pub struct SystemBus {
-    /// Simulated host DRAM.
-    pub mem: Rc<RefCell<HostMemory>>,
-    /// The PCIe link (traffic + timing).
-    pub link: Rc<RefCell<PcieLink>>,
-    /// BAR doorbell registers.
-    pub doorbells: Rc<RefCell<DoorbellArray>>,
-    /// The byte-interface BAR window (the §3.1 MMIO baseline).
-    pub mmio_window: Rc<RefCell<MmioWindow>>,
+    platform: Rc<RefCell<Platform>>,
     /// The shared virtual clock.
     pub clock: SimClock,
     /// The shared fault injector (disabled by default; see
@@ -89,15 +137,25 @@ impl SystemBus {
     /// Creates a platform with `mem_capacity` bytes of host memory,
     /// `queue_pairs` doorbell pairs, and the given link configuration.
     pub fn new(link: LinkConfig, mem_capacity: usize, queue_pairs: usize) -> Self {
+        let clock = SimClock::new();
         SystemBus {
-            mem: Rc::new(RefCell::new(HostMemory::with_capacity(mem_capacity))),
-            link: Rc::new(RefCell::new(PcieLink::new(link))),
-            doorbells: Rc::new(RefCell::new(DoorbellArray::new(queue_pairs))),
-            mmio_window: Rc::new(RefCell::new(MmioWindow::default())),
-            clock: SimClock::new(),
+            platform: Rc::new(RefCell::new(Platform {
+                mem: HostMemory::with_capacity(mem_capacity),
+                link: PcieLink::new(link),
+                doorbells: DoorbellArray::new(queue_pairs),
+                mmio_window: MmioWindow::default(),
+                clock: clock.clone(),
+            })),
+            clock,
             faults: Rc::new(RefCell::new(FaultInjector::disabled())),
             trace: TraceSink::disabled(),
         }
+    }
+
+    /// A handle to the platform cell, for an entry point to borrow at its
+    /// top (module doc) and for tests to inspect memory and doorbells.
+    pub fn platform(&self) -> Rc<RefCell<Platform>> {
+        Rc::clone(&self.platform)
     }
 
     /// Turns on the flight recorder for every component built from this bus,
@@ -108,7 +166,7 @@ impl SystemBus {
     pub fn enable_trace(&mut self) -> TraceSink {
         let sink = TraceSink::recording(self.clock.clone());
         self.trace = sink.clone();
-        self.link.borrow_mut().set_trace(sink.clone());
+        self.platform.borrow_mut().link.set_trace(sink.clone());
         sink
     }
 
@@ -126,13 +184,13 @@ impl SystemBus {
 
     /// A snapshot of the link's traffic counters.
     pub fn traffic(&self) -> TrafficCounters {
-        self.link.borrow().counters().clone()
+        self.platform.borrow().link.counters().clone()
     }
 
     /// Resets traffic counters and the clock (for back-to-back benchmark
     /// configurations on one platform).
     pub fn reset_measurements(&self) {
-        self.link.borrow_mut().reset_counters();
+        self.platform.borrow_mut().link.reset_counters();
         self.clock.reset();
     }
 }
@@ -141,14 +199,14 @@ impl SystemBus {
 mod tests {
     use super::*;
     use bx_hostsim::Nanos;
-    use bx_pcie::TrafficClass;
 
     #[test]
     fn clones_share_state() {
         let bus = SystemBus::new(LinkConfig::gen2_x8(), 1 << 20, 4);
         let view = bus.clone();
-        bus.link
+        bus.platform()
             .borrow_mut()
+            .link
             .host_posted_write(TrafficClass::Doorbell, 4);
         assert_eq!(view.traffic().total_bytes(), 28);
         bus.clock.advance(Nanos::from_ns(10));
@@ -158,7 +216,7 @@ mod tests {
     #[test]
     fn reset_measurements_clears_both() {
         let bus = SystemBus::new(LinkConfig::gen2_x8(), 1 << 20, 4);
-        bus.link
+        bus.platform()
             .borrow_mut()
             .host_posted_write(TrafficClass::Doorbell, 4);
         bus.clock.advance(Nanos::from_ns(100));

@@ -16,7 +16,7 @@
 //! extension.
 
 use crate::arbiter::Arbitration;
-use crate::bus::SystemBus;
+use crate::bus::{Platform, SystemBus};
 use crate::dram::DeviceDram;
 use crate::firmware::{CommandOutcome, FirmwareCtx, FirmwareHandler};
 use crate::ftl::{Ftl, RecoveryReport};
@@ -321,17 +321,16 @@ impl Controller {
         assert_eq!(cq_region.len(), depth as usize * CQE_BYTES);
         let id = QueueId(self.next_io_qid);
         self.next_io_qid += 1;
+        let platform = self.bus.platform();
+        let p = &mut *platform.borrow_mut();
         assert!(
-            (id.0 as usize) < self.bus.doorbells.borrow().queues(),
+            (id.0 as usize) < p.doorbells.queues(),
             "doorbell array too small for queue {id}"
         );
-        // Queue-base registration rides MMIO writes.
-        let t = {
-            let mut link = self.bus.link.borrow_mut();
-            link.host_posted_write(TrafficClass::Mmio, 8)
-                + link.host_posted_write(TrafficClass::Mmio, 8)
-        };
-        self.bus.clock.advance(t);
+        // Queue-base registration rides two MMIO writes, issued back to back.
+        let t = p.link.host_posted_write(TrafficClass::Mmio, 8)
+            + p.link.host_posted_write(TrafficClass::Mmio, 8);
+        p.clock.advance(t);
         self.queues.push(IoQueue {
             id,
             sq_base: sq_region.base(),
@@ -372,21 +371,13 @@ impl Controller {
         self.arbitration
     }
 
-    /// Replaces the arbitration mode (takes effect on the next
-    /// [`Controller::process_available`] round).
-    pub fn set_arbitration(&mut self, arbitration: Arbitration) {
-        self.arbitration = arbitration;
-    }
-
     /// Writes a BAR register (charged as MMIO traffic). Setting CC.EN
     /// latches the admin queue from ASQ/ACQ/AQA and raises CSTS.RDY.
     pub fn mmio_write(&mut self, reg: Register, value: u64) {
-        let t = self
-            .bus
-            .link
+        self.bus
+            .platform()
             .borrow_mut()
             .host_posted_write(TrafficClass::Mmio, 8);
-        self.bus.clock.advance(t);
         let enabled_now = self.regs.write(reg, value);
         if enabled_now {
             let sq_depth = self.regs.admin_sq_depth();
@@ -419,23 +410,16 @@ impl Controller {
 
     /// Reads a BAR register (a synchronous MMIO round trip).
     pub fn mmio_read(&mut self, reg: Register) -> u64 {
-        let t = self
-            .bus
-            .link
-            .borrow_mut()
-            .host_mmio_read(TrafficClass::Mmio, 8);
-        self.bus.clock.advance(t);
+        let platform = self.bus.platform();
+        let p = &mut *platform.borrow_mut();
+        p.clock
+            .advance(p.link.host_mmio_read(TrafficClass::Mmio, 8));
         self.regs.read(reg)
     }
 
     /// Whether CSTS.RDY is set.
     pub fn is_ready(&self) -> bool {
         self.regs.ready()
-    }
-
-    /// The identify data this controller serves.
-    pub fn identify_data(&self) -> &IdentifyController {
-        &self.identify
     }
 
     /// Activity counters.
@@ -491,13 +475,15 @@ impl Controller {
     /// command has completed — same contract as `Serial`, but with the NAND
     /// busy windows overlapped instead of summed.
     pub fn process_available(&mut self) -> usize {
+        let platform = self.bus.platform();
+        let p = &mut *platform.borrow_mut();
         let mut completed = 0;
         loop {
             if self.powered_off {
                 return completed;
             }
             let mut progressed = false;
-            let delivered = self.deliver_due_completions();
+            let delivered = self.deliver_due_completions(p);
             if delivered > 0 {
                 completed += delivered;
                 progressed = true;
@@ -505,20 +491,20 @@ impl Controller {
             if self.powered_off {
                 return completed;
             }
-            let evicted = self.evict_stalled_inline();
+            let evicted = self.evict_stalled_inline(p);
             if evicted > 0 {
                 completed += evicted;
                 progressed = true;
             }
-            while self.admin_has_work() {
-                self.process_admin_one();
+            while self.admin_has_work(p) {
+                self.process_admin_one(p);
                 if self.powered_off {
                     return completed;
                 }
                 completed += 1;
                 progressed = true;
             }
-            while let Some(n) = self.process_mmio_one() {
+            while let Some(n) = self.process_mmio_one(p) {
                 completed += n;
                 progressed = true;
             }
@@ -539,11 +525,11 @@ impl Controller {
                 let qi = (start + k) % n;
                 let credits = self.arbitration.credits(self.queues[qi].weight);
                 let mut served = 0u32;
-                while served < credits && self.queue_has_work(qi) {
+                while served < credits && self.queue_has_work(p, qi) {
                     if self.queues[qi].inline_pending.is_some() {
-                        completed += self.fetch_reassembly_chunk(qi);
+                        completed += self.fetch_reassembly_chunk(p, qi);
                     } else {
-                        completed += self.process_one(qi);
+                        completed += self.process_one(p, qi);
                     }
                     // A power cut clears `queues`, so the round's captured
                     // indices are stale — bail out before touching them.
@@ -573,7 +559,7 @@ impl Controller {
                     None => return completed,
                 }
             } else {
-                self.sample_gauges();
+                self.sample_gauges(p);
             }
         }
     }
@@ -586,13 +572,12 @@ impl Controller {
     /// unchanged, which the serial-identity fingerprint pins. Called at the
     /// end of every `process_available` pass that made progress, so samples
     /// land exactly at processing edges in virtual time.
-    fn sample_gauges(&self) {
+    fn sample_gauges(&self, p: &Platform) {
         if !self.bus.trace.gauges_enabled() {
             return;
         }
-        let doorbells = self.bus.doorbells.borrow();
         for q in &self.queues {
-            let tail = doorbells.sq_tail(q.id);
+            let tail = p.doorbells.sq_tail(q.id);
             let backlog = if tail >= q.fetch_head {
                 tail - q.fetch_head
             } else {
@@ -605,7 +590,6 @@ impl Controller {
                 value: u64::from(backlog),
             });
         }
-        drop(doorbells);
         self.bus.trace.emit_gauge(|| EventKind::GaugeSample {
             gauge: "completions_in_flight",
             scope: 0,
@@ -631,7 +615,7 @@ impl Controller {
     /// Delivers every deferred completion due at or before the current
     /// virtual time, in `(complete_at, dispatch order)` order. Returns the
     /// number of commands completed.
-    fn deliver_due_completions(&mut self) -> usize {
+    fn deliver_due_completions(&mut self, p: &mut Platform) -> usize {
         let mut delivered = 0;
         let now = self.bus.clock.now();
         while let Some((_, ev)) = self.deferred.pop_due(now) {
@@ -639,10 +623,10 @@ impl Controller {
             // land between the media finishing and the CQE reaching the
             // host. The popped completion dies with the rest of the
             // deferred queue.
-            if self.power_tick() {
+            if self.power_tick(p) {
                 return delivered;
             }
-            delivered += self.deliver_completion(&ev);
+            delivered += self.deliver_completion(p, &ev);
         }
         delivered
     }
@@ -651,7 +635,7 @@ impl Controller {
     /// MMIO status-window push) — response DMA included, since the data only
     /// exists once the media op finishes. Runs at or after the command's
     /// `complete_at`, under either execution model.
-    fn deliver_completion(&mut self, ev: &DeferredCompletion) -> usize {
+    fn deliver_completion(&mut self, p: &mut Platform, ev: &DeferredCompletion) -> usize {
         match *ev {
             DeferredCompletion::Cqe {
                 qid,
@@ -665,10 +649,10 @@ impl Controller {
                 };
                 if let Some(response) = &outcome.response {
                     if !response.is_empty() {
-                        self.dma_response(sqe, response);
+                        self.dma_response(p, sqe, response);
                     }
                 }
-                self.post_completion(qi, sqe.cid(), outcome);
+                self.post_completion(p, qi, sqe.cid(), outcome);
                 1
             }
             DeferredCompletion::Mmio {
@@ -677,14 +661,14 @@ impl Controller {
                 status,
                 result,
             } => {
-                self.bus.mmio_window.borrow_mut().completions.push_back(
-                    crate::bus::MmioCompletion {
+                p.mmio_window
+                    .completions
+                    .push_back(crate::bus::MmioCompletion {
                         qid,
                         cid,
                         status,
                         result,
-                    },
-                );
+                    });
                 self.bus
                     .trace
                     .emit_cmd(CmdKey::new(qid, cid), || EventKind::CqePost {
@@ -701,7 +685,7 @@ impl Controller {
     /// [`Status::DataTransferError`] — so the driver can retry — and the
     /// tracker SRAM of every stalled payload is reclaimed instead of leaking
     /// until controller reset. Returns how many commands were failed.
-    fn evict_stalled_inline(&mut self) -> usize {
+    fn evict_stalled_inline(&mut self, p: &mut Platform) -> usize {
         if self.fetch_policy != FetchPolicy::Reassembly {
             return 0;
         }
@@ -721,7 +705,7 @@ impl Controller {
                 .as_ref()
                 .is_some_and(|p| now.saturating_sub(p.parked_at) > self.stall_deadline);
             // Never evict a train that still has fetchable entries queued.
-            if expired && !self.queue_has_work(qi) {
+            if expired && !self.queue_has_work(p, qi) {
                 #[expect(
                     clippy::expect_used,
                     reason = "is_some_and on the same field two lines up makes take() infallible here"
@@ -730,7 +714,7 @@ impl Controller {
                 let outcome = CommandOutcome::fail(Status::DataTransferError, now);
                 let key = CmdKey::new(self.queues[qi].id.0, pending.sqe.cid());
                 self.bus.trace.emit_cmd(key, || EventKind::ReassemblyEvict);
-                self.post_completion(qi, pending.sqe.cid(), &outcome);
+                self.post_completion(p, qi, pending.sqe.cid(), &outcome);
                 self.stats.stalled_evictions += 1;
                 completed += 1;
             }
@@ -745,9 +729,9 @@ impl Controller {
     /// Returns `None` when the window is empty, otherwise the number of
     /// completions posted: 1 under `Serial`, 0 under `Pipelined` (the status
     /// word posts later, when the scheduled completion is delivered).
-    fn process_mmio_one(&mut self) -> Option<usize> {
-        let sub = self.bus.mmio_window.borrow_mut().submissions.pop_front()?;
-        if self.power_tick() {
+    fn process_mmio_one(&mut self, p: &mut Platform) -> Option<usize> {
+        let sub = p.mmio_window.submissions.pop_front()?;
+        if self.power_tick(p) {
             // The committed bytes were still in the volatile window.
             return None;
         }
@@ -772,6 +756,7 @@ impl Controller {
         let payload = (!sub.payload.is_empty()).then_some(sub.payload.as_slice());
         let outcome = self.firmware.handle(ctx, &sub.sqe, payload);
         Some(self.finish(
+            p,
             outcome.complete_at,
             DeferredCompletion::Mmio {
                 qid: sub.qid,
@@ -782,46 +767,31 @@ impl Controller {
         ))
     }
 
-    fn admin_has_work(&self) -> bool {
+    fn admin_has_work(&self, p: &Platform) -> bool {
         self.admin
             .as_ref()
-            .is_some_and(|q| self.bus.doorbells.borrow().sq_tail(q.id) != q.fetch_head)
+            .is_some_and(|q| p.doorbells.sq_tail(q.id) != q.fetch_head)
     }
 
     /// Fetches and executes one admin command.
-    fn process_admin_one(&mut self) {
-        if self.power_tick() {
+    fn process_admin_one(&mut self, p: &mut Platform) {
+        if self.power_tick(p) {
             return;
         }
-        self.bus.clock.advance(self.timing.fetch_dispatch_overhead);
-        let img = {
-            #[expect(
-                clippy::expect_used,
-                reason = "process_admin_one is gated on admin doorbell state, which only exists once the admin queue is latched"
-            )]
-            let q = self.admin.as_mut().expect("admin queue latched");
-            fetch_image(&self.bus, q)
+        // Taken out for the command: `handle_admin` needs the rest of `self`.
+        let Some(mut q) = self.admin.take() else {
+            return;
         };
-        let dma = self
-            .bus
-            .link
-            .borrow_mut()
-            .device_read(TrafficClass::SqeFetch, SQE_BYTES);
-        self.bus.clock.advance(dma);
-        let sqe = SubmissionEntry::from_bytes(&img);
-
-        let outcome = self.handle_admin(&sqe);
-        #[expect(
-            clippy::expect_used,
-            reason = "same gate as the fetch above; the admin queue cannot unlatch mid-command"
-        )]
-        let q = self.admin.as_mut().expect("admin queue latched");
-        post_to_queue(&self.bus, &self.timing, q, sqe.cid(), &outcome);
+        self.bus.clock.advance(self.timing.fetch_dispatch_overhead);
+        let sqe = SubmissionEntry::from_bytes(&fetch_entry(p, &mut q, None));
+        let outcome = self.handle_admin(p, &sqe);
+        post_to_queue(p, &self.bus, &self.timing, &mut q, sqe.cid(), &outcome);
+        self.admin = Some(q);
         self.stats.admin_commands += 1;
         self.stats.commands_completed += 1;
     }
 
-    fn handle_admin(&mut self, sqe: &SubmissionEntry) -> CommandOutcome {
+    fn handle_admin(&mut self, p: &mut Platform, sqe: &SubmissionEntry) -> CommandOutcome {
         let now = self.bus.clock.now();
         match sqe.opcode_raw() {
             op if op == AdminOpcode::Identify as u8 => {
@@ -829,7 +799,7 @@ impl Controller {
                     return CommandOutcome::fail(Status::InvalidField, now);
                 }
                 let page = self.identify.encode();
-                self.dma_response(sqe, &page);
+                self.dma_response(p, sqe, &page);
                 CommandOutcome::ok(self.bus.clock.now())
             }
             op if op == AdminOpcode::CreateIoCq as u8 => {
@@ -847,34 +817,37 @@ impl Controller {
                 CommandOutcome::ok(now)
             }
             op if op == AdminOpcode::CreateIoSq as u8 => {
-                let p = admin::queue_params(sqe);
-                let Some(&(cq_base, cq_depth)) = self.pending_cqs.get(&p.cqid) else {
+                let new = admin::queue_params(sqe);
+                let Some(&(cq_base, cq_depth)) = self.pending_cqs.get(&new.cqid) else {
                     return CommandOutcome::fail(Status::InvalidField, now);
                 };
-                if p.qid == 0
-                    || p.depth < 2
-                    || p.depth > self.regs.max_queue_entries
-                    || !p.base.is_page_aligned()
-                    || self.queues.iter().any(|q| q.id.0 == p.qid)
-                    || (p.qid as usize) >= self.bus.doorbells.borrow().queues()
+                if new.qid == 0
+                    || new.depth < 2
+                    || new.depth > self.regs.max_queue_entries
+                    || !new.base.is_page_aligned()
+                    || self.queues.iter().any(|q| q.id.0 == new.qid)
+                    || (new.qid as usize) >= p.doorbells.queues()
                 {
                     return CommandOutcome::fail(Status::InvalidField, now);
                 }
-                self.pending_cqs.remove(&p.cqid);
+                self.pending_cqs.remove(&new.cqid);
+                // A queue starts with its tail doorbell at zero, whatever a
+                // deleted pair that had the id left in it.
+                p.doorbells.ring_sq_tail(QueueId(new.qid), 0);
                 self.queues.push(IoQueue {
-                    id: QueueId(p.qid),
-                    sq_base: p.base,
-                    sq_depth: p.depth,
+                    id: QueueId(new.qid),
+                    sq_base: new.base,
+                    sq_depth: new.depth,
                     fetch_head: 0,
                     cq_base,
                     cq_depth,
                     cq_prod: CqProducer::new(cq_depth),
-                    cqid: p.cqid,
+                    cqid: new.cqid,
                     bandslim_pending: None,
                     inline_pending: None,
                     weight: 1,
                 });
-                self.next_io_qid = self.next_io_qid.max(p.qid + 1);
+                self.next_io_qid = self.next_io_qid.max(new.qid + 1);
                 CommandOutcome::ok(now)
             }
             op if op == AdminOpcode::DeleteIoSq as u8 => {
@@ -886,6 +859,11 @@ impl Controller {
                 // The CQ outlives its SQ (spec deletes SQ first); return it
                 // to the unbound pool so Delete-IO-CQ can find it.
                 self.pending_cqs.insert(q.cqid, (q.cq_base, q.cq_depth));
+                // Byte-interface commands die with the pair that owns them:
+                // a later pair under the same id must not be handed their
+                // status words.
+                p.mmio_window.submissions.retain(|s| s.qid != qid);
+                p.mmio_window.completions.retain(|c| c.qid != qid);
                 self.rr = 0;
                 CommandOutcome::ok(now)
             }
@@ -904,37 +882,24 @@ impl Controller {
         }
     }
 
-    fn queue_has_work(&self, qi: usize) -> bool {
+    fn queue_has_work(&self, p: &Platform, qi: usize) -> bool {
         let q = &self.queues[qi];
-        self.bus.doorbells.borrow().sq_tail(q.id) != q.fetch_head
-    }
-
-    /// Reads one 64-byte SQ entry image at the queue's fetch head, charging
-    /// link traffic; advances the fetch head.
-    fn fetch_entry_image(&mut self, qi: usize) -> [u8; 64] {
-        fetch_image(&self.bus, &mut self.queues[qi])
+        p.doorbells.sq_tail(q.id) != q.fetch_head
     }
 
     /// Processes one command (which may consume multiple SQ entries).
     /// Returns 1 if a command completed, 0 if the entry was absorbed into a
     /// pending BandSlim assembly.
-    fn process_one(&mut self, qi: usize) -> usize {
-        if self.power_tick() {
+    fn process_one(&mut self, p: &mut Platform, qi: usize) -> usize {
+        if self.power_tick(p) {
             return 0;
         }
         // SQE fetch: firmware dispatch overhead + the 64-byte DMA round trip.
         self.bus.clock.advance(self.timing.fetch_dispatch_overhead);
-        let img = self.fetch_entry_image(qi);
-        let dma = self
-            .bus
-            .link
-            .borrow_mut()
-            .device_read(TrafficClass::SqeFetch, SQE_BYTES);
-        self.bus.clock.advance(dma);
-        let sqe = SubmissionEntry::from_bytes(&img);
+        let sqe = SubmissionEntry::from_bytes(&fetch_entry(p, &mut self.queues[qi], None));
 
         if bandslim::is_frag(&sqe) {
-            return self.absorb_bandslim_frag(qi, &sqe);
+            return self.absorb_bandslim_frag(p, qi, &sqe);
         }
         self.stats.sqes_fetched += 1;
         let key = CmdKey::new(self.queues[qi].id.0, sqe.cid());
@@ -947,7 +912,7 @@ impl Controller {
         let payload: Option<Vec<u8>> = if let Some(len) = inline::inline_len(&sqe) {
             match self.fetch_policy {
                 FetchPolicy::QueueLocal => {
-                    let payload = self.gather_inline(qi, len);
+                    let payload = self.gather_inline(p, qi, len);
                     self.bus.trace.emit_cmd(key, || EventKind::InlineGather {
                         chunks: inline::chunks_for_len(len) as u16,
                         bytes: payload.len(),
@@ -970,14 +935,14 @@ impl Controller {
             // A head while an earlier one still waits for fragments strands
             // that one: fail it as an out-of-order fragment would.
             if let Some(stale) = self.queues[qi].bandslim_pending.take() {
-                completed += self.fail_bandslim(qi, stale.head.cid());
+                completed += self.fail_bandslim(p, qi, stale.head.cid());
                 self.recycle_payload(stale.buf);
             }
             // CDW3 is wire-supplied (up to 255); no head carries more than
             // `HEAD_CAPACITY` bytes.
             let embedded = bandslim::head_embedded(&sqe).min(total);
             if embedded > bandslim::HEAD_CAPACITY {
-                return completed + self.fail_bandslim(qi, sqe.cid());
+                return completed + self.fail_bandslim(p, qi, sqe.cid());
             }
             match self.begin_bandslim(qi, &sqe, total, embedded) {
                 Some(p) => {
@@ -990,7 +955,7 @@ impl Controller {
                 None => return completed, // fragments still to come
             }
         } else if opcode_moves_data_in(&sqe) {
-            let payload = self.gather_dptr(&sqe);
+            let payload = self.gather_dptr(p, &sqe);
             if let Some(p) = &payload {
                 let kind = match sqe.data_pointer_kind() {
                     DataPointerKind::Prp => "prp",
@@ -1006,7 +971,7 @@ impl Controller {
             None
         };
 
-        completed += self.dispatch_and_complete(qi, &sqe, payload.as_deref());
+        completed += self.dispatch_and_complete(p, qi, &sqe, payload.as_deref());
         if let Some(buf) = payload {
             self.recycle_payload(buf);
         }
@@ -1019,22 +984,16 @@ impl Controller {
     /// staging buffer — no per-train `Vec<[u8; 64]>` is ever materialized,
     /// so steady-state gathering is allocation-free once the buffer has
     /// grown to the largest payload seen.
-    fn gather_inline(&mut self, qi: usize, len: usize) -> Vec<u8> {
+    fn gather_inline(&mut self, p: &mut Platform, qi: usize, len: usize) -> Vec<u8> {
         let n = inline::chunks_for_len(len);
         let mut payload = self.take_scratch_payload(len);
+        let per_chunk = self.timing.per_chunk_fetch + self.timing.chunk_land;
         for _ in 0..n {
             // Queue-local: the *same* queue's next entry, no switching
             // mid-transaction. Chunk fetches pipeline, so the marginal
             // cost is per-entry processing (Table 1), not a fresh DMA
             // round trip — traffic is still charged in full.
-            let img = self.fetch_entry_image(qi);
-            self.bus
-                .link
-                .borrow_mut()
-                .device_read(TrafficClass::SqeFetch, SQE_BYTES);
-            self.bus
-                .clock
-                .advance(self.timing.per_chunk_fetch + self.timing.chunk_land);
+            let img = fetch_entry(p, &mut self.queues[qi], Some(per_chunk));
             let take = (len - payload.len()).min(img.len());
             payload.extend_from_slice(&img[..take]);
             self.stats.chunks_fetched += 1;
@@ -1061,18 +1020,13 @@ impl Controller {
 
     /// Fetches one reassembly-mode chunk for a parked command; dispatches
     /// the command once its payload completes. Returns completions (0 or 1).
-    fn fetch_reassembly_chunk(&mut self, qi: usize) -> usize {
-        if self.power_tick() {
+    fn fetch_reassembly_chunk(&mut self, p: &mut Platform, qi: usize) -> usize {
+        if self.power_tick(p) {
             return 0;
         }
-        let mut img = self.fetch_entry_image(qi);
-        self.bus
-            .link
-            .borrow_mut()
-            .device_read(TrafficClass::SqeFetch, SQE_BYTES);
-        self.bus.clock.advance(
-            self.timing.per_chunk_fetch + self.timing.chunk_land + self.timing.reassembly_account,
-        );
+        let per_chunk =
+            self.timing.per_chunk_fetch + self.timing.chunk_land + self.timing.reassembly_account;
+        let mut img = fetch_entry(p, &mut self.queues[qi], Some(per_chunk));
         self.stats.chunks_fetched += 1;
 
         if let Some(mask) = self.bus.faults.borrow_mut().corrupt_chunk_header() {
@@ -1119,7 +1073,7 @@ impl Controller {
                 let mut payload = completed.data;
                 payload.truncate(len);
                 self.stats.inline_payload_bytes += payload.len() as u64;
-                let completions = self.dispatch_and_complete(qi, &pending.sqe, Some(&payload));
+                let completions = self.dispatch_and_complete(p, qi, &pending.sqe, Some(&payload));
                 // Hand the train buffer back to the engine's pool so the
                 // next payload reuses it instead of allocating.
                 self.reassembly.recycle(payload);
@@ -1135,7 +1089,7 @@ impl Controller {
                 )]
                 let pending = self.queues[qi].inline_pending.take().expect("parked");
                 let outcome = CommandOutcome::fail(Status::DataTransferError, self.bus.clock.now());
-                self.post_completion(qi, pending.sqe.cid(), &outcome);
+                self.post_completion(p, qi, pending.sqe.cid(), &outcome);
                 1
             }
         }
@@ -1167,21 +1121,26 @@ impl Controller {
 
     /// Fails BandSlim command `cid`, whose framing the host broke; returns
     /// the one completion posted.
-    fn fail_bandslim(&mut self, qi: usize, cid: u16) -> usize {
+    fn fail_bandslim(&mut self, p: &mut Platform, qi: usize, cid: u16) -> usize {
         let out = CommandOutcome::fail(Status::InvalidField, self.bus.clock.now());
-        self.post_completion(qi, cid, &out);
+        self.post_completion(p, qi, cid, &out);
         1
     }
 
     /// Consumes one BandSlim fragment; dispatches the head command when the
     /// payload is complete.
-    fn absorb_bandslim_frag(&mut self, qi: usize, sqe: &SubmissionEntry) -> usize {
+    fn absorb_bandslim_frag(
+        &mut self,
+        p: &mut Platform,
+        qi: usize,
+        sqe: &SubmissionEntry,
+    ) -> usize {
         self.bus.clock.advance(self.timing.bandslim_frag_decode);
         self.stats.frags_consumed += 1;
 
         let Some(mut pending) = self.queues[qi].bandslim_pending.take() else {
             // Orphan fragment: fail it visibly.
-            return self.fail_bandslim(qi, sqe.cid());
+            return self.fail_bandslim(p, qi, sqe.cid());
         };
         let remaining = pending.total - pending.buf.len();
         let take = remaining.min(bandslim::FRAG_CAPACITY);
@@ -1189,7 +1148,7 @@ impl Controller {
         let completed = if frag_no != pending.next_frag || sqe.cid() != pending.head.cid() {
             // Out-of-order or cross-command fragment — the serialization
             // BandSlim requires was violated.
-            self.fail_bandslim(qi, pending.head.cid())
+            self.fail_bandslim(p, qi, pending.head.cid())
         } else {
             pending.next_frag += 1;
             self.stats.bandslim_payload_bytes += take as u64;
@@ -1202,7 +1161,7 @@ impl Controller {
                 kind: "bandslim",
                 bytes: pending.buf.len(),
             });
-            self.dispatch_and_complete(qi, &pending.head, Some(&pending.buf))
+            self.dispatch_and_complete(p, qi, &pending.head, Some(&pending.buf))
         };
         self.recycle_payload(pending.buf);
         completed
@@ -1210,7 +1169,7 @@ impl Controller {
 
     /// Gathers payload via the command's data pointer (PRP or SGL) into the
     /// staging buffer.
-    fn gather_dptr(&mut self, sqe: &SubmissionEntry) -> Option<Vec<u8>> {
+    fn gather_dptr(&mut self, p: &mut Platform, sqe: &SubmissionEntry) -> Option<Vec<u8>> {
         let len = sqe.data_len() as usize;
         if len == 0 {
             return None;
@@ -1218,7 +1177,7 @@ impl Controller {
         self.bus.clock.advance(self.timing.prp_setup);
         let mut payload = self.take_scratch_payload(len);
         let mut extents = std::mem::take(&mut self.scratch_extents);
-        let gathered = self.gather_extents(sqe, len, &mut extents, &mut payload);
+        let gathered = self.gather_extents(p, sqe, len, &mut extents, &mut payload);
         self.scratch_extents = extents;
         if gathered.is_none() {
             self.recycle_payload(payload);
@@ -1231,6 +1190,7 @@ impl Controller {
     /// describe into `payload`, charging the link for every read.
     fn gather_extents(
         &mut self,
+        p: &mut Platform,
         sqe: &SubmissionEntry,
         len: usize,
         extents: &mut Vec<Extent>,
@@ -1241,54 +1201,40 @@ impl Controller {
             DataPointerKind::Prp => (TrafficClass::PrpList, TrafficClass::PrpData),
             DataPointerKind::Sgl => (TrafficClass::SglDescriptor, TrafficClass::SglData),
         };
-        let mem = self.bus.mem.borrow();
-        let (link, clock) = (&self.bus.link, &self.bus.clock);
-        let read = |class, bytes| {
-            let t = link.borrow_mut().device_read(class, bytes);
-            clock.advance(t);
+        // The walk reads host memory while its descriptor fetches charge the
+        // link, so it borrows the two apart.
+        let Platform {
+            mem, link, clock, ..
+        } = &mut *p;
+        let fetched = |_, bytes| {
+            clock.advance(link.device_read(descriptors, bytes));
         };
         extents.clear();
         match kind {
-            DataPointerKind::Prp => prp::walk(
-                &mem,
-                sqe.prp1(),
-                sqe.prp2(),
-                len,
-                |_, bytes| read(descriptors, bytes),
-                |seg| {
-                    extents.push(Extent {
-                        addr: Some(seg.addr),
-                        len: seg.len,
-                    })
-                },
-            )
+            DataPointerKind::Prp => prp::walk(mem, sqe.prp1(), sqe.prp2(), len, fetched, |seg| {
+                extents.push(Extent {
+                    addr: Some(seg.addr),
+                    len: seg.len,
+                })
+            })
             .ok()?,
             DataPointerKind::Sgl => {
                 let first = sgl::SglDescriptor::from_bytes(&sqe.sgl_bytes()).ok()?;
-                sgl::walk(
-                    &mem,
-                    first,
-                    len,
-                    |_, bytes| read(descriptors, bytes),
-                    |extent| extents.push(extent),
-                )
-                .ok()?
+                sgl::walk(mem, first, len, fetched, |extent| extents.push(extent)).ok()?
             }
         }
         for extent in extents.iter() {
-            read(
-                data,
-                match kind {
-                    // PRP moves whole pages over the wire regardless of how
-                    // few bytes the host cares about — the paper's Fig 1
-                    // amplification. We charge the page-granular traffic
-                    // and copy the segment bytes.
-                    DataPointerKind::Prp => extent.len.max(page_granular_len(extent.len)),
-                    DataPointerKind::Sgl => extent.len,
-                },
-            );
+            let wire_len = match kind {
+                // PRP moves whole pages over the wire regardless of how
+                // few bytes the host cares about — the paper's Fig 1
+                // amplification. We charge the page-granular traffic
+                // and copy the segment bytes.
+                DataPointerKind::Prp => extent.len.max(page_granular_len(extent.len)),
+                DataPointerKind::Sgl => extent.len,
+            };
+            p.clock.advance(p.link.device_read(data, wire_len));
             match extent.addr {
-                Some(addr) => payload.extend_from_slice(mem.slice(addr, extent.len).ok()?),
+                Some(addr) => payload.extend_from_slice(p.mem.slice(addr, extent.len).ok()?),
                 None => payload.resize(payload.len() + extent.len, 0),
             }
         }
@@ -1305,6 +1251,7 @@ impl Controller {
     /// *now*.
     fn dispatch_and_complete(
         &mut self,
+        p: &mut Platform,
         qi: usize,
         sqe: &SubmissionEntry,
         payload: Option<&[u8]>,
@@ -1319,11 +1266,12 @@ impl Controller {
         // The juiciest tear point: the media op is issued but the ack is
         // not yet posted. A cut here must leave the write invisible to the
         // host (no CQE) while recovery decides its fate from the journal.
-        if self.power_tick() {
+        if self.power_tick(p) {
             return 0;
         }
         let qid = self.queues[qi].id.0;
         self.finish(
+            p,
             outcome.complete_at,
             DeferredCompletion::Cqe {
                 qid,
@@ -1340,11 +1288,11 @@ impl Controller {
     /// the completion is delivered inline. `Pipelined` schedules the same
     /// delivery on the deferred-event queue and returns at once. Returns
     /// the number of completions posted *now*.
-    fn finish(&mut self, complete_at: Nanos, ev: DeferredCompletion) -> usize {
+    fn finish(&mut self, p: &mut Platform, complete_at: Nanos, ev: DeferredCompletion) -> usize {
         match self.execution {
             ExecutionModel::Serial => {
                 self.bus.clock.advance_to(complete_at);
-                self.deliver_completion(&ev)
+                self.deliver_completion(p, &ev)
             }
             ExecutionModel::Pipelined => {
                 let until = complete_at.max(self.bus.clock.now());
@@ -1361,7 +1309,7 @@ impl Controller {
         }
     }
 
-    fn dma_response(&mut self, sqe: &SubmissionEntry, response: &[u8]) {
+    fn dma_response(&mut self, p: &mut Platform, sqe: &SubmissionEntry, response: &[u8]) {
         // The PRP entries describe the *host buffer* the command allotted
         // (`data_len`); interpreting PRP2 depends on that length, not on how
         // many bytes the firmware actually returned. Walk the full buffer,
@@ -1369,15 +1317,16 @@ impl Controller {
         let buffer_len = (sqe.data_len() as usize).max(response.len());
         let mut segments = std::mem::take(&mut self.scratch_extents);
         segments.clear();
-        let (link, clock) = (&self.bus.link, &self.bus.clock);
+        let Platform {
+            mem, link, clock, ..
+        } = &mut *p;
         let walked = prp::walk(
-            &self.bus.mem.borrow(),
+            mem,
             sqe.prp1(),
             sqe.prp2(),
             buffer_len,
             |_, bytes| {
-                let t = link.borrow_mut().device_read(TrafficClass::PrpList, bytes);
-                clock.advance(t);
+                clock.advance(link.device_read(TrafficClass::PrpList, bytes));
             },
             |seg| {
                 segments.push(Extent {
@@ -1387,7 +1336,6 @@ impl Controller {
             },
         );
         if walked.is_ok() {
-            let mut mem = self.bus.mem.borrow_mut();
             let mut rest = response;
             for seg in &segments {
                 // A PRP segment always has an address.
@@ -1401,18 +1349,17 @@ impl Controller {
                     reason = "segment extents were validated by the SGL/PRP walk that produced them"
                 )]
                 mem.write(addr, chunk).expect("response buffer in bounds");
-                let t = link
-                    .borrow_mut()
-                    .device_posted_write(TrafficClass::DeviceToHostData, chunk.len());
-                clock.advance(t);
+                clock
+                    .advance(link.device_posted_write(TrafficClass::DeviceToHostData, chunk.len()));
                 rest = tail;
             }
         }
         self.scratch_extents = segments;
     }
 
-    fn post_completion(&mut self, qi: usize, cid: u16, outcome: &CommandOutcome) {
-        post_to_queue(&self.bus, &self.timing, &mut self.queues[qi], cid, outcome);
+    fn post_completion(&mut self, p: &mut Platform, qi: usize, cid: u16, outcome: &CommandOutcome) {
+        let q = &mut self.queues[qi];
+        post_to_queue(p, &self.bus, &self.timing, q, cid, outcome);
         self.stats.commands_completed += 1;
     }
 
@@ -1425,13 +1372,13 @@ impl Controller {
     /// Checks the fault injector's power-cut countdown at one processing
     /// event; freezes the device if it fires. Returns whether the device is
     /// (now) dark.
-    fn power_tick(&mut self) -> bool {
+    fn power_tick(&mut self, p: &mut Platform) -> bool {
         if self.powered_off {
             return true;
         }
         let fired = self.bus.faults.borrow_mut().power_cut_tick();
         if fired {
-            self.power_fail();
+            self.power_fail(p);
         }
         self.powered_off
     }
@@ -1441,7 +1388,7 @@ impl Controller {
     /// externally). No-op if already dark.
     pub fn force_power_cut(&mut self) {
         if !self.powered_off {
-            self.power_fail();
+            self.power_fail(&mut self.bus.platform().borrow_mut());
         }
     }
 
@@ -1449,7 +1396,7 @@ impl Controller {
     /// records already on media) survives; everything volatile — SQ/CQ
     /// rings, doorbells, BAR registers, device DRAM, reassembly buffers,
     /// in-flight NAND programs and completions — is lost at this instant.
-    fn power_fail(&mut self) {
+    fn power_fail(&mut self, p: &mut Platform) {
         let at = self.bus.clock.now();
         let torn_pages = self.nand.power_cut(at) as u32;
         self.ftl.power_fail(at);
@@ -1461,13 +1408,7 @@ impl Controller {
         self.deferred.clear();
         self.next_io_qid = 1;
         self.rr = 0;
-        {
-            let mut w = self.bus.mmio_window.borrow_mut();
-            w.submissions.clear();
-            w.completions.clear();
-        }
-        self.bus.doorbells.borrow_mut().power_cut();
-        self.regs.power_cut();
+        self.reset_bar(p);
         self.bus.trace.emit(None, || EventKind::PowerCut {
             torn_pages,
             dropped_trains,
@@ -1484,21 +1425,17 @@ impl Controller {
     /// Cuts power first if the device was still live (a deliberate hard
     /// cycle).
     pub fn power_cycle(&mut self) -> RecoveryReport {
+        let platform = self.bus.platform();
+        let p = &mut *platform.borrow_mut();
         if !self.powered_off {
-            self.power_fail();
+            self.power_fail(p);
         }
         // Power-on reset of BAR space. MMIO writes aimed at a dark device go
         // nowhere on real hardware, but the simulated doorbell array and MMIO
         // window live on the bus and still record writes from a host retrying
         // against the dead controller — without this reset those stale tails
         // would make bring-up chase phantom SQ entries around the ring.
-        self.bus.doorbells.borrow_mut().power_cut();
-        {
-            let mut w = self.bus.mmio_window.borrow_mut();
-            w.submissions.clear();
-            w.completions.clear();
-        }
-        self.regs.power_cut();
+        self.reset_bar(p);
         let report = self.ftl.recover(&self.nand);
         let ctx = FirmwareCtx {
             nand: &mut self.nand,
@@ -1510,10 +1447,22 @@ impl Controller {
         self.powered_off = false;
         report
     }
+
+    /// BAR space at its power-on values: doorbells, the byte-interface
+    /// window, the register file.
+    fn reset_bar(&mut self, p: &mut Platform) {
+        p.doorbells.power_cut();
+        p.mmio_window.submissions.clear();
+        p.mmio_window.completions.clear();
+        self.regs.power_cut();
+    }
 }
 
-/// Reads one SQ entry at the queue's fetch head and advances it.
-fn fetch_image(bus: &SystemBus, q: &mut IoQueue) -> [u8; 64] {
+/// Reads the SQ entry at the queue's fetch head, advances the head and
+/// charges the 64-byte fetch to the link. In time it costs the DMA round
+/// trip — or `pipelined`, the per-entry constant of a chunk that streams
+/// behind its command (Table 1), when given.
+fn fetch_entry(p: &mut Platform, q: &mut IoQueue, pipelined: Option<Nanos>) -> [u8; 64] {
     let addr = q.sq_base.offset(q.fetch_head as u64 * SQE_BYTES as u64);
     q.fetch_head = (q.fetch_head + 1) % q.sq_depth;
     let mut img = [0u8; 64];
@@ -1521,15 +1470,17 @@ fn fetch_image(bus: &SystemBus, q: &mut IoQueue) -> [u8; 64] {
         clippy::expect_used,
         reason = "ring geometry is asserted at queue creation; slot math cannot escape the region"
     )]
-    bus.mem
-        .borrow()
+    p.mem
         .read(addr, &mut img)
         .expect("SQ ring must be in bounds");
+    let dma = p.link.device_read(TrafficClass::SqeFetch, SQE_BYTES);
+    p.clock.advance(pipelined.unwrap_or(dma));
     img
 }
 
 /// Builds and posts one CQE (+ MSI) into a queue's completion ring.
 fn post_to_queue(
+    p: &mut Platform,
     bus: &SystemBus,
     timing: &ControllerTiming,
     q: &mut IoQueue,
@@ -1551,15 +1502,12 @@ fn post_to_queue(
         clippy::expect_used,
         reason = "ring geometry is asserted at queue creation; slot math cannot escape the region"
     )]
-    bus.mem
-        .borrow_mut()
+    p.mem
         .write(addr, &cqe.to_bytes())
         .expect("CQ ring in bounds");
-    let t = {
-        let mut link = bus.link.borrow_mut();
-        link.device_posted_write(TrafficClass::Cqe, CQE_BYTES)
-            + link.device_posted_write(TrafficClass::Interrupt, 4)
-    };
+    // The CQE and its MSI leave back to back.
+    let t = p.link.device_posted_write(TrafficClass::Cqe, CQE_BYTES)
+        + p.link.device_posted_write(TrafficClass::Interrupt, 4);
     bus.clock.advance(t);
     bus.trace
         .emit_cmd(CmdKey::new(q.id.0, cid), || EventKind::CqePost {
@@ -1603,7 +1551,8 @@ mod tests {
     impl MiniDriver {
         fn new(bus: &SystemBus, ctrl: &mut Controller, depth: u16) -> Self {
             let (sq_region, cq_region) = {
-                let mut mem = bus.mem.borrow_mut();
+                let platform = bus.platform();
+                let mem = &mut platform.borrow_mut().mem;
                 let sq = mem
                     .alloc_contiguous((depth as usize * SQE_BYTES).div_ceil(bx_hostsim::PAGE_SIZE))
                     .unwrap();
@@ -1629,21 +1578,32 @@ mod tests {
 
         fn push_raw(&mut self, img: &[u8; 64]) {
             let addr = self.sq_base.offset(self.tail as u64 * 64);
-            self.bus.mem.borrow_mut().write(addr, img).unwrap();
+            self.bus
+                .platform()
+                .borrow_mut()
+                .mem
+                .write(addr, img)
+                .unwrap();
             self.tail = (self.tail + 1) % self.depth;
         }
 
         fn ring(&mut self) {
             self.bus
-                .doorbells
+                .platform()
                 .borrow_mut()
+                .doorbells
                 .ring_sq_tail(self.qid, self.tail);
         }
 
         fn pop_cqe(&mut self) -> Option<CompletionEntry> {
             let addr = self.cq_base.offset(self.cq_head as u64 * 16);
             let mut img = [0u8; 16];
-            self.bus.mem.borrow().read(addr, &mut img).unwrap();
+            self.bus
+                .platform()
+                .borrow()
+                .mem
+                .read(addr, &mut img)
+                .unwrap();
             let cqe = CompletionEntry::from_bytes(&img);
             if cqe.phase() != self.phase {
                 return None;
@@ -1698,7 +1658,7 @@ mod tests {
         assert_eq!(ctrl.stats().inline_payload_bytes, 100);
 
         // Read it back via PRP to verify the bytes reached NAND.
-        let buf_page = bus.mem.borrow_mut().alloc_page().unwrap().addr();
+        let buf_page = bus.platform().borrow_mut().mem.alloc_page().unwrap().addr();
         let mut rd = SubmissionEntry::io(IoOpcode::Read, 8, 1);
         rd.set_slba(3);
         rd.set_data_len(100);
@@ -1708,7 +1668,10 @@ mod tests {
         ctrl.process_available();
         let cqe = drv.pop_cqe().unwrap();
         assert_eq!(cqe.status(), Status::Success);
-        assert_eq!(bus.mem.borrow().read_vec(buf_page, 100).unwrap(), payload);
+        assert_eq!(
+            bus.platform().borrow().mem.read_vec(buf_page, 100).unwrap(),
+            payload
+        );
     }
 
     #[test]
@@ -1716,8 +1679,12 @@ mod tests {
         let (bus, mut ctrl) = setup(false);
         let mut drv = MiniDriver::new(&bus, &mut ctrl, 64);
 
-        let page = bus.mem.borrow_mut().alloc_page().unwrap().addr();
-        bus.mem.borrow_mut().write(page, &[9u8; 32]).unwrap();
+        let page = bus.platform().borrow_mut().mem.alloc_page().unwrap().addr();
+        bus.platform()
+            .borrow_mut()
+            .mem
+            .write(page, &[9u8; 32])
+            .unwrap();
         let mut sqe = SubmissionEntry::io(IoOpcode::Write, 1, 1);
         sqe.set_data_len(32);
         sqe.set_prp1(page);
@@ -1740,7 +1707,7 @@ mod tests {
         let mut drv = MiniDriver::new(&bus, &mut ctrl, 64);
 
         // PRP first.
-        let page = bus.mem.borrow_mut().alloc_page().unwrap().addr();
+        let page = bus.platform().borrow_mut().mem.alloc_page().unwrap().addr();
         let mut sqe = SubmissionEntry::io(IoOpcode::Write, 1, 1);
         sqe.set_data_len(64);
         sqe.set_prp1(page);
@@ -2006,7 +1973,7 @@ mod tests {
         assert_eq!(ctrl.reassembly().sram_used(), 0);
 
         // Verify integrity through a read-back.
-        let buf_page = bus.mem.borrow_mut().alloc_page().unwrap().addr();
+        let buf_page = bus.platform().borrow_mut().mem.alloc_page().unwrap().addr();
         let mut rd = SubmissionEntry::io(IoOpcode::Read, 12, 1);
         rd.set_slba(1);
         rd.set_data_len(200);
@@ -2014,7 +1981,10 @@ mod tests {
         drv.push_raw(&rd.to_bytes());
         drv.ring();
         ctrl.process_available();
-        assert_eq!(bus.mem.borrow().read_vec(buf_page, 200).unwrap(), payload);
+        assert_eq!(
+            bus.platform().borrow().mem.read_vec(buf_page, 200).unwrap(),
+            payload
+        );
     }
 
     #[test]
@@ -2174,7 +2144,7 @@ mod tests {
         // Host must re-create queues from scratch, then the acked write
         // reads back bit-exact and the torn one is invisible.
         let mut drv = MiniDriver::new(&bus, &mut ctrl, 64);
-        let buf_page = bus.mem.borrow_mut().alloc_page().unwrap().addr();
+        let buf_page = bus.platform().borrow_mut().mem.alloc_page().unwrap().addr();
         let mut rd = SubmissionEntry::io(IoOpcode::Read, 3, 1);
         rd.set_slba(0);
         rd.set_data_len(100);
@@ -2183,7 +2153,10 @@ mod tests {
         drv.ring();
         ctrl.process_available();
         assert_eq!(drv.pop_cqe().unwrap().status(), Status::Success);
-        assert_eq!(bus.mem.borrow().read_vec(buf_page, 100).unwrap(), acked);
+        assert_eq!(
+            bus.platform().borrow().mem.read_vec(buf_page, 100).unwrap(),
+            acked
+        );
 
         let mut rd = SubmissionEntry::io(IoOpcode::Read, 4, 1);
         rd.set_slba(1);
@@ -2205,7 +2178,7 @@ mod tests {
         let _drv = MiniDriver::new(&bus, &mut ctrl, 64);
         ctrl.force_power_cut();
         assert!(ctrl.is_powered_off());
-        assert_eq!(bus.doorbells.borrow().sq_tail(QueueId(1)), 0);
+        assert_eq!(bus.platform().borrow().doorbells.sq_tail(QueueId(1)), 0);
         ctrl.power_cycle();
         assert!(!ctrl.is_powered_off());
         assert_eq!(ctrl.completions_in_flight(), 0);

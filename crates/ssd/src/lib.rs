@@ -54,7 +54,7 @@ pub mod registers;
 pub mod timing;
 
 pub use arbiter::Arbitration;
-pub use bus::{FaultHandle, MmioCompletion, MmioSubmission, MmioWindow, SystemBus};
+pub use bus::{FaultHandle, MmioCompletion, MmioSubmission, MmioWindow, Platform, SystemBus};
 pub use controller::{Controller, ControllerConfig, ControllerStats, ExecutionModel, FetchPolicy};
 pub use dram::{DeviceDram, DramError, DramRegion};
 pub use firmware::{BlockFirmware, CommandOutcome, FirmwareCtx, FirmwareHandler};

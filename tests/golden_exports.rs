@@ -22,7 +22,6 @@ use std::path::PathBuf;
 /// The fixed workload: 8 ByteExpress writes, deterministic payloads, one
 /// queue. Gauges on, so the OpenMetrics golden also pins gauge families.
 fn golden_events() -> Vec<byteexpress::Event> {
-    // Explicit queue depth: the goldens must survive BX_QUEUE_DEPTH sweeps.
     let mut dev = Device::builder()
         .nand_io(true)
         .queue_count(1)

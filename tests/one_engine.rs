@@ -115,7 +115,7 @@ fn strand_commands(dev: &mut Device, q: QueueId) {
 
 #[test]
 fn power_cycles_and_queue_deletion_return_every_host_page() {
-    let free_pages = |dev: &Device| dev.bus().mem.borrow().allocator().free_pages();
+    let free_pages = |dev: &Device| dev.bus().platform().borrow().mem.allocator().free_pages();
     // Depth 64: one SQ page and one CQ page per queue pair.
     let mut dev = Device::builder().queue_count(2).queue_depth(64).build();
     let idle = free_pages(&dev);
@@ -135,22 +135,45 @@ fn power_cycles_and_queue_deletion_return_every_host_page() {
     // pages come back with theirs.
     let doomed = dev.queues()[1];
     strand_commands(&mut dev, doomed);
+    // And a byte-interface write, which waits in the BAR window.
+    let mmio = PassthruCmd::to_device(IoOpcode::Write, 1, vec![0x5A; 64]);
+    dev.driver_mut()
+        .submit(doomed, &mmio, TransferMethod::MmioByte)
+        .expect("submit");
     dev.delete_io_queue(doomed).unwrap();
     assert_eq!(
         free_pages(&dev),
         idle + 2,
         "queue deletion leaked host pages"
     );
-    // A pair the controller refuses — there is no doorbell left for a third
-    // queue id — keeps nothing either.
-    assert!(dev.add_io_queue(64).is_err());
-    assert_eq!(free_pages(&dev), idle + 2);
-
-    // The recycled frames carry stale bytes; rings built on them must not
-    // read any of it as a completion.
-    dev.power_cycle().unwrap();
+    let window_is_empty = {
+        let platform = dev.bus().platform();
+        let window = &platform.borrow().mmio_window;
+        window.submissions.is_empty() && window.completions.is_empty()
+    };
+    assert!(window_is_empty, "a deleted pair's MMIO command outlived it");
+    // A new pair takes the freed id — the only one with a doorbell — and
+    // starts clean: none of the doomed pair's doorbelled commands, or the
+    // stale bytes in the recycled frames, reach it.
+    assert_eq!(dev.add_io_queue(64), Ok(doomed));
+    assert_eq!(free_pages(&dev), idle);
     let data = vec![0xA7; 512];
+    let mut write = PassthruCmd::to_device(IoOpcode::Write, 1, data.clone());
+    write.cdw10_15[0] = 3;
+    let mut read = PassthruCmd::from_device(IoOpcode::Read, 1, data.len());
+    read.cdw10_15[0] = 3;
+    let wrote = dev.passthru_on(doomed, &write, TransferMethod::ByteExpress);
+    assert_eq!(wrote.map(|c| c.status), Ok(Status::Success));
+    let got = dev.passthru_on(doomed, &read, TransferMethod::Prp).unwrap();
+    assert_eq!(got.data, Some(data.clone()));
+    assert_eq!(free_pages(&dev), idle);
+    // A third simultaneous pair is still refused — there is no doorbell for
+    // it — and keeps nothing.
+    assert!(dev.add_io_queue(64).is_err());
+    assert_eq!(free_pages(&dev), idle);
+
+    dev.power_cycle().unwrap();
     dev.write(3, &data, TransferMethod::Prp).unwrap();
     assert_eq!(dev.read(3, data.len()).unwrap(), data);
-    assert_eq!(free_pages(&dev), idle + 2);
+    assert_eq!(free_pages(&dev), idle);
 }

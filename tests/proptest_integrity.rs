@@ -16,26 +16,42 @@ fn method_strategy() -> impl Strategy<Value = TransferMethod> {
     ]
 }
 
+/// Ring depths the device tests run at: small, prime, and the default.
+fn depth_strategy() -> impl Strategy<Value = u16> {
+    prop_oneof![Just(64u16), Just(1021), Just(1024)]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Write→read identity for any (method, payload) pair on the block device.
+    /// Write→read identity for any (method, payload) pair on the block
+    /// device, at any ring depth.
     #[test]
     fn block_write_read_identity(
         method in method_strategy(),
         payload in proptest::collection::vec(any::<u8>(), 1..6000),
+        depth in depth_strategy(),
     ) {
-        let mut dev = Device::builder().build();
-        dev.write(0, &payload, method).unwrap();
+        // The longest train a ring holds: BandSlim's, one 48-byte fragment
+        // per slot behind the head command, one slot kept free.
+        let payload = &payload[..payload.len().min((depth as usize - 2) * 48)];
+        let mut dev = Device::builder().queue_depth(depth).build();
+        dev.write(0, payload, method).unwrap();
         prop_assert_eq!(dev.read(0, payload.len()).unwrap(), payload);
     }
 
     /// Both fetch policies deliver identical bytes for the same payload.
     #[test]
-    fn fetch_policies_agree(payload in proptest::collection::vec(any::<u8>(), 1..3000)) {
+    fn fetch_policies_agree(
+        payload in proptest::collection::vec(any::<u8>(), 1..3000),
+        depth in depth_strategy(),
+    ) {
         let mut out = Vec::new();
         for policy in [FetchPolicy::QueueLocal, FetchPolicy::Reassembly] {
-            let mut dev = Device::builder().fetch_policy(policy).build();
+            let mut dev = Device::builder()
+                .fetch_policy(policy)
+                .queue_depth(depth)
+                .build();
             dev.write(0, &payload, TransferMethod::ByteExpress).unwrap();
             out.push(dev.read(0, payload.len()).unwrap());
         }

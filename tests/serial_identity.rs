@@ -30,7 +30,6 @@ fn payload(n: u64) -> Vec<u8> {
 /// `(total_wire_bytes, non_doorbell_wire_bytes, elapsed_ns, trace_events,
 /// trace_fingerprint)`.
 fn golden_run() -> (u64, u64, u64, u64, u64) {
-    // Explicit queue depth so BX_QUEUE_DEPTH sweeps don't perturb the pin.
     let mut dev = Device::builder()
         .nand_io(true)
         .queue_count(2)

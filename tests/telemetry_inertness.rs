@@ -18,7 +18,6 @@ use byteexpress::{
 
 /// One fixed workload; returns the device after running it.
 fn run(configure: impl FnOnce(byteexpress::DeviceBuilder) -> byteexpress::DeviceBuilder) -> Device {
-    // Explicit queue depth so BX_QUEUE_DEPTH sweeps don't perturb equality.
     let mut dev = configure(
         Device::builder()
             .nand_io(true)
