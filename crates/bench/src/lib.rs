@@ -97,7 +97,7 @@ impl JsonReport {
     }
 
     /// The whole report as one JSON value.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         Value::object([
             ("bin", Value::Str(self.bin.to_string())),
             ("results", Value::Object(self.entries.clone())),

@@ -69,8 +69,6 @@ pub struct DeviceBuilder {
     queue_depth: u16,
     queue_count: usize,
     fetch_policy: FetchPolicy,
-    dram_capacity: usize,
-    host_mem_capacity: usize,
     firmware: Option<FirmwareFactory>,
     fault_config: Option<FaultConfig>,
     retry_policy: Option<RetryPolicy>,
@@ -100,8 +98,6 @@ impl Default for DeviceBuilder {
             queue_depth: 1024,
             queue_count: 1,
             fetch_policy: FetchPolicy::QueueLocal,
-            dram_capacity: 64 << 20,
-            host_mem_capacity: 256 << 20,
             firmware: None,
             fault_config: None,
             retry_policy: None,
@@ -276,12 +272,24 @@ impl DeviceBuilder {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 
+    /// Host memory the queues, PRP lists and data pages are carved from.
+    const HOST_MEM_CAPACITY: usize = 256 << 20;
+
     /// [`DeviceBuilder::build`], with an invalid link, a failed bring-up or
     /// queues that do not fit host memory reported instead of panicking.
+    ///
+    /// ```
+    /// use byteexpress::{Device, DeviceError, LinkConfig};
+    ///
+    /// let mut link = LinkConfig::gen2_x8();
+    /// link.max_payload_size = 0;
+    /// let built = Device::builder().link(link).try_build();
+    /// assert!(matches!(built, Err(DeviceError::Link(_))));
+    /// ```
     pub fn try_build(self) -> Result<Device, DeviceError> {
         self.link.validate().map_err(DeviceError::Link)?;
         // One doorbell pair per I/O queue plus the admin queue.
-        let mut bus = SystemBus::new(self.link, self.host_mem_capacity, self.queue_count + 1);
+        let mut bus = SystemBus::new(self.link, Self::HOST_MEM_CAPACITY, self.queue_count + 1);
         if self.trace {
             // Must precede controller/driver construction: they copy the
             // sink handle from the bus.
@@ -297,8 +305,6 @@ impl DeviceBuilder {
         let cfg = ControllerConfig {
             timing: ControllerTiming::default(),
             nand: self.nand,
-            dram_capacity: self.dram_capacity,
-            over_provision: 0.25,
             fetch_policy: self.fetch_policy,
             arbitration: self.arbitration,
             reassembly_sram: 64 << 10,
@@ -331,7 +337,7 @@ impl DeviceBuilder {
         driver.set_retry_policy(self.retry_policy);
         driver.set_flush_policy(self.flush_policy);
         driver.set_cq_coalesce(self.cq_coalesce);
-        let identify = driver.initialize(&mut ctrl)?;
+        driver.initialize(&mut ctrl)?;
         let mut qids = Vec::with_capacity(self.queue_count);
         for _ in 0..self.queue_count {
             qids.push(driver.create_io_queue(&mut ctrl, self.queue_depth)?);
@@ -342,7 +348,6 @@ impl DeviceBuilder {
             ctrl,
             qids,
             queue_depths: vec![self.queue_depth; self.queue_count],
-            identify,
             write_cmd: PassthruCmd::to_device(IoOpcode::Write, 1, Vec::new()),
         })
     }
@@ -376,7 +381,6 @@ pub struct Device {
     /// Depth of each queue in `qids`, kept in lockstep so a power cycle can
     /// re-create the same topology.
     queue_depths: Vec<u16>,
-    identify: bx_nvme::IdentifyController,
     /// [`Device::write`]'s command, refilled per call so its payload buffer
     /// is reused.
     write_cmd: PassthruCmd,
@@ -402,7 +406,7 @@ impl Device {
     }
 
     /// A device with all defaults.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::builder().build()
     }
 
@@ -414,11 +418,6 @@ impl Device {
     /// The I/O queue ids, in creation order.
     pub fn queues(&self) -> &[QueueId] {
         &self.qids
-    }
-
-    /// The controller's Identify data, captured during bring-up.
-    pub fn identify(&self) -> &bx_nvme::IdentifyController {
-        &self.identify
     }
 
     /// Adds an I/O queue pair at runtime (admin Create-IO-CQ/SQ commands).
@@ -529,7 +528,7 @@ impl Device {
     pub fn power_cycle(&mut self) -> Result<RecoveryReport, DeviceError> {
         let report = self.ctrl.power_cycle();
         self.driver.reset_after_power_cycle()?;
-        self.identify = self.driver.initialize(&mut self.ctrl)?;
+        self.driver.initialize(&mut self.ctrl)?;
         self.qids.clear();
         for &depth in &self.queue_depths {
             self.qids
@@ -726,7 +725,7 @@ impl Default for Device {
 /// Summary of one measurement run.
 ///
 /// Serializes to a machine-readable JSON object (latency samples digest to a
-/// fixed [`crate::stats::Summary`]); every `bx-bench` binary can emit it via
+/// fixed `Summary`); every `bx-bench` binary can emit it via
 /// `--json`.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct RunReport {
@@ -769,11 +768,6 @@ impl RunReport {
         }
         v
     }
-
-    /// The run as a JSON string.
-    pub fn to_json(&self) -> String {
-        self.to_value().to_json()
-    }
     /// Average wire bytes per operation.
     pub fn wire_bytes_per_op(&self) -> f64 {
         self.traffic.total_bytes() as f64 / self.ops as f64
@@ -790,7 +784,7 @@ impl RunReport {
     }
 
     /// Ops per second over the serialized run.
-    pub fn throughput_ops_per_sec(&self) -> f64 {
+    pub(crate) fn throughput_ops_per_sec(&self) -> f64 {
         if self.elapsed.is_zero() {
             return 0.0;
         }
@@ -821,7 +815,7 @@ mod tests {
         assert!(report.amplification() > 1.0);
         assert!(report.throughput_ops_per_sec() > 0.0);
         assert!(report.mean_latency() > Nanos::ZERO);
-        assert_eq!(report.latencies.len(), 100);
+        assert_eq!(report.latencies.summary().count, 100);
     }
 
     #[test]

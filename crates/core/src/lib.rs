@@ -59,30 +59,29 @@
 )]
 #![warn(missing_docs)]
 
-pub mod device;
-pub mod stats;
+mod device;
+mod stats;
 
 pub use device::{Device, DeviceBuilder, DeviceError, QueueBatch, RunReport};
-pub use stats::{LatencySamples, Summary};
+pub use stats::LatencySamples;
 
 // The pieces users routinely touch, re-exported at the top level.
 pub use bx_driver::{
-    BatchSubmission, CmdContext, Completion, DriverError, DriverTiming, FlushPolicy, InlineMode,
-    NvmeDriver, Reactor, ReactorConfig, RecoveryStats, RetryPolicy, ShardHandle, TransferMethod,
+    Completion, DriverError, DriverTiming, FlushPolicy, NvmeDriver, Reactor, ReactorConfig,
+    RecoveryStats, RetryPolicy, ShardHandle, TransferMethod,
 };
-pub use bx_hostsim::{EventQueue, FaultConfig, FaultCounters, Nanos, PhysAddr, PAGE_SIZE};
+pub use bx_hostsim::{EventQueue, FaultConfig, FaultCounters, Nanos, PhysAddr};
 pub use bx_nvme::{IoOpcode, PassthruCmd, QueueId, Status, SubmissionEntry};
 pub use bx_pcie::{LinkConfig, LinkConfigError, TrafficClass, TrafficCounters};
 pub use bx_ssd::{
-    Arbitration, ControllerTiming, ExecutionModel, FetchPolicy, FirmwareCtx, FirmwareHandler,
-    NandConfig, RecoveryReport, SystemBus,
+    Arbitration, ControllerTiming, ExecutionModel, FetchPolicy, FirmwareHandler, NandConfig,
+    RecoveryReport, SystemBus,
 };
 
 // The flight recorder's user-facing pieces.
 pub use bx_trace::{
-    chrome_trace, chrome_trace_json, derive_timeseries, openmetrics, reconstruct_spans, sparkline,
-    timeline, validate_openmetrics, CmdKey, Event, EventKind, Histogram, MetricsRegistry,
-    OpenMetricsSummary, Span, TimeSeries, TimeSeriesSet, TraceSink,
+    chrome_trace_json, derive_timeseries, openmetrics, reconstruct_spans, sparkline, timeline,
+    validate_openmetrics, CmdKey, Event, EventKind, MetricsRegistry, TraceSink,
 };
 
 // Full substrate crates for advanced use.

@@ -5,7 +5,6 @@
 //! exactly those summaries over virtual-time samples.
 
 use bx_hostsim::Nanos;
-use bx_trace::Histogram;
 use std::cell::OnceCell;
 
 /// A collection of per-operation latency samples.
@@ -36,16 +35,6 @@ impl LatencySamples {
     pub fn record(&mut self, sample: Nanos) {
         self.samples.push(sample);
         self.sorted.take();
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
     }
 
     /// The sorted view, built on first use and reused until the next
@@ -89,30 +78,13 @@ impl LatencySamples {
     }
 
     /// Smallest sample; zero when empty.
-    pub fn min(&self) -> Nanos {
+    pub(crate) fn min(&self) -> Nanos {
         self.samples.iter().copied().min().unwrap_or(Nanos::ZERO)
     }
 
     /// Largest sample; zero when empty.
-    pub fn max(&self) -> Nanos {
+    pub(crate) fn max(&self) -> Nanos {
         self.samples.iter().copied().max().unwrap_or(Nanos::ZERO)
-    }
-
-    /// Sum of all samples.
-    pub fn total(&self) -> Nanos {
-        Nanos::from_ns(self.samples.iter().map(|n| n.as_ns()).sum())
-    }
-
-    /// Operations per second if the samples ran back to back (the
-    /// serialized-pipeline throughput the simulation measures). Under
-    /// pipelined execution, per-op latencies overlap and no longer sum to
-    /// elapsed time — use [`LatencySamples::throughput_over_window`] there.
-    pub fn throughput_ops_per_sec(&self) -> f64 {
-        let total = self.total();
-        if total.is_zero() {
-            return 0.0;
-        }
-        self.samples.len() as f64 / total.as_secs_f64()
     }
 
     /// Operations per second over the observed virtual-time window from
@@ -148,7 +120,7 @@ impl LatencySamples {
 
     /// The fixed summary the run reports serialize (count, mean, extremes,
     /// and the paper's p1/p50/p99).
-    pub fn summary(&self) -> Summary {
+    pub(crate) fn summary(&self) -> Summary {
         Summary {
             count: self.samples.len(),
             mean: self.mean(),
@@ -159,19 +131,9 @@ impl LatencySamples {
             p99: self.percentile(99.0),
         }
     }
-
-    /// A log2-bucketed view of the samples, for coarse distribution dumps
-    /// without shipping every sample.
-    pub fn histogram(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for s in &self.samples {
-            h.record(s.as_ns());
-        }
-        h
-    }
 }
 
-/// Serializes as the fixed [`Summary`] rather than the raw sample vector —
+/// Serializes as the fixed `Summary` rather than the raw sample vector —
 /// run reports stay small no matter how many operations were measured.
 impl serde::Serialize for LatencySamples {
     fn to_value(&self) -> serde::Value {
@@ -181,7 +143,7 @@ impl serde::Serialize for LatencySamples {
 
 /// Fixed-size latency digest of one sample set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
-pub struct Summary {
+pub(crate) struct Summary {
     /// Number of samples digested.
     pub count: usize,
     /// Arithmetic mean.
@@ -196,20 +158,6 @@ pub struct Summary {
     pub p50: Nanos,
     /// 99th percentile (nearest rank).
     pub p99: Nanos,
-}
-
-impl Summary {
-    /// Operations per second over the observed virtual-time window — the
-    /// digest-level twin of [`LatencySamples::throughput_over_window`],
-    /// computed from [`Summary::count`]. Zero when the digest is empty or
-    /// the window is degenerate.
-    pub fn throughput_over_window(&self, first_submit: Nanos, last_complete: Nanos) -> f64 {
-        let window = last_complete.saturating_sub(first_submit);
-        if self.count == 0 || window.is_zero() {
-            return 0.0;
-        }
-        self.count as f64 / window.as_secs_f64()
-    }
 }
 
 impl Extend<Nanos> for LatencySamples {
@@ -241,7 +189,6 @@ mod tests {
         assert_eq!(s.mean(), Nanos::from_ns(25));
         assert_eq!(s.min(), Nanos::from_ns(10));
         assert_eq!(s.max(), Nanos::from_ns(40));
-        assert_eq!(s.total(), Nanos::from_ns(100));
     }
 
     #[test]
@@ -293,33 +240,21 @@ mod tests {
     #[test]
     fn empty_is_safe() {
         let s = LatencySamples::new();
-        assert!(s.is_empty());
         assert_eq!(s.mean(), Nanos::ZERO);
         assert_eq!(s.percentile(50.0), Nanos::ZERO);
-        assert_eq!(s.throughput_ops_per_sec(), 0.0);
         let summary = s.summary();
         assert_eq!(summary.count, 0);
         assert_eq!(summary.p99, Nanos::ZERO);
     }
 
     #[test]
-    fn throughput() {
-        // 4 ops at 1 ms each run back to back → 1000 ops/s.
-        let s = samples(&[1_000_000; 4]);
-        assert!((s.throughput_ops_per_sec() - 1000.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn throughput_over_window_counts_overlap() {
-        // The same 4 ops of 1 ms each, but overlapped into a 2 ms window:
-        // the window figure sees 2000 ops/s where the serialized one (above)
-        // would claim 1000.
+        // 4 ops of 1 ms each, overlapped into a 2 ms window: 2000 ops/s
+        // where back-to-back execution would give 1000.
         let s = samples(&[1_000_000; 4]);
         let t0 = Nanos::ZERO;
         let t1 = Nanos::from_ms(2);
         assert!((s.throughput_over_window(t0, t1) - 2000.0).abs() < 1e-6);
-        // The Summary digest carries the same computation.
-        assert!((s.summary().throughput_over_window(t0, t1) - 2000.0).abs() < 1e-6);
         // Degenerate windows and empty sets are safe zeros.
         assert_eq!(s.throughput_over_window(t1, t1), 0.0);
         assert_eq!(s.throughput_over_window(t1, t0), 0.0);
@@ -354,14 +289,6 @@ mod tests {
         assert_eq!(d.p1, Nanos::from_ns(1));
         assert_eq!(d.p50, Nanos::from_ns(50));
         assert_eq!(d.p99, Nanos::from_ns(99));
-    }
-
-    #[test]
-    fn histogram_buckets_by_log2() {
-        let s = samples(&[1, 2, 3, 1024]);
-        let h = s.histogram();
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.max(), Some(1024));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::fmt;
 
 /// One aggregate function over a column (or `*`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Aggregate {
+pub(crate) enum Aggregate {
     /// A plain column reference (must be a grouping column).
     Column(String),
     /// `count(*)` or `count(col)`.
@@ -59,7 +59,7 @@ impl fmt::Display for AggregateError {
 impl std::error::Error for AggregateError {}
 
 /// Parses a projection item into an [`Aggregate`].
-pub fn parse_projection_item(item: &str) -> Result<Aggregate, AggregateError> {
+pub(crate) fn parse_projection_item(item: &str) -> Result<Aggregate, AggregateError> {
     let item = item.trim();
     if let Some(open) = item.find('(') {
         let func = item[..open].to_ascii_lowercase();
@@ -83,7 +83,7 @@ pub fn parse_projection_item(item: &str) -> Result<Aggregate, AggregateError> {
 }
 
 /// Extracts the GROUP BY column list from a query's trailing clauses.
-pub fn group_by_columns(query: &Query) -> Vec<String> {
+pub(crate) fn group_by_columns(query: &Query) -> Vec<String> {
     let lower = query.trailing.to_ascii_lowercase();
     let Some(start) = lower.find("group by") else {
         return Vec::new();

@@ -19,13 +19,13 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Task-encoding discriminator carried in CDW14 of `CsdExec`.
-pub const TASK_MODE_FULL_SQL: u32 = 0;
+pub(crate) const TASK_MODE_FULL_SQL: u32 = 0;
 /// Segment mode: payload is `table\0predicate`.
-pub const TASK_MODE_SEGMENT: u32 = 1;
+pub(crate) const TASK_MODE_SEGMENT: u32 = 1;
 
 /// Device-side counters, shared with the host session handle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CsdDeviceStats {
+pub(crate) struct CsdDeviceStats {
     /// Tables created.
     pub tables_created: u64,
     /// Rows loaded.
@@ -42,7 +42,7 @@ pub struct CsdDeviceStats {
 
 /// Firmware timing constants.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsdTiming {
+pub(crate) struct CsdTiming {
     /// SQL parse cost per task byte.
     pub parse_per_byte: Nanos,
     /// Predicate evaluation per row.
@@ -77,7 +77,7 @@ const RESULT_CAPACITY: usize = 1 << 20;
 
 /// The computational-storage firmware.
 #[derive(Debug)]
-pub struct CsdFirmware {
+pub(crate) struct CsdFirmware {
     nand_io: bool,
     timing: CsdTiming,
     tables: BTreeMap<String, TableState>,
@@ -93,17 +93,9 @@ pub struct CsdFirmware {
 }
 
 impl CsdFirmware {
-    /// Creates the firmware, claiming its DRAM regions.
-    pub fn new(dram: &mut DeviceDram, nand_io: bool) -> Self {
-        Self::with_stats(
-            dram,
-            nand_io,
-            Rc::new(RefCell::new(CsdDeviceStats::default())),
-        )
-    }
-
-    /// Like [`CsdFirmware::new`], sharing `stats` with the host session.
-    pub fn with_stats(
+    /// Creates the firmware, claiming its DRAM regions and sharing `stats`
+    /// with the host session.
+    pub(crate) fn with_stats(
         dram: &mut DeviceDram,
         nand_io: bool,
         stats: Rc<RefCell<CsdDeviceStats>>,
@@ -135,16 +127,6 @@ impl CsdFirmware {
             dram_log_pages: log_pages,
             stats,
         }
-    }
-
-    /// The shared statistics handle.
-    pub fn stats_handle(&self) -> Rc<RefCell<CsdDeviceStats>> {
-        Rc::clone(&self.stats)
-    }
-
-    /// Registered table names.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(String::as_str).collect()
     }
 
     fn create_table(&mut self, ctx: &FirmwareCtx<'_>, payload: &[u8]) -> CommandOutcome {
@@ -490,7 +472,7 @@ mod tests {
         let nand = NandArray::new(NandConfig::small());
         let ftl = Ftl::new(&nand, 0.25);
         let mut dram = DeviceDram::new(8 << 20);
-        let fw = CsdFirmware::new(&mut dram, nand_io);
+        let fw = CsdFirmware::with_stats(&mut dram, nand_io, Default::default());
         Rig {
             nand,
             ftl,
@@ -650,7 +632,7 @@ mod tests {
         let mut r = rig(true);
         setup_particles(&mut r, 100);
         exec(&mut r, TASK_MODE_SEGMENT, b"particles\0id < 10");
-        let s = *r.fw.stats_handle().borrow();
+        let s = *r.fw.stats.borrow();
         assert_eq!(s.tables_created, 1);
         assert_eq!(s.rows_loaded, 100);
         assert_eq!(s.tasks_executed, 1);

@@ -9,17 +9,17 @@
 //!
 //! Pieces:
 //!
-//! * [`sql`] — tokenizer, parser and printer for the `SELECT … FROM … WHERE`
+//! * `sql` — tokenizer, parser and printer for the `SELECT … FROM … WHERE`
 //!   subset CSD prototypes push down, tolerant of the aggregate/GROUP BY
 //!   clutter in real TPC-H text (those parts stay host-side; only the filter
 //!   is pushed).
-//! * [`schema`] / [`row`] — table schemas and a compact row codec.
-//! * [`mod@eval`] — device-side predicate evaluation.
-//! * [`firmware`] — the CSD personality: table catalog, NAND-backed row
+//! * `schema` / `row` — table schemas and a compact row codec.
+//! * `eval` — device-side predicate evaluation.
+//! * `firmware` — the CSD personality: table catalog, NAND-backed row
 //!   store, filter executor with a DRAM result workspace.
 //! * [`session`] — the host API: create/load tables, push down tasks with
 //!   any [`byteexpress::TransferMethod`], fetch filtered rows.
-//! * [`mod@corpus`] — the Fig 4 query corpus (VPIC, Laghos, Asteroid, TPC-H
+//! * `corpus` — the Fig 4 query corpus (VPIC, Laghos, Asteroid, TPC-H
 //!   Q1/Q2) with full-string and segment payloads plus matching synthetic
 //!   tables.
 
@@ -40,19 +40,18 @@
 )]
 #![warn(missing_docs)]
 
-pub mod aggregate;
-pub mod corpus;
-pub mod eval;
-pub mod firmware;
-pub mod row;
-pub mod schema;
+mod aggregate;
+mod corpus;
+mod eval;
+mod firmware;
+mod row;
+mod schema;
 pub mod session;
-pub mod sql;
+mod sql;
 
-pub use aggregate::{group_by_columns, host_aggregate, Aggregate, AggregateError, AggregateRow};
+pub use aggregate::{host_aggregate, AggregateError, AggregateRow};
 pub use corpus::{corpus, CorpusQuery};
 pub use eval::{eval, EvalError, UnknownColumn};
-pub use firmware::{CsdDeviceStats, CsdFirmware};
 pub use row::{Row, Value};
 pub use schema::{Column, ColumnType, Schema};
 pub use session::{CsdConfig, CsdError, CsdSession, PushdownReport, TaskEncoding};

@@ -25,7 +25,7 @@ impl Value {
     }
 
     /// The column type this value inhabits.
-    pub fn column_type(&self) -> ColumnType {
+    pub(crate) fn column_type(&self) -> ColumnType {
         match self {
             Value::Int(_) => ColumnType::Int,
             Value::Float(_) => ColumnType::Float,
@@ -53,12 +53,12 @@ pub struct Row {
 
 impl Row {
     /// Creates a row.
-    pub fn new(values: Vec<Value>) -> Self {
+    pub(crate) fn new(values: Vec<Value>) -> Self {
         Row { values }
     }
 
     /// Validates the row against a schema (arity + per-column types).
-    pub fn matches_schema(&self, schema: &Schema) -> bool {
+    pub(crate) fn matches_schema(&self, schema: &Schema) -> bool {
         self.values.len() == schema.columns.len()
             && self
                 .values
@@ -69,7 +69,7 @@ impl Row {
 
     /// Appends the row's encoding: ints/floats as 8 LE bytes, strings as
     /// `[len u16][bytes]`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         for v in &self.values {
             match v {
                 Value::Int(i) => out.extend_from_slice(&i.to_le_bytes()),
@@ -83,7 +83,7 @@ impl Row {
     }
 
     /// Encoded size in bytes.
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         self.values
             .iter()
             .map(|v| match v {
@@ -107,7 +107,7 @@ impl Row {
     }
 
     /// Decodes a packed sequence of rows (`[count u32]` header then rows).
-    pub fn decode_batch(bytes: &[u8], schema: &Schema) -> Option<Vec<Row>> {
+    pub(crate) fn decode_batch(bytes: &[u8], schema: &Schema) -> Option<Vec<Row>> {
         let mut cur = Cursor { bytes, pos: 0 };
         let count = cur.take_u32()? as usize;
         let mut rows = Vec::with_capacity(count);
@@ -118,7 +118,7 @@ impl Row {
     }
 
     /// Encodes a batch with a `[count u32]` header.
-    pub fn encode_batch(rows: &[Row]) -> Vec<u8> {
+    pub(crate) fn encode_batch(rows: &[Row]) -> Vec<u8> {
         let mut out = Vec::with_capacity(4 + rows.iter().map(Row::encoded_len).sum::<usize>());
         out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
         for r in rows {

@@ -58,7 +58,7 @@ pub struct Column {
 
 impl Column {
     /// Creates a column.
-    pub fn new(name: impl Into<String>, ty: ColumnType) -> Self {
+    pub(crate) fn new(name: impl Into<String>, ty: ColumnType) -> Self {
         Column {
             name: name.into(),
             ty,
@@ -81,7 +81,7 @@ impl Schema {
     /// # Panics
     ///
     /// Panics on empty column lists or duplicate column names.
-    pub fn new(table: impl Into<String>, columns: Vec<Column>) -> Self {
+    pub(crate) fn new(table: impl Into<String>, columns: Vec<Column>) -> Self {
         assert!(!columns.is_empty(), "schema needs at least one column");
         let mut names: Vec<&str> = columns.iter().map(|c| c.name.as_str()).collect();
         names.sort_unstable();
@@ -99,13 +99,13 @@ impl Schema {
     }
 
     /// Whether `name` is a column of this table.
-    pub fn has_column(&self, name: &str) -> bool {
+    pub(crate) fn has_column(&self, name: &str) -> bool {
         self.column_index(name).is_some()
     }
 
     /// Serializes the schema for the create-table command payload:
     /// `[table_len u16][table][ncols u16] ([ty u8][name_len u16][name])*`.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&(self.table.len() as u16).to_le_bytes());
         out.extend_from_slice(self.table.as_bytes());
@@ -119,7 +119,7 @@ impl Schema {
     }
 
     /// Deserializes a schema from a create-table payload.
-    pub fn decode(bytes: &[u8]) -> Option<Schema> {
+    pub(crate) fn decode(bytes: &[u8]) -> Option<Schema> {
         let mut cur = Cursor { bytes, pos: 0 };
         let table = cur.take_string()?;
         let ncols = cur.take_u16()? as usize;
@@ -142,25 +142,25 @@ pub(crate) struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    pub fn take_u8(&mut self) -> Option<u8> {
+    pub(crate) fn take_u8(&mut self) -> Option<u8> {
         let b = *self.bytes.get(self.pos)?;
         self.pos += 1;
         Some(b)
     }
 
-    pub fn take_u16(&mut self) -> Option<u16> {
+    pub(crate) fn take_u16(&mut self) -> Option<u16> {
         let b = self.bytes.get(self.pos..self.pos + 2)?;
         self.pos += 2;
         Some(u16::from_le_bytes([b[0], b[1]]))
     }
 
-    pub fn take_u32(&mut self) -> Option<u32> {
+    pub(crate) fn take_u32(&mut self) -> Option<u32> {
         let b = self.bytes.get(self.pos..self.pos + 4)?;
         self.pos += 4;
         Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    pub fn take_u64(&mut self) -> Option<u64> {
+    pub(crate) fn take_u64(&mut self) -> Option<u64> {
         let b = self.bytes.get(self.pos..self.pos + 8)?;
         self.pos += 8;
         Some(u64::from_le_bytes([
@@ -168,24 +168,16 @@ impl<'a> Cursor<'a> {
         ]))
     }
 
-    pub fn take_bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+    pub(crate) fn take_bytes(&mut self, n: usize) -> Option<&'a [u8]> {
         let b = self.bytes.get(self.pos..self.pos + n)?;
         self.pos += n;
         Some(b)
     }
 
-    pub fn take_string(&mut self) -> Option<String> {
+    pub(crate) fn take_string(&mut self) -> Option<String> {
         let len = self.take_u16()? as usize;
         let b = self.take_bytes(len)?;
         String::from_utf8(b.to_vec()).ok()
-    }
-
-    #[allow(
-        dead_code,
-        reason = "no decoder asks how much is left yet; kept beside the take_* family"
-    )]
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
     }
 }
 

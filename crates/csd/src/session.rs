@@ -119,16 +119,6 @@ impl CsdSession {
         &self.dev
     }
 
-    /// Mutable device access.
-    pub fn device_mut(&mut self) -> &mut Device {
-        &mut self.dev
-    }
-
-    /// Device-side counters.
-    pub fn device_stats(&self) -> CsdDeviceStats {
-        *self.stats.borrow()
-    }
-
     /// Registers a table schema on the device (bulk setup → PRP).
     ///
     /// # Errors

@@ -80,7 +80,7 @@ pub enum Expr {
 
 impl Expr {
     /// Column names referenced by this expression.
-    pub fn columns(&self) -> Vec<&str> {
+    pub(crate) fn columns(&self) -> Vec<&str> {
         let mut out = Vec::new();
         self.collect_columns(&mut out);
         out
@@ -126,25 +126,6 @@ pub struct Query {
     pub predicate: Option<Expr>,
     /// Trailing clauses (GROUP BY / ORDER BY / LIMIT), verbatim.
     pub trailing: String,
-}
-
-impl Query {
-    /// Reconstructs SQL text (canonical spacing/parentheses).
-    pub fn to_sql(&self) -> String {
-        let mut s = format!(
-            "SELECT {} FROM {}",
-            self.projection.join(", "),
-            self.tables.join(", ")
-        );
-        if let Some(p) = &self.predicate {
-            s.push_str(&format!(" WHERE {p}"));
-        }
-        if !self.trailing.is_empty() {
-            s.push(' ');
-            s.push_str(&self.trailing);
-        }
-        s
-    }
 }
 
 /// Parse errors, with the offending position where known.
@@ -591,13 +572,11 @@ mod tests {
             "SELECT count(*) FROM t, u WHERE a >= 1 OR b != 'y'",
             "SELECT * FROM t WHERE NOT (a = 1 AND b = 2)",
         ] {
-            let q1 = parse_query(sql).unwrap();
-            let q2 = parse_query(&q1.to_sql()).unwrap();
-            // Compare semantically relevant pieces (printer normalizes
-            // parenthesisation, so compare re-printed forms).
-            assert_eq!(q1.to_sql(), q2.to_sql(), "{sql}");
-            assert_eq!(q1.tables, q2.tables);
-            assert_eq!(q1.predicate, q2.predicate);
+            // The predicate printer normalizes parenthesisation; what it
+            // prints parses back to the same tree.
+            let p1 = parse_query(sql).unwrap().predicate.unwrap();
+            let p2 = parse_predicate(&p1.to_string()).unwrap();
+            assert_eq!(p1, p2, "{sql}");
         }
     }
 

@@ -32,7 +32,7 @@ impl FlushPolicy {
     /// A policy that never auto-flushes — the batch boundary alone rings
     /// the doorbell. Used internally by `submit_batch` when no policy is
     /// installed.
-    pub fn unbounded() -> Self {
+    pub(crate) fn unbounded() -> Self {
         FlushPolicy {
             max_batch: u16::MAX,
             max_delay: Nanos::from_ns(u64::MAX),

@@ -18,7 +18,6 @@ use bx_pcie::TrafficClass;
 use bx_ssd::registers::{Register, RegisterFile, CC_ENABLE};
 use bx_ssd::{Controller, Platform, SystemBus};
 use bx_trace::{CmdKey, EventKind};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -304,12 +303,6 @@ impl InflightTable {
 struct QueuePair {
     sq: SqRing,
     cq: CqRing,
-    /// The per-SQ lock the kernel driver already holds across submission —
-    /// ByteExpress leans on it to keep command + chunks contiguous (§3.3.2).
-    /// The virtual-time simulation is single-threaded, so the lock is
-    /// uncontended here; the multi-threaded ordering property is exercised by
-    /// `tests/ordering_stress.rs`.
-    lock: Mutex<()>,
     next_cid: u16,
     inflight: InflightTable,
     degrade: DegradeState,
@@ -384,7 +377,7 @@ impl fmt::Debug for NvmeDriver {
 }
 
 /// The Linux default SGL threshold: PRP is used below 32 KB (§5).
-pub const DEFAULT_SGL_THRESHOLD: usize = 32 * 1024;
+pub(crate) const DEFAULT_SGL_THRESHOLD: usize = 32 * 1024;
 
 impl NvmeDriver {
     /// Creates a driver on `bus` with default timing.
@@ -416,11 +409,6 @@ impl NvmeDriver {
         self.flush_policy = policy;
     }
 
-    /// The installed flush policy, if any.
-    pub fn flush_policy(&self) -> Option<FlushPolicy> {
-        self.flush_policy
-    }
-
     /// Sets the CQ head doorbell cadence: ring after every `n` consumed
     /// CQEs. `0` (the default) rings once per poll sweep; `1` models a
     /// naive per-CQE driver.
@@ -434,11 +422,6 @@ impl NvmeDriver {
     /// [`DriverError::Timeout`].
     pub fn set_retry_policy(&mut self, policy: Option<RetryPolicy>) {
         self.retry_policy = policy;
-    }
-
-    /// The installed retry policy, if any.
-    pub fn retry_policy(&self) -> Option<RetryPolicy> {
-        self.retry_policy
     }
 
     /// Recovery counters (timeouts, retries, fallbacks, probes…).
@@ -475,11 +458,6 @@ impl NvmeDriver {
         self.inline_mode = mode;
     }
 
-    /// The framing mode in force.
-    pub fn inline_mode(&self) -> InlineMode {
-        self.inline_mode
-    }
-
     /// Activity counters.
     pub fn stats(&self) -> DriverStats {
         self.stats
@@ -511,7 +489,7 @@ impl NvmeDriver {
         }
         self.admin = Some(AdminQueue {
             sq: SqRing::new(QueueId(0), sq_region, ADMIN_DEPTH),
-            cq: CqRing::new(QueueId(0), cq_region, ADMIN_DEPTH),
+            cq: CqRing::new(cq_region, ADMIN_DEPTH),
             next_cid: 0,
         });
 
@@ -636,8 +614,7 @@ impl NvmeDriver {
             id.0,
             QueuePair {
                 sq: SqRing::new(id, sq_region, depth),
-                cq: CqRing::new(id, cq_region, depth),
-                lock: Mutex::new(()),
+                cq: CqRing::new(cq_region, depth),
                 next_cid: 0,
                 inflight: InflightTable::default(),
                 degrade: DegradeState::default(),
@@ -1019,9 +996,11 @@ impl NvmeDriver {
             });
         }
 
-        // The critical section the paper leans on: command and chunks are
-        // placed contiguously while holding the SQ lock.
-        let _guard = qp.lock.lock();
+        // The critical section the paper leans on (§3.3.2): command and
+        // chunks are placed contiguously under the per-SQ lock the kernel
+        // driver already holds. Here `&mut self` is that lock; its cost is
+        // `bx_cmd_insert`. `tests/ordering_stress.rs` exercises the
+        // multi-threaded ordering property.
         let slot = qp.sq.push_slot();
         p.mem.write(qp.sq.slot_addr(slot), &sqe.to_bytes())?;
         bus.clock.advance(timing.bx_cmd_insert);
@@ -1041,7 +1020,6 @@ impl NvmeDriver {
             written += 1;
         }
         let tail = qp.sq.tail();
-        drop(_guard);
         self.stats.chunks_written += written;
         bus.trace.emit_cmd(CmdKey::new(qid.0, sqe.cid()), || {
             EventKind::ChunkTrainWrite {
@@ -1193,12 +1171,10 @@ impl NvmeDriver {
         if !qp.sq.can_push(1) {
             return Err(DriverError::QueueFull { needed: 1, free: 0 });
         }
-        let _guard = qp.lock.lock();
         let slot = qp.sq.push_slot();
         p.mem.write(qp.sq.slot_addr(slot), &sqe.to_bytes())?;
         self.bus.clock.advance(insert_cost);
         let tail = qp.sq.tail();
-        drop(_guard);
         self.note_sq_tail(p, qid, tail)
     }
 
@@ -1520,7 +1496,7 @@ impl NvmeDriver {
     /// awaited or not.
     ///
     /// With a [`RetryPolicy`] the clock advances by
-    /// [`RetryPolicy::poll_step`] after every pass that completed none of
+    /// `RetryPolicy::poll_step` after every pass that completed none of
     /// `cmds`, so the reaper's deadline is always reached. Without one
     /// nothing can unblock a stalled command, so a pass that completes none
     /// of `cmds` and yields nothing at all gives up.

@@ -49,16 +49,16 @@
 )]
 #![warn(missing_docs)]
 
-pub mod batch;
-pub mod driver;
-pub mod method;
+mod batch;
+mod driver;
+mod method;
 pub mod reactor;
-pub mod recovery;
-pub mod timing;
+mod recovery;
+mod timing;
 
 pub use batch::{BatchSubmission, FlushPolicy};
 pub use driver::{Completion, DriverError, DriverStats, NvmeDriver, SubmittedCmd};
 pub use method::{InlineMode, TransferMethod};
-pub use reactor::{CommandFuture, Reactor, ReactorConfig, ReactorStats, ShardHandle, ShardStats};
-pub use recovery::{is_idempotent, CmdContext, RecoveryStats, RetryPolicy};
+pub use reactor::{CommandFuture, Reactor, ReactorConfig, ReactorStats, ShardHandle};
+pub use recovery::{CmdContext, RecoveryStats, RetryPolicy};
 pub use timing::DriverTiming;

@@ -62,7 +62,7 @@ struct Waiter {
 
 /// Per-shard counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
+pub(crate) struct ShardStats {
     /// Commands submitted through this shard.
     pub submitted: u64,
     /// Completions dispatched to this shard's waiters.
@@ -541,7 +541,7 @@ impl ShardHandle {
     }
 
     /// Like [`ShardHandle::submit`] on an explicit queue of this shard.
-    pub fn submit_on(
+    pub(crate) fn submit_on(
         &self,
         qid: QueueId,
         cmd: PassthruCmd,
@@ -554,16 +554,6 @@ impl ShardHandle {
             method,
             state: FutureState::Unsubmitted,
         }
-    }
-
-    /// The queues this shard owns.
-    pub fn queues(&self) -> Vec<QueueId> {
-        self.shard.borrow().queues.clone()
-    }
-
-    /// This shard's counters.
-    pub fn stats(&self) -> ShardStats {
-        self.shard.borrow().stats
     }
 }
 

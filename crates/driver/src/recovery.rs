@@ -60,7 +60,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// The backoff delay before retry number `attempt` (0-based):
     /// `min(backoff_base << attempt, backoff_cap)`.
-    pub fn backoff(&self, attempt: u32) -> Nanos {
+    pub(crate) fn backoff(&self, attempt: u32) -> Nanos {
         let shift = attempt.min(16);
         Nanos::from_ns(
             self.backoff_base
@@ -73,7 +73,7 @@ impl RetryPolicy {
 
     /// The poll step, clamped to at least 1 ns so the wait loop always
     /// reaches the deadline.
-    pub fn poll_step(&self) -> Nanos {
+    pub(crate) fn poll_step(&self) -> Nanos {
         self.poll_interval.max(Nanos::from_ns(1))
     }
 }
@@ -178,7 +178,7 @@ pub(crate) struct DegradeState {
 /// state. Writes/puts of the same bytes, reads, gets and flushes are safe
 /// to repeat; anything with cumulative or non-repeatable effects
 /// (iterators, batch mutations, CSD task execution) is not.
-pub fn is_idempotent(opcode: u8) -> bool {
+pub(crate) fn is_idempotent(opcode: u8) -> bool {
     opcode == IoOpcode::Flush as u8
         || opcode == IoOpcode::Write as u8
         || opcode == IoOpcode::Read as u8

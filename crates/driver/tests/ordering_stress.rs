@@ -4,12 +4,11 @@
 //! command and its payload chunks land in *consecutive* SQ slots even when
 //! many threads submit concurrently. The virtual-time simulation is
 //! single-threaded, so this harness exercises the actual concurrency claim
-//! with real threads and the same `parking_lot` lock discipline
-//! `NvmeDriver::submit_byteexpress` uses: reserve-and-fill entirely inside
+//! with real threads and the discipline `NvmeDriver::submit_byteexpress`
+//! models (there `&mut self` is the lock): reserve-and-fill entirely inside
 //! the critical section.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 
 /// One SQ slot's worth of content, tagged for post-hoc order checking.
@@ -38,7 +37,10 @@ impl SharedSq {
     /// The ByteExpress submit discipline: the whole train goes in while the
     /// lock is held.
     fn submit_train(&self, thread: usize, train: usize, chunks: usize) {
-        let mut slots = self.slots.lock();
+        let mut slots = self
+            .slots
+            .lock()
+            .expect("no submitter panics while holding the SQ lock");
         slots.push(Entry::Command {
             thread,
             train,
@@ -111,7 +113,7 @@ fn concurrent_trains_never_interleave() {
         h.join().unwrap();
     }
 
-    let slots = sq.slots.lock();
+    let slots = sq.slots.lock().expect("all submitters joined cleanly");
     let trains = verify_trains(&slots).expect("trains must be contiguous and ordered");
     assert_eq!(trains, THREADS * TRAINS_PER_THREAD);
 }

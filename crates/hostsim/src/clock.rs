@@ -110,7 +110,7 @@ mod tests {
     #[test]
     fn reset_returns_to_zero() {
         let c = SimClock::new();
-        c.advance(Nanos::from_secs(1));
+        c.advance(Nanos::from_ms(1_000));
         c.reset();
         assert_eq!(c.now(), Nanos::ZERO);
     }

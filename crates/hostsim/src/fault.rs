@@ -72,7 +72,7 @@ impl FaultConfig {
 
     /// True if any fault class has a non-zero probability (or a power cut is
     /// scheduled).
-    pub fn any_enabled(&self) -> bool {
+    pub(crate) fn any_enabled(&self) -> bool {
         self.drop_doorbell > 0.0
             || self.drop_completion > 0.0
             || self.corrupt_chunk_header > 0.0
@@ -196,16 +196,6 @@ impl FaultInjector {
         self.cfg = cfg;
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
-    /// True if any fault class can fire.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Injection counts so far.
     pub fn counters(&self) -> FaultCounters {
         self.counters
@@ -310,21 +300,9 @@ impl FaultInjector {
         }
     }
 
-    /// Whether a scheduled power cut has not yet fired (crash sweeps use
-    /// this to detect cut indices beyond the workload's event count).
-    pub fn power_cut_pending(&self) -> bool {
-        self.power_cut_remaining.is_some()
-    }
-
     /// ECC strength from the active config.
     pub fn ecc_correctable_bits(&self) -> u32 {
         self.cfg.ecc_correctable_bits
-    }
-
-    /// A raw deterministic draw for fault sites that need positions (e.g.
-    /// which bit to flip).
-    pub fn draw(&mut self) -> u64 {
-        self.next_u64()
     }
 }
 
@@ -355,12 +333,10 @@ mod tests {
             ..FaultConfig::disabled()
         };
         let mut inj = FaultInjector::new(cfg);
-        assert!(inj.power_cut_pending());
         assert_eq!(
             (0..10).map(|_| inj.power_cut_tick()).collect::<Vec<_>>(),
             [false, false, false, true, false, false, false, false, false, false],
         );
-        assert!(!inj.power_cut_pending());
         assert_eq!(inj.counters().power_cuts, 1);
         assert_eq!(inj.counters().distinct_classes(), 1);
         assert_eq!(

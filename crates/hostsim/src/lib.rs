@@ -46,11 +46,11 @@
 )]
 #![warn(missing_docs)]
 
-pub mod clock;
-pub mod event;
-pub mod fault;
-pub mod mem;
-pub mod time;
+mod clock;
+mod event;
+mod fault;
+mod mem;
+mod time;
 
 pub use clock::SimClock;
 pub use event::EventQueue;

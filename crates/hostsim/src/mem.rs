@@ -162,7 +162,7 @@ pub struct PageAllocator {
 
 impl PageAllocator {
     /// Creates an allocator over `capacity` bytes (rounded down to whole pages).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let total_pages = capacity / PAGE_SIZE;
         // Reversed so that pop() hands out low addresses first.
         let free = (0..total_pages as u64)
@@ -181,7 +181,7 @@ impl PageAllocator {
     /// # Errors
     ///
     /// [`MemError::OutOfPages`] if the memory is exhausted.
-    pub fn alloc(&mut self) -> Result<PageRef, MemError> {
+    pub(crate) fn alloc(&mut self) -> Result<PageRef, MemError> {
         let addr = self.free.pop().ok_or(MemError::OutOfPages)?;
         self.allocated[(addr / PAGE_SIZE as u64) as usize] = true;
         Ok(PageRef {
@@ -197,7 +197,7 @@ impl PageAllocator {
     /// # Errors
     ///
     /// [`MemError::OutOfPages`] if no contiguous run of `n` free frames exists.
-    pub fn alloc_contiguous(&mut self, n: usize) -> Result<DmaRegion, MemError> {
+    pub(crate) fn alloc_contiguous(&mut self, n: usize) -> Result<DmaRegion, MemError> {
         if n == 0 {
             return Ok(DmaRegion::new(PhysAddr(0), 0));
         }
@@ -227,7 +227,7 @@ impl PageAllocator {
     /// # Errors
     ///
     /// [`MemError::BadFree`] on double-free or a non-page-aligned address.
-    pub fn free(&mut self, page: PageRef) -> Result<(), MemError> {
+    pub(crate) fn free(&mut self, page: PageRef) -> Result<(), MemError> {
         let addr = page.addr.0;
         if !addr.is_multiple_of(PAGE_SIZE as u64) {
             return Err(MemError::BadFree(page.addr));
@@ -249,7 +249,7 @@ impl PageAllocator {
     ///
     /// [`MemError::BadFree`] — and nothing freed — unless the region is a
     /// page-aligned run of allocated frames.
-    pub fn free_contiguous(&mut self, region: DmaRegion) -> Result<(), MemError> {
+    pub(crate) fn free_contiguous(&mut self, region: DmaRegion) -> Result<(), MemError> {
         let bad = MemError::BadFree(region.base());
         if !region.base().is_page_aligned() {
             return Err(bad);
@@ -372,26 +372,6 @@ impl HostMemory {
         Ok(&self.bytes[start..start + len])
     }
 
-    /// Writes a little-endian `u32` (register-style access).
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::OutOfBounds`] if the write exceeds capacity.
-    pub fn write_u32(&mut self, addr: PhysAddr, value: u32) -> Result<(), MemError> {
-        self.write(addr, &value.to_le_bytes())
-    }
-
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::OutOfBounds`] if the read exceeds capacity.
-    pub fn read_u32(&self, addr: PhysAddr) -> Result<u32, MemError> {
-        let mut b = [0u8; 4];
-        self.read(addr, &mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
     /// Writes a little-endian `u64`.
     ///
     /// # Errors
@@ -491,8 +471,6 @@ mod tests {
     #[test]
     fn register_width_accessors() {
         let mut m = HostMemory::with_capacity(PAGE_SIZE);
-        m.write_u32(PhysAddr(0), 0xdead_beef).unwrap();
-        assert_eq!(m.read_u32(PhysAddr(0)).unwrap(), 0xdead_beef);
         m.write_u64(PhysAddr(8), 0x0123_4567_89ab_cdef).unwrap();
         assert_eq!(m.read_u64(PhysAddr(8)).unwrap(), 0x0123_4567_89ab_cdef);
     }

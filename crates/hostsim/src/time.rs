@@ -47,11 +47,6 @@ impl Nanos {
         Nanos(ms * 1_000_000)
     }
 
-    /// Constructs a duration from whole seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        Nanos(s * 1_000_000_000)
-    }
-
     /// The raw nanosecond count.
     pub const fn as_ns(self) -> u64 {
         self.0
@@ -75,24 +70,6 @@ impl Nanos {
     /// Checked addition; `None` on overflow.
     pub fn checked_add(self, rhs: Nanos) -> Option<Nanos> {
         self.0.checked_add(rhs.0).map(Nanos)
-    }
-
-    /// Returns the larger of two durations.
-    pub fn max(self, rhs: Nanos) -> Nanos {
-        if self.0 >= rhs.0 {
-            self
-        } else {
-            rhs
-        }
-    }
-
-    /// Returns the smaller of two durations.
-    pub fn min(self, rhs: Nanos) -> Nanos {
-        if self.0 <= rhs.0 {
-            self
-        } else {
-            rhs
-        }
     }
 
     /// Whether this is the zero duration.
@@ -188,7 +165,6 @@ mod tests {
     fn construction_units() {
         assert_eq!(Nanos::from_us(3).as_ns(), 3_000);
         assert_eq!(Nanos::from_ms(2).as_ns(), 2_000_000);
-        assert_eq!(Nanos::from_secs(1).as_ns(), 1_000_000_000);
     }
 
     #[test]
@@ -220,15 +196,7 @@ mod tests {
         assert_eq!(Nanos::from_ns(999).to_string(), "999ns");
         assert_eq!(Nanos::from_ns(1_500).to_string(), "1.500us");
         assert_eq!(Nanos::from_ms(2).to_string(), "2.000ms");
-        assert_eq!(Nanos::from_secs(3).to_string(), "3.000s");
-    }
-
-    #[test]
-    fn min_max() {
-        let a = Nanos::from_ns(5);
-        let b = Nanos::from_ns(7);
-        assert_eq!(a.max(b), b);
-        assert_eq!(a.min(b), a);
+        assert_eq!(Nanos::from_ms(3_000).to_string(), "3.000s");
     }
 
     #[test]
@@ -241,7 +209,7 @@ mod tests {
     #[test]
     fn throughput_math() {
         // 1M ops over 1 second of virtual time = 1 Mops/s.
-        let elapsed = Nanos::from_secs(1);
+        let elapsed = Nanos::from_ms(1_000);
         let ops = 1_000_000f64;
         assert!((ops / elapsed.as_secs_f64() - 1e6).abs() < 1e-6);
     }

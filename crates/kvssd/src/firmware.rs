@@ -4,9 +4,9 @@
 //! value bytes into a DRAM staging page, DELETEs append a header alone with
 //! the tombstone length; full pages flush to NAND through the FTL (when
 //! NAND I/O is enabled). The key index lives in device DRAM (a `BTreeMap`,
-//! deterministic iteration for the iterator command) and can be rebuilt from
-//! the on-media headers after a simulated power cycle
-//! ([`KvFirmware::recover_index`] exercised via the `KvRecover` test hook).
+//! deterministic iteration for the iterator command) and is rebuilt from
+//! the on-media headers after a power cycle
+//! ([`FirmwareHandler::on_power_cycle`]).
 
 use bx_hostsim::{Nanos, PAGE_SIZE};
 use bx_nvme::{IoOpcode, Status, SubmissionEntry};
@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Maximum key length (keys ride in CDW10–13).
-pub const MAX_KEY_LEN: usize = 16;
+pub(crate) const MAX_KEY_LEN: usize = 16;
 
 /// Maximum value length (one log page minus the entry header).
 pub const MAX_VALUE_LEN: usize = PAGE_SIZE - ENTRY_HEADER;
@@ -37,7 +37,7 @@ pub type PaddedKey = [u8; MAX_KEY_LEN];
 ///
 /// # Panics
 ///
-/// Panics if the key exceeds [`MAX_KEY_LEN`] (host API validates first).
+/// Panics if the key exceeds 16 bytes (host API validates first).
 pub fn pad_key(key: &[u8]) -> PaddedKey {
     assert!(key.len() <= MAX_KEY_LEN, "key too long");
     let mut out = [0u8; MAX_KEY_LEN];
@@ -46,7 +46,7 @@ pub fn pad_key(key: &[u8]) -> PaddedKey {
 }
 
 /// Reads the padded key out of a KV command's CDW10–13.
-pub fn key_from_sqe(sqe: &SubmissionEntry) -> PaddedKey {
+pub(crate) fn key_from_sqe(sqe: &SubmissionEntry) -> PaddedKey {
     let mut out = [0u8; MAX_KEY_LEN];
     for i in 0..4 {
         out[i * 4..i * 4 + 4].copy_from_slice(&sqe.cdw(10 + i).to_le_bytes());
@@ -91,7 +91,7 @@ pub struct KvDeviceStats {
 
 /// Firmware timing constants.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KvTiming {
+pub(crate) struct KvTiming {
     /// Index lookup/insert cost.
     pub index_op: Nanos,
     /// Appending a value into the staging page.
@@ -132,18 +132,9 @@ pub struct KvFirmware {
 }
 
 impl KvFirmware {
-    /// Creates the firmware, claiming its DRAM regions. `nand_io = false`
-    /// keeps the value log entirely in device DRAM (the paper's NAND-off
-    /// measurement mode).
-    pub fn new(dram: &mut DeviceDram, nand_io: bool) -> Self {
-        Self::with_stats(
-            dram,
-            nand_io,
-            Rc::new(RefCell::new(KvDeviceStats::default())),
-        )
-    }
-
-    /// Like [`KvFirmware::new`], sharing `stats` with the host-side handle.
+    /// Creates the firmware, claiming its DRAM regions and sharing `stats`
+    /// with the host-side handle. `nand_io = false` keeps the value log
+    /// entirely in device DRAM (the paper's NAND-off measurement mode).
     pub fn with_stats(
         dram: &mut DeviceDram,
         nand_io: bool,
@@ -177,11 +168,6 @@ impl KvFirmware {
             dram_log_pages: log_pages,
             stats,
         }
-    }
-
-    /// The shared statistics handle.
-    pub fn stats_handle(&self) -> Rc<RefCell<KvDeviceStats>> {
-        Rc::clone(&self.stats)
     }
 
     /// Enables write-through durable PUTs: before a PUT is acknowledged the
@@ -286,7 +272,9 @@ impl KvFirmware {
 
     fn put(&mut self, ctx: &mut FirmwareCtx<'_>, key: PaddedKey, value: &[u8]) -> CommandOutcome {
         let mut now = ctx.now + self.timing.index_op + self.timing.log_append;
-        if value.len() > MAX_VALUE_LEN {
+        // An empty key with an empty value would be an all-zero header,
+        // which replay reads as the end of the page.
+        if value.len() > MAX_VALUE_LEN || (key == [0u8; MAX_KEY_LEN] && value.is_empty()) {
             return CommandOutcome::fail(Status::KvInvalidSize, now);
         }
         let len = value.len() as u16;
@@ -437,26 +425,16 @@ impl KvFirmware {
         }
     }
 
-    /// Rebuilds the index by scanning entry headers in the persisted log —
-    /// a simulated post-power-cycle recovery. Returns the number of entries
-    /// recovered.
-    ///
-    /// `include_staging` distinguishes a graceful restart (device DRAM
-    /// intact: the staging page is replayed too) from a crash/power loss
-    /// (`false`: only NAND-persisted pages survive; entries still in the
-    /// DRAM staging page are honestly lost, matching the durability
-    /// semantics of any volatile write buffer without a capacitor).
+    /// Rebuilds the index by scanning entry headers in the persisted log
+    /// below `next_lpn`. Only NAND-persisted pages survive a power loss;
+    /// entries still in the DRAM staging page are honestly lost, matching
+    /// the durability semantics of any volatile write buffer without a
+    /// capacitor.
     ///
     /// Recovery replays entries in log order, so later PUTs win, like any
     /// log-structured store.
-    pub fn recover_index(&mut self, ctx: &mut FirmwareCtx<'_>, include_staging: bool) -> usize {
+    fn recover_index(&mut self, ctx: &mut FirmwareCtx<'_>) {
         self.index.clear();
-        if !include_staging {
-            // Power loss: the volatile staging page is gone.
-            self.staging_used = 0;
-            let _ = ctx.dram.write(self.staging_off, &[0u8; PAGE_SIZE]);
-        }
-        let mut recovered = 0;
         let mut now = ctx.now;
         let mut nand_page = Vec::with_capacity(PAGE_SIZE);
         for lpn in 0..self.next_lpn {
@@ -479,23 +457,14 @@ impl KvFirmware {
                     Err(_) => continue,
                 }
             };
-            recovered += Self::replay_page(&mut self.index, page, lpn);
+            Self::replay_page(&mut self.index, page, lpn);
         }
-        // Staging page last: newest entries win.
-        if include_staging && self.staging_used > 0 {
-            if let Ok(page) = ctx.dram.read(self.staging_off, PAGE_SIZE) {
-                recovered += Self::replay_page(&mut self.index, page, self.next_lpn);
-            }
-        }
-        recovered
     }
 
-    /// Replays the entries of log page `lpn` onto `index`; returns how many
-    /// values it (re)inserted. Tombstones remove their key and count for
-    /// nothing.
-    fn replay_page(index: &mut BTreeMap<PaddedKey, ValueLoc>, page: &[u8], lpn: u64) -> usize {
+    /// Replays the entries of log page `lpn` onto `index`. Tombstones remove
+    /// their key.
+    fn replay_page(index: &mut BTreeMap<PaddedKey, ValueLoc>, page: &[u8], lpn: u64) {
         let mut off = 0;
-        let mut n = 0;
         while off + ENTRY_HEADER <= page.len() {
             let mut key = [0u8; MAX_KEY_LEN];
             key.copy_from_slice(&page[off..off + MAX_KEY_LEN]);
@@ -522,14 +491,7 @@ impl KvFirmware {
                 },
             );
             off += len;
-            n += 1;
         }
-        n
-    }
-
-    /// Number of live keys.
-    pub fn key_count(&self) -> usize {
-        self.index.len()
     }
 }
 
@@ -561,16 +523,6 @@ impl FirmwareHandler for KvFirmware {
                 };
                 self.batch_put(&mut ctx, batch)
             }
-            Some(IoOpcode::KvRecover) => {
-                let include_staging = sqe.cdw(14) & 1 == 1;
-                let recovered = self.recover_index(&mut ctx, include_staging);
-                CommandOutcome {
-                    status: Status::Success,
-                    result: recovered as u32,
-                    response: None,
-                    complete_at: ctx.now,
-                }
-            }
             _ => CommandOutcome::fail(Status::InvalidOpcode, ctx.now),
         }
     }
@@ -586,8 +538,7 @@ impl FirmwareHandler for KvFirmware {
                 self.next_lpn += 1;
             }
         }
-        // Hard power loss: never replay the (wiped) staging page.
-        self.recover_index(&mut ctx, false);
+        self.recover_index(&mut ctx);
     }
 }
 
@@ -607,7 +558,7 @@ mod tests {
         let nand = NandArray::new(NandConfig::small());
         let ftl = Ftl::new(&nand, 0.25);
         let mut dram = DeviceDram::new(4 << 20);
-        let fw = KvFirmware::new(&mut dram, nand_io);
+        let fw = KvFirmware::with_stats(&mut dram, nand_io, Default::default());
         Rig {
             nand,
             ftl,
@@ -647,6 +598,16 @@ mod tests {
                 now,
             };
             (&mut self.fw, ctx)
+        }
+
+        /// A quiescent hard cut at `t`, FTL recovery, then `on_power_cycle`.
+        fn power_cycle(&mut self, t: Nanos) {
+            self.nand.power_cut(t);
+            self.ftl.power_fail(t);
+            self.dram.wipe();
+            self.ftl.recover(&self.nand);
+            let (fw, ctx) = self.at(t);
+            fw.on_power_cycle(ctx);
         }
     }
 
@@ -698,7 +659,7 @@ mod tests {
                 "{i}"
             );
         }
-        assert!(r.fw.stats_handle().borrow().flushes > 0);
+        assert!(r.fw.stats.borrow().flushes > 0);
         assert!(r.nand.stats().programs > 0);
         for i in (0..200u32).step_by(17) {
             let key = format!("key-{i:04}");
@@ -747,28 +708,36 @@ mod tests {
 
     #[test]
     fn replay_applies_tombstones_in_log_order() {
-        let mut r = rig(true);
-        put(&mut r, b"a", b"1");
-        put(&mut r, b"b", b"2");
-        delete(&mut r, b"a");
-        put(&mut r, b"pad", &[3; 4030]); // flushes the page holding the tombstone
-        assert_eq!((r.fw.next_lpn, r.fw.staging_used), (1, ENTRY_HEADER + 4030));
-        delete(&mut r, b"b"); // tombstone still staged
-        put(&mut r, b"a", b"again"); // a later PUT outlives an earlier tombstone
-        assert_eq!(r.fw.next_lpn, 1);
-        let (fw, mut ctx) = r.at(Nanos::ZERO);
-        assert_eq!(
-            fw.recover_index(&mut ctx, true),
-            4,
-            "a, b, pad, a: no tombstone"
-        );
-        assert_eq!(get(&mut r, b"a").response.unwrap(), b"again");
-        assert_eq!(get(&mut r, b"b").status, Status::KvKeyNotFound);
-        // A crash loses the staged tail: b's tombstone and a's second PUT.
-        let (fw, mut ctx) = r.at(Nanos::ZERO);
-        fw.recover_index(&mut ctx, false);
-        assert_eq!(get(&mut r, b"a").status, Status::KvKeyNotFound);
-        assert_eq!(get(&mut r, b"b").response.unwrap(), b"2");
+        for durable in [true, false] {
+            let mut r = rig(true);
+            r.fw.set_durable_puts(durable);
+            let mut t = Nanos::ZERO;
+            let mut run = |r: &mut Rig, op, key: &[u8], value: Option<&[u8]>| {
+                let out = key_cmd(r, op, key, value, t);
+                assert!(out.status.is_success());
+                t = out.complete_at;
+            };
+            run(&mut r, IoOpcode::KvPut, b"a", Some(b"1"));
+            run(&mut r, IoOpcode::KvPut, b"b", Some(b"2"));
+            run(&mut r, IoOpcode::KvDelete, b"a", None);
+            // Flushes the page holding the tombstone.
+            run(&mut r, IoOpcode::KvPut, b"pad", Some(&[3; 4030]));
+            assert_eq!((r.fw.next_lpn, r.fw.staging_used), (1, ENTRY_HEADER + 4030));
+            run(&mut r, IoOpcode::KvDelete, b"b", None); // tombstone still staged
+            run(&mut r, IoOpcode::KvPut, b"a", Some(b"again")); // outlives the earlier tombstone
+            assert_eq!(r.fw.next_lpn, 1);
+            r.power_cycle(t);
+            if durable {
+                // The written-through frontier page is replayed last.
+                assert_eq!(get(&mut r, b"a").response.unwrap(), b"again");
+                assert_eq!(get(&mut r, b"b").status, Status::KvKeyNotFound);
+                assert_eq!(r.fw.index.len(), 2, "a and pad");
+            } else {
+                // The staged tail is lost: b's tombstone and a's second PUT.
+                assert_eq!(get(&mut r, b"a").status, Status::KvKeyNotFound);
+                assert_eq!(get(&mut r, b"b").response.unwrap(), b"2");
+            }
+        }
     }
 
     #[test]
@@ -781,17 +750,34 @@ mod tests {
     #[test]
     fn index_recovery_after_power_cycle() {
         let mut r = rig(true);
+        r.fw.set_durable_puts(true);
+        let mut t = Nanos::ZERO;
         for i in 0..120u32 {
             let key = format!("key-{i:04}");
-            put(&mut r, key.as_bytes(), format!("value-{i}").as_bytes());
+            let value = format!("value-{i}");
+            t = key_cmd(
+                &mut r,
+                IoOpcode::KvPut,
+                key.as_bytes(),
+                Some(value.as_bytes()),
+                t,
+            )
+            .complete_at;
         }
-        let before = r.fw.key_count();
-        // Simulated power cycle: wipe the index, rebuild from media.
-        let (fw, mut ctx) = r.at(Nanos::ZERO);
-        let recovered = fw.recover_index(&mut ctx, true);
-        assert!(recovered >= before, "recovered {recovered} of {before}");
-        assert_eq!(r.fw.key_count(), before);
+        let before = r.fw.index.len();
+        r.power_cycle(t);
+        assert_eq!(r.fw.index.len(), before);
         assert_eq!(get(&mut r, b"key-0077").response.unwrap(), b"value-77");
+    }
+
+    #[test]
+    fn all_zero_entry_is_rejected_not_staged() {
+        let mut r = rig(true);
+        assert_eq!(put(&mut r, b"", b"").status, Status::KvInvalidSize);
+        assert_eq!(r.fw.staging_used, 0);
+        // Either half alone is a distinguishable header.
+        assert!(put(&mut r, b"", b"v").status.is_success());
+        assert!(put(&mut r, b"k", b"").status.is_success());
     }
 
     #[test]
@@ -812,10 +798,6 @@ mod tests {
         Put(u8, usize),
         Get(u8),
         Delete(u8),
-        /// `recover_index(true)`: a restart that keeps device DRAM.
-        GracefulRecover,
-        /// `recover_index(false)`: the staging page is lost.
-        CrashRecover,
         /// A quiescent hard cut, FTL recovery, then `on_power_cycle`.
         PowerCycle,
     }
@@ -831,9 +813,7 @@ mod tests {
                 8 => (0..KEYS, len).prop_map(|(k, l)| Step::Put(k, l)),
                 6 => (0..KEYS).prop_map(Step::Get),
                 3 => (0..KEYS).prop_map(Step::Delete),
-                1 => Just(Step::GracefulRecover),
-                1 => Just(Step::CrashRecover),
-                1 => Just(Step::PowerCycle),
+                2 => Just(Step::PowerCycle),
             ],
             1..120,
         )
@@ -877,8 +857,8 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
-        /// Values, DELETE statuses and survival across all three kinds of
-        /// recovery match the model — and a GET costs a DRAM read exactly
+        /// Values, DELETE statuses and survival across power cycles match
+        /// the model — and a GET costs a DRAM read exactly
         /// when the model says its entry has not been flushed.
         #[test]
         fn hash_log_matches_the_model(
@@ -931,27 +911,8 @@ mod tests {
                         }
                         t = out.complete_at;
                     }
-                    Step::GracefulRecover => {
-                        let (fw, mut ctx) = r.at(t);
-                        fw.recover_index(&mut ctx, true);
-                    }
-                    // Write-through mode is left out: a polite
-                    // `recover_index(false)` forgets the page NAND still
-                    // holds at the log frontier, so what a later hard cycle
-                    // finds there is not a function of the acked history.
-                    Step::CrashRecover if durable => {}
-                    Step::CrashRecover => {
-                        let (fw, mut ctx) = r.at(t);
-                        fw.recover_index(&mut ctx, false);
-                        m.lose_staging();
-                    }
                     Step::PowerCycle => {
-                        r.nand.power_cut(t);
-                        r.ftl.power_fail(t);
-                        r.dram.wipe();
-                        r.ftl.recover(&r.nand);
-                        let (fw, ctx) = r.at(t);
-                        fw.on_power_cycle(ctx);
+                        r.power_cycle(t);
                         if durable {
                             // Every acked entry was written through; the
                             // partial page is now a flushed one.
@@ -964,7 +925,7 @@ mod tests {
                         }
                     }
                 }
-                assert_eq!(r.fw.key_count(), m.live.len(), "step {i}");
+                assert_eq!(r.fw.index.len(), m.live.len(), "step {i}");
                 assert_eq!(r.fw.staging_used, m.staging_used, "step {i}");
             }
         }

@@ -56,9 +56,9 @@
 #![warn(missing_docs)]
 
 pub mod firmware;
-pub mod lsm;
-pub mod store;
+mod lsm;
+mod store;
 
-pub use firmware::{KvDeviceStats, KvFirmware, MAX_KEY_LEN, MAX_VALUE_LEN};
-pub use lsm::{LsmKvFirmware, LsmStats, KV_RANGE_SCAN_OPCODE};
-pub use store::{KvEngine, KvError, KvStore, KvStoreConfig};
+pub use firmware::{KvDeviceStats, KvFirmware, MAX_VALUE_LEN};
+pub use lsm::LsmStats;
+pub use store::{KvEngine, KvError, KvPair, KvStore, KvStoreConfig};

@@ -33,7 +33,7 @@ use std::rc::Rc;
 type ScanResults = Vec<(PaddedKey, Vec<u8>)>;
 
 /// Vendor opcode for ordered range scans (LSM engine only).
-pub const KV_RANGE_SCAN_OPCODE: u8 = 0xC7;
+pub(crate) const KV_RANGE_SCAN_OPCODE: u8 = 0xC7;
 
 /// Entry header inside a run page: key + flags + value length.
 const RUN_ENTRY_HEADER: usize = MAX_KEY_LEN + 1 + 2;
@@ -72,14 +72,11 @@ struct RunMeta {
     pages: Vec<u64>,
     /// First key of each page, for page-level binary search.
     page_index: Vec<PaddedKey>,
-    /// Entry count (reported by stats/debugging; not used on hot paths).
-    #[allow(dead_code, reason = "read only through the Debug derive")]
-    entries: usize,
 }
 
 /// The LSM firmware personality.
 #[derive(Debug)]
-pub struct LsmKvFirmware {
+pub(crate) struct LsmKvFirmware {
     nand_io: bool,
     timing: KvTiming,
     memtable: BTreeMap<PaddedKey, Option<Vec<u8>>>,
@@ -98,13 +95,13 @@ pub struct LsmKvFirmware {
 }
 
 impl LsmKvFirmware {
-    /// Creates the firmware with a 32 KB memtable budget.
-    pub fn new(dram: &mut DeviceDram, nand_io: bool) -> Self {
-        Self::with_stats(dram, nand_io, Rc::new(RefCell::new(LsmStats::default())))
-    }
-
-    /// Like [`LsmKvFirmware::new`], sharing `stats` with the host handle.
-    pub fn with_stats(dram: &mut DeviceDram, nand_io: bool, stats: Rc<RefCell<LsmStats>>) -> Self {
+    /// Creates the firmware, claiming its DRAM regions and sharing `stats`
+    /// with the host handle.
+    pub(crate) fn with_stats(
+        dram: &mut DeviceDram,
+        nand_io: bool,
+        stats: Rc<RefCell<LsmStats>>,
+    ) -> Self {
         let log_pages = (dram.remaining() / 2) / PAGE_SIZE;
         #[expect(
             clippy::expect_used,
@@ -127,17 +124,6 @@ impl LsmKvFirmware {
             dram_log_pages: log_pages,
             stats,
         }
-    }
-
-    /// The shared statistics handle.
-    pub fn stats_handle(&self) -> Rc<RefCell<LsmStats>> {
-        Rc::clone(&self.stats)
-    }
-
-    /// Live key count is not cheaply available in an LSM; exposed for tests:
-    /// current memtable entry count.
-    pub fn memtable_len(&self) -> usize {
-        self.memtable.len()
     }
 
     // --- page backend (NAND via FTL, or the DRAM log in NAND-off mode) ---
@@ -313,7 +299,6 @@ impl LsmKvFirmware {
                 last: entries[entries.len() - 1].0,
                 pages: lpns,
                 page_index,
-                entries: entries.len(),
             },
             now,
         ))
@@ -588,7 +573,7 @@ mod tests {
         let nand = NandArray::new(NandConfig::small());
         let ftl = Ftl::new(&nand, 0.25);
         let mut dram = DeviceDram::new(8 << 20);
-        let fw = LsmKvFirmware::new(&mut dram, nand_io);
+        let fw = LsmKvFirmware::with_stats(&mut dram, nand_io, Default::default());
         Rig {
             nand,
             ftl,
@@ -664,7 +649,7 @@ mod tests {
             );
             assert!(out.status.is_success(), "{i}");
         }
-        let stats = *r.fw.stats_handle().borrow();
+        let stats = *r.fw.stats.borrow();
         assert!(stats.flushes >= 2, "flushes {}", stats.flushes);
         assert!(r.nand.stats().programs > 0);
         for i in (0..1000u32).step_by(97) {
@@ -685,7 +670,7 @@ mod tests {
                 put(&mut r, format!("k{i:04}").as_bytes(), &[round; 150]);
             }
         }
-        let stats = *r.fw.stats_handle().borrow();
+        let stats = *r.fw.stats.borrow();
         assert!(stats.compactions > 0, "compactions {}", stats.compactions);
         for i in (0..200u32).step_by(13) {
             let out = get(&mut r, format!("k{i:04}").as_bytes());
@@ -769,7 +754,7 @@ mod tests {
                 );
             }
         }
-        let stats = *r.fw.stats_handle().borrow();
+        let stats = *r.fw.stats.borrow();
         assert!(stats.compactions >= 1);
         // Without trim+reuse, pages_written LPNs would march far past what
         // live data needs; with reuse the firmware recycles freed LPNs.
@@ -788,12 +773,5 @@ mod tests {
             put(&mut r, b"big", &vec![0; MAX_VALUE_LEN + 1]).status,
             Status::KvInvalidSize
         );
-    }
-
-    #[test]
-    fn recover_not_supported() {
-        let mut r = rig(true);
-        let out = op(&mut r, IoOpcode::KvRecover as u8, b"", None, 1, 0);
-        assert_eq!(out.status, Status::InvalidOpcode);
     }
 }

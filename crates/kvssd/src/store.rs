@@ -66,7 +66,7 @@ pub enum KvEngine {
     #[default]
     HashLog,
     /// LSM tree with memtable, sorted runs, compaction and ordered range
-    /// scans ([`LsmKvFirmware`], the iLSM-style baseline).
+    /// scans (`LsmKvFirmware`, the iLSM-style baseline).
     Lsm,
 }
 
@@ -120,7 +120,6 @@ impl Default for KvStoreConfig {
 pub struct KvStore {
     dev: Device,
     method: TransferMethod,
-    engine: KvEngine,
     stats: Rc<RefCell<KvDeviceStats>>,
     lsm_stats: Rc<RefCell<LsmStats>>,
     /// The one PUT command, refilled per call so its value buffer is reused.
@@ -177,16 +176,10 @@ impl KvStore {
         KvStore {
             dev: builder.build(),
             method: cfg.method,
-            engine: cfg.engine,
             stats,
             lsm_stats,
             put_cmd: PassthruCmd::to_device(IoOpcode::KvPut, 1, Vec::new()),
         }
-    }
-
-    /// The device-side engine in use.
-    pub fn engine(&self) -> KvEngine {
-        self.engine
     }
 
     /// LSM-engine counters (all zero for the hash-log engine).
@@ -206,7 +199,7 @@ impl KvStore {
         const BUF: usize = 64 << 10;
         let mut cmd = PassthruCmd::from_device(IoOpcode::KvGet, 1, BUF);
         cmd.opcode = KV_RANGE_SCAN_OPCODE;
-        cmd.cdw10_15 = Self::key_cmd(IoOpcode::KvGet, start)?;
+        cmd.cdw10_15 = Self::key_cmd(start)?;
         cmd.cdw10_15[4] = limit as u32; // CDW14
         let completion = self.dev.passthru(&cmd, TransferMethod::Prp)?;
         if !completion.status.is_success() {
@@ -238,11 +231,6 @@ impl KvStore {
         Ok(out)
     }
 
-    /// The transfer method PUT values use.
-    pub fn method(&self) -> TransferMethod {
-        self.method
-    }
-
     /// Changes the PUT transfer method.
     pub fn set_method(&mut self, method: TransferMethod) {
         self.method = method;
@@ -263,11 +251,10 @@ impl KvStore {
         *self.stats.borrow()
     }
 
-    fn key_cmd(opcode: IoOpcode, key: &[u8]) -> Result<[u32; 6], KvError> {
+    fn key_cmd(key: &[u8]) -> Result<[u32; 6], KvError> {
         if key.len() > MAX_KEY_LEN {
             return Err(KvError::KeyTooLong { len: key.len() });
         }
-        let _ = opcode;
         let mut cdws = [0u32; 6];
         key_into_cdws(&pad_key(key), &mut cdws);
         Ok(cdws)
@@ -284,7 +271,7 @@ impl KvStore {
         if value.len() > MAX_VALUE_LEN {
             return Err(KvError::ValueTooLarge { len: value.len() });
         }
-        self.put_cmd.cdw10_15 = Self::key_cmd(IoOpcode::KvPut, key)?;
+        self.put_cmd.cdw10_15 = Self::key_cmd(key)?;
         self.put_cmd.set_data(value);
         let completion = self.dev.passthru(&self.put_cmd, self.method)?;
         if !completion.status.is_success() {
@@ -300,7 +287,7 @@ impl KvStore {
     /// [`KvError`] on limit violations or device failures.
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
         let mut cmd = PassthruCmd::from_device(IoOpcode::KvGet, 1, MAX_VALUE_LEN);
-        cmd.cdw10_15 = Self::key_cmd(IoOpcode::KvGet, key)?;
+        cmd.cdw10_15 = Self::key_cmd(key)?;
         let completion = self.dev.passthru(&cmd, TransferMethod::Prp)?;
         match completion.status {
             Status::Success => {
@@ -321,7 +308,7 @@ impl KvStore {
     /// [`KvError`] on limit violations or device failures.
     pub fn delete(&mut self, key: &[u8]) -> Result<bool, KvError> {
         let mut cmd = PassthruCmd::no_data(IoOpcode::KvDelete, 1);
-        cmd.cdw10_15 = Self::key_cmd(IoOpcode::KvDelete, key)?;
+        cmd.cdw10_15 = Self::key_cmd(key)?;
         let completion = self.dev.passthru(&cmd, TransferMethod::Prp)?;
         match completion.status {
             Status::Success => Ok(true),
@@ -397,30 +384,10 @@ impl KvStore {
         Ok(completion)
     }
 
-    /// Simulates a power event and index recovery. With `graceful = true`
-    /// the staging page survives (planned restart); with `false` it is lost
-    /// (crash/power loss) and only NAND-persisted entries come back.
-    /// Returns the number of index entries recovered.
-    ///
-    /// # Errors
-    ///
-    /// [`KvError::Device`] if the recovery command fails.
-    pub fn power_cycle(&mut self, graceful: bool) -> Result<u32, KvError> {
-        let mut cmd = PassthruCmd::no_data(IoOpcode::KvRecover, 1);
-        cmd.cdw10_15[4] = graceful as u32; // CDW14 bit 0
-        let completion = self.dev.passthru(&cmd, TransferMethod::Prp)?;
-        if !completion.status.is_success() {
-            return Err(KvError::Device(DeviceError::Command(completion.status)));
-        }
-        Ok(completion.result)
-    }
-
-    /// A *hard* power cycle through the real power-fail path: cuts power
-    /// (if a fault-injected cut has not already fired), rebuilds the FTL
-    /// from NAND + journal, re-runs NVMe bring-up, and lets the firmware
-    /// rebuild its index from the persisted log. Unlike
-    /// [`KvStore::power_cycle`] — which models recovery as a polite admin
-    /// command to a live device — nothing volatile survives this.
+    /// A power cycle through the real power-fail path: cuts power (if a
+    /// fault-injected cut has not already fired), rebuilds the FTL from
+    /// NAND + journal, re-runs NVMe bring-up, and lets the firmware rebuild
+    /// its index from the persisted log. Nothing volatile survives this.
     ///
     /// # Errors
     ///

@@ -8,7 +8,7 @@
 //!   [`HEAD_CAPACITY`] = 32 payload bytes in its unused fields (MPTR + DPTR +
 //!   CDW14/15 — CDW10..13 stay reserved for the key). This is why the paper
 //!   notes BandSlim "transmits sub-32-byte payloads within a single CMD".
-//! * **Fragment commands** (opcode [`FRAG_OPCODE`]) carry up to
+//! * **Fragment commands** (opcode `FRAG_OPCODE`) carry up to
 //!   [`FRAG_CAPACITY`] = 48 bytes each (MPTR + DPTR + CDW10..15), with the
 //!   fragment index in CDW3. Fragments are consumed silently by the
 //!   controller; only the head command receives a completion.
@@ -24,7 +24,7 @@ pub const HEAD_CAPACITY: usize = 32;
 /// Payload bytes per fragment command.
 pub const FRAG_CAPACITY: usize = 48;
 /// Vendor opcode for BandSlim fragment-carrier commands.
-pub const FRAG_OPCODE: u8 = 0xCF;
+pub(crate) const FRAG_OPCODE: u8 = 0xCF;
 
 /// Magic tag in the top byte of CDW2 marking a BandSlim head command.
 const BANDSLIM_MAGIC: u32 = 0xB5;

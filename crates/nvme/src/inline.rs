@@ -67,11 +67,6 @@ pub fn inline_len(sqe: &SubmissionEntry) -> Option<usize> {
     }
 }
 
-/// Clears ByteExpress marking (used when a hybrid engine falls back to PRP).
-pub fn clear_inline(sqe: &mut SubmissionEntry) {
-    sqe.set_cdw2(0);
-}
-
 /// Number of 64-byte SQ slots needed for `len` payload bytes in queue-local
 /// mode.
 pub fn chunks_for_len(len: usize) -> usize {
@@ -262,8 +257,6 @@ mod tests {
         assert_eq!(inline_len(&sqe), None);
         set_inline_len(&mut sqe, 100);
         assert_eq!(inline_len(&sqe), Some(100));
-        clear_inline(&mut sqe);
-        assert_eq!(inline_len(&sqe), None);
     }
 
     #[test]

@@ -49,21 +49,21 @@
 
 pub mod admin;
 pub mod bandslim;
-pub mod cqe;
-pub mod identify;
+mod cqe;
+mod identify;
 pub mod inline;
-pub mod opcode;
+mod opcode;
 pub mod passthru;
 pub mod prp;
 pub mod queue;
 pub mod sgl;
 pub mod sqe;
-pub mod status;
+mod status;
 
 pub use cqe::CompletionEntry;
 pub use identify::{IdentifyController, VendorCaps, IDENTIFY_BYTES};
 pub use inline::{ChunkHeader, BYTEEXPRESS_CHUNK_SIZE, REASSEMBLY_HEADER_BYTES};
-pub use opcode::{AdminOpcode, IoOpcode, Opcode};
+pub use opcode::{AdminOpcode, IoOpcode};
 pub use passthru::PassthruCmd;
 pub use prp::{PrpError, PrpSegments};
 pub use queue::{CqProducer, CqRing, DoorbellArray, QueueId, SqRing, CQE_BYTES, SQE_BYTES};

@@ -44,9 +44,6 @@ pub enum IoOpcode {
     /// Vendor-specific: bulk PUT of multiple key-value pairs in one command
     /// (the batching alternative the paper's §2.2.1 discusses).
     KvBatchPut = 0xC5,
-    /// Vendor-specific: rebuild the key index from the on-media log
-    /// (post-power-cycle recovery).
-    KvRecover = 0xC6,
     /// Vendor-specific: CSD SQL-pushdown task submission.
     CsdExec = 0xD0,
     /// Vendor-specific: CSD filter-result readback.
@@ -59,7 +56,7 @@ pub enum IoOpcode {
 
 impl IoOpcode {
     /// Decodes an opcode byte.
-    pub fn from_u8(v: u8) -> Option<IoOpcode> {
+    pub(crate) fn from_u8(v: u8) -> Option<IoOpcode> {
         Some(match v {
             0x00 => IoOpcode::Flush,
             0x01 => IoOpcode::Write,
@@ -69,7 +66,6 @@ impl IoOpcode {
             0xC3 => IoOpcode::KvDelete,
             0xC4 => IoOpcode::KvIter,
             0xC5 => IoOpcode::KvBatchPut,
-            0xC6 => IoOpcode::KvRecover,
             0xD0 => IoOpcode::CsdExec,
             0xD1 => IoOpcode::CsdReadResult,
             0xD4 => IoOpcode::CsdCreateTable,
@@ -90,11 +86,6 @@ impl IoOpcode {
                 | IoOpcode::CsdLoadRows
         )
     }
-
-    /// Whether this is a vendor-specific (passthrough-style) opcode.
-    pub fn is_vendor_specific(self) -> bool {
-        (self as u8) >= 0xC0
-    }
 }
 
 impl fmt::Display for IoOpcode {
@@ -108,32 +99,12 @@ impl fmt::Display for IoOpcode {
             IoOpcode::KvDelete => "kv-delete",
             IoOpcode::KvIter => "kv-iter",
             IoOpcode::KvBatchPut => "kv-batch-put",
-            IoOpcode::KvRecover => "kv-recover",
             IoOpcode::CsdExec => "csd-exec",
             IoOpcode::CsdReadResult => "csd-read-result",
             IoOpcode::CsdCreateTable => "csd-create-table",
             IoOpcode::CsdLoadRows => "csd-load-rows",
         };
         f.write_str(s)
-    }
-}
-
-/// Either kind of opcode, tagged by queue type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Opcode {
-    /// An admin-queue opcode.
-    Admin(AdminOpcode),
-    /// An I/O-queue opcode.
-    Io(IoOpcode),
-}
-
-impl Opcode {
-    /// The raw opcode byte.
-    pub fn as_u8(self) -> u8 {
-        match self {
-            Opcode::Admin(a) => a as u8,
-            Opcode::Io(i) => i as u8,
-        }
     }
 }
 
@@ -152,7 +123,6 @@ mod tests {
             IoOpcode::KvDelete,
             IoOpcode::KvIter,
             IoOpcode::KvBatchPut,
-            IoOpcode::KvRecover,
             IoOpcode::CsdExec,
             IoOpcode::CsdReadResult,
             IoOpcode::CsdCreateTable,
@@ -175,18 +145,5 @@ mod tests {
         assert!(IoOpcode::CsdExec.is_host_to_device());
         assert!(!IoOpcode::Read.is_host_to_device());
         assert!(!IoOpcode::KvGet.is_host_to_device());
-    }
-
-    #[test]
-    fn vendor_specific_range() {
-        assert!(IoOpcode::KvPut.is_vendor_specific());
-        assert!(IoOpcode::CsdExec.is_vendor_specific());
-        assert!(!IoOpcode::Write.is_vendor_specific());
-    }
-
-    #[test]
-    fn opcode_as_u8() {
-        assert_eq!(Opcode::Io(IoOpcode::Write).as_u8(), 0x01);
-        assert_eq!(Opcode::Admin(AdminOpcode::Identify).as_u8(), 0x06);
     }
 }

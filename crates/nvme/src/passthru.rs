@@ -75,30 +75,11 @@ impl PassthruCmd {
         }
     }
 
-    /// Sets command-specific dword `n` (10..=15), builder-style.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is outside 10..=15.
-    pub fn with_cdw(mut self, n: usize, v: u32) -> Self {
-        assert!((10..=15).contains(&n), "cdw index {n} out of range");
-        self.cdw10_15[n - 10] = v;
-        self
-    }
-
     /// Replaces the payload with a copy of `data`, keeping the buffer: a
     /// caller that issues one command after another allocates it once.
     pub fn set_data(&mut self, data: &[u8]) {
         self.data.clear();
         self.data.extend_from_slice(data);
-    }
-
-    /// The payload length for to-device commands, else 0.
-    pub fn data_len(&self) -> usize {
-        match self.direction {
-            DataDirection::ToDevice => self.data.len(),
-            _ => 0,
-        }
     }
 }
 
@@ -110,7 +91,7 @@ mod tests {
     fn to_device_carries_payload() {
         let c = PassthruCmd::to_device(IoOpcode::KvPut, 1, vec![1, 2, 3]);
         assert_eq!(c.opcode, 0xC1);
-        assert_eq!(c.data_len(), 3);
+        assert_eq!(c.data.len(), 3);
         assert_eq!(c.direction, DataDirection::ToDevice);
     }
 
@@ -126,22 +107,7 @@ mod tests {
     #[test]
     fn from_device_has_zero_data_len() {
         let c = PassthruCmd::from_device(IoOpcode::KvGet, 1, 4096);
-        assert_eq!(c.data_len(), 0);
+        assert_eq!(c.data.len(), 0);
         assert_eq!(c.response_len, 4096);
-    }
-
-    #[test]
-    fn cdw_builder() {
-        let c = PassthruCmd::no_data(IoOpcode::Flush, 1)
-            .with_cdw(10, 0xAAAA)
-            .with_cdw(15, 0xBBBB);
-        assert_eq!(c.cdw10_15[0], 0xAAAA);
-        assert_eq!(c.cdw10_15[5], 0xBBBB);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_cdw_panics() {
-        let _ = PassthruCmd::no_data(IoOpcode::Flush, 1).with_cdw(9, 0);
     }
 }

@@ -16,7 +16,7 @@ use bx_hostsim::{HostMemory, MemError, PageRef, PhysAddr, PAGE_SIZE};
 use std::fmt;
 
 /// Number of 8-byte PRP entries in one 4 KB list page.
-pub const ENTRIES_PER_LIST_PAGE: usize = PAGE_SIZE / 8;
+pub(crate) const ENTRIES_PER_LIST_PAGE: usize = PAGE_SIZE / 8;
 
 /// Errors from PRP construction or traversal.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,11 +71,6 @@ pub struct PrpSegments {
 }
 
 impl PrpSegments {
-    /// Number of data pages the transfer touches.
-    pub fn page_count(&self) -> usize {
-        pages_spanned(self.prp1.page_offset(), self.len)
-    }
-
     /// Builds PRP entries (and list pages if needed) for a buffer made of
     /// `pages` whole page frames, carrying `len` bytes starting at byte
     /// `offset` within the first page.
@@ -97,18 +92,6 @@ impl PrpSegments {
             list_pages,
             len,
         })
-    }
-
-    /// Releases the PRP-list pages back to the allocator.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MemError::BadFree`] if a page was already freed.
-    pub fn free_lists(self, mem: &mut HostMemory) -> Result<(), MemError> {
-        for p in self.list_pages {
-            mem.free_page(p)?;
-        }
-        Ok(())
     }
 }
 
@@ -334,7 +317,6 @@ mod tests {
         assert_eq!(prp.prp1, pages[0]);
         assert_eq!(prp.prp2, PhysAddr(0));
         assert!(prp.list_pages.is_empty());
-        assert_eq!(prp.page_count(), 1);
     }
 
     #[test]
@@ -354,7 +336,6 @@ mod tests {
         let prp = PrpSegments::build(&mut m, &pages, 1, PAGE_SIZE).unwrap();
         assert_eq!(prp.prp1, pages[0].offset(1));
         assert_eq!(prp.prp2, pages[1]);
-        assert_eq!(prp.page_count(), 2);
     }
 
     #[test]
@@ -452,16 +433,6 @@ mod tests {
         let err =
             walk_segments(&m, pages[0], pages[1].offset(3), PAGE_SIZE * 2, |_, _| {}).unwrap_err();
         assert!(matches!(err, PrpError::Misaligned(_)));
-    }
-
-    #[test]
-    fn free_lists_returns_pages() {
-        let mut m = mem();
-        let before = m.allocator().free_pages();
-        let pages = alloc_pages(&mut m, 5);
-        let prp = PrpSegments::build(&mut m, &pages, 0, 5 * PAGE_SIZE).unwrap();
-        prp.free_lists(&mut m).unwrap();
-        assert_eq!(m.allocator().free_pages(), before - 5);
     }
 
     #[test]

@@ -64,11 +64,6 @@ impl SqRing {
         }
     }
 
-    /// The queue identifier.
-    pub fn id(&self) -> QueueId {
-        self.id
-    }
-
     /// The host memory the ring occupies.
     pub fn region(&self) -> DmaRegion {
         self.region
@@ -156,7 +151,6 @@ impl SqRing {
 /// Geometry and index state of one completion queue ring.
 #[derive(Debug, Clone)]
 pub struct CqRing {
-    id: QueueId,
     region: DmaRegion,
     depth: u16,
     /// Consumer index. Owned by the driver.
@@ -171,7 +165,7 @@ impl CqRing {
     /// # Panics
     ///
     /// Panics if the region size does not equal `depth * 16` or depth < 2.
-    pub fn new(id: QueueId, region: DmaRegion, depth: u16) -> Self {
+    pub fn new(region: DmaRegion, depth: u16) -> Self {
         assert!(depth >= 2, "queue depth must be >= 2");
         assert_eq!(
             region.len(),
@@ -179,7 +173,6 @@ impl CqRing {
             "CQ region size must match depth"
         );
         CqRing {
-            id,
             region,
             depth,
             head: 0,
@@ -187,19 +180,9 @@ impl CqRing {
         }
     }
 
-    /// The queue identifier.
-    pub fn id(&self) -> QueueId {
-        self.id
-    }
-
     /// The host memory the ring occupies.
     pub fn region(&self) -> DmaRegion {
         self.region
-    }
-
-    /// Ring depth in entries.
-    pub fn depth(&self) -> u16 {
-        self.depth
     }
 
     /// Current consumer (head) index.
@@ -330,15 +313,6 @@ impl DoorbellArray {
         self.cq_heads[q.0 as usize] = head;
     }
 
-    /// Reads the CQ head doorbell for `q` (controller side).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "out-of-range queue id is a documented panic (BAR access fault in hardware)"
-    )]
-    pub fn cq_head(&self, q: QueueId) -> u16 {
-        self.cq_heads[q.0 as usize]
-    }
-
     /// A power cut: doorbells are BAR-resident volatile registers, so every
     /// tail and head returns to its power-on value of zero.
     pub fn power_cut(&mut self) {
@@ -462,7 +436,7 @@ mod tests {
     #[test]
     fn cq_phase_flips_on_wrap() {
         let region = DmaRegion::new(PhysAddr(0), 4 * CQE_BYTES);
-        let mut cq = CqRing::new(QueueId(1), region, 4);
+        let mut cq = CqRing::new(region, 4);
         assert!(cq.expected_phase());
         for _ in 0..4 {
             cq.pop_slot();
@@ -477,7 +451,7 @@ mod tests {
     #[test]
     fn cq_producer_matches_consumer_phase() {
         let region = DmaRegion::new(PhysAddr(0), 4 * CQE_BYTES);
-        let mut cq = CqRing::new(QueueId(1), region, 4);
+        let mut cq = CqRing::new(region, 4);
         let mut prod = CqProducer::new(4);
         for i in 0..10u16 {
             let (slot, phase) = prod.produce();
@@ -496,7 +470,6 @@ mod tests {
         assert_eq!(db.sq_tail(QueueId(1)), 5);
         assert_eq!(db.sq_tail(QueueId(2)), 9);
         assert_eq!(db.sq_tail(QueueId(0)), 0);
-        assert_eq!(db.cq_head(QueueId(1)), 2);
         assert_eq!(db.queues(), 3);
     }
 

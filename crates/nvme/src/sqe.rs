@@ -131,7 +131,7 @@ impl SubmissionEntry {
     }
 
     /// Raw CDW3 (reserved; used by the reassembly extension for a payload id).
-    pub fn cdw3(&self) -> u32 {
+    pub(crate) fn cdw3(&self) -> u32 {
         self.raw[3]
     }
 
@@ -213,22 +213,6 @@ impl SubmissionEntry {
         self.raw[10] as u64 | ((self.raw[11] as u64) << 32)
     }
 
-    /// Sets the starting LBA.
-    pub fn set_slba(&mut self, lba: u64) {
-        self.raw[10] = lba as u32;
-        self.raw[11] = (lba >> 32) as u32;
-    }
-
-    /// Number of logical blocks, 0-based as in the spec (CDW12 bits 15:0).
-    pub fn nlb0(&self) -> u16 {
-        (self.raw[12] & 0xFFFF) as u16
-    }
-
-    /// Sets the 0-based number of logical blocks.
-    pub fn set_nlb0(&mut self, nlb0: u16) {
-        self.raw[12] = (self.raw[12] & !0xFFFF) | nlb0 as u32;
-    }
-
     /// The data-phase transfer length in bytes.
     ///
     /// By workspace convention the length lives in the low 24 bits of CDW2,
@@ -271,11 +255,6 @@ impl SubmissionEntry {
             ]);
         }
         SubmissionEntry { raw }
-    }
-
-    /// The raw dwords (for protocol-level tests).
-    pub fn raw_dwords(&self) -> &[u32; 16] {
-        &self.raw
     }
 }
 
@@ -353,8 +332,8 @@ mod tests {
         e.set_cdw2(100);
         e.set_cdw3(0xA5A5_A5A5);
         e.set_prp1(PhysAddr(0x2000));
-        e.set_slba(1 << 40);
-        e.set_nlb0(15);
+        e.set_cdw(11, 1 << 8);
+        e.set_cdw(12, 15);
         e.set_data_len(4096);
         e.set_cdw(15, 77);
         assert_eq!(SubmissionEntry::from_bytes(&e.to_bytes()), e);
@@ -385,7 +364,8 @@ mod tests {
     #[test]
     fn slba_round_trip() {
         let mut e = SubmissionEntry::zeroed();
-        e.set_slba(u64::MAX - 5);
+        e.set_cdw(10, u32::MAX - 5);
+        e.set_cdw(11, u32::MAX);
         assert_eq!(e.slba(), u64::MAX - 5);
     }
 

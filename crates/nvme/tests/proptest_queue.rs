@@ -18,7 +18,7 @@ fn sq(depth: u16) -> SqRing {
 
 fn cq(depth: u16) -> CqRing {
     let region = DmaRegion::new(PhysAddr(PAGE_SIZE as u64), depth as usize * CQE_BYTES);
-    CqRing::new(QueueId(1), region, depth)
+    CqRing::new(region, depth)
 }
 
 /// A deterministic xorshift so each test case walks its own push/complete

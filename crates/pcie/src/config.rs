@@ -56,7 +56,7 @@ pub enum Generation {
 
 impl Generation {
     /// Raw per-lane rate in giga-transfers per second.
-    pub fn gt_per_sec(self) -> f64 {
+    pub(crate) fn gt_per_sec(self) -> f64 {
         match self {
             Generation::Gen1 => 2.5,
             Generation::Gen2 => 5.0,
@@ -67,7 +67,7 @@ impl Generation {
     }
 
     /// Line-code efficiency (payload bits per raw bit).
-    pub fn encoding_efficiency(self) -> f64 {
+    pub(crate) fn encoding_efficiency(self) -> f64 {
         match self {
             Generation::Gen1 | Generation::Gen2 => 0.8,
             _ => 128.0 / 130.0,
@@ -144,7 +144,7 @@ impl LinkConfig {
     ///
     /// Gen2 ×8: 5 GT/s × 8 lanes × 0.8 / 8 bits = 4 B/ns (≈4 GB/s), matching
     /// the platform the paper's latency staircase was measured on.
-    pub fn bytes_per_ns(&self) -> f64 {
+    pub(crate) fn bytes_per_ns(&self) -> f64 {
         self.generation.gt_per_sec() * self.lanes as f64 * self.generation.encoding_efficiency()
             / 8.0
     }
@@ -161,16 +161,6 @@ impl LinkConfig {
             "MPS must be a power of two in 128..=4096, got {mps}"
         );
         self.max_payload_size = mps;
-        self
-    }
-
-    /// Returns a copy with a different Max Read Request Size.
-    pub fn with_max_read_request_size(mut self, mrrs: usize) -> Self {
-        assert!(
-            mrrs.is_power_of_two() && (128..=4096).contains(&mrrs),
-            "MRRS must be a power of two in 128..=4096, got {mrrs}"
-        );
-        self.max_read_request_size = mrrs;
         self
     }
 

@@ -33,7 +33,7 @@ pub enum TrafficClass {
 
 impl TrafficClass {
     /// All classes, in display order.
-    pub const ALL: [TrafficClass; 10] = [
+    pub(crate) const ALL: [TrafficClass; 10] = [
         TrafficClass::Doorbell,
         TrafficClass::SqeFetch,
         TrafficClass::PrpList,
@@ -88,7 +88,7 @@ impl fmt::Display for TrafficClass {
 
 /// Direction of a TLP stream relative to the host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Direction {
+pub(crate) enum Direction {
     /// Host (root complex) to device (downstream).
     HostToDevice,
     /// Device to host (upstream).
@@ -118,12 +118,12 @@ pub struct TrafficCounters {
 
 impl TrafficCounters {
     /// A zeroed counter set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records a TLP stream.
-    pub fn record(&mut self, class: TrafficClass, direction: Direction, stream: &TlpStream) {
+    pub(crate) fn record(&mut self, class: TrafficClass, direction: Direction, stream: &TlpStream) {
         let wire = stream.wire_bytes() as u64;
         match direction {
             Direction::HostToDevice => self.host_to_device_wire += wire,
@@ -178,18 +178,8 @@ impl TrafficCounters {
         self.total_bytes() - self.class(TrafficClass::Doorbell).wire_bytes
     }
 
-    /// Wire bytes of pure control traffic (doorbells, CQEs, interrupts,
-    /// non-doorbell MMIO) — the paper's "control overhead" bucket, as
-    /// opposed to command fetch and data movement.
-    pub fn control_wire_bytes(&self) -> u64 {
-        self.class(TrafficClass::Doorbell).wire_bytes
-            + self.class(TrafficClass::Cqe).wire_bytes
-            + self.class(TrafficClass::Interrupt).wire_bytes
-            + self.class(TrafficClass::Mmio).wire_bytes
-    }
-
     /// Zeroes all counters.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self = Self::default();
     }
 
@@ -372,17 +362,6 @@ mod tests {
         assert_eq!(
             c.non_doorbell_wire_bytes() + c.class(TrafficClass::Doorbell).wire_bytes,
             c.total_bytes()
-        );
-        // control bytes cover exactly the four control classes.
-        let expected_control = c.class(TrafficClass::Doorbell).wire_bytes
-            + c.class(TrafficClass::Cqe).wire_bytes
-            + c.class(TrafficClass::Interrupt).wire_bytes
-            + c.class(TrafficClass::Mmio).wire_bytes;
-        assert_eq!(c.control_wire_bytes(), expected_control);
-        // The SQE fetch is data-plane: not part of the control bucket.
-        assert_eq!(
-            c.total_bytes() - c.control_wire_bytes(),
-            c.class(TrafficClass::SqeFetch).wire_bytes
         );
     }
 

@@ -14,7 +14,6 @@
 //! what the model is for.
 
 use crate::counters::TrafficCounters;
-use crate::TrafficClass;
 use std::fmt;
 
 /// Energy cost model for the link.
@@ -41,12 +40,12 @@ pub struct Picojoules(pub f64);
 
 impl Picojoules {
     /// Value in microjoules.
-    pub fn as_microjoules(self) -> f64 {
+    pub(crate) fn as_microjoules(self) -> f64 {
         self.0 / 1e6
     }
 
     /// Value in millijoules.
-    pub fn as_millijoules(self) -> f64 {
+    pub(crate) fn as_millijoules(self) -> f64 {
         self.0 / 1e9
     }
 }
@@ -72,23 +71,6 @@ impl EnergyModel {
             counters.total_bytes() as f64 * self.pj_per_byte
                 + counters.total_tlps() as f64 * self.pj_per_tlp,
         )
-    }
-
-    /// Link energy attributable to one traffic class.
-    pub fn of_class(&self, counters: &TrafficCounters, class: TrafficClass) -> Picojoules {
-        let c = counters.class(class);
-        Picojoules(c.wire_bytes as f64 * self.pj_per_byte + c.tlps as f64 * self.pj_per_tlp)
-    }
-
-    /// Energy per application payload byte — the efficiency figure: 1.0×
-    /// `pj_per_byte` would be a perfect link; PRP's page amplification makes
-    /// small writes orders of magnitude worse.
-    pub fn per_payload_byte(&self, counters: &TrafficCounters) -> Picojoules {
-        let payload = counters.total_payload_bytes();
-        if payload == 0 {
-            return Picojoules(0.0);
-        }
-        Picojoules(self.total(counters).0 / payload as f64)
     }
 }
 
@@ -118,7 +100,6 @@ mod tests {
         let m = EnergyModel::default();
         let c = TrafficCounters::new();
         assert_eq!(m.total(&c).0, 0.0);
-        assert_eq!(m.per_payload_byte(&c).0, 0.0);
     }
 
     #[test]
@@ -127,26 +108,5 @@ mod tests {
         assert_eq!(Picojoules(5e3).to_string(), "5.000nJ");
         assert_eq!(Picojoules(5e6).to_string(), "5.000uJ");
         assert_eq!(Picojoules(5e9).to_string(), "5.000mJ");
-    }
-
-    #[test]
-    fn class_attribution_sums_to_total() {
-        let m = EnergyModel::default();
-        let mut c = TrafficCounters::new();
-        c.record(
-            TrafficClass::Doorbell,
-            Direction::HostToDevice,
-            &crate::tlp::segment_write(4, 256),
-        );
-        c.record(
-            TrafficClass::Cqe,
-            Direction::DeviceToHost,
-            &crate::tlp::segment_write(16, 256),
-        );
-        let sum: f64 = TrafficClass::ALL
-            .iter()
-            .map(|&cl| m.of_class(&c, cl).0)
-            .sum();
-        assert!((sum - m.total(&c).0).abs() < 1e-9);
     }
 }

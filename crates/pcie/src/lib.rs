@@ -44,10 +44,10 @@
 )]
 #![warn(missing_docs)]
 
-pub mod config;
-pub mod counters;
-pub mod energy;
-pub mod link;
+mod config;
+mod counters;
+mod energy;
+mod link;
 pub mod tlp;
 
 pub use config::{Generation, LinkConfig, LinkConfigError};

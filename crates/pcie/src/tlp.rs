@@ -13,11 +13,11 @@
 //! them, and EXPERIMENTS.md documents the sensitivity.
 
 /// TLP header bytes for requests with 64-bit addresses (4 DW).
-pub const REQ_HEADER_BYTES: usize = 16;
+pub(crate) const REQ_HEADER_BYTES: usize = 16;
 /// TLP header bytes for completions (3 DW).
-pub const CPL_HEADER_BYTES: usize = 12;
+pub(crate) const CPL_HEADER_BYTES: usize = 12;
 /// Physical/data-link layer framing bytes per TLP (STP + seq + LCRC + END).
-pub const FRAMING_BYTES: usize = 8;
+pub(crate) const FRAMING_BYTES: usize = 8;
 
 /// The kinds of TLP the simulation generates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -32,7 +32,7 @@ pub enum TlpKind {
 
 impl TlpKind {
     /// Header + framing overhead for this TLP kind, excluding data payload.
-    pub fn overhead_bytes(self) -> usize {
+    pub(crate) fn overhead_bytes(self) -> usize {
         match self {
             TlpKind::MemWrite | TlpKind::MemReadReq => REQ_HEADER_BYTES + FRAMING_BYTES,
             TlpKind::CplData => CPL_HEADER_BYTES + FRAMING_BYTES,

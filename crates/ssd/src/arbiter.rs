@@ -38,7 +38,7 @@ pub enum Arbitration {
 
 impl Arbitration {
     /// The credit budget a queue of `weight` receives this round.
-    pub fn credits(self, weight: u8) -> u32 {
+    pub(crate) fn credits(self, weight: u8) -> u32 {
         let credits = match self {
             Arbitration::RoundRobin { burst } => burst.max(1) as u32,
             Arbitration::WeightedRoundRobin { burst } => burst.max(1) as u32 * weight.max(1) as u32,

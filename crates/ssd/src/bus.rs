@@ -100,7 +100,7 @@ pub struct Platform {
 impl Platform {
     /// A posted host→device write (BAR register, doorbell), charged to the
     /// clock.
-    pub fn host_posted_write(&mut self, class: TrafficClass, len: usize) {
+    pub(crate) fn host_posted_write(&mut self, class: TrafficClass, len: usize) {
         self.clock.advance(self.link.host_posted_write(class, len));
     }
 

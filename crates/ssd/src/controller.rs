@@ -69,6 +69,12 @@ pub enum ExecutionModel {
     Pipelined,
 }
 
+/// Device DRAM capacity in bytes.
+const DRAM_CAPACITY: usize = 64 << 20;
+
+/// FTL over-provisioning ratio.
+const OVER_PROVISION: f64 = 0.25;
+
 /// Controller construction parameters.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
@@ -77,10 +83,6 @@ pub struct ControllerConfig {
     /// NAND geometry/timing (use [`NandConfig::disabled`] for the paper's
     /// NAND-off transfer experiments).
     pub nand: NandConfig,
-    /// Device DRAM capacity in bytes.
-    pub dram_capacity: usize,
-    /// FTL over-provisioning ratio.
-    pub over_provision: f64,
     /// Chunk-gathering policy.
     pub fetch_policy: FetchPolicy,
     /// How SQE-fetch bandwidth is shared across submission queues.
@@ -105,8 +107,6 @@ impl Default for ControllerConfig {
         ControllerConfig {
             timing: ControllerTiming::default(),
             nand: NandConfig::small(),
-            dram_capacity: 64 << 20,
-            over_provision: 0.25,
             fetch_policy: FetchPolicy::QueueLocal,
             arbitration: Arbitration::default(),
             reassembly_sram: 64 << 10,
@@ -270,9 +270,9 @@ impl Controller {
         // Media faults share the platform's one deterministic schedule.
         nand.set_fault_injector(bus.faults.clone());
         nand.set_trace(bus.trace.clone());
-        let mut ftl = Ftl::new(&nand, cfg.over_provision);
+        let mut ftl = Ftl::new(&nand, OVER_PROVISION);
         ftl.set_trace(bus.trace.clone());
-        let mut dram = DeviceDram::new(cfg.dram_capacity);
+        let mut dram = DeviceDram::new(DRAM_CAPACITY);
         let firmware = firmware(&mut dram);
         Controller {
             bus,
@@ -366,11 +366,6 @@ impl Controller {
         queue.weight = weight;
     }
 
-    /// The arbitration mode in force.
-    pub fn arbitration(&self) -> Arbitration {
-        self.arbitration
-    }
-
     /// Writes a BAR register (charged as MMIO traffic). Setting CC.EN
     /// latches the admin queue from ASQ/ACQ/AQA and raises CSTS.RDY.
     pub fn mmio_write(&mut self, reg: Register, value: u64) {
@@ -427,25 +422,10 @@ impl Controller {
         self.stats
     }
 
-    /// The fetch policy in force.
-    pub fn fetch_policy(&self) -> FetchPolicy {
-        self.fetch_policy
-    }
-
-    /// The execution model in force.
-    pub fn execution_model(&self) -> ExecutionModel {
-        self.execution
-    }
-
     /// Completions dispatched but not yet delivered (always 0 under
     /// [`ExecutionModel::Serial`]).
     pub fn completions_in_flight(&self) -> usize {
         self.deferred.len()
-    }
-
-    /// Immutable view of device DRAM (tests inspect landed payloads).
-    pub fn dram(&self) -> &DeviceDram {
-        &self.dram
     }
 
     /// NAND statistics.
@@ -1639,7 +1619,7 @@ mod tests {
 
         let payload: Vec<u8> = (0..100u32).map(|i| i as u8).collect();
         let mut sqe = SubmissionEntry::io(IoOpcode::Write, 7, 1);
-        sqe.set_slba(3);
+        sqe.set_cdw(10, 3);
         sqe.set_data_len(payload.len() as u32);
         inline::set_inline_len(&mut sqe, payload.len());
         drv.push_raw(&sqe.to_bytes());
@@ -1660,7 +1640,7 @@ mod tests {
         // Read it back via PRP to verify the bytes reached NAND.
         let buf_page = bus.platform().borrow_mut().mem.alloc_page().unwrap().addr();
         let mut rd = SubmissionEntry::io(IoOpcode::Read, 8, 1);
-        rd.set_slba(3);
+        rd.set_cdw(10, 3);
         rd.set_data_len(100);
         rd.set_prp1(buf_page);
         drv.push_raw(&rd.to_bytes());
@@ -1957,7 +1937,7 @@ mod tests {
 
         let payload: Vec<u8> = (0..200u32).map(|i| i as u8).collect();
         let mut sqe = SubmissionEntry::io(IoOpcode::Write, 11, 1);
-        sqe.set_slba(1);
+        sqe.set_cdw(10, 1);
         sqe.set_data_len(200);
         inline::set_inline_len(&mut sqe, 200);
         sqe.set_cdw3(42); // payload id
@@ -1975,7 +1955,7 @@ mod tests {
         // Verify integrity through a read-back.
         let buf_page = bus.platform().borrow_mut().mem.alloc_page().unwrap().addr();
         let mut rd = SubmissionEntry::io(IoOpcode::Read, 12, 1);
-        rd.set_slba(1);
+        rd.set_cdw(10, 1);
         rd.set_data_len(200);
         rd.set_prp1(buf_page);
         drv.push_raw(&rd.to_bytes());
@@ -2004,7 +1984,7 @@ mod tests {
         // A 200-byte payload needs 4 reassembly chunks; deliver only 3.
         let payload: Vec<u8> = (0..200u32).map(|i| i as u8).collect();
         let mut sqe = SubmissionEntry::io(IoOpcode::Write, 21, 1);
-        sqe.set_slba(1);
+        sqe.set_cdw(10, 1);
         sqe.set_data_len(200);
         inline::set_inline_len(&mut sqe, 200);
         sqe.set_cdw3(77);
@@ -2033,7 +2013,7 @@ mod tests {
 
         // The queue is usable again: a complete train succeeds.
         let mut sqe = SubmissionEntry::io(IoOpcode::Write, 22, 1);
-        sqe.set_slba(1);
+        sqe.set_cdw(10, 1);
         sqe.set_data_len(200);
         inline::set_inline_len(&mut sqe, 200);
         sqe.set_cdw3(78);
@@ -2103,7 +2083,7 @@ mod tests {
         // First write is fully acked before the cut is armed.
         let acked: Vec<u8> = (0..100u32).map(|i| i as u8).collect();
         let mut sqe = SubmissionEntry::io(IoOpcode::Write, 1, 1);
-        sqe.set_slba(0);
+        sqe.set_cdw(10, 0);
         sqe.set_data_len(acked.len() as u32);
         inline::set_inline_len(&mut sqe, acked.len());
         drv.push_raw(&sqe.to_bytes());
@@ -2122,7 +2102,7 @@ mod tests {
             ..FaultConfig::disabled()
         });
         let mut sqe = SubmissionEntry::io(IoOpcode::Write, 2, 1);
-        sqe.set_slba(1);
+        sqe.set_cdw(10, 1);
         sqe.set_data_len(acked.len() as u32);
         inline::set_inline_len(&mut sqe, acked.len());
         drv.push_raw(&sqe.to_bytes());
@@ -2146,7 +2126,7 @@ mod tests {
         let mut drv = MiniDriver::new(&bus, &mut ctrl, 64);
         let buf_page = bus.platform().borrow_mut().mem.alloc_page().unwrap().addr();
         let mut rd = SubmissionEntry::io(IoOpcode::Read, 3, 1);
-        rd.set_slba(0);
+        rd.set_cdw(10, 0);
         rd.set_data_len(100);
         rd.set_prp1(buf_page);
         drv.push_raw(&rd.to_bytes());
@@ -2159,7 +2139,7 @@ mod tests {
         );
 
         let mut rd = SubmissionEntry::io(IoOpcode::Read, 4, 1);
-        rd.set_slba(1);
+        rd.set_cdw(10, 1);
         rd.set_data_len(100);
         rd.set_prp1(buf_page);
         drv.push_raw(&rd.to_bytes());

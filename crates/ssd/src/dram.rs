@@ -30,8 +30,6 @@ pub enum DramError {
     },
     /// Duplicate region name.
     RegionExists(String),
-    /// Unknown region name.
-    NoSuchRegion(String),
 }
 
 impl fmt::Display for DramError {
@@ -54,7 +52,6 @@ impl fmt::Display for DramError {
                 write!(f, "device dram access out of bounds: {len} bytes at {offset} (capacity {capacity})")
             }
             DramError::RegionExists(n) => write!(f, "region already exists: {n}"),
-            DramError::NoSuchRegion(n) => write!(f, "no such region: {n}"),
         }
     }
 }
@@ -90,11 +87,6 @@ impl DeviceDram {
         }
     }
 
-    /// Total capacity.
-    pub fn capacity(&self) -> usize {
-        self.bytes.len()
-    }
-
     /// Bytes not yet claimed by a region.
     pub fn remaining(&self) -> usize {
         self.bytes.len() - self.next_free
@@ -123,18 +115,6 @@ impl DeviceDram {
         self.next_free += len;
         self.regions.insert(name.to_string(), region);
         Ok(region)
-    }
-
-    /// Looks up a region by name.
-    ///
-    /// # Errors
-    ///
-    /// [`DramError::NoSuchRegion`] if absent.
-    pub fn region(&self, name: &str) -> Result<DramRegion, DramError> {
-        self.regions
-            .get(name)
-            .copied()
-            .ok_or_else(|| DramError::NoSuchRegion(name.to_string()))
     }
 
     fn check(&self, offset: usize, len: usize) -> Result<(), DramError> {
@@ -204,7 +184,6 @@ mod tests {
         let r = d.alloc_region("kv-log", 256).unwrap();
         d.write(r.offset, b"value").unwrap();
         assert_eq!(d.read(r.offset, 5).unwrap(), b"value");
-        assert_eq!(d.region("kv-log").unwrap(), r);
     }
 
     #[test]
@@ -270,16 +249,7 @@ mod tests {
         d.write(r.offset, b"volatile").unwrap();
         d.wipe();
         assert_eq!(d.read(r.offset, 8).unwrap(), &[0u8; 8]);
-        assert_eq!(d.region("staging").unwrap(), r, "layout survives");
+        assert_eq!(d.regions["staging"], r, "layout survives");
         assert_eq!(d.remaining(), 256 - 64);
-    }
-
-    #[test]
-    fn unknown_region_rejected() {
-        let d = DeviceDram::new(100);
-        assert_eq!(
-            d.region("nope").unwrap_err(),
-            DramError::NoSuchRegion("nope".into())
-        );
     }
 }

@@ -119,11 +119,6 @@ impl BlockFirmware {
             staged_len: 0,
         }
     }
-
-    /// Whether NAND I/O is enabled.
-    pub fn nand_io(&self) -> bool {
-        self.nand_io
-    }
 }
 
 impl FirmwareHandler for BlockFirmware {
@@ -264,7 +259,7 @@ mod tests {
     fn write_then_read_with_nand() {
         let mut r = rig(true);
         let mut w = SubmissionEntry::io(IoOpcode::Write, 1, 1);
-        w.set_slba(5);
+        w.set_cdw(10, 5);
         w.set_data_len(100);
         let data = vec![0x42; 100];
         let out = handle(&mut r, &w, Some(&data));
@@ -272,7 +267,7 @@ mod tests {
         assert!(out.complete_at >= Nanos::from_us(300), "NAND program time");
 
         let mut rd = SubmissionEntry::io(IoOpcode::Read, 2, 1);
-        rd.set_slba(5);
+        rd.set_cdw(10, 5);
         rd.set_data_len(100);
         let out = handle(&mut r, &rd, None);
         assert_eq!(out.status, Status::Success);
@@ -284,12 +279,12 @@ mod tests {
         let mut r = rig(true);
         let data: Vec<u8> = (0..2 * PAGE_SIZE + 17).map(|i| (i % 256) as u8).collect();
         let mut w = SubmissionEntry::io(IoOpcode::Write, 1, 1);
-        w.set_slba(10);
+        w.set_cdw(10, 10);
         w.set_data_len(data.len() as u32);
         assert_eq!(handle(&mut r, &w, Some(&data)).status, Status::Success);
 
         let mut rd = SubmissionEntry::io(IoOpcode::Read, 2, 1);
-        rd.set_slba(10);
+        rd.set_cdw(10, 10);
         rd.set_data_len(data.len() as u32);
         assert_eq!(handle(&mut r, &rd, None).response.unwrap(), data);
     }
@@ -309,7 +304,7 @@ mod tests {
     fn read_unwritten_lba_fails() {
         let mut r = rig(true);
         let mut rd = SubmissionEntry::io(IoOpcode::Read, 1, 1);
-        rd.set_slba(77);
+        rd.set_cdw(10, 77);
         rd.set_data_len(10);
         assert_eq!(handle(&mut r, &rd, None).status, Status::LbaOutOfRange);
     }

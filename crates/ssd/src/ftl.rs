@@ -12,7 +12,7 @@
 //! newest durable checkpoint plus journal replay after a power cut — the
 //! device-side half of the durable-linearizability contract.
 
-use crate::journal::{JournalOp, JournalStats, MapJournal};
+use crate::journal::{JournalOp, MapJournal};
 use crate::nand::{NandArray, NandError, Ppa};
 use bx_hostsim::Nanos;
 use bx_trace::{EventKind, TraceSink};
@@ -219,7 +219,7 @@ impl Ftl {
 
     /// Installs a flight-recorder sink; each GC victim reclaimed emits an
     /// [`EventKind::GcCycle`] event. Disabled sinks cost nothing.
-    pub fn set_trace(&mut self, trace: TraceSink) {
+    pub(crate) fn set_trace(&mut self, trace: TraceSink) {
         self.trace = trace;
     }
 
@@ -233,22 +233,11 @@ impl Ftl {
         self.stats
     }
 
-    /// Mapping-journal activity counters.
-    pub fn journal_stats(&self) -> JournalStats {
-        self.journal.stats()
-    }
-
     /// Records currently live in the mapping journal (appended since the
     /// last checkpoint). The telemetry plane samples this as the
     /// `ftl_journal_depth` gauge.
-    pub fn journal_depth(&self) -> usize {
+    pub(crate) fn journal_depth(&self) -> usize {
         self.journal.live_records()
-    }
-
-    /// Overrides the journal's checkpoint threshold (tests use small values
-    /// to exercise the checkpoint/prune path quickly).
-    pub fn set_checkpoint_threshold(&mut self, records: usize) {
-        self.journal.set_checkpoint_threshold(records);
     }
 
     /// Whether `lpn` currently maps to a physical page. Firmware recovery
@@ -525,7 +514,7 @@ impl Ftl {
     }
 
     /// Reads one logical page and appends bytes `off..off + len` of it to
-    /// `out` (see [`NandArray::read_range`]); returns the completion instant.
+    /// `out` (see `NandArray::read_range`); returns the completion instant.
     ///
     /// # Errors
     ///
@@ -1276,13 +1265,13 @@ mod tests {
     fn recovery_from_checkpoint_bounds_replay() {
         let mut nand = tiny_nand();
         let mut ftl = Ftl::new(&nand, 0.25);
-        ftl.set_checkpoint_threshold(8);
+        ftl.journal.checkpoint_threshold = 8;
         let mut t = Nanos::ZERO;
         for i in 0..40u64 {
             t = ftl.write(i % 8, &page(i as u8), &mut nand, t).unwrap();
         }
-        assert!(ftl.journal_stats().checkpoints > 0);
-        assert!(ftl.journal_stats().pruned > 0);
+        assert!(ftl.journal.stats.checkpoints > 0);
+        assert!(ftl.journal.stats.pruned > 0);
         ftl.power_fail(t);
         let report = ftl.recover(&nand);
         assert!(report.from_checkpoint);
@@ -1305,13 +1294,13 @@ mod tests {
     fn checkpoint_burst_keeps_the_durable_snapshot() {
         let mut nand = tiny_nand();
         let mut ftl = Ftl::new(&nand, 0.25);
-        ftl.set_checkpoint_threshold(8);
+        ftl.journal.checkpoint_threshold = 8;
         let mut acked = Nanos::ZERO;
         for lpn in 0..8u64 {
             let now = Nanos::from_ms(lpn);
             acked = ftl.write(lpn, &page(lpn as u8), &mut nand, now).unwrap();
         }
-        assert_eq!(ftl.journal_stats().checkpoints, 1);
+        assert_eq!(ftl.journal.stats.checkpoints, 1);
         // A burst of 20 writes inside 10 us, long after the first eight were
         // acked; the cut lands before any of the burst completes.
         let burst = Nanos::from_ms(8);
@@ -1322,8 +1311,7 @@ mod tests {
             ftl.write(8 + i, &page(0xB0), &mut nand, cut).unwrap();
         }
         assert_eq!(
-            ftl.journal_stats().checkpoints,
-            2,
+            ftl.journal.stats.checkpoints, 2,
             "one checkpoint for the burst, not one per write"
         );
         nand.power_cut(cut);
@@ -1349,7 +1337,7 @@ mod tests {
             // A checkpoint takes 100 us, ten writes at this spacing.
             assert!((ftl.journal_depth() as u64) < threshold + 16, "write {i}");
         }
-        let checkpoints = ftl.journal_stats().checkpoints;
+        let checkpoints = ftl.journal.stats.checkpoints;
         assert!(
             (WRITES / threshold - 1..=WRITES / threshold + 1).contains(&checkpoints),
             "{checkpoints} checkpoints for {WRITES} appends"

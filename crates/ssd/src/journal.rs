@@ -31,17 +31,17 @@ use std::collections::VecDeque;
 /// Amortized SLC program latency charged per appended record: 85 × 48 B
 /// records pack into one 4 KB metadata page, and a ~170 µs SLC page program
 /// spread across them is ~2 µs per record on the journal's busy chain.
-pub const JOURNAL_APPEND_LATENCY: Nanos = Nanos::from_us(2);
+pub(crate) const JOURNAL_APPEND_LATENCY: Nanos = Nanos::from_us(2);
 
 /// Latency of persisting one checkpoint snapshot to the metadata region.
-pub const CHECKPOINT_LATENCY: Nanos = Nanos::from_us(100);
+pub(crate) const CHECKPOINT_LATENCY: Nanos = Nanos::from_us(100);
 
 /// Encoded record size on the journal medium.
-pub const RECORD_BYTES: usize = 48;
+pub(crate) const RECORD_BYTES: usize = 48;
 
 /// Live-record threshold beyond which [`MapJournal::needs_checkpoint`]
 /// asks the FTL to bound the replay tail.
-pub const DEFAULT_CHECKPOINT_THRESHOLD: usize = 16 * 1024;
+pub(crate) const DEFAULT_CHECKPOINT_THRESHOLD: usize = 16 * 1024;
 
 /// One journaled mapping-table mutation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +76,7 @@ pub enum JournalOp {
 
 /// A decoded record: the op plus its monotonic sequence number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JournalRecord {
+pub(crate) struct JournalRecord {
     /// Monotonic append sequence number.
     pub seq: u32,
     /// The journaled mutation.
@@ -228,7 +228,7 @@ struct StoredRecord {
 
 /// A persisted map snapshot: replaces every record with `seq < covers_below`.
 #[derive(Debug, Clone)]
-pub struct Checkpoint {
+pub(crate) struct Checkpoint {
     /// All records with `seq < covers_below` are folded into `map`/`bad`
     /// (exclusive bound, so `0` means "covers nothing").
     pub covers_below: u32,
@@ -242,7 +242,7 @@ pub struct Checkpoint {
 
 /// Journal activity counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JournalStats {
+pub(crate) struct JournalStats {
     /// Records appended.
     pub appends: u64,
     /// Checkpoints written.
@@ -266,8 +266,8 @@ pub struct MapJournal {
     next_seq: u32,
     /// The journal region's program busy chain.
     busy_until: Nanos,
-    checkpoint_threshold: usize,
-    stats: JournalStats,
+    pub(crate) checkpoint_threshold: usize,
+    pub(crate) stats: JournalStats,
 }
 
 impl MapJournal {
@@ -283,19 +283,8 @@ impl MapJournal {
         }
     }
 
-    /// Overrides the live-record count that triggers a checkpoint request
-    /// (tests use small values to exercise the checkpoint path quickly).
-    pub fn set_checkpoint_threshold(&mut self, records: usize) {
-        self.checkpoint_threshold = records.max(1);
-    }
-
-    /// Activity counters.
-    pub fn stats(&self) -> JournalStats {
-        self.stats
-    }
-
     /// Records currently live (not yet absorbed by a durable checkpoint).
-    pub fn live_records(&self) -> usize {
+    pub(crate) fn live_records(&self) -> usize {
         self.records.len()
     }
 
@@ -303,7 +292,7 @@ impl MapJournal {
     /// this horizon before erasing blocks that hold superseded copies:
     /// destroying an old version is only safe once the record naming its
     /// replacement is on the medium.
-    pub fn durable_horizon(&self) -> Nanos {
+    pub(crate) fn durable_horizon(&self) -> Nanos {
         self.busy_until
     }
 
@@ -400,7 +389,7 @@ impl MapJournal {
     /// finished programming are lost. The first in-flight record is kept
     /// with its tail zeroed — the torn-append signature replay must detect
     /// via the checksum — and everything after it never reached the medium.
-    pub fn power_cut(&mut self, at: Nanos) {
+    pub(crate) fn power_cut(&mut self, at: Nanos) {
         self.checkpoints.retain(|c| c.durable_at <= at);
         if let Some(first_torn) = self.records.iter().position(|r| r.durable_at > at) {
             self.records.truncate(first_torn + 1);
@@ -413,7 +402,7 @@ impl MapJournal {
     }
 
     /// The newest durable checkpoint (recovery's base state), if any.
-    pub fn recovery_base(&self) -> Option<&Checkpoint> {
+    pub(crate) fn recovery_base(&self) -> Option<&Checkpoint> {
         self.checkpoints.last()
     }
 
@@ -421,7 +410,7 @@ impl MapJournal {
     /// append order, stopping at the first checksum failure (the torn
     /// append). Returns the replayable records and whether a torn tail was
     /// found.
-    pub fn replayable(&self, from_seq: u32) -> (Vec<JournalRecord>, bool) {
+    pub(crate) fn replayable(&self, from_seq: u32) -> (Vec<JournalRecord>, bool) {
         let mut out = Vec::new();
         for rec in &self.records {
             match decode(&rec.bytes) {
@@ -436,15 +425,9 @@ impl MapJournal {
         (out, false)
     }
 
-    /// [`MapJournal::replayable`] from the first surviving record (the
-    /// no-checkpoint recovery path).
-    pub fn replayable_from_start(&self) -> (Vec<JournalRecord>, bool) {
-        self.replayable(0)
-    }
-
     /// Discards the torn tail record (if any) after recovery has replayed
     /// the durable prefix, leaving the journal clean for new appends.
-    pub fn truncate_torn(&mut self) {
+    pub(crate) fn truncate_torn(&mut self) {
         if let Some(pos) = self.records.iter().position(|r| decode(&r.bytes).is_none()) {
             self.stats.torn_records += (self.records.len() - pos) as u64;
             self.records.truncate(pos);
@@ -613,7 +596,7 @@ mod tests {
             steps in proptest::collection::vec(step_strategy(), 1..300),
         ) {
             let mut journal = MapJournal::new();
-            journal.set_checkpoint_threshold(4);
+            journal.checkpoint_threshold = 4;
             let mut naive = NaiveJournal::default();
             let mut now = Nanos::ZERO;
             let mut floor = Nanos::ZERO;
@@ -650,8 +633,8 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(journal.live_records(), naive.records.len());
-                prop_assert_eq!(journal.stats(), naive.stats);
-                prop_assert_eq!(journal.replayable_from_start(), naive.replayable(0));
+                prop_assert_eq!(journal.stats, naive.stats);
+                prop_assert_eq!(journal.replayable(0), naive.replayable(0));
                 prop_assert_eq!(journal.durable_horizon(), naive.busy_until);
             }
         }
@@ -706,7 +689,7 @@ mod tests {
         let (recs, torn) = j.replayable(1);
         assert!(!torn);
         assert_eq!(recs.len(), 1, "from_seq is inclusive");
-        let (all, _) = j.replayable_from_start();
+        let (all, _) = j.replayable(0);
         assert_eq!(all.len(), 2);
     }
 
@@ -719,14 +702,14 @@ mod tests {
         let _d3 = j.append(JournalOp::Trim { lpn: 3 }, Nanos::ZERO, t0);
         // Cut lands while record 2's program is in flight.
         j.power_cut(d1);
-        let (recs, torn) = j.replayable_from_start();
+        let (recs, torn) = j.replayable(0);
         assert!(torn, "in-flight append must read back torn");
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].op, JournalOp::Trim { lpn: 1 });
         j.truncate_torn();
         assert_eq!(j.live_records(), 1);
-        assert_eq!(j.stats().torn_records, 1);
-        let (recs, torn) = j.replayable_from_start();
+        assert_eq!(j.stats.torn_records, 1);
+        let (recs, torn) = j.replayable(0);
         assert!(!torn);
         assert_eq!(recs.len(), 1);
     }
@@ -777,7 +760,7 @@ mod tests {
         j.write_checkpoint(&[], [], before);
         j.power_cut(before); // checkpoint program still in flight
         assert!(j.recovery_base().is_none());
-        let (recs, torn) = j.replayable_from_start();
+        let (recs, torn) = j.replayable(0);
         assert!(!torn);
         assert_eq!(recs.len(), 1, "records survive even when snapshot dies");
     }
@@ -794,8 +777,8 @@ mod tests {
         let cut = Nanos::from_us(300);
         a.power_cut(cut);
         b.power_cut(cut);
-        let ra = a.replayable_from_start();
-        let rb = b.replayable_from_start();
+        let ra = a.replayable(0);
+        let rb = b.replayable(0);
         assert_eq!(ra, rb);
     }
 }

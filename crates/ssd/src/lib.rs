@@ -2,26 +2,26 @@
 //!
 //! A software model of the paper's device side (the Cosmos+ OpenSSD):
 //!
-//! * [`controller`] — the NVMe controller loop: doorbell polling, 64-byte SQE
+//! * `controller` — the NVMe controller loop: doorbell polling, 64-byte SQE
 //!   fetch, payload gathering over PRP / SGL / BandSlim fragments /
 //!   **ByteExpress inline chunks** (queue-local or out-of-order reassembly),
 //!   firmware dispatch, and completion posting. The ByteExpress change is the
 //!   same ~20 lines it is in the OpenSSD firmware: after fetching a tagged
 //!   SQE, keep fetching entries from the same queue.
-//! * [`nand`] / [`ftl`] — a channel/die-parallel NAND array with
+//! * `nand` / `ftl` — a channel/die-parallel NAND array with
 //!   erase-before-program discipline and a page-mapped FTL with greedy GC,
 //!   so NAND-on experiments (Fig 6) carry realistic background costs.
-//! * [`journal`] — the append-only mapping-table journal (checksummed
+//! * `journal` — the append-only mapping-table journal (checksummed
 //!   records, bounded checkpoints) behind the FTL's crash-consistency story:
 //!   acks wait for the record, replay rebuilds the map after a power cut.
-//! * [`dram`] — device DRAM: the landing buffer for inline payloads (KV value
+//! * `dram` — device DRAM: the landing buffer for inline payloads (KV value
 //!   log, CSD workspace, or page buffer).
-//! * [`reassembly`] — the paper's §3.3.2 identifier-based out-of-order chunk
+//! * `reassembly` — the paper's §3.3.2 identifier-based out-of-order chunk
 //!   reassembly extension, with an explicit SRAM budget.
-//! * [`firmware`] — the personality extension point ([`FirmwareHandler`]):
+//! * `firmware` — the personality extension point ([`FirmwareHandler`]):
 //!   block firmware here, KV-SSD and CSD firmware in their own crates.
-//! * [`bus`] — the shared host↔device fabric handles.
-//! * [`timing`] — controller latency constants calibrated to the paper's
+//! * `bus` — the shared host↔device fabric handles.
+//! * `timing` — controller latency constants calibrated to the paper's
 //!   Table 1.
 
 #![forbid(unsafe_code)]
@@ -41,17 +41,17 @@
 )]
 #![warn(missing_docs)]
 
-pub mod arbiter;
-pub mod bus;
-pub mod controller;
-pub mod dram;
-pub mod firmware;
-pub mod ftl;
-pub mod journal;
-pub mod nand;
-pub mod reassembly;
+mod arbiter;
+mod bus;
+mod controller;
+mod dram;
+mod firmware;
+mod ftl;
+mod journal;
+mod nand;
+mod reassembly;
 pub mod registers;
-pub mod timing;
+mod timing;
 
 pub use arbiter::Arbitration;
 pub use bus::{FaultHandle, MmioCompletion, MmioSubmission, MmioWindow, Platform, SystemBus};
@@ -59,7 +59,7 @@ pub use controller::{Controller, ControllerConfig, ControllerStats, ExecutionMod
 pub use dram::{DeviceDram, DramError, DramRegion};
 pub use firmware::{BlockFirmware, CommandOutcome, FirmwareCtx, FirmwareHandler};
 pub use ftl::{Ftl, FtlError, FtlStats, RecoveryReport};
-pub use journal::{JournalOp, JournalRecord, JournalStats, MapJournal};
+pub use journal::{JournalOp, MapJournal};
 pub use nand::{NandArray, NandConfig, NandError, NandStats, Ppa};
 pub use reassembly::{CompletedPayload, ReassemblyEngine, ReassemblyError};
 pub use registers::{Register, RegisterFile, CC_ENABLE, CSTS_READY};

@@ -98,7 +98,7 @@ impl NandConfig {
     }
 
     /// Total pages in the array.
-    pub fn total_pages(&self) -> u64 {
+    pub(crate) fn total_pages(&self) -> u64 {
         self.channels as u64
             * self.dies_per_channel as u64
             * self.blocks_per_die as u64
@@ -106,7 +106,7 @@ impl NandConfig {
     }
 
     /// Total dies.
-    pub fn total_dies(&self) -> usize {
+    pub(crate) fn total_dies(&self) -> usize {
         self.channels as usize * self.dies_per_channel as usize
     }
 
@@ -266,13 +266,13 @@ impl NandArray {
 
     /// Installs the platform's shared fault injector; media faults (program
     /// failures, read bit flips) fire only once this is set.
-    pub fn set_fault_injector(&mut self, faults: FaultHandle) {
+    pub(crate) fn set_fault_injector(&mut self, faults: FaultHandle) {
         self.faults = Some(faults);
     }
 
     /// Installs a flight-recorder sink; program/read/erase operations emit
     /// [`EventKind::NandOp`] events. Disabled sinks cost nothing.
-    pub fn set_trace(&mut self, trace: TraceSink) {
+    pub(crate) fn set_trace(&mut self, trace: TraceSink) {
         self.trace = trace;
     }
 
@@ -381,19 +381,6 @@ impl NandArray {
         Ok(done)
     }
 
-    /// Reads a whole page, starting no earlier than `now`. Returns the data
-    /// and the completion instant: the full-range call of
-    /// [`NandArray::read_range`].
-    ///
-    /// # Errors
-    ///
-    /// As [`NandArray::read_range`].
-    pub fn read(&mut self, ppa: Ppa, now: Nanos) -> Result<(Vec<u8>, Nanos), NandError> {
-        let mut data = Vec::with_capacity(self.cfg.page_size);
-        let done = self.read_range(ppa, 0, self.cfg.page_size, now, &mut data)?;
-        Ok((data, done))
-    }
-
     /// Reads a page, starting no earlier than `now`, and appends bytes
     /// `off..off + len` of it to `out`; returns the completion instant. The
     /// die senses and transfers the whole page whatever the range — timing,
@@ -407,7 +394,7 @@ impl NandArray {
     /// * [`NandError::BadLength`] if the range runs past the page end.
     /// * [`NandError::ReadUnwritten`] for never-programmed pages.
     /// * [`NandError::Uncorrectable`] on an injected read beyond the ECC.
-    pub fn read_range(
+    pub(crate) fn read_range(
         &mut self,
         ppa: Ppa,
         off: usize,
@@ -513,15 +500,10 @@ impl NandArray {
         Ok(done)
     }
 
-    /// The earliest instant at which the die holding `ppa` is idle.
-    pub fn die_ready_at(&self, ppa: Ppa) -> Nanos {
-        self.die_busy_until[self.cfg.die_index(ppa)]
-    }
-
     /// Whether `ppa` holds durable data (programmed *and* the program pulse
     /// finished before any power cut destroyed it). Recovery uses this to
     /// validate journal records against the media.
-    pub fn has_data(&self, ppa: Ppa) -> bool {
+    pub(crate) fn has_data(&self, ppa: Ppa) -> bool {
         self.data
             .get(self.cfg.page_index(ppa))
             .is_some_and(|slot| slot.is_some())
@@ -531,7 +513,7 @@ impl NandArray {
     /// `Nanos::ZERO` when nothing is pending. The FTL waits through this
     /// horizon before destroying superseded copies (erase) so a power cut
     /// can never lose both the old and the new version of an acked page.
-    pub fn program_horizon(&self) -> Nanos {
+    pub(crate) fn program_horizon(&self) -> Nanos {
         self.pending_programs
             .iter()
             .map(|&(_, done)| done)
@@ -543,7 +525,7 @@ impl NandArray {
     /// programmed since the last erase). Recovery rebuilds the free-block
     /// list from this. Erases are modeled atomic at issue: a cut mid-erase
     /// leaves the block erased, never half-erased.
-    pub fn is_block_erased(&self, channel: u16, die: u16, block: u32) -> bool {
+    pub(crate) fn is_block_erased(&self, channel: u16, die: u16, block: u32) -> bool {
         let base = self.cfg.page_index(Ppa {
             channel,
             die,
@@ -616,6 +598,17 @@ mod tests {
         NandArray::new(NandConfig::small())
     }
 
+    /// Reads the whole page at `ppa`.
+    fn read(n: &mut NandArray, ppa: Ppa, now: Nanos) -> Result<(Vec<u8>, Nanos), NandError> {
+        let mut data = Vec::new();
+        let done = n.read_range(ppa, 0, n.cfg.page_size, now, &mut data)?;
+        Ok((data, done))
+    }
+
+    fn die_ready_at(n: &NandArray, ppa: Ppa) -> Nanos {
+        n.die_busy_until[n.cfg.die_index(ppa)]
+    }
+
     fn ppa(channel: u16, die: u16, block: u32, page: u32) -> Ppa {
         Ppa {
             channel,
@@ -631,7 +624,7 @@ mod tests {
         let data = vec![0xAB; 4096];
         let done = n.program(ppa(0, 0, 0, 0), &data, Nanos::ZERO).unwrap();
         assert!(done >= Nanos::from_us(300));
-        let (back, _) = n.read(ppa(0, 0, 0, 0), done).unwrap();
+        let (back, _) = read(&mut n, ppa(0, 0, 0, 0), done).unwrap();
         assert_eq!(back, data);
     }
 
@@ -653,7 +646,7 @@ mod tests {
             let at = ppa(0, 0, 0, i as u32);
             t = n.program(at, &page, t).unwrap();
             assert!(n.has_data(at), "{name}: a programmed page is data");
-            let (back, _) = n.read(at, t).unwrap();
+            let (back, _) = read(&mut n, at, t).unwrap();
             assert_eq!(back.len(), 4096, "{name}");
             assert_eq!(back, page, "{name}");
         }
@@ -675,10 +668,10 @@ mod tests {
             let t2 = n.program(ppa(0, 0, 0, 1), &page, Nanos::ZERO).unwrap();
             assert_eq!(n.power_cut(t2 - Nanos::from_ns(1)), 1, "{name}");
             assert!(n.has_data(ppa(0, 0, 0, 0)), "{name}: completed program");
-            assert_eq!(n.read(ppa(0, 0, 0, 0), t1).unwrap().0, page, "{name}");
+            assert_eq!(read(&mut n, ppa(0, 0, 0, 0), t1).unwrap().0, page, "{name}");
             assert!(!n.has_data(ppa(0, 0, 0, 1)), "{name}: torn program");
             assert!(matches!(
-                n.read(ppa(0, 0, 0, 1), t2),
+                read(&mut n, ppa(0, 0, 0, 1), t2),
                 Err(NandError::ReadUnwritten(_))
             ));
         }
@@ -704,7 +697,7 @@ mod tests {
         assert!(t >= Nanos::from_ms(3));
         n.program(ppa(0, 0, 0, 0), &data, t).unwrap();
         // Erase wiped the old data state; read returns the new program.
-        let (back, _) = n.read(ppa(0, 0, 0, 0), t).unwrap();
+        let (back, _) = read(&mut n, ppa(0, 0, 0, 0), t).unwrap();
         assert_eq!(back, data);
     }
 
@@ -715,7 +708,7 @@ mod tests {
             .unwrap();
         n.erase(0, 0, 1, Nanos::ZERO).unwrap();
         assert_eq!(
-            n.read(ppa(0, 0, 1, 3), Nanos::ZERO).unwrap_err(),
+            read(&mut n, ppa(0, 0, 1, 3), Nanos::ZERO).unwrap_err(),
             NandError::ReadUnwritten(ppa(0, 0, 1, 3))
         );
     }
@@ -724,7 +717,7 @@ mod tests {
     fn read_unwritten_is_error() {
         let mut n = array();
         assert!(matches!(
-            n.read(ppa(1, 1, 1, 1), Nanos::ZERO),
+            read(&mut n, ppa(1, 1, 1, 1), Nanos::ZERO),
             Err(NandError::ReadUnwritten(_))
         ));
     }
@@ -777,7 +770,7 @@ mod tests {
             .program(ppa(0, 0, 0, 0), &[1, 2, 3], Nanos::from_ns(5))
             .unwrap();
         assert_eq!(t, Nanos::from_ns(5));
-        let (data, t2) = n.read(ppa(0, 0, 0, 0), t).unwrap();
+        let (data, t2) = read(&mut n, ppa(0, 0, 0, 0), t).unwrap();
         assert_eq!(t2, t);
         assert_eq!(data.len(), 4096);
         assert_eq!(n.stats().programs, 0);
@@ -788,7 +781,7 @@ mod tests {
         let mut n = array();
         let d = vec![0; 4096];
         n.program(ppa(0, 0, 0, 0), &d, Nanos::ZERO).unwrap();
-        n.read(ppa(0, 0, 0, 0), Nanos::ZERO).unwrap();
+        read(&mut n, ppa(0, 0, 0, 0), Nanos::ZERO).unwrap();
         n.erase(0, 0, 0, Nanos::ZERO).unwrap();
         let s = n.stats();
         assert_eq!((s.programs, s.reads, s.erases), (1, 1, 1));
@@ -824,7 +817,7 @@ mod tests {
         n.program(ppa(0, 0, 0, 0), &d, Nanos::ZERO).unwrap();
         let at = Nanos::from_us(5);
         n.power_cut(at);
-        assert_eq!(n.die_ready_at(ppa(0, 0, 0, 0)), at);
+        assert_eq!(die_ready_at(&n, ppa(0, 0, 0, 0)), at);
         assert_eq!(n.program_horizon(), Nanos::ZERO);
     }
 
@@ -871,7 +864,7 @@ mod tests {
                     .program(ppa(0, 0, 0, page), &vec![round; 4096], t)
                     .unwrap();
             }
-            let (back, _) = n.read(ppa(0, 0, 0, 3), t).unwrap();
+            let (back, _) = read(&mut n, ppa(0, 0, 0, 3), t).unwrap();
             assert_eq!(back, vec![round; 4096]);
             t = n.erase(0, 0, 0, t).unwrap();
         }
@@ -931,7 +924,7 @@ mod tests {
                     assert_eq!(ranged.stats(), whole.stats());
                     continue;
                 }
-                match whole.read(at, t) {
+                match read(&mut whole, at, t) {
                     Ok((page, done)) => {
                         assert_eq!(got, Ok(done));
                         assert_eq!(out[0], 0xEE, "appends, never overwrites");
@@ -944,7 +937,7 @@ mod tests {
                     }
                 }
                 assert_eq!(ranged.stats(), whole.stats());
-                assert_eq!(ranged.die_ready_at(at), whole.die_ready_at(at));
+                assert_eq!(die_ready_at(&ranged, at), die_ready_at(&whole, at));
                 assert_eq!(range_faults.borrow().counters(), whole_faults.borrow().counters());
             }
             // Same number of draws throughout: the next one agrees too.

@@ -174,7 +174,7 @@ pub struct CompletedPayload {
 
 /// Tracks in-flight multi-chunk payloads under an SRAM budget.
 ///
-/// In-flight entries live in a slab of reusable [`Slot`]s; the id → slot
+/// In-flight entries live in a slab of reusable `Slot`s; the id → slot
 /// index is a `BTreeMap` so every bulk walk (stall eviction) observes
 /// ascending payload-id order. See the module docs for why that ordering is
 /// part of the engine's contract.

@@ -43,7 +43,7 @@ pub struct RegisterFile {
 
 impl RegisterFile {
     /// A register file advertising `max_queue_entries` per queue.
-    pub fn new(max_queue_entries: u16) -> Self {
+    pub(crate) fn new(max_queue_entries: u16) -> Self {
         RegisterFile {
             max_queue_entries,
             cc: 0,
@@ -55,7 +55,7 @@ impl RegisterFile {
     }
 
     /// Reads a register value.
-    pub fn read(&self, reg: Register) -> u64 {
+    pub(crate) fn read(&self, reg: Register) -> u64 {
         match reg {
             // CAP: MQES in bits 15:0 (0-based), DSTRD 0, TO small.
             Register::Cap => (self.max_queue_entries as u64 - 1) | (1 << 24),
@@ -69,7 +69,7 @@ impl RegisterFile {
 
     /// Writes a register; read-only registers ignore writes (as hardware
     /// does). Returns whether the enable bit transitioned 0→1.
-    pub fn write(&mut self, reg: Register, value: u64) -> bool {
+    pub(crate) fn write(&mut self, reg: Register, value: u64) -> bool {
         match reg {
             Register::Cap | Register::Csts => false,
             Register::Cc => {
@@ -98,13 +98,13 @@ impl RegisterFile {
 
     /// Marks the controller ready (set by the controller model once the
     /// admin queue is latched).
-    pub fn set_ready(&mut self) {
+    pub(crate) fn set_ready(&mut self) {
         self.csts |= CSTS_READY;
     }
 
     /// A power cut: every writable register returns to its power-on value
     /// (CAP is derived from construction parameters and survives).
-    pub fn power_cut(&mut self) {
+    pub(crate) fn power_cut(&mut self) {
         self.cc = 0;
         self.csts = 0;
         self.aqa = 0;
@@ -113,32 +113,32 @@ impl RegisterFile {
     }
 
     /// Whether CC.EN is set.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.cc & CC_ENABLE != 0
     }
 
     /// Whether CSTS.RDY is set.
-    pub fn ready(&self) -> bool {
+    pub(crate) fn ready(&self) -> bool {
         self.csts & CSTS_READY != 0
     }
 
     /// Admin SQ depth from AQA (1-based).
-    pub fn admin_sq_depth(&self) -> u16 {
+    pub(crate) fn admin_sq_depth(&self) -> u16 {
         (self.aqa & 0xFFF) as u16 + 1
     }
 
     /// Admin CQ depth from AQA (1-based).
-    pub fn admin_cq_depth(&self) -> u16 {
+    pub(crate) fn admin_cq_depth(&self) -> u16 {
         ((self.aqa >> 16) & 0xFFF) as u16 + 1
     }
 
     /// Admin SQ base.
-    pub fn admin_sq_base(&self) -> PhysAddr {
+    pub(crate) fn admin_sq_base(&self) -> PhysAddr {
         PhysAddr(self.asq)
     }
 
     /// Admin CQ base.
-    pub fn admin_cq_base(&self) -> PhysAddr {
+    pub(crate) fn admin_cq_base(&self) -> PhysAddr {
         PhysAddr(self.acq)
     }
 

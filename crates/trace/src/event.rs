@@ -54,7 +54,7 @@ pub enum Dir {
 }
 
 impl Dir {
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Dir::HostToDevice => "h2d",
             Dir::DeviceToHost => "d2h",
@@ -247,7 +247,7 @@ impl EventKind {
     }
 
     /// Event payload as a serialization tree (Chrome-trace `args`).
-    pub fn args(&self) -> Value {
+    pub(crate) fn args(&self) -> Value {
         use EventKind::*;
         match self {
             SqeInsert {
@@ -446,7 +446,7 @@ pub struct Event {
 
 impl Event {
     /// Serialization tree for the raw event stream dump.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         let mut pairs = vec![
             ("ts_ns".to_string(), self.at.as_ns().to_value()),
             ("layer".to_string(), self.kind.layer().to_value()),

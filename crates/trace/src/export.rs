@@ -20,7 +20,7 @@ fn ts_us(ns: u64) -> Value {
 /// becomes a `"ph": "i"` instant with the event payload in `args`, so both
 /// the per-command gantt rows and the raw cross-layer stream are visible in
 /// the viewer.
-pub fn chrome_trace(events: &[Event]) -> Value {
+pub(crate) fn chrome_trace(events: &[Event]) -> Value {
     let mut trace_events = Vec::new();
 
     for span in reconstruct_spans(events) {

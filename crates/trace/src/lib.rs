@@ -13,7 +13,7 @@
 //!   virtual time are byte-identical to an untraced run.
 //! - **Analysis** is offline over the recorded stream: span reconstruction
 //!   ([`reconstruct_spans`]), a label-aware [`MetricsRegistry`] with
-//!   log2-bucketed [`Histogram`]s, fixed-interval virtual-time series
+//!   log2-bucketed histograms, fixed-interval virtual-time series
 //!   ([`derive_timeseries`]), and exporters ([`chrome_trace_json`] for
 //!   `chrome://tracing`/Perfetto, [`timeline`] for terminals,
 //!   [`openmetrics`] for Prometheus-style scrapes).
@@ -46,8 +46,8 @@ mod span;
 mod timeseries;
 
 pub use event::{CmdKey, Dir, Event, EventKind};
-pub use export::{chrome_trace, chrome_trace_json, timeline};
-pub use metrics::{Histogram, LabelSet, MetricsRegistry};
+pub use export::{chrome_trace_json, timeline};
+pub use metrics::MetricsRegistry;
 pub use openmetrics::{openmetrics, validate_openmetrics, OpenMetricsSummary};
 pub use recorder::TraceSink;
 pub use span::{reconstruct_spans, Span};

@@ -13,7 +13,7 @@ use std::fmt;
 /// (`v == 0` lands in bucket 0), i.e. `v` in `[2^i, 2^(i+1))`. 64 buckets
 /// cover the whole `u64` range.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     buckets: [u64; 64],
     count: u64,
     sum: u64,
@@ -28,7 +28,7 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             buckets: [0; 64],
             count: 0,
@@ -46,7 +46,7 @@ impl Histogram {
         }
     }
 
-    pub fn record(&mut self, value: u64) {
+    pub(crate) fn record(&mut self, value: u64) {
         // Saturating like `sum`: a counter pinned at u64::MAX beats a
         // panic (or a wrapped-to-zero lie) in release-mode accounting.
         let b = &mut self.buckets[Self::bucket_of(value)];
@@ -57,23 +57,23 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
-    pub fn min(&self) -> Option<u64> {
+    pub(crate) fn min(&self) -> Option<u64> {
         (self.count > 0).then_some(self.min)
     }
 
-    pub fn max(&self) -> Option<u64> {
+    pub(crate) fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
     }
 
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -82,7 +82,7 @@ impl Histogram {
     }
 
     /// Non-empty buckets as `(lower_bound, upper_bound_inclusive, count)`.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+    pub(crate) fn buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
         self.buckets
             .iter()
             .enumerate()
@@ -106,7 +106,7 @@ impl Histogram {
     /// `LatencySamples::percentile` (`rank = ⌈p/100 · n⌉`, clamped to
     /// `[1, n]`), so the histogram bound always brackets the exact sample
     /// percentile from above.
-    pub fn percentile_upper_bound(&self, p: f64) -> Option<u64> {
+    pub(crate) fn percentile_upper_bound(&self, p: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
         }
@@ -125,21 +125,11 @@ impl Histogram {
         Some(u64::MAX)
     }
 
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a = a.saturating_add(*b);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Non-empty buckets as cumulative `(le, count_at_or_below)` pairs —
     /// the OpenMetrics `_bucket` series shape. `le` is this bucket's
     /// inclusive upper bound; the final pair's count equals
     /// [`Histogram::count`] (the exporter adds the `+Inf` line).
-    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         let mut cum = 0u64;
         for (_, hi, n) in self.buckets() {
@@ -174,7 +164,7 @@ impl Serialize for Histogram {
 
 /// The label triple every metric is keyed by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct LabelSet {
+pub(crate) struct LabelSet {
     pub queue: u16,
     pub method: &'static str,
     pub opcode: u8,
@@ -200,7 +190,7 @@ impl Serialize for LabelSet {
     }
 }
 
-/// A registry of named counters and histograms, each keyed by a [`LabelSet`].
+/// A registry of named counters and histograms, each keyed by a `LabelSet`.
 ///
 /// Built offline from a recorded event stream ([`MetricsRegistry::from_events`])
 /// so the recording hot path stays a plain `Vec` push.
@@ -215,17 +205,17 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    pub fn inc(&mut self, name: &'static str, labels: LabelSet, by: u64) {
+    pub(crate) fn inc(&mut self, name: &'static str, labels: LabelSet, by: u64) {
         let c = self.counters.entry((name, labels)).or_insert(0);
         *c = c.saturating_add(by);
     }
 
     /// Sets an instantaneous gauge value (last write wins).
-    pub fn set_gauge(&mut self, name: &'static str, scope: u32, value: u64) {
+    pub(crate) fn set_gauge(&mut self, name: &'static str, scope: u32, value: u64) {
         self.gauges.insert((name, scope), value);
     }
 
@@ -234,22 +224,15 @@ impl MetricsRegistry {
         self.gauges.get(&(name, scope)).copied()
     }
 
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, u32, u64)> + '_ {
+    pub(crate) fn gauges(&self) -> impl Iterator<Item = (&'static str, u32, u64)> + '_ {
         self.gauges.iter().map(|(&(n, s), &v)| (n, s, v))
     }
 
-    pub fn observe(&mut self, name: &'static str, labels: LabelSet, value: u64) {
+    pub(crate) fn observe(&mut self, name: &'static str, labels: LabelSet, value: u64) {
         self.histograms
             .entry((name, labels))
             .or_default()
             .record(value);
-    }
-
-    pub fn counter(&self, name: &'static str, labels: LabelSet) -> u64 {
-        self.counters
-            .get(&(name, labels))
-            .copied()
-            .unwrap_or_default()
     }
 
     /// Sum of a counter across all label sets.
@@ -261,20 +244,14 @@ impl MetricsRegistry {
             .sum()
     }
 
-    pub fn histogram(&self, name: &'static str, labels: LabelSet) -> Option<&Histogram> {
-        self.histograms.get(&(name, labels))
-    }
-
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, LabelSet, u64)> + '_ {
+    pub(crate) fn counters(&self) -> impl Iterator<Item = (&'static str, LabelSet, u64)> + '_ {
         self.counters.iter().map(|(&(n, l), &v)| (n, l, v))
     }
 
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, LabelSet, &Histogram)> + '_ {
+    pub(crate) fn histograms(
+        &self,
+    ) -> impl Iterator<Item = (&'static str, LabelSet, &Histogram)> + '_ {
         self.histograms.iter().map(|(&(n, l), h)| (n, l, h))
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty() && self.gauges.is_empty()
     }
 
     /// Derives the standard command metrics from an event stream:
@@ -485,7 +462,7 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         reg.inc("c", labels, u64::MAX);
         reg.inc("c", labels, u64::MAX);
-        assert_eq!(reg.counter("c", labels), u64::MAX);
+        assert_eq!(reg.counters[&("c", labels)], u64::MAX);
 
         let mut h = Histogram::new();
         h.record(u64::MAX); // sample at the top of the range: bucket 63
@@ -494,11 +471,6 @@ mod tests {
         assert_eq!(h.sum(), u64::MAX); // saturated, not wrapped
         assert_eq!(h.max(), Some(u64::MAX));
         assert_eq!(h.percentile_upper_bound(99.0), Some(u64::MAX));
-        let mut other = Histogram::new();
-        other.record(u64::MAX);
-        h.merge(&other);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.sum(), u64::MAX);
     }
 
     #[test]
@@ -533,18 +505,6 @@ mod tests {
         assert_eq!(reg.gauge("sq_backlog", 2), Some(9));
         assert_eq!(reg.gauge("sq_backlog", 3), None);
         assert_eq!(reg.gauges().count(), 2);
-        assert!(!reg.is_empty());
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::new();
-        a.record(5);
-        let mut b = Histogram::new();
-        b.record(100);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), Some(100));
     }
 
     #[test]
@@ -581,11 +541,11 @@ mod tests {
             method: "ByteExpress",
             opcode: 0x01,
         };
-        assert_eq!(reg.counter("commands_submitted", labels), 1);
-        assert_eq!(reg.counter("commands_completed", labels), 1);
-        assert_eq!(reg.counter("retries", labels), 1);
-        assert_eq!(reg.counter("payload_bytes", labels), 64);
-        let h = reg.histogram("cmd_latency_ns", labels).unwrap();
+        assert_eq!(reg.counters[&("commands_submitted", labels)], 1);
+        assert_eq!(reg.counters[&("commands_completed", labels)], 1);
+        assert_eq!(reg.counters[&("retries", labels)], 1);
+        assert_eq!(reg.counters[&("payload_bytes", labels)], 64);
+        let h = &reg.histograms[&("cmd_latency_ns", labels)];
         assert_eq!(h.count(), 1);
         assert_eq!(h.sum(), 1000);
     }

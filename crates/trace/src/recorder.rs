@@ -1,7 +1,7 @@
 //! The event sink and its zero-overhead disabled path.
 
 use crate::event::{CmdKey, Event, EventKind};
-use bx_hostsim::{Nanos, SimClock};
+use bx_hostsim::SimClock;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -52,7 +52,7 @@ impl TraceSink {
         }
     }
 
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
 
@@ -139,11 +139,6 @@ impl TraceSink {
             inner.borrow_mut().events.clear();
         }
     }
-
-    /// Virtual time of the recorder's clock, if recording.
-    pub fn now(&self) -> Option<Nanos> {
-        self.inner.as_ref().map(|inner| inner.borrow().clock.now())
-    }
 }
 
 impl std::fmt::Debug for TraceSink {
@@ -158,6 +153,7 @@ impl std::fmt::Debug for TraceSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bx_hostsim::Nanos;
 
     #[test]
     fn disabled_sink_never_runs_the_closure() {
@@ -170,7 +166,6 @@ mod tests {
         assert!(!ran, "disabled sink must not evaluate the event closure");
         assert!(sink.is_empty());
         assert_eq!(sink.events(), Vec::new());
-        assert!(sink.now().is_none());
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl Span {
     }
 
     /// Submit-to-consume latency for complete spans.
-    pub fn latency(&self) -> Option<Nanos> {
+    pub(crate) fn latency(&self) -> Option<Nanos> {
         self.consumed.map(|end| end.saturating_sub(self.submitted))
     }
 }

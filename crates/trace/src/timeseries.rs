@@ -34,7 +34,7 @@ pub enum SeriesKind {
 
 impl SeriesKind {
     /// Stable lowercase label, used in serialization.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             SeriesKind::Rate => "rate",
             SeriesKind::Level => "level",
@@ -62,11 +62,6 @@ impl TimeSeries {
     /// Largest bucket value (0.0 for an empty series).
     pub fn peak(&self) -> f64 {
         self.points.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Sum over all buckets.
-    pub fn total(&self) -> f64 {
-        self.points.iter().sum()
     }
 }
 
@@ -102,12 +97,6 @@ impl TimeSeriesSet {
         self.series
             .iter()
             .find(|s| s.metric == metric && s.scope == scope)
-    }
-
-    /// All series for one metric (every scope).
-    pub fn metric(&self, metric: &str) -> impl Iterator<Item = &TimeSeries> + '_ {
-        let metric = metric.to_string();
-        self.series.iter().filter(move |s| s.metric == metric)
     }
 }
 
@@ -427,7 +416,6 @@ mod tests {
         assert_eq!(wire.points, vec![56.0, 28.0]);
         let bells = set.get("doorbells", "").unwrap();
         assert_eq!(bells.points, vec![2.0, 1.0]);
-        assert_eq!(bells.total(), 3.0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub struct FillRandom {
 
 impl FillRandom {
     /// Creates a generator with `value_size`-byte values.
-    pub fn new(key_size: usize, value_size: usize, key_space: u64, seed: u64) -> Self {
+    pub(crate) fn new(key_size: usize, value_size: usize, key_space: u64, seed: u64) -> Self {
         FillRandom {
             key_size,
             value_size,
@@ -30,11 +30,6 @@ impl FillRandom {
     /// The paper's Fig 6(b) configuration: 16-byte keys, 128-byte values.
     pub fn paper_default() -> Self {
         Self::new(16, 128, 5_000_000, 0x66696C6C)
-    }
-
-    /// The fixed value size.
-    pub fn value_size(&self) -> usize {
-        self.value_size
     }
 }
 

@@ -5,10 +5,10 @@
 //!   db_bench's `mixgraph` benchmark: Generalized-Pareto value sizes whose
 //!   defaults put >60 % of values under 32 bytes — the distribution behind
 //!   the paper's Fig 1(a) and Fig 6(a).
-//! * [`fillrandom`] — db_bench's FillRandom with fixed-size values (the
+//! * `fillrandom` — db_bench's FillRandom with fixed-size values (the
 //!   paper uses 128-byte values in Fig 6(b)).
-//! * [`zipf`] — a Zipfian key sampler for skewed read mixes.
-//! * [`sweep`] — the payload-size ladders used by Fig 1(b/c) and Fig 5.
+//! * `zipf` — a Zipfian key sampler for skewed read mixes.
+//! * `sweep` — the payload-size ladders used by Fig 1(b/c) and Fig 5.
 //!
 //! Everything is seeded and deterministic: the same seed reproduces the same
 //! operation stream.
@@ -30,10 +30,10 @@
 )]
 #![warn(missing_docs)]
 
-pub mod fillrandom;
+mod fillrandom;
 pub mod mixgraph;
-pub mod sweep;
-pub mod zipf;
+mod sweep;
+mod zipf;
 
 pub use fillrandom::FillRandom;
 pub use mixgraph::{MixGraph, MixGraphConfig};

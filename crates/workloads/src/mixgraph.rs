@@ -60,11 +60,6 @@ impl MixGraph {
         Self::new(MixGraphConfig::default())
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &MixGraphConfig {
-        &self.cfg
-    }
-
     /// Samples one value size from the GPD (inverse-CDF method):
     /// `x = σ/k · ((1-u)^(-k) − 1)`, clamped to [1, max_value].
     pub fn sample_value_size(&mut self) -> usize {
@@ -83,14 +78,6 @@ impl MixGraph {
             key: make_key(key_id, self.cfg.key_size),
             value: make_value(key_id, value_size),
         }
-    }
-
-    /// The analytic GPD CDF at `x` (for distribution tests and Fig 1(a)
-    /// annotations).
-    pub fn value_cdf(&self, x: f64) -> f64 {
-        let k = self.cfg.value_k;
-        let sigma = self.cfg.value_sigma;
-        1.0 - (1.0 + k * x / sigma).powf(-1.0 / k)
     }
 }
 
@@ -113,7 +100,7 @@ pub fn make_key(id: u64, size: usize) -> Vec<u8> {
 }
 
 /// Builds a deterministic value of `size` bytes derived from the key id.
-pub fn make_value(id: u64, size: usize) -> Vec<u8> {
+pub(crate) fn make_value(id: u64, size: usize) -> Vec<u8> {
     (0..size)
         .map(|i| (id.wrapping_mul(31).wrapping_add(i as u64) % 251) as u8)
         .collect()
@@ -139,7 +126,9 @@ mod tests {
     #[test]
     fn analytic_cdf_agrees_with_samples() {
         let mut g = MixGraph::with_defaults();
-        let analytic = g.value_cdf(32.0);
+        // The GPD's closed-form CDF at 32 B.
+        let (k, sigma) = (g.cfg.value_k, g.cfg.value_sigma);
+        let analytic = 1.0 - (1.0 + k * 32.0 / sigma).powf(-1.0 / k);
         let n = 200_000;
         let empirical = (0..n).filter(|_| g.sample_value_size() <= 32).count() as f64 / n as f64;
         assert!(

@@ -1,8 +1,9 @@
-//! KV-SSD durability semantics: batch PUT, graceful restart vs power loss,
-//! and the batching-vs-fine-grained trade-off the paper's §2.2.1 discusses.
+//! KV-SSD durability semantics: batch PUT, what a power cycle keeps with
+//! volatile staging vs write-through PUTs, and the batching-vs-fine-grained
+//! trade-off the paper's §2.2.1 discusses.
 
 use bx_kvssd::{KvError, KvStore, KvStoreConfig};
-use byteexpress::TransferMethod;
+use byteexpress::{DeviceError, Status, TransferMethod};
 
 fn store() -> KvStore {
     KvStore::open(KvStoreConfig::default())
@@ -72,123 +73,70 @@ fn batch_rejects_oversized_entries() {
     ));
 }
 
-#[test]
-fn graceful_restart_preserves_everything() {
-    let mut s = store();
-    for i in 0..300u32 {
-        s.put(
-            format!("g{i:04}").as_bytes(),
-            format!("value-{i}").as_bytes(),
-        )
-        .unwrap();
-    }
-    let recovered = s.power_cycle(true).unwrap();
-    assert_eq!(recovered, 300);
-    for i in 0..300u32 {
-        assert_eq!(
-            s.get(format!("g{i:04}").as_bytes()).unwrap().unwrap(),
-            format!("value-{i}").into_bytes()
-        );
+fn durable() -> KvStoreConfig {
+    KvStoreConfig {
+        durable_puts: true,
+        ..Default::default()
     }
 }
 
-#[test]
-fn power_loss_drops_only_unflushed_staging_entries() {
-    let mut s = store();
-    // ~100-byte entries: ~34 per staging page. Write enough that most pages
-    // flushed to NAND, with a partial page still staged at the "crash".
-    let n = 200u32;
+/// Stores `n` keys of 100 B (~34 entries per staging page), power-cycles
+/// the store and reads every key back: a survivor returns its own bytes (no
+/// torn reads) and the lost keys are the newest ones — a suffix of the log.
+/// Returns how many survived.
+fn survivors_of_a_power_cycle(cfg: KvStoreConfig, n: u32) -> u32 {
+    let mut s = KvStore::open(cfg);
     for i in 0..n {
         s.put(format!("c{i:04}").as_bytes(), &[(i % 251) as u8; 100])
             .unwrap();
     }
-    let flushes_before = s.device_stats().flushes;
-    assert!(flushes_before > 0, "test needs some NAND-persisted pages");
-
-    let recovered = s.power_cycle(false).unwrap();
-    assert!(
-        recovered < n && recovered > 0,
-        "crash recovery should lose exactly the staged tail: {recovered}/{n}"
-    );
-
-    // Every recovered key returns correct bytes; lost keys are cleanly
-    // absent (no torn reads).
-    let mut present = 0;
+    assert!(s.device_stats().flushes > 0, "needs NAND-persisted pages");
+    let report = s.hard_power_cycle().unwrap();
+    assert_eq!(report.torn_mappings, 0, "quiescent cut tears nothing");
+    let mut survived = 0;
     for i in 0..n {
         match s.get(format!("c{i:04}").as_bytes()).unwrap() {
             Some(v) => {
-                assert_eq!(v, vec![(i % 251) as u8; 100], "key c{i:04} corrupted");
-                present += 1;
-            }
-            None => {
-                // Lost entries must be the *newest* ones (log suffix).
-                assert!(
-                    i >= recovered,
-                    "old key c{i:04} lost while newer ones survived"
-                );
-            }
-        }
-    }
-    assert_eq!(present, recovered);
-}
-
-#[test]
-fn hard_power_cut_honest_volatility_vs_write_through_durability() {
-    // Default config stages acked PUTs in controller DRAM: a *hard* power
-    // cut (no graceful flush, volatile state destroyed) loses the staged
-    // tail, and the store reports that honestly — correct bytes or clean
-    // absence, never a torn read.
-    let mut volatile = KvStore::open(KvStoreConfig::default());
-    let n = 120u32;
-    for i in 0..n {
-        volatile
-            .put(format!("h{i:04}").as_bytes(), &[(i % 251) as u8; 100])
-            .unwrap();
-    }
-    volatile.hard_power_cycle().unwrap();
-    let mut survived = 0;
-    for i in 0..n {
-        match volatile.get(format!("h{i:04}").as_bytes()).unwrap() {
-            Some(v) => {
-                assert_eq!(v, vec![(i % 251) as u8; 100], "key h{i:04} torn");
+                assert_eq!(v, vec![(i % 251) as u8; 100], "key c{i:04} torn");
                 survived += 1;
             }
             None => assert!(
                 i >= survived,
-                "old key h{i:04} lost while newer ones survived"
+                "old key c{i:04} lost while newer ones survived"
             ),
         }
     }
-    assert!(
-        survived < n,
-        "volatile staging must lose the staged tail on a hard cut"
-    );
+    survived
+}
 
+#[test]
+fn durable_restart_preserves_everything() {
+    assert_eq!(survivors_of_a_power_cycle(durable(), 300), 300);
+}
+
+#[test]
+fn power_loss_drops_only_unflushed_staging_entries() {
+    // Most pages flushed to NAND, a partial page still staged at the cut.
+    let survived = survivors_of_a_power_cycle(KvStoreConfig::default(), 200);
+    assert!(
+        survived > 0 && survived < 200,
+        "a power loss should lose exactly the staged tail: {survived}/200"
+    );
+}
+
+#[test]
+fn hard_power_cut_honest_volatility_vs_write_through_durability() {
+    // Default config stages acked PUTs in controller DRAM: a power cut
+    // loses the staged tail, and the store reports that honestly.
+    assert!(survivors_of_a_power_cycle(KvStoreConfig::default(), 120) < 120);
     // `durable_puts` writes the staging page through to NAND before each
     // ack, so the same workload survives the same cut in full.
-    let mut durable = KvStore::open(KvStoreConfig {
-        durable_puts: true,
-        ..Default::default()
-    });
-    for i in 0..n {
-        durable
-            .put(format!("h{i:04}").as_bytes(), &[(i % 251) as u8; 100])
-            .unwrap();
-    }
-    let report = durable.hard_power_cycle().unwrap();
-    assert_eq!(report.torn_mappings, 0, "quiescent cut tears nothing");
-    for i in 0..n {
-        assert_eq!(
-            durable.get(format!("h{i:04}").as_bytes()).unwrap().unwrap(),
-            vec![(i % 251) as u8; 100],
-            "durable mode must keep every acked PUT through a hard cut"
-        );
-    }
+    assert_eq!(survivors_of_a_power_cycle(durable(), 120), 120);
 }
 
 #[test]
 fn overwrites_resolve_to_newest_after_recovery() {
-    let mut s = store();
+    let mut s = KvStore::open(durable());
     // Write each key twice with enough filler between versions that both
     // versions land in different (flushed) pages.
     for round in 0..2 {
@@ -204,7 +152,7 @@ fn overwrites_resolve_to_newest_after_recovery() {
                 .unwrap();
         }
     }
-    s.power_cycle(true).unwrap();
+    s.hard_power_cycle().unwrap();
     for i in 0..40u32 {
         assert_eq!(
             s.get(format!("o{i:02}").as_bytes()).unwrap().unwrap(),
@@ -249,36 +197,62 @@ fn deleted_key_stays_deleted(
 }
 
 #[test]
-fn delete_survives_a_graceful_restart() {
-    // The tombstone is still in the staging page, which a graceful restart
-    // replays last.
-    deleted_key_stays_deleted(KvStoreConfig::default(), false, |s| {
-        s.power_cycle(true).unwrap();
-    });
-    deleted_key_stays_deleted(KvStoreConfig::default(), true, |s| {
-        s.power_cycle(true).unwrap();
-    });
-}
-
-#[test]
 fn delete_survives_a_crash_once_its_tombstone_is_flushed() {
+    // Volatile staging: durable once flushed, like a PUT.
     deleted_key_stays_deleted(KvStoreConfig::default(), true, |s| {
-        s.power_cycle(false).unwrap();
+        s.hard_power_cycle().unwrap();
     });
 }
 
 #[test]
 fn delete_survives_a_hard_power_cycle() {
-    // Volatile staging: durable once flushed, like a PUT.
-    deleted_key_stays_deleted(KvStoreConfig::default(), true, |s| {
+    // Write-through: durable at the ack, whether the tombstone is still in
+    // the frontier page or already flushed.
+    for flush_after_delete in [false, true] {
+        deleted_key_stays_deleted(durable(), flush_after_delete, |s| {
+            s.hard_power_cycle().unwrap();
+        });
+    }
+}
+
+#[test]
+fn frontier_page_survives_two_power_cycles_in_a_row() {
+    // Acked durable PUTs and a DELETE that never left the written-through
+    // frontier page: the first recovery must re-derive the log frontier so
+    // that the second finds the same page — nothing lost, nothing
+    // resurrected.
+    let mut s = KvStore::open(durable());
+    s.put(b"kept", b"v1").unwrap();
+    s.put(b"gone", b"v2").unwrap();
+    assert!(s.delete(b"gone").unwrap());
+    assert_eq!(s.device_stats().flushes, 0, "everything is in the frontier");
+    for cycle in 1..=2 {
         s.hard_power_cycle().unwrap();
-    });
-    // Write-through: durable at the ack.
-    let durable = KvStoreConfig {
-        durable_puts: true,
-        ..Default::default()
-    };
-    deleted_key_stays_deleted(durable, false, |s| {
-        s.hard_power_cycle().unwrap();
-    });
+        assert_eq!(s.get(b"kept").unwrap().unwrap(), b"v1", "cycle {cycle}");
+        assert_eq!(s.get(b"gone").unwrap(), None, "cycle {cycle}");
+        assert_eq!(s.keys().unwrap(), [b"kept".to_vec()], "cycle {cycle}");
+    }
+    // The log keeps growing from the recovered frontier.
+    s.put(b"later", b"v3").unwrap();
+    s.hard_power_cycle().unwrap();
+    assert_eq!(s.get(b"kept").unwrap().unwrap(), b"v1");
+    assert_eq!(s.get(b"later").unwrap().unwrap(), b"v3");
+    assert_eq!(s.get(b"gone").unwrap(), None);
+}
+
+#[test]
+fn all_zero_log_entry_is_rejected_and_hides_nothing() {
+    // An empty key with an empty value is an all-zero header — what replay
+    // takes for the end of a page. The device refuses it, so the pair after
+    // it is never shadowed.
+    let mut s = KvStore::open(durable());
+    let err = s.put_batch(&[(b"", b""), (b"k", b"v")]).unwrap_err();
+    assert_eq!(
+        err,
+        KvError::Device(DeviceError::Command(Status::KvInvalidSize))
+    );
+    s.put_batch(&[(b"", b"x"), (b"k", b"v")]).unwrap();
+    s.hard_power_cycle().unwrap();
+    assert_eq!(s.get(b"k").unwrap().unwrap(), b"v");
+    assert_eq!(s.get(b"").unwrap().unwrap(), b"x");
 }
