@@ -3,8 +3,7 @@
 
 use crate::stats::LatencySamples;
 use bx_driver::{
-    Completion, DriverError, FlushPolicy, InlineMode, NvmeDriver, RecoveryStats, RetryPolicy,
-    TransferMethod,
+    Completion, DriverError, FlushPolicy, NvmeDriver, RecoveryStats, RetryPolicy, TransferMethod,
 };
 use bx_hostsim::{FaultConfig, FaultCounters, Nanos};
 use bx_nvme::{IoOpcode, PassthruCmd, QueueId, Status};
@@ -157,7 +156,7 @@ impl DeviceBuilder {
     }
 
     /// Selects the chunk-fetch policy (queue-local vs out-of-order
-    /// reassembly); the driver's framing mode is matched automatically.
+    /// reassembly); the driver reads its chunk framing from Identify.
     pub fn fetch_policy(mut self, policy: FetchPolicy) -> Self {
         self.fetch_policy = policy;
         self
@@ -316,10 +315,11 @@ impl DeviceBuilder {
             identify: bx_nvme::IdentifyController {
                 vendor: bx_nvme::VendorCaps {
                     byteexpress: true,
-                    reassembly: true,
                     bandslim: true,
                     key_value: true,
                     csd: true,
+                    // Derived from `fetch_policy` by `Controller::new`.
+                    reassembly: false,
                 },
                 ..Default::default()
             },
@@ -331,23 +331,17 @@ impl DeviceBuilder {
         });
         let mut ctrl = Controller::new(bus.clone(), cfg, firmware);
         let mut driver = NvmeDriver::new(bus.clone());
-        if self.fetch_policy == FetchPolicy::Reassembly {
-            driver.set_inline_mode(InlineMode::Reassembly);
-        }
         driver.set_retry_policy(self.retry_policy);
         driver.set_flush_policy(self.flush_policy);
         driver.set_cq_coalesce(self.cq_coalesce);
-        driver.initialize(&mut ctrl)?;
-        let mut qids = Vec::with_capacity(self.queue_count);
-        for _ in 0..self.queue_count {
-            qids.push(driver.create_io_queue(&mut ctrl, self.queue_depth)?);
-        }
+        let queue_depths = vec![self.queue_depth; self.queue_count];
+        let qids = driver.initialize(&mut ctrl, &queue_depths)?;
         Ok(Device {
             bus,
             driver,
             ctrl,
             qids,
-            queue_depths: vec![self.queue_depth; self.queue_count],
+            queue_depths,
             write_cmd: PassthruCmd::to_device(IoOpcode::Write, 1, Vec::new()),
         })
     }
@@ -528,12 +522,7 @@ impl Device {
     pub fn power_cycle(&mut self) -> Result<RecoveryReport, DeviceError> {
         let report = self.ctrl.power_cycle();
         self.driver.reset_after_power_cycle()?;
-        self.driver.initialize(&mut self.ctrl)?;
-        self.qids.clear();
-        for &depth in &self.queue_depths {
-            self.qids
-                .push(self.driver.create_io_queue(&mut self.ctrl, depth)?);
-        }
+        self.qids = self.driver.initialize(&mut self.ctrl, &self.queue_depths)?;
         Ok(report)
     }
 

@@ -1,7 +1,7 @@
 //! The driver proper: queue pairs, submit engines, completion polling.
 
 use crate::batch::{BatchSubmission, FlushPolicy};
-use crate::method::{InlineMode, TransferMethod};
+use crate::method::TransferMethod;
 use crate::recovery::{
     is_idempotent, BxRole, CmdContext, DegradeState, RecoveryStats, RetryPolicy,
 };
@@ -46,7 +46,8 @@ pub enum DriverError {
     Mem(MemError),
     /// PRP construction failure.
     Prp(PrpError),
-    /// The controller failed to become ready during bring-up.
+    /// The controller failed to become ready during bring-up, or was asked
+    /// for a queue before [`NvmeDriver::initialize`].
     NotReady,
     /// An admin command completed with an error status.
     AdminFailed(Status),
@@ -96,7 +97,7 @@ impl fmt::Display for DriverError {
             DriverError::UnknownQueue(q) => write!(f, "unknown queue {q}"),
             DriverError::Mem(e) => write!(f, "host memory error: {e}"),
             DriverError::Prp(e) => write!(f, "prp error: {e}"),
-            DriverError::NotReady => write!(f, "controller did not become ready"),
+            DriverError::NotReady => write!(f, "controller is not ready (not brought up)"),
             DriverError::AdminFailed(s) => write!(f, "admin command failed: {s}"),
             DriverError::Unsupported(what) => {
                 write!(f, "controller does not support {what}")
@@ -344,7 +345,6 @@ pub struct NvmeDriver {
     admin: Option<AdminQueue>,
     identify: Option<IdentifyController>,
     sgl_threshold: usize,
-    inline_mode: InlineMode,
     next_payload_id: u32,
     stats: DriverStats,
     retry_policy: Option<RetryPolicy>,
@@ -370,7 +370,6 @@ impl fmt::Debug for NvmeDriver {
         f.debug_struct("NvmeDriver")
             .field("queues", &self.queues.len())
             .field("sgl_threshold", &self.sgl_threshold)
-            .field("inline_mode", &self.inline_mode)
             .field("stats", &self.stats)
             .finish()
     }
@@ -389,7 +388,6 @@ impl NvmeDriver {
             admin: None,
             identify: None,
             sgl_threshold: DEFAULT_SGL_THRESHOLD,
-            inline_mode: InlineMode::QueueLocal,
             next_payload_id: 1,
             stats: DriverStats::default(),
             retry_policy: None,
@@ -452,31 +450,63 @@ impl NvmeDriver {
         self.sgl_threshold = bytes;
     }
 
-    /// Selects the ByteExpress framing mode (must match the controller's
-    /// fetch policy).
-    pub fn set_inline_mode(&mut self, mode: InlineMode) {
-        self.inline_mode = mode;
-    }
-
     /// Activity counters.
     pub fn stats(&self) -> DriverStats {
         self.stats
     }
 
-    /// Brings the controller up the way the kernel does: program the admin
-    /// queue registers (ASQ/ACQ/AQA), set CC.EN, confirm CSTS.RDY, then
-    /// Identify the controller. Returns the identify data; thereafter
-    /// [`NvmeDriver::create_io_queue`] uses admin commands, and transfer
-    /// engines are gated on the advertised vendor capabilities.
+    /// Brings the controller up the way the kernel does — the only way a
+    /// queue comes to exist: program the admin queue registers
+    /// (ASQ/ACQ/AQA), set CC.EN, confirm CSTS.RDY, Identify the controller,
+    /// then create one I/O queue pair per entry of `io_depths` with admin
+    /// Create-IO-CQ/SQ commands. Returns their ids in order. The identify
+    /// data ([`NvmeDriver::identify`]) gates the transfer engines and sets
+    /// the ByteExpress chunk framing: chunks carry reassembly headers iff
+    /// the controller advertises `vendor.reassembly`.
     ///
     /// # Errors
     ///
+    /// [`DriverError::Unsupported`] on a driver that already has an admin
+    /// queue (after a power cut, [`NvmeDriver::reset_after_power_cycle`]
+    /// comes first) — refused before anything is allocated or written.
     /// [`DriverError::NotReady`] if the controller does not come up;
-    /// [`DriverError::AdminFailed`] if Identify fails.
-    pub fn initialize(&mut self, ctrl: &mut Controller) -> Result<IdentifyController, DriverError> {
+    /// [`DriverError::AdminFailed`] if Identify or a queue creation fails;
+    /// [`DriverError::Mem`] if host memory cannot hold the rings. After any
+    /// of these the controller has been disabled again and every page
+    /// returned, as after a failed probe: the driver is as new.
+    pub fn initialize(
+        &mut self,
+        ctrl: &mut Controller,
+        io_depths: &[u16],
+    ) -> Result<Vec<QueueId>, DriverError> {
+        if self.admin.is_some() {
+            return Err(DriverError::Unsupported("initialize on a live driver"));
+        }
+        let qids = self.bring_up(ctrl, io_depths);
+        if qids.is_err() {
+            // CC.EN = 0 drops every queue the controller latched, so the
+            // next attempt's enable edge latches the admin queue afresh.
+            ctrl.mmio_write(Register::Cc, 0);
+            self.reset_after_power_cycle()?;
+        }
+        qids
+    }
+
+    /// [`NvmeDriver::initialize`] without its error path: whatever this
+    /// allocates is reachable from `self` (or freed) by the time it returns.
+    fn bring_up(
+        &mut self,
+        ctrl: &mut Controller,
+        io_depths: &[u16],
+    ) -> Result<Vec<QueueId>, DriverError> {
         const ADMIN_DEPTH: u16 = 32;
         let platform = self.bus.platform();
         let (sq_region, cq_region) = alloc_rings(&mut platform.borrow_mut().mem, ADMIN_DEPTH)?;
+        self.admin = Some(AdminQueue {
+            sq: SqRing::new(QueueId(0), sq_region, ADMIN_DEPTH),
+            cq: CqRing::new(cq_region, ADMIN_DEPTH),
+            next_cid: 0,
+        });
         ctrl.mmio_write(
             Register::Aqa,
             RegisterFile::aqa_value(ADMIN_DEPTH, ADMIN_DEPTH),
@@ -487,27 +517,30 @@ impl NvmeDriver {
         if ctrl.mmio_read(Register::Csts) & bx_ssd::CSTS_READY == 0 {
             return Err(DriverError::NotReady);
         }
-        self.admin = Some(AdminQueue {
-            sq: SqRing::new(QueueId(0), sq_region, ADMIN_DEPTH),
-            cq: CqRing::new(cq_region, ADMIN_DEPTH),
-            next_cid: 0,
-        });
 
-        // Identify controller.
+        // Identify controller. The page goes back before the outcome is
+        // looked at, so no branch below can leak it.
         let buf = platform.borrow_mut().mem.alloc_page()?;
         let cid = self.admin_cid()?;
-        let sqe = admin::identify_controller(cid, buf.addr());
-        let cqe = self.admin_execute(ctrl, sqe)?;
-        if !cqe.status().is_success() {
-            return Err(DriverError::AdminFailed(cqe.status()));
+        let cqe = self.admin_execute(ctrl, admin::identify_controller(cid, buf.addr()));
+        let page = {
+            let mem = &mut platform.borrow_mut().mem;
+            let page = mem.read_vec(buf.addr(), bx_nvme::IDENTIFY_BYTES);
+            mem.free_page(buf)?;
+            page?
+        };
+        let status = cqe?.status();
+        if !status.is_success() {
+            return Err(DriverError::AdminFailed(status));
         }
-        let mem = &mut platform.borrow_mut().mem;
-        let page = mem.read_vec(buf.addr(), bx_nvme::IDENTIFY_BYTES)?;
-        mem.free_page(buf)?;
-        let identify = IdentifyController::decode(&page)
-            .ok_or(DriverError::AdminFailed(Status::InternalError))?;
-        self.identify = Some(identify.clone());
-        Ok(identify)
+        self.identify = Some(
+            IdentifyController::decode(&page)
+                .ok_or(DriverError::AdminFailed(Status::InternalError))?,
+        );
+        io_depths
+            .iter()
+            .map(|&depth| self.create_io_queue(ctrl, depth))
+            .collect()
     }
 
     /// The identify data captured during [`NvmeDriver::initialize`].
@@ -519,10 +552,10 @@ impl NvmeDriver {
     /// power cut: queue pairs, the admin queue, cached identify data — and
     /// returns their ring pages, and the pages of commands in flight at the
     /// cut, to host memory. Host policy knobs — retry, flush, CQ
-    /// coalescing, inline mode, SGL threshold — and cumulative stats
-    /// survive; they live in host memory. Call [`NvmeDriver::initialize`]
-    /// and re-create I/O queues afterwards, exactly as the kernel re-probes
-    /// a device that dropped off the bus.
+    /// coalescing, SGL threshold — and cumulative stats survive; they live
+    /// in host memory. The chunk framing does not: it is read from Identify.
+    /// Call [`NvmeDriver::initialize`] afterwards, exactly as the kernel
+    /// re-probes a device that dropped off the bus.
     ///
     /// # Errors
     ///
@@ -580,25 +613,31 @@ impl NvmeDriver {
         a.cq.pop_slot();
         a.sq.complete_up_to(cqe.sq_head());
         bus.clock.advance(timing.completion_handling);
-        p.ring_cq_head(QueueId(0), a.cq.head());
+        p.ring_cq_head();
         self.stats.doorbells += 1;
         Ok(cqe)
     }
 
     /// Allocates queue rings in host memory and creates the pair on the
-    /// controller — via admin Create-IO-CQ/SQ commands when the driver has
-    /// been [`NvmeDriver::initialize`]d, or the direct registration shortcut
-    /// otherwise (handy for protocol-level tests).
+    /// controller with admin Create-IO-CQ then Create-IO-SQ commands, under
+    /// the lowest free I/O queue id (a deleted pair's id is reused: the
+    /// doorbell array has no slot past the initial count). A queue exists
+    /// only if the controller validated it.
     ///
     /// # Errors
     ///
-    /// [`DriverError::Mem`] if host memory cannot hold the rings;
-    /// [`DriverError::AdminFailed`] if the controller rejects creation.
+    /// [`DriverError::NotReady`] before [`NvmeDriver::initialize`], with
+    /// nothing allocated; [`DriverError::Mem`] if host memory cannot hold
+    /// the rings; [`DriverError::AdminFailed`] if the controller rejects
+    /// creation.
     pub fn create_io_queue(
         &mut self,
         ctrl: &mut Controller,
         depth: u16,
     ) -> Result<QueueId, DriverError> {
+        if self.admin.is_none() {
+            return Err(DriverError::NotReady);
+        }
         let platform = self.bus.platform();
         let (sq_region, cq_region) = alloc_rings(&mut platform.borrow_mut().mem, depth)?;
         let id = match self.create_on_controller(ctrl, depth, sq_region, cq_region) {
@@ -626,10 +665,8 @@ impl NvmeDriver {
         Ok(id)
     }
 
-    /// Creates the pair over its allocated rings: admin Create-IO-CQ then
-    /// Create-IO-SQ under the lowest free I/O queue id (a deleted pair's id
-    /// is reused: the doorbell array has no slot past the initial count), or
-    /// direct registration for an uninitialized driver.
+    /// The two admin commands of [`NvmeDriver::create_io_queue`], over its
+    /// allocated rings.
     fn create_on_controller(
         &mut self,
         ctrl: &mut Controller,
@@ -637,9 +674,6 @@ impl NvmeDriver {
         sq_region: bx_hostsim::DmaRegion,
         cq_region: bx_hostsim::DmaRegion,
     ) -> Result<QueueId, DriverError> {
-        if self.admin.is_none() {
-            return Ok(ctrl.register_io_queue(sq_region, cq_region, depth));
-        }
         let qid = (1..=u16::MAX)
             .find(|q| !self.queues.contains_key(q))
             .ok_or(DriverError::Unsupported("more than 65535 I/O queues"))?;
@@ -671,15 +705,12 @@ impl NvmeDriver {
     /// # Errors
     ///
     /// [`DriverError::UnknownQueue`] for a bad id; [`DriverError::AdminFailed`]
-    /// if the controller rejects deletion; requires an initialized driver.
+    /// if the controller rejects deletion.
     pub fn delete_io_queue(
         &mut self,
         ctrl: &mut Controller,
         qid: QueueId,
     ) -> Result<(), DriverError> {
-        if self.admin.is_none() {
-            return Err(DriverError::Unsupported("admin queue (call initialize)"));
-        }
         if !self.queues.contains_key(&qid.0) {
             return Err(DriverError::UnknownQueue(qid));
         }
@@ -936,32 +967,33 @@ impl NvmeDriver {
         mut sqe: SubmissionEntry,
         data: &[u8],
     ) -> Result<(), DriverError> {
+        // A queue exists only on an initialized driver, so Identify is at
+        // hand; its reassembly bit is the chunk framing (headers or raw).
+        let caps = self.identify.as_ref().ok_or(DriverError::NotReady)?.vendor;
+        if !caps.byteexpress {
+            return Err(DriverError::Unsupported("ByteExpress inline transfer"));
+        }
+        let (payload_id, n_chunks, per_chunk) = if caps.reassembly {
+            let id = self.next_payload_id;
+            self.next_payload_id = self.next_payload_id.wrapping_add(1).max(1);
+            sqe.set_cdw3(id);
+            (
+                Some(id),
+                inline::chunks_for_len_reassembly(data.len()),
+                inline::REASSEMBLY_CHUNK_PAYLOAD,
+            )
+        } else {
+            (
+                None,
+                inline::chunks_for_len(data.len()),
+                inline::BYTEEXPRESS_CHUNK_SIZE,
+            )
+        };
+        inline::set_inline_len(&mut sqe, data.len());
+
         // Chunks are encoded one at a time into a stack buffer as they are
         // placed in the ring — the per-train `Vec<[u8; 64]>` an earlier
         // version materialized is gone, so submission is allocation-free.
-        let payload_id = match self.inline_mode {
-            InlineMode::QueueLocal => None,
-            InlineMode::Reassembly => {
-                let id = self.next_payload_id;
-                self.next_payload_id = self.next_payload_id.wrapping_add(1).max(1);
-                sqe.set_cdw3(id);
-                Some(id)
-            }
-        };
-        let n_chunks = match self.inline_mode {
-            InlineMode::QueueLocal => inline::chunks_for_len(data.len()),
-            InlineMode::Reassembly => inline::chunks_for_len_reassembly(data.len()),
-        };
-        if let Some(id) = &self.identify {
-            if !id.vendor.byteexpress {
-                return Err(DriverError::Unsupported("ByteExpress inline transfer"));
-            }
-            if self.inline_mode == InlineMode::Reassembly && !id.vendor.reassembly {
-                return Err(DriverError::Unsupported("out-of-order chunk reassembly"));
-            }
-        }
-        inline::set_inline_len(&mut sqe, data.len());
-
         let needed = 1 + n_chunks as u16;
         let (bus, timing) = (&self.bus, &self.timing);
         // Fault hook: lose one chunk of a reassembly train before it is
@@ -970,20 +1002,12 @@ impl NvmeDriver {
         // the command, the payload never completes, and the stall-eviction
         // sweep posts DataTransferError. (A queue-local train would silently
         // desync the in-order gather, so the injector refuses n < 2 and we
-        // gate on the mode.)
-        let lost_chunk = if self.inline_mode == InlineMode::Reassembly {
-            bus.faults.borrow_mut().truncate_train(n_chunks)
-        } else {
-            None
-        };
+        // gate on the framing.)
+        let lost_chunk = payload_id.and_then(|_| bus.faults.borrow_mut().truncate_train(n_chunks));
         let qp = queue_in(&mut self.queues, qid)?;
         let depth_limit = qp.sq.depth() - 1;
         if needed > depth_limit {
             let max_chunks = (depth_limit - 1) as usize;
-            let per_chunk = match self.inline_mode {
-                InlineMode::QueueLocal => inline::BYTEEXPRESS_CHUNK_SIZE,
-                InlineMode::Reassembly => inline::REASSEMBLY_CHUNK_PAYLOAD,
-            };
             return Err(DriverError::PayloadTooLarge {
                 len: data.len(),
                 max: max_chunks * per_chunk,
@@ -1414,7 +1438,7 @@ impl NvmeDriver {
             if coalesce > 0 && consumed_since_ring >= coalesce {
                 // Reap-limit reached: acknowledge this group of CQEs with
                 // a head doorbell write and keep draining.
-                p.ring_cq_head(qid, qp.cq.head());
+                p.ring_cq_head();
                 cq_rings += 1;
                 consumed_since_ring = 0;
             }
@@ -1462,7 +1486,7 @@ impl NvmeDriver {
             }
         }
         if consumed_since_ring > 0 {
-            p.ring_cq_head(qid, qp.cq.head());
+            p.ring_cq_head();
             cq_rings += 1;
         }
         let depth = qp.inflight.len() as u64;
@@ -1771,7 +1795,10 @@ fn alloc_rings(
     let sq_pages = (depth as usize * SQE_BYTES).div_ceil(PAGE_SIZE);
     let cq_pages = (depth as usize * CQE_BYTES).div_ceil(PAGE_SIZE);
     let sq = mem.alloc_contiguous(sq_pages)?;
-    let cq = mem.alloc_contiguous(cq_pages)?;
+    // A pair that cannot be completed keeps nothing.
+    let cq = mem
+        .alloc_contiguous(cq_pages)
+        .or_else(|e| mem.free_contiguous(sq).and(Err(e)))?;
     // Frames come back from earlier rings and data buffers with their
     // old contents; a stale CQE whose phase bit happens to match would
     // be consumed as a completion.

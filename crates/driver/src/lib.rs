@@ -58,7 +58,7 @@ mod timing;
 
 pub use batch::{BatchSubmission, FlushPolicy};
 pub use driver::{Completion, DriverError, DriverStats, NvmeDriver, SubmittedCmd};
-pub use method::{InlineMode, TransferMethod};
+pub use method::TransferMethod;
 pub use reactor::{CommandFuture, Reactor, ReactorConfig, ReactorStats, ShardHandle};
 pub use recovery::{CmdContext, RecoveryStats, RetryPolicy};
 pub use timing::DriverTiming;

@@ -2,18 +2,6 @@
 
 use std::fmt;
 
-/// How the driver frames ByteExpress chunk trains. Must match the
-/// controller's [`bx_ssd::FetchPolicy`]: queue-local raw chunks, or
-/// self-describing chunks for the out-of-order reassembly extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InlineMode {
-    /// Raw 64-byte chunks; ordering from the SQ lock + queue-local fetch.
-    #[default]
-    QueueLocal,
-    /// 8-byte header + 56 payload bytes per chunk (§3.3.2 extension).
-    Reassembly,
-}
-
 /// The data-transfer engine used for a host→device payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransferMethod {

@@ -9,12 +9,15 @@
 //! (and `flush_sq_if_due`), `Controller::process_available`,
 //! `poll_completions_into` — with no layer in between:
 //!
-//! * **Shards** — thread-per-core style ownership: each shard owns its own
-//!   `NvmeDriver` (its own queues, cid spaces, inflight tables, flush
-//!   state), so no locking is needed across shards. The shared [`SystemBus`]
-//!   stays single-threaded behind per-shard handles — the simulation's
-//!   virtual clock is global, and `Rc<RefCell<_>>` sharing models the
-//!   per-core handles without pretending the clock itself scales.
+//! * **Shards** — thread-per-core style ownership over **one**
+//!   [`NvmeDriver`], brought up the way `Device` brings up its own (admin
+//!   queue, Identify, one Create-IO-CQ/SQ pair per shard): a shard *is* a
+//!   queue pair — its cid space, inflight table and flush state — plus the
+//!   waiter table of the futures submitted on it, so no shard ever touches
+//!   another's queue. The driver and the shard table sit behind one
+//!   `Rc<RefCell<_>>` beside the controller's; the simulation's virtual
+//!   clock is global, and the cell models per-core handles without
+//!   pretending the clock itself scales.
 //! * [`CommandFuture`] — one in-flight command: [`NvmeDriver::submit`] on
 //!   first poll (SQ backpressure surfaces as `Poll::Pending`, *not* an
 //!   error), a due doorbell rung per the installed [`FlushPolicy`];
@@ -22,10 +25,10 @@
 //!   byte-interface status word alike) back to the shard's waker-keyed
 //!   waiter table.
 //! * The **dispatcher** ([`Reactor::turn`]) — flushes every shard's staged
-//!   doorbells, runs the controller, then drains each queue *on its owning
-//!   shard* and wakes exactly the futures whose completions arrived. The
-//!   per-queue drain is what makes this correct: completions are routed by
-//!   the `(qid, cid)` the device echoes, never by poll order.
+//!   doorbell, runs the controller, then drains each shard's queue and
+//!   wakes exactly the futures whose completions arrived. The per-queue
+//!   drain is what makes this correct: completions are routed by the
+//!   `(qid, cid)` the device echoes, never by poll order.
 //!
 //! The executor ([`Reactor::run`]) is deliberately minimal and std-only: a
 //! single-threaded poll loop over `Arc`-flagged tasks, with virtual-time
@@ -72,19 +75,15 @@ pub(crate) struct ShardStats {
     pub orphaned: u64,
 }
 
-/// The state one shard owns exclusively: its driver (queues, cid spaces,
-/// inflight tables), its waiter table, and its backpressure list.
-/// Nothing here is ever touched from another shard — the dispatcher drains
-/// each queue through the shard that owns it.
+/// The state one shard owns exclusively: its queue pair (by id — the
+/// rings, cid space and inflight table live in the driver under it), its
+/// waiter table, and its backpressure list. Nothing here is ever touched
+/// on behalf of another shard.
 struct Shard {
     index: u16,
-    driver: NvmeDriver,
-    queues: Vec<QueueId>,
-    /// Round-robin cursor for spreading `ShardHandle::submit` across the
-    /// shard's queues.
-    next_queue: usize,
-    /// Waker-keyed inflight table: `(qid, cid)` → parked future.
-    waiters: BTreeMap<(u16, u16), Waiter>,
+    qid: QueueId,
+    /// Waker-keyed inflight table: cid (on `qid`) → parked future.
+    waiters: BTreeMap<u16, Waiter>,
     /// Futures parked on SQ backpressure, woken after every drain.
     capacity: Vec<Waker>,
     stats: ShardStats,
@@ -93,37 +92,29 @@ struct Shard {
     drained: Vec<Completion>,
 }
 
-impl Shard {
-    fn pick_queue(&mut self) -> QueueId {
-        // `Reactor::new` always creates at least one queue per shard.
-        let qid = self.queues[self.next_queue % self.queues.len()];
-        self.next_queue = (self.next_queue + 1) % self.queues.len();
-        qid
-    }
+/// The host side of the reactor: the one driver and its shards, behind the
+/// one cell every [`ShardHandle`] and [`CommandFuture`] shares.
+struct Host {
+    driver: NvmeDriver,
+    shards: Vec<Shard>,
 }
 
 /// Reactor construction parameters.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
-    /// Number of shards (logical cores). Each gets its own driver.
+    /// Number of shards (logical cores). Each gets its own queue pair.
     pub shards: usize,
-    /// I/O queue pairs per shard.
-    pub queues_per_shard: usize,
     /// Depth of each queue pair.
     pub queue_depth: u16,
-    /// PCIe link the platform models.
-    pub link: LinkConfig,
-    /// Host memory capacity in bytes.
-    pub mem_capacity: usize,
     /// Whether commands touch simulated NAND (false = transfer-path only).
     pub nand_io: bool,
     /// Controller execution model; [`ExecutionModel::Pipelined`] is what
     /// makes multi-shard overlap visible in virtual time.
     pub execution_model: ExecutionModel,
-    /// Doorbell-coalescing policy installed on every shard's driver
-    /// (`None` = ring per submission).
+    /// Doorbell-coalescing policy installed on the driver, applied per
+    /// queue (`None` = ring per submission).
     pub flush_policy: Option<FlushPolicy>,
-    /// Timeout/retry policy installed on every shard's driver. With one
+    /// Timeout/retry policy installed on the driver. With one
     /// installed, a command whose completion never arrives resolves as a
     /// synthetic `CommandAborted` completion instead of hanging the task.
     pub retry_policy: Option<RetryPolicy>,
@@ -140,10 +131,7 @@ impl Default for ReactorConfig {
     fn default() -> Self {
         ReactorConfig {
             shards: 4,
-            queues_per_shard: 1,
             queue_depth: 256,
-            link: LinkConfig::gen2_x8(),
-            mem_capacity: 64 << 20,
             nand_io: false,
             execution_model: ExecutionModel::Pipelined,
             flush_policy: Some(FlushPolicy::default()),
@@ -170,16 +158,20 @@ pub struct ReactorStats {
     pub orphaned: u64,
 }
 
-/// The reactor: a simulated platform (bus + controller) plus its shards.
+/// Host memory the rings, PRP lists and data pages are carved from.
+const HOST_MEM_CAPACITY: usize = 64 << 20;
+
+/// The reactor: a simulated platform (bus + controller), one driver, and
+/// its shards.
 ///
 /// Construction builds the whole stack — one [`SystemBus`], one
-/// [`Controller`], and per shard one [`NvmeDriver`] with its own queue
-/// pairs — so a bench or test needs only a [`ReactorConfig`] and a set of
-/// client futures.
+/// [`Controller`], one [`NvmeDriver`] [`NvmeDriver::initialize`]d against
+/// it with a queue pair per shard — so a bench or test needs only a
+/// [`ReactorConfig`] and a set of client futures.
 pub struct Reactor {
     bus: SystemBus,
     ctrl: Rc<RefCell<Controller>>,
-    shards: Vec<Rc<RefCell<Shard>>>,
+    host: Rc<RefCell<Host>>,
     idle_step: Nanos,
     turns: u64,
     idle_advances: u64,
@@ -188,17 +180,14 @@ pub struct Reactor {
 impl Reactor {
     /// Builds the full simulated stack per `cfg`.
     ///
-    /// Fails only if queue creation fails — host-memory exhaustion or a
+    /// Fails only if bring-up fails — host-memory exhaustion or a
     /// queue-count/depth the controller rejects, both configuration errors.
     /// They surface as `Err` rather than a panic so a bench harness can
     /// report the bad config instead of aborting.
     pub fn new(cfg: ReactorConfig) -> Result<Self, DriverError> {
         let shards_n = cfg.shards.max(1);
-        let queues_per_shard = cfg.queues_per_shard.max(1);
-        // Doorbell array must span every I/O qid the controller will hand
-        // out (1-based) plus the admin pair's slot 0.
-        let doorbells = shards_n * queues_per_shard + 1;
-        let mut bus = SystemBus::new(cfg.link, cfg.mem_capacity, doorbells);
+        // One doorbell pair per shard's I/O queue plus the admin queue.
+        let mut bus = SystemBus::new(LinkConfig::gen2_x8(), HOST_MEM_CAPACITY, shards_n + 1);
         if cfg.trace {
             bus.enable_trace();
         }
@@ -215,31 +204,26 @@ impl Reactor {
         let mut ctrl = Controller::new(bus.clone(), ctrl_cfg, move |dram| {
             Box::new(BlockFirmware::new(dram, nand_io))
         });
-        let mut shards = Vec::with_capacity(shards_n);
-        for index in 0..shards_n {
-            let mut driver = NvmeDriver::new(bus.clone());
-            driver.set_flush_policy(cfg.flush_policy);
-            driver.set_retry_policy(cfg.retry_policy);
-            let mut queues = Vec::with_capacity(queues_per_shard);
-            for _ in 0..queues_per_shard {
-                let qid = driver.create_io_queue(&mut ctrl, cfg.queue_depth)?;
-                queues.push(qid);
-            }
-            shards.push(Rc::new(RefCell::new(Shard {
+        let mut driver = NvmeDriver::new(bus.clone());
+        driver.set_flush_policy(cfg.flush_policy);
+        driver.set_retry_policy(cfg.retry_policy);
+        let shards = driver
+            .initialize(&mut ctrl, &vec![cfg.queue_depth; shards_n])?
+            .into_iter()
+            .enumerate()
+            .map(|(index, qid)| Shard {
                 index: index as u16,
-                driver,
-                queues,
-                next_queue: 0,
+                qid,
                 waiters: BTreeMap::new(),
                 capacity: Vec::new(),
                 stats: ShardStats::default(),
                 drained: Vec::new(),
-            })));
-        }
+            })
+            .collect();
         Ok(Reactor {
             bus,
             ctrl: Rc::new(RefCell::new(ctrl)),
-            shards,
+            host: Rc::new(RefCell::new(Host { driver, shards })),
             idle_step: cfg.idle_step,
             turns: 0,
             idle_advances: 0,
@@ -248,7 +232,7 @@ impl Reactor {
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.host.borrow().shards.len()
     }
 
     /// A submission handle bound to one shard.
@@ -257,8 +241,10 @@ impl Reactor {
     ///
     /// Panics if `index` is out of range.
     pub fn handle(&self, index: usize) -> ShardHandle {
+        assert!(index < self.shard_count(), "no shard {index}");
         ShardHandle {
-            shard: Rc::clone(&self.shards[index]),
+            host: Rc::clone(&self.host),
+            shard: index,
         }
     }
 
@@ -284,8 +270,7 @@ impl Reactor {
             idle_advances: self.idle_advances,
             ..ReactorStats::default()
         };
-        for shard in &self.shards {
-            let shard = shard.borrow();
+        for shard in &self.host.borrow().shards {
             s.submitted += shard.stats.submitted;
             s.completed += shard.stats.completed;
             s.orphaned += shard.stats.orphaned;
@@ -293,107 +278,70 @@ impl Reactor {
         s
     }
 
-    /// Summed recovery counters across every shard's driver.
+    /// The driver's recovery counters.
     pub fn recovery_stats(&self) -> RecoveryStats {
-        let mut acc = RecoveryStats::default();
-        for shard in &self.shards {
-            let r = shard.borrow().driver.recovery_stats();
-            acc.timeouts += r.timeouts;
-            acc.retries += r.retries;
-            acc.retries_exhausted += r.retries_exhausted;
-            acc.bx_failures += r.bx_failures;
-            acc.fallbacks += r.fallbacks;
-            acc.probes += r.probes;
-            acc.repromotions += r.repromotions;
-            acc.spurious_completions += r.spurious_completions;
-        }
-        acc
+        self.host.borrow().driver.recovery_stats()
     }
 
-    /// Summed driver activity counters across shards.
+    /// The driver's activity counters (bring-up's admin doorbells included).
     pub fn driver_stats(&self) -> DriverStats {
-        let mut acc = DriverStats::default();
-        for shard in &self.shards {
-            let s = shard.borrow().driver.stats();
-            acc.submissions += s.submissions;
-            acc.doorbells += s.doorbells;
-            acc.chunks_written += s.chunks_written;
-            acc.frags_issued += s.frags_issued;
-            acc.pages_mapped += s.pages_mapped;
-            acc.sgl_fallbacks += s.sgl_fallbacks;
-            acc.batch_flushes += s.batch_flushes;
-            acc.batched_cmds += s.batched_cmds;
-        }
-        acc
+        self.host.borrow().driver.stats()
     }
 
-    /// Total commands in flight across every shard and queue.
+    /// Total commands in flight across every shard.
     pub fn inflight(&self) -> usize {
-        self.shards
+        let host = self.host.borrow();
+        host.shards
             .iter()
-            .map(|shard| {
-                let shard = shard.borrow();
-                shard
-                    .queues
-                    .iter()
-                    .map(|&q| shard.driver.inflight_len(q))
-                    .sum::<usize>()
-            })
+            .map(|shard| host.driver.inflight_len(shard.qid))
             .sum()
     }
 
-    /// One dispatcher sweep: flush every shard's staged doorbells, run the
-    /// controller, then drain each queue on its owning shard and wake the
-    /// futures whose completions arrived. Returns the number of completions
-    /// dispatched.
+    /// One dispatcher sweep: flush every shard's staged doorbell, run the
+    /// controller, then drain each shard's queue and wake the futures whose
+    /// completions arrived. Returns the number of completions dispatched.
     ///
-    /// This is the completion-routing core: each shard drains *only its
-    /// own* queues, and each drained completion is matched against that
-    /// shard's waiter table by the `(qid, cid)` the device echoed — ring
-    /// CQEs and byte-interface status words take the same route.
+    /// This is the completion-routing core: each drained completion is
+    /// matched against the waiter table of the shard whose queue it came
+    /// off, by the cid the device echoed — ring CQEs and byte-interface
+    /// status words take the same route.
     pub fn turn(&mut self) -> usize {
         self.turns += 1;
-        for shard in &self.shards {
-            let shard = &mut *shard.borrow_mut();
-            for &qid in &shard.queues {
-                // Force the staged tail out: the executor only calls turn()
-                // when no task is runnable, so anything staged has no other
-                // doorbell coming.
-                let _ = shard.driver.flush_sq(qid);
-            }
+        let Host { driver, shards } = &mut *self.host.borrow_mut();
+        for shard in shards.iter() {
+            // Force the staged tail out: the executor only calls turn()
+            // when no task is runnable, so anything staged has no other
+            // doorbell coming.
+            let _ = driver.flush_sq(shard.qid);
         }
         self.ctrl.borrow_mut().process_available();
         let mut dispatched = 0usize;
-        for shard in &self.shards {
-            let shard = &mut *shard.borrow_mut();
+        for shard in shards {
+            shard.drained.clear();
+            if driver
+                .poll_completions_into(shard.qid, &mut shard.drained)
+                .is_err()
+            {
+                continue;
+            }
             let mut shard_dispatched = 0u16;
-            for &qid in &shard.queues {
-                shard.drained.clear();
-                if shard
-                    .driver
-                    .poll_completions_into(qid, &mut shard.drained)
-                    .is_err()
-                {
-                    continue;
-                }
-                for done in shard.drained.drain(..) {
-                    match shard.waiters.get_mut(&(qid.0, done.cid)) {
-                        Some(waiter) => {
-                            waiter.done = Some(done);
-                            if let Some(w) = waiter.waker.take() {
-                                w.wake();
-                            }
-                            shard.stats.completed += 1;
-                            dispatched += 1;
-                            shard_dispatched = shard_dispatched.saturating_add(1);
+            for done in shard.drained.drain(..) {
+                match shard.waiters.get_mut(&done.cid) {
+                    Some(waiter) => {
+                        waiter.done = Some(done);
+                        if let Some(w) = waiter.waker.take() {
+                            w.wake();
                         }
-                        None => {
-                            // No future owns this completion: a late status
-                            // word for a reaped command, or a routing bug.
-                            // The drain already counted the spurious case;
-                            // record the orphan so tests can pin zero.
-                            shard.stats.orphaned += 1;
-                        }
+                        shard.stats.completed += 1;
+                        dispatched += 1;
+                        shard_dispatched = shard_dispatched.saturating_add(1);
+                    }
+                    None => {
+                        // No future owns this completion: a late status
+                        // word for a reaped command, or a routing bug.
+                        // The drain already counted the spurious case;
+                        // record the orphan so tests can pin zero.
+                        shard.stats.orphaned += 1;
                     }
                 }
             }
@@ -529,27 +477,16 @@ impl Wake for WakeFlag {
 /// (`Rc`), matching the no-cross-shard-locking ownership rule.
 #[derive(Clone)]
 pub struct ShardHandle {
-    shard: Rc<RefCell<Shard>>,
+    host: Rc<RefCell<Host>>,
+    shard: usize,
 }
 
 impl ShardHandle {
-    /// A future submitting `cmd` via `method` on the shard's next queue
-    /// (round-robin), resolving when its completion is dispatched.
+    /// A future submitting `cmd` via `method` on the shard's queue pair,
+    /// resolving when its completion is dispatched.
     pub fn submit(&self, cmd: PassthruCmd, method: TransferMethod) -> CommandFuture {
-        let qid = self.shard.borrow_mut().pick_queue();
-        self.submit_on(qid, cmd, method)
-    }
-
-    /// Like [`ShardHandle::submit`] on an explicit queue of this shard.
-    pub(crate) fn submit_on(
-        &self,
-        qid: QueueId,
-        cmd: PassthruCmd,
-        method: TransferMethod,
-    ) -> CommandFuture {
         CommandFuture {
-            shard: Rc::clone(&self.shard),
-            qid,
+            at: self.clone(),
             cmd: Some(cmd),
             method,
             state: FutureState::Unsubmitted,
@@ -571,8 +508,7 @@ enum FutureState {
 /// backpressure if needed) and resolves with its [`Completion`] when the
 /// reactor dispatches it.
 pub struct CommandFuture {
-    shard: Rc<RefCell<Shard>>,
-    qid: QueueId,
+    at: ShardHandle,
     cmd: Option<PassthruCmd>,
     method: TransferMethod,
     state: FutureState,
@@ -583,8 +519,10 @@ impl Future for CommandFuture {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = Pin::into_inner(self);
-        let mut shard = this.shard.borrow_mut();
-        let shard = &mut *shard;
+        let Host { driver, shards } = &mut *this.at.host.borrow_mut();
+        // `Reactor::handle` checked the index against this same table.
+        let shard = &mut shards[this.at.shard];
+        let qid = shard.qid;
         match this.state {
             FutureState::Unsubmitted => {
                 let Some(cmd) = this.cmd.as_ref() else {
@@ -592,7 +530,7 @@ impl Future for CommandFuture {
                         "CommandFuture polled after completion",
                     )));
                 };
-                match shard.driver.submit(this.qid, cmd, this.method) {
+                match driver.submit(qid, cmd, this.method) {
                     Err(DriverError::QueueFull { .. }) => {
                         // Backpressure, not failure: park on the shard's
                         // capacity list; the dispatcher wakes it after the
@@ -610,7 +548,7 @@ impl Future for CommandFuture {
                         this.state = FutureState::Waiting { cid: sub.cid };
                         shard.stats.submitted += 1;
                         shard.waiters.insert(
-                            (this.qid.0, sub.cid),
+                            sub.cid,
                             Waiter {
                                 waker: Some(cx.waker().clone()),
                                 done: None,
@@ -618,14 +556,13 @@ impl Future for CommandFuture {
                         );
                         // Let the flush policy ring a due doorbell now
                         // rather than waiting for the executor to go idle.
-                        let _ = shard.driver.flush_sq_if_due(this.qid);
+                        let _ = driver.flush_sq_if_due(qid);
                         Poll::Pending
                     }
                 }
             }
             FutureState::Waiting { cid } => {
-                let key = (this.qid.0, cid);
-                let Some(waiter) = shard.waiters.get_mut(&key) else {
+                let Some(waiter) = shard.waiters.get_mut(&cid) else {
                     this.state = FutureState::Done;
                     return Poll::Ready(Err(DriverError::Unsupported(
                         "reactor waiter entry vanished",
@@ -633,7 +570,7 @@ impl Future for CommandFuture {
                 };
                 match waiter.done.take() {
                     Some(done) => {
-                        shard.waiters.remove(&key);
+                        shard.waiters.remove(&cid);
                         this.state = FutureState::Done;
                         Poll::Ready(Ok(done))
                     }
@@ -657,8 +594,10 @@ impl Drop for CommandFuture {
         // unclaimed. The command itself still completes (it is already in
         // the queue); its completion is simply counted as orphaned.
         if let FutureState::Waiting { cid } = self.state {
-            if let Ok(mut shard) = self.shard.try_borrow_mut() {
-                shard.waiters.remove(&(self.qid.0, cid));
+            if let Ok(mut host) = self.at.host.try_borrow_mut() {
+                if let Some(shard) = host.shards.get_mut(self.at.shard) {
+                    shard.waiters.remove(&cid);
+                }
             }
         }
     }

@@ -1,47 +1,51 @@
 //! Admin-path integration: register bring-up, Identify, queue lifecycle.
 
-use bx_driver::{DriverError, InlineMode, NvmeDriver, TransferMethod};
+use bx_driver::{DriverError, NvmeDriver, TransferMethod};
 use bx_nvme::{DoorbellArray, IdentifyController, PassthruCmd, Status, VendorCaps};
 use bx_pcie::LinkConfig;
 use bx_ssd::registers::Register;
 use bx_ssd::{
-    BlockFirmware, Controller, ControllerConfig, NandConfig, SystemBus, CC_ENABLE, CSTS_READY,
+    BlockFirmware, Controller, ControllerConfig, FetchPolicy, NandConfig, SystemBus, CC_ENABLE,
+    CSTS_READY,
 };
 
-fn platform(identify: IdentifyController) -> (SystemBus, Controller, NvmeDriver) {
+fn platform(cfg: ControllerConfig) -> (SystemBus, Controller, NvmeDriver) {
     let bus = SystemBus::new(LinkConfig::gen2_x8(), 64 << 20, 8);
-    let cfg = ControllerConfig {
-        nand: NandConfig::disabled(),
-        identify,
-        ..ControllerConfig::default()
-    };
-    let ctrl = Controller::new(bus.clone(), cfg, |dram| {
-        Box::new(BlockFirmware::new(dram, false))
+    let nand_io = cfg.nand.enabled;
+    let ctrl = Controller::new(bus.clone(), cfg, move |dram| {
+        Box::new(BlockFirmware::new(dram, nand_io))
     });
     let driver = NvmeDriver::new(bus.clone());
     (bus, ctrl, driver)
 }
 
 fn default_platform() -> (SystemBus, Controller, NvmeDriver) {
-    platform(IdentifyController::default())
+    platform(ControllerConfig {
+        nand: NandConfig::disabled(),
+        ..ControllerConfig::default()
+    })
+}
+
+fn free_pages(bus: &SystemBus) -> usize {
+    bus.platform().borrow().mem.allocator().free_pages()
 }
 
 #[test]
 fn full_bringup_sequence() {
     let (_bus, mut ctrl, mut driver) = default_platform();
     assert!(!ctrl.is_ready());
-    let identify = driver.initialize(&mut ctrl).unwrap();
+    assert_eq!(driver.identify(), None);
+    assert_eq!(driver.initialize(&mut ctrl, &[]), Ok(vec![]));
     assert!(ctrl.is_ready());
+    let identify = driver.identify().expect("captured at bring-up");
     assert_eq!(identify.model, "ByteExpress Simulated OpenSSD");
     assert!(identify.vendor.byteexpress);
-    assert_eq!(driver.identify(), Some(&identify));
 }
 
 #[test]
 fn io_through_admin_created_queue() {
     let (_bus, mut ctrl, mut driver) = default_platform();
-    driver.initialize(&mut ctrl).unwrap();
-    let qid = driver.create_io_queue(&mut ctrl, 64).unwrap();
+    let qid = driver.initialize(&mut ctrl, &[64]).unwrap()[0];
     assert_eq!(qid.0, 1, "first I/O queue is qid 1 (0 is admin)");
 
     let cmd = PassthruCmd::to_device(bx_nvme::IoOpcode::Write, 1, vec![7u8; 100]);
@@ -59,8 +63,8 @@ fn io_through_admin_created_queue() {
 #[test]
 fn queue_delete_then_recreate() {
     let (bus, mut ctrl, mut driver) = default_platform();
-    let free_pages = || bus.platform().borrow().mem.allocator().free_pages();
-    driver.initialize(&mut ctrl).unwrap();
+    let free_pages = || free_pages(&bus);
+    driver.initialize(&mut ctrl, &[]).unwrap();
     let q1 = driver.create_io_queue(&mut ctrl, 64).unwrap();
     let one_pair = free_pages();
     let q2 = driver.create_io_queue(&mut ctrl, 64).unwrap();
@@ -104,8 +108,7 @@ fn refused_sq_does_not_strand_its_cq() {
         Box::new(BlockFirmware::new(dram, false))
     });
     let mut driver = NvmeDriver::new(bus.clone());
-    driver.initialize(&mut ctrl).unwrap();
-    driver.create_io_queue(&mut ctrl, 64).unwrap();
+    driver.initialize(&mut ctrl, &[64]).unwrap();
     // Create-IO-CQ 2 is accepted; Create-IO-SQ 2 has no doorbell.
     let err = driver.create_io_queue(&mut ctrl, 64).unwrap_err();
     assert_eq!(err, DriverError::AdminFailed(Status::InvalidField));
@@ -122,12 +125,58 @@ fn refused_sq_does_not_strand_its_cq() {
     assert_eq!(c.status, Status::Success);
 }
 
+/// Admin bring-up is the only way a queue comes to exist: before it there
+/// is nothing to ask, and nothing is allocated for the attempt.
 #[test]
-fn delete_requires_initialization() {
-    let (_bus, mut ctrl, mut driver) = default_platform();
-    let qid = driver.create_io_queue(&mut ctrl, 64).unwrap(); // legacy path
-    let err = driver.delete_io_queue(&mut ctrl, qid).unwrap_err();
-    assert!(matches!(err, DriverError::Unsupported(_)));
+fn create_io_queue_before_initialize_is_not_ready_and_allocates_nothing() {
+    let (bus, mut ctrl, mut driver) = default_platform();
+    let idle = free_pages(&bus);
+    let err = driver.create_io_queue(&mut ctrl, 64).unwrap_err();
+    assert_eq!(err, DriverError::NotReady);
+    assert_eq!(free_pages(&bus), idle);
+    assert_eq!(ctrl.stats().admin_commands, 0);
+}
+
+/// A second `initialize` on a live driver is refused before it allocates
+/// rings or touches a register; a bring-up the controller fails hands back
+/// every page and leaves both ends ready for the next attempt.
+#[test]
+fn initialize_is_not_reentrant_and_its_error_paths_free_everything() {
+    let cmd = PassthruCmd::to_device(bx_nvme::IoOpcode::Write, 1, vec![7u8; 100]);
+
+    let (bus, mut ctrl, mut driver) = default_platform();
+    let qid = driver.initialize(&mut ctrl, &[64]).unwrap()[0];
+    let (live, admin_cmds) = (free_pages(&bus), ctrl.stats().admin_commands);
+    let err = driver.initialize(&mut ctrl, &[64]).unwrap_err();
+    assert!(matches!(err, DriverError::Unsupported(_)), "{err}");
+    assert_eq!(free_pages(&bus), live, "a refused initialize kept pages");
+    assert_eq!(ctrl.stats().admin_commands, admin_cmds);
+    // The admin queue and the pair under it are the ones the controller
+    // latched: both still work.
+    let done = driver.execute(qid, &mut ctrl, &cmd, TransferMethod::ByteExpress);
+    assert_eq!(done.map(|c| c.status), Ok(Status::Success));
+    driver.create_io_queue(&mut ctrl, 64).unwrap();
+
+    // A dark controller takes the register writes and never answers
+    // Identify.
+    let (bus, mut ctrl, mut driver) = default_platform();
+    let idle = free_pages(&bus);
+    ctrl.force_power_cut();
+    let err = driver.initialize(&mut ctrl, &[64]).unwrap_err();
+    assert!(matches!(err, DriverError::AdminFailed(_)), "{err}");
+    assert_eq!(free_pages(&bus), idle, "a failed bring-up kept pages");
+    assert_eq!(driver.identify(), None);
+    // So does a queue the controller refuses, however far bring-up got:
+    // depth 1 is below the minimum.
+    ctrl.power_cycle();
+    let err = driver.initialize(&mut ctrl, &[64, 1]).unwrap_err();
+    assert_eq!(err, DriverError::AdminFailed(Status::InvalidField));
+    assert_eq!(free_pages(&bus), idle, "a failed bring-up kept pages");
+    assert!(!ctrl.is_ready(), "a failed probe disables the controller");
+    // The next attempt starts clean on both ends.
+    let qid = driver.initialize(&mut ctrl, &[64]).unwrap()[0];
+    let done = driver.execute(qid, &mut ctrl, &cmd, TransferMethod::ByteExpress);
+    assert_eq!(done.map(|c| c.status), Ok(Status::Success));
 }
 
 #[test]
@@ -155,16 +204,17 @@ fn controller_without_byteexpress_cap_gates_the_driver() {
     let identify = IdentifyController {
         vendor: VendorCaps {
             byteexpress: false,
-            reassembly: false,
             bandslim: true,
-            key_value: false,
-            csd: false,
+            ..VendorCaps::default()
         },
         ..Default::default()
     };
-    let (_bus, mut ctrl, mut driver) = platform(identify);
-    driver.initialize(&mut ctrl).unwrap();
-    let qid = driver.create_io_queue(&mut ctrl, 64).unwrap();
+    let (_bus, mut ctrl, mut driver) = platform(ControllerConfig {
+        nand: NandConfig::disabled(),
+        identify,
+        ..ControllerConfig::default()
+    });
+    let qid = driver.initialize(&mut ctrl, &[64]).unwrap()[0];
 
     let cmd = PassthruCmd::to_device(bx_nvme::IoOpcode::Write, 1, vec![1; 64]);
     let err = driver
@@ -177,33 +227,42 @@ fn controller_without_byteexpress_cap_gates_the_driver() {
         .unwrap();
 }
 
+/// Chunk framing is the controller's fetch policy as Identify reports it:
+/// a queue-local and a reassembly controller each land a ByteExpress write
+/// intact with no driver-side setting — and again after a power cycle,
+/// when the driver has re-read Identify.
 #[test]
-fn reassembly_mode_gated_separately() {
-    let identify = IdentifyController {
-        vendor: VendorCaps {
-            byteexpress: true,
-            reassembly: false,
-            bandslim: true,
-            key_value: false,
-            csd: false,
-        },
-        ..Default::default()
-    };
-    let (_bus, mut ctrl, mut driver) = platform(identify);
-    driver.initialize(&mut ctrl).unwrap();
-    driver.set_inline_mode(InlineMode::Reassembly);
-    let qid = driver.create_io_queue(&mut ctrl, 64).unwrap();
-    let cmd = PassthruCmd::to_device(bx_nvme::IoOpcode::Write, 1, vec![1; 64]);
-    let err = driver
-        .submit(qid, &cmd, TransferMethod::ByteExpress)
-        .unwrap_err();
-    assert!(matches!(err, DriverError::Unsupported(_)));
+fn chunk_framing_follows_identify_with_no_driver_setting() {
+    for fetch_policy in [FetchPolicy::QueueLocal, FetchPolicy::Reassembly] {
+        let (_bus, mut ctrl, mut driver) = platform(ControllerConfig {
+            fetch_policy,
+            ..ControllerConfig::default()
+        });
+        let payload: Vec<u8> = (0..200u32).map(|i| (i * 7) as u8).collect();
+        let write = PassthruCmd::to_device(bx_nvme::IoOpcode::Write, 1, payload.clone());
+        let read = PassthruCmd::from_device(bx_nvme::IoOpcode::Read, 1, payload.len());
+        for cycle in 0..2 {
+            let qid = driver.initialize(&mut ctrl, &[64]).unwrap()[0];
+            let headers = driver.identify().map(|id| id.vendor.reassembly);
+            assert_eq!(headers, Some(fetch_policy == FetchPolicy::Reassembly));
+            let wrote = driver.execute(qid, &mut ctrl, &write, TransferMethod::ByteExpress);
+            assert_eq!(wrote.map(|c| c.status), Ok(Status::Success));
+            let got = driver.execute(qid, &mut ctrl, &read, TransferMethod::Prp);
+            assert_eq!(
+                got.unwrap().data.as_ref(),
+                Some(&payload),
+                "{fetch_policy:?}, cycle {cycle}"
+            );
+            ctrl.power_cycle();
+            driver.reset_after_power_cycle().unwrap();
+        }
+    }
 }
 
 #[test]
 fn admin_rejects_malformed_queue_creation() {
     let (bus, mut ctrl, mut driver) = default_platform();
-    driver.initialize(&mut ctrl).unwrap();
+    driver.initialize(&mut ctrl, &[]).unwrap();
 
     // Hand-craft a create-SQ naming a CQ that does not exist.
     let sqe = bx_nvme::admin::create_io_sq(99, 5, 64, bx_hostsim::PhysAddr(0x10000), 7);
@@ -221,7 +280,7 @@ fn admin_rejects_malformed_queue_creation() {
 fn bringup_traffic_is_accounted() {
     let (bus, mut ctrl, mut driver) = default_platform();
     let before = bus.traffic();
-    driver.initialize(&mut ctrl).unwrap();
+    driver.initialize(&mut ctrl, &[]).unwrap();
     let delta = bus.traffic().since(&before);
     // MMIO register writes + identify transfer (4 KB response) + doorbells.
     assert!(delta.class(bx_pcie::TrafficClass::Mmio).tlps >= 4);

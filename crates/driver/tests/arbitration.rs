@@ -2,7 +2,7 @@
 //! round-robin and weighted-round-robin fetch interleaving across queues,
 //! including §3.3.2 reassembly-mode chunk interleaving.
 
-use bx_driver::{InlineMode, NvmeDriver, TransferMethod};
+use bx_driver::{NvmeDriver, TransferMethod};
 use bx_nvme::{IoOpcode, PassthruCmd, QueueId};
 use bx_pcie::LinkConfig;
 use bx_ssd::{
@@ -35,11 +35,8 @@ fn rig(arb: Arbitration, reassembly: bool) -> Rig {
         Box::new(BlockFirmware::new(dram, false))
     });
     let mut driver = NvmeDriver::new(bus.clone());
-    if reassembly {
-        driver.set_inline_mode(InlineMode::Reassembly);
-    }
-    let qa = driver.create_io_queue(&mut ctrl, 64).unwrap();
-    let qb = driver.create_io_queue(&mut ctrl, 64).unwrap();
+    let qids = driver.initialize(&mut ctrl, &[64, 64]).unwrap();
+    let (qa, qb) = (qids[0], qids[1]);
     Rig {
         sink,
         driver,

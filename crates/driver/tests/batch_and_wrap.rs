@@ -31,7 +31,7 @@ fn rig_depth(depth: u16) -> Rig {
         Box::new(BlockFirmware::new(dram, true))
     });
     let mut driver = NvmeDriver::new(bus.clone());
-    let qid = driver.create_io_queue(&mut ctrl, depth).unwrap();
+    let qid = driver.initialize(&mut ctrl, &[depth]).unwrap()[0];
     Rig {
         bus,
         driver,

@@ -28,7 +28,7 @@ fn rig(nand_io: bool) -> Rig {
         Box::new(BlockFirmware::new(dram, nand_io))
     });
     let mut driver = NvmeDriver::new(bus.clone());
-    let qid = driver.create_io_queue(&mut ctrl, 256).unwrap();
+    let qid = driver.initialize(&mut ctrl, &[256]).unwrap()[0];
     Rig {
         bus,
         driver,
@@ -227,7 +227,9 @@ fn sgl_threshold_fallback() {
 /// ByteExpress doorbell economy: one ring per train; BandSlim rings per CMD.
 #[test]
 fn doorbell_counts_per_method() {
+    // Deltas: bring-up rang the admin queue's doorbells.
     let mut r = rig(false);
+    let bringup = r.driver.stats().doorbells;
     r.driver
         .execute(
             r.qid,
@@ -237,7 +239,7 @@ fn doorbell_counts_per_method() {
         )
         .unwrap();
     // 1 SQ doorbell for the whole train + 1 CQ head doorbell.
-    assert_eq!(r.driver.stats().doorbells, 2);
+    assert_eq!(r.driver.stats().doorbells - bringup, 2);
     assert_eq!(r.driver.stats().chunks_written, 4);
 
     let mut r = rig(false);
@@ -251,7 +253,7 @@ fn doorbell_counts_per_method() {
         .unwrap();
     // Head + ceil((256-32)/48)=5 frags = 6 SQ doorbells + 1 CQ doorbell.
     assert_eq!(r.driver.stats().frags_issued, 5);
-    assert_eq!(r.driver.stats().doorbells, 7);
+    assert_eq!(r.driver.stats().doorbells - bringup, 7);
 }
 
 /// Per-op latency matches Table 1's composition end to end.
@@ -326,7 +328,7 @@ fn queue_fills_without_completion_processing() {
         Box::new(BlockFirmware::new(dram, false))
     });
     let mut driver = NvmeDriver::new(bus);
-    let qid = driver.create_io_queue(&mut ctrl, 4).unwrap();
+    let qid = driver.initialize(&mut ctrl, &[4]).unwrap()[0];
     // Depth 4 → 3 usable slots. A 16-byte inline train takes 2 (cmd+chunk):
     // the first fits, the second does not.
     driver

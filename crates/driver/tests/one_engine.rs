@@ -18,7 +18,7 @@ fn rig(depth: u16) -> (SystemBus, NvmeDriver, Controller, QueueId) {
         Box::new(BlockFirmware::new(dram, false))
     });
     let mut driver = NvmeDriver::new(bus.clone());
-    let qid = driver.create_io_queue(&mut ctrl, depth).unwrap();
+    let qid = driver.initialize(&mut ctrl, &[depth]).unwrap()[0];
     (bus, driver, ctrl, qid)
 }
 

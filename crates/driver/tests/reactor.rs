@@ -209,7 +209,7 @@ fn async_window_beats_sync_qd1() {
         Box::new(BlockFirmware::new(dram, true))
     });
     let mut driver = NvmeDriver::new(bus.clone());
-    let qid = driver.create_io_queue(&mut ctrl, 256).unwrap();
+    let qid = driver.initialize(&mut ctrl, &[256]).unwrap()[0];
     for i in 0..CLIENTS * PER_CLIENT {
         let cmd = write_cmd(i * 8, vec![i as u8; 64]);
         let c = driver
@@ -350,4 +350,40 @@ fn dispatch_events_are_traced() {
         })
         .sum();
     assert_eq!(total, 2, "one dispatched completion per client");
+}
+
+/// A shard is an admin-created queue pair: bring-up is one Identify plus a
+/// Create-IO-CQ/SQ pair per shard on the one admin queue, and everything a
+/// shard's handle submits lands on that shard's one qid.
+#[test]
+fn a_shard_is_an_admin_created_queue_pair() {
+    const SHARDS: usize = 4;
+    let mut reactor = Reactor::new(ReactorConfig {
+        shards: SHARDS,
+        trace: true,
+        ..ReactorConfig::default()
+    })
+    .expect("reactor construction");
+    let admin_commands = reactor.controller().borrow().stats().admin_commands;
+    assert_eq!(admin_commands, 1 + 2 * SHARDS as u64);
+
+    for shard in 0..SHARDS {
+        let seen = reactor.trace().events().len();
+        let tasks: Vec<Task<Result<Completion, DriverError>>> = (0..3u64)
+            .map(|i| {
+                let handle = reactor.handle(shard);
+                let cmd = write_cmd(i * 8, vec![shard as u8; 64]);
+                Box::pin(async move { handle.submit(cmd, TransferMethod::ByteExpress).await }) as _
+            })
+            .collect();
+        for done in reactor.run(tasks) {
+            assert!(done.unwrap().status.is_success());
+        }
+        let inserted: Vec<u16> = reactor.trace().events()[seen..]
+            .iter()
+            .filter(|e| matches!(e.kind, bx_trace::EventKind::SqeInsert { .. }))
+            .filter_map(|e| e.cmd.map(|key| key.qid))
+            .collect();
+        assert_eq!(inserted, [shard as u16 + 1; 3], "shard {shard}");
+    }
 }

@@ -2,7 +2,7 @@
 //! first retry, retry cap, the idempotence guard, degradation trigger, and
 //! the re-promotion probe.
 
-use bx_driver::{DriverError, InlineMode, NvmeDriver, RetryPolicy, TransferMethod};
+use bx_driver::{DriverError, NvmeDriver, RetryPolicy, TransferMethod};
 use bx_hostsim::{FaultConfig, FaultInjector, Nanos};
 use bx_nvme::{IoOpcode, PassthruCmd, QueueId, Status};
 use bx_pcie::LinkConfig;
@@ -35,11 +35,8 @@ fn rig(policy: RetryPolicy, reassembly: bool) -> Rig {
         Box::new(BlockFirmware::new(dram, true))
     });
     let mut driver = NvmeDriver::new(bus.clone());
-    if reassembly {
-        driver.set_inline_mode(InlineMode::Reassembly);
-    }
     driver.set_retry_policy(Some(policy));
-    let qid = driver.create_io_queue(&mut ctrl, 256).unwrap();
+    let qid = driver.initialize(&mut ctrl, &[256]).unwrap()[0];
     Rig {
         bus,
         driver,

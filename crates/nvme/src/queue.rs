@@ -250,14 +250,15 @@ impl CqProducer {
     }
 }
 
-/// The BAR-resident doorbell registers: one SQ-tail and one CQ-head doorbell
-/// per queue pair.
+/// The BAR-resident doorbell registers the controller reads: one SQ-tail
+/// doorbell per queue pair. (A CQ-head doorbell write costs its posted MMIO
+/// write on the link and stores nothing: the controller does not model
+/// CQ-full.)
 ///
 /// The driver writes these via posted MMIO writes; the controller polls them.
 #[derive(Debug, Clone)]
 pub struct DoorbellArray {
     sq_tails: Vec<u16>,
-    cq_heads: Vec<u16>,
 }
 
 impl DoorbellArray {
@@ -265,7 +266,6 @@ impl DoorbellArray {
     pub fn new(queues: usize) -> Self {
         DoorbellArray {
             sq_tails: vec![0; queues],
-            cq_heads: vec![0; queues],
         }
     }
 
@@ -300,24 +300,10 @@ impl DoorbellArray {
         self.sq_tails[q.0 as usize]
     }
 
-    /// Writes the CQ head doorbell for `q`.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "out-of-range queue id is a documented panic (BAR access fault in hardware)"
-    )]
-    pub fn ring_cq_head(&mut self, q: QueueId, head: u16) {
-        debug_assert!(
-            (q.0 as usize) < self.cq_heads.len(),
-            "queue id out of range"
-        );
-        self.cq_heads[q.0 as usize] = head;
-    }
-
     /// A power cut: doorbells are BAR-resident volatile registers, so every
-    /// tail and head returns to its power-on value of zero.
+    /// tail returns to its power-on value of zero.
     pub fn power_cut(&mut self) {
         self.sq_tails.fill(0);
-        self.cq_heads.fill(0);
     }
 }
 
@@ -466,7 +452,6 @@ mod tests {
         let mut db = DoorbellArray::new(3);
         db.ring_sq_tail(QueueId(1), 5);
         db.ring_sq_tail(QueueId(2), 9);
-        db.ring_cq_head(QueueId(1), 2);
         assert_eq!(db.sq_tail(QueueId(1)), 5);
         assert_eq!(db.sq_tail(QueueId(2)), 9);
         assert_eq!(db.sq_tail(QueueId(0)), 0);

@@ -1,8 +1,10 @@
 //! The shared host↔device fabric: memory, link, doorbells, clock.
 //!
-//! The driver and the controller each hold a clone of [`SystemBus`]; clones
-//! share state, so a doorbell the driver rings is visible to the controller
-//! on its next poll, and every DMA flows through one set of traffic counters.
+//! The driver and the controller each hold a clone of [`SystemBus`] — one
+//! driver and one controller per platform, whoever builds it (`Device`, the
+//! reactor, a test rig). Clones share state, so a doorbell the driver rings
+//! is visible to the controller on its next poll, and every DMA flows
+//! through one set of traffic counters.
 //! The simulation is single-threaded (deterministic virtual time), so shared
 //! ownership is `Rc<RefCell<_>>`; the multi-threaded ordering stress harness
 //! lives separately in the driver crate.
@@ -111,10 +113,10 @@ impl Platform {
         self.host_posted_write(TrafficClass::Doorbell, 4);
     }
 
-    /// Rings a CQ head doorbell: the register update plus its posted
-    /// 4-byte MMIO write.
-    pub fn ring_cq_head(&mut self, qid: QueueId, head: u16) {
-        self.doorbells.ring_cq_head(qid, head);
+    /// Rings a CQ head doorbell: its posted 4-byte MMIO write. Nothing
+    /// reads the register (the controller does not model CQ-full), so
+    /// nothing is stored.
+    pub fn ring_cq_head(&mut self) {
         self.host_posted_write(TrafficClass::Doorbell, 4);
     }
 }

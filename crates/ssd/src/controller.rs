@@ -24,7 +24,7 @@ use crate::nand::{NandArray, NandConfig};
 use crate::reassembly::ReassemblyEngine;
 use crate::registers::{Register, RegisterFile};
 use crate::timing::ControllerTiming;
-use bx_hostsim::{DmaRegion, EventQueue, Nanos, PhysAddr};
+use bx_hostsim::{EventQueue, Nanos, PhysAddr};
 use bx_nvme::queue::CqProducer;
 use bx_nvme::sqe::DataPointerKind;
 use bx_nvme::{
@@ -43,7 +43,8 @@ pub enum FetchPolicy {
     #[default]
     QueueLocal,
     /// The §3.3.2 extension: chunks are self-describing and may be accepted
-    /// out of order (the driver must frame them with reassembly headers).
+    /// out of order. Advertised as `vendor.reassembly` in Identify, from
+    /// which the driver takes its chunk framing.
     Reassembly,
 }
 
@@ -94,7 +95,8 @@ pub struct ControllerConfig {
     /// [`Status::DataTransferError`] completion (reclaiming tracker SRAM
     /// instead of leaking it until reset).
     pub inline_stall_deadline: Nanos,
-    /// Identify data the controller advertises.
+    /// Identify data the controller advertises. `vendor.reassembly` is
+    /// derived from `fetch_policy`, whatever is set here.
     pub identify: IdentifyController,
     /// Whether command completion times serialize the whole device
     /// ([`ExecutionModel::Serial`], the default) or overlap via the
@@ -225,7 +227,6 @@ pub struct Controller {
     admin: Option<IoQueue>,
     /// CQs created by admin command but not yet bound to an SQ: cqid → (base, depth).
     pending_cqs: BTreeMap<u16, (PhysAddr, u16)>,
-    next_io_qid: u16,
     execution: ExecutionModel,
     /// Completions scheduled for future virtual instants (always empty
     /// under [`ExecutionModel::Serial`]).
@@ -274,6 +275,10 @@ impl Controller {
         ftl.set_trace(bus.trace.clone());
         let mut dram = DeviceDram::new(DRAM_CAPACITY);
         let firmware = firmware(&mut dram);
+        // The reassembly bit says "chunks carry reassembly headers": it is
+        // the fetch policy as the driver reads it, not a second setting.
+        let mut identify = cfg.identify;
+        identify.vendor.reassembly = cfg.fetch_policy == FetchPolicy::Reassembly;
         Controller {
             bus,
             timing: cfg.timing,
@@ -289,62 +294,15 @@ impl Controller {
             arbitration: cfg.arbitration,
             rr: 0,
             regs: RegisterFile::new(4096),
-            identify: cfg.identify,
+            identify,
             admin: None,
             pending_cqs: BTreeMap::new(),
-            next_io_qid: 1,
             execution: cfg.execution_model,
             deferred: EventQueue::new(),
             powered_off: false,
             scratch_payload: Vec::new(),
             scratch_extents: Vec::new(),
         }
-    }
-
-    /// Registers an I/O queue pair directly, bypassing the admin command
-    /// path (a shortcut for tests and simple rigs; [`crate::Controller::mmio_write`]
-    /// plus admin Create-IO-CQ/SQ commands is the full bring-up). Queue ids
-    /// are assigned densely from 1 — id 0 is the admin queue — and index the
-    /// doorbell array.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the regions do not match `depth` entries or the doorbell
-    /// array is too small.
-    pub fn register_io_queue(
-        &mut self,
-        sq_region: DmaRegion,
-        cq_region: DmaRegion,
-        depth: u16,
-    ) -> QueueId {
-        assert_eq!(sq_region.len(), depth as usize * SQE_BYTES);
-        assert_eq!(cq_region.len(), depth as usize * CQE_BYTES);
-        let id = QueueId(self.next_io_qid);
-        self.next_io_qid += 1;
-        let platform = self.bus.platform();
-        let p = &mut *platform.borrow_mut();
-        assert!(
-            (id.0 as usize) < p.doorbells.queues(),
-            "doorbell array too small for queue {id}"
-        );
-        // Queue-base registration rides two MMIO writes, issued back to back.
-        let t = p.link.host_posted_write(TrafficClass::Mmio, 8)
-            + p.link.host_posted_write(TrafficClass::Mmio, 8);
-        p.clock.advance(t);
-        self.queues.push(IoQueue {
-            id,
-            sq_base: sq_region.base(),
-            sq_depth: depth,
-            fetch_head: 0,
-            cq_base: cq_region.base(),
-            cq_depth: depth,
-            cq_prod: CqProducer::new(depth),
-            cqid: id.0,
-            bandslim_pending: None,
-            inline_pending: None,
-            weight: 1,
-        });
-        id
     }
 
     /// Sets a queue's weighted-round-robin share (clamped to at least 1 at
@@ -399,7 +357,6 @@ impl Controller {
             self.queues.clear();
             self.pending_cqs.clear();
             self.deferred.clear();
-            self.next_io_qid = 1;
         }
     }
 
@@ -827,7 +784,6 @@ impl Controller {
                     inline_pending: None,
                     weight: 1,
                 });
-                self.next_io_qid = self.next_io_qid.max(new.qid + 1);
                 CommandOutcome::ok(now)
             }
             op if op == AdminOpcode::DeleteIoSq as u8 => {
@@ -1386,7 +1342,6 @@ impl Controller {
         self.admin = None;
         self.pending_cqs.clear();
         self.deferred.clear();
-        self.next_io_qid = 1;
         self.rr = 0;
         self.reset_bar(p);
         self.bus.trace.emit(None, || EventKind::PowerCut {
@@ -1530,29 +1485,30 @@ mod tests {
 
     impl MiniDriver {
         fn new(bus: &SystemBus, ctrl: &mut Controller, depth: u16) -> Self {
-            let (sq_region, cq_region) = {
-                let platform = bus.platform();
-                let mem = &mut platform.borrow_mut().mem;
-                let sq = mem
-                    .alloc_contiguous((depth as usize * SQE_BYTES).div_ceil(bx_hostsim::PAGE_SIZE))
-                    .unwrap();
-                let cq_pages = (depth as usize * CQE_BYTES).div_ceil(bx_hostsim::PAGE_SIZE);
-                let cq = mem.alloc_contiguous(cq_pages).unwrap();
-                (
-                    DmaRegion::new(sq.base(), depth as usize * SQE_BYTES),
-                    DmaRegion::new(cq.base(), depth as usize * CQE_BYTES),
-                )
-            };
-            let qid = ctrl.register_io_queue(sq_region, cq_region, depth);
+            let pages = |bytes: usize| bytes.div_ceil(bx_hostsim::PAGE_SIZE);
+            let platform = bus.platform();
+            let p = &mut *platform.borrow_mut();
+            let sq = p.mem.alloc_contiguous(pages(depth as usize * SQE_BYTES));
+            let cq = p.mem.alloc_contiguous(pages(depth as usize * CQE_BYTES));
+            let (sq_base, cq_base) = (sq.unwrap().base(), cq.unwrap().base());
+            // A queue exists only if the admin handler validated it: the
+            // rig hands it the two SQEs a driver would queue.
+            let qid = ctrl.queues.len() as u16 + 1;
+            for sqe in [
+                admin::create_io_cq(0, qid, depth, cq_base),
+                admin::create_io_sq(1, qid, depth, sq_base, qid),
+            ] {
+                assert_eq!(ctrl.handle_admin(p, &sqe).status, Status::Success);
+            }
             MiniDriver {
                 bus: bus.clone(),
-                sq_base: sq_region.base(),
-                cq_base: cq_region.base(),
+                sq_base,
+                cq_base,
                 depth,
                 tail: 0,
                 cq_head: 0,
                 phase: true,
-                qid,
+                qid: QueueId(qid),
             }
         }
 

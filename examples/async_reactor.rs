@@ -1,7 +1,7 @@
 //! Async reactor: many concurrent clients over sharded NVMe queues.
 //!
-//! Builds a 4-shard [`Reactor`] (each shard owns its own driver and SQ/CQ
-//! pair on one shared simulated device), spawns a handful of client futures
+//! Builds a 4-shard [`Reactor`] (one driver on one simulated device, each
+//! shard owning one of its SQ/CQ pairs), spawns a handful of client futures
 //! per shard, and lets each one await a stream of small ByteExpress writes
 //! through the command-future API. Completions are routed back to the
 //! submitting shard by the waker-keyed dispatcher — including the

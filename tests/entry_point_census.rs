@@ -222,8 +222,8 @@ fn every_entry_point_across_the_configuration_product() {
     }
 }
 
-/// The same entry points as the reactor reaches them: two shards, each
-/// with its own driver on the one platform, one controller behind a cell.
+/// The same entry points as the reactor reaches them: two shards, each a
+/// queue pair of the one driver, driver and controller each behind a cell.
 #[test]
 fn two_shard_reactor_run() {
     let mut reactor = Reactor::new(ReactorConfig {

@@ -8,7 +8,7 @@ use byteexpress::driver::DriverError;
 use byteexpress::nvme::inline::MAX_INLINE_LEN;
 use byteexpress::{
     Device, DeviceBuilder, DeviceError, FaultConfig, IoOpcode, Nanos, PassthruCmd, QueueId,
-    RetryPolicy, Status, TransferMethod,
+    Reactor, ReactorConfig, RetryPolicy, Status, TransferMethod,
 };
 
 fn drop_every_doorbell() -> FaultConfig {
@@ -176,4 +176,20 @@ fn power_cycles_and_queue_deletion_return_every_host_page() {
     dev.write(3, &data, TransferMethod::Prp).unwrap();
     assert_eq!(dev.read(3, data.len()).unwrap(), data);
     assert_eq!(free_pages(&dev), idle);
+}
+
+/// One way to make a queue: the reactor brings its stack up with the admin
+/// commands `Device` brings up its own with — one Identify, then a
+/// Create-IO-CQ/SQ pair per queue.
+#[test]
+fn reactor_and_device_bring_up_the_same_way() {
+    let reactor = Reactor::new(ReactorConfig {
+        shards: 4,
+        ..ReactorConfig::default()
+    })
+    .expect("reactor construction");
+    let dev = Device::builder().queue_count(4).build();
+    let by_reactor = reactor.controller().borrow().stats().admin_commands;
+    assert_eq!(by_reactor, 1 + 2 * 4);
+    assert_eq!(by_reactor, dev.controller().stats().admin_commands);
 }
