@@ -9,8 +9,8 @@ use bx_hostsim::{FaultConfig, FaultCounters, Nanos};
 use bx_nvme::{IoOpcode, PassthruCmd, QueueId, Status};
 use bx_pcie::{LinkConfig, LinkConfigError, TrafficCounters};
 use bx_ssd::{
-    Arbitration, BlockFirmware, Controller, ControllerConfig, ControllerTiming, DeviceDram,
-    ExecutionModel, FetchPolicy, FirmwareHandler, NandConfig, RecoveryReport, SystemBus,
+    Arbitration, BlockFirmware, Controller, ControllerConfig, DeviceDram, ExecutionModel,
+    FetchPolicy, FirmwareHandler, NandConfig, RecoveryReport, SystemBus,
 };
 use std::fmt;
 
@@ -221,8 +221,8 @@ impl DeviceBuilder {
 
     /// Selects the controller's execution model. The default,
     /// [`ExecutionModel::Serial`], advances the global clock through every
-    /// command's full completion time at dispatch — the historical,
-    /// fully-serialized accounting, bit-identical run to run.
+    /// command's full completion time at dispatch — fully-serialized
+    /// accounting, bit-identical run to run.
     /// [`ExecutionModel::Pipelined`] decouples dispatch from completion via
     /// a deterministic event queue, so commands on different queues and
     /// NAND dies overlap in virtual time — the regime where queue-depth and
@@ -302,27 +302,11 @@ impl DeviceBuilder {
         }
         let nand_enabled = self.nand.enabled;
         let cfg = ControllerConfig {
-            timing: ControllerTiming::default(),
             nand: self.nand,
             fetch_policy: self.fetch_policy,
             arbitration: self.arbitration,
-            reassembly_sram: 64 << 10,
-            // Must stay below RetryPolicy::default().timeout (5 ms): a
-            // truncated train must be evicted (DataTransferError CQE)
-            // before the driver's deadline triggers a resubmission.
-            inline_stall_deadline: Nanos::from_ms(1),
             execution_model: self.execution_model,
-            identify: bx_nvme::IdentifyController {
-                vendor: bx_nvme::VendorCaps {
-                    byteexpress: true,
-                    bandslim: true,
-                    key_value: true,
-                    csd: true,
-                    // Derived from `fetch_policy` by `Controller::new`.
-                    reassembly: false,
-                },
-                ..Default::default()
-            },
+            ..Default::default()
         };
         let firmware = self.firmware.unwrap_or_else(|| {
             Box::new(move |dram: &mut DeviceDram| {

@@ -1,5 +1,5 @@
-//! The CSD firmware personality: table catalog, NAND-backed row store, and
-//! the in-storage filter executor.
+//! The CSD firmware personality: table catalog, row store over a
+//! [`PageStore`], and the in-storage filter executor.
 //!
 //! Execution model (YourSQL-style, §2.2.2): the device already holds table
 //! schemas and row pages; a pushdown task names a table and a predicate; the
@@ -13,7 +13,7 @@ use crate::schema::{Cursor, Schema};
 use crate::sql::{parse_predicate, parse_query};
 use bx_hostsim::{Nanos, PAGE_SIZE};
 use bx_nvme::{IoOpcode, Status, SubmissionEntry};
-use bx_ssd::{CommandOutcome, DeviceDram, FirmwareCtx, FirmwareHandler};
+use bx_ssd::{CommandOutcome, DeviceDram, FirmwareCtx, FirmwareHandler, PageStore};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -78,7 +78,8 @@ const RESULT_CAPACITY: usize = 1 << 20;
 /// The computational-storage firmware.
 #[derive(Debug)]
 pub(crate) struct CsdFirmware {
-    nand_io: bool,
+    /// Row pages; the scan pays NAND read time only, so the DRAM log is free.
+    pages: PageStore,
     timing: CsdTiming,
     tables: BTreeMap<String, TableState>,
     next_lpn: u64,
@@ -86,9 +87,6 @@ pub(crate) struct CsdFirmware {
     result_off: usize,
     result_len: usize,
     result_matches: u32,
-    /// NAND-off mode page log in DRAM.
-    dram_log_off: usize,
-    dram_log_pages: usize,
     stats: Rc<RefCell<CsdDeviceStats>>,
 }
 
@@ -107,24 +105,14 @@ impl CsdFirmware {
         let result = dram
             .alloc_region("csd-result", RESULT_CAPACITY)
             .expect("device DRAM too small for CSD result workspace");
-        let log_pages = (dram.remaining() / 2) / PAGE_SIZE;
-        #[expect(
-            clippy::expect_used,
-            reason = "construction-time sizing bug, not a runtime state; DRAM capacity is a build parameter"
-        )]
-        let log = dram
-            .alloc_region("csd-dram-log", log_pages * PAGE_SIZE)
-            .expect("device DRAM too small for CSD page log");
         CsdFirmware {
-            nand_io,
+            pages: PageStore::new(dram, "csd-dram-log", nand_io, Nanos::ZERO, Nanos::ZERO),
             timing: CsdTiming::default(),
             tables: BTreeMap::new(),
             next_lpn: 0,
             result_off: result.offset,
             result_len: 0,
             result_matches: 0,
-            dram_log_off: log.offset,
-            dram_log_pages: log_pages,
             stats,
         }
     }
@@ -175,15 +163,7 @@ impl CsdFirmware {
             }
             if 4 + state.staging.len() + encoded.len() > PAGE_SIZE {
                 // Flush the staged page.
-                match flush_table_page(
-                    state,
-                    &mut self.next_lpn,
-                    self.nand_io,
-                    self.dram_log_off,
-                    self.dram_log_pages,
-                    ctx,
-                    now,
-                ) {
+                match flush_table_page(state, &mut self.next_lpn, &self.pages, ctx, now) {
                     Ok(t) => now = t,
                     Err(s) => return CommandOutcome::fail(s, now),
                 }
@@ -301,30 +281,19 @@ impl CsdFirmware {
         };
 
         let mut matches = 0u32;
+        let mut page = Vec::with_capacity(PAGE_SIZE);
         for &(lpn, rows) in &state.pages {
-            let page: Vec<u8> = if self.nand_io {
-                match ctx.ftl.read(lpn, ctx.nand, now) {
-                    Ok((p, t)) => {
-                        now = t;
-                        p
-                    }
-                    Err(_) => {
-                        status = Status::InternalError;
-                        break;
-                    }
+            page.clear();
+            match self
+                .pages
+                .read_range(ctx, lpn, 0, PAGE_SIZE, now, &mut page)
+            {
+                Ok(t) => now = t,
+                Err(_) => {
+                    status = Status::InternalError;
+                    break;
                 }
-            } else {
-                match ctx
-                    .dram
-                    .read(self.dram_log_off + lpn as usize * PAGE_SIZE, PAGE_SIZE)
-                {
-                    Ok(p) => p.to_vec(),
-                    Err(_) => {
-                        status = Status::InternalError;
-                        break;
-                    }
-                }
-            };
+            }
             // Skip the per-page row-count header.
             let s = scan_page(&page[4..], rows, &mut now, &mut result, &mut matches);
             if s != Status::Success {
@@ -385,13 +354,11 @@ impl CsdFirmware {
     }
 }
 
-/// Flushes a table's staged rows as one page (NAND or DRAM log).
+/// Flushes a table's staged rows as one page.
 fn flush_table_page(
     state: &mut TableState,
     next_lpn: &mut u64,
-    nand_io: bool,
-    dram_log_off: usize,
-    dram_log_pages: usize,
+    pages: &PageStore,
     ctx: &mut FirmwareCtx<'_>,
     now: Nanos,
 ) -> Result<Nanos, Status> {
@@ -399,22 +366,7 @@ fn flush_table_page(
     let mut page = vec![0u8; PAGE_SIZE];
     page[..4].copy_from_slice(&state.staging_rows.to_le_bytes());
     page[4..4 + state.staging.len()].copy_from_slice(&state.staging);
-    let done = if nand_io {
-        if lpn >= ctx.ftl.capacity_pages() {
-            return Err(Status::CapacityExceeded);
-        }
-        ctx.ftl
-            .write(lpn, &page, ctx.nand, now)
-            .map_err(|_| Status::InternalError)?
-    } else {
-        if lpn as usize >= dram_log_pages {
-            return Err(Status::CapacityExceeded);
-        }
-        ctx.dram
-            .write(dram_log_off + lpn as usize * PAGE_SIZE, &page)
-            .map_err(|_| Status::InternalError)?;
-        now
-    };
+    let done = pages.write(ctx, lpn, &page, now)?;
     state.pages.push((lpn, state.staging_rows));
     state.staging.clear();
     state.staging_rows = 0;

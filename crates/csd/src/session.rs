@@ -52,9 +52,10 @@ impl From<DeviceError> for CsdError {
 /// Configuration for opening a [`CsdSession`].
 #[derive(Debug, Clone)]
 pub struct CsdConfig {
-    /// NAND I/O on or off.
+    /// NAND I/O on or off. Read only when `nand` is `None`.
     pub nand_io: bool,
-    /// NAND geometry override.
+    /// NAND array override. When given, its `enabled` decides the mode and
+    /// `nand_io` is ignored.
     pub nand: Option<NandConfig>,
     /// Queue depth.
     pub queue_depth: u16,
@@ -100,9 +101,11 @@ impl CsdSession {
     pub fn open(cfg: CsdConfig) -> Self {
         let stats = Rc::new(RefCell::new(CsdDeviceStats::default()));
         let stats_for_fw = Rc::clone(&stats);
-        let nand_io = cfg.nand_io;
+        // The array the device is built with decides the mode, so firmware
+        // and NAND cannot disagree.
+        let nand_io = cfg.nand.as_ref().map_or(cfg.nand_io, |n| n.enabled);
         let mut builder = Device::builder()
-            .nand_io(cfg.nand_io)
+            .nand_io(nand_io)
             .queue_depth(cfg.queue_depth)
             .firmware(move |dram| Box::new(CsdFirmware::with_stats(dram, nand_io, stats_for_fw)));
         if let Some(nand) = cfg.nand {
@@ -357,5 +360,33 @@ mod tests {
             s.load_rows(&schema, &bad).unwrap_err(),
             CsdError::RowSchemaMismatch
         );
+    }
+
+    /// A `nand` override decides the mode whatever `nand_io` says: every row
+    /// scans back and the array is read exactly when it is enabled.
+    #[test]
+    fn nand_override_decides_the_mode() {
+        for (nand_io, nand) in [(true, NandConfig::disabled()), (false, NandConfig::small())] {
+            let mut s = CsdSession::open(CsdConfig {
+                nand_io,
+                nand: Some(nand.clone()),
+                ..Default::default()
+            });
+            let schema = schema();
+            s.create_table(&schema).unwrap();
+            s.load_rows(&schema, &rows(2000)).unwrap();
+            s.pushdown(
+                "",
+                "particles",
+                "id >= 0",
+                TaskEncoding::Segment,
+                TransferMethod::ByteExpress,
+            )
+            .unwrap();
+            let got = s.fetch_results(&schema).unwrap();
+            assert!(got == rows(2000), "nand_io {nand_io}: rows differ");
+            let reads = s.device().controller().nand_stats().reads;
+            assert_eq!(reads > 0, nand.enabled, "nand_io {nand_io}");
+        }
     }
 }

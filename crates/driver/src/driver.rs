@@ -227,11 +227,10 @@ impl Inflight {
 }
 
 /// Fixed-layout in-flight command table: a dense slab of `(cid, Inflight)`
-/// slots addressed through a cid→slot index, replacing the `HashMap` an
-/// earlier version used. Two wins: lookups/inserts/removals never hash and
-/// never allocate in steady state (slots and the free list retain capacity),
-/// and iteration order is the deterministic slot order — no randomized-hash
-/// order can reach completion or reap ordering.
+/// slots addressed through a cid→slot index. Lookups/inserts/removals never
+/// hash and never allocate in steady state (slots and the free list retain
+/// capacity), and iteration order is the deterministic slot order — no
+/// randomized-hash order can reach completion or reap ordering.
 #[derive(Debug, Default)]
 struct InflightTable {
     /// cid → slot index + 1; 0 means the cid is not in flight. Sized to the
@@ -992,8 +991,7 @@ impl NvmeDriver {
         inline::set_inline_len(&mut sqe, data.len());
 
         // Chunks are encoded one at a time into a stack buffer as they are
-        // placed in the ring — the per-train `Vec<[u8; 64]>` an earlier
-        // version materialized is gone, so submission is allocation-free.
+        // placed in the ring, so submission is allocation-free.
         let needed = 1 + n_chunks as u16;
         let (bus, timing) = (&self.bus, &self.timing);
         // Fault hook: lose one chunk of a reassembly train before it is
@@ -1238,6 +1236,10 @@ impl NvmeDriver {
     ///
     /// [`DriverError::UnknownQueue`] for a bad queue id.
     pub fn flush_sq(&mut self, qid: QueueId) -> Result<bool, DriverError> {
+        // The reactor calls this per shard per turn: look before borrowing.
+        if self.queue_mut(qid)?.pending_tail.is_none() {
+            return Ok(false);
+        }
         let platform = self.bus.platform();
         let p = &mut *platform.borrow_mut();
         self.flush_staged(p, qid)
@@ -1388,6 +1390,22 @@ impl NvmeDriver {
         let mut consumed_since_ring = 0u64;
         let mut spurious = 0u64;
         let qp = queue_in(&mut self.queues, qid)?;
+        // One completion, from a byte-interface status word or a ring CQE.
+        // One for a command no longer tracked is late or duplicate, e.g. the
+        // original attempt completing after a timeout reap and resubmission.
+        // Its effect is idempotent by the retry guard; consume and count it
+        // instead of falsifying its submission time.
+        let (inflight, spare) = (&mut qp.inflight, &mut self.spare_page_lists);
+        let mut consume = |p: &mut Platform, cid: u16, status: Status, result: u32| {
+            let cmd = inflight.remove(cid);
+            spurious += u64::from(cmd.is_none() && policy.is_some());
+            bus.trace
+                .emit_cmd(CmdKey::new(qid.0, cid), || EventKind::CompletionConsumed {
+                    status: status.to_wire(),
+                });
+            let now = bus.clock.now();
+            retire(p, spare, cmd, (cid, status, result), now).map(|done| out.push(done))
+        };
         // Byte-interface completions are polled from the BAR status area
         // (one synchronous MMIO read per poll sweep when any are pending).
         // Only status words stamped with THIS queue's id are consumed — the
@@ -1405,21 +1423,7 @@ impl NvmeDriver {
                     continue;
                 }
                 p.mmio_window.completions.remove(i);
-                let inflight = qp.inflight.remove(c.cid);
-                // Same accounting as the CQE ring path below: a status word
-                // for an untracked cid is late or duplicate (e.g. the
-                // original attempt completing after a timeout reap and
-                // resubmission). Count it instead of silently falsifying
-                // its submission time.
-                spurious += u64::from(inflight.is_none() && policy.is_some());
-                bus.trace.emit_cmd(CmdKey::new(qid.0, c.cid), || {
-                    EventKind::CompletionConsumed {
-                        status: c.status.to_wire(),
-                    }
-                });
-                let now = bus.clock.now();
-                let done = (c.cid, c.status, c.result);
-                out.push(retire(p, &mut self.spare_page_lists, inflight, done, now)?);
+                consume(p, c.cid, c.status, c.result)?;
             }
         }
         loop {
@@ -1442,21 +1446,7 @@ impl NvmeDriver {
                 cq_rings += 1;
                 consumed_since_ring = 0;
             }
-
-            let inflight = qp.inflight.remove(cqe.cid());
-            // A CQE for a command no longer tracked: late or duplicate,
-            // e.g. the original attempt completing after a timeout reap and
-            // resubmission. Its effect is idempotent by the retry guard;
-            // consume and count it.
-            spurious += u64::from(inflight.is_none() && policy.is_some());
-            bus.trace.emit_cmd(CmdKey::new(qid.0, cqe.cid()), || {
-                EventKind::CompletionConsumed {
-                    status: cqe.status().to_wire(),
-                }
-            });
-            let now = bus.clock.now();
-            let done = (cqe.cid(), cqe.status(), cqe.result());
-            out.push(retire(p, &mut self.spare_page_lists, inflight, done, now)?);
+            consume(p, cqe.cid(), cqe.status(), cqe.result())?;
         }
         // Timeout detection: reap in-flight commands past their deadline as
         // synthetic CommandAborted completions (retriable, DNR clear), so a

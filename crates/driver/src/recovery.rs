@@ -229,8 +229,10 @@ mod tests {
 
     #[test]
     fn default_timeout_exceeds_controller_stall_deadline() {
-        // The recovery-ordering invariant: controller evicts stalled trains
-        // (default 1 ms) before the driver's per-command deadline expires.
-        assert!(RetryPolicy::default().timeout > Nanos::from_ms(1));
+        // The recovery-ordering invariant: the controller evicts a truncated
+        // train (DataTransferError CQE) before the driver's per-command
+        // deadline triggers a resubmission.
+        let stall_deadline = bx_ssd::ControllerConfig::default().inline_stall_deadline;
+        assert!(RetryPolicy::default().timeout > stall_deadline);
     }
 }

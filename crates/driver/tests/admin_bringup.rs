@@ -202,11 +202,7 @@ fn registers_behave_like_hardware() {
 #[test]
 fn controller_without_byteexpress_cap_gates_the_driver() {
     let identify = IdentifyController {
-        vendor: VendorCaps {
-            byteexpress: false,
-            bandslim: true,
-            ..VendorCaps::default()
-        },
+        vendor: VendorCaps::default(),
         ..Default::default()
     };
     let (_bus, mut ctrl, mut driver) = platform(ControllerConfig {

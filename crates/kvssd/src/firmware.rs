@@ -2,15 +2,15 @@
 //!
 //! A log-structured value store: PUTs append `[key(16) | len(2)]` headers +
 //! value bytes into a DRAM staging page, DELETEs append a header alone with
-//! the tombstone length; full pages flush to NAND through the FTL (when
-//! NAND I/O is enabled). The key index lives in device DRAM (a `BTreeMap`,
-//! deterministic iteration for the iterator command) and is rebuilt from
-//! the on-media headers after a power cycle
+//! the tombstone length; full pages flush to the firmware's [`PageStore`]
+//! (NAND through the FTL, or a DRAM log with NAND off). The key index lives
+//! in device DRAM (a `BTreeMap`, deterministic iteration for the iterator
+//! command) and is rebuilt from the on-media headers after a power cycle
 //! ([`FirmwareHandler::on_power_cycle`]).
 
 use bx_hostsim::{Nanos, PAGE_SIZE};
 use bx_nvme::{IoOpcode, Status, SubmissionEntry};
-use bx_ssd::{CommandOutcome, DeviceDram, FirmwareCtx, FirmwareHandler};
+use bx_ssd::{CommandOutcome, DeviceDram, FirmwareCtx, FirmwareHandler, PageStore};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -113,7 +113,8 @@ impl Default for KvTiming {
 /// The key-value firmware personality.
 #[derive(Debug)]
 pub struct KvFirmware {
-    nand_io: bool,
+    /// Flushed log pages.
+    pages: PageStore,
     /// Write-through durability: every PUT re-programs the partial staging
     /// page to NAND before acking, so acked values survive a power cut.
     durable_puts: bool,
@@ -124,10 +125,6 @@ pub struct KvFirmware {
     staging_used: usize,
     /// The log LPN the staging page will flush into.
     next_lpn: u64,
-    /// With NAND off, flushed pages are retained in a DRAM log region
-    /// instead (pure-transfer benchmarking still gets correct GETs).
-    dram_log_off: usize,
-    dram_log_pages: usize,
     stats: Rc<RefCell<KvDeviceStats>>,
 }
 
@@ -147,25 +144,21 @@ impl KvFirmware {
         let staging = dram
             .alloc_region("kv-staging", PAGE_SIZE)
             .expect("device DRAM too small for KV staging");
-        // DRAM-resident log for NAND-off mode: half the remaining DRAM.
-        let log_pages = (dram.remaining() / 2) / PAGE_SIZE;
-        #[expect(
-            clippy::expect_used,
-            reason = "construction-time sizing bug, not a runtime state; DRAM capacity is a build parameter"
-        )]
-        let log = dram
-            .alloc_region("kv-dram-log", log_pages * PAGE_SIZE)
-            .expect("device DRAM too small for KV log");
+        let timing = KvTiming::default();
         KvFirmware {
-            nand_io,
+            pages: PageStore::new(
+                dram,
+                "kv-dram-log",
+                nand_io,
+                timing.log_append,
+                timing.dram_read,
+            ),
             durable_puts: false,
-            timing: KvTiming::default(),
+            timing,
             index: BTreeMap::new(),
             staging_off: staging.offset,
             staging_used: 0,
             next_lpn: 0,
-            dram_log_off: log.offset,
-            dram_log_pages: log_pages,
             stats,
         }
     }
@@ -174,8 +167,8 @@ impl KvFirmware {
     /// partial staging page is re-programmed to the current log LPN, so the
     /// ack implies durability (the durable-linearizability contract). Costs
     /// a NAND program per PUT — the price the default volatile-staging mode
-    /// avoids. Requires `nand_io`; meaningless (and ignored) without it,
-    /// since the DRAM log is itself volatile.
+    /// avoids. With NAND off the write-through lands in the DRAM log, which
+    /// is as volatile as the staging page: it buys nothing there.
     pub fn set_durable_puts(&mut self, on: bool) {
         self.durable_puts = on;
     }
@@ -185,22 +178,7 @@ impl KvFirmware {
         if self.staging_used == 0 {
             return Ok(now);
         }
-        let lpn = self.next_lpn;
-        let done = if self.nand_io {
-            self.program_staging(ctx, now)?
-        } else {
-            if (lpn as usize) >= self.dram_log_pages {
-                return Err(Status::CapacityExceeded);
-            }
-            ctx.dram
-                .copy_within(
-                    self.staging_off,
-                    self.dram_log_off + lpn as usize * PAGE_SIZE,
-                    PAGE_SIZE,
-                )
-                .map_err(|_| Status::InternalError)?;
-            now + self.timing.log_append
-        };
+        let done = self.program_staging(ctx, now)?;
         // Every index entry pointing into the staging page carries this
         // LPN already: moving the frontier is what makes them flushed.
         self.next_lpn += 1;
@@ -214,19 +192,11 @@ impl KvFirmware {
         Ok(done)
     }
 
-    /// Programs the staging page, as it stands, to the current log LPN,
+    /// Writes the staging page, as it stands, to the current log LPN,
     /// straight from device DRAM. Returns the completion instant.
     fn program_staging(&self, ctx: &mut FirmwareCtx<'_>, now: Nanos) -> Result<Nanos, Status> {
-        if self.next_lpn >= ctx.ftl.capacity_pages() {
-            return Err(Status::CapacityExceeded);
-        }
-        let page = ctx
-            .dram
-            .read(self.staging_off, PAGE_SIZE)
-            .map_err(|_| Status::InternalError)?;
-        ctx.ftl
-            .write(self.next_lpn, page, ctx.nand, now)
-            .map_err(|_| Status::InternalError)
+        self.pages
+            .write_from_dram(ctx, self.next_lpn, self.staging_off, now)
     }
 
     /// Appends one log entry — header plus `value` — to the staging page,
@@ -264,7 +234,7 @@ impl KvFirmware {
     /// cut can at worst fall back to the previous write-through of the same
     /// LPN — exactly the last acked state.
     fn write_through(&self, ctx: &mut FirmwareCtx<'_>, now: &mut Nanos) -> Result<(), Status> {
-        if self.durable_puts && self.nand_io {
+        if self.durable_puts {
             *now = self.program_staging(ctx, *now)?;
         }
         Ok(())
@@ -307,25 +277,20 @@ impl KvFirmware {
         };
         self.stats.borrow_mut().hits += 1;
         let (off, len) = (loc.off as usize, loc.len as usize);
-        // The page being filled is the DRAM staging page; with NAND off the
-        // flushed ones are in DRAM too.
-        let dram_page = if loc.lpn == self.next_lpn {
-            Some(self.staging_off)
-        } else if !self.nand_io {
-            Some(self.dram_log_off + loc.lpn as usize * PAGE_SIZE)
-        } else {
-            None
-        };
         let mut value = Vec::with_capacity(len);
-        let done = match dram_page {
-            Some(page) => ctx.dram.read(page + off, len).ok().map(|bytes| {
-                value.extend_from_slice(bytes);
-                now + self.timing.dram_read
-            }),
-            None => ctx
-                .ftl
-                .read_range(loc.lpn, off, len, ctx.nand, now, &mut value)
-                .ok(),
+        // The page being filled is the DRAM staging page.
+        let done = if loc.lpn == self.next_lpn {
+            ctx.dram
+                .read(self.staging_off + off, len)
+                .ok()
+                .map(|bytes| {
+                    value.extend_from_slice(bytes);
+                    now + self.timing.dram_read
+                })
+        } else {
+            self.pages
+                .read_range(ctx, loc.lpn, off, len, now, &mut value)
+                .ok()
         };
         let Some(done) = done else {
             return CommandOutcome::fail(Status::InternalError, now);
@@ -426,7 +391,7 @@ impl KvFirmware {
     }
 
     /// Rebuilds the index by scanning entry headers in the persisted log
-    /// below `next_lpn`. Only NAND-persisted pages survive a power loss;
+    /// below `next_lpn`. Only pages persisted to NAND survive a power loss;
     /// entries still in the DRAM staging page are honestly lost, matching
     /// the durability semantics of any volatile write buffer without a
     /// capacitor.
@@ -436,28 +401,17 @@ impl KvFirmware {
     fn recover_index(&mut self, ctx: &mut FirmwareCtx<'_>) {
         self.index.clear();
         let mut now = ctx.now;
-        let mut nand_page = Vec::with_capacity(PAGE_SIZE);
+        let mut page = Vec::with_capacity(PAGE_SIZE);
         for lpn in 0..self.next_lpn {
-            let page = if self.nand_io {
-                nand_page.clear();
-                match ctx
-                    .ftl
-                    .read_range(lpn, 0, PAGE_SIZE, ctx.nand, now, &mut nand_page)
-                {
-                    Ok(t) => now = t,
-                    Err(_) => continue,
-                }
-                &nand_page
-            } else {
-                match ctx
-                    .dram
-                    .read(self.dram_log_off + lpn as usize * PAGE_SIZE, PAGE_SIZE)
-                {
-                    Ok(p) => p,
-                    Err(_) => continue,
-                }
-            };
-            Self::replay_page(&mut self.index, page, lpn);
+            page.clear();
+            match self
+                .pages
+                .read_range(ctx, lpn, 0, PAGE_SIZE, now, &mut page)
+            {
+                Ok(t) => now = t,
+                Err(_) => continue,
+            }
+            Self::replay_page(&mut self.index, &page, lpn);
         }
     }
 
@@ -528,16 +482,11 @@ impl FirmwareHandler for KvFirmware {
     }
 
     fn on_power_cycle(&mut self, mut ctx: FirmwareCtx<'_>) {
-        // Volatile cursors are gone with DRAM. The log LPN frontier is
-        // re-derived from the recovered FTL map: the log is written
-        // strictly sequentially, so the mapped prefix IS the persisted log.
+        // Volatile cursors are gone with DRAM. The log is written strictly
+        // sequentially, so the persisted prefix IS the log, and its length
+        // the LPN frontier.
         self.staging_used = 0;
-        self.next_lpn = 0;
-        if self.nand_io {
-            while self.next_lpn < ctx.ftl.capacity_pages() && ctx.ftl.is_mapped(self.next_lpn) {
-                self.next_lpn += 1;
-            }
-        }
+        self.next_lpn = self.pages.persisted_prefix(&ctx);
         self.recover_index(&mut ctx);
     }
 }

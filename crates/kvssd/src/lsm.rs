@@ -7,12 +7,13 @@
 //!
 //! * a DRAM **memtable** (`BTreeMap`, tombstones as `None`) bounded by a byte
 //!   budget;
-//! * **sorted runs** on NAND: L0 holds flushed memtables (overlapping key
-//!   ranges, newest last), L1 is a single merged, tombstone-free run;
+//! * **sorted runs** in a [`PageStore`] (NAND, or a DRAM log with NAND off):
+//!   L0 holds flushed memtables (overlapping key ranges, newest last), L1 is
+//!   a single merged, tombstone-free run;
 //! * **compaction**: when L0 exceeds its run budget, all of L0 merges with
 //!   L1 into a fresh L1 run, and the old runs' pages are TRIMmed back to the
-//!   FTL — so compaction traffic and GC interact the way they do on a real
-//!   device, and put-latency tails show flush/compaction spikes;
+//!   store — so on NAND compaction traffic and GC interact the way they do
+//!   on a real device, and put-latency tails show flush/compaction spikes;
 //! * **range scans**: the `KvRangeScan` command streams ordered key-value
 //!   pairs from any start key — the iterator extension that motivates the
 //!   baseline KVSSD.
@@ -24,7 +25,7 @@
 use crate::firmware::{key_from_sqe, KvTiming, PaddedKey, MAX_KEY_LEN, MAX_VALUE_LEN};
 use bx_hostsim::{Nanos, PAGE_SIZE};
 use bx_nvme::{IoOpcode, Status, SubmissionEntry};
-use bx_ssd::{CommandOutcome, DeviceDram, FirmwareCtx, FirmwareHandler};
+use bx_ssd::{CommandOutcome, DeviceDram, FirmwareCtx, FirmwareHandler, PageStore};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -77,7 +78,8 @@ struct RunMeta {
 /// The LSM firmware personality.
 #[derive(Debug)]
 pub(crate) struct LsmKvFirmware {
-    nand_io: bool,
+    /// Run pages.
+    pages: PageStore,
     timing: KvTiming,
     memtable: BTreeMap<PaddedKey, Option<Vec<u8>>>,
     memtable_bytes: usize,
@@ -88,9 +90,6 @@ pub(crate) struct LsmKvFirmware {
     l1: Option<RunMeta>,
     next_lpn: u64,
     free_lpns: Vec<u64>,
-    /// NAND-off fallback: run pages live in a DRAM log region.
-    dram_log_off: usize,
-    dram_log_pages: usize,
     stats: Rc<RefCell<LsmStats>>,
 }
 
@@ -102,17 +101,16 @@ impl LsmKvFirmware {
         nand_io: bool,
         stats: Rc<RefCell<LsmStats>>,
     ) -> Self {
-        let log_pages = (dram.remaining() / 2) / PAGE_SIZE;
-        #[expect(
-            clippy::expect_used,
-            reason = "construction-time sizing bug, not a runtime state; DRAM capacity is a build parameter"
-        )]
-        let log = dram
-            .alloc_region("lsm-dram-log", log_pages * PAGE_SIZE)
-            .expect("device DRAM too small for LSM page log");
+        let timing = KvTiming::default();
         LsmKvFirmware {
-            nand_io,
-            timing: KvTiming::default(),
+            pages: PageStore::new(
+                dram,
+                "lsm-dram-log",
+                nand_io,
+                timing.log_append,
+                timing.dram_read,
+            ),
+            timing,
             memtable: BTreeMap::new(),
             memtable_bytes: 0,
             memtable_budget: 32 << 10,
@@ -120,13 +118,11 @@ impl LsmKvFirmware {
             l1: None,
             next_lpn: 0,
             free_lpns: Vec::new(),
-            dram_log_off: log.offset,
-            dram_log_pages: log_pages,
             stats,
         }
     }
 
-    // --- page backend (NAND via FTL, or the DRAM log in NAND-off mode) ---
+    // --- run pages ---
 
     fn alloc_lpn(&mut self) -> u64 {
         self.free_lpns.pop().unwrap_or_else(|| {
@@ -144,22 +140,7 @@ impl LsmKvFirmware {
         now: Nanos,
     ) -> Result<Nanos, Status> {
         self.stats.borrow_mut().pages_written += 1;
-        if self.nand_io {
-            if lpn >= ctx.ftl.capacity_pages() {
-                return Err(Status::CapacityExceeded);
-            }
-            ctx.ftl
-                .write(lpn, page, ctx.nand, now)
-                .map_err(|_| Status::InternalError)
-        } else {
-            if lpn as usize >= self.dram_log_pages {
-                return Err(Status::CapacityExceeded);
-            }
-            ctx.dram
-                .write(self.dram_log_off + lpn as usize * PAGE_SIZE, page)
-                .map_err(|_| Status::InternalError)?;
-            Ok(now + self.timing.log_append)
-        }
+        self.pages.write(ctx, lpn, page, now)
     }
 
     fn read_page(
@@ -169,25 +150,16 @@ impl LsmKvFirmware {
         now: Nanos,
     ) -> Result<(Vec<u8>, Nanos), Status> {
         self.stats.borrow_mut().pages_read += 1;
-        if self.nand_io {
-            ctx.ftl
-                .read(lpn, ctx.nand, now)
-                .map_err(|_| Status::InternalError)
-        } else {
-            let page = ctx
-                .dram
-                .read(self.dram_log_off + lpn as usize * PAGE_SIZE, PAGE_SIZE)
-                .map_err(|_| Status::InternalError)?
-                .to_vec();
-            Ok((page, now + self.timing.dram_read))
-        }
+        let mut page = Vec::with_capacity(PAGE_SIZE);
+        let done = self
+            .pages
+            .read_range(ctx, lpn, 0, PAGE_SIZE, now, &mut page)?;
+        Ok((page, done))
     }
 
     fn free_run(&mut self, ctx: &mut FirmwareCtx<'_>, run: RunMeta) {
         for lpn in run.pages {
-            if self.nand_io {
-                let _ = ctx.ftl.trim(lpn, ctx.now);
-            }
+            self.pages.trim(ctx, lpn);
             self.free_lpns.push(lpn);
         }
     }

@@ -75,9 +75,11 @@ pub enum KvEngine {
 pub struct KvStoreConfig {
     /// Transfer method for PUT values (the Fig 6 variable).
     pub method: TransferMethod,
-    /// NAND I/O on (Fig 6) or off (pure transfer measurement).
+    /// NAND I/O on (Fig 6) or off (pure transfer measurement). Read only
+    /// when `nand` is `None`.
     pub nand_io: bool,
-    /// NAND geometry override (e.g. a larger array for million-PUT runs).
+    /// NAND array override (e.g. a larger one for million-PUT runs). When
+    /// given, its `enabled` decides the mode and `nand_io` is ignored.
     pub nand: Option<NandConfig>,
     /// Queue depth.
     pub queue_depth: u16,
@@ -93,8 +95,8 @@ pub struct KvStoreConfig {
     pub retry: Option<RetryPolicy>,
     /// Fault schedule to arm at build time (e.g. a power-cut countdown).
     pub fault_config: Option<FaultConfig>,
-    /// Write-through durable PUTs (hash-log engine, `nand_io` only): the
-    /// ack implies the value survives any power cut. See
+    /// Write-through durable PUTs (hash-log engine, NAND on): the ack
+    /// implies the value survives any power cut. See
     /// [`KvFirmware::set_durable_puts`].
     pub durable_puts: bool,
 }
@@ -141,10 +143,12 @@ impl KvStore {
     pub fn open(cfg: KvStoreConfig) -> Self {
         let stats = Rc::new(RefCell::new(KvDeviceStats::default()));
         let lsm_stats = Rc::new(RefCell::new(LsmStats::default()));
-        let nand_io = cfg.nand_io;
+        // The array the device is built with decides the mode, so firmware
+        // and NAND cannot disagree.
+        let nand_io = cfg.nand.as_ref().map_or(cfg.nand_io, |n| n.enabled);
         let durable_puts = cfg.durable_puts;
         let mut builder = Device::builder()
-            .nand_io(cfg.nand_io)
+            .nand_io(nand_io)
             .queue_depth(cfg.queue_depth)
             .execution_model(cfg.execution)
             .fetch_policy(cfg.fetch);
@@ -520,5 +524,32 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(s.get(b"k42").unwrap().unwrap(), b"value 42");
+    }
+
+    /// A `nand` override decides the mode whatever `nand_io` says, for both
+    /// engines: every value reads back and the array is touched exactly when
+    /// it is enabled.
+    #[test]
+    fn nand_override_decides_the_mode() {
+        for engine in [KvEngine::HashLog, KvEngine::Lsm] {
+            for (nand_io, nand) in [(true, NandConfig::disabled()), (false, NandConfig::small())] {
+                let mut s = KvStore::open(KvStoreConfig {
+                    nand_io,
+                    nand: Some(nand.clone()),
+                    engine,
+                    ..Default::default()
+                });
+                let value = |i: u32| vec![(i % 251) as u8 + 1; 300];
+                for i in 0..200u32 {
+                    s.put(format!("k{i}").as_bytes(), &value(i)).unwrap();
+                }
+                for i in 0..200u32 {
+                    let got = s.get(format!("k{i}").as_bytes()).unwrap();
+                    assert_eq!(got, Some(value(i)), "{engine:?} nand_io {nand_io} key {i}");
+                }
+                let programs = s.device().controller().nand_stats().programs;
+                assert_eq!(programs > 0, nand.enabled, "{engine:?} nand_io {nand_io}");
+            }
+        }
     }
 }

@@ -8,7 +8,9 @@
 
 use std::fmt;
 
-/// Vendor capability flags (byte 3072 of the identify page, vendor region).
+/// Vendor capability flags (byte 3072 of the identify page, vendor region):
+/// bit 0 and bit 1; the rest of the byte is reserved, written as zero and
+/// ignored on decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct VendorCaps {
     /// Device fetches ByteExpress inline chunk trains (queue-local).
@@ -16,30 +18,17 @@ pub struct VendorCaps {
     /// Device supports the identifier-based out-of-order reassembly
     /// extension (§3.3.2).
     pub reassembly: bool,
-    /// Device consumes BandSlim fragment commands.
-    pub bandslim: bool,
-    /// Device executes KV vendor commands.
-    pub key_value: bool,
-    /// Device executes CSD pushdown commands.
-    pub csd: bool,
 }
 
 impl VendorCaps {
     fn to_byte(self) -> u8 {
-        (self.byteexpress as u8)
-            | (self.reassembly as u8) << 1
-            | (self.bandslim as u8) << 2
-            | (self.key_value as u8) << 3
-            | (self.csd as u8) << 4
+        (self.byteexpress as u8) | (self.reassembly as u8) << 1
     }
 
     fn from_byte(b: u8) -> Self {
         VendorCaps {
             byteexpress: b & 1 != 0,
             reassembly: b & 2 != 0,
-            bandslim: b & 4 != 0,
-            key_value: b & 8 != 0,
-            csd: b & 16 != 0,
         }
     }
 }
@@ -88,9 +77,6 @@ impl Default for IdentifyController {
             vendor: VendorCaps {
                 byteexpress: true,
                 reassembly: true,
-                bandslim: true,
-                key_value: false,
-                csd: false,
             },
         }
     }
@@ -182,11 +168,11 @@ mod tests {
         let caps = VendorCaps {
             byteexpress: true,
             reassembly: false,
-            bandslim: true,
-            key_value: true,
-            csd: false,
         };
+        assert_eq!(caps.to_byte(), 0b01);
         assert_eq!(VendorCaps::from_byte(caps.to_byte()), caps);
+        // Reserved bits are tolerated, not decoded.
+        assert_eq!(VendorCaps::from_byte(0b1111_1101), caps);
     }
 
     #[test]

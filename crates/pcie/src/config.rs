@@ -8,8 +8,8 @@ use std::fmt;
 /// The config struct's fields are public (ablation studies build them by
 /// hand), so validity is enforced at the consumption boundary:
 /// [`LinkConfig::validate`] is called by the device builder before a link is
-/// wired up, turning a misconfigured link into a hard error instead of the
-/// silently clamped traffic numbers it used to produce.
+/// wired up, turning a misconfigured link into a hard error instead of
+/// silently clamped traffic numbers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LinkConfigError {
     /// `max_payload_size` is not a power of two in 128..=4096.

@@ -64,11 +64,10 @@ impl TlpStream {
 /// A zero-length write (pure doorbell with no data would not exist — doorbells
 /// carry 4 bytes) yields an empty stream.
 ///
-/// `mps` must be non-zero. An earlier version silently clamped 0 to 1 via
-/// `.max(1)`, which hid a misconfigured link behind maximally fragmented
-/// traffic numbers; a zero limit is now an API-contract violation, and
-/// [`crate::LinkConfig::validate`] rejects such configs before they reach
-/// the segmenters.
+/// `mps` must be non-zero: clamping 0 to 1 would hide a misconfigured link
+/// behind maximally fragmented traffic numbers, so a zero limit is an
+/// API-contract violation, and [`crate::LinkConfig::validate`] rejects such
+/// configs before they reach the segmenters.
 pub fn segment_write(len: usize, mps: usize) -> TlpStream {
     assert!(mps > 0, "MPS of 0 cannot carry any payload");
     let count = len.div_ceil(mps);

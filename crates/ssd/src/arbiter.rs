@@ -9,9 +9,9 @@
 //! one fetched command (including a queue-local chunk train, which is
 //! indivisible by design) or one reassembly-mode chunk fetch.
 //!
-//! `RoundRobin { burst: 1 }` reproduces the pre-arbiter controller
-//! exactly: one unit per queue per pass, which is what makes §3.3.2's
-//! cross-queue chunk interleaving visible in the first place. Larger
+//! `RoundRobin { burst: 1 }`, the default, is one unit per queue per pass,
+//! which is what makes §3.3.2's cross-queue chunk interleaving visible in
+//! the first place. Larger
 //! bursts trade fairness granularity for fetch locality; weighted mode
 //! lets a hot queue drain faster without starving the rest.
 

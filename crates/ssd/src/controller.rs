@@ -51,7 +51,7 @@ pub enum FetchPolicy {
 /// How the controller accounts virtual time across commands in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionModel {
-    /// The historical (and default) model: after every firmware dispatch the
+    /// The default model: after every firmware dispatch the
     /// global clock advances through the command's full `complete_at` —
     /// including NAND busy time — before the next SQE is fetched. Simple,
     /// exactly calibrated to Table 1, but *everything* serializes: no

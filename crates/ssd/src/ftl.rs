@@ -495,24 +495,6 @@ impl Ftl {
         Ok(done.max(durable))
     }
 
-    /// Reads one whole logical page: the full-range call of
-    /// [`Ftl::read_range`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Ftl::read_range`].
-    pub fn read(
-        &mut self,
-        lpn: u64,
-        nand: &mut NandArray,
-        now: Nanos,
-    ) -> Result<(Vec<u8>, Nanos), FtlError> {
-        let page_size = nand.config().page_size;
-        let mut data = Vec::with_capacity(page_size);
-        let done = self.read_range(lpn, 0, page_size, nand, now, &mut data)?;
-        Ok((data, done))
-    }
-
     /// Reads one logical page and appends bytes `off..off + len` of it to
     /// `out` (see `NandArray::read_range`); returns the completion instant.
     ///
@@ -796,12 +778,24 @@ mod tests {
         vec![fill; 4096]
     }
 
+    /// The whole page at `lpn`, through `read_range`.
+    fn read(
+        ftl: &mut Ftl,
+        lpn: u64,
+        nand: &mut NandArray,
+        now: Nanos,
+    ) -> Result<(Vec<u8>, Nanos), FtlError> {
+        let mut data = Vec::new();
+        let done = ftl.read_range(lpn, 0, nand.config().page_size, nand, now, &mut data)?;
+        Ok((data, done))
+    }
+
     #[test]
     fn write_read_round_trip() {
         let mut nand = tiny_nand();
         let mut ftl = Ftl::new(&nand, 0.25);
         let t = ftl.write(3, &page(0x5A), &mut nand, Nanos::ZERO).unwrap();
-        let (data, _) = ftl.read(3, &mut nand, t).unwrap();
+        let (data, _) = read(&mut ftl, 3, &mut nand, t).unwrap();
         assert_eq!(data, page(0x5A));
     }
 
@@ -813,7 +807,7 @@ mod tests {
         for i in 0..5u8 {
             t = ftl.write(0, &page(i), &mut nand, t).unwrap();
         }
-        let (data, _) = ftl.read(0, &mut nand, t).unwrap();
+        let (data, _) = read(&mut ftl, 0, &mut nand, t).unwrap();
         assert_eq!(data, page(4));
     }
 
@@ -822,7 +816,7 @@ mod tests {
         let mut nand = tiny_nand();
         let mut ftl = Ftl::new(&nand, 0.25);
         assert_eq!(
-            ftl.read(0, &mut nand, Nanos::ZERO).unwrap_err(),
+            read(&mut ftl, 0, &mut nand, Nanos::ZERO).unwrap_err(),
             FtlError::Unmapped(0)
         );
     }
@@ -852,7 +846,7 @@ mod tests {
         assert!(ftl.stats().gc_erases > 0, "GC should have run");
         for lpn in 0..4u64 {
             let expected = (596 + lpn as u32) as u8; // last write of each lpn
-            let (data, _) = ftl.read(lpn, &mut nand, t).unwrap();
+            let (data, _) = read(&mut ftl, lpn, &mut nand, t).unwrap();
             assert_eq!(data, page(expected), "lpn {lpn}");
         }
     }
@@ -873,7 +867,7 @@ mod tests {
             t = ftl.write(20, &page(i as u8), &mut nand, t).unwrap();
         }
         for lpn in 0..8u64 {
-            let (data, _) = ftl.read(lpn, &mut nand, t).unwrap();
+            let (data, _) = read(&mut ftl, lpn, &mut nand, t).unwrap();
             assert_eq!(
                 data,
                 page(100 + lpn as u8),
@@ -907,7 +901,7 @@ mod tests {
         }
         assert!(ftl.stats().gc_writes > 100, "GC must have relocated pages");
         for (lpn, &shape) in holds.iter().enumerate() {
-            let (back, _) = ftl.read(lpn as u64, &mut nand, t).unwrap();
+            let (back, _) = read(&mut ftl, lpn as u64, &mut nand, t).unwrap();
             assert_eq!(back, shapes[shape], "lpn {lpn} after GC relocation");
         }
         // An all-zero page is data, not a torn page: it survives recovery.
@@ -916,7 +910,7 @@ mod tests {
         let report = ftl.recover(&nand);
         assert_eq!(report.recovered_mappings, lpns);
         for (lpn, &shape) in holds.iter().enumerate() {
-            let (back, _) = ftl.read(lpn as u64, &mut nand, t).unwrap();
+            let (back, _) = read(&mut ftl, lpn as u64, &mut nand, t).unwrap();
             assert_eq!(back, shapes[shape], "lpn {lpn} after recovery");
         }
     }
@@ -1098,7 +1092,7 @@ mod tests {
         // Every logical page still reads back its last write.
         for lpn in 0..6u64 {
             let expected = (294 + lpn as u32) as u8;
-            let (data, _) = ftl.read(lpn, &mut nand, t).unwrap();
+            let (data, _) = read(&mut ftl, lpn, &mut nand, t).unwrap();
             assert_eq!(data, page(expected), "lpn {lpn} lost after remap");
         }
     }
@@ -1149,7 +1143,7 @@ mod tests {
         t = ftl.write(5, &page(1), &mut nand, t).unwrap();
         ftl.trim(5, t).unwrap();
         assert_eq!(
-            ftl.read(5, &mut nand, t).unwrap_err(),
+            read(&mut ftl, 5, &mut nand, t).unwrap_err(),
             FtlError::Unmapped(5)
         );
         // Trimming again is a no-op; out of range errors.
@@ -1195,13 +1189,13 @@ mod tests {
         assert_eq!(report.recovered_mappings, 12);
         assert_eq!(report.replayed, 12);
         for lpn in 0..12u64 {
-            let (data, _) = ftl.read(lpn, &mut nand, t).unwrap();
+            let (data, _) = read(&mut ftl, lpn, &mut nand, t).unwrap();
             assert_eq!(data, page(lpn as u8), "lpn {lpn} lost across power cut");
         }
         // The recovered FTL keeps working: frontier blocks were sealed, new
         // writes land on fresh blocks.
         let t2 = ftl.write(0, &page(0xEE), &mut nand, t).unwrap();
-        let (data, _) = ftl.read(0, &mut nand, t2).unwrap();
+        let (data, _) = read(&mut ftl, 0, &mut nand, t2).unwrap();
         assert_eq!(data, page(0xEE));
     }
 
@@ -1218,7 +1212,7 @@ mod tests {
         ftl.power_fail(cut);
         let report = ftl.recover(&nand);
         assert_eq!(report.torn_mappings, 1);
-        let (data, _) = ftl.read(3, &mut nand, t2).unwrap();
+        let (data, _) = read(&mut ftl, 3, &mut nand, t2).unwrap();
         assert_eq!(data, page(0xA1), "must fall back to last acked version");
     }
 
@@ -1234,7 +1228,7 @@ mod tests {
         assert_eq!(report.torn_mappings, 1);
         assert_eq!(report.recovered_mappings, 0);
         assert_eq!(
-            ftl.read(7, &mut nand, done).unwrap_err(),
+            read(&mut ftl, 7, &mut nand, done).unwrap_err(),
             FtlError::Unmapped(7),
             "a never-acked write must not be half-visible"
         );
@@ -1253,11 +1247,11 @@ mod tests {
         let report = ftl.recover(&nand);
         assert_eq!(report.recovered_mappings, 1);
         assert_eq!(
-            ftl.read(2, &mut nand, t_end).unwrap_err(),
+            read(&mut ftl, 2, &mut nand, t_end).unwrap_err(),
             FtlError::Unmapped(2),
             "trim must survive journal replay"
         );
-        let (data, _) = ftl.read(6, &mut nand, t_end).unwrap();
+        let (data, _) = read(&mut ftl, 6, &mut nand, t_end).unwrap();
         assert_eq!(data, page(0x66));
     }
 
@@ -1281,7 +1275,7 @@ mod tests {
             report.replayed
         );
         for lpn in 0..8u64 {
-            let (data, _) = ftl.read(lpn, &mut nand, t).unwrap();
+            let (data, _) = read(&mut ftl, lpn, &mut nand, t).unwrap();
             assert_eq!(data, page(32 + lpn as u8), "lpn {lpn}");
         }
     }
@@ -1319,7 +1313,7 @@ mod tests {
         let report = ftl.recover(&nand);
         assert!(report.from_checkpoint, "the durable snapshot was evicted");
         for lpn in 0..8u64 {
-            let (data, _) = ftl.read(lpn, &mut nand, cut).unwrap();
+            let (data, _) = read(&mut ftl, lpn, &mut nand, cut).unwrap();
             assert_eq!(data, page(lpn as u8), "acked lpn {lpn} lost");
         }
     }
@@ -1361,7 +1355,11 @@ mod tests {
             ftl.recover(&nand);
             let mut state = Vec::new();
             for lpn in 0..6u64 {
-                state.push(ftl.read(lpn, &mut nand, last_done).ok().map(|(d, _)| d));
+                state.push(
+                    read(&mut ftl, lpn, &mut nand, last_done)
+                        .ok()
+                        .map(|(d, _)| d),
+                );
             }
             state
         };

@@ -20,6 +20,8 @@
 //!   reassembly extension, with an explicit SRAM budget.
 //! * `firmware` — the personality extension point ([`FirmwareHandler`]):
 //!   block firmware here, KV-SSD and CSD firmware in their own crates.
+//! * `pages` — [`PageStore`], where those personalities keep their pages:
+//!   the FTL over NAND, or a DRAM page log in the paper's NAND-off mode.
 //! * `bus` — the shared host↔device fabric handles.
 //! * `timing` — controller latency constants calibrated to the paper's
 //!   Table 1.
@@ -49,6 +51,7 @@ mod firmware;
 mod ftl;
 mod journal;
 mod nand;
+mod pages;
 mod reassembly;
 pub mod registers;
 mod timing;
@@ -61,6 +64,7 @@ pub use firmware::{BlockFirmware, CommandOutcome, FirmwareCtx, FirmwareHandler};
 pub use ftl::{Ftl, FtlError, FtlStats, RecoveryReport};
 pub use journal::{JournalOp, MapJournal};
 pub use nand::{NandArray, NandConfig, NandError, NandStats, Ppa};
+pub use pages::PageStore;
 pub use reassembly::{CompletedPayload, ReassemblyEngine, ReassemblyError};
 pub use registers::{Register, RegisterFile, CC_ENABLE, CSTS_READY};
 pub use timing::ControllerTiming;

@@ -116,8 +116,8 @@ impl NandConfig {
 
     /// Dense die-major global page index: pages of one block are contiguous,
     /// blocks of one die are contiguous. Keys the page-data and page-state
-    /// arrays — a deterministic dense structure, unlike the hash maps an
-    /// earlier version used (and cheaper to address than hashing a `Ppa`).
+    /// arrays — a dense structure is deterministic to traverse and cheaper
+    /// to address than hashing a `Ppa`.
     fn page_index(&self, ppa: Ppa) -> usize {
         (self.die_index(ppa) * self.blocks_per_die as usize + ppa.block as usize)
             * self.pages_per_block as usize

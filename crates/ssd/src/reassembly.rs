@@ -19,11 +19,9 @@
 //! (bitmaps and landing buffers keep their capacity across trains), indexed
 //! by a `BTreeMap` from payload id to slot. The ordered index is
 //! load-bearing: [`ReassemblyEngine::evict_stalled`] walks it so evicted
-//! payload ids — and therefore the CQE failures and trace events the
-//! controller emits for them — always come out in ascending payload-id
-//! order. An earlier version iterated a `HashMap` here, whose per-process
-//! random iteration order leaked straight into CQE and trace order (the
-//! regression is pinned by `eviction_order_is_sorted_and_stable`).
+//! payload ids always come out in ascending payload-id order, where a
+//! `HashMap`'s per-process random iteration order would leak into whatever
+//! consumes them (pinned by `eviction_order_is_sorted_and_stable`).
 
 // Ring and bitmap arithmetic: a computed index aborts on the one input
 // nobody tested, so every `x[i]` here is an `#[expect]` with its bound.
@@ -373,15 +371,14 @@ impl ReassemblyEngine {
     }
 
     /// Evicts every payload whose first chunk arrived more than `deadline`
-    /// ago and that never completed (e.g. a truncated chunk train). The
-    /// tracking SRAM is reclaimed and the evicted payload ids are returned so
-    /// the controller can fail the owning commands instead of leaking SRAM
-    /// until reset.
+    /// ago and that never completed (e.g. a truncated chunk train), so the
+    /// tracking SRAM is reclaimed instead of leaking until reset. The
+    /// controller discards the returned ids: it fails the owning commands
+    /// from its own parked-command sweep (`evict_stalled_inline`).
     ///
     /// Evicted ids are returned in **ascending payload-id order** (the index
-    /// is a `BTreeMap`), so downstream CQE failures and trace events are
-    /// deterministic across runs — pinned by
-    /// `eviction_order_is_sorted_and_stable`.
+    /// is a `BTreeMap`), so the sweep is deterministic across runs — pinned
+    /// by `eviction_order_is_sorted_and_stable`.
     ///
     /// The deadline boundary is EXCLUSIVE: a payload aged exactly `deadline`
     /// survives; eviction requires age strictly greater. This must agree

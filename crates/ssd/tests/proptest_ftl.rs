@@ -24,6 +24,18 @@ fn page(tag: u64) -> Vec<u8> {
     p
 }
 
+/// The whole page at `lpn`, through `read_range`.
+fn read(
+    ftl: &mut Ftl,
+    lpn: u64,
+    nand: &mut NandArray,
+    now: Nanos,
+) -> Result<(Vec<u8>, Nanos), FtlError> {
+    let mut data = Vec::new();
+    let done = ftl.read_range(lpn, 0, PAGE_SIZE, nand, now, &mut data)?;
+    Ok((data, done))
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Write(u64),
@@ -65,7 +77,7 @@ proptest! {
                     ftl.trim(lpn, t).unwrap();
                     model.remove(&lpn);
                 }
-                Op::Read(lpn) => match (ftl.read(lpn, &mut nand, t), model.get(&lpn)) {
+                Op::Read(lpn) => match (read(&mut ftl, lpn, &mut nand, t), model.get(&lpn)) {
                     (Ok((data, t2)), Some(&tag)) => {
                         t = t2;
                         prop_assert_eq!(&data[..8], &tag.to_le_bytes());
@@ -83,7 +95,7 @@ proptest! {
         }
         // Final sweep: every model entry is readable and correct.
         for (lpn, tag) in model {
-            let (data, t2) = ftl.read(lpn, &mut nand, t).unwrap();
+            let (data, t2) = read(&mut ftl, lpn, &mut nand, t).unwrap();
             t = t2;
             prop_assert_eq!(&data[..8], &tag.to_le_bytes());
         }
