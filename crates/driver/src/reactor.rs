@@ -1,4 +1,5 @@
-//! The completion-driven async reactor (ROADMAP item 1).
+//! The completion-driven async reactor (what is left to do on it — its two
+//! host-side cells — is ROADMAP item 3a).
 //!
 //! The synchronous API (`execute` → `poll_completions_into`) expresses one
 //! command per caller at a time; realistic many-client concurrency on top of

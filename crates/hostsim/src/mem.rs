@@ -153,9 +153,17 @@ impl DmaRegion {
 /// enough realism for PRP-list construction (pages are *not* guaranteed
 /// physically contiguous once frees start happening — exactly the situation
 /// PRP lists exist for).
+///
+/// The list is a stack of the frames given back, on top of the frames never
+/// handed out — which are every frame from `fresh` up, in address order, and
+/// so need no entry each: a memory costs the frames a run used, not its
+/// capacity, to build, to carve a ring out of and to drop.
 #[derive(Debug)]
 pub struct PageAllocator {
-    free: Vec<u64>,
+    /// Addresses of the frames given back, the next one to hand out last.
+    returned: Vec<u64>,
+    /// Frames from this one up were never handed out.
+    fresh: usize,
     total_pages: usize,
     allocated: Vec<bool>,
 }
@@ -164,13 +172,9 @@ impl PageAllocator {
     /// Creates an allocator over `capacity` bytes (rounded down to whole pages).
     pub(crate) fn new(capacity: usize) -> Self {
         let total_pages = capacity / PAGE_SIZE;
-        // Reversed so that pop() hands out low addresses first.
-        let free = (0..total_pages as u64)
-            .rev()
-            .map(|i| i * PAGE_SIZE as u64)
-            .collect();
         PageAllocator {
-            free,
+            returned: Vec::new(),
+            fresh: 0,
             total_pages,
             allocated: vec![false; total_pages],
         }
@@ -182,7 +186,15 @@ impl PageAllocator {
     ///
     /// [`MemError::OutOfPages`] if the memory is exhausted.
     pub(crate) fn alloc(&mut self) -> Result<PageRef, MemError> {
-        let addr = self.free.pop().ok_or(MemError::OutOfPages)?;
+        let addr = match self.returned.pop() {
+            Some(addr) => addr,
+            None if self.fresh < self.total_pages => {
+                let frame = self.fresh;
+                self.fresh += 1;
+                (frame * PAGE_SIZE) as u64
+            }
+            None => return Err(MemError::OutOfPages),
+        };
         self.allocated[(addr / PAGE_SIZE as u64) as usize] = true;
         Ok(PageRef {
             addr: PhysAddr(addr),
@@ -214,7 +226,11 @@ impl PageAllocator {
                 if run == n {
                     self.allocated[start..start + n].fill(true);
                     let claimed = (start * PAGE_SIZE) as u64..((start + n) * PAGE_SIZE) as u64;
-                    self.free.retain(|a| !claimed.contains(a));
+                    self.returned.retain(|a| !claimed.contains(a));
+                    // Every frame from `fresh` up is free, so a run that
+                    // reaches them starts at or below `fresh`: what it takes
+                    // of them is their low end.
+                    self.fresh = self.fresh.max(start + n);
                     return Ok(DmaRegion::new(PhysAddr(claimed.start), n * PAGE_SIZE));
                 }
             }
@@ -237,7 +253,7 @@ impl PageAllocator {
             return Err(MemError::BadFree(page.addr));
         }
         self.allocated[frame] = false;
-        self.free.push(addr);
+        self.returned.push(addr);
         Ok(())
     }
 
@@ -260,14 +276,14 @@ impl PageAllocator {
             Some(run) if run.iter().all(|&a| a) => run.fill(false),
             _ => return Err(bad),
         }
-        self.free
+        self.returned
             .extend(frames.rev().map(|f| (f * PAGE_SIZE) as u64));
         Ok(())
     }
 
     /// Number of free frames remaining.
     pub fn free_pages(&self) -> usize {
-        self.free.len()
+        self.returned.len() + self.total_pages - self.fresh
     }
 
     /// Total frames managed.
@@ -522,35 +538,88 @@ mod tests {
         }
     }
 
-    /// The loop `alloc_contiguous` used to run: one `retain` over the whole
-    /// free list per claimed page.
-    fn alloc_contiguous_per_page(a: &mut PageAllocator, n: usize) -> Option<PhysAddr> {
-        let start = (0..a.total_pages.checked_sub(n)? + 1)
-            .find(|&s| a.allocated[s..s + n].iter().all(|&used| !used))?;
-        for f in start..start + n {
-            a.allocated[f] = true;
-            let addr = (f * PAGE_SIZE) as u64;
-            a.free.retain(|&x| x != addr);
-        }
-        Some(PhysAddr((start * PAGE_SIZE) as u64))
+    /// The allocator with every free frame on the list, as it was before the
+    /// never-handed-out ones became a bound: the reference for which frame
+    /// each call hands out.
+    struct FullList {
+        /// Reversed at the start, so that `pop` hands out low addresses first.
+        free: Vec<u64>,
+        allocated: Vec<bool>,
     }
 
-    #[test]
-    fn contiguous_allocation_matches_the_per_page_loop() {
-        let mut new = PageAllocator::new(64 * PAGE_SIZE);
-        let mut old = PageAllocator::new(64 * PAGE_SIZE);
-        // Fragment both alike: single pages out, every third one back.
-        for a in [&mut new, &mut old] {
-            let pages: Vec<PageRef> = (0..20).map(|_| a.alloc().unwrap()).collect();
-            for p in pages.into_iter().step_by(3) {
-                a.free(p).unwrap();
+    impl FullList {
+        fn new(pages: usize) -> Self {
+            FullList {
+                free: (0..pages).rev().map(|f| (f * PAGE_SIZE) as u64).collect(),
+                allocated: vec![false; pages],
             }
         }
-        for n in [1, 2, 5, 16, 3, 1, 30] {
-            let got = new.alloc_contiguous(n).ok().map(|r| r.base());
-            assert_eq!(got, alloc_contiguous_per_page(&mut old, n), "n={n}");
-            assert_eq!(new.free, old.free, "free-list order after n={n}");
-            assert_eq!(new.allocated, old.allocated);
+
+        fn alloc(&mut self) -> Option<u64> {
+            let addr = self.free.pop()?;
+            self.allocated[addr as usize / PAGE_SIZE] = true;
+            Some(addr)
+        }
+
+        fn alloc_contiguous(&mut self, n: usize) -> Option<u64> {
+            let start = (0..(self.allocated.len() + 1).checked_sub(n)?)
+                .find(|&s| self.allocated[s..s + n].iter().all(|&used| !used))?;
+            for f in start..start + n {
+                self.allocated[f] = true;
+                self.free.retain(|&x| x != (f * PAGE_SIZE) as u64);
+            }
+            Some((start * PAGE_SIZE) as u64)
+        }
+
+        fn free(&mut self, addr: u64, n: usize) {
+            for f in (addr as usize / PAGE_SIZE..addr as usize / PAGE_SIZE + n).rev() {
+                self.allocated[f] = false;
+                self.free.push((f * PAGE_SIZE) as u64);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Every call hands out the frame the full list would, through any
+        /// interleaving of single pages, contiguous runs and frees — down to
+        /// exhaustion, which 24 frames reach often.
+        #[test]
+        fn hands_out_the_frames_the_full_free_list_did(
+            ops in proptest::collection::vec((0..4u8, 0..8usize), 1..120),
+        ) {
+            const PAGES: usize = 24;
+            let mut new = PageAllocator::new(PAGES * PAGE_SIZE);
+            let mut old = FullList::new(PAGES);
+            // `(base, pages)` of what is held.
+            let mut held: Vec<(u64, usize)> = Vec::new();
+            for (kind, arg) in ops {
+                match kind {
+                    0 => {
+                        let got = new.alloc().ok().map(|p| p.addr().0);
+                        proptest::prop_assert_eq!(got, old.alloc());
+                        held.extend(got.map(|addr| (addr, 1)));
+                    }
+                    1 => {
+                        let n = arg + 1;
+                        let got = new.alloc_contiguous(n).ok().map(|r| r.base().0);
+                        proptest::prop_assert_eq!(got, old.alloc_contiguous(n));
+                        held.extend(got.map(|addr| (addr, n)));
+                    }
+                    _ if held.is_empty() => {}
+                    _ => {
+                        let (addr, n) = held.swap_remove(arg % held.len());
+                        new.free_contiguous(DmaRegion::new(PhysAddr(addr), n * PAGE_SIZE)).unwrap();
+                        old.free(addr, n);
+                    }
+                }
+                proptest::prop_assert_eq!(new.free_pages(), old.free.len());
+                proptest::prop_assert_eq!(&new.allocated, &old.allocated);
+            }
+            // Drained, both hand out the same frames in the same order.
+            while let Some(addr) = old.alloc() {
+                proptest::prop_assert_eq!(new.alloc().unwrap().addr().0, addr);
+            }
+            proptest::prop_assert!(new.alloc().is_err());
         }
     }
 

@@ -19,8 +19,14 @@
 //!   baseline KVSSD.
 //!
 //! Durability note: like the real device's DRAM memtable, unflushed entries
-//! are volatile; this engine does not implement index recovery (the
-//! [`crate::KvFirmware`] engine demonstrates log-replay recovery).
+//! are volatile — a power cut drops the memtable, and a key that was only
+//! there reads back absent (or as the older version a run still holds),
+//! never torn. This engine does not implement index recovery (the
+//! [`crate::KvFirmware`] engine demonstrates log-replay recovery): the run
+//! directory (`l0`, `l1`, the free-LPN list) is modelled as a durable
+//! manifest that survives the cut as it is, so flushed runs stay readable
+//! wherever their pages do — on NAND; the NAND-off DRAM log is wiped with
+//! the rest of DRAM and its runs read back empty.
 
 use crate::firmware::{key_from_sqe, KvTiming, PaddedKey, MAX_KEY_LEN, MAX_VALUE_LEN};
 use bx_hostsim::{Nanos, PAGE_SIZE};
@@ -443,6 +449,13 @@ impl LsmKvFirmware {
 }
 
 impl FirmwareHandler for LsmKvFirmware {
+    fn on_power_cycle(&mut self, _ctx: FirmwareCtx<'_>) {
+        // The memtable is DRAM: gone with the rest of it. The run directory
+        // is the durable manifest (see the module header) and stays.
+        self.memtable.clear();
+        self.memtable_bytes = 0;
+    }
+
     fn handle(
         &mut self,
         mut ctx: FirmwareCtx<'_>,

@@ -169,8 +169,15 @@ impl DeviceDram {
     /// it is firmware configuration re-derived identically at startup, and
     /// keeping it lets recovery code reuse region handles — but every byte
     /// reads back as zero.
+    ///
+    /// The buffer is swapped for a fresh zero-initialised one rather than
+    /// filled: the allocator hands back untouched zero pages, so a cut costs
+    /// what the run dirtied, not the capacity. The old buffer is freed first
+    /// so two capacity-sized mappings never coexist.
     pub fn wipe(&mut self) {
-        self.bytes.fill(0);
+        let capacity = self.bytes.len();
+        self.bytes = Vec::new();
+        self.bytes = vec![0; capacity];
     }
 }
 
@@ -244,12 +251,37 @@ mod tests {
 
     #[test]
     fn wipe_zeroes_bytes_but_keeps_layout() {
-        let mut d = DeviceDram::new(256);
-        let r = d.alloc_region("staging", 64).unwrap();
-        d.write(r.offset, b"volatile").unwrap();
+        const CAPACITY: usize = 1 << 20;
+        let mut d = DeviceDram::new(CAPACITY);
+        let staging = d.alloc_region("staging", 64).unwrap();
+        let log = d.alloc_region("log", CAPACITY / 2).unwrap();
+        let mid = log.offset + log.len / 2;
+        d.write(0, &[0xFF]).unwrap();
+        d.write(mid, b"volatile").unwrap();
+        d.write(CAPACITY - 1, &[0xFF]).unwrap();
+        // Wiping twice is as good as once.
+        for _ in 0..2 {
+            d.wipe();
+            assert_eq!(d.read(0, 1).unwrap(), &[0]);
+            assert_eq!(d.read(mid, 8).unwrap(), &[0u8; 8]);
+            assert_eq!(d.read(CAPACITY - 1, 1).unwrap(), &[0]);
+            assert_eq!(d.regions["staging"], staging, "layout survives");
+            assert_eq!(d.regions["log"], log, "layout survives");
+            assert_eq!(d.remaining(), CAPACITY - 64 - CAPACITY / 2);
+            assert_eq!(d.read(0, CAPACITY).unwrap().len(), CAPACITY);
+            assert!(d.read(CAPACITY, 1).is_err(), "capacity unchanged");
+        }
+        // The DRAM is as usable as before.
+        d.write(mid, b"again").unwrap();
+        assert_eq!(d.read(mid, 5).unwrap(), b"again");
+    }
+
+    #[test]
+    fn wiping_an_untouched_dram_is_fine() {
+        let mut d = DeviceDram::new(4096);
         d.wipe();
-        assert_eq!(d.read(r.offset, 8).unwrap(), &[0u8; 8]);
-        assert_eq!(d.regions["staging"], r, "layout survives");
-        assert_eq!(d.remaining(), 256 - 64);
+        assert_eq!(d.remaining(), 4096);
+        assert!(d.read(0, 4096).unwrap().iter().all(|&b| b == 0));
+        assert!(d.alloc_region("late", 4096).is_ok());
     }
 }

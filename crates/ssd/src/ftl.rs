@@ -13,7 +13,7 @@
 //! device-side half of the durable-linearizability contract.
 
 use crate::journal::{JournalOp, MapJournal};
-use crate::nand::{NandArray, NandError, Ppa};
+use crate::nand::{NandArray, NandError, PackedPpa, Ppa, PpaPacking};
 use bx_hostsim::Nanos;
 use bx_trace::{EventKind, TraceSink};
 use std::collections::{BTreeMap, BTreeSet};
@@ -125,8 +125,12 @@ impl FtlStats {
 /// A page-mapped FTL over a [`NandArray`].
 #[derive(Debug)]
 pub struct Ftl {
-    /// LPN → PPA map.
-    map: Vec<Option<Ppa>>,
+    /// LPN → PPA map, four bytes a slot with `None` the all-zero pattern:
+    /// it comes from the allocator zeroed and untouched, so building and
+    /// recovering an FTL cost the pages a run mapped, not the exported
+    /// capacity.
+    map: Vec<Option<PackedPpa>>,
+    packing: PpaPacking,
     /// Per-block bookkeeping, in address order.
     blocks: BTreeMap<BlockId, BlockInfo>,
     /// GC victim index: every sealed (fully written), non-retired block,
@@ -185,13 +189,22 @@ impl Ftl {
     ///
     /// # Panics
     ///
-    /// Panics unless `0.0 < over_provision < 0.9`.
+    /// Panics unless `0.0 < over_provision < 0.9`, and on a geometry whose
+    /// page addresses do not fit the map's four-byte slot (2³¹ pages, 8 TB
+    /// at 4 KB a page).
     pub fn new(nand: &NandArray, over_provision: f64) -> Self {
         assert!(
             over_provision > 0.0 && over_provision < 0.9,
             "over-provision must be in (0, 0.9)"
         );
         let cfg = nand.config();
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic, beside the over-provision one: a geometry this large is a harness bug"
+        )]
+        let packing = cfg
+            .ppa_packing()
+            .expect("page addresses must fit the map's four-byte slot");
         let dies = cfg.total_dies();
         let exported = ((cfg.total_pages() as f64) * (1.0 - over_provision)).floor() as u64;
         let free_blocks: Vec<Vec<u32>> = (0..dies)
@@ -199,6 +212,7 @@ impl Ftl {
             .collect();
         Ftl {
             map: vec![None; exported as usize],
+            packing,
             blocks: BTreeMap::new(),
             victims: BTreeSet::new(),
             free_blocks,
@@ -380,8 +394,10 @@ impl Ftl {
     /// volatile map. `done` is the target page's program-complete instant;
     /// returns when the record itself is durable (the earliest allowed ack).
     fn commit_mapping(&mut self, lpn: u64, ppa: Ppa, done: Nanos, now: Nanos) -> Nanos {
-        let prev = self.map[lpn as usize];
-        if let Some(old) = self.map[lpn as usize].replace(ppa) {
+        let prev = self.map[lpn as usize]
+            .replace(self.packing.pack(ppa))
+            .map(|old| self.packing.unpack(old));
+        if let Some(old) = prev {
             self.invalidate(old);
         }
         self.journal
@@ -520,7 +536,7 @@ impl Ftl {
             });
         }
         let ppa = self.map[lpn as usize].ok_or(FtlError::Unmapped(lpn))?;
-        Ok(nand.read_range(ppa, off, len, now, out)?)
+        Ok(nand.read_range(self.packing.unpack(ppa), off, len, now, out)?)
     }
 
     /// Invalidates a logical page (TRIM/deallocate): the mapping is dropped
@@ -541,7 +557,7 @@ impl Ftl {
             });
         }
         if let Some(ppa) = self.map[lpn as usize].take() {
-            self.invalidate(ppa);
+            self.invalidate(self.packing.unpack(ppa));
             self.stats.trims += 1;
             return Ok(self
                 .journal
@@ -627,23 +643,23 @@ impl Ftl {
         let pages = self.pages_per_block;
         let dpc = self.dies_per_channel as usize;
 
-        for slot in &mut self.map {
-            *slot = None;
-        }
+        // A fresh zeroed map, the old one freed first: see the field.
+        self.map = Vec::new();
+        self.map = vec![None; self.exported_pages as usize];
         self.blocks.clear();
         self.active = vec![None; dies];
         self.die_cursor = 0;
         self.bad.clear();
 
         let mut report = RecoveryReport::default();
+        // Only slots below this bound can be mapped: the checkpoint's image
+        // and the journal's records name no others.
+        let mut named = 0;
         let from_seq = match self.journal.recovery_base() {
             Some(cp) => {
                 report.from_checkpoint = true;
-                for (lpn, slot) in cp.map.iter().enumerate() {
-                    if lpn < self.map.len() {
-                        self.map[lpn] = *slot;
-                    }
-                }
+                named = cp.map.len().min(self.map.len());
+                self.map[..named].copy_from_slice(&cp.map[..named]);
                 for &(channel, die, block) in &cp.bad {
                     self.bad.insert(BlockId {
                         die: channel as usize * dpc + die as usize,
@@ -664,15 +680,18 @@ impl Ftl {
                     if slot >= self.map.len() {
                         continue;
                     }
+                    named = named.max(slot + 1);
                     if nand.has_data(ppa) {
-                        self.map[slot] = Some(ppa);
+                        self.map[slot] = Some(self.packing.pack(ppa));
                     } else {
                         // The cut tore the target program: the update was
                         // never acked, so surface the previous (last acked)
                         // version — or nothing if that is torn too, which
                         // means *it* was never acked either.
                         report.torn_mappings += 1;
-                        self.map[slot] = prev.filter(|&p| nand.has_data(p));
+                        self.map[slot] = prev
+                            .filter(|&p| nand.has_data(p))
+                            .map(|p| self.packing.pack(p));
                     }
                 }
                 JournalOp::Trim { lpn } => {
@@ -698,14 +717,11 @@ impl Ftl {
         // holding data is sealed (written == pages_per_block): the cut may
         // have burned frontier pages mid-program, so a write frontier never
         // resumes inside a used block after recovery.
-        let mapped: Vec<(u64, Ppa)> = self
-            .map
-            .iter()
-            .enumerate()
-            .filter_map(|(lpn, slot)| slot.map(|ppa| (lpn as u64, ppa)))
-            .collect();
-        report.recovered_mappings = mapped.len() as u64;
-        for (lpn, ppa) in mapped {
+        for (lpn, slot) in self.map[..named].iter().enumerate() {
+            let Some(ppa) = slot.map(|packed| self.packing.unpack(packed)) else {
+                continue;
+            };
+            report.recovered_mappings += 1;
             let id = BlockId {
                 die: ppa.channel as usize * dpc + ppa.die as usize,
                 block: ppa.block,
@@ -715,7 +731,7 @@ impl Ftl {
                 b.written = pages;
                 b
             });
-            if info.owner[ppa.page as usize].replace(lpn).is_none() {
+            if info.owner[ppa.page as usize].replace(lpn as u64).is_none() {
                 info.valid_count += 1;
             }
         }

@@ -24,7 +24,7 @@
 //! with a broken checksum; replay stops there and discards it (the update it
 //! described was never acked — its ack would have waited for `durable_at`).
 
-use crate::nand::Ppa;
+use crate::nand::{PackedPpa, Ppa};
 use bx_hostsim::Nanos;
 use std::collections::VecDeque;
 
@@ -232,8 +232,8 @@ pub(crate) struct Checkpoint {
     /// All records with `seq < covers_below` are folded into `map`/`bad`
     /// (exclusive bound, so `0` means "covers nothing").
     pub covers_below: u32,
-    /// Snapshot of the logical-to-physical map.
-    pub map: Vec<Option<Ppa>>,
+    /// Snapshot of the logical-to-physical map, in the FTL's own slots.
+    pub map: Vec<Option<PackedPpa>>,
     /// Snapshot of the grown-bad block set.
     pub bad: Vec<(u16, u16, u32)>,
     /// When the snapshot program completed; a cut before this discards it.
@@ -332,7 +332,7 @@ impl MapJournal {
     /// them would push the last durable snapshot out of the region.
     pub fn write_checkpoint(
         &mut self,
-        map: &[Option<Ppa>],
+        map: &[Option<PackedPpa>],
         bad: impl IntoIterator<Item = (u16, u16, u32)>,
         now: Nanos,
     ) {
@@ -737,7 +737,7 @@ mod tests {
             Nanos::from_ms(2),
             now,
         );
-        let map = vec![Some(ppa(0, 0, 0, 0)), Some(ppa(0, 0, 0, 1))];
+        let map = [PackedPpa::new(1), PackedPpa::new(2)];
         j.write_checkpoint(&map, [], now);
         // Once the checkpoint is durable, an append prunes the covered
         // record but keeps the in-flight-target one.

@@ -6,9 +6,11 @@
 //! discipline, and a dense page store so reads return exactly the bytes
 //! programmed (end-to-end integrity, not just timing). The store is indexed
 //! by a deterministic die-major page index — never by hashed keys — so no
-//! randomized-hash iteration order can influence traces or timing. Each
-//! slot keeps a page only up to its last non-zero byte and reads pad the
-//! rest back, so a 64 B payload in a 4 KB page costs the simulator 64 B.
+//! randomized-hash iteration order can influence traces or timing. Its slot
+//! table comes from the allocator zeroed and untouched and a page is kept
+//! only up to its last non-zero byte (reads pad the rest back), so the
+//! array costs the simulator the bytes a run programmed — 64 B for a 64 B
+//! payload in a 4 KB page — never its capacity.
 //!
 //! The controller can disable NAND I/O entirely (`NandConfig::disabled`) to
 //! reproduce the paper's transfer-latency-only experiments ("with NAND I/O
@@ -18,6 +20,7 @@ use crate::bus::FaultHandle;
 use bx_hostsim::Nanos;
 use bx_trace::{EventKind, TraceSink};
 use std::fmt;
+use std::num::NonZeroU32;
 
 /// Physical page address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,6 +42,53 @@ impl fmt::Display for Ppa {
             "ch{}/d{}/b{}/p{}",
             self.channel, self.die, self.block, self.page
         )
+    }
+}
+
+/// A [`Ppa`] in four bytes, never zero — so `Option<PackedPpa>` is four
+/// bytes too, `None` is the all-zero pattern, and a table of them comes from
+/// the allocator zeroed and untouched. Made and read by [`PpaPacking`].
+pub(crate) type PackedPpa = NonZeroU32;
+
+/// How one geometry's [`Ppa`]s pack into a [`PackedPpa`]: each coordinate in
+/// the bits its range needs — page lowest, then block, die, channel — plus
+/// one. Packing and unpacking are shifts and masks: the FTL does both on
+/// every write and read, and a dense index would cost three divisions to
+/// take apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PpaPacking {
+    page_bits: u32,
+    block_bits: u32,
+    die_bits: u32,
+}
+
+/// Bits needed to hold every value below `range`.
+fn bits_for(range: u32) -> u32 {
+    u32::BITS - range.saturating_sub(1).leading_zeros()
+}
+
+fn low_bits(v: u32, bits: u32) -> u32 {
+    v & ((1 << bits) - 1)
+}
+
+impl PpaPacking {
+    pub(crate) fn pack(self, ppa: Ppa) -> PackedPpa {
+        let die = ((ppa.channel as u32) << self.die_bits) | ppa.die as u32;
+        let block = (die << self.block_bits) | ppa.block;
+        let page = (block << self.page_bits) | ppa.page;
+        PackedPpa::MIN.saturating_add(page)
+    }
+
+    pub(crate) fn unpack(self, packed: PackedPpa) -> Ppa {
+        let page = packed.get() - 1;
+        let block = page >> self.page_bits;
+        let die = block >> self.block_bits;
+        Ppa {
+            channel: (die >> self.die_bits) as u16,
+            die: low_bits(die, self.die_bits) as u16,
+            block: low_bits(block, self.block_bits),
+            page: low_bits(page, self.page_bits),
+        }
     }
 }
 
@@ -110,6 +160,21 @@ impl NandConfig {
         self.channels as usize * self.dies_per_channel as usize
     }
 
+    /// The packing of this geometry's page addresses, or `None` when they
+    /// need more than the 31 bits a [`PackedPpa`] has to give.
+    pub(crate) fn ppa_packing(&self) -> Option<PpaPacking> {
+        let packing = PpaPacking {
+            page_bits: bits_for(self.pages_per_block),
+            block_bits: bits_for(self.blocks_per_die),
+            die_bits: bits_for(self.dies_per_channel as u32),
+        };
+        let bits = bits_for(self.channels as u32)
+            + packing.die_bits
+            + packing.block_bits
+            + packing.page_bits;
+        (bits < u32::BITS).then_some(packing)
+    }
+
     fn die_index(&self, ppa: Ppa) -> usize {
         ppa.channel as usize * self.dies_per_channel as usize + ppa.die as usize
     }
@@ -119,9 +184,12 @@ impl NandConfig {
     /// arrays — a dense structure is deterministic to traverse and cheaper
     /// to address than hashing a `Ppa`.
     fn page_index(&self, ppa: Ppa) -> usize {
-        (self.die_index(ppa) * self.blocks_per_die as usize + ppa.block as usize)
-            * self.pages_per_block as usize
-            + ppa.page as usize
+        self.block_index(ppa) * self.pages_per_block as usize + ppa.page as usize
+    }
+
+    /// Dense die-major global block index.
+    fn block_index(&self, ppa: Ppa) -> usize {
+        self.die_index(ppa) * self.blocks_per_die as usize + ppa.block as usize
     }
 
     fn transfer_time(&self, bytes: usize) -> Nanos {
@@ -170,16 +238,15 @@ impl fmt::Display for NandError {
 
 impl std::error::Error for NandError {}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PageState {
-    Erased,
-    Programmed,
-}
-
-/// Spare page buffers retained across erase cycles, capping steady-state
-/// allocation: GC erase → reprogram loops reuse the same buffers instead of
-/// freeing and reallocating them. 256 × 4 KB ≈ 1 MB worst case.
-const SPARE_PAGE_POOL: usize = 256;
+/// Slot of a page never programmed since its block's last erase. Zero, so
+/// a zero-initialised slot table is an erased array.
+const ERASED: u32 = 0;
+/// Slot of a programmed page with nothing to read: its program failed or a
+/// power cut tore it. Burned until the block is erased.
+const BURNED: u32 = 1;
+/// Slot values from here up are programmed pages holding
+/// `buffers[slot - HELD]`.
+const HELD: u32 = 2;
 
 /// Length of `page` up to and including its last non-zero byte. Zero
 /// padding is stripped 64 bytes at a time — a sub-page payload leaves
@@ -201,19 +268,29 @@ fn stored_len(page: &[u8]) -> usize {
 #[derive(Debug)]
 pub struct NandArray {
     cfg: NandConfig,
-    /// Dense page store keyed by [`NandConfig::page_index`], grown lazily to
-    /// the highest page touched. Dense indexing keeps every traversal (and
-    /// therefore every trace/wire consequence) deterministic — no
-    /// randomized-hash iteration order can leak out of the media model.
-    /// `Some(bytes)` is a programmed page cut after its last non-zero byte
-    /// (`Some(empty)` is an all-zero page, still data);
+    /// One slot per page of the array, keyed by [`NandConfig::page_index`]:
+    /// [`ERASED`], [`BURNED`], or [`HELD`] plus the index of the page's
+    /// buffer. Dense indexing keeps every traversal (and therefore every
+    /// trace/wire consequence) deterministic — no randomized-hash iteration
+    /// order can leak out of the media model. Allocated whole and zeroed:
+    /// the allocator maps it lazily, so only the slots a run programs cost
+    /// memory, and no program ever grows or copies the table.
+    slots: Vec<u32>,
+    /// The bytes of programmed pages, each cut after its last non-zero byte
+    /// (an empty buffer is an all-zero page, still data);
     /// [`NandArray::read_range`] restores the zero tail.
-    data: Vec<Option<Vec<u8>>>,
-    /// Page program state, dense by the same global page index; pages beyond
-    /// the vector's current length are implicitly `Erased`.
-    page_state: Vec<PageState>,
-    /// Page buffers recovered by `erase`, reused by later programs.
-    spare_pages: Vec<Vec<u8>>,
+    buffers: Vec<Box<[u8]>>,
+    /// Entries of `buffers` whose page was erased or torn, for the next
+    /// programs to fill. Their bytes went back to the allocator: a buffer
+    /// is as long as its page's payload, and recycling one for a page of
+    /// another length measured slower end to end than allocating afresh
+    /// (DESIGN.md §12).
+    free_buffers: Vec<u32>,
+    /// Whether a page of the block was programmed (or burned) since its
+    /// last erase, keyed by [`NandConfig::block_index`]: recovery asks every
+    /// block of the array whether it is erased, and this answers without
+    /// reading the block's slots — most of which no run ever touched.
+    programmed: Vec<bool>,
     /// Per-die "busy until" instants, enabling inter-die parallelism.
     die_busy_until: Vec<Nanos>,
     /// Per-page program-complete marks: programs whose completion instant may
@@ -252,10 +329,11 @@ impl NandArray {
     pub fn new(cfg: NandConfig) -> Self {
         let dies = cfg.total_dies();
         NandArray {
+            slots: vec![ERASED; cfg.total_pages() as usize],
+            buffers: Vec::new(),
+            free_buffers: Vec::new(),
+            programmed: vec![false; dies * cfg.blocks_per_die as usize],
             cfg,
-            data: Vec::new(),
-            page_state: Vec::new(),
-            spare_pages: Vec::new(),
             die_busy_until: vec![Nanos::ZERO; dies],
             pending_programs: Vec::new(),
             stats: NandStats::default(),
@@ -308,13 +386,14 @@ impl NandArray {
         }
     }
 
-    /// The page-state slot for `ppa`, growing the dense array on first touch.
-    fn state_slot(&mut self, idx: usize) -> &mut PageState {
-        if idx >= self.page_state.len() {
-            self.page_state.resize(idx + 1, PageState::Erased);
+    /// Sets slot `idx` to `state` — [`ERASED`] or [`BURNED`] — and frees the
+    /// buffer it held, if any.
+    fn release(&mut self, idx: usize, state: u32) {
+        if let Some(buffer) = self.slots[idx].checked_sub(HELD) {
+            self.buffers[buffer as usize] = Box::default();
+            self.free_buffers.push(buffer);
         }
-        // Index resized into range above.
-        &mut self.page_state[idx]
+        self.slots[idx] = state;
     }
 
     /// Programs a page with `data`, starting no earlier than `now`.
@@ -338,20 +417,22 @@ impl NandArray {
                 want: self.cfg.page_size,
             });
         }
+        // `check` put every coordinate inside the geometry, so the dense
+        // index is inside the table.
         let idx = self.cfg.page_index(ppa);
-        let state = self.state_slot(idx);
-        match *state {
-            PageState::Erased => *state = PageState::Programmed,
-            PageState::Programmed => return Err(NandError::ProgramWithoutErase(ppa)),
+        if self.slots[idx] != ERASED {
+            return Err(NandError::ProgramWithoutErase(ppa));
         }
+        self.programmed[self.cfg.block_index(ppa)] = true;
         // Injected program failure: the program pulse still burns die time and
-        // the page (it stays Programmed-but-empty until the block is erased),
-        // but no data lands — the FTL retires the block and remaps.
+        // the page (it stays burned until the block is erased), but no data
+        // lands — the FTL retires the block and remaps.
         let failed = match &self.faults {
             Some(f) => f.borrow_mut().nand_program_fail(),
             None => false,
         };
         if failed {
+            self.slots[idx] = BURNED;
             self.stats.program_failures += 1;
             let die = self.cfg.die_index(ppa);
             let start = self.die_busy_until[die].max(now);
@@ -359,16 +440,18 @@ impl NandArray {
                 start + self.cfg.transfer_time(self.cfg.page_size) + self.cfg.program_latency;
             return Err(NandError::ProgramFailed(ppa));
         }
-        // Land the bytes without allocating in steady state: an erased slot
-        // holds no buffer, so take a spare recovered by an earlier erase.
-        let mut buf = self.spare_pages.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(&data[..stored_len(data)]);
-        if idx >= self.data.len() {
-            self.data.resize_with(idx + 1, || None);
-        }
-        // Index resized into range above.
-        self.data[idx] = Some(buf);
+        let held = data[..stored_len(data)].into();
+        let buffer = match self.free_buffers.pop() {
+            Some(freed) => {
+                self.buffers[freed as usize] = held;
+                freed
+            }
+            None => {
+                self.buffers.push(held);
+                (self.buffers.len() - 1) as u32
+            }
+        };
+        self.slots[idx] = HELD + buffer;
         self.stats.programs += 1;
 
         let die = self.cfg.die_index(ppa);
@@ -414,11 +497,9 @@ impl NandArray {
             out.resize(out.len() + len, 0);
             return Ok(now);
         }
-        let idx = self.cfg.page_index(ppa);
-        let stored = self
-            .data
-            .get(idx)
-            .and_then(|slot| slot.as_deref())
+        let stored = self.slots[self.cfg.page_index(ppa)]
+            .checked_sub(HELD)
+            .map(|buffer| &self.buffers[buffer as usize])
             .ok_or(NandError::ReadUnwritten(ppa))?;
         self.stats.reads += 1;
         let die = self.cfg.die_index(ppa);
@@ -473,24 +554,13 @@ impl NandArray {
         if !self.cfg.enabled {
             return Ok(now);
         }
-        let pages = self.cfg.pages_per_block;
         // Pages of a block are contiguous in the dense index, so the erase is
-        // one linear sweep: recover data buffers into the spare pool and reset
-        // page states. Slots beyond the arrays' current length were never
-        // touched and are already (implicitly) erased.
+        // one linear sweep: free the buffers, reset the slots.
         let base = self.cfg.page_index(probe);
-        for idx in base..base + pages as usize {
-            if let Some(slot) = self.data.get_mut(idx) {
-                if let Some(buf) = slot.take() {
-                    if self.spare_pages.len() < SPARE_PAGE_POOL {
-                        self.spare_pages.push(buf);
-                    }
-                }
-            }
-            if let Some(state) = self.page_state.get_mut(idx) {
-                *state = PageState::Erased;
-            }
+        for idx in base..base + self.cfg.pages_per_block as usize {
+            self.release(idx, ERASED);
         }
+        self.programmed[self.cfg.block_index(probe)] = false;
         self.stats.erases += 1;
         let die_idx = self.cfg.die_index(probe);
         let start = self.die_busy_until[die_idx].max(now);
@@ -504,9 +574,7 @@ impl NandArray {
     /// finished before any power cut destroyed it). Recovery uses this to
     /// validate journal records against the media.
     pub(crate) fn has_data(&self, ppa: Ppa) -> bool {
-        self.data
-            .get(self.cfg.page_index(ppa))
-            .is_some_and(|slot| slot.is_some())
+        self.check(ppa).is_ok() && self.slots[self.cfg.page_index(ppa)] >= HELD
     }
 
     /// The completion instant of the latest still-in-flight program, or
@@ -526,17 +594,13 @@ impl NandArray {
     /// list from this. Erases are modeled atomic at issue: a cut mid-erase
     /// leaves the block erased, never half-erased.
     pub(crate) fn is_block_erased(&self, channel: u16, die: u16, block: u32) -> bool {
-        let base = self.cfg.page_index(Ppa {
+        let block = self.cfg.block_index(Ppa {
             channel,
             die,
             block,
             page: 0,
         });
-        (base..base + self.cfg.pages_per_block as usize).all(|idx| {
-            self.page_state
-                .get(idx)
-                .is_none_or(|&s| s == PageState::Erased)
-        })
+        !self.programmed[block]
     }
 
     /// A whole-system power cut at instant `at`: every program whose pulse
@@ -546,15 +610,15 @@ impl NandArray {
     /// collapse. Returns the number of torn pages.
     pub fn power_cut(&mut self, at: Nanos) -> usize {
         let mut torn = 0;
-        for &(ppa, done) in &self.pending_programs {
+        for pending in 0..self.pending_programs.len() {
+            let (ppa, done) = self.pending_programs[pending];
             if done <= at {
                 continue;
             }
             let idx = self.cfg.page_index(ppa);
-            if let Some(slot) = self.data.get_mut(idx) {
-                if slot.take().is_some() {
-                    torn += 1;
-                }
+            if self.slots[idx] >= HELD {
+                self.release(idx, BURNED);
+                torn += 1;
             }
         }
         self.pending_programs.clear();
@@ -852,12 +916,12 @@ mod tests {
     }
 
     #[test]
-    fn erase_recycles_page_buffers() {
+    fn erase_frees_page_buffers_and_programs_refill_their_entries() {
         let mut n = array();
         let mut t = Nanos::ZERO;
         // GC-like loop: program, erase, reprogram the same block. After the
-        // first cycle the erase-recovered buffers are reused, so the spare
-        // pool never grows past one block's worth of pages.
+        // first cycle the entries the erase freed are refilled, so the array
+        // never holds more than the four it programmed at once.
         for round in 1..4u8 {
             for page in 0..4 {
                 t = n
@@ -868,8 +932,9 @@ mod tests {
             assert_eq!(back, vec![round; 4096]);
             t = n.erase(0, 0, 0, t).unwrap();
         }
-        assert_eq!(n.spare_pages.len(), 4);
-        assert!(n.spare_pages.iter().all(|b| b.capacity() >= 4096));
+        assert_eq!(n.buffers.len(), 4);
+        assert_eq!(n.free_buffers.len(), 4);
+        assert!(n.buffers.iter().all(|b| b.is_empty()), "bytes given back");
     }
 
     /// `(shape, off, len)` read requests: anywhere in or past the page,
@@ -956,6 +1021,58 @@ mod tests {
         assert_eq!(n.read_range(ppa(0, 0, 0, 0), 10, 3, t, &mut out), Ok(t));
         assert_eq!(out, [7, 0, 0, 0]);
         assert!(n.read_range(ppa(0, 0, 0, 0), 4096, 1, t, &mut out).is_err());
+    }
+
+    #[test]
+    fn packed_ppa_round_trips_every_page() {
+        // `small()`, the FTL tests' array, and one with no power-of-two side.
+        for (channels, dies_per_channel, blocks_per_die, pages_per_block) in
+            [(8, 4, 64, 64), (2, 1, 8, 8), (3, 5, 7, 11)]
+        {
+            let cfg = NandConfig {
+                channels,
+                dies_per_channel,
+                blocks_per_die,
+                pages_per_block,
+                ..NandConfig::small()
+            };
+            let packing = cfg.ppa_packing().expect("fits");
+            let mut last = None;
+            for channel in 0..channels {
+                for die in 0..dies_per_channel {
+                    for block in 0..blocks_per_die {
+                        for page in 0..pages_per_block {
+                            let at = ppa(channel, die, block, page);
+                            let packed = packing.pack(at);
+                            assert_eq!(packing.unpack(packed), at);
+                            // Ascending in address order: no two pages share
+                            // a slot value.
+                            assert!(Some(packed) > last, "{at}");
+                            last = Some(packed);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packing_refuses_a_geometry_past_31_bits() {
+        let fits = NandConfig {
+            channels: 1 << 4,
+            dies_per_channel: 1 << 4,
+            blocks_per_die: 1 << 13,
+            pages_per_block: 1 << 10,
+            ..NandConfig::small()
+        };
+        let top = ppa(15, 15, (1 << 13) - 1, (1 << 10) - 1);
+        let packing = fits.ppa_packing().expect("31 bits");
+        assert_eq!(packing.unpack(packing.pack(top)), top);
+        let too_big = NandConfig {
+            blocks_per_die: (1 << 13) + 1,
+            ..fits
+        };
+        assert_eq!(too_big.ppa_packing(), None);
     }
 
     #[test]

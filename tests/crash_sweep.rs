@@ -209,6 +209,40 @@ fn pipelined_reassembly_cut_at_every_event_index() {
 }
 
 #[test]
+fn serial_reassembly_cut_at_every_event_index() {
+    // Serial dispatch over per-chunk fetches: a cut inside a train lands
+    // with no other command in flight to hide behind.
+    let crashed = exhaustive_sweep(
+        0xFACADE,
+        ExecutionModel::Serial,
+        FetchPolicy::Reassembly,
+        10,
+        400,
+    );
+    assert!(
+        crashed >= 40,
+        "cut points must cover chunk fetches, got {crashed}"
+    );
+}
+
+#[test]
+fn pipelined_queue_local_cut_at_every_event_index() {
+    // Queue-local fetch under deferred completions: the cut can land
+    // between a PUT's dispatch and the event that would have posted its CQE.
+    let crashed = exhaustive_sweep(
+        0xD15EA5E,
+        ExecutionModel::Pipelined,
+        FetchPolicy::QueueLocal,
+        24,
+        160,
+    );
+    assert!(
+        crashed >= 24,
+        "at least one cut point per PUT, got {crashed}"
+    );
+}
+
+#[test]
 fn recovery_is_deterministic_per_schedule() {
     for cut in [0u64, 3, 7, 13, 22, 31, 45] {
         let a = run_crash_schedule(
@@ -230,7 +264,7 @@ fn recovery_is_deterministic_per_schedule() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Random (seed, cut index, config): the contract holds everywhere, and
     /// a re-run of the same schedule recovers the identical store.

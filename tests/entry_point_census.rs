@@ -47,8 +47,10 @@ type Task = Pin<Box<dyn Future<Output = Result<(), String>>>>;
 
 /// One cell of the product. Fetch policy, execution model and arbitration
 /// are fixed when a device is built; the rest is set per cell on that
-/// device, so the product costs eight builds — and eight power cycles,
-/// each a 64 MB DRAM wipe — not 192.
+/// device, so the product costs eight builds and eight power cycles, not
+/// 192 — and each cell runs on a device with a history (the queues, mapped
+/// pages and retry state the cells before it left), which a fresh device
+/// per cell would not have.
 #[derive(Debug, Clone, Copy)]
 struct Cell {
     fetch: FetchPolicy,
@@ -69,7 +71,7 @@ impl Cell {
 
     /// Not under the fault schedule: a read whose doorbell was dropped is
     /// reaped and its buffer freed, yet still runs — into the retry's
-    /// pages — once a later doorbell covers it (ROADMAP item 5).
+    /// pages — once a later doorbell covers it (ROADMAP item 4).
     fn reads_back(&self) -> bool {
         self.nand() && !self.faulty
     }

@@ -111,3 +111,42 @@ fn lsm_write_amplification_reported() {
     let live_pages = (300 * (120 + 19)) / 4096 + 1;
     assert!(stats.pages_written as usize > live_pages * 2);
 }
+
+#[test]
+fn lsm_memtable_does_not_survive_a_hard_power_cycle() {
+    let mut s = lsm_store(TransferMethod::ByteExpress);
+    let key = |i: u32| format!("vol{i:05}").into_bytes();
+    let value = |i: u32| vec![(i % 251) as u8; 90];
+    // Non-durable PUTs until two memtables have been flushed and a third is
+    // part full. A flush happens before the PUT that overflowed the budget
+    // is inserted, so that PUT's key is the first of the new memtable.
+    let mut flushed = 0;
+    let mut puts = 0;
+    while s.lsm_stats().flushes < 2 || puts < flushed + 40 {
+        let before = s.lsm_stats().flushes;
+        s.put(&key(puts), &value(puts)).unwrap();
+        if s.lsm_stats().flushes > before {
+            flushed = puts;
+        }
+        puts += 1;
+    }
+    // An overwrite of a flushed key that is itself only in the memtable.
+    s.put(&key(0), b"unflushed overwrite").unwrap();
+    assert_eq!(s.lsm_stats().flushes, 2);
+
+    let report = s.hard_power_cycle().unwrap();
+    assert!(report.recovered_mappings > 0, "the runs' pages are on NAND");
+    for i in 0..flushed {
+        assert_eq!(s.get(&key(i)).unwrap(), Some(value(i)), "flushed key {i}");
+    }
+    for i in flushed..puts {
+        assert_eq!(s.get(&key(i)).unwrap(), None, "unflushed key {i}");
+    }
+    // The device keeps working: new PUTs land and flush.
+    for i in puts..puts + 400 {
+        s.put(&key(i), &value(i)).unwrap();
+    }
+    assert!(s.lsm_stats().flushes > 2);
+    assert_eq!(s.get(&key(puts)).unwrap(), Some(value(puts)));
+    assert_eq!(s.get(&key(1)).unwrap(), Some(value(1)));
+}
