@@ -5,7 +5,7 @@ use crate::stats::LatencySamples;
 use bx_driver::{
     Completion, DriverError, FlushPolicy, NvmeDriver, RecoveryStats, RetryPolicy, TransferMethod,
 };
-use bx_hostsim::{FaultConfig, FaultCounters, Nanos};
+use bx_hostsim::{FaultConfig, FaultCounters, Nanos, PAGE_SIZE};
 use bx_nvme::{IoOpcode, PassthruCmd, QueueId, Status};
 use bx_pcie::{LinkConfig, LinkConfigError, TrafficCounters};
 use bx_ssd::{
@@ -23,6 +23,9 @@ pub enum DeviceError {
     Command(Status),
     /// [`DeviceBuilder::try_build`] was handed a structurally invalid link.
     Link(LinkConfigError),
+    /// [`DeviceBuilder::try_build`] was handed a NAND page smaller than the
+    /// 4 KB logical block a page must hold.
+    NandPageSize(usize),
 }
 
 impl fmt::Display for DeviceError {
@@ -31,6 +34,12 @@ impl fmt::Display for DeviceError {
             DeviceError::Driver(e) => write!(f, "driver error: {e}"),
             DeviceError::Command(s) => write!(f, "command failed: {s}"),
             DeviceError::Link(e) => write!(f, "invalid LinkConfig: {e}"),
+            DeviceError::NandPageSize(size) => {
+                write!(
+                    f,
+                    "NAND page of {size} B: a page holds a {PAGE_SIZE} B block"
+                )
+            }
         }
     }
 }
@@ -274,8 +283,9 @@ impl DeviceBuilder {
     /// Host memory the queues, PRP lists and data pages are carved from.
     const HOST_MEM_CAPACITY: usize = 256 << 20;
 
-    /// [`DeviceBuilder::build`], with an invalid link, a failed bring-up or
-    /// queues that do not fit host memory reported instead of panicking.
+    /// [`DeviceBuilder::build`], with an invalid link, a NAND page that
+    /// cannot hold a logical block, a failed bring-up or queues that do not
+    /// fit host memory reported instead of panicking.
     ///
     /// ```
     /// use byteexpress::{Device, DeviceError, LinkConfig};
@@ -287,6 +297,9 @@ impl DeviceBuilder {
     /// ```
     pub fn try_build(self) -> Result<Device, DeviceError> {
         self.link.validate().map_err(DeviceError::Link)?;
+        if self.nand.page_size < PAGE_SIZE {
+            return Err(DeviceError::NandPageSize(self.nand.page_size));
+        }
         // One doorbell pair per I/O queue plus the admin queue.
         let mut bus = SystemBus::new(self.link, Self::HOST_MEM_CAPACITY, self.queue_count + 1);
         if self.trace {

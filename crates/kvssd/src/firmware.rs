@@ -193,10 +193,11 @@ impl KvFirmware {
     }
 
     /// Writes the staging page, as it stands, to the current log LPN,
-    /// straight from device DRAM. Returns the completion instant.
+    /// straight from device DRAM: the bytes staged so far, the rest of the
+    /// page reading as zeros. Returns the completion instant.
     fn program_staging(&self, ctx: &mut FirmwareCtx<'_>, now: Nanos) -> Result<Nanos, Status> {
         self.pages
-            .write_from_dram(ctx, self.next_lpn, self.staging_off, now)
+            .write_from_dram(ctx, self.next_lpn, self.staging_off, self.staging_used, now)
     }
 
     /// Appends one log entry — header plus `value` — to the staging page,

@@ -84,7 +84,8 @@ pub trait FirmwareHandler {
 }
 
 /// Plain block-SSD firmware: `Write`/`Read`/`Flush` against the FTL, one
-/// 4 KB logical block per LBA.
+/// 4 KB logical block per LBA, each in a NAND page of its own (a larger
+/// NAND page's tail reads as zeros).
 ///
 /// With `nand_io` disabled the payload is landed in a DRAM page buffer and
 /// acknowledged without touching NAND — the paper's configuration for
@@ -94,11 +95,6 @@ pub struct BlockFirmware {
     nand_io: bool,
     /// Device-DRAM page buffer offset (landing zone in NAND-off mode).
     page_buffer: usize,
-    /// One page of staging for sub-page write tails, zero beyond
-    /// `staged_len`: padding the next tail clears only what the last one
-    /// left behind, not the whole page.
-    staging: Vec<u8>,
-    staged_len: usize,
 }
 
 impl BlockFirmware {
@@ -115,8 +111,6 @@ impl BlockFirmware {
         BlockFirmware {
             nand_io,
             page_buffer: region.offset,
-            staging: vec![0; PAGE_SIZE],
-            staged_len: 0,
         }
     }
 }
@@ -148,21 +142,13 @@ impl FirmwareHandler for BlockFirmware {
                     }
                     return CommandOutcome::ok(ctx.now);
                 }
-                // Page-at-a-time through the FTL; sub-page tails are padded.
+                // Page-at-a-time through the FTL; a sub-page tail is
+                // programmed as it is, and the rest of its page reads as
+                // zeros.
                 let mut t = ctx.now;
                 let base_lpn = sqe.slba();
                 for (i, chunk) in data.chunks(PAGE_SIZE).enumerate() {
-                    let page = if chunk.len() == PAGE_SIZE {
-                        chunk
-                    } else {
-                        self.staging[..chunk.len()].copy_from_slice(chunk);
-                        if chunk.len() < self.staged_len {
-                            self.staging[chunk.len()..self.staged_len].fill(0);
-                        }
-                        self.staged_len = chunk.len();
-                        &self.staging
-                    };
-                    match ctx.ftl.write(base_lpn + i as u64, page, ctx.nand, t) {
+                    match ctx.ftl.write(base_lpn + i as u64, chunk, ctx.nand, t) {
                         Ok(done) => t = done,
                         Err(e) => return CommandOutcome::fail(ftl_status(&e), ctx.now),
                     }

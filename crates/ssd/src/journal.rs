@@ -23,6 +23,11 @@
 //! Torn tails are first-class: a cut mid-append leaves exactly one record
 //! with a broken checksum; replay stops there and discards it (the update it
 //! described was never acked — its ack would have waited for `durable_at`).
+//!
+//! Only recovery reads the medium, so records are encoded where they are
+//! read back: an append keeps the decoded record, and [`MapJournal::replayable`]
+//! and [`MapJournal::truncate_torn`] put each one through the 48-byte
+//! encoding, the torn one with its tail zeroed, and its checksum.
 
 use crate::nand::{PackedPpa, Ppa};
 use bx_hostsim::Nanos;
@@ -106,8 +111,8 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// Table-driven CRC-32 (IEEE 802.3). One lookup per byte: every append
-/// checksums its record, so this sits on the NAND-on write path.
+/// Table-driven CRC-32 (IEEE 802.3). One lookup per byte; recovery
+/// checksums every surviving record.
 fn crc32(bytes: &[u8]) -> u32 {
     !bytes.iter().fold(0xFFFF_FFFF_u32, |crc, &b| {
         (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize]
@@ -211,12 +216,14 @@ fn decode(buf: &[u8; RECORD_BYTES]) -> Option<JournalRecord> {
     Some(JournalRecord { seq, op })
 }
 
-/// One record as it sits in the journal region, plus the volatile side
-/// metadata the durability model needs (neither field is on the medium).
+/// One record in the journal region, plus the volatile side metadata the
+/// durability model needs (the two timestamps are not on the medium).
 #[derive(Debug, Clone)]
 struct StoredRecord {
-    bytes: [u8; RECORD_BYTES],
-    seq: u32,
+    rec: JournalRecord,
+    /// A power cut landed mid-program: on the medium, the record's last
+    /// eight bytes — its checksum among them — are zeros.
+    torn: bool,
     /// When the journal program for this record completes — acks wait for
     /// this; a cut before it tears the record.
     durable_at: Nanos,
@@ -224,6 +231,18 @@ struct StoredRecord {
     /// (`Nanos::ZERO` for Trim/Retire). Checkpoints only absorb records
     /// whose targets are already durable.
     target_done: Nanos,
+}
+
+impl StoredRecord {
+    /// What recovery decodes from the medium: the record, or `None` where
+    /// its checksum fails.
+    fn read_back(&self) -> Option<JournalRecord> {
+        let mut bytes = encode(&self.rec);
+        if self.torn {
+            bytes[RECORD_BYTES - 8..].fill(0);
+        }
+        decode(&bytes)
+    }
 }
 
 /// A persisted map snapshot: replaces every record with `seq < covers_below`.
@@ -302,11 +321,10 @@ impl MapJournal {
         self.prune_covered(now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let rec = JournalRecord { seq, op };
         self.busy_until = self.busy_until.max(now) + JOURNAL_APPEND_LATENCY;
         self.records.push_back(StoredRecord {
-            bytes: encode(&rec),
-            seq,
+            rec: JournalRecord { seq, op },
+            torn: false,
             durable_at: self.busy_until,
             target_done,
         });
@@ -343,7 +361,7 @@ impl MapJournal {
         let mut covers_below = self.checkpoints.last().map(|c| c.covers_below).unwrap_or(0);
         for rec in &self.records {
             if rec.target_done <= now {
-                covers_below = rec.seq + 1;
+                covers_below = rec.rec.seq + 1;
             } else {
                 break;
             }
@@ -379,7 +397,7 @@ impl MapJournal {
         else {
             return;
         };
-        while self.records.front().is_some_and(|r| r.seq < covers) {
+        while self.records.front().is_some_and(|r| r.rec.seq < covers) {
             self.records.pop_front();
             self.stats.pruned += 1;
         }
@@ -387,16 +405,13 @@ impl MapJournal {
 
     /// A power cut at instant `at`: checkpoints and records that had not
     /// finished programming are lost. The first in-flight record is kept
-    /// with its tail zeroed — the torn-append signature replay must detect
-    /// via the checksum — and everything after it never reached the medium.
+    /// torn — its tail zeroed, the signature replay must detect via the
+    /// checksum — and everything after it never reached the medium.
     pub(crate) fn power_cut(&mut self, at: Nanos) {
         self.checkpoints.retain(|c| c.durable_at <= at);
         if let Some(first_torn) = self.records.iter().position(|r| r.durable_at > at) {
             self.records.truncate(first_torn + 1);
-            let torn = &mut self.records[first_torn];
-            for b in &mut torn.bytes[RECORD_BYTES - 8..] {
-                *b = 0;
-            }
+            self.records[first_torn].torn = true;
         }
         self.busy_until = at;
     }
@@ -413,7 +428,7 @@ impl MapJournal {
     pub(crate) fn replayable(&self, from_seq: u32) -> (Vec<JournalRecord>, bool) {
         let mut out = Vec::new();
         for rec in &self.records {
-            match decode(&rec.bytes) {
+            match rec.read_back() {
                 Some(r) => {
                     if r.seq >= from_seq {
                         out.push(r);
@@ -428,7 +443,7 @@ impl MapJournal {
     /// Discards the torn tail record (if any) after recovery has replayed
     /// the durable prefix, leaving the journal clean for new appends.
     pub(crate) fn truncate_torn(&mut self) {
-        if let Some(pos) = self.records.iter().position(|r| decode(&r.bytes).is_none()) {
+        if let Some(pos) = self.records.iter().position(|r| r.read_back().is_none()) {
             self.stats.torn_records += (self.records.len() - pos) as u64;
             self.records.truncate(pos);
         }
@@ -474,13 +489,15 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    /// The journal as it was before the prefix prune: a `Vec` tail swept by
-    /// `retain` on every append, records kept decoded with a torn flag. Same
-    /// checkpoint policy as [`MapJournal`].
+    /// The journal as it was before records were encoded on read-back and
+    /// before the prefix prune: every append encodes and checksums its
+    /// record, a power cut zeroes the torn record's tail in place, and the
+    /// `Vec` tail is swept by `retain` on every append. Same checkpoint
+    /// policy as [`MapJournal`].
     #[derive(Default)]
-    struct NaiveJournal {
-        /// `(record, durable_at, target_done, torn)`.
-        records: Vec<(JournalRecord, Nanos, Nanos, bool)>,
+    struct EagerJournal {
+        /// `(bytes, seq, durable_at, target_done)`.
+        records: Vec<([u8; RECORD_BYTES], u32, Nanos, Nanos)>,
         /// `(covers_below, durable_at)`.
         checkpoints: Vec<(u32, Nanos)>,
         next_seq: u32,
@@ -488,14 +505,14 @@ mod tests {
         stats: JournalStats,
     }
 
-    impl NaiveJournal {
+    impl EagerJournal {
         fn prune(&mut self, now: Nanos) {
             let durable = self.checkpoints.iter().filter(|c| c.1 <= now);
             let Some(covers) = durable.map(|c| c.0).max() else {
                 return;
             };
             let before = self.records.len();
-            self.records.retain(|r| r.0.seq >= covers);
+            self.records.retain(|r| r.1 >= covers);
             self.stats.pruned += (before - self.records.len()) as u64;
         }
 
@@ -505,10 +522,10 @@ mod tests {
             self.next_seq += 1;
             self.busy_until = self.busy_until.max(now) + JOURNAL_APPEND_LATENCY;
             self.records.push((
-                JournalRecord { seq, op },
+                encode(&JournalRecord { seq, op }),
+                seq,
                 self.busy_until,
                 target_done,
-                false,
             ));
             self.stats.appends += 1;
             self.busy_until
@@ -519,8 +536,8 @@ mod tests {
                 return;
             }
             let mut covers = self.checkpoints.last().map_or(0, |c| c.0);
-            for r in self.records.iter().take_while(|r| r.2 <= now) {
-                covers = r.0.seq + 1;
+            for r in self.records.iter().take_while(|r| r.3 <= now) {
+                covers = r.1 + 1;
             }
             self.busy_until = self.busy_until.max(now) + CHECKPOINT_LATENCY;
             let newest_durable = self.checkpoints.iter().rposition(|c| c.1 <= now);
@@ -532,22 +549,27 @@ mod tests {
 
         fn power_cut(&mut self, at: Nanos) {
             self.checkpoints.retain(|c| c.1 <= at);
-            if let Some(first_torn) = self.records.iter().position(|r| r.1 > at) {
+            if let Some(first_torn) = self.records.iter().position(|r| r.2 > at) {
                 self.records.truncate(first_torn + 1);
-                self.records[first_torn].3 = true;
+                self.records[first_torn].0[RECORD_BYTES - 8..].fill(0);
             }
             self.busy_until = at;
         }
 
         fn replayable(&self, from_seq: u32) -> (Vec<JournalRecord>, bool) {
-            let intact = self.records.iter().take_while(|r| !r.3);
-            let out: Vec<JournalRecord> =
-                intact.map(|r| r.0).filter(|r| r.seq >= from_seq).collect();
-            (out, self.records.iter().any(|r| r.3))
+            let mut out = Vec::new();
+            for r in &self.records {
+                match decode(&r.0) {
+                    Some(rec) if rec.seq >= from_seq => out.push(rec),
+                    Some(_) => {}
+                    None => return (out, true),
+                }
+            }
+            (out, false)
         }
 
         fn truncate_torn(&mut self) {
-            if let Some(pos) = self.records.iter().position(|r| r.3) {
+            if let Some(pos) = self.records.iter().position(|r| decode(&r.0).is_none()) {
                 self.stats.torn_records += (self.records.len() - pos) as u64;
                 self.records.truncate(pos);
             }
@@ -556,11 +578,12 @@ mod tests {
 
     #[derive(Debug, Clone)]
     enum Step {
-        /// Advance the clock by `gap_us`, append a record whose target lands
-        /// `target_us` later.
+        /// Advance the clock by `gap_us`, append `op` with a target that
+        /// lands `target_us` later.
         Append {
             gap_us: u64,
             target_us: u64,
+            op: JournalOp,
         },
         Checkpoint,
         /// Cut `back_us` before the clock (never before the previous cut),
@@ -570,10 +593,27 @@ mod tests {
         },
     }
 
+    /// Every record kind, over every field's whole range.
+    fn op_strategy() -> impl Strategy<Value = JournalOp> {
+        let any_ppa = || (any::<u16>(), any::<u16>(), any::<u32>(), any::<u32>());
+        prop_oneof![
+            4 => (any::<u64>(), any_ppa(), any::<bool>(), any_ppa()).prop_map(
+                |(lpn, (c, d, b, p), has_prev, (pc, pd, pb, pp))| JournalOp::MapUpdate {
+                    lpn,
+                    ppa: ppa(c, d, b, p),
+                    prev: has_prev.then(|| ppa(pc, pd, pb, pp)),
+                }
+            ),
+            1 => any::<u64>().prop_map(|lpn| JournalOp::Trim { lpn }),
+            1 => (any::<u16>(), any::<u16>(), any::<u32>())
+                .prop_map(|(channel, die, block)| JournalOp::Retire { channel, die, block }),
+        ]
+    }
+
     fn step_strategy() -> impl Strategy<Value = Step> {
         prop_oneof![
-            12 => (0..60u64, 0..400u64)
-                .prop_map(|(gap_us, target_us)| Step::Append { gap_us, target_us }),
+            12 => (0..60u64, 0..400u64, op_strategy())
+                .prop_map(|(gap_us, target_us, op)| Step::Append { gap_us, target_us, op }),
             3 => Just(Step::Checkpoint),
             1 => (0..150u64).prop_map(|back_us| Step::CutAndRecover { back_us }),
         ]
@@ -589,22 +629,22 @@ mod tests {
             prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
         }
 
-        /// The prefix prune drops exactly what the full `retain` sweep did,
-        /// through checkpoints, power cuts and torn-tail truncation.
+        /// Encoding on read-back replays, tears and prunes exactly what the
+        /// eager encoder with its full `retain` sweep did, through
+        /// checkpoints, power cuts and torn-tail truncation.
         #[test]
-        fn matches_the_retain_journal(
+        fn matches_the_eager_retain_journal(
             steps in proptest::collection::vec(step_strategy(), 1..300),
         ) {
             let mut journal = MapJournal::new();
             journal.checkpoint_threshold = 4;
-            let mut naive = NaiveJournal::default();
+            let mut naive = EagerJournal::default();
             let mut now = Nanos::ZERO;
             let mut floor = Nanos::ZERO;
-            for (i, step) in steps.into_iter().enumerate() {
+            for step in steps {
                 match step {
-                    Step::Append { gap_us, target_us } => {
+                    Step::Append { gap_us, target_us, op } => {
                         now += Nanos::from_us(gap_us);
-                        let op = JournalOp::Trim { lpn: i as u64 };
                         let target = now + Nanos::from_us(target_us);
                         prop_assert_eq!(
                             journal.append(op, target, now),

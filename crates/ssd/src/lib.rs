@@ -54,6 +54,7 @@ mod nand;
 mod pages;
 mod reassembly;
 pub mod registers;
+mod rows;
 mod timing;
 
 pub use arbiter::Arbitration;

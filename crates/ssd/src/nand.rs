@@ -7,10 +7,10 @@
 //! programmed (end-to-end integrity, not just timing). The store is indexed
 //! by a deterministic die-major page index — never by hashed keys — so no
 //! randomized-hash iteration order can influence traces or timing. Its slot
-//! table comes from the allocator zeroed and untouched and a page is kept
-//! only up to its last non-zero byte (reads pad the rest back), so the
-//! array costs the simulator the bytes a run programmed — 64 B for a 64 B
-//! payload in a 4 KB page — never its capacity.
+//! table comes from the allocator zeroed and untouched, and a program may
+//! hand over less than a page — the rest reads back as zeros — so the array
+//! costs the simulator the bytes a run programmed — 64 B for a 64 B payload
+//! in a 4 KB page — never its capacity.
 //!
 //! The controller can disable NAND I/O entirely (`NandConfig::disabled`) to
 //! reproduce the paper's transfer-latency-only experiments ("with NAND I/O
@@ -103,7 +103,8 @@ pub struct NandConfig {
     pub blocks_per_die: u32,
     /// Pages per block.
     pub pages_per_block: u32,
-    /// Page size in bytes.
+    /// Page size in bytes. A device needs at least one logical block (4 KB)
+    /// per page.
     pub page_size: usize,
     /// Page read (tR) latency.
     pub read_latency: Nanos,
@@ -192,8 +193,10 @@ impl NandConfig {
         self.die_index(ppa) * self.blocks_per_die as usize + ppa.block as usize
     }
 
-    fn transfer_time(&self, bytes: usize) -> Nanos {
-        Nanos::from_ns((bytes as f64 / self.channel_bytes_per_ns).ceil() as u64)
+    /// Flash-bus time of one page: programs and reads move the whole page
+    /// whatever the caller handed over or asked for.
+    fn page_transfer_time(&self) -> Nanos {
+        Nanos::from_ns((self.page_size as f64 / self.channel_bytes_per_ns).ceil() as u64)
     }
 }
 
@@ -206,7 +209,7 @@ pub enum NandError {
     ProgramWithoutErase(Ppa),
     /// Read of a page that was never programmed.
     ReadUnwritten(Ppa),
-    /// Program data is not exactly one page, or a read range runs past the
+    /// Program data is longer than one page, or a read range runs past the
     /// page end.
     BadLength {
         /// Bytes provided (program) or the range's end offset (read).
@@ -248,22 +251,6 @@ const BURNED: u32 = 1;
 /// `buffers[slot - HELD]`.
 const HELD: u32 = 2;
 
-/// Length of `page` up to and including its last non-zero byte. Zero
-/// padding is stripped 64 bytes at a time — a sub-page payload leaves
-/// kilobytes of it, and a bytewise scan would cost more than the copy it
-/// saves.
-fn stored_len(page: &[u8]) -> usize {
-    const STRIDE: usize = 64;
-    let zero_strides = page
-        .rchunks_exact(STRIDE)
-        .take_while(|stride| stride.iter().fold(0, |acc, &b| acc | b) == 0)
-        .count();
-    let head = &page[..page.len() - zero_strides * STRIDE];
-    head.iter()
-        .rposition(|&b| b != 0)
-        .map_or(0, |last| last + 1)
-}
-
 /// The NAND array: data store plus per-die timing state.
 #[derive(Debug)]
 pub struct NandArray {
@@ -276,9 +263,9 @@ pub struct NandArray {
     /// the allocator maps it lazily, so only the slots a run programs cost
     /// memory, and no program ever grows or copies the table.
     slots: Vec<u32>,
-    /// The bytes of programmed pages, each cut after its last non-zero byte
-    /// (an empty buffer is an all-zero page, still data);
-    /// [`NandArray::read_range`] restores the zero tail.
+    /// The bytes each programmed page was handed — possibly less than a
+    /// page, possibly none, still data; [`NandArray::read_range`] restores
+    /// the zero tail.
     buffers: Vec<Box<[u8]>>,
     /// Entries of `buffers` whose page was erased or torn, for the next
     /// programs to fill. Their bytes went back to the allocator: a buffer
@@ -293,6 +280,8 @@ pub struct NandArray {
     programmed: Vec<bool>,
     /// Per-die "busy until" instants, enabling inter-die parallelism.
     die_busy_until: Vec<Nanos>,
+    /// [`NandConfig::page_transfer_time`], computed once.
+    page_transfer: Nanos,
     /// Per-page program-complete marks: programs whose completion instant may
     /// still lie in the future. The data is inserted at issue time (the
     /// simulation is single-threaded), so these marks are what distinguishes
@@ -333,6 +322,7 @@ impl NandArray {
             buffers: Vec::new(),
             free_buffers: Vec::new(),
             programmed: vec![false; dies * cfg.blocks_per_die as usize],
+            page_transfer: cfg.page_transfer_time(),
             cfg,
             die_busy_until: vec![Nanos::ZERO; dies],
             pending_programs: Vec::new(),
@@ -396,7 +386,10 @@ impl NandArray {
         self.slots[idx] = state;
     }
 
-    /// Programs a page with `data`, starting no earlier than `now`.
+    /// Programs a page with `data`, starting no earlier than `now`. `data`
+    /// may be shorter than a page: the rest of the page reads as zeros.
+    /// Timing does not depend on its length — the die programs, and the
+    /// flash bus moves, the whole page.
     ///
     /// Returns the instant the program completes (the die is busy until
     /// then). With NAND disabled, returns `now` and stores nothing.
@@ -404,14 +397,14 @@ impl NandArray {
     /// # Errors
     ///
     /// * [`NandError::BadAddress`] outside the geometry.
-    /// * [`NandError::BadLength`] if `data` is not exactly one page.
+    /// * [`NandError::BadLength`] if `data` is longer than one page.
     /// * [`NandError::ProgramWithoutErase`] when overwriting in place.
     pub fn program(&mut self, ppa: Ppa, data: &[u8], now: Nanos) -> Result<Nanos, NandError> {
         self.check(ppa)?;
         if !self.cfg.enabled {
             return Ok(now);
         }
-        if data.len() != self.cfg.page_size {
+        if data.len() > self.cfg.page_size {
             return Err(NandError::BadLength {
                 got: data.len(),
                 want: self.cfg.page_size,
@@ -436,11 +429,10 @@ impl NandArray {
             self.stats.program_failures += 1;
             let die = self.cfg.die_index(ppa);
             let start = self.die_busy_until[die].max(now);
-            self.die_busy_until[die] =
-                start + self.cfg.transfer_time(self.cfg.page_size) + self.cfg.program_latency;
+            self.die_busy_until[die] = start + self.page_transfer + self.cfg.program_latency;
             return Err(NandError::ProgramFailed(ppa));
         }
-        let held = data[..stored_len(data)].into();
+        let held = data.into();
         let buffer = match self.free_buffers.pop() {
             Some(freed) => {
                 self.buffers[freed as usize] = held;
@@ -456,7 +448,7 @@ impl NandArray {
 
         let die = self.cfg.die_index(ppa);
         let start = self.die_busy_until[die].max(now);
-        let done = start + self.cfg.transfer_time(self.cfg.page_size) + self.cfg.program_latency;
+        let done = start + self.page_transfer + self.cfg.program_latency;
         self.die_busy_until[die] = done;
         self.pending_programs.retain(|&(_, d)| d > now);
         self.pending_programs.push((ppa, done));
@@ -504,7 +496,7 @@ impl NandArray {
         self.stats.reads += 1;
         let die = self.cfg.die_index(ppa);
         let start = self.die_busy_until[die].max(now);
-        let done = start + self.cfg.read_latency + self.cfg.transfer_time(self.cfg.page_size);
+        let done = start + self.cfg.read_latency + self.page_transfer;
         self.die_busy_until[die] = done;
         // Injected read disturb: a correctable flip count is fixed by the ECC
         // (the caller still gets clean data); past the ECC strength the read
@@ -520,8 +512,8 @@ impl NandArray {
                 }
             }
         }
-        // The slot holds the page up to its last non-zero byte; whatever of
-        // the range lies beyond that is the stripped zero tail.
+        // The slot holds what the program was handed; whatever of the range
+        // lies beyond that is the zero tail.
         let held = stored
             .get(off.min(stored.len())..end.min(stored.len()))
             .unwrap_or_default();
@@ -577,6 +569,19 @@ impl NandArray {
         self.check(ppa).is_ok() && self.slots[self.cfg.page_index(ppa)] >= HELD
     }
 
+    /// How many bytes the program of `ppa` was handed: the prefix of the
+    /// page that holds everything it does, the rest being zeros. GC copies
+    /// that much, so a relocated page stays as short as it was written.
+    /// Zero for a page without data.
+    pub(crate) fn programmed_len(&self, ppa: Ppa) -> usize {
+        if self.check(ppa).is_err() {
+            return 0;
+        }
+        self.slots[self.cfg.page_index(ppa)]
+            .checked_sub(HELD)
+            .map_or(0, |buffer| self.buffers[buffer as usize].len())
+    }
+
     /// The completion instant of the latest still-in-flight program, or
     /// `Nanos::ZERO` when nothing is pending. The FTL waits through this
     /// horizon before destroying superseded copies (erase) so a power cut
@@ -629,7 +634,18 @@ impl NandArray {
     }
 }
 
-/// `(name, page)` for the shapes the trimmed store treats differently.
+/// The shortest prefix of `page` holding all its non-zero bytes: what a
+/// sub-page program of it must hand over.
+#[cfg(test)]
+pub(crate) fn nonzero_prefix(page: &[u8]) -> &[u8] {
+    &page[..page
+        .iter()
+        .rposition(|&b| b != 0)
+        .map_or(0, |last| last + 1)]
+}
+
+/// `(name, page)` for pages whose zero runs sit in different places: all,
+/// none, a tail, an inner run, a lone byte at either end.
 #[cfg(test)]
 pub(crate) fn shaped_pages() -> Vec<(&'static str, Vec<u8>)> {
     let mut zero_tailed = vec![0u8; 4096];
@@ -693,16 +709,6 @@ mod tests {
     }
 
     #[test]
-    fn stored_len_is_the_last_non_zero_byte() {
-        for (name, page) in shaped_pages() {
-            let want = page.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
-            assert_eq!(stored_len(&page), want, "{name}");
-        }
-        assert_eq!(stored_len(&[]), 0);
-        assert_eq!(stored_len(&[0, 3, 0]), 2);
-    }
-
-    #[test]
     fn every_page_shape_reads_back_whole() {
         let mut n = array();
         let mut t = Nanos::ZERO;
@@ -714,13 +720,82 @@ mod tests {
             assert_eq!(back.len(), 4096, "{name}");
             assert_eq!(back, page, "{name}");
         }
-        // The length check is on what the caller passed, not what is stored.
+    }
+
+    /// A program handed only `page[..n]` — any `n` from the page's last
+    /// non-zero byte up — is indistinguishable from the program of the
+    /// whole zero-padded page (the only form `program` took before): the
+    /// same completion instants, whole and ranged reads, `has_data`, torn
+    /// pages and counters, before and after a cut.
+    #[test]
+    fn sub_page_program_equals_the_padded_program() {
+        for (name, page) in shaped_pages() {
+            let short = nonzero_prefix(&page).len();
+            for n in [short, short + 1, (short + 4096) / 2, 4095, 4096] {
+                let n = n.clamp(short, 4096);
+                let (mut padded, mut sub) = (array(), array());
+                for (i, at) in [ppa(0, 0, 0, 0), ppa(0, 0, 0, 1)].into_iter().enumerate() {
+                    let now = Nanos::from_us(i as u64);
+                    assert_eq!(
+                        padded.program(at, &page, now),
+                        sub.program(at, &page[..n], now),
+                        "{name}, {n} B"
+                    );
+                    assert_eq!(sub.programmed_len(at), n, "{name}");
+                }
+                let cut = die_ready_at(&padded, ppa(0, 0, 0, 0)) - Nanos::from_ns(1);
+                for stage in ["programmed", "cut"] {
+                    for page_no in 0..2 {
+                        let at = ppa(0, 0, 0, page_no);
+                        assert_eq!(padded.has_data(at), sub.has_data(at), "{name} {stage}");
+                        for (off, len) in [
+                            (0, 4096),
+                            (0, n),
+                            (n, 4096 - n),
+                            (n / 2, 64.min(4096 - n / 2)),
+                        ] {
+                            let (mut a, mut b) = (Vec::new(), Vec::new());
+                            assert_eq!(
+                                padded.read_range(at, off, len, cut, &mut a),
+                                sub.read_range(at, off, len, cut, &mut b),
+                                "{name}, {n} B, {stage}, page {page_no}"
+                            );
+                            assert_eq!(a, b, "{name}, {n} B, {stage}, page {page_no}, {off}+{len}");
+                        }
+                    }
+                    assert_eq!(padded.stats(), sub.stats(), "{name} {stage}");
+                    if stage == "programmed" {
+                        assert_eq!(padded.power_cut(cut), sub.power_cut(cut), "{name}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `BadLength` is for more than a page; anything up to one, nothing
+    /// included, is a program.
+    #[test]
+    fn bad_length_only_above_the_page_size() {
+        let mut n = array();
+        for (page_no, len) in [0, 1, 64, 4095, 4096].into_iter().enumerate() {
+            let at = ppa(0, 0, 0, page_no as u32);
+            n.program(at, &vec![7; len], Nanos::ZERO).unwrap();
+            assert_eq!(
+                read(&mut n, at, Nanos::ZERO).unwrap().0[..len],
+                vec![7; len]
+            );
+        }
         assert_eq!(
-            n.program(ppa(0, 0, 1, 0), &[0u8; 64], t).unwrap_err(),
+            n.program(ppa(0, 0, 1, 0), &[0u8; 4097], Nanos::ZERO)
+                .unwrap_err(),
             NandError::BadLength {
-                got: 64,
+                got: 4097,
                 want: 4096
             }
+        );
+        assert!(
+            n.is_block_erased(0, 0, 1),
+            "a refused program touches nothing"
         );
     }
 
@@ -797,16 +872,6 @@ mod tests {
             n.erase(0, 0, 9999, Nanos::ZERO),
             Err(NandError::BadAddress(_))
         ));
-    }
-
-    #[test]
-    fn bad_length_rejected() {
-        let mut n = array();
-        assert_eq!(
-            n.program(ppa(0, 0, 0, 0), &[1, 2, 3], Nanos::ZERO)
-                .unwrap_err(),
-            NandError::BadLength { got: 3, want: 4096 }
-        );
     }
 
     #[test]

@@ -74,12 +74,15 @@ impl PageStore {
         }
     }
 
-    /// Writes `page` at `lpn`; returns the completion instant.
+    /// Writes `page` at `lpn`; returns the completion instant. `page` may
+    /// be shorter than [`PAGE_SIZE`]: the rest of the page reads as zeros,
+    /// and a NAND page program stores only what it was handed.
     ///
     /// # Errors
     ///
     /// [`Status::CapacityExceeded`] past the last page,
-    /// [`Status::InternalError`] when the backend fails.
+    /// [`Status::InternalError`] when the backend fails or `page` is longer
+    /// than [`PAGE_SIZE`].
     pub fn write(
         &self,
         ctx: &mut FirmwareCtx<'_>,
@@ -89,17 +92,17 @@ impl PageStore {
     ) -> Result<Nanos, Status> {
         match self.slot(ctx, lpn)? {
             None => ctx.ftl.write(lpn, page, ctx.nand, now).ok(),
-            Some(at) => ctx
-                .dram
-                .write(at, page)
-                .ok()
-                .map(|()| now + self.write_cost),
+            Some(at) if page.len() <= PAGE_SIZE => {
+                let written = ctx.dram.write(at, page).ok();
+                written.and_then(|()| self.zero_tail(ctx, at, page.len(), now))
+            }
+            Some(_) => None,
         }
         .ok_or(Status::InternalError)
     }
 
-    /// [`PageStore::write`] of the page at DRAM offset `src`, without
-    /// copying it out first.
+    /// [`PageStore::write`] of the `len` bytes at DRAM offset `src`, without
+    /// copying them out first.
     ///
     /// # Errors
     ///
@@ -109,19 +112,35 @@ impl PageStore {
         ctx: &mut FirmwareCtx<'_>,
         lpn: u64,
         src: usize,
+        len: usize,
         now: Nanos,
     ) -> Result<Nanos, Status> {
         match self.slot(ctx, lpn)? {
             None => {
-                let page = ctx.dram.read(src, PAGE_SIZE).ok();
+                let page = ctx.dram.read(src, len).ok();
                 page.and_then(|page| ctx.ftl.write(lpn, page, ctx.nand, now).ok())
             }
-            Some(at) => {
-                let copied = ctx.dram.copy_within(src, at, PAGE_SIZE).ok();
-                copied.map(|()| now + self.write_cost)
+            Some(at) if len <= PAGE_SIZE => {
+                let copied = ctx.dram.copy_within(src, at, len).ok();
+                copied.and_then(|()| self.zero_tail(ctx, at, len, now))
             }
+            Some(_) => None,
         }
         .ok_or(Status::InternalError)
+    }
+
+    /// Zeroes DRAM-log slot `at` from byte `len` on, finishing a page write
+    /// of `len` bytes; returns its completion instant.
+    fn zero_tail(
+        &self,
+        ctx: &mut FirmwareCtx<'_>,
+        at: usize,
+        len: usize,
+        now: Nanos,
+    ) -> Option<Nanos> {
+        static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+        ctx.dram.write(at + len, &ZERO_PAGE[len..]).ok()?;
+        Some(now + self.write_cost)
     }
 
     /// Appends bytes `off..off + len` of page `lpn` to `out`; returns the
@@ -231,11 +250,11 @@ mod tests {
             store.write(&mut ctx, lpn, page, now)
         }
 
-        /// `write_from_dram` of the staging page.
-        fn write_staged(&mut self, lpn: u64, now: Nanos) -> Result<Nanos, Status> {
+        /// `write_from_dram` of the first `len` bytes of the staging page.
+        fn write_staged(&mut self, lpn: u64, len: usize, now: Nanos) -> Result<Nanos, Status> {
             let src = self.staging;
             let (store, mut ctx) = self.at(now);
-            store.write_from_dram(&mut ctx, lpn, src, now)
+            store.write_from_dram(&mut ctx, lpn, src, len, now)
         }
 
         fn read(
@@ -277,8 +296,23 @@ mod tests {
             assert!(r.read(2, PAGE_SIZE - 4, 5, t).is_err(), "past the page end");
             // A page staged in DRAM lands without leaving it first.
             r.dram.write(r.staging, &page(0x77)).unwrap();
-            t = r.write_staged(3, t).unwrap();
+            t = r.write_staged(3, PAGE_SIZE, t).unwrap();
             assert_eq!(r.read(3, 0, PAGE_SIZE, t).unwrap(), page(0x77));
+            // A short write, over a full page, reads back its bytes and then
+            // zeros, whichever entry point wrote it.
+            let mut short = page(0x31);
+            short[100..].fill(0);
+            t = r.write(3, &short[..100], t).unwrap();
+            assert_eq!(r.read(3, 0, PAGE_SIZE, t).unwrap(), short);
+            t = r.write(2, &page(0x22), t).unwrap();
+            t = r.write_staged(2, 40, t).unwrap();
+            let mut staged = page(0x77);
+            staged[40..].fill(0);
+            assert_eq!(r.read(2, 0, PAGE_SIZE, t).unwrap(), staged);
+            assert_eq!(
+                r.write(2, &[0; PAGE_SIZE + 1], t),
+                Err(Status::InternalError)
+            );
             // A trimmed page takes a new write.
             let (store, mut ctx) = r.at(t);
             store.trim(&mut ctx, 0);
@@ -289,7 +323,10 @@ mod tests {
             t = r.write(last, &page(0xAB), t).unwrap();
             assert_eq!(r.write(past, &page(0), t), Err(Status::CapacityExceeded));
             assert_eq!(r.read(past, 0, 1, t), Err(Status::CapacityExceeded));
-            assert_eq!(r.write_staged(past, t), Err(Status::CapacityExceeded));
+            assert_eq!(
+                r.write_staged(past, PAGE_SIZE, t),
+                Err(Status::CapacityExceeded)
+            );
             // Costs: NAND time on NAND, the personality's DRAM costs off it.
             let done = r.write(4, &page(4), t).unwrap();
             if nand_io {
@@ -325,7 +362,10 @@ mod tests {
             r.write(0, &page(1), Nanos::ZERO),
             Err(Status::InternalError)
         );
-        assert_eq!(r.write_staged(0, Nanos::ZERO), Err(Status::InternalError));
+        assert_eq!(
+            r.write_staged(0, PAGE_SIZE, Nanos::ZERO),
+            Err(Status::InternalError)
+        );
         assert_eq!(r.read(0, 0, 8, Nanos::ZERO), Err(Status::InternalError));
     }
 }

@@ -5,7 +5,43 @@ use bx_csd::session::CsdConfig;
 use bx_csd::{corpus, CsdSession, TaskEncoding};
 use bx_kvssd::{KvStore, KvStoreConfig};
 use bx_workloads::{FillRandom, MixGraph};
-use byteexpress::{Device, FetchPolicy, TransferMethod};
+use byteexpress::{Device, DeviceError, FetchPolicy, NandConfig, TransferMethod};
+
+/// A NAND page larger than the 4 KB logical block holds one block, its tail
+/// reading as zeros; a page that cannot hold a block is refused when the
+/// device is built, not by failing every write after it.
+#[test]
+fn nand_pages_other_than_4k() {
+    let nand = |page_size| NandConfig {
+        page_size,
+        ..NandConfig::small()
+    };
+    let mut dev = Device::builder().nand_config(nand(8192)).build();
+    let sizes = [64, 4096, 3 * 4096 + 17];
+    for (i, (len, method)) in sizes
+        .into_iter()
+        .zip([
+            TransferMethod::ByteExpress,
+            TransferMethod::Prp,
+            TransferMethod::Prp,
+        ])
+        .enumerate()
+    {
+        let lba = i as u64 * 8;
+        let data: Vec<u8> = (0..len).map(|b| (b * 13 + i) as u8).collect();
+        dev.write(lba, &data, method).unwrap();
+        assert_eq!(dev.read(lba, len).unwrap(), data, "{len} B by {method}");
+    }
+    for page_size in [0, 2048, 4095] {
+        assert_eq!(
+            Device::builder()
+                .nand_config(nand(page_size))
+                .try_build()
+                .err(),
+            Some(DeviceError::NandPageSize(page_size))
+        );
+    }
+}
 
 #[test]
 fn block_device_all_methods_integrity() {
