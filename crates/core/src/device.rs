@@ -9,8 +9,8 @@ use bx_hostsim::{FaultConfig, FaultCounters, Nanos, PAGE_SIZE};
 use bx_nvme::{IoOpcode, PassthruCmd, QueueId, Status};
 use bx_pcie::{LinkConfig, LinkConfigError, TrafficCounters};
 use bx_ssd::{
-    Arbitration, BlockFirmware, Controller, ControllerConfig, DeviceDram, ExecutionModel,
-    FetchPolicy, FirmwareHandler, NandConfig, RecoveryReport, SystemBus,
+    BlockFirmware, Controller, ControllerConfig, DeviceDram, ExecutionModel, FetchPolicy,
+    FirmwareHandler, NandConfig, RecoveryReport, SystemBus,
 };
 use std::fmt;
 
@@ -82,7 +82,6 @@ pub struct DeviceBuilder {
     retry_policy: Option<RetryPolicy>,
     flush_policy: Option<FlushPolicy>,
     cq_coalesce: u16,
-    arbitration: Arbitration,
     trace: bool,
     trace_gauges: bool,
     execution_model: ExecutionModel,
@@ -111,7 +110,6 @@ impl Default for DeviceBuilder {
             retry_policy: None,
             flush_policy: None,
             cq_coalesce: 0,
-            arbitration: Arbitration::default(),
             trace: false,
             trace_gauges: false,
             execution_model: ExecutionModel::Serial,
@@ -219,15 +217,6 @@ impl DeviceBuilder {
         self
     }
 
-    /// Selects the controller's SQ arbitration mode (round-robin or
-    /// weighted-round-robin with an arbitration burst). Per-queue weights
-    /// are set after build via [`Controller::set_queue_weight`] on
-    /// [`Device::controller_mut`].
-    pub fn arbitration(mut self, arbitration: Arbitration) -> Self {
-        self.arbitration = arbitration;
-        self
-    }
-
     /// Selects the controller's execution model. The default,
     /// [`ExecutionModel::Serial`], advances the global clock through every
     /// command's full completion time at dispatch — fully-serialized
@@ -317,7 +306,6 @@ impl DeviceBuilder {
         let cfg = ControllerConfig {
             nand: self.nand,
             fetch_policy: self.fetch_policy,
-            arbitration: self.arbitration,
             execution_model: self.execution_model,
             ..Default::default()
         };

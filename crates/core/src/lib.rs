@@ -74,14 +74,14 @@ pub use bx_hostsim::{EventQueue, FaultConfig, FaultCounters, Nanos, PhysAddr};
 pub use bx_nvme::{IoOpcode, PassthruCmd, QueueId, Status, SubmissionEntry};
 pub use bx_pcie::{LinkConfig, LinkConfigError, TrafficClass, TrafficCounters};
 pub use bx_ssd::{
-    Arbitration, ControllerTiming, ExecutionModel, FetchPolicy, FirmwareHandler, NandConfig,
-    RecoveryReport, SystemBus,
+    ControllerTiming, ExecutionModel, FetchPolicy, FirmwareHandler, NandConfig, RecoveryReport,
+    SystemBus,
 };
 
 // The flight recorder's user-facing pieces.
 pub use bx_trace::{
-    chrome_trace_json, derive_timeseries, openmetrics, reconstruct_spans, sparkline, timeline,
-    validate_openmetrics, CmdKey, Event, EventKind, MetricsRegistry, TraceSink,
+    chrome_trace_json, openmetrics, reconstruct_spans, timeline, validate_openmetrics, CmdKey,
+    Event, EventKind, MetricsRegistry, TraceSink,
 };
 
 // Full substrate crates for advanced use.

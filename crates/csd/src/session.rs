@@ -3,7 +3,6 @@
 use crate::firmware::{CsdDeviceStats, CsdFirmware, TASK_MODE_FULL_SQL, TASK_MODE_SEGMENT};
 use crate::row::Row;
 use crate::schema::Schema;
-use bx_ssd::NandConfig;
 use byteexpress::{
     Completion, Device, DeviceError, IoOpcode, Nanos, PassthruCmd, Status, TransferMethod,
 };
@@ -52,11 +51,9 @@ impl From<DeviceError> for CsdError {
 /// Configuration for opening a [`CsdSession`].
 #[derive(Debug, Clone)]
 pub struct CsdConfig {
-    /// NAND I/O on or off. Read only when `nand` is `None`.
+    /// NAND I/O on or off: decides the device's array and the firmware's
+    /// page store alike.
     pub nand_io: bool,
-    /// NAND array override. When given, its `enabled` decides the mode and
-    /// `nand_io` is ignored.
-    pub nand: Option<NandConfig>,
     /// Queue depth.
     pub queue_depth: u16,
 }
@@ -65,7 +62,6 @@ impl Default for CsdConfig {
     fn default() -> Self {
         CsdConfig {
             nand_io: true,
-            nand: None,
             queue_depth: 1024,
         }
     }
@@ -101,20 +97,15 @@ impl CsdSession {
     pub fn open(cfg: CsdConfig) -> Self {
         let stats = Rc::new(RefCell::new(CsdDeviceStats::default()));
         let stats_for_fw = Rc::clone(&stats);
-        // The array the device is built with decides the mode, so firmware
-        // and NAND cannot disagree.
-        let nand_io = cfg.nand.as_ref().map_or(cfg.nand_io, |n| n.enabled);
-        let mut builder = Device::builder()
+        // One flag builds the array and the firmware's page store, so they
+        // cannot disagree.
+        let nand_io = cfg.nand_io;
+        let dev = Device::builder()
             .nand_io(nand_io)
             .queue_depth(cfg.queue_depth)
-            .firmware(move |dram| Box::new(CsdFirmware::with_stats(dram, nand_io, stats_for_fw)));
-        if let Some(nand) = cfg.nand {
-            builder = builder.nand_config(nand);
-        }
-        CsdSession {
-            dev: builder.build(),
-            stats,
-        }
+            .firmware(move |dram| Box::new(CsdFirmware::with_stats(dram, nand_io, stats_for_fw)))
+            .build();
+        CsdSession { dev, stats }
     }
 
     /// The underlying device.
@@ -362,14 +353,13 @@ mod tests {
         );
     }
 
-    /// A `nand` override decides the mode whatever `nand_io` says: every row
-    /// scans back and the array is read exactly when it is enabled.
+    /// `nand_io` alone decides the mode: every row scans back and the array
+    /// is read exactly when it is on.
     #[test]
-    fn nand_override_decides_the_mode() {
-        for (nand_io, nand) in [(true, NandConfig::disabled()), (false, NandConfig::small())] {
+    fn nand_io_decides_the_mode() {
+        for nand_io in [true, false] {
             let mut s = CsdSession::open(CsdConfig {
                 nand_io,
-                nand: Some(nand.clone()),
                 ..Default::default()
             });
             let schema = schema();
@@ -386,7 +376,7 @@ mod tests {
             let got = s.fetch_results(&schema).unwrap();
             assert!(got == rows(2000), "nand_io {nand_io}: rows differ");
             let reads = s.device().controller().nand_stats().reads;
-            assert_eq!(reads > 0, nand.enabled, "nand_io {nand_io}");
+            assert_eq!(reads > 0, nand_io, "nand_io {nand_io}");
         }
     }
 }

@@ -46,7 +46,7 @@ pub fn pad_key(key: &[u8]) -> PaddedKey {
 }
 
 /// Reads the padded key out of a KV command's CDW10–13.
-pub(crate) fn key_from_sqe(sqe: &SubmissionEntry) -> PaddedKey {
+fn key_from_sqe(sqe: &SubmissionEntry) -> PaddedKey {
     let mut out = [0u8; MAX_KEY_LEN];
     for i in 0..4 {
         out[i * 4..i * 4 + 4].copy_from_slice(&sqe.cdw(10 + i).to_le_bytes());
@@ -91,13 +91,13 @@ pub struct KvDeviceStats {
 
 /// Firmware timing constants.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct KvTiming {
+struct KvTiming {
     /// Index lookup/insert cost.
-    pub index_op: Nanos,
+    index_op: Nanos,
     /// Appending a value into the staging page.
-    pub log_append: Nanos,
+    log_append: Nanos,
     /// Reading a staged value from device DRAM.
-    pub dram_read: Nanos,
+    dram_read: Nanos,
 }
 
 impl Default for KvTiming {

@@ -10,7 +10,8 @@
 //!
 //! * [`KvFirmware`] — device-side: a DRAM-staged, NAND-flushed value log
 //!   with an in-memory index (BTree for deterministic iteration), entry
-//!   headers on media for index recovery, and iterator support.
+//!   headers on media for index recovery, and iterator support. Any opcode
+//!   it does not decode completes `InvalidOpcode`.
 //! * [`KvStore`] — host-side: `put`/`get`/`delete`/`keys` over a
 //!   [`byteexpress::Device`], with the transfer method chosen per store (the
 //!   Fig 6 experiments swap PRP / BandSlim / ByteExpress here).
@@ -56,9 +57,7 @@
 #![warn(missing_docs)]
 
 pub mod firmware;
-mod lsm;
 mod store;
 
 pub use firmware::{KvDeviceStats, KvFirmware, MAX_VALUE_LEN};
-pub use lsm::LsmStats;
-pub use store::{KvEngine, KvError, KvPair, KvStore, KvStoreConfig};
+pub use store::{KvError, KvStore, KvStoreConfig};

@@ -3,11 +3,6 @@
 use crate::firmware::{
     key_into_cdws, pad_key, KvDeviceStats, KvFirmware, MAX_KEY_LEN, MAX_VALUE_LEN,
 };
-use crate::lsm::{LsmKvFirmware, LsmStats, KV_RANGE_SCAN_OPCODE};
-use bx_ssd::NandConfig;
-
-/// An owned key-value pair as returned by range scans.
-pub type KvPair = (Vec<u8>, Vec<u8>);
 use byteexpress::{
     Completion, Device, DeviceError, ExecutionModel, FaultConfig, FetchPolicy, IoOpcode, Nanos,
     PassthruCmd, RecoveryReport, RetryPolicy, Status, TransferMethod,
@@ -58,33 +53,16 @@ impl From<DeviceError> for KvError {
     }
 }
 
-/// Which device-side storage engine backs the store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KvEngine {
-    /// Hash-indexed append log with on-media headers and log-replay
-    /// recovery ([`KvFirmware`]).
-    #[default]
-    HashLog,
-    /// LSM tree with memtable, sorted runs, compaction and ordered range
-    /// scans (`LsmKvFirmware`, the iLSM-style baseline).
-    Lsm,
-}
-
 /// Configuration for opening a [`KvStore`].
 #[derive(Debug, Clone)]
 pub struct KvStoreConfig {
     /// Transfer method for PUT values (the Fig 6 variable).
     pub method: TransferMethod,
-    /// NAND I/O on (Fig 6) or off (pure transfer measurement). Read only
-    /// when `nand` is `None`.
+    /// NAND I/O on (Fig 6) or off (pure transfer measurement): decides the
+    /// device's array and the firmware's page store alike.
     pub nand_io: bool,
-    /// NAND array override (e.g. a larger one for million-PUT runs). When
-    /// given, its `enabled` decides the mode and `nand_io` is ignored.
-    pub nand: Option<NandConfig>,
     /// Queue depth.
     pub queue_depth: u16,
-    /// Device-side engine.
-    pub engine: KvEngine,
     /// Controller execution model (Serial or Pipelined).
     pub execution: ExecutionModel,
     /// Controller chunk-gathering policy; [`FetchPolicy::Reassembly`] also
@@ -95,7 +73,7 @@ pub struct KvStoreConfig {
     pub retry: Option<RetryPolicy>,
     /// Fault schedule to arm at build time (e.g. a power-cut countdown).
     pub fault_config: Option<FaultConfig>,
-    /// Write-through durable PUTs (hash-log engine, NAND on): the ack
+    /// Write-through durable PUTs (NAND on): the ack
     /// implies the value survives any power cut. See
     /// [`KvFirmware::set_durable_puts`].
     pub durable_puts: bool,
@@ -106,9 +84,7 @@ impl Default for KvStoreConfig {
         KvStoreConfig {
             method: TransferMethod::ByteExpress,
             nand_io: true,
-            nand: None,
             queue_depth: 1024,
-            engine: KvEngine::HashLog,
             execution: ExecutionModel::Serial,
             fetch: FetchPolicy::QueueLocal,
             retry: None,
@@ -123,7 +99,6 @@ pub struct KvStore {
     dev: Device,
     method: TransferMethod,
     stats: Rc<RefCell<KvDeviceStats>>,
-    lsm_stats: Rc<RefCell<LsmStats>>,
     /// The one PUT command, refilled per call so its value buffer is reused.
     put_cmd: PassthruCmd,
 }
@@ -138,101 +113,35 @@ impl fmt::Debug for KvStore {
 }
 
 impl KvStore {
-    /// Opens a store on a freshly built device with the configured engine's
-    /// firmware.
+    /// Opens a store on a freshly built device running [`KvFirmware`].
     pub fn open(cfg: KvStoreConfig) -> Self {
         let stats = Rc::new(RefCell::new(KvDeviceStats::default()));
-        let lsm_stats = Rc::new(RefCell::new(LsmStats::default()));
-        // The array the device is built with decides the mode, so firmware
-        // and NAND cannot disagree.
-        let nand_io = cfg.nand.as_ref().map_or(cfg.nand_io, |n| n.enabled);
-        let durable_puts = cfg.durable_puts;
+        let stats_for_fw = Rc::clone(&stats);
+        // One flag builds the array and the firmware's page store, so they
+        // cannot disagree.
+        let (nand_io, durable_puts) = (cfg.nand_io, cfg.durable_puts);
         let mut builder = Device::builder()
             .nand_io(nand_io)
             .queue_depth(cfg.queue_depth)
             .execution_model(cfg.execution)
-            .fetch_policy(cfg.fetch);
+            .fetch_policy(cfg.fetch)
+            .firmware(move |dram| {
+                let mut fw = KvFirmware::with_stats(dram, nand_io, stats_for_fw);
+                fw.set_durable_puts(durable_puts);
+                Box::new(fw)
+            });
         if let Some(retry) = cfg.retry {
             builder = builder.retry_policy(retry);
         }
         if let Some(faults) = cfg.fault_config {
             builder = builder.fault_config(faults);
         }
-        builder = match cfg.engine {
-            KvEngine::HashLog => {
-                let stats_for_fw = Rc::clone(&stats);
-                builder.firmware(move |dram| {
-                    let mut fw = KvFirmware::with_stats(dram, nand_io, stats_for_fw);
-                    fw.set_durable_puts(durable_puts);
-                    Box::new(fw)
-                })
-            }
-            KvEngine::Lsm => {
-                let stats_for_fw = Rc::clone(&lsm_stats);
-                builder.firmware(move |dram| {
-                    Box::new(LsmKvFirmware::with_stats(dram, nand_io, stats_for_fw))
-                })
-            }
-        };
-        if let Some(nand) = cfg.nand {
-            builder = builder.nand_config(nand);
-        }
         KvStore {
             dev: builder.build(),
             method: cfg.method,
             stats,
-            lsm_stats,
             put_cmd: PassthruCmd::to_device(IoOpcode::KvPut, 1, Vec::new()),
         }
-    }
-
-    /// LSM-engine counters (all zero for the hash-log engine).
-    pub fn lsm_stats(&self) -> LsmStats {
-        *self.lsm_stats.borrow()
-    }
-
-    /// Ordered scan: up to `limit` key-value pairs starting at `start`
-    /// (inclusive), in key order — the iterator extension of the LSM
-    /// baseline. Only the [`KvEngine::Lsm`] engine supports it.
-    ///
-    /// # Errors
-    ///
-    /// [`KvError::Device`] with `InvalidOpcode` on the hash-log engine;
-    /// [`KvError::CorruptResponse`] on malformed responses.
-    pub fn range(&mut self, start: &[u8], limit: usize) -> Result<Vec<KvPair>, KvError> {
-        const BUF: usize = 64 << 10;
-        let mut cmd = PassthruCmd::from_device(IoOpcode::KvGet, 1, BUF);
-        cmd.opcode = KV_RANGE_SCAN_OPCODE;
-        cmd.cdw10_15 = Self::key_cmd(start)?;
-        cmd.cdw10_15[4] = limit as u32; // CDW14
-        let completion = self.dev.passthru(&cmd, TransferMethod::Prp)?;
-        if !completion.status.is_success() {
-            return Err(KvError::Device(DeviceError::Command(completion.status)));
-        }
-        let data = completion.data.ok_or(KvError::CorruptResponse)?;
-        if data.len() < 4 {
-            return Err(KvError::CorruptResponse);
-        }
-        let count = u32::from_le_bytes([data[0], data[1], data[2], data[3]]) as usize;
-        let mut out = Vec::with_capacity(count);
-        let mut off = 4usize;
-        for _ in 0..count {
-            if off + MAX_KEY_LEN + 2 > data.len() {
-                return Err(KvError::CorruptResponse);
-            }
-            let raw_key = &data[off..off + MAX_KEY_LEN];
-            let end = raw_key.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1);
-            let key = raw_key[..end].to_vec();
-            let vlen =
-                u16::from_le_bytes([data[off + MAX_KEY_LEN], data[off + MAX_KEY_LEN + 1]]) as usize;
-            off += MAX_KEY_LEN + 2;
-            if off + vlen > data.len() {
-                return Err(KvError::CorruptResponse);
-            }
-            out.push((key, data[off..off + vlen].to_vec()));
-            off += vlen;
-        }
-        Ok(out)
     }
 
     /// Changes the PUT transfer method.
@@ -513,43 +422,33 @@ mod tests {
         assert_eq!(stats.hits, 1);
     }
 
-    #[test]
-    fn nand_off_store_works() {
+    /// Enough PUTs to flush log pages; every value reads back, and the
+    /// array is programmed exactly when `nand_io` is on.
+    fn nand_io_decides_the_mode(nand_io: bool) {
         let mut s = KvStore::open(KvStoreConfig {
-            nand_io: false,
+            nand_io,
             ..Default::default()
         });
-        for i in 0..100u32 {
-            s.put(format!("k{i}").as_bytes(), format!("value {i}").as_bytes())
-                .unwrap();
+        let value = |i: u32| vec![(i % 251) as u8 + 1; 300];
+        for i in 0..200u32 {
+            s.put(format!("k{i}").as_bytes(), &value(i)).unwrap();
         }
-        assert_eq!(s.get(b"k42").unwrap().unwrap(), b"value 42");
+        for i in 0..200u32 {
+            let got = s.get(format!("k{i}").as_bytes()).unwrap();
+            assert_eq!(got, Some(value(i)), "nand_io {nand_io} key {i}");
+        }
+        assert!(s.device_stats().flushes > 0, "nand_io {nand_io}");
+        let programs = s.device().controller().nand_stats().programs;
+        assert_eq!(programs > 0, nand_io, "nand_io {nand_io}");
     }
 
-    /// A `nand` override decides the mode whatever `nand_io` says, for both
-    /// engines: every value reads back and the array is touched exactly when
-    /// it is enabled.
     #[test]
-    fn nand_override_decides_the_mode() {
-        for engine in [KvEngine::HashLog, KvEngine::Lsm] {
-            for (nand_io, nand) in [(true, NandConfig::disabled()), (false, NandConfig::small())] {
-                let mut s = KvStore::open(KvStoreConfig {
-                    nand_io,
-                    nand: Some(nand.clone()),
-                    engine,
-                    ..Default::default()
-                });
-                let value = |i: u32| vec![(i % 251) as u8 + 1; 300];
-                for i in 0..200u32 {
-                    s.put(format!("k{i}").as_bytes(), &value(i)).unwrap();
-                }
-                for i in 0..200u32 {
-                    let got = s.get(format!("k{i}").as_bytes()).unwrap();
-                    assert_eq!(got, Some(value(i)), "{engine:?} nand_io {nand_io} key {i}");
-                }
-                let programs = s.device().controller().nand_stats().programs;
-                assert_eq!(programs > 0, nand.enabled, "{engine:?} nand_io {nand_io}");
-            }
-        }
+    fn nand_off_store_works() {
+        nand_io_decides_the_mode(false);
+    }
+
+    #[test]
+    fn nand_on_store_programs_the_array() {
+        nand_io_decides_the_mode(true);
     }
 }

@@ -15,7 +15,6 @@
 //! out of order through the [`ReassemblyEngine`] — the paper's future-work
 //! extension.
 
-use crate::arbiter::Arbitration;
 use crate::bus::{Platform, SystemBus};
 use crate::dram::DeviceDram;
 use crate::firmware::{CommandOutcome, FirmwareCtx, FirmwareHandler};
@@ -86,8 +85,6 @@ pub struct ControllerConfig {
     pub nand: NandConfig,
     /// Chunk-gathering policy.
     pub fetch_policy: FetchPolicy,
-    /// How SQE-fetch bandwidth is shared across submission queues.
-    pub arbitration: Arbitration,
     /// SRAM budget for the reassembly engine, bytes.
     pub reassembly_sram: usize,
     /// How long a reassembly-mode command may sit parked without its chunk
@@ -110,7 +107,6 @@ impl Default for ControllerConfig {
             timing: ControllerTiming::default(),
             nand: NandConfig::small(),
             fetch_policy: FetchPolicy::QueueLocal,
-            arbitration: Arbitration::default(),
             reassembly_sram: 64 << 10,
             inline_stall_deadline: Nanos::from_ms(1),
             identify: IdentifyController::default(),
@@ -161,8 +157,6 @@ struct IoQueue {
     /// A ByteExpress command whose reassembly-mode chunks are still being
     /// fetched (possibly interleaved with other queues).
     inline_pending: Option<PendingInline>,
-    /// Weighted-round-robin share (ignored by plain round-robin).
-    weight: u8,
 }
 
 struct PendingInline {
@@ -219,8 +213,6 @@ pub struct Controller {
     reassembly: ReassemblyEngine,
     stall_deadline: Nanos,
     stats: ControllerStats,
-    arbitration: Arbitration,
-    rr: usize,
     regs: RegisterFile,
     identify: IdentifyController,
     /// The admin queue pair, latched when CC.EN is set.
@@ -291,8 +283,6 @@ impl Controller {
             reassembly: ReassemblyEngine::new(cfg.reassembly_sram),
             stall_deadline: cfg.inline_stall_deadline,
             stats: ControllerStats::default(),
-            arbitration: cfg.arbitration,
-            rr: 0,
             regs: RegisterFile::new(4096),
             identify,
             admin: None,
@@ -303,25 +293,6 @@ impl Controller {
             scratch_payload: Vec::new(),
             scratch_extents: Vec::new(),
         }
-    }
-
-    /// Sets a queue's weighted-round-robin share (clamped to at least 1 at
-    /// grant time). No effect under plain round-robin arbitration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown queue id.
-    pub fn set_queue_weight(&mut self, q: QueueId, weight: u8) {
-        #[expect(
-            clippy::panic,
-            reason = "documented panic: configuring a nonexistent queue is a harness bug, not a runtime state"
-        )]
-        let queue = self
-            .queues
-            .iter_mut()
-            .find(|io| io.id == q)
-            .unwrap_or_else(|| panic!("unknown queue {q}"));
-        queue.weight = weight;
     }
 
     /// Writes a BAR register (charged as MMIO traffic). Setting CC.EN
@@ -346,7 +317,6 @@ impl Controller {
                 cqid: 0,
                 bandslim_pending: None,
                 inline_pending: None,
-                weight: 1,
             });
             self.regs.set_ready();
         }
@@ -448,41 +418,31 @@ impl Controller {
             if self.powered_off {
                 return completed;
             }
-            // One arbitration round: every queue gets a credit budget per
-            // the configured mode and spends one credit per scheduling
-            // unit — a fetched command (with any queue-local chunk train)
-            // or one reassembly-mode chunk. At the default
-            // `RoundRobin { burst: 1 }` this is the original one-unit-per-
-            // queue-per-pass interleave: in reassembly mode a queue fetches
-            // ONE chunk then yields — the cross-queue interleaving the
-            // queue-local design forbids and §3.3.2 re-enables.
-            let n = self.queues.len();
-            let start = self.rr;
-            for k in 0..n {
-                let qi = (start + k) % n;
-                let credits = self.arbitration.credits(self.queues[qi].weight);
-                let mut served = 0u32;
-                while served < credits && self.queue_has_work(p, qi) {
-                    if self.queues[qi].inline_pending.is_some() {
-                        completed += self.fetch_reassembly_chunk(p, qi);
-                    } else {
-                        completed += self.process_one(p, qi);
-                    }
-                    // A power cut clears `queues`, so the round's captured
-                    // indices are stale — bail out before touching them.
-                    if self.powered_off {
-                        return completed;
-                    }
-                    served += 1;
-                    progressed = true;
+            // One round-robin pass: every queue with work is served one
+            // scheduling unit — a fetched command (with any queue-local
+            // chunk train) or one reassembly-mode chunk. In reassembly mode
+            // a queue fetches ONE chunk then yields — the cross-queue
+            // interleaving the queue-local design forbids and §3.3.2
+            // re-enables.
+            for qi in 0..self.queues.len() {
+                if !self.queue_has_work(p, qi) {
+                    continue;
                 }
-                if served > 0 {
-                    let id = self.queues[qi].id.0;
-                    self.bus.trace.emit(None, || EventKind::ArbiterGrant {
-                        qid: id,
-                        served: served.min(u16::MAX as u32) as u16,
-                    });
+                if self.queues[qi].inline_pending.is_some() {
+                    completed += self.fetch_reassembly_chunk(p, qi);
+                } else {
+                    completed += self.process_one(p, qi);
                 }
+                // A power cut clears `queues`, so the pass's indices are
+                // stale — bail out before touching them.
+                if self.powered_off {
+                    return completed;
+                }
+                progressed = true;
+                let qid = self.queues[qi].id.0;
+                self.bus
+                    .trace
+                    .emit(None, || EventKind::ArbiterGrant { qid, served: 1 });
             }
             if !progressed {
                 // Nothing fetchable right now. If completions are still in
@@ -782,7 +742,6 @@ impl Controller {
                     cqid: new.cqid,
                     bandslim_pending: None,
                     inline_pending: None,
-                    weight: 1,
                 });
                 CommandOutcome::ok(now)
             }
@@ -800,7 +759,6 @@ impl Controller {
                 // status words.
                 p.mmio_window.submissions.retain(|s| s.qid != qid);
                 p.mmio_window.completions.retain(|c| c.qid != qid);
-                self.rr = 0;
                 CommandOutcome::ok(now)
             }
             op if op == AdminOpcode::DeleteIoCq as u8 => {
@@ -1342,7 +1300,6 @@ impl Controller {
         self.admin = None;
         self.pending_cqs.clear();
         self.deferred.clear();
-        self.rr = 0;
         self.reset_bar(p);
         self.bus.trace.emit(None, || EventKind::PowerCut {
             torn_pages,

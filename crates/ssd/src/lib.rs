@@ -43,7 +43,6 @@
 )]
 #![warn(missing_docs)]
 
-mod arbiter;
 mod bus;
 mod controller;
 mod dram;
@@ -57,7 +56,6 @@ pub mod registers;
 mod rows;
 mod timing;
 
-pub use arbiter::Arbitration;
 pub use bus::{FaultHandle, MmioCompletion, MmioSubmission, MmioWindow, Platform, SystemBus};
 pub use controller::{Controller, ControllerConfig, ControllerStats, ExecutionModel, FetchPolicy};
 pub use dram::{DeviceDram, DramError, DramRegion};

@@ -173,13 +173,6 @@ impl PageStore {
         .ok_or(Status::InternalError)
     }
 
-    /// Releases `lpn`: its contents are dead until it is written again.
-    pub fn trim(&self, ctx: &mut FirmwareCtx<'_>, lpn: u64) {
-        if matches!(self.backend, Backend::Nand) {
-            let _ = ctx.ftl.trim(lpn, ctx.now);
-        }
-    }
-
     /// How many pages from LPN 0 up survived the last power cut: the mapped
     /// prefix of the recovered FTL; nothing of a DRAM log.
     pub fn persisted_prefix(&self, ctx: &FirmwareCtx<'_>) -> u64 {
@@ -313,11 +306,6 @@ mod tests {
                 r.write(2, &[0; PAGE_SIZE + 1], t),
                 Err(Status::InternalError)
             );
-            // A trimmed page takes a new write.
-            let (store, mut ctx) = r.at(t);
-            store.trim(&mut ctx, 0);
-            t = r.write(0, &page(0x99), t).unwrap();
-            assert_eq!(r.read(0, 8, 8, t).unwrap(), page(0x99)[8..16]);
             // The last page fits; one past it does not, by any entry point.
             let (last, past) = (r.capacity - 1, r.capacity);
             t = r.write(last, &page(0xAB), t).unwrap();

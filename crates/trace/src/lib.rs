@@ -13,13 +13,12 @@
 //!   virtual time are byte-identical to an untraced run.
 //! - **Analysis** is offline over the recorded stream: span reconstruction
 //!   ([`reconstruct_spans`]), a label-aware [`MetricsRegistry`] with
-//!   log2-bucketed histograms, fixed-interval virtual-time series
-//!   ([`derive_timeseries`]), and exporters ([`chrome_trace_json`] for
-//!   `chrome://tracing`/Perfetto, [`timeline`] for terminals,
-//!   [`openmetrics`] for Prometheus-style scrapes).
+//!   log2-bucketed histograms and last-sample gauges, and exporters
+//!   ([`chrome_trace_json`] for `chrome://tracing`/Perfetto, [`timeline`]
+//!   for terminals, [`openmetrics`] for Prometheus-style scrapes).
 //!
 //! See DESIGN.md §8 for the event taxonomy and span model, §13 for the
-//! telemetry plane (gauges, time series, OpenMetrics mapping).
+//! telemetry plane (gauges, OpenMetrics mapping).
 
 #![forbid(unsafe_code)]
 // No input may panic the library, and nothing may depend on hash order: a
@@ -43,7 +42,6 @@ mod metrics;
 mod openmetrics;
 mod recorder;
 mod span;
-mod timeseries;
 
 pub use event::{CmdKey, Dir, Event, EventKind};
 pub use export::{chrome_trace_json, timeline};
@@ -51,4 +49,3 @@ pub use metrics::MetricsRegistry;
 pub use openmetrics::{openmetrics, validate_openmetrics, OpenMetricsSummary};
 pub use recorder::TraceSink;
 pub use span::{reconstruct_spans, Span};
-pub use timeseries::{derive_timeseries, sparkline, SeriesKind, TimeSeries, TimeSeriesSet};

@@ -1,19 +1,16 @@
 //! Telemetry: watch the device work, without perturbing it.
 //!
 //! Runs a mixed ByteExpress workload with gauge sampling enabled
-//! (`trace_gauges(true)`), then derives everything the telemetry plane
-//! offers from the recorded event stream: fixed-interval virtual-time
-//! series rendered as sparklines, and a Prometheus/OpenMetrics text
-//! exposition validated against the metrics registry. The observation is
+//! (`trace_gauges(true)`), then derives what the telemetry plane offers
+//! from the recorded event stream: the metrics registry's last gauge
+//! samples, and a Prometheus/OpenMetrics text exposition validated against
+//! the registry. The observation is
 //! provably inert — an identical run with the recorder off is re-executed
 //! and its wire bytes and virtual clock are asserted equal.
 //!
 //! Run with: `cargo run --example telemetry --release`
 
-use byteexpress::{
-    derive_timeseries, openmetrics, sparkline, validate_openmetrics, Device, MetricsRegistry,
-    Nanos, TransferMethod,
-};
+use byteexpress::{openmetrics, validate_openmetrics, Device, MetricsRegistry, TransferMethod};
 
 fn workload(dev: &mut Device) -> Result<(), byteexpress::DeviceError> {
     let queues = [dev.queues()[0], dev.queues()[1]];
@@ -45,36 +42,21 @@ fn main() -> Result<(), byteexpress::DeviceError> {
     let events = dev.trace_events();
     let (gauged_wire, gauged_now) = (dev.traffic().total_bytes(), dev.now());
 
-    // 96 writes over 2 queues -> per-interval virtual-time series.
-    let span = events.last().map(|e| e.at.as_ns()).unwrap_or(1);
-    let ts = derive_timeseries(&events, Nanos::from_ns((span / 40).max(100)));
-    println!(
-        "{} events -> {} series over {} buckets of {}\n",
-        events.len(),
-        ts.series.len(),
-        ts.buckets,
-        Nanos::from_ns((span / 40).max(100)),
-    );
-    for (metric, scope) in [
-        ("wire_bytes", ""),
-        ("inflight_cmds", "1"),
-        ("inflight_cmds", "2"),
-        ("ftl_journal_depth", "0"),
-        ("completions_in_flight", "0"),
+    // 96 writes over 2 queues -> one registry, last sample per gauge.
+    let reg = MetricsRegistry::from_events(&events);
+    println!("{} events; last gauge samples:\n", events.len());
+    for (gauge, scope) in [
+        ("ctrl_sq_backlog", 1),
+        ("ctrl_sq_backlog", 2),
+        ("ftl_journal_depth", 0),
+        ("completions_in_flight", 0),
     ] {
-        if let Some(s) = ts.get(metric, scope) {
-            println!(
-                "  {:<24}[{:<6}] {} peak={:.0}",
-                metric,
-                scope,
-                sparkline(&s.points),
-                s.peak()
-            );
+        if let Some(value) = reg.gauge(gauge, scope) {
+            println!("  {gauge:<24}[{scope}] {value}");
         }
     }
 
     // The same stream as a Prometheus exposition, independently re-parsed.
-    let reg = MetricsRegistry::from_events(&events);
     let om = openmetrics(&reg);
     let summary = validate_openmetrics(&om).expect("exposition must validate");
     println!(

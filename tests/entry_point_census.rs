@@ -5,9 +5,8 @@
 //! whichever cell of the product reaches it.
 
 use byteexpress::{
-    Arbitration, Completion, Device, DeviceError, ExecutionModel, FaultConfig, FetchPolicy,
-    FlushPolicy, IoOpcode, PassthruCmd, QueueId, Reactor, ReactorConfig, RetryPolicy, Status,
-    TransferMethod,
+    Completion, Device, DeviceError, ExecutionModel, FaultConfig, FetchPolicy, FlushPolicy,
+    IoOpcode, PassthruCmd, QueueId, Reactor, ReactorConfig, RetryPolicy, Status, TransferMethod,
 };
 use std::future::Future;
 use std::pin::Pin;
@@ -45,8 +44,8 @@ fn read_cmd(lba: u64, len: usize) -> PassthruCmd {
 
 type Task = Pin<Box<dyn Future<Output = Result<(), String>>>>;
 
-/// One cell of the product. Fetch policy, execution model and arbitration
-/// are fixed when a device is built; the rest is set per cell on that
+/// One cell of the product. Fetch policy, execution model and NAND I/O are
+/// fixed when a device is built; the rest is set per cell on that
 /// device, so the product costs eight builds and eight power cycles, not
 /// 192 — and each cell runs on a device with a history (the queues, mapped
 /// pages and retry state the cells before it left), which a fresh device
@@ -55,7 +54,9 @@ type Task = Pin<Box<dyn Future<Output = Result<(), String>>>>;
 struct Cell {
     fetch: FetchPolicy,
     model: ExecutionModel,
-    weighted: bool,
+    /// NAND I/O on: bytes are stored and read back. Off is transfer-cost
+    /// mode, which stores nothing.
+    nand: bool,
     method: TransferMethod,
     flush: bool,
     /// Retry policy on, over a schedule that drops a few doorbells and CQEs.
@@ -63,32 +64,20 @@ struct Cell {
 }
 
 impl Cell {
-    /// Read-back needs the bytes stored: the round-robin half of the
-    /// product has NAND on, the weighted half runs in transfer-cost mode.
-    fn nand(&self) -> bool {
-        !self.weighted
-    }
-
     /// Not under the fault schedule: a read whose doorbell was dropped is
     /// reaped and its buffer freed, yet still runs — into the retry's
-    /// pages — once a later doorbell covers it (ROADMAP item 4).
+    /// pages — once a later doorbell covers it (ROADMAP item 2).
     fn reads_back(&self) -> bool {
-        self.nand() && !self.faulty
+        self.nand && !self.faulty
     }
 
     fn build(&self) -> Device {
-        let arbitration = if self.weighted {
-            Arbitration::WeightedRoundRobin { burst: 2 }
-        } else {
-            Arbitration::default()
-        };
         let mut dev = Device::builder()
-            .nand_io(self.nand())
+            .nand_io(self.nand)
             .queue_count(2)
             .queue_depth(DEPTH)
             .fetch_policy(self.fetch)
             .execution_model(self.model)
-            .arbitration(arbitration)
             .trace_gauges(true)
             .build();
         // Below the kernel's threshold SGL would go out as PRP.
@@ -120,9 +109,6 @@ impl Cell {
             FaultConfig::disabled()
         });
         let (q0, q1) = (dev.queues()[0], dev.queues()[1]);
-        if self.weighted {
-            dev.controller_mut().set_queue_weight(q0, 3);
-        }
 
         // `execute`: writes at three sizes, read back where stored.
         for (i, len) in SIZES.into_iter().enumerate() {
@@ -184,7 +170,7 @@ impl Cell {
         let data = payload(3, SIZES[1]);
         let wrote = dev.write(3, &data, TransferMethod::ByteExpress);
         self.check("write after the cycle", wrote);
-        if self.nand() {
+        if self.nand {
             assert_eq!(dev.read(3, data.len()).unwrap(), data, "{self:?}");
             assert_eq!(dev.read(24, acked.len()).unwrap(), acked, "{self:?}");
         }
@@ -196,11 +182,11 @@ fn every_entry_point_across_the_configuration_product() {
     let mut seed = 0;
     for fetch in [FetchPolicy::QueueLocal, FetchPolicy::Reassembly] {
         for model in [ExecutionModel::Serial, ExecutionModel::Pipelined] {
-            for weighted in [false, true] {
+            for nand in [true, false] {
                 let mut cell = Cell {
                     fetch,
                     model,
-                    weighted,
+                    nand,
                     method: METHODS[0],
                     flush: false,
                     faulty: false,

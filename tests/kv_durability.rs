@@ -1,9 +1,10 @@
 //! KV-SSD durability semantics: batch PUT, what a power cycle keeps with
-//! volatile staging vs write-through PUTs, and the batching-vs-fine-grained
-//! trade-off the paper's §2.2.1 discusses.
+//! volatile staging vs write-through PUTs, the batching-vs-fine-grained
+//! trade-off the paper's §2.2.1 discusses, and a command the firmware does
+//! not decode failing without touching what is stored.
 
 use bx_kvssd::{KvError, KvStore, KvStoreConfig};
-use byteexpress::{DeviceError, Status, TransferMethod};
+use byteexpress::{DeviceError, IoOpcode, PassthruCmd, Status, TransferMethod};
 
 fn store() -> KvStore {
     KvStore::open(KvStoreConfig::default())
@@ -255,4 +256,21 @@ fn all_zero_log_entry_is_rejected_and_hides_nothing() {
     s.hard_power_cycle().unwrap();
     assert_eq!(s.get(b"k").unwrap().unwrap(), b"v");
     assert_eq!(s.get(b"").unwrap().unwrap(), b"x");
+}
+
+#[test]
+fn undecoded_vendor_opcode_is_rejected_and_the_store_keeps_working() {
+    let mut s = store();
+    s.put(b"a", b"1").unwrap();
+    // The KV vendor block past the last opcode the firmware decodes, up to
+    // BandSlim's fragment opcode (0xCF), which the controller consumes.
+    for opcode in 0xC6..0xCF {
+        let mut cmd = PassthruCmd::from_device(IoOpcode::KvGet, 1, 64);
+        cmd.opcode = opcode;
+        let done = s.device_mut().passthru(&cmd, TransferMethod::Prp).unwrap();
+        assert_eq!(done.status, Status::InvalidOpcode, "opcode {opcode:#x}");
+    }
+    assert_eq!(s.get(b"a").unwrap().unwrap(), b"1");
+    s.put(b"b", b"2").unwrap();
+    assert_eq!(s.get(b"b").unwrap().unwrap(), b"2");
 }

@@ -1,4 +1,4 @@
-//! Proves the telemetry plane is inert: gauges and time-series derivation
+//! Proves the telemetry plane is inert: gauges and metrics derivation
 //! observe the simulation without perturbing it.
 //!
 //! Three layers of the contract (DESIGN.md §13):
@@ -8,12 +8,12 @@
 //! 2. a plain `trace(true)` run records **zero** `GaugeSample` events, so
 //!    the pre-telemetry golden fingerprints (serial_identity) are untouched
 //!    by the existence of gauge instrumentation;
-//! 3. deriving time series / metrics / OpenMetrics from a recorded stream
-//!    is pure analysis — it advances no clock and appends no event.
+//! 3. deriving metrics / OpenMetrics from a recorded stream is pure
+//!    analysis — it advances no clock and appends no event.
 
 use byteexpress::{
-    derive_timeseries, openmetrics, validate_openmetrics, Device, EventKind, ExecutionModel,
-    MetricsRegistry, Nanos, TransferMethod,
+    openmetrics, validate_openmetrics, Device, EventKind, ExecutionModel, MetricsRegistry,
+    TransferMethod,
 };
 
 /// One fixed workload; returns the device after running it.
@@ -105,6 +105,8 @@ fn gauged_run_records_gauge_samples_on_top_of_the_plain_stream() {
     }
 }
 
+/// Derivation from a recorded stream is the metrics registry and its
+/// OpenMetrics exposition: the stream is the time series.
 #[test]
 fn timeseries_derivation_never_perturbs_virtual_time() {
     let dev = run(|b| b.trace_gauges(true));
@@ -112,9 +114,7 @@ fn timeseries_derivation_never_perturbs_virtual_time() {
     let events = dev.trace_events();
     let before_len = events.len();
 
-    // The full analysis pipeline: time series, metrics, OpenMetrics.
-    let ts = derive_timeseries(&events, Nanos::from_us(5));
-    assert!(ts.buckets > 0 && !ts.series.is_empty());
+    // The full analysis pipeline: metrics, OpenMetrics.
     let reg = MetricsRegistry::from_events(&events);
     let exposition = openmetrics(&reg);
     validate_openmetrics(&exposition).expect("exposition must validate");
@@ -127,21 +127,37 @@ fn timeseries_derivation_never_perturbs_virtual_time() {
     );
 
     // Derivation is deterministic over the same stream.
-    assert_eq!(ts, derive_timeseries(&events, Nanos::from_us(5)));
+    assert_eq!(
+        exposition,
+        openmetrics(&MetricsRegistry::from_events(&events))
+    );
 }
 
+/// A gauge's time series is its run of `GaugeSample` events; the registry
+/// derived from the stream keeps the series' last sample.
 #[test]
 fn gauge_series_survive_into_the_derived_timeseries() {
     let dev = run(|b| b.trace_gauges(true));
     let events = dev.trace_events();
-    let ts = derive_timeseries(&events, Nanos::from_us(5));
-    let journal = ts
-        .get("ftl_journal_depth", "0")
-        .expect("journal-depth gauge series must derive");
-    assert!(journal.peak() > 0.0, "24 NAND writes must journal mappings");
-    let reg = MetricsRegistry::from_events(&events);
+    let journal: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::GaugeSample {
+                gauge: "ftl_journal_depth",
+                scope: 0,
+                value,
+            } => Some(value),
+            _ => None,
+        })
+        .collect();
     assert!(
-        reg.gauge("ftl_journal_depth", 0).is_some(),
+        journal.iter().any(|&v| v > 0),
+        "24 NAND writes must journal mappings"
+    );
+    let reg = MetricsRegistry::from_events(&events);
+    assert_eq!(
+        reg.gauge("ftl_journal_depth", 0),
+        journal.last().copied(),
         "registry keeps the last journal-depth sample"
     );
 }
