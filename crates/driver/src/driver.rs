@@ -17,7 +17,7 @@ use bx_nvme::{
 use bx_pcie::TrafficClass;
 use bx_ssd::registers::{Register, RegisterFile, CC_ENABLE};
 use bx_ssd::{Controller, Platform, SystemBus};
-use bx_trace::{CmdKey, EventKind};
+use bx_trace::{CmdKey, EventKind, TraceSink};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -233,8 +233,11 @@ impl Inflight {
 /// randomized-hash order can reach completion or reap ordering.
 #[derive(Debug, Default)]
 struct InflightTable {
-    /// cid → slot index + 1; 0 means the cid is not in flight. Sized to the
-    /// full cid space on first insert (one 256 KB allocation per queue).
+    /// By a cid's low bits: the slot index + 1 of the command in flight
+    /// whose cid has them, 0 for none. A power of two long, from
+    /// [`INDEX_MIN`] entries on the first insert; doubled only when two cids
+    /// in flight share their low bits, which cannot happen while the cids in
+    /// flight span fewer values than the index has entries.
     slot_of_cid: Vec<u32>,
     /// Dense slot storage; `None` entries are on the free list.
     slots: Vec<Option<(u16, Inflight)>>,
@@ -244,21 +247,42 @@ struct InflightTable {
     live: usize,
 }
 
+/// Entries of a fresh [`InflightTable`] index (256 B).
+const INDEX_MIN: usize = 64;
+
 impl InflightTable {
     fn contains(&self, cid: u16) -> bool {
         self.get(cid).is_some()
     }
 
+    /// Where `cid` sits in the index. The index is never empty once
+    /// something was inserted, and a lookup before that finds no slot.
+    fn position(&self, cid: u16) -> usize {
+        cid as usize & self.slot_of_cid.len().wrapping_sub(1)
+    }
+
+    /// The slot of `cid`, if it is in flight.
+    fn slot(&self, cid: u16) -> Option<usize> {
+        let slot = self.slot_of_cid.get(self.position(cid))?.checked_sub(1)? as usize;
+        match self.slots.get(slot)? {
+            Some((stored, _)) if *stored == cid => Some(slot),
+            _ => None,
+        }
+    }
+
     fn get(&self, cid: u16) -> Option<&Inflight> {
-        let slot = self.slot_of_cid.get(cid as usize)?.checked_sub(1)?;
-        self.slots.get(slot as usize)?.as_ref().map(|(_, inf)| inf)
+        self.slots[self.slot(cid)?].as_ref().map(|(_, inf)| inf)
     }
 
     fn insert(&mut self, cid: u16, inflight: Inflight) {
-        if self.slot_of_cid.is_empty() {
-            self.slot_of_cid = vec![0; 1 << 16];
-        }
         debug_assert!(!self.contains(cid), "cid {cid} already in flight");
+        if self.slot_of_cid.is_empty() {
+            self.slot_of_cid = vec![0; INDEX_MIN];
+        }
+        // At the full cid space every cid has a position of its own.
+        while self.slot_of_cid[self.position(cid)] != 0 && self.slot_of_cid.len() < 1 << 16 {
+            self.widen();
+        }
         let slot = match self.free.pop() {
             Some(slot) => {
                 // Free-list entries index slots pushed below.
@@ -270,19 +294,28 @@ impl InflightTable {
                 (self.slots.len() - 1) as u32
             }
         };
-        // `slot_of_cid` spans the full u16 cid space.
-        self.slot_of_cid[cid as usize] = slot + 1;
+        let at = self.position(cid);
+        self.slot_of_cid[at] = slot + 1;
         self.live += 1;
     }
 
+    /// Doubles the index and files every command in flight again.
+    fn widen(&mut self) {
+        self.slot_of_cid = vec![0; self.slot_of_cid.len() * 2];
+        let mask = self.slot_of_cid.len() - 1;
+        for (slot, entry) in self.slots.iter().enumerate() {
+            if let Some((cid, _)) = entry {
+                self.slot_of_cid[*cid as usize & mask] = slot as u32 + 1;
+            }
+        }
+    }
+
     fn remove(&mut self, cid: u16) -> Option<Inflight> {
-        let indexed = self.slot_of_cid.get_mut(cid as usize)?;
-        let slot = indexed.checked_sub(1)?;
-        *indexed = 0;
-        // Non-zero index entries always name a live slot.
-        let (stored_cid, inflight) = self.slots[slot as usize].take()?;
-        debug_assert_eq!(stored_cid, cid);
-        self.free.push(slot);
+        let slot = self.slot(cid)?;
+        let at = self.position(cid);
+        self.slot_of_cid[at] = 0;
+        let (_, inflight) = self.slots[slot].take()?;
+        self.free.push(slot as u32);
         self.live -= 1;
         Some(inflight)
     }
@@ -434,6 +467,14 @@ impl NvmeDriver {
             .get(&qid.0)
             .map(|qp| qp.inflight.len())
             .unwrap_or(0)
+    }
+
+    /// Whether some command in flight on `qid` has a completion deadline,
+    /// i.e. the timeout reaper will take it if nothing else does.
+    pub(crate) fn has_deadline(&self, qid: QueueId) -> bool {
+        self.queues
+            .get(&qid.0)
+            .is_some_and(|qp| qp.inflight.iter().any(|(_, cmd)| cmd.deadline.is_some()))
     }
 
     /// Whether `qid` is currently degraded from ByteExpress to PRP.
@@ -777,14 +818,9 @@ impl NvmeDriver {
         }
 
         self.stats.submissions += 1;
-        let qp = self.queue_mut(qid)?;
+        let qp = queue_in(&mut self.queues, qid)?;
         qp.inflight.insert(cid, inflight);
-        let depth = qp.inflight.len() as u64;
-        self.bus.trace.emit_gauge(|| EventKind::GaugeSample {
-            gauge: "driver_inflight",
-            scope: u32::from(qid.0),
-            value: depth,
-        });
+        sample_inflight(&self.bus.trace, qid, qp.inflight.len());
         Ok(SubmittedCmd {
             queue: qid,
             cid,
@@ -1479,12 +1515,7 @@ impl NvmeDriver {
             p.ring_cq_head();
             cq_rings += 1;
         }
-        let depth = qp.inflight.len() as u64;
-        bus.trace.emit_gauge(|| EventKind::GaugeSample {
-            gauge: "driver_inflight",
-            scope: u32::from(qid.0),
-            value: depth,
-        });
+        sample_inflight(&bus.trace, qid, qp.inflight.len());
         self.stats.doorbells += cq_rings;
         self.recovery.timeouts += reaped;
         self.recovery.spurious_completions += spurious;
@@ -1511,9 +1542,11 @@ impl NvmeDriver {
     ///
     /// With a [`RetryPolicy`] the clock advances by
     /// `RetryPolicy::poll_step` after every pass that completed none of
-    /// `cmds`, so the reaper's deadline is always reached. Without one
-    /// nothing can unblock a stalled command, so a pass that completes none
-    /// of `cmds` and yields nothing at all gives up.
+    /// `cmds`, so the reaper's deadline is always reached. On a device that
+    /// has lost power a pass that yields nothing is followed by one step
+    /// past every poll that could not act either (`skip_dark_polls`).
+    /// Without a policy nothing can unblock a stalled command, so a pass
+    /// that completes none of `cmds` and yields nothing at all gives up.
     ///
     /// # Errors
     ///
@@ -1534,7 +1567,11 @@ impl NvmeDriver {
             let still = self.still_inflight(qid, cmds).count();
             if still == missing {
                 if let Some(policy) = self.retry_policy {
-                    self.bus.clock.advance(policy.poll_step());
+                    let step = policy.poll_step();
+                    if out.len() == polled && ctrl.is_powered_off() {
+                        self.skip_dark_polls(qid, step);
+                    }
+                    self.bus.clock.advance(step);
                 } else if out.len() == polled {
                     let now = self.bus.clock.now();
                     if let Some((cid, lost)) = self.still_inflight(qid, cmds).next() {
@@ -1564,6 +1601,60 @@ impl NvmeDriver {
         let table = self.queues.get(&qid.0).map(|qp| &qp.inflight);
         cmds.iter()
             .filter_map(move |cmd| Some((cmd.cid, table?.get(cmd.cid)?)))
+    }
+
+    /// After a poll of `qid` that yielded nothing from a dark controller,
+    /// advances the clock past every further poll, `step` apart, that could
+    /// not act either — so the next poll is the first that can — and emits
+    /// the `driver_inflight` sample each of them would have, at its instant.
+    /// Nothing reaches the host from a dark device, so a poll can act only
+    /// by reaping a command past its deadline or by ringing a staged tail
+    /// past the flush policy's delay. Skips nothing when neither will ever
+    /// happen.
+    fn skip_dark_polls(&self, qid: QueueId, step: Nanos) {
+        let Some(qp) = self.queues.get(&qid.0) else {
+            return;
+        };
+        let (now, step) = (self.bus.clock.now().as_ns(), step.as_ns());
+        // Polls are numbered from 1, the next one, at `now + k * step`. The
+        // reaper takes a command at the first poll past its deadline, the
+        // flush happens at the first one `max_delay` after staging.
+        let reap = qp
+            .inflight
+            .iter()
+            .filter_map(|(_, cmd)| cmd.deadline)
+            .map(|deadline| deadline.as_ns().saturating_sub(now) / step + 1);
+        let flush = self
+            .flush_policy
+            .filter(|_| qp.pending_tail.is_some())
+            .map(|policy| {
+                let waited = now.saturating_sub(qp.first_pending_at.as_ns());
+                policy
+                    .max_delay
+                    .as_ns()
+                    .saturating_sub(waited)
+                    .div_ceil(step)
+                    .max(1)
+            });
+        let Some(idle) = reap.chain(flush).min().map(|first| first - 1) else {
+            return;
+        };
+        // A flush delay near `u64::MAX` ns would run the clock over; such a
+        // wait never ends either way, so keep stepping.
+        let Some(skipped) = step
+            .checked_mul(idle)
+            .filter(|s| now.checked_add(*s).is_some())
+        else {
+            return;
+        };
+        if !self.bus.trace.gauges_enabled() {
+            self.bus.clock.advance(Nanos::from_ns(skipped));
+            return;
+        }
+        for _ in 0..idle {
+            self.bus.clock.advance(Nanos::from_ns(step));
+            sample_inflight(&self.bus.trace, qid, qp.inflight.len());
+        }
     }
 
     /// Submit, ring, wait: the synchronous convenience the examples and
@@ -1777,7 +1868,17 @@ fn queue_in(
     queues.get_mut(&qid.0).ok_or(DriverError::UnknownQueue(qid))
 }
 
-/// Allocates zeroed SQ and CQ rings of `depth` entries.
+/// Samples the `driver_inflight` gauge: `depth` commands in flight on
+/// `qid`.
+fn sample_inflight(trace: &TraceSink, qid: QueueId, depth: usize) {
+    trace.emit_gauge(|| EventKind::GaugeSample {
+        gauge: "driver_inflight",
+        scope: u32::from(qid.0),
+        value: depth as u64,
+    });
+}
+
+/// Allocates SQ and CQ rings of `depth` entries; the CQ zeroed.
 fn alloc_rings(
     mem: &mut HostMemory,
     depth: u16,
@@ -1790,9 +1891,10 @@ fn alloc_rings(
         .alloc_contiguous(cq_pages)
         .or_else(|e| mem.free_contiguous(sq).and(Err(e)))?;
     // Frames come back from earlier rings and data buffers with their
-    // old contents; a stale CQE whose phase bit happens to match would
-    // be consumed as a completion.
-    mem.fill(sq.base(), sq.len(), 0)?;
+    // old contents. In the CQ a stale entry whose phase bit happens to
+    // match would be consumed as a completion. The SQ keeps its bytes: the
+    // controller reads only slots between its fetch head and the tail
+    // rung, and the host writes every one of those before ringing.
     mem.fill(cq.base(), cq.len(), 0)?;
     Ok((
         bx_hostsim::DmaRegion::new(sq.base(), depth as usize * SQE_BYTES),
@@ -1856,5 +1958,446 @@ impl QueuePair {
             }
         }
         panic!("no free command identifiers");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bx_hostsim::{DmaRegion, FaultConfig};
+    use bx_nvme::IoOpcode;
+    use bx_pcie::{LinkConfig, TrafficCounters};
+    use bx_ssd::{BlockFirmware, ControllerConfig, ExecutionModel, FetchPolicy};
+    use bx_trace::Event;
+
+    struct Rig {
+        bus: SystemBus,
+        driver: NvmeDriver,
+        ctrl: Controller,
+        qid: QueueId,
+    }
+
+    /// A NAND-backed block device with the default retry policy, traced
+    /// with gauges on or off, holding two completed writes.
+    fn rig(model: ExecutionModel, fetch_policy: FetchPolicy, gauges: bool) -> Rig {
+        let mut bus = SystemBus::new(LinkConfig::gen2_x8(), 4 << 20, 2);
+        let trace = bus.enable_trace();
+        if gauges {
+            trace.enable_gauges();
+        }
+        let cfg = ControllerConfig {
+            execution_model: model,
+            fetch_policy,
+            ..ControllerConfig::default()
+        };
+        let mut ctrl = Controller::new(bus.clone(), cfg, |dram| {
+            Box::new(BlockFirmware::new(dram, true))
+        });
+        let mut driver = NvmeDriver::new(bus.clone());
+        driver.set_retry_policy(Some(RetryPolicy::default()));
+        let qid = driver.initialize(&mut ctrl, &[64]).unwrap()[0];
+        for lba in 0..2 {
+            let done = driver.execute(
+                qid,
+                &mut ctrl,
+                &write(lba, 200),
+                TransferMethod::ByteExpress,
+            );
+            assert!(done.unwrap().status.is_success());
+        }
+        Rig {
+            bus,
+            driver,
+            ctrl,
+            qid,
+        }
+    }
+
+    fn write(lba: u64, len: usize) -> PassthruCmd {
+        let mut cmd = PassthruCmd::to_device(IoOpcode::Write, 1, vec![lba as u8 ^ 0x5A; len]);
+        cmd.cdw10_15[0] = lba as u32;
+        cmd
+    }
+
+    /// What a run shows: its clock, counters, wire and event stream.
+    fn observed(
+        r: &Rig,
+    ) -> (
+        Nanos,
+        RecoveryStats,
+        DriverStats,
+        TrafficCounters,
+        Vec<Event>,
+    ) {
+        (
+            r.bus.clock.now(),
+            r.driver.recovery_stats(),
+            r.driver.stats(),
+            r.bus.traffic(),
+            r.bus.trace.events(),
+        )
+    }
+
+    /// `wait_for` as it was before dark waits were skipped: one poll per
+    /// `poll_step` while none of `cmds` completes, whatever the device.
+    fn wait_stepping(
+        d: &mut NvmeDriver,
+        qid: QueueId,
+        ctrl: &mut Controller,
+        cmds: &[SubmittedCmd],
+        out: &mut Vec<Completion>,
+    ) {
+        let step = d.retry_policy.unwrap().poll_step();
+        let mut missing = d.still_inflight(qid, cmds).count();
+        while missing > 0 {
+            ctrl.process_available();
+            d.poll_completions_into(qid, out).unwrap();
+            let still = d.still_inflight(qid, cmds).count();
+            if still == missing {
+                d.bus.clock.advance(step);
+            }
+            missing = still;
+        }
+    }
+
+    /// `execute`'s recovery ladder over [`wait_stepping`].
+    fn execute_stepping(
+        d: &mut NvmeDriver,
+        qid: QueueId,
+        ctrl: &mut Controller,
+        cmd: &PassthruCmd,
+        method: TransferMethod,
+    ) -> Result<Completion, DriverError> {
+        let policy = d.retry_policy.unwrap();
+        let started = d.bus.clock.now();
+        let mut polled = Vec::new();
+        for attempt in 0.. {
+            if attempt > 0 {
+                ctrl.process_available();
+                d.poll_completions_into(qid, &mut polled)?;
+            }
+            let (effective, role) = d.plan_method(qid, cmd, method)?;
+            let submitted = d.submit(qid, cmd, effective)?;
+            d.flush_sq(qid)?;
+            polled.clear();
+            wait_stepping(d, qid, ctrl, &[submitted], &mut polled);
+            let idx = polled.iter().position(|c| c.cid == submitted.cid).unwrap();
+            let mut completion = polled.swap_remove(idx);
+            completion.submitted_at = started;
+            let success = completion.status.is_success();
+            d.note_attempt(qid, role, success);
+            if success || !(completion.status.is_retriable() && is_idempotent(cmd.opcode)) {
+                return Ok(completion);
+            }
+            let ctx = CmdContext {
+                qid,
+                cid: submitted.cid,
+                opcode: cmd.opcode,
+            };
+            if attempt >= policy.max_retries {
+                d.recovery.retries_exhausted += 1;
+                assert_eq!(completion.status, Status::CommandAborted);
+                return Err(DriverError::Timeout {
+                    ctx,
+                    waited: d.bus.clock.now().saturating_sub(started),
+                    attempts: attempt + 1,
+                });
+            }
+            let backoff = policy.backoff(attempt);
+            d.bus
+                .trace
+                .emit_cmd(CmdKey::new(qid.0, ctx.cid), || EventKind::Retry {
+                    attempt: attempt + 1,
+                    backoff,
+                });
+            d.bus.clock.advance(backoff);
+            d.recovery.retries += 1;
+            let retries = d.recovery.retries;
+            d.bus.trace.emit_gauge(|| EventKind::GaugeSample {
+                gauge: "driver_retries",
+                scope: 0,
+                value: retries,
+            });
+        }
+        unreachable!("the ladder returns by its retry cap")
+    }
+
+    /// A write cut down in flight by a power cut `cut_after` processing
+    /// events in, on two identical rigs: `execute`, which skips the dark
+    /// polls, leaves everything the stepping ladder does — result, clock,
+    /// counters, wire and every event, gauges included.
+    fn dark_execute_equals_stepping(model: ExecutionModel, fetch: FetchPolicy, cut_after: u64) {
+        for gauges in [true, false] {
+            let (mut skip, mut step) = (rig(model, fetch, gauges), rig(model, fetch, gauges));
+            for r in [&skip, &step] {
+                r.bus.install_faults(FaultConfig {
+                    power_cut_after_events: Some(cut_after),
+                    ..FaultConfig::disabled()
+                });
+            }
+            let cmd = write(2, 200);
+            let skipped =
+                skip.driver
+                    .execute(skip.qid, &mut skip.ctrl, &cmd, TransferMethod::ByteExpress);
+            let stepped = execute_stepping(
+                &mut step.driver,
+                step.qid,
+                &mut step.ctrl,
+                &cmd,
+                TransferMethod::ByteExpress,
+            );
+            assert!(skip.ctrl.is_powered_off(), "the cut fired");
+            assert!(
+                matches!(skipped, Err(DriverError::Timeout { attempts: 5, .. })),
+                "{skipped:?}"
+            );
+            assert_eq!(skipped, stepped);
+            assert_eq!(observed(&skip), observed(&step), "gauges {gauges}");
+            // Five attempts, each waited out to its 5 ms deadline.
+            assert_eq!(skip.driver.recovery_stats().timeouts, 5);
+            if gauges {
+                let samples = skip
+                    .bus
+                    .trace
+                    .events()
+                    .iter()
+                    .filter(|e| {
+                        matches!(
+                            e.kind,
+                            EventKind::GaugeSample {
+                                gauge: "driver_inflight",
+                                ..
+                            }
+                        )
+                    })
+                    .count();
+                assert!(samples > 5 * 250, "one sample per skipped poll: {samples}");
+            }
+        }
+    }
+
+    #[test]
+    fn dark_wait_serial_queue_local_cut_mid_write() {
+        // The SQE fetch, then the instant after dispatch: the write ran.
+        dark_execute_equals_stepping(ExecutionModel::Serial, FetchPolicy::QueueLocal, 1);
+        // Cut at the fetch itself: the write never ran.
+        dark_execute_equals_stepping(ExecutionModel::Serial, FetchPolicy::QueueLocal, 0);
+    }
+
+    #[test]
+    fn dark_wait_pipelined_reassembly_cut_mid_train() {
+        // The SQE fetch and one of the train's four chunks.
+        dark_execute_equals_stepping(ExecutionModel::Pipelined, FetchPolicy::Reassembly, 2);
+    }
+
+    /// Two writes staged under a flush policy whose delay runs out while
+    /// the device is dark: the skipped wait stops at the poll that rings
+    /// them, then at the one that reaps the first, as stepping does.
+    #[test]
+    fn dark_wait_stops_at_a_flush_due_inside_the_skipped_window() {
+        for gauges in [true, false] {
+            let mut rigs = [
+                rig(ExecutionModel::Serial, FetchPolicy::QueueLocal, gauges),
+                rig(ExecutionModel::Serial, FetchPolicy::QueueLocal, gauges),
+            ];
+            let mut outs = [Vec::new(), Vec::new()];
+            for (side, (r, out)) in rigs.iter_mut().zip(&mut outs).enumerate() {
+                r.driver.set_flush_policy(Some(FlushPolicy {
+                    max_batch: 16,
+                    max_delay: Nanos::from_us(1_010),
+                }));
+                r.ctrl.force_power_cut();
+                let sub: Vec<SubmittedCmd> = (2..4)
+                    .map(|lba| {
+                        let cmd = write(lba, 64);
+                        r.driver.submit(r.qid, &cmd, TransferMethod::Prp).unwrap()
+                    })
+                    .collect();
+                for waited in [&sub[..1], &sub[1..]] {
+                    if side == 0 {
+                        r.driver.wait_for(r.qid, &mut r.ctrl, waited, out).unwrap();
+                    } else {
+                        wait_stepping(&mut r.driver, r.qid, &mut r.ctrl, waited, out);
+                    }
+                }
+                assert_eq!(r.driver.stats().batch_flushes, 1, "the staged pair rang");
+                assert_eq!(r.driver.recovery_stats().timeouts, 2);
+            }
+            assert_eq!(outs[0], outs[1]);
+            assert_eq!(observed(&rigs[0]), observed(&rigs[1]), "gauges {gauges}");
+        }
+    }
+
+    /// The parent's in-flight table: a cid→slot index over the full cid
+    /// space, as the reference for the low-bits index.
+    #[derive(Default)]
+    struct FullTable {
+        slot_of_cid: Vec<u32>,
+        slots: Vec<Option<(u16, u64)>>,
+        free: Vec<u32>,
+        live: usize,
+    }
+
+    impl FullTable {
+        fn contains(&self, cid: u16) -> bool {
+            self.slot_of_cid
+                .get(cid as usize)
+                .is_some_and(|&slot| slot > 0)
+        }
+
+        fn insert(&mut self, cid: u16, tag: u64) {
+            if self.slot_of_cid.is_empty() {
+                self.slot_of_cid = vec![0; 1 << 16];
+            }
+            let slot = match self.free.pop() {
+                Some(slot) => {
+                    self.slots[slot as usize] = Some((cid, tag));
+                    slot
+                }
+                None => {
+                    self.slots.push(Some((cid, tag)));
+                    (self.slots.len() - 1) as u32
+                }
+            };
+            self.slot_of_cid[cid as usize] = slot + 1;
+            self.live += 1;
+        }
+
+        fn remove(&mut self, cid: u16) -> Option<u64> {
+            let indexed = self.slot_of_cid.get_mut(cid as usize)?;
+            let slot = indexed.checked_sub(1)?;
+            *indexed = 0;
+            let (_, tag) = self.slots[slot as usize].take()?;
+            self.free.push(slot);
+            self.live -= 1;
+            Some(tag)
+        }
+
+        fn iter(&self) -> impl Iterator<Item = (u16, u64)> + '_ {
+            self.slots.iter().flatten().copied()
+        }
+
+        /// `alloc_cid` over this table.
+        fn alloc_cid(&self, next_cid: &mut u16) -> u16 {
+            loop {
+                let cid = *next_cid;
+                *next_cid = next_cid.wrapping_add(1);
+                if !self.contains(cid) {
+                    return cid;
+                }
+            }
+        }
+    }
+
+    fn inflight(tag: u64) -> Inflight {
+        Inflight {
+            opcode: 0,
+            submitted_at: Nanos::from_ns(tag),
+            deadline: None,
+            pages: Vec::new(),
+            response_len: 0,
+        }
+    }
+
+    fn queue_pair() -> QueuePair {
+        QueuePair {
+            sq: SqRing::new(QueueId(1), DmaRegion::new(PhysAddr(0), 64 * SQE_BYTES), 64),
+            cq: CqRing::new(DmaRegion::new(PhysAddr(0), 64 * CQE_BYTES), 64),
+            next_cid: 0,
+            inflight: InflightTable::default(),
+            degrade: DegradeState::default(),
+            pending_tail: None,
+            pending_cmds: 0,
+            first_pending_at: Nanos::ZERO,
+        }
+    }
+
+    #[test]
+    fn the_index_widens_only_when_two_cids_in_flight_share_low_bits() {
+        let mut t = InflightTable::default();
+        assert!(t.get(0).is_none() && t.remove(0).is_none(), "empty");
+        t.insert(3, inflight(3));
+        t.insert(3 + 63, inflight(66));
+        assert_eq!(t.slot_of_cid.len(), INDEX_MIN);
+        assert!(t.get(3 + 64).is_none(), "same low bits, not in flight");
+        t.insert(3 + 64, inflight(67));
+        assert_eq!(t.slot_of_cid.len(), 2 * INDEX_MIN);
+        t.insert(3 + 4 * 64, inflight(259));
+        assert_eq!(t.slot_of_cid.len(), 8 * INDEX_MIN);
+        for cid in [3, 66, 67, 259] {
+            assert_eq!(t.get(cid).map(|i| i.submitted_at.as_ns()), Some(cid as u64));
+        }
+        assert_eq!(t.remove(67).map(|i| i.submitted_at.as_ns()), Some(67));
+        assert!(t.get(67).is_none() && t.get(3).is_some());
+    }
+
+    proptest::proptest! {
+        /// The low-bits index against the full-space table and a map model,
+        /// over submissions, completions in any order, bursts that run the
+        /// cids far past stragglers (widening the index), jumps of the next
+        /// cid (wrapping it), and removals of cids not in flight: the same
+        /// cids handed out, the same lookups, the same slot order.
+        #[test]
+        fn inflight_table_matches_the_full_index(
+            ops in proptest::collection::vec((0u8..6, proptest::prelude::any::<u16>()), 1..120),
+        ) {
+            let mut qp = queue_pair();
+            let (mut full, mut full_next) = (FullTable::default(), 0u16);
+            let mut model = BTreeMap::new();
+            let mut tag = 0u64;
+            let mut submit = |qp: &mut QueuePair, full: &mut FullTable, full_next: &mut u16, model: &mut BTreeMap<u16, u64>| {
+                let cid = qp.alloc_cid();
+                assert_eq!(cid, full.alloc_cid(full_next));
+                tag += 1;
+                qp.inflight.insert(cid, inflight(tag));
+                full.insert(cid, tag);
+                model.insert(cid, tag);
+                cid
+            };
+            for (op, arg) in ops {
+                match op {
+                    0 | 1 => {
+                        submit(&mut qp, &mut full, &mut full_next, &mut model);
+                    }
+                    2 if !model.is_empty() => {
+                        let cid = *model.keys().nth(arg as usize % model.len()).unwrap();
+                        let want = model.remove(&cid);
+                        assert_eq!(full.remove(cid), want);
+                        assert_eq!(qp.inflight.remove(cid).map(|i| i.submitted_at.as_ns()), want);
+                    }
+                    3 => {
+                        for _ in 0..arg % 300 {
+                            let cid = submit(&mut qp, &mut full, &mut full_next, &mut model);
+                            model.remove(&cid);
+                            full.remove(cid);
+                            qp.inflight.remove(cid);
+                        }
+                    }
+                    4 => {
+                        qp.next_cid = arg;
+                        full_next = arg;
+                    }
+                    _ => {
+                        let want = model.remove(&arg);
+                        assert_eq!(full.remove(arg), want);
+                        assert_eq!(qp.inflight.remove(arg).map(|i| i.submitted_at.as_ns()), want);
+                    }
+                }
+                assert_eq!(qp.inflight.len(), model.len());
+                assert_eq!(full.live, model.len());
+                let order: Vec<(u16, u64)> = qp
+                    .inflight
+                    .iter()
+                    .map(|(cid, i)| (cid, i.submitted_at.as_ns()))
+                    .collect();
+                assert_eq!(order, full.iter().collect::<Vec<_>>(), "slot order");
+                for (&cid, &want) in &model {
+                    assert_eq!(qp.inflight.get(cid).map(|i| i.submitted_at.as_ns()), Some(want));
+                }
+                for probe in [arg, arg.wrapping_add(64), arg ^ 0x8000] {
+                    assert_eq!(qp.inflight.contains(probe), model.contains_key(&probe));
+                }
+            }
+        }
     }
 }

@@ -298,6 +298,17 @@ impl Reactor {
             .sum()
     }
 
+    /// Whether some command in flight can still complete: the device is
+    /// powered, or the timeout reaper has a deadline to reach.
+    fn inflight_can_complete(&self) -> bool {
+        let host = self.host.borrow();
+        let powered = !self.ctrl.borrow().is_powered_off();
+        host.shards.iter().any(|shard| {
+            host.driver.inflight_len(shard.qid) > 0
+                && (powered || host.driver.has_deadline(shard.qid))
+        })
+    }
+
     /// One dispatcher sweep: flush every shard's staged doorbell, run the
     /// controller, then drain each shard's queue and wake the futures whose
     /// completions arrived. Returns the number of completions dispatched.
@@ -373,11 +384,13 @@ impl Reactor {
     /// # Panics
     ///
     /// Panics if the task set deadlocks: some task is pending while no
-    /// command is in flight and no completion can ever arrive (e.g. a
-    /// future awaiting something the reactor does not drive).
+    /// completion can ever arrive — no command is in flight (e.g. a future
+    /// awaiting something the reactor does not drive), or the device has
+    /// lost power and no [`RetryPolicy`] gave the commands in flight a
+    /// deadline to be reaped at.
     #[expect(
         clippy::panic,
-        reason = "a pending task with zero commands in flight can never be woken — failing loudly beats spinning forever"
+        reason = "a pending task no completion can ever wake — failing loudly beats spinning forever"
     )]
     pub fn run<T>(&mut self, tasks: Vec<Pin<Box<dyn Future<Output = T>>>>) -> Vec<T> {
         struct Slot<T> {
@@ -415,7 +428,7 @@ impl Reactor {
             let dispatched = self.turn();
             let woken = slots.iter().any(|s| s.output.is_none() && s.flag.is_set());
             if !polled && dispatched == 0 && !woken {
-                if self.inflight() > 0 {
+                if self.inflight_can_complete() {
                     // Nothing runnable, nothing ready, commands in flight:
                     // the device needs time (or the reaper needs the
                     // deadline to lapse). Step the clock.
@@ -427,7 +440,7 @@ impl Reactor {
                     self.bus.clock.advance(step);
                 } else {
                     panic!(
-                        "reactor deadlock: {remaining} task(s) pending with no command in flight"
+                        "reactor deadlock: {remaining} task(s) pending and no command in flight can complete"
                     );
                 }
             }

@@ -255,6 +255,66 @@ fn chunk_framing_follows_identify_with_no_driver_setting() {
     }
 }
 
+/// Bring-up does not zero the SQ rings: the controller fetches only slots
+/// the host wrote before ringing. With every host frame full of 0xA5 — as
+/// a recycled frame may be — before each bring-up, PRP, BandSlim and
+/// ByteExpress writes of both chunk framings read back intact on both
+/// sides of a power cycle, and the controller fetches one SQE per command
+/// submitted.
+#[test]
+fn stale_bytes_in_fresh_rings_are_never_fetched() {
+    let methods = [
+        TransferMethod::Prp,
+        TransferMethod::BandSlim { embed_first: true },
+        TransferMethod::ByteExpress,
+    ];
+    let payload = |lba: u64| -> Vec<u8> { (0..150u64).map(|i| (lba * 31 + i) as u8).collect() };
+    for fetch_policy in [FetchPolicy::QueueLocal, FetchPolicy::Reassembly] {
+        let bus = SystemBus::new(LinkConfig::gen2_x8(), 4 << 20, 2);
+        let cfg = ControllerConfig {
+            fetch_policy,
+            ..ControllerConfig::default()
+        };
+        let mut ctrl = Controller::new(bus.clone(), cfg, |dram| {
+            Box::new(BlockFirmware::new(dram, true))
+        });
+        let mut driver = NvmeDriver::new(bus.clone());
+        for cycle in 0..2u64 {
+            {
+                let platform = bus.platform();
+                let mem = &mut platform.borrow_mut().mem;
+                let frames = mem.allocator().total_pages();
+                assert_eq!(mem.allocator().free_pages(), frames, "every frame free");
+                mem.fill(bx_hostsim::PhysAddr(0), mem.capacity(), 0xA5)
+                    .unwrap();
+            }
+            let qid = driver.initialize(&mut ctrl, &[16]).unwrap()[0];
+            for (i, method) in methods.iter().enumerate() {
+                let lba = cycle * 8 + i as u64;
+                let mut write = PassthruCmd::to_device(bx_nvme::IoOpcode::Write, 1, payload(lba));
+                write.cdw10_15[0] = lba as u32;
+                let wrote = driver.execute(qid, &mut ctrl, &write, *method);
+                assert_eq!(wrote.map(|c| c.status), Ok(Status::Success), "{method}");
+            }
+            // Everything written so far, this cycle's and the last one's.
+            for lba in (0..=cycle).flat_map(|c| c * 8..c * 8 + 3) {
+                let mut read = PassthruCmd::from_device(bx_nvme::IoOpcode::Read, 1, 150);
+                read.cdw10_15[0] = lba as u32;
+                let got = driver.execute(qid, &mut ctrl, &read, TransferMethod::Prp);
+                assert_eq!(
+                    got.unwrap().data,
+                    Some(payload(lba)),
+                    "{fetch_policy:?}, cycle {cycle}, lba {lba}"
+                );
+            }
+            ctrl.power_cycle();
+            driver.reset_after_power_cycle().unwrap();
+        }
+        assert_eq!(ctrl.stats().sqes_fetched, driver.stats().submissions);
+        assert_eq!(driver.stats().submissions, 2 * 3 + 3 + 6);
+    }
+}
+
 #[test]
 fn admin_rejects_malformed_queue_creation() {
     let (bus, mut ctrl, mut driver) = default_platform();

@@ -266,6 +266,27 @@ fn lost_doorbell_surfaces_as_aborted_completion() {
     assert!(reactor.recovery_stats().timeouts > 0);
 }
 
+/// A power cut with no retry policy: the commands in flight have no
+/// deadline and the dark device will never complete them, so `run` takes
+/// its deadlock panic instead of idle-advancing the clock forever.
+#[test]
+#[should_panic(expected = "reactor deadlock")]
+fn dark_device_without_a_retry_policy_is_a_deadlock() {
+    let mut reactor = Reactor::new(ReactorConfig::default()).expect("reactor construction");
+    reactor.bus().install_faults(FaultConfig {
+        power_cut_after_events: Some(3),
+        ..FaultConfig::disabled()
+    });
+    let tasks: Vec<Task<Result<Completion, DriverError>>> = (0..4u64)
+        .map(|i| {
+            let handle = reactor.handle(i as usize % reactor.shard_count());
+            let cmd = write_cmd(i * 8, vec![i as u8; 64]);
+            Box::pin(async move { handle.submit(cmd, TransferMethod::ByteExpress).await }) as _
+        })
+        .collect();
+    reactor.run(tasks);
+}
+
 /// Virtual time is deterministic: two identical multi-shard runs finish at
 /// the same virtual instant with identical counters.
 #[test]

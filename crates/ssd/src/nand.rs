@@ -3,20 +3,22 @@
 //! Models the Cosmos+ OpenSSD's flash subsystem at the granularity the paper
 //! needs: channels × dies × blocks × pages, with per-die busy windows so
 //! programs/reads on different dies overlap, erase-before-program
-//! discipline, and a dense page store so reads return exactly the bytes
+//! discipline, and a page store so reads return exactly the bytes
 //! programmed (end-to-end integrity, not just timing). The store is indexed
-//! by a deterministic die-major page index — never by hashed keys — so no
-//! randomized-hash iteration order can influence traces or timing. Its slot
-//! table comes from the allocator zeroed and untouched, and a program may
-//! hand over less than a page — the rest reads back as zeros — so the array
-//! costs the simulator the bytes a run programmed — 64 B for a 64 B payload
-//! in a 4 KB page — never its capacity.
+//! by deterministic die-major block and page numbers — never by hashed keys
+//! — so no randomized-hash iteration order can influence traces or timing.
+//! A block has a row of page slots only from its first program to its
+//! erase, and a program may hand over less than a page — the rest reads
+//! back as zeros — so the array costs the simulator the blocks and bytes a
+//! run programmed — 64 B for a 64 B payload in a 4 KB page — never its
+//! capacity.
 //!
 //! The controller can disable NAND I/O entirely (`NandConfig::disabled`) to
 //! reproduce the paper's transfer-latency-only experiments ("with NAND I/O
 //! disabled on the OpenSSD", §4.2).
 
 use crate::bus::FaultHandle;
+use crate::rows::BlockRows;
 use bx_hostsim::Nanos;
 use bx_trace::{EventKind, TraceSink};
 use std::fmt;
@@ -180,15 +182,9 @@ impl NandConfig {
         ppa.channel as usize * self.dies_per_channel as usize + ppa.die as usize
     }
 
-    /// Dense die-major global page index: pages of one block are contiguous,
-    /// blocks of one die are contiguous. Keys the page-data and page-state
-    /// arrays — a dense structure is deterministic to traverse and cheaper
-    /// to address than hashing a `Ppa`.
-    fn page_index(&self, ppa: Ppa) -> usize {
-        self.block_index(ppa) * self.pages_per_block as usize + ppa.page as usize
-    }
-
-    /// Dense die-major global block index.
+    /// Dense die-major global block index: blocks of one die are
+    /// contiguous. Keys the page slot rows — a dense structure is
+    /// deterministic to traverse and cheaper to address than hashing a `Ppa`.
     fn block_index(&self, ppa: Ppa) -> usize {
         self.die_index(ppa) * self.blocks_per_die as usize + ppa.block as usize
     }
@@ -242,7 +238,7 @@ impl fmt::Display for NandError {
 impl std::error::Error for NandError {}
 
 /// Slot of a page never programmed since its block's last erase. Zero, so
-/// a zero-initialised slot table is an erased array.
+/// a block without a row is erased.
 const ERASED: u32 = 0;
 /// Slot of a programmed page with nothing to read: its program failed or a
 /// power cut tore it. Burned until the block is erased.
@@ -255,14 +251,16 @@ const HELD: u32 = 2;
 #[derive(Debug)]
 pub struct NandArray {
     cfg: NandConfig,
-    /// One slot per page of the array, keyed by [`NandConfig::page_index`]:
-    /// [`ERASED`], [`BURNED`], or [`HELD`] plus the index of the page's
-    /// buffer. Dense indexing keeps every traversal (and therefore every
-    /// trace/wire consequence) deterministic — no randomized-hash iteration
-    /// order can leak out of the media model. Allocated whole and zeroed:
-    /// the allocator maps it lazily, so only the slots a run programs cost
-    /// memory, and no program ever grows or copies the table.
-    slots: Vec<u32>,
+    /// One slot per page, [`ERASED`], [`BURNED`], or [`HELD`] plus the
+    /// index of the page's buffer, in a row per block keyed by
+    /// [`NandConfig::block_index`] and page. A block gets its row on its
+    /// first program (or burn) and gives it back when erased, so the table
+    /// costs the blocks a run programs, and "erased" is "has no row" —
+    /// recovery asks it of every block of the array. Dense indexing keeps
+    /// every traversal (and therefore every trace/wire consequence)
+    /// deterministic — no randomized-hash iteration order can leak out of
+    /// the media model.
+    slots: BlockRows,
     /// The bytes each programmed page was handed — possibly less than a
     /// page, possibly none, still data; [`NandArray::read_range`] restores
     /// the zero tail.
@@ -273,11 +271,6 @@ pub struct NandArray {
     /// another length measured slower end to end than allocating afresh
     /// (DESIGN.md §12).
     free_buffers: Vec<u32>,
-    /// Whether a page of the block was programmed (or burned) since its
-    /// last erase, keyed by [`NandConfig::block_index`]: recovery asks every
-    /// block of the array whether it is erased, and this answers without
-    /// reading the block's slots — most of which no run ever touched.
-    programmed: Vec<bool>,
     /// Per-die "busy until" instants, enabling inter-die parallelism.
     die_busy_until: Vec<Nanos>,
     /// [`NandConfig::page_transfer_time`], computed once.
@@ -318,10 +311,12 @@ impl NandArray {
     pub fn new(cfg: NandConfig) -> Self {
         let dies = cfg.total_dies();
         NandArray {
-            slots: vec![ERASED; cfg.total_pages() as usize],
+            slots: BlockRows::new(
+                dies * cfg.blocks_per_die as usize,
+                cfg.pages_per_block as usize,
+            ),
             buffers: Vec::new(),
             free_buffers: Vec::new(),
-            programmed: vec![false; dies * cfg.blocks_per_die as usize],
             page_transfer: cfg.page_transfer_time(),
             cfg,
             die_busy_until: vec![Nanos::ZERO; dies],
@@ -376,14 +371,20 @@ impl NandArray {
         }
     }
 
-    /// Sets slot `idx` to `state` — [`ERASED`] or [`BURNED`] — and frees the
-    /// buffer it held, if any.
-    fn release(&mut self, idx: usize, state: u32) {
-        if let Some(buffer) = self.slots[idx].checked_sub(HELD) {
-            self.buffers[buffer as usize] = Box::default();
-            self.free_buffers.push(buffer);
+    /// The slot of a page inside the geometry.
+    fn slot(&self, ppa: Ppa) -> u32 {
+        self.slots
+            .get(self.cfg.block_index(ppa))
+            .map_or(ERASED, |row| row[ppa.page as usize])
+    }
+
+    /// Gives the bytes of the buffer a page's `slot` names, if it names
+    /// one, back to the allocator, and its entry to the next program.
+    fn free_buffer(buffers: &mut [Box<[u8]>], free_buffers: &mut Vec<u32>, slot: u32) {
+        if let Some(buffer) = slot.checked_sub(HELD) {
+            buffers[buffer as usize] = Box::default();
+            free_buffers.push(buffer);
         }
-        self.slots[idx] = state;
     }
 
     /// Programs a page with `data`, starting no earlier than `now`. `data`
@@ -410,13 +411,12 @@ impl NandArray {
                 want: self.cfg.page_size,
             });
         }
-        // `check` put every coordinate inside the geometry, so the dense
-        // index is inside the table.
-        let idx = self.cfg.page_index(ppa);
-        if self.slots[idx] != ERASED {
+        // `check` put every coordinate inside the geometry, so the block
+        // and page index the table.
+        if self.slot(ppa) != ERASED {
             return Err(NandError::ProgramWithoutErase(ppa));
         }
-        self.programmed[self.cfg.block_index(ppa)] = true;
+        let block = self.cfg.block_index(ppa);
         // Injected program failure: the program pulse still burns die time and
         // the page (it stays burned until the block is erased), but no data
         // lands — the FTL retires the block and remaps.
@@ -425,7 +425,7 @@ impl NandArray {
             None => false,
         };
         if failed {
-            self.slots[idx] = BURNED;
+            self.slots.open(block)[ppa.page as usize] = BURNED;
             self.stats.program_failures += 1;
             let die = self.cfg.die_index(ppa);
             let start = self.die_busy_until[die].max(now);
@@ -443,7 +443,7 @@ impl NandArray {
                 (self.buffers.len() - 1) as u32
             }
         };
-        self.slots[idx] = HELD + buffer;
+        self.slots.open(block)[ppa.page as usize] = HELD + buffer;
         self.stats.programs += 1;
 
         let die = self.cfg.die_index(ppa);
@@ -489,9 +489,9 @@ impl NandArray {
             out.resize(out.len() + len, 0);
             return Ok(now);
         }
-        let stored = self.slots[self.cfg.page_index(ppa)]
+        let buffer = self
+            .slot(ppa)
             .checked_sub(HELD)
-            .map(|buffer| &self.buffers[buffer as usize])
             .ok_or(NandError::ReadUnwritten(ppa))?;
         self.stats.reads += 1;
         let die = self.cfg.die_index(ppa);
@@ -514,6 +514,7 @@ impl NandArray {
         }
         // The slot holds what the program was handed; whatever of the range
         // lies beyond that is the zero tail.
+        let stored = &self.buffers[buffer as usize];
         let held = stored
             .get(off.min(stored.len())..end.min(stored.len()))
             .unwrap_or_default();
@@ -546,13 +547,15 @@ impl NandArray {
         if !self.cfg.enabled {
             return Ok(now);
         }
-        // Pages of a block are contiguous in the dense index, so the erase is
-        // one linear sweep: free the buffers, reset the slots.
-        let base = self.cfg.page_index(probe);
-        for idx in base..base + self.cfg.pages_per_block as usize {
-            self.release(idx, ERASED);
+        // The block's row holds every page it programmed: free their
+        // buffers, then give the row back.
+        let block = self.cfg.block_index(probe);
+        if let Some(row) = self.slots.get(block) {
+            for &slot in row {
+                Self::free_buffer(&mut self.buffers, &mut self.free_buffers, slot);
+            }
         }
-        self.programmed[self.cfg.block_index(probe)] = false;
+        self.slots.release(block);
         self.stats.erases += 1;
         let die_idx = self.cfg.die_index(probe);
         let start = self.die_busy_until[die_idx].max(now);
@@ -566,7 +569,7 @@ impl NandArray {
     /// finished before any power cut destroyed it). Recovery uses this to
     /// validate journal records against the media.
     pub(crate) fn has_data(&self, ppa: Ppa) -> bool {
-        self.check(ppa).is_ok() && self.slots[self.cfg.page_index(ppa)] >= HELD
+        self.check(ppa).is_ok() && self.slot(ppa) >= HELD
     }
 
     /// How many bytes the program of `ppa` was handed: the prefix of the
@@ -577,7 +580,7 @@ impl NandArray {
         if self.check(ppa).is_err() {
             return 0;
         }
-        self.slots[self.cfg.page_index(ppa)]
+        self.slot(ppa)
             .checked_sub(HELD)
             .map_or(0, |buffer| self.buffers[buffer as usize].len())
     }
@@ -595,9 +598,9 @@ impl NandArray {
     }
 
     /// Whether every page of the block is in the erased state (never
-    /// programmed since the last erase). Recovery rebuilds the free-block
-    /// list from this. Erases are modeled atomic at issue: a cut mid-erase
-    /// leaves the block erased, never half-erased.
+    /// programmed since the last erase): whether it has no row. Recovery
+    /// rebuilds the free-block list from this. Erases are modeled atomic at
+    /// issue: a cut mid-erase leaves the block erased, never half-erased.
     pub(crate) fn is_block_erased(&self, channel: u16, die: u16, block: u32) -> bool {
         let block = self.cfg.block_index(Ppa {
             channel,
@@ -605,7 +608,7 @@ impl NandArray {
             block,
             page: 0,
         });
-        !self.programmed[block]
+        self.slots.get(block).is_none()
     }
 
     /// A whole-system power cut at instant `at`: every program whose pulse
@@ -620,10 +623,18 @@ impl NandArray {
             if done <= at {
                 continue;
             }
-            let idx = self.cfg.page_index(ppa);
-            if self.slots[idx] >= HELD {
-                self.release(idx, BURNED);
-                torn += 1;
+            let block = self.cfg.block_index(ppa);
+            // A page with data has a row.
+            if let Some(slot) = self
+                .slots
+                .get_mut(block)
+                .map(|row| &mut row[ppa.page as usize])
+            {
+                if *slot >= HELD {
+                    Self::free_buffer(&mut self.buffers, &mut self.free_buffers, *slot);
+                    *slot = BURNED;
+                    torn += 1;
+                }
             }
         }
         self.pending_programs.clear();
@@ -978,6 +989,63 @@ mod tests {
             .unwrap();
         n.power_cut(t.saturating_sub(Nanos::from_ns(1)));
         assert!(!n.is_block_erased(0, 0, 6));
+    }
+
+    /// A block has a row from its first program — a burned one included —
+    /// to its erase, and the three questions recovery and GC ask read it:
+    /// after a burned program, beside a torn page, and after an erase that
+    /// hands the row to the next block zeroed.
+    #[test]
+    fn block_rows_follow_burns_tears_and_erases() {
+        let faults = Rc::new(RefCell::new(FaultInjector::new(FaultConfig {
+            nand_program_fail: 1.0,
+            ..FaultConfig::disabled()
+        })));
+        let mut n = array();
+        n.set_fault_injector(faults.clone());
+        let burned = ppa(0, 0, 2, 5);
+        assert!(n.is_block_erased(0, 0, 2));
+        assert_eq!(
+            n.program(burned, &[1; 64], Nanos::ZERO),
+            Err(NandError::ProgramFailed(burned))
+        );
+        faults.borrow_mut().reconfigure(FaultConfig::disabled());
+        assert!(!n.is_block_erased(0, 0, 2), "a burn opens the row");
+        assert!(!n.has_data(burned));
+        assert_eq!(n.programmed_len(burned), 0);
+        assert_eq!(
+            n.program(burned, &[1; 64], Nanos::ZERO),
+            Err(NandError::ProgramWithoutErase(burned))
+        );
+        let beside = ppa(0, 0, 2, 6);
+        let t = n.program(beside, &[2; 100], Nanos::ZERO).unwrap();
+        assert_eq!(n.programmed_len(beside), 100);
+
+        let (kept, torn) = (ppa(1, 0, 3, 0), ppa(1, 0, 3, 1));
+        let t1 = n.program(kept, &[3; 300], t).unwrap();
+        n.program(torn, &[4; 400], t).unwrap();
+        assert_eq!(n.power_cut(t1), 1);
+        assert!(!n.is_block_erased(1, 0, 3));
+        assert!(n.has_data(kept) && !n.has_data(torn));
+        assert_eq!((n.programmed_len(kept), n.programmed_len(torn)), (300, 0));
+
+        for (channel, block) in [(0, 2), (1, 3)] {
+            n.erase(channel, 0, block, t1).unwrap();
+            assert!(n.is_block_erased(channel, 0, block));
+        }
+        for at in [burned, beside, kept, torn] {
+            assert!(!n.has_data(at));
+            assert_eq!(n.programmed_len(at), 0);
+        }
+        assert!(n.buffers.iter().all(|b| b.is_empty()), "bytes given back");
+        // The rows the erases gave back serve the next blocks, zeroed.
+        let next = ppa(2, 1, 7, 3);
+        n.program(next, &[5; 10], t1).unwrap();
+        assert!(!n.is_block_erased(2, 1, 7) && n.has_data(next));
+        assert!((0..64)
+            .filter(|&p| p != 3)
+            .all(|p| !n.has_data(ppa(2, 1, 7, p))));
+        assert!(n.is_block_erased(0, 0, 2) && n.is_block_erased(1, 0, 3));
     }
 
     #[test]
