@@ -503,6 +503,26 @@ mod tests {
         assert_eq!(rows[0].values[0], Value::Int(500));
     }
 
+    /// DW0 of a result read is the result's length, which is what the
+    /// response carries when the buffer holds it.
+    #[test]
+    fn read_result_dw0_is_the_response_length() {
+        let mut r = rig(true);
+        setup_particles(&mut r, 100);
+        assert!(exec(&mut r, TASK_MODE_SEGMENT, b"particles\0id < 3")
+            .status
+            .is_success());
+        let mut sqe = SubmissionEntry::io(IoOpcode::CsdReadResult, 1, 1);
+        sqe.set_data_len(RESULT_CAPACITY as u32);
+        let out = call(&mut r, &sqe, None);
+        let data = out.response.unwrap();
+        assert_eq!(out.result as usize, data.len());
+        assert_eq!(
+            Row::decode_batch(&data, &particles_schema()).unwrap().len(),
+            3
+        );
+    }
+
     #[test]
     fn full_sql_task_filters_rows() {
         let mut r = rig(true);

@@ -192,8 +192,7 @@ impl CsdSession {
         let cmd = PassthruCmd::from_device(IoOpcode::CsdReadResult, 1, BUF);
         let completion = self.dev.passthru(&cmd, TransferMethod::Prp)?;
         self.check(completion.status)?;
-        let mut data = completion.data.ok_or(CsdError::CorruptResult)?;
-        data.truncate(completion.result as usize);
+        let data = completion.data.ok_or(CsdError::CorruptResult)?;
         Row::decode_batch(&data, schema).ok_or(CsdError::CorruptResult)
     }
 

@@ -18,7 +18,6 @@ use bx_pcie::TrafficClass;
 use bx_ssd::registers::{Register, RegisterFile, CC_ENABLE};
 use bx_ssd::{Controller, Platform, SystemBus};
 use bx_trace::{CmdKey, EventKind, TraceSink};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Errors from driver operations.
@@ -183,7 +182,10 @@ pub struct Completion {
     pub status: Status,
     /// CQE DW0 (command-specific result).
     pub result: u32,
-    /// Response payload for from-device commands.
+    /// Response payload of a successful from-device command: the first
+    /// `min(DW0, response_len)` bytes of its buffer. A from-device command
+    /// reports in DW0 how many bytes it returned, as the KV command set's
+    /// Retrieve does.
     pub data: Option<Vec<u8>>,
     /// Virtual time at submission start.
     pub submitted_at: Nanos,
@@ -373,7 +375,9 @@ struct AdminQueue {
 pub struct NvmeDriver {
     bus: SystemBus,
     timing: DriverTiming,
-    queues: BTreeMap<u16, QueuePair>,
+    /// I/O queue pairs by qid. Qids are the lowest free ones, so the table
+    /// is dense; slot 0, the admin queue's id, stays `None`.
+    queues: Vec<Option<QueuePair>>,
     admin: Option<AdminQueue>,
     identify: Option<IdentifyController>,
     sgl_threshold: usize,
@@ -400,7 +404,7 @@ pub struct NvmeDriver {
 impl fmt::Debug for NvmeDriver {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NvmeDriver")
-            .field("queues", &self.queues.len())
+            .field("queues", &self.queues.iter().flatten().count())
             .field("sgl_threshold", &self.sgl_threshold)
             .field("stats", &self.stats)
             .finish()
@@ -416,7 +420,7 @@ impl NvmeDriver {
         NvmeDriver {
             bus,
             timing: DriverTiming::default(),
-            queues: BTreeMap::new(),
+            queues: Vec::new(),
             admin: None,
             identify: None,
             sgl_threshold: DEFAULT_SGL_THRESHOLD,
@@ -463,26 +467,19 @@ impl NvmeDriver {
     /// but not yet consumed by a poll). The reactor uses this to tell a
     /// quiescent queue from one still waiting on the device.
     pub fn inflight_len(&self, qid: QueueId) -> usize {
-        self.queues
-            .get(&qid.0)
-            .map(|qp| qp.inflight.len())
-            .unwrap_or(0)
+        self.queue(qid).map_or(0, |qp| qp.inflight.len())
     }
 
     /// Whether some command in flight on `qid` has a completion deadline,
     /// i.e. the timeout reaper will take it if nothing else does.
     pub(crate) fn has_deadline(&self, qid: QueueId) -> bool {
-        self.queues
-            .get(&qid.0)
+        self.queue(qid)
             .is_some_and(|qp| qp.inflight.iter().any(|(_, cmd)| cmd.deadline.is_some()))
     }
 
     /// Whether `qid` is currently degraded from ByteExpress to PRP.
     pub fn is_degraded(&self, qid: QueueId) -> bool {
-        self.queues
-            .get(&qid.0)
-            .map(|qp| qp.degrade.degraded)
-            .unwrap_or(false)
+        self.queue(qid).is_some_and(|qp| qp.degrade.degraded)
     }
 
     /// Sets the SGL threshold (the kernel's `sgl_threshold` module param).
@@ -603,7 +600,7 @@ impl NvmeDriver {
     pub fn reset_after_power_cycle(&mut self) -> Result<(), DriverError> {
         let platform = self.bus.platform();
         let mem = &mut platform.borrow_mut().mem;
-        for (_, qp) in std::mem::take(&mut self.queues) {
+        for qp in std::mem::take(&mut self.queues).into_iter().flatten() {
             qp.release(mem)?;
         }
         if let Some(admin) = self.admin.take() {
@@ -689,19 +686,20 @@ impl NvmeDriver {
                 return Err(e);
             }
         };
-        self.queues.insert(
-            id.0,
-            QueuePair {
-                sq: SqRing::new(id, sq_region, depth),
-                cq: CqRing::new(cq_region, depth),
-                next_cid: 0,
-                inflight: InflightTable::default(),
-                degrade: DegradeState::default(),
-                pending_tail: None,
-                pending_cmds: 0,
-                first_pending_at: Nanos::ZERO,
-            },
-        );
+        let slot = id.0 as usize;
+        if self.queues.len() <= slot {
+            self.queues.resize_with(slot + 1, || None);
+        }
+        self.queues[slot] = Some(QueuePair {
+            sq: SqRing::new(id, sq_region, depth),
+            cq: CqRing::new(cq_region, depth),
+            next_cid: 0,
+            inflight: InflightTable::default(),
+            degrade: DegradeState::default(),
+            pending_tail: None,
+            pending_cmds: 0,
+            first_pending_at: Nanos::ZERO,
+        });
         Ok(id)
     }
 
@@ -715,7 +713,7 @@ impl NvmeDriver {
         cq_region: bx_hostsim::DmaRegion,
     ) -> Result<QueueId, DriverError> {
         let qid = (1..=u16::MAX)
-            .find(|q| !self.queues.contains_key(q))
+            .find(|&q| self.queue(QueueId(q)).is_none())
             .ok_or(DriverError::Unsupported("more than 65535 I/O queues"))?;
         let cid = self.admin_cid()?;
         let cqe =
@@ -751,7 +749,7 @@ impl NvmeDriver {
         ctrl: &mut Controller,
         qid: QueueId,
     ) -> Result<(), DriverError> {
-        if !self.queues.contains_key(&qid.0) {
+        if self.queue(qid).is_none() {
             return Err(DriverError::UnknownQueue(qid));
         }
         let cid = self.admin_cid()?;
@@ -764,10 +762,14 @@ impl NvmeDriver {
         if !cqe.status().is_success() {
             return Err(DriverError::AdminFailed(cqe.status()));
         }
-        if let Some(qp) = self.queues.remove(&qid.0) {
+        if let Some(qp) = self.queues.get_mut(qid.0 as usize).and_then(Option::take) {
             qp.release(&mut self.bus.platform().borrow_mut().mem)?;
         }
         Ok(())
+    }
+
+    fn queue(&self, qid: QueueId) -> Option<&QueuePair> {
+        self.queues.get(qid.0 as usize)?.as_ref()
     }
 
     fn queue_mut(&mut self, qid: QueueId) -> Result<&mut QueuePair, DriverError> {
@@ -1598,7 +1600,7 @@ impl NvmeDriver {
         qid: QueueId,
         cmds: &'a [SubmittedCmd],
     ) -> impl Iterator<Item = (u16, &'a Inflight)> {
-        let table = self.queues.get(&qid.0).map(|qp| &qp.inflight);
+        let table = self.queue(qid).map(|qp| &qp.inflight);
         cmds.iter()
             .filter_map(move |cmd| Some((cmd.cid, table?.get(cmd.cid)?)))
     }
@@ -1612,7 +1614,7 @@ impl NvmeDriver {
     /// past the flush policy's delay. Skips nothing when neither will ever
     /// happen.
     fn skip_dark_polls(&self, qid: QueueId, step: Nanos) {
-        let Some(qp) = self.queues.get(&qid.0) else {
+        let Some(qp) = self.queue(qid) else {
             return;
         };
         let (now, step) = (self.bus.clock.now().as_ns(), step.as_ns());
@@ -1824,7 +1826,7 @@ impl NvmeDriver {
             Some(p) => p.fallback_after.max(1),
             None => return,
         };
-        let Some(qp) = self.queues.get_mut(&qid.0) else {
+        let Ok(qp) = self.queue_mut(qid) else {
             return;
         };
         let (mut bx_failed, mut fell_back, mut repromoted) = (false, false, false);
@@ -1861,11 +1863,11 @@ impl NvmeDriver {
 
 /// The pair `qid` names — borrowing the queue table alone, so the caller
 /// keeps the driver's bus, timing and recycled lists at hand.
-fn queue_in(
-    queues: &mut BTreeMap<u16, QueuePair>,
-    qid: QueueId,
-) -> Result<&mut QueuePair, DriverError> {
-    queues.get_mut(&qid.0).ok_or(DriverError::UnknownQueue(qid))
+fn queue_in(queues: &mut [Option<QueuePair>], qid: QueueId) -> Result<&mut QueuePair, DriverError> {
+    queues
+        .get_mut(qid.0 as usize)
+        .and_then(Option::as_mut)
+        .ok_or(DriverError::UnknownQueue(qid))
 }
 
 /// Samples the `driver_inflight` gauge: `depth` commands in flight on
@@ -1903,10 +1905,10 @@ fn alloc_rings(
 }
 
 /// Retires one command as `done` — `(cid, status, result)` — at `now`:
-/// copies out the response a successful read left in its buffer and returns
-/// the command's mapped pages, their emptied list to `spare`. `inflight` is
-/// `None` for a late or duplicate completion, which has no submission time
-/// but its own.
+/// copies out the response a successful read left in its buffer, as many
+/// bytes as DW0 (`result`) reports, and returns the command's mapped pages,
+/// their emptied list to `spare`. `inflight` is `None` for a late or
+/// duplicate completion, which has no submission time but its own.
 fn retire(
     p: &mut Platform,
     spare: &mut Vec<Vec<PageRef>>,
@@ -1921,9 +1923,10 @@ fn retire(
         if inflight.response_len > 0 && status.is_success() {
             // Response pages are not physically contiguous; copy them out
             // page by page, as the PRP list describes.
-            let mut buf = Vec::with_capacity(inflight.response_len);
+            let len = inflight.response_len.min(result as usize);
+            let mut buf = Vec::with_capacity(len);
             for page in &inflight.pages {
-                let take = (inflight.response_len - buf.len()).min(PAGE_SIZE);
+                let take = (len - buf.len()).min(PAGE_SIZE);
                 if take == 0 {
                     break;
                 }
@@ -1969,6 +1972,7 @@ mod tests {
     use bx_pcie::{LinkConfig, TrafficCounters};
     use bx_ssd::{BlockFirmware, ControllerConfig, ExecutionModel, FetchPolicy};
     use bx_trace::Event;
+    use std::collections::BTreeMap;
 
     struct Rig {
         bus: SystemBus,

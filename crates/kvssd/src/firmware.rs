@@ -4,15 +4,16 @@
 //! value bytes into a DRAM staging page, DELETEs append a header alone with
 //! the tombstone length; full pages flush to the firmware's [`PageStore`]
 //! (NAND through the FTL, or a DRAM log with NAND off). The key index lives
-//! in device DRAM (a `BTreeMap`, deterministic iteration for the iterator
-//! command) and is rebuilt from the on-media headers after a power cycle
-//! ([`FirmwareHandler::on_power_cycle`]).
+//! in device DRAM — a hash table for point lookups, with a sorted snapshot of
+//! its keys taken for the iterator command — and is rebuilt from the on-media
+//! headers after a power cycle ([`FirmwareHandler::on_power_cycle`]).
 
 use bx_hostsim::{Nanos, PAGE_SIZE};
 use bx_nvme::{IoOpcode, Status, SubmissionEntry};
 use bx_ssd::{CommandOutcome, DeviceDram, FirmwareCtx, FirmwareHandler, PageStore};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 /// Maximum key length (keys ride in CDW10–13).
@@ -72,6 +73,47 @@ struct ValueLoc {
     len: u16,
 }
 
+/// The key index: a padded key read big-endian, so that numeric order is
+/// byte order, to where its value sits.
+type KeyIndex = HashMap<u128, ValueLoc, BuildHasherDefault<KeyHasher>>;
+
+/// The index key of a padded key.
+fn index_key(key: &PaddedKey) -> u128 {
+    u128::from_be_bytes(*key)
+}
+
+/// The index's hasher: the splitmix64 finalizer over the key's two halves.
+/// Fixed, not seeded per process, so the table's layout repeats from run to
+/// run. Keys come from the simulated host, so there is no adversary to
+/// craft colliding ones.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn mix(mut z: u64) -> u64 {
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// Not reached by the index's `u128` keys; total for the trait's sake.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = Self::mix(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u128(&mut self, key: u128) {
+        self.0 = Self::mix(key as u64 ^ Self::mix((key >> 64) as u64));
+    }
+}
+
 /// Device-side operation counters, shared with the host store handle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KvDeviceStats {
@@ -119,7 +161,11 @@ pub struct KvFirmware {
     /// page to NAND before acking, so acked values survive a power cut.
     durable_puts: bool,
     timing: KvTiming,
-    index: BTreeMap<PaddedKey, ValueLoc>,
+    index: KeyIndex,
+    /// The index's keys in ascending order, for the iterator command: taken
+    /// by the first iterator after a change to the index, dropped by the
+    /// change.
+    sorted: Option<Vec<u128>>,
     /// Staging page region in device DRAM, zero beyond `staging_used`.
     staging_off: usize,
     staging_used: usize,
@@ -155,7 +201,8 @@ impl KvFirmware {
             ),
             durable_puts: false,
             timing,
-            index: BTreeMap::new(),
+            index: KeyIndex::default(),
+            sorted: None,
             staging_off: staging.offset,
             staging_used: 0,
             next_lpn: 0,
@@ -254,13 +301,14 @@ impl KvFirmware {
             Err(s) => return CommandOutcome::fail(s, now),
         };
         self.index.insert(
-            key,
+            index_key(&key),
             ValueLoc {
                 lpn: self.next_lpn,
                 off: (off + ENTRY_HEADER) as u16,
                 len,
             },
         );
+        self.sorted = None;
         if let Err(s) = self.write_through(ctx, &mut now) {
             return CommandOutcome::fail(s, now);
         }
@@ -273,7 +321,7 @@ impl KvFirmware {
     fn get(&mut self, ctx: &mut FirmwareCtx<'_>, key: PaddedKey) -> CommandOutcome {
         let now = ctx.now + self.timing.index_op;
         self.stats.borrow_mut().gets += 1;
-        let Some(loc) = self.index.get(&key).copied() else {
+        let Some(loc) = self.index.get(&index_key(&key)).copied() else {
             return CommandOutcome::fail(Status::KvKeyNotFound, now);
         };
         self.stats.borrow_mut().hits += 1;
@@ -310,14 +358,15 @@ impl KvFirmware {
     fn delete(&mut self, ctx: &mut FirmwareCtx<'_>, key: PaddedKey) -> CommandOutcome {
         let mut now = ctx.now + self.timing.index_op;
         self.stats.borrow_mut().deletes += 1;
-        if !self.index.contains_key(&key) {
+        if !self.index.contains_key(&index_key(&key)) {
             return CommandOutcome::fail(Status::KvKeyNotFound, now);
         }
         now += self.timing.log_append;
         if let Err(s) = self.stage_entry(ctx, &key, TOMBSTONE_LEN, &[], &mut now) {
             return CommandOutcome::fail(s, now);
         }
-        self.index.remove(&key);
+        self.index.remove(&index_key(&key));
+        self.sorted = None;
         match self.write_through(ctx, &mut now) {
             Ok(()) => CommandOutcome::ok(now),
             Err(s) => CommandOutcome::fail(s, now),
@@ -325,31 +374,39 @@ impl KvFirmware {
     }
 
     /// Iterator command: returns up to as many 16-byte keys as fit in the
-    /// response buffer, starting from index `cursor` (CDW14); the response
-    /// is `[count u32][next_cursor u32][key ×16B]·count`, `next_cursor` is
-    /// `u32::MAX` when the scan is done.
+    /// response buffer, in ascending byte order, starting from index
+    /// `cursor` (CDW14); the response is
+    /// `[count u32][next_cursor u32][key ×16B]·count`, `next_cursor` is
+    /// `u32::MAX` when the scan is done, and DW0 is the response's length.
     fn iterate(&mut self, ctx: &FirmwareCtx<'_>, cursor: u32, buf_len: usize) -> CommandOutcome {
         let now = ctx.now + self.timing.index_op;
         if buf_len < 8 + MAX_KEY_LEN {
             return CommandOutcome::fail(Status::InvalidField, now);
         }
+        // The one walk over the hash table: collected, then sorted, so no
+        // hash order reaches a response.
+        let keys = self.sorted.get_or_insert_with(|| {
+            let mut keys: Vec<u128> = self.index.keys().copied().collect();
+            keys.sort_unstable();
+            keys
+        });
         let max_keys = (buf_len - 8) / MAX_KEY_LEN;
-        let start = (cursor as usize).min(self.index.len());
-        let count = max_keys.min(self.index.len() - start);
-        let next = if start + count < self.index.len() {
-            cursor + count as u32
+        let start = (cursor as usize).min(keys.len());
+        let page = &keys[start..keys.len().min(start + max_keys)];
+        let next = if start + page.len() < keys.len() {
+            cursor + page.len() as u32
         } else {
             u32::MAX
         };
-        let mut resp = Vec::with_capacity(8 + count * MAX_KEY_LEN);
-        resp.extend_from_slice(&(count as u32).to_le_bytes());
+        let mut resp = Vec::with_capacity(8 + page.len() * MAX_KEY_LEN);
+        resp.extend_from_slice(&(page.len() as u32).to_le_bytes());
         resp.extend_from_slice(&next.to_le_bytes());
-        for k in self.index.keys().skip(start).take(count) {
-            resp.extend_from_slice(k);
+        for k in page {
+            resp.extend_from_slice(&k.to_be_bytes());
         }
         CommandOutcome {
             status: Status::Success,
-            result: count as u32,
+            result: resp.len() as u32,
             response: Some(resp),
             complete_at: now + self.timing.dram_read,
         }
@@ -401,6 +458,7 @@ impl KvFirmware {
     /// log-structured store.
     fn recover_index(&mut self, ctx: &mut FirmwareCtx<'_>) {
         self.index.clear();
+        self.sorted = None;
         let mut now = ctx.now;
         let mut page = Vec::with_capacity(PAGE_SIZE);
         for lpn in 0..self.next_lpn {
@@ -418,7 +476,7 @@ impl KvFirmware {
 
     /// Replays the entries of log page `lpn` onto `index`. Tombstones remove
     /// their key.
-    fn replay_page(index: &mut BTreeMap<PaddedKey, ValueLoc>, page: &[u8], lpn: u64) {
+    fn replay_page(index: &mut KeyIndex, page: &[u8], lpn: u64) {
         let mut off = 0;
         while off + ENTRY_HEADER <= page.len() {
             let mut key = [0u8; MAX_KEY_LEN];
@@ -427,7 +485,7 @@ impl KvFirmware {
                 u16::from_le_bytes([page[off + MAX_KEY_LEN], page[off + MAX_KEY_LEN + 1]]);
             off += ENTRY_HEADER;
             if len_field == TOMBSTONE_LEN {
-                index.remove(&key);
+                index.remove(&index_key(&key));
                 continue;
             }
             let len = len_field as usize;
@@ -438,7 +496,7 @@ impl KvFirmware {
                 break; // torn entry
             }
             index.insert(
-                key,
+                index_key(&key),
                 ValueLoc {
                     lpn,
                     off: off as u16,
@@ -496,6 +554,7 @@ impl FirmwareHandler for KvFirmware {
 mod tests {
     use super::*;
     use bx_ssd::{Ftl, NandArray, NandConfig};
+    use std::collections::BTreeMap;
 
     struct Rig {
         nand: NandArray,
@@ -536,6 +595,37 @@ mod tests {
         }
         let (fw, ctx) = r.at(now);
         fw.handle(ctx, &sqe, payload)
+    }
+
+    /// One iterator page of up to `max_keys` keys from `cursor` at `now`:
+    /// the outcome, the page's keys and the next cursor. DW0 must be the
+    /// response's length.
+    fn iter_page(
+        r: &mut Rig,
+        cursor: u32,
+        max_keys: usize,
+        now: Nanos,
+    ) -> (CommandOutcome, Vec<PaddedKey>, u32) {
+        let mut sqe = SubmissionEntry::io(IoOpcode::KvIter, 1, 1);
+        sqe.set_cdw(14, cursor);
+        sqe.set_data_len((8 + max_keys * MAX_KEY_LEN) as u32);
+        let (fw, ctx) = r.at(now);
+        let out = fw.handle(ctx, &sqe, None);
+        assert!(out.status.is_success(), "{:?}", out.status);
+        let resp = out.response.as_deref().unwrap_or_default();
+        assert_eq!(
+            out.result as usize,
+            resp.len(),
+            "DW0 is the response length"
+        );
+        let count = u32::from_le_bytes(resp[..4].try_into().unwrap()) as usize;
+        let next = u32::from_le_bytes(resp[4..8].try_into().unwrap());
+        let keys = resp[8..]
+            .chunks(MAX_KEY_LEN)
+            .map(|k| k.try_into().unwrap())
+            .collect::<Vec<PaddedKey>>();
+        assert_eq!(keys.len(), count);
+        (out, keys, next)
     }
 
     impl Rig {
@@ -691,6 +781,67 @@ mod tests {
     }
 
     #[test]
+    fn dw0_is_the_response_length() {
+        let mut r = rig(true);
+        for i in 0..5u32 {
+            put(
+                &mut r,
+                format!("k{i}").as_bytes(),
+                &vec![1; 10 * i as usize],
+            );
+        }
+        for i in 0..5u32 {
+            let out = get(&mut r, format!("k{i}").as_bytes());
+            assert_eq!(out.result as usize, out.response.unwrap().len(), "GET k{i}");
+        }
+        // Full, partial and empty pages; `iter_page` checks DW0.
+        for (cursor, max_keys, count) in [(0, 2, 2), (4, 2, 1), (5, 3, 0)] {
+            let (_, keys, _) = iter_page(&mut r, cursor, max_keys, Nanos::ZERO);
+            assert_eq!(keys.len(), count, "cursor {cursor}");
+        }
+    }
+
+    /// A paged scan with a PUT and a DELETE between pages serves each page
+    /// by index cursor over the keys as they stand, exactly as a sorted map
+    /// walked with `skip(cursor)` does.
+    #[test]
+    fn keys_scan_pages_follow_a_sorted_reference_across_changes() {
+        let mut r = rig(true);
+        let mut reference = BTreeMap::new();
+        for i in (0..40u32).rev() {
+            let key = format!("k{:03}", 2 * i);
+            assert!(put(&mut r, key.as_bytes(), b"v").status.is_success());
+            reference.insert(pad_key(key.as_bytes()), ());
+        }
+        let (mut cursor, mut pages) = (0u32, 0u32);
+        loop {
+            let (_, keys, next) = iter_page(&mut r, cursor, 7, Nanos::ZERO);
+            let start = cursor as usize;
+            let want: Vec<PaddedKey> = reference.keys().skip(start).take(7).copied().collect();
+            assert_eq!(keys, want, "page {pages}");
+            let want_next = if start + want.len() < reference.len() {
+                cursor + want.len() as u32
+            } else {
+                u32::MAX
+            };
+            assert_eq!(next, want_next, "page {pages}");
+            if next == u32::MAX {
+                break;
+            }
+            cursor = next;
+            pages += 1;
+            // A new key below the cursor and a deleted one above it.
+            let new = format!("k{:03}", 2 * pages + 1);
+            assert!(put(&mut r, new.as_bytes(), b"w").status.is_success());
+            reference.insert(pad_key(new.as_bytes()), ());
+            let (gone, ()) = reference.pop_last().unwrap();
+            let end = gone.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1);
+            assert!(delete(&mut r, &gone[..end]).status.is_success());
+        }
+        assert!(pages >= 4, "{pages} pages");
+    }
+
+    #[test]
     fn oversized_value_rejected() {
         let mut r = rig(true);
         let out = put(&mut r, b"big", &vec![0; MAX_VALUE_LEN + 1]);
@@ -748,6 +899,8 @@ mod tests {
         Put(u8, usize),
         Get(u8),
         Delete(u8),
+        /// A full iterator scan, this many keys a page.
+        Iter(usize),
         /// A quiescent hard cut, FTL recovery, then `on_power_cycle`.
         PowerCycle,
     }
@@ -763,6 +916,7 @@ mod tests {
                 8 => (0..KEYS, len).prop_map(|(k, l)| Step::Put(k, l)),
                 6 => (0..KEYS).prop_map(Step::Get),
                 3 => (0..KEYS).prop_map(Step::Delete),
+                2 => (1usize..=4).prop_map(Step::Iter),
                 2 => Just(Step::PowerCycle),
             ],
             1..120,
@@ -807,8 +961,8 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
-        /// Values, DELETE statuses and survival across power cycles match
-        /// the model — and a GET costs a DRAM read exactly
+        /// Values, DELETE statuses, iterator scans and survival across
+        /// power cycles match the model — and a GET costs a DRAM read exactly
         /// when the model says its entry has not been flushed.
         #[test]
         fn hash_log_matches_the_model(
@@ -860,6 +1014,20 @@ mod tests {
                             assert_eq!(out.status, Status::KvKeyNotFound, "step {i}");
                         }
                         t = out.complete_at;
+                    }
+                    Step::Iter(per_page) => {
+                        let (mut got, mut cursor) = (Vec::new(), 0);
+                        loop {
+                            let (out, keys, next) = iter_page(&mut r, cursor, per_page, t);
+                            t = out.complete_at;
+                            got.extend(keys);
+                            if next == u32::MAX {
+                                break;
+                            }
+                            cursor = next;
+                        }
+                        let want: Vec<PaddedKey> = m.live.keys().map(|&k| pad_key(&key(k))).collect();
+                        assert_eq!(got, want, "step {i}");
                     }
                     Step::PowerCycle => {
                         r.power_cycle(t);

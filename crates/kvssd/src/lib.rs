@@ -9,9 +9,9 @@
 //! Two halves:
 //!
 //! * [`KvFirmware`] — device-side: a DRAM-staged, NAND-flushed value log
-//!   with an in-memory index (BTree for deterministic iteration), entry
-//!   headers on media for index recovery, and iterator support. Any opcode
-//!   it does not decode completes `InvalidOpcode`.
+//!   with an in-memory hash index (a sorted snapshot of its keys serves the
+//!   iterator), entry headers on media for index recovery, and iterator
+//!   support. Any opcode it does not decode completes `InvalidOpcode`.
 //! * [`KvStore`] — host-side: `put`/`get`/`delete`/`keys` over a
 //!   [`byteexpress::Device`], with the transfer method chosen per store (the
 //!   Fig 6 experiments swap PRP / BandSlim / ByteExpress here).

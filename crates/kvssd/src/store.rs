@@ -203,12 +203,7 @@ impl KvStore {
         cmd.cdw10_15 = Self::key_cmd(key)?;
         let completion = self.dev.passthru(&cmd, TransferMethod::Prp)?;
         match completion.status {
-            Status::Success => {
-                let len = completion.result as usize;
-                let mut data = completion.data.unwrap_or_default();
-                data.truncate(len);
-                Ok(Some(data))
-            }
+            Status::Success => Ok(Some(completion.data.unwrap_or_default())),
             Status::KvKeyNotFound => Ok(None),
             other => Err(KvError::Device(DeviceError::Command(other))),
         }

@@ -54,7 +54,9 @@ impl PassthruCmd {
         }
     }
 
-    /// A command expecting `response_len` bytes back from the device.
+    /// A command expecting up to `response_len` bytes back from the device.
+    /// The device reports in CQE DW0 how many it returned, and the driver
+    /// hands back that many.
     pub fn from_device(opcode: IoOpcode, nsid: u32, response_len: usize) -> Self {
         PassthruCmd {
             opcode: opcode as u8,

@@ -55,23 +55,38 @@ pub enum Generation {
 }
 
 impl Generation {
-    /// Raw per-lane rate in giga-transfers per second.
-    pub(crate) fn gt_per_sec(self) -> f64 {
+    /// Time one lane takes to move a byte after line coding, as
+    /// `(ns, shift)`: `ns` nanoseconds per `2^shift` bytes. 8b/10b at 2.5
+    /// and 5 GT/s moves a byte in 4 and 2 ns; 128b/130b at 8, 16 and 32 GT/s
+    /// in 65/64, 65/128 and 65/256 ns.
+    fn lane_ns_per_byte(self) -> (u64, u32) {
         match self {
-            Generation::Gen1 => 2.5,
-            Generation::Gen2 => 5.0,
-            Generation::Gen3 => 8.0,
-            Generation::Gen4 => 16.0,
-            Generation::Gen5 => 32.0,
+            Generation::Gen1 => (4, 0),
+            Generation::Gen2 => (2, 0),
+            Generation::Gen3 => (65, 6),
+            Generation::Gen4 => (65, 7),
+            Generation::Gen5 => (65, 8),
         }
     }
+}
 
-    /// Line-code efficiency (payload bits per raw bit).
-    pub(crate) fn encoding_efficiency(self) -> f64 {
-        match self {
-            Generation::Gen1 | Generation::Gen2 => 0.8,
-            _ => 128.0 / 130.0,
-        }
+/// A link's serialization rate: `ns` nanoseconds per `2^shift` bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WireRate {
+    ns: u64,
+    shift: u32,
+}
+
+impl WireRate {
+    /// Time to serialize `bytes`, rounded up to the nanosecond.
+    pub(crate) fn time(self, bytes: usize) -> Nanos {
+        let round_up = (1u64 << self.shift) - 1;
+        Nanos::from_ns(
+            (bytes as u64)
+                .saturating_mul(self.ns)
+                .saturating_add(round_up)
+                >> self.shift,
+        )
     }
 }
 
@@ -140,18 +155,25 @@ impl LinkConfig {
         }
     }
 
-    /// Effective data rate in bytes per nanosecond after line coding.
+    /// The serialization rate after line coding: a lane's time per byte
+    /// divided by the width. Exact for every width [`LinkConfig::validate`]
+    /// accepts, all powers of two; a width it rejects counts as the power of
+    /// two below it, 0 as 1.
     ///
     /// Gen2 ×8: 5 GT/s × 8 lanes × 0.8 / 8 bits = 4 B/ns (≈4 GB/s), matching
     /// the platform the paper's latency staircase was measured on.
-    pub(crate) fn bytes_per_ns(&self) -> f64 {
-        self.generation.gt_per_sec() * self.lanes as f64 * self.generation.encoding_efficiency()
-            / 8.0
+    pub(crate) fn wire_rate(&self) -> WireRate {
+        let (ns, shift) = self.generation.lane_ns_per_byte();
+        WireRate {
+            ns,
+            shift: shift + self.lanes.checked_ilog2().unwrap_or(0),
+        }
     }
 
-    /// Time to serialize `bytes` onto the wire.
+    /// Time to serialize `bytes` onto the wire, rounded up to the
+    /// nanosecond.
     pub fn wire_time(&self, bytes: usize) -> Nanos {
-        Nanos::from_ns((bytes as f64 / self.bytes_per_ns()).ceil() as u64)
+        self.wire_rate().time(bytes)
     }
 
     /// Returns a copy with a different Max Payload Size (ablation support).
@@ -198,10 +220,67 @@ impl Default for LinkConfig {
 mod tests {
     use super::*;
 
+    const GENERATIONS: [Generation; 5] = [
+        Generation::Gen1,
+        Generation::Gen2,
+        Generation::Gen3,
+        Generation::Gen4,
+        Generation::Gen5,
+    ];
+
+    /// Raw per-lane rate in giga-transfers per second.
+    fn gt_per_sec(generation: Generation) -> f64 {
+        match generation {
+            Generation::Gen1 => 2.5,
+            Generation::Gen2 => 5.0,
+            Generation::Gen3 => 8.0,
+            Generation::Gen4 => 16.0,
+            Generation::Gen5 => 32.0,
+        }
+    }
+
+    /// Effective data rate in bytes per nanosecond: raw rate × lanes ×
+    /// line-code efficiency (payload bits per raw bit) / 8 bits. The
+    /// reference the integer [`WireRate`] is checked against.
+    fn bytes_per_ns(cfg: &LinkConfig) -> f64 {
+        let efficiency = match cfg.generation {
+            Generation::Gen1 | Generation::Gen2 => 0.8,
+            _ => 128.0 / 130.0,
+        };
+        gt_per_sec(cfg.generation) * cfg.lanes as f64 * efficiency / 8.0
+    }
+
     #[test]
     fn gen2_x8_effective_rate_is_4_bytes_per_ns() {
         let cfg = LinkConfig::gen2_x8();
-        assert!((cfg.bytes_per_ns() - 4.0).abs() < 1e-9);
+        assert!((bytes_per_ns(&cfg) - 4.0).abs() < 1e-9);
+        assert_eq!(cfg.wire_time(4), Nanos::from_ns(1));
+    }
+
+    /// Integer wire time equals `ceil(bytes / bytes_per_ns)` for every
+    /// generation and width `validate` accepts: every byte count up to
+    /// 64 KiB, then a stride up to 16 MiB.
+    #[test]
+    fn integer_wire_time_equals_the_f64_formula() {
+        let strided = (65_537..=1 << 24).step_by(4_099);
+        for generation in GENERATIONS {
+            for lanes in [1, 2, 4, 8, 16, 32] {
+                let cfg = LinkConfig {
+                    generation,
+                    lanes,
+                    ..LinkConfig::gen2_x8()
+                };
+                let (rate, reference) = (cfg.wire_rate(), bytes_per_ns(&cfg));
+                for bytes in (0..=65_536).chain(strided.clone()) {
+                    let want = (bytes as f64 / reference).ceil() as u64;
+                    assert_eq!(
+                        rate.time(bytes).as_ns(),
+                        want,
+                        "{generation:?} x{lanes}, {bytes} B"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -214,21 +293,15 @@ mod tests {
 
     #[test]
     fn generation_rates_ordered() {
-        let gens = [
-            Generation::Gen1,
-            Generation::Gen2,
-            Generation::Gen3,
-            Generation::Gen4,
-            Generation::Gen5,
-        ];
-        for w in gens.windows(2) {
-            assert!(w[0].gt_per_sec() < w[1].gt_per_sec());
+        for w in GENERATIONS.windows(2) {
+            assert!(gt_per_sec(w[0]) < gt_per_sec(w[1]));
         }
     }
 
     #[test]
     fn gen4_is_faster_than_gen2() {
-        assert!(LinkConfig::gen4_x4().bytes_per_ns() > LinkConfig::gen2_x8().bytes_per_ns());
+        let bytes = 1 << 20;
+        assert!(LinkConfig::gen4_x4().wire_time(bytes) < LinkConfig::gen2_x8().wire_time(bytes));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The link itself: operations that generate TLPs, account traffic, and
 //! return latency costs.
 
-use crate::config::LinkConfig;
+use crate::config::{LinkConfig, WireRate};
 use crate::counters::{Direction, TrafficClass, TrafficCounters};
 use crate::tlp::{segment_read_completions, segment_read_requests, segment_write, TlpStream};
 use bx_hostsim::Nanos;
@@ -17,6 +17,8 @@ use bx_trace::{Dir, EventKind, TraceSink};
 #[derive(Debug)]
 pub struct PcieLink {
     cfg: LinkConfig,
+    /// `cfg`'s serialization rate, derived once.
+    rate: WireRate,
     counters: TrafficCounters,
     trace: TraceSink,
 }
@@ -25,6 +27,7 @@ impl PcieLink {
     /// Creates a link with the given configuration.
     pub fn new(cfg: LinkConfig) -> Self {
         PcieLink {
+            rate: cfg.wire_rate(),
             cfg,
             counters: TrafficCounters::new(),
             trace: TraceSink::disabled(),
@@ -63,7 +66,7 @@ impl PcieLink {
     }
 
     fn wire_time_of(&self, stream: &TlpStream) -> Nanos {
-        self.cfg.wire_time(stream.wire_bytes()) + self.cfg.per_tlp_overhead * stream.count as u64
+        self.rate.time(stream.wire_bytes()) + self.cfg.per_tlp_overhead * stream.count as u64
     }
 
     /// A posted memory write from host to device (doorbell, MMIO register

@@ -260,6 +260,25 @@ mod tests {
         assert_eq!(out.response.unwrap(), data);
     }
 
+    /// DW0 of a read is the length it returned, NAND on and off.
+    #[test]
+    fn read_dw0_is_the_response_length() {
+        for nand_io in [true, false] {
+            let mut r = rig(nand_io);
+            let mut w = SubmissionEntry::io(IoOpcode::Write, 1, 1);
+            w.set_data_len(300);
+            assert!(handle(&mut r, &w, Some(&[9; 300])).status.is_success());
+            let mut rd = SubmissionEntry::io(IoOpcode::Read, 2, 1);
+            rd.set_data_len(300);
+            let out = handle(&mut r, &rd, None);
+            assert_eq!(
+                out.result as usize,
+                out.response.unwrap().len(),
+                "nand_io {nand_io}"
+            );
+        }
+    }
+
     #[test]
     fn multi_page_write_read() {
         let mut r = rig(true);

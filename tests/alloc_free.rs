@@ -11,11 +11,13 @@
 //!   completions poll into a caller-owned buffer via
 //!   `poll_completions_into`;
 //! * a census over the *public synchronous API* — `Device::write` by every
-//!   transfer method, `Device::read`, `KvStore::{put, get}` — counting
-//!   allocations and bytes per operation against the budget DESIGN §14
-//!   states: writes allocate nothing, reads allocate the buffer handed
-//!   back plus the firmware's response, and NAND-on writes only what the
-//!   page store keeps.
+//!   transfer method, `Device::read`, `KvStore::{put, get}`,
+//!   `CsdSession::fetch_results` — counting allocations and bytes per
+//!   operation against the budget DESIGN §14 states: writes allocate
+//!   nothing, reads allocate the bytes handed back (as many as the
+//!   completion's DW0 reports, not the buffer they were read through) plus
+//!   the firmware's response, and NAND-on writes only what the page store
+//!   keeps.
 //!
 //! The file holds exactly one `#[test]` so no sibling test thread can
 //! allocate while the counter is armed.
@@ -25,8 +27,9 @@
     reason = "a counting #[global_allocator] has to implement the unsafe GlobalAlloc trait; every method only forwards to System"
 )]
 
+use bx_csd::{corpus, CsdConfig, CsdSession, TaskEncoding};
 use bx_driver::Completion;
-use bx_kvssd::{KvStore, KvStoreConfig, MAX_VALUE_LEN};
+use bx_kvssd::{KvStore, KvStoreConfig};
 use byteexpress::{Device, ExecutionModel, IoOpcode, PassthruCmd, QueueId, TransferMethod};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -233,9 +236,10 @@ fn census_kv() {
         "window must span flushes"
     );
 
-    // GET of a flushed value: the `Vec` returned (cut from `response_len`
-    // bytes) and the firmware's value-sized response. The first keys were
-    // last written a thousand PUTs ago: long flushed.
+    // GET of a flushed value: the value-sized `Vec` returned and the
+    // firmware's value-sized response, though the GET reads through a
+    // buffer of `MAX_VALUE_LEN` bytes. The first keys were last written a
+    // thousand PUTs ago: long flushed.
     let get = |store: &mut KvStore, i: usize| {
         let got = store.get(&keys[i % 500]).expect("get");
         assert_eq!(got.as_deref(), Some(&value[..]));
@@ -243,7 +247,7 @@ fn census_kv() {
     (0..64).for_each(|i| get(&mut store, i));
     let reads_before = store.device().controller().nand_stats().reads;
     let c = census(1_000, |i| get(&mut store, i));
-    let budget = (MAX_VALUE_LEN + value.len() + 64) as f64;
+    let budget = (2 * value.len() + 64) as f64;
     assert!(
         c.allocs <= 2.0 && c.bytes <= budget,
         "KvStore::get 40 B: {c:?}"
@@ -265,6 +269,38 @@ fn census_kv() {
     assert!(
         c.allocs <= 1.3 && c.bytes <= 4096.0,
         "durable KvStore::put 40 B: {c:?}"
+    );
+}
+
+/// A fetch of a small result allocates for the result, not for the 1 MiB
+/// buffer it is read through.
+fn census_csd() {
+    let q = corpus().swap_remove(0);
+    let mut session = CsdSession::open(CsdConfig::default());
+    session.create_table(&q.schema).expect("create table");
+    session
+        .load_rows(&q.schema, &q.generate_rows(200, 3))
+        .expect("load rows");
+    let report = session
+        .pushdown(
+            &q.full_sql,
+            q.table,
+            &q.predicate,
+            TaskEncoding::Segment,
+            TransferMethod::ByteExpress,
+        )
+        .expect("pushdown");
+    assert!(report.matches > 0, "{}: predicate matched nothing", q.name);
+    let mut fetch = |_| {
+        let rows = session.fetch_results(&q.schema).expect("fetch");
+        assert_eq!(rows.len(), report.matches as usize);
+    };
+    (0..4).for_each(&mut fetch);
+    let c = census(50, fetch);
+    assert!(
+        c.bytes <= 64.0 * 1024.0,
+        "CsdSession::fetch_results, {} rows: {c:?}",
+        report.matches
     );
 }
 
@@ -307,4 +343,5 @@ fn pipelined_hot_path_is_allocation_free_in_steady_state() {
     census_block_writes();
     census_block_nand();
     census_kv();
+    census_csd();
 }
