@@ -31,10 +31,7 @@ struct Cell {
 }
 
 fn run(q: &CorpusQuery, encoding: TaskEncoding, method: TransferMethod, tasks: usize) -> Cell {
-    let mut session = CsdSession::open(CsdConfig {
-        nand_io: false,
-        ..CsdConfig::default()
-    });
+    let mut session = CsdSession::open(CsdConfig { nand_io: false });
     session.create_table(&q.schema).unwrap();
     session
         .load_rows(&q.schema, &q.generate_rows(ROWS_PER_TABLE, 42))

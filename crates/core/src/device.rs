@@ -155,9 +155,9 @@ impl DeviceBuilder {
         self
     }
 
-    /// Sets the number of I/O queue pairs.
+    /// Sets the number of I/O queue pairs, at least one;
+    /// [`DeviceBuilder::try_build`] refuses zero.
     pub fn queue_count(mut self, count: usize) -> Self {
-        assert!(count >= 1, "at least one queue pair required");
         self.queue_count = count;
         self
     }
@@ -273,8 +273,8 @@ impl DeviceBuilder {
     const HOST_MEM_CAPACITY: usize = 256 << 20;
 
     /// [`DeviceBuilder::build`], with an invalid link, a NAND page that
-    /// cannot hold a logical block, a failed bring-up or queues that do not
-    /// fit host memory reported instead of panicking.
+    /// cannot hold a logical block, zero I/O queues, a failed bring-up or
+    /// queues that do not fit host memory reported instead of panicking.
     ///
     /// ```
     /// use byteexpress::{Device, DeviceError, LinkConfig};
@@ -288,6 +288,11 @@ impl DeviceBuilder {
         self.link.validate().map_err(DeviceError::Link)?;
         if self.nand.page_size < PAGE_SIZE {
             return Err(DeviceError::NandPageSize(self.nand.page_size));
+        }
+        if self.queue_count == 0 {
+            return Err(DeviceError::Driver(DriverError::Unsupported(
+                "a device with zero I/O queues",
+            )));
         }
         // One doorbell pair per I/O queue plus the admin queue.
         let mut bus = SystemBus::new(self.link, Self::HOST_MEM_CAPACITY, self.queue_count + 1);
@@ -858,6 +863,15 @@ mod tests {
         let mut builder = Device::builder();
         builder.link.max_read_request_size = 300;
         let _ = builder.build();
+    }
+
+    #[test]
+    fn try_build_rejects_zero_queues() {
+        let err = Device::builder().queue_count(0).try_build().err();
+        assert!(
+            matches!(err, Some(DeviceError::Driver(DriverError::Unsupported(_)))),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!
 //! * `sql` — tokenizer, parser and printer for the `SELECT … FROM … WHERE`
 //!   subset CSD prototypes push down, tolerant of the aggregate/GROUP BY
-//!   clutter in real TPC-H text (those parts stay host-side; only the filter
-//!   is pushed).
+//!   clutter in real TPC-H text (those parts are the host's, and this crate
+//!   does not compute them; only the filter is pushed).
 //! * `schema` / `row` — table schemas and a compact row codec.
 //! * `eval` — device-side predicate evaluation.
 //! * `firmware` — the CSD personality: table catalog, NAND-backed row
@@ -40,7 +40,6 @@
 )]
 #![warn(missing_docs)]
 
-mod aggregate;
 mod corpus;
 mod eval;
 mod firmware;
@@ -49,10 +48,9 @@ mod schema;
 pub mod session;
 mod sql;
 
-pub use aggregate::{host_aggregate, AggregateError, AggregateRow};
 pub use corpus::{corpus, CorpusQuery};
 pub use eval::{eval, EvalError, UnknownColumn};
 pub use row::{Row, Value};
 pub use schema::{Column, ColumnType, Schema};
 pub use session::{CsdConfig, CsdError, CsdSession, PushdownReport, TaskEncoding};
-pub use sql::{parse_predicate, parse_query, CmpOp, Expr, Operand, ParseError, Query};
+pub use sql::{parse_predicate, CmpOp, Expr, Operand, ParseError};

@@ -110,7 +110,9 @@ impl Row {
     pub(crate) fn decode_batch(bytes: &[u8], schema: &Schema) -> Option<Vec<Row>> {
         let mut cur = Cursor { bytes, pos: 0 };
         let count = cur.take_u32()? as usize;
-        let mut rows = Vec::with_capacity(count);
+        // The count comes off the wire; every row takes at least one byte,
+        // so the bytes left bound what it may reserve.
+        let mut rows = Vec::with_capacity(count.min(bytes.len() - cur.pos));
         for _ in 0..count {
             rows.push(Row::decode_from(&mut cur, schema)?);
         }
@@ -194,6 +196,16 @@ mod tests {
             Row::decode_batch(&encoded[..encoded.len() - 1], &schema()),
             None
         );
+    }
+
+    /// A count the bytes cannot hold decodes to `None` — without first
+    /// reserving room for it (`u32::MAX` rows would be ≈ 103 GB).
+    #[test]
+    fn count_beyond_the_rows_is_none() {
+        assert_eq!(Row::decode_batch(&u32::MAX.to_le_bytes(), &schema()), None);
+        let mut encoded = Row::encode_batch(&[row(1, 2.5, "x"), row(2, 0.5, "y")]);
+        encoded[..4].copy_from_slice(&3u32.to_le_bytes());
+        assert_eq!(Row::decode_batch(&encoded, &schema()), None);
     }
 
     #[test]

@@ -54,16 +54,11 @@ pub struct CsdConfig {
     /// NAND I/O on or off: decides the device's array and the firmware's
     /// page store alike.
     pub nand_io: bool,
-    /// Queue depth.
-    pub queue_depth: u16,
 }
 
 impl Default for CsdConfig {
     fn default() -> Self {
-        CsdConfig {
-            nand_io: true,
-            queue_depth: 1024,
-        }
+        CsdConfig { nand_io: true }
     }
 }
 
@@ -102,7 +97,6 @@ impl CsdSession {
         let nand_io = cfg.nand_io;
         let dev = Device::builder()
             .nand_io(nand_io)
-            .queue_depth(cfg.queue_depth)
             .firmware(move |dram| Box::new(CsdFirmware::with_stats(dram, nand_io, stats_for_fw)))
             .build();
         CsdSession { dev, stats }
@@ -357,10 +351,7 @@ mod tests {
     #[test]
     fn nand_io_decides_the_mode() {
         for nand_io in [true, false] {
-            let mut s = CsdSession::open(CsdConfig {
-                nand_io,
-                ..Default::default()
-            });
+            let mut s = CsdSession::open(CsdConfig { nand_io });
             let schema = schema();
             s.create_table(&schema).unwrap();
             s.load_rows(&schema, &rows(2000)).unwrap();

@@ -2,9 +2,9 @@
 //!
 //! The parser accepts real TPC-H-flavoured text — aggregate projections,
 //! multi-table FROM lists, GROUP BY / ORDER BY tails — but only *represents*
-//! what the device executes: the projection names, the table list, and the
-//! WHERE predicate. Everything after the predicate is host-side business and
-//! is retained verbatim only so `to_sql()` round-trips.
+//! what the device executes: the table list and the WHERE predicate. The
+//! projection is checked for shape and dropped; everything after the
+//! predicate is host-side business and is skipped.
 
 use crate::row::Value;
 use std::fmt;
@@ -115,17 +115,13 @@ impl fmt::Display for Expr {
     }
 }
 
-/// A parsed query.
+/// A parsed query: what the device needs of it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Query {
-    /// Projection items, verbatim (`*`, column names, aggregate calls).
-    pub projection: Vec<String>,
+pub(crate) struct Query {
     /// FROM-list table names.
     pub tables: Vec<String>,
     /// The WHERE predicate, if any.
     pub predicate: Option<Expr>,
-    /// Trailing clauses (GROUP BY / ORDER BY / LIMIT), verbatim.
-    pub trailing: String,
 }
 
 /// Parse errors, with the offending position where known.
@@ -300,24 +296,24 @@ impl Parser {
         }
     }
 
-    /// Parses one projection item, possibly an aggregate call, back to text.
-    fn projection_item(&mut self) -> Result<String, ParseError> {
+    /// Skips one projection item — `*`, a column, or an aggregate call —
+    /// checking its shape.
+    fn projection_item(&mut self) -> Result<(), ParseError> {
         match self.next() {
-            Some(Token::Symbol('*')) => Ok("*".to_string()),
-            Some(Token::Ident(name)) => {
+            Some(Token::Symbol('*')) => Ok(()),
+            Some(Token::Ident(_)) => {
                 if self.peek() == Some(&Token::Symbol('(')) {
                     self.pos += 1;
-                    let inner = match self.next() {
-                        Some(Token::Symbol('*')) => "*".to_string(),
-                        Some(Token::Ident(c)) => c,
-                        other => return err(format!("bad aggregate argument {other:?}")),
-                    };
                     match self.next() {
-                        Some(Token::Symbol(')')) => Ok(format!("{name}({inner})")),
+                        Some(Token::Symbol('*') | Token::Ident(_)) => {}
+                        other => return err(format!("bad aggregate argument {other:?}")),
+                    }
+                    match self.next() {
+                        Some(Token::Symbol(')')) => Ok(()),
                         other => err(format!("expected ')', found {other:?}")),
                     }
                 } else {
-                    Ok(name)
+                    Ok(())
                 }
             }
             other => err(format!("bad projection item {other:?}")),
@@ -377,51 +373,24 @@ impl Parser {
         }
         Ok(e)
     }
-
-    /// Everything left, re-rendered as text (GROUP BY / ORDER BY tails).
-    fn trailing(&mut self) -> String {
-        let mut parts = Vec::new();
-        while let Some(t) = self.next() {
-            parts.push(match t {
-                Token::Ident(s) => s,
-                Token::Number(v, true) => format!("{}", v as i64),
-                Token::Number(v, false) => format!("{v}"),
-                Token::Str(s) => format!("'{s}'"),
-                Token::Symbol(c) => c.to_string(),
-                Token::Op(op) => op.to_string(),
-            });
-        }
-        // Re-join with spaces, tightening commas.
-        let mut out = String::new();
-        for p in parts {
-            if p == "," {
-                out.push(',');
-            } else {
-                if !out.is_empty() && !out.ends_with(' ') {
-                    out.push(' ');
-                }
-                out.push_str(&p);
-            }
-        }
-        out
-    }
 }
 
-/// Parses a full query string.
+/// Parses a full query string. Tokens after the predicate (GROUP BY,
+/// ORDER BY, LIMIT) are host-side and skipped.
 ///
 /// # Errors
 ///
 /// [`ParseError`] on malformed input.
-pub fn parse_query(input: &str) -> Result<Query, ParseError> {
+pub(crate) fn parse_query(input: &str) -> Result<Query, ParseError> {
     let mut p = Parser {
         tokens: tokenize(input)?,
         pos: 0,
     };
     p.expect_keyword("select")?;
-    let mut projection = vec![p.projection_item()?];
+    p.projection_item()?;
     while p.peek() == Some(&Token::Symbol(',')) {
         p.pos += 1;
-        projection.push(p.projection_item()?);
+        p.projection_item()?;
     }
     p.expect_keyword("from")?;
     let mut tables = Vec::new();
@@ -442,13 +411,7 @@ pub fn parse_query(input: &str) -> Result<Query, ParseError> {
     } else {
         None
     };
-    let trailing = p.trailing();
-    Ok(Query {
-        projection,
-        tables,
-        predicate,
-        trailing,
-    })
+    Ok(Query { tables, predicate })
 }
 
 /// Parses a bare predicate (the segment mode's second half).
@@ -475,7 +438,6 @@ mod tests {
     #[test]
     fn simple_select_where() {
         let q = parse_query("SELECT * FROM particles WHERE energy > 1.5").unwrap();
-        assert_eq!(q.projection, vec!["*"]);
         assert_eq!(q.tables, vec!["particles"]);
         let p = q.predicate.unwrap();
         assert_eq!(
@@ -548,11 +510,12 @@ mod tests {
              WHERE l_shipdate <= '1998-09-02' GROUP BY l_returnflag, l_linestatus",
         )
         .unwrap();
-        assert_eq!(q.projection.len(), 4);
-        assert_eq!(q.projection[2], "sum(l_quantity)");
         assert_eq!(q.tables, vec!["lineitem"]);
-        assert!(q.predicate.is_some());
-        assert!(q.trailing.to_lowercase().contains("group by"));
+        // The GROUP BY tail is skipped, not read into the predicate.
+        assert_eq!(
+            q.predicate,
+            Some(parse_predicate("l_shipdate <= '1998-09-02'").unwrap())
+        );
     }
 
     #[test]
@@ -592,6 +555,8 @@ mod tests {
     fn errors_are_reported() {
         assert!(parse_query("SELECT FROM t").is_err());
         assert!(parse_query("* FROM t").is_err());
+        assert!(parse_query("SELECT sum(1) FROM t").is_err());
+        assert!(parse_query("SELECT sum(a FROM t").is_err());
         assert!(parse_predicate("a >").is_err());
         assert!(parse_predicate("a = 'unterminated").is_err());
         assert!(parse_predicate("a = 1 garbage garbage").is_err());

@@ -103,7 +103,8 @@ struct Host {
 /// Reactor construction parameters.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
-    /// Number of shards (logical cores). Each gets its own queue pair.
+    /// Number of shards (logical cores), at least one. Each gets its own
+    /// queue pair.
     pub shards: usize,
     /// Depth of each queue pair.
     pub queue_depth: u16,
@@ -181,12 +182,15 @@ pub struct Reactor {
 impl Reactor {
     /// Builds the full simulated stack per `cfg`.
     ///
-    /// Fails only if bring-up fails — host-memory exhaustion or a
-    /// queue-count/depth the controller rejects, both configuration errors.
-    /// They surface as `Err` rather than a panic so a bench harness can
-    /// report the bad config instead of aborting.
+    /// Fails on zero shards, or if bring-up fails — host-memory exhaustion
+    /// or a queue-count/depth the controller rejects. All are configuration
+    /// errors. They surface as `Err` rather than a panic so a bench harness
+    /// can report the bad config instead of aborting.
     pub fn new(cfg: ReactorConfig) -> Result<Self, DriverError> {
-        let shards_n = cfg.shards.max(1);
+        let shards_n = cfg.shards;
+        if shards_n == 0 {
+            return Err(DriverError::Unsupported("a reactor with zero shards"));
+        }
         // One doorbell pair per shard's I/O queue plus the admin queue.
         let mut bus = SystemBus::new(LinkConfig::gen2_x8(), HOST_MEM_CAPACITY, shards_n + 1);
         if cfg.trace {

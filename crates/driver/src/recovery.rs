@@ -176,8 +176,8 @@ pub(crate) struct DegradeState {
 /// Whether retrying `opcode` after an ambiguous failure (e.g. a timeout,
 /// where the first attempt may or may not have executed) cannot corrupt
 /// state. Writes/puts of the same bytes, reads, gets and flushes are safe
-/// to repeat; anything with cumulative or non-repeatable effects
-/// (iterators, batch mutations, CSD task execution) is not.
+/// to repeat; anything with cumulative or non-repeatable effects (a DELETE,
+/// whose repeat finds the key gone, or CSD task execution) is not.
 pub(crate) fn is_idempotent(opcode: u8) -> bool {
     opcode == IoOpcode::Flush as u8
         || opcode == IoOpcode::Write as u8
@@ -222,8 +222,7 @@ mod tests {
         assert!(is_idempotent(IoOpcode::Flush as u8));
         assert!(is_idempotent(IoOpcode::KvPut as u8));
         assert!(is_idempotent(IoOpcode::KvGet as u8));
-        assert!(!is_idempotent(IoOpcode::KvIter as u8));
-        assert!(!is_idempotent(IoOpcode::KvBatchPut as u8));
+        assert!(!is_idempotent(IoOpcode::KvDelete as u8));
         assert!(!is_idempotent(IoOpcode::CsdExec as u8));
     }
 

@@ -266,6 +266,17 @@ fn lost_doorbell_surfaces_as_aborted_completion() {
     assert!(reactor.recovery_stats().timeouts > 0);
 }
 
+/// Zero shards is a configuration error, reported as one rather than
+/// quietly built as a single shard.
+#[test]
+fn zero_shards_is_an_error() {
+    let built = Reactor::new(ReactorConfig {
+        shards: 0,
+        ..ReactorConfig::default()
+    });
+    assert!(matches!(built, Err(DriverError::Unsupported(_))));
+}
+
 /// A power cut with no retry policy: the commands in flight have no
 /// deadline and the dark device will never complete them, so `run` takes
 /// its deadlock panic instead of idle-advancing the clock forever.

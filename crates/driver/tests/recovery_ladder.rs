@@ -184,7 +184,7 @@ fn non_idempotent_opcode_is_never_retried() {
         ..FaultConfig::disabled()
     });
 
-    let cmd = PassthruCmd::to_device(IoOpcode::KvIter, 1, vec![0xEE; 64]);
+    let cmd = PassthruCmd::to_device(IoOpcode::CsdExec, 1, vec![0xEE; 64]);
     let c = r
         .driver
         .execute(r.qid, &mut r.ctrl, &cmd, TransferMethod::Prp)
@@ -192,7 +192,7 @@ fn non_idempotent_opcode_is_never_retried() {
     assert_eq!(c.status, Status::CommandAborted);
     let rec = r.driver.recovery_stats();
     assert_eq!(rec.timeouts, 1);
-    assert_eq!(rec.retries, 0, "iterator must not be replayed");
+    assert_eq!(rec.retries, 0, "a CSD task must not be replayed");
 }
 
 /// A genuinely failed command with a non-retriable status (DNR semantics)

@@ -4,9 +4,8 @@
 //! value bytes into a DRAM staging page, DELETEs append a header alone with
 //! the tombstone length; full pages flush to the firmware's [`PageStore`]
 //! (NAND through the FTL, or a DRAM log with NAND off). The key index lives
-//! in device DRAM — a hash table for point lookups, with a sorted snapshot of
-//! its keys taken for the iterator command — and is rebuilt from the on-media
-//! headers after a power cycle ([`FirmwareHandler::on_power_cycle`]).
+//! in device DRAM — a hash table for point lookups — and is rebuilt from the
+//! on-media headers after a power cycle ([`FirmwareHandler::on_power_cycle`]).
 
 use bx_hostsim::{Nanos, PAGE_SIZE};
 use bx_nvme::{IoOpcode, Status, SubmissionEntry};
@@ -73,8 +72,8 @@ struct ValueLoc {
     len: u16,
 }
 
-/// The key index: a padded key read big-endian, so that numeric order is
-/// byte order, to where its value sits.
+/// The key index: a padded key, read as one integer, to where its value
+/// sits.
 type KeyIndex = HashMap<u128, ValueLoc, BuildHasherDefault<KeyHasher>>;
 
 /// The index key of a padded key.
@@ -162,10 +161,6 @@ pub struct KvFirmware {
     durable_puts: bool,
     timing: KvTiming,
     index: KeyIndex,
-    /// The index's keys in ascending order, for the iterator command: taken
-    /// by the first iterator after a change to the index, dropped by the
-    /// change.
-    sorted: Option<Vec<u128>>,
     /// Staging page region in device DRAM, zero beyond `staging_used`.
     staging_off: usize,
     staging_used: usize,
@@ -202,7 +197,6 @@ impl KvFirmware {
             durable_puts: false,
             timing,
             index: KeyIndex::default(),
-            sorted: None,
             staging_off: staging.offset,
             staging_used: 0,
             next_lpn: 0,
@@ -308,7 +302,6 @@ impl KvFirmware {
                 len,
             },
         );
-        self.sorted = None;
         if let Err(s) = self.write_through(ctx, &mut now) {
             return CommandOutcome::fail(s, now);
         }
@@ -366,85 +359,9 @@ impl KvFirmware {
             return CommandOutcome::fail(s, now);
         }
         self.index.remove(&index_key(&key));
-        self.sorted = None;
         match self.write_through(ctx, &mut now) {
             Ok(()) => CommandOutcome::ok(now),
             Err(s) => CommandOutcome::fail(s, now),
-        }
-    }
-
-    /// Iterator command: returns up to as many 16-byte keys as fit in the
-    /// response buffer, in ascending byte order, starting from index
-    /// `cursor` (CDW14); the response is
-    /// `[count u32][next_cursor u32][key ×16B]·count`, `next_cursor` is
-    /// `u32::MAX` when the scan is done, and DW0 is the response's length.
-    fn iterate(&mut self, ctx: &FirmwareCtx<'_>, cursor: u32, buf_len: usize) -> CommandOutcome {
-        let now = ctx.now + self.timing.index_op;
-        if buf_len < 8 + MAX_KEY_LEN {
-            return CommandOutcome::fail(Status::InvalidField, now);
-        }
-        // The one walk over the hash table: collected, then sorted, so no
-        // hash order reaches a response.
-        let keys = self.sorted.get_or_insert_with(|| {
-            let mut keys: Vec<u128> = self.index.keys().copied().collect();
-            keys.sort_unstable();
-            keys
-        });
-        let max_keys = (buf_len - 8) / MAX_KEY_LEN;
-        let start = (cursor as usize).min(keys.len());
-        let page = &keys[start..keys.len().min(start + max_keys)];
-        let next = if start + page.len() < keys.len() {
-            cursor + page.len() as u32
-        } else {
-            u32::MAX
-        };
-        let mut resp = Vec::with_capacity(8 + page.len() * MAX_KEY_LEN);
-        resp.extend_from_slice(&(page.len() as u32).to_le_bytes());
-        resp.extend_from_slice(&next.to_le_bytes());
-        for k in page {
-            resp.extend_from_slice(&k.to_be_bytes());
-        }
-        CommandOutcome {
-            status: Status::Success,
-            result: resp.len() as u32,
-            response: Some(resp),
-            complete_at: now + self.timing.dram_read,
-        }
-    }
-
-    /// Bulk PUT: `[count u32]` then `[key 16B][vlen u16][value]` per entry —
-    /// the batching alternative of §2.2.1 ("may not always be applicable,
-    /// particularly in use cases where fine-grained persistence is desired").
-    fn batch_put(&mut self, ctx: &mut FirmwareCtx<'_>, batch: &[u8]) -> CommandOutcome {
-        if batch.len() < 4 {
-            return CommandOutcome::fail(Status::InvalidField, ctx.now);
-        }
-        let count = u32::from_le_bytes([batch[0], batch[1], batch[2], batch[3]]) as usize;
-        let mut off = 4usize;
-        let mut last = CommandOutcome::ok(ctx.now);
-        for _ in 0..count {
-            if off + MAX_KEY_LEN + 2 > batch.len() {
-                return CommandOutcome::fail(Status::InvalidField, ctx.now);
-            }
-            let mut key = [0u8; MAX_KEY_LEN];
-            key.copy_from_slice(&batch[off..off + MAX_KEY_LEN]);
-            let vlen = u16::from_le_bytes([batch[off + MAX_KEY_LEN], batch[off + MAX_KEY_LEN + 1]])
-                as usize;
-            off += MAX_KEY_LEN + 2;
-            if off + vlen > batch.len() {
-                return CommandOutcome::fail(Status::InvalidField, ctx.now);
-            }
-            let value = &batch[off..off + vlen];
-            off += vlen;
-            ctx.now = last.complete_at;
-            last = self.put(ctx, key, value);
-            if !last.status.is_success() {
-                return last;
-            }
-        }
-        CommandOutcome {
-            result: count as u32,
-            ..last
         }
     }
 
@@ -458,7 +375,6 @@ impl KvFirmware {
     /// log-structured store.
     fn recover_index(&mut self, ctx: &mut FirmwareCtx<'_>) {
         self.index.clear();
-        self.sorted = None;
         let mut now = ctx.now;
         let mut page = Vec::with_capacity(PAGE_SIZE);
         for lpn in 0..self.next_lpn {
@@ -525,17 +441,6 @@ impl FirmwareHandler for KvFirmware {
             }
             Some(IoOpcode::KvGet) => self.get(&mut ctx, key),
             Some(IoOpcode::KvDelete) => self.delete(&mut ctx, key),
-            Some(IoOpcode::KvIter) => {
-                let cursor = sqe.cdw(14);
-                let buf_len = sqe.data_len() as usize;
-                self.iterate(&ctx, cursor, buf_len)
-            }
-            Some(IoOpcode::KvBatchPut) => {
-                let Some(batch) = payload else {
-                    return CommandOutcome::fail(Status::InvalidField, ctx.now);
-                };
-                self.batch_put(&mut ctx, batch)
-            }
             _ => CommandOutcome::fail(Status::InvalidOpcode, ctx.now),
         }
     }
@@ -595,37 +500,6 @@ mod tests {
         }
         let (fw, ctx) = r.at(now);
         fw.handle(ctx, &sqe, payload)
-    }
-
-    /// One iterator page of up to `max_keys` keys from `cursor` at `now`:
-    /// the outcome, the page's keys and the next cursor. DW0 must be the
-    /// response's length.
-    fn iter_page(
-        r: &mut Rig,
-        cursor: u32,
-        max_keys: usize,
-        now: Nanos,
-    ) -> (CommandOutcome, Vec<PaddedKey>, u32) {
-        let mut sqe = SubmissionEntry::io(IoOpcode::KvIter, 1, 1);
-        sqe.set_cdw(14, cursor);
-        sqe.set_data_len((8 + max_keys * MAX_KEY_LEN) as u32);
-        let (fw, ctx) = r.at(now);
-        let out = fw.handle(ctx, &sqe, None);
-        assert!(out.status.is_success(), "{:?}", out.status);
-        let resp = out.response.as_deref().unwrap_or_default();
-        assert_eq!(
-            out.result as usize,
-            resp.len(),
-            "DW0 is the response length"
-        );
-        let count = u32::from_le_bytes(resp[..4].try_into().unwrap()) as usize;
-        let next = u32::from_le_bytes(resp[4..8].try_into().unwrap());
-        let keys = resp[8..]
-            .chunks(MAX_KEY_LEN)
-            .map(|k| k.try_into().unwrap())
-            .collect::<Vec<PaddedKey>>();
-        assert_eq!(keys.len(), count);
-        (out, keys, next)
     }
 
     impl Rig {
@@ -794,51 +668,6 @@ mod tests {
             let out = get(&mut r, format!("k{i}").as_bytes());
             assert_eq!(out.result as usize, out.response.unwrap().len(), "GET k{i}");
         }
-        // Full, partial and empty pages; `iter_page` checks DW0.
-        for (cursor, max_keys, count) in [(0, 2, 2), (4, 2, 1), (5, 3, 0)] {
-            let (_, keys, _) = iter_page(&mut r, cursor, max_keys, Nanos::ZERO);
-            assert_eq!(keys.len(), count, "cursor {cursor}");
-        }
-    }
-
-    /// A paged scan with a PUT and a DELETE between pages serves each page
-    /// by index cursor over the keys as they stand, exactly as a sorted map
-    /// walked with `skip(cursor)` does.
-    #[test]
-    fn keys_scan_pages_follow_a_sorted_reference_across_changes() {
-        let mut r = rig(true);
-        let mut reference = BTreeMap::new();
-        for i in (0..40u32).rev() {
-            let key = format!("k{:03}", 2 * i);
-            assert!(put(&mut r, key.as_bytes(), b"v").status.is_success());
-            reference.insert(pad_key(key.as_bytes()), ());
-        }
-        let (mut cursor, mut pages) = (0u32, 0u32);
-        loop {
-            let (_, keys, next) = iter_page(&mut r, cursor, 7, Nanos::ZERO);
-            let start = cursor as usize;
-            let want: Vec<PaddedKey> = reference.keys().skip(start).take(7).copied().collect();
-            assert_eq!(keys, want, "page {pages}");
-            let want_next = if start + want.len() < reference.len() {
-                cursor + want.len() as u32
-            } else {
-                u32::MAX
-            };
-            assert_eq!(next, want_next, "page {pages}");
-            if next == u32::MAX {
-                break;
-            }
-            cursor = next;
-            pages += 1;
-            // A new key below the cursor and a deleted one above it.
-            let new = format!("k{:03}", 2 * pages + 1);
-            assert!(put(&mut r, new.as_bytes(), b"w").status.is_success());
-            reference.insert(pad_key(new.as_bytes()), ());
-            let (gone, ()) = reference.pop_last().unwrap();
-            let end = gone.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1);
-            assert!(delete(&mut r, &gone[..end]).status.is_success());
-        }
-        assert!(pages >= 4, "{pages} pages");
     }
 
     #[test]
@@ -899,8 +728,6 @@ mod tests {
         Put(u8, usize),
         Get(u8),
         Delete(u8),
-        /// A full iterator scan, this many keys a page.
-        Iter(usize),
         /// A quiescent hard cut, FTL recovery, then `on_power_cycle`.
         PowerCycle,
     }
@@ -916,7 +743,6 @@ mod tests {
                 8 => (0..KEYS, len).prop_map(|(k, l)| Step::Put(k, l)),
                 6 => (0..KEYS).prop_map(Step::Get),
                 3 => (0..KEYS).prop_map(Step::Delete),
-                2 => (1usize..=4).prop_map(Step::Iter),
                 2 => Just(Step::PowerCycle),
             ],
             1..120,
@@ -961,8 +787,8 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
-        /// Values, DELETE statuses, iterator scans and survival across
-        /// power cycles match the model — and a GET costs a DRAM read exactly
+        /// Values, DELETE statuses, the recovered key set and survival
+        /// across power cycles match the model — and a GET costs a DRAM read exactly
         /// when the model says its entry has not been flushed.
         #[test]
         fn hash_log_matches_the_model(
@@ -1015,20 +841,6 @@ mod tests {
                         }
                         t = out.complete_at;
                     }
-                    Step::Iter(per_page) => {
-                        let (mut got, mut cursor) = (Vec::new(), 0);
-                        loop {
-                            let (out, keys, next) = iter_page(&mut r, cursor, per_page, t);
-                            t = out.complete_at;
-                            got.extend(keys);
-                            if next == u32::MAX {
-                                break;
-                            }
-                            cursor = next;
-                        }
-                        let want: Vec<PaddedKey> = m.live.keys().map(|&k| pad_key(&key(k))).collect();
-                        assert_eq!(got, want, "step {i}");
-                    }
                     Step::PowerCycle => {
                         r.power_cycle(t);
                         if durable {
@@ -1041,6 +853,13 @@ mod tests {
                             // The DRAM log went with the DRAM.
                             m = Model::default();
                         }
+                        // Replay adds no key the model lacks: the index's
+                        // key set, not only its size, is the model's.
+                        let mut got: Vec<u128> = r.fw.index.keys().copied().collect();
+                        got.sort_unstable();
+                        let want: Vec<u128> =
+                            m.live.keys().map(|&k| index_key(&pad_key(&key(k)))).collect();
+                        assert_eq!(got, want, "step {i}");
                     }
                 }
                 assert_eq!(r.fw.index.len(), m.live.len(), "step {i}");

@@ -1,18 +1,18 @@
 //! # bx-kvssd — a key-value SSD on the ByteExpress stack
 //!
 //! The paper's first application substrate (§2.2.1, §4.3): a KV-SSD in the
-//! style of iLSM-SSD / the iterator-extended KVSSD of Lee et al. — key-value
-//! operations are encoded as vendor NVMe commands and delivered through the
-//! passthrough path, with each PUT persisted individually (the fine-grained
-//! persistence model the NVMe key-value extension defines).
+//! style of iLSM-SSD — key-value operations are encoded as vendor NVMe
+//! commands and delivered through the passthrough path, with each PUT
+//! persisted individually (the fine-grained persistence model the NVMe
+//! key-value extension defines).
 //!
 //! Two halves:
 //!
 //! * [`KvFirmware`] — device-side: a DRAM-staged, NAND-flushed value log
-//!   with an in-memory hash index (a sorted snapshot of its keys serves the
-//!   iterator), entry headers on media for index recovery, and iterator
-//!   support. Any opcode it does not decode completes `InvalidOpcode`.
-//! * [`KvStore`] — host-side: `put`/`get`/`delete`/`keys` over a
+//!   with an in-memory hash index and entry headers on media for index
+//!   recovery. It decodes PUT, GET and DELETE; any other opcode completes
+//!   `InvalidOpcode`.
+//! * [`KvStore`] — host-side: `put`/`get`/`delete` over a
 //!   [`byteexpress::Device`], with the transfer method chosen per store (the
 //!   Fig 6 experiments swap PRP / BandSlim / ByteExpress here).
 //!

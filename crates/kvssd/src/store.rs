@@ -4,8 +4,8 @@ use crate::firmware::{
     key_into_cdws, pad_key, KvDeviceStats, KvFirmware, MAX_KEY_LEN, MAX_VALUE_LEN,
 };
 use byteexpress::{
-    Completion, Device, DeviceError, ExecutionModel, FaultConfig, FetchPolicy, IoOpcode, Nanos,
-    PassthruCmd, RecoveryReport, RetryPolicy, Status, TransferMethod,
+    Completion, Device, DeviceError, ExecutionModel, FetchPolicy, IoOpcode, Nanos, PassthruCmd,
+    RecoveryReport, RetryPolicy, Status, TransferMethod,
 };
 use std::cell::RefCell;
 use std::fmt;
@@ -26,8 +26,6 @@ pub enum KvError {
     },
     /// The device failed the command.
     Device(DeviceError),
-    /// The device returned a malformed iterator response.
-    CorruptResponse,
 }
 
 impl fmt::Display for KvError {
@@ -40,7 +38,6 @@ impl fmt::Display for KvError {
                 write!(f, "value of {len} bytes exceeds {MAX_VALUE_LEN}")
             }
             KvError::Device(e) => write!(f, "device error: {e}"),
-            KvError::CorruptResponse => write!(f, "corrupt iterator response"),
         }
     }
 }
@@ -61,8 +58,6 @@ pub struct KvStoreConfig {
     /// NAND I/O on (Fig 6) or off (pure transfer measurement): decides the
     /// device's array and the firmware's page store alike.
     pub nand_io: bool,
-    /// Queue depth.
-    pub queue_depth: u16,
     /// Controller execution model (Serial or Pipelined).
     pub execution: ExecutionModel,
     /// Controller chunk-gathering policy; [`FetchPolicy::Reassembly`] also
@@ -71,8 +66,6 @@ pub struct KvStoreConfig {
     /// Driver timeout/retry policy — required for crash runs, where lost
     /// completions are expected rather than a harness bug.
     pub retry: Option<RetryPolicy>,
-    /// Fault schedule to arm at build time (e.g. a power-cut countdown).
-    pub fault_config: Option<FaultConfig>,
     /// Write-through durable PUTs (NAND on): the ack
     /// implies the value survives any power cut. See
     /// [`KvFirmware::set_durable_puts`].
@@ -84,11 +77,9 @@ impl Default for KvStoreConfig {
         KvStoreConfig {
             method: TransferMethod::ByteExpress,
             nand_io: true,
-            queue_depth: 1024,
             execution: ExecutionModel::Serial,
             fetch: FetchPolicy::QueueLocal,
             retry: None,
-            fault_config: None,
             durable_puts: false,
         }
     }
@@ -122,7 +113,6 @@ impl KvStore {
         let (nand_io, durable_puts) = (cfg.nand_io, cfg.durable_puts);
         let mut builder = Device::builder()
             .nand_io(nand_io)
-            .queue_depth(cfg.queue_depth)
             .execution_model(cfg.execution)
             .fetch_policy(cfg.fetch)
             .firmware(move |dram| {
@@ -133,20 +123,12 @@ impl KvStore {
         if let Some(retry) = cfg.retry {
             builder = builder.retry_policy(retry);
         }
-        if let Some(faults) = cfg.fault_config {
-            builder = builder.fault_config(faults);
-        }
         KvStore {
             dev: builder.build(),
             method: cfg.method,
             stats,
             put_cmd: PassthruCmd::to_device(IoOpcode::KvPut, 1, Vec::new()),
         }
-    }
-
-    /// Changes the PUT transfer method.
-    pub fn set_method(&mut self, method: TransferMethod) {
-        self.method = method;
     }
 
     /// The underlying device (traffic counters, clock).
@@ -225,73 +207,6 @@ impl KvStore {
         }
     }
 
-    /// Lists all keys via the device iterator command (paged scans).
-    ///
-    /// # Errors
-    ///
-    /// [`KvError`] on device failures or malformed responses.
-    pub fn keys(&mut self) -> Result<Vec<Vec<u8>>, KvError> {
-        const PAGE: usize = 4096;
-        let mut out = Vec::new();
-        let mut cursor = 0u32;
-        loop {
-            let mut cmd = PassthruCmd::from_device(IoOpcode::KvIter, 1, PAGE);
-            cmd.cdw10_15[4] = cursor; // CDW14
-            let completion = self.dev.passthru(&cmd, TransferMethod::Prp)?;
-            if !completion.status.is_success() {
-                return Err(KvError::Device(DeviceError::Command(completion.status)));
-            }
-            let data = completion.data.ok_or(KvError::CorruptResponse)?;
-            if data.len() < 8 {
-                return Err(KvError::CorruptResponse);
-            }
-            let count = u32::from_le_bytes([data[0], data[1], data[2], data[3]]) as usize;
-            let next = u32::from_le_bytes([data[4], data[5], data[6], data[7]]);
-            if data.len() < 8 + count * MAX_KEY_LEN {
-                return Err(KvError::CorruptResponse);
-            }
-            for i in 0..count {
-                let raw = &data[8 + i * MAX_KEY_LEN..8 + (i + 1) * MAX_KEY_LEN];
-                let end = raw.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1);
-                out.push(raw[..end].to_vec());
-            }
-            if next == u32::MAX {
-                return Ok(out);
-            }
-            cursor = next;
-        }
-    }
-
-    /// Bulk PUT: stores many pairs with one command (the §2.2.1 batching
-    /// alternative — fewer protocol round trips, but every pair in the batch
-    /// shares one durability point, which is exactly why fine-grained
-    /// workloads can't always use it).
-    ///
-    /// # Errors
-    ///
-    /// [`KvError`] on limit violations or device failures.
-    pub fn put_batch(&mut self, pairs: &[(&[u8], &[u8])]) -> Result<Completion, KvError> {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-        for (key, value) in pairs {
-            if key.len() > MAX_KEY_LEN {
-                return Err(KvError::KeyTooLong { len: key.len() });
-            }
-            if value.len() > MAX_VALUE_LEN {
-                return Err(KvError::ValueTooLarge { len: value.len() });
-            }
-            payload.extend_from_slice(&pad_key(key));
-            payload.extend_from_slice(&(value.len() as u16).to_le_bytes());
-            payload.extend_from_slice(value);
-        }
-        let cmd = PassthruCmd::to_device(IoOpcode::KvBatchPut, 1, payload);
-        let completion = self.dev.passthru(&cmd, self.method)?;
-        if !completion.status.is_success() {
-            return Err(KvError::Device(DeviceError::Command(completion.status)));
-        }
-        Ok(completion)
-    }
-
     /// A power cycle through the real power-fail path: cuts power (if a
     /// fault-injected cut has not already fired), rebuilds the FTL from
     /// NAND + journal, re-runs NVMe bring-up, and lets the firmware rebuild
@@ -358,20 +273,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn keys_iterator_lists_everything() {
-        let mut s = store(TransferMethod::ByteExpress);
-        let mut expect = Vec::new();
-        for i in 0..300u32 {
-            let key = format!("key-{i:05}");
-            s.put(key.as_bytes(), b"x").unwrap();
-            expect.push(key.into_bytes());
-        }
-        expect.sort();
-        let keys = s.keys().unwrap();
-        assert_eq!(keys, expect);
     }
 
     #[test]

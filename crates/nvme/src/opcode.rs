@@ -39,11 +39,6 @@ pub enum IoOpcode {
     KvGet = 0xC2,
     /// Vendor-specific: key-value DELETE.
     KvDelete = 0xC3,
-    /// Vendor-specific: key-value iterator open/next.
-    KvIter = 0xC4,
-    /// Vendor-specific: bulk PUT of multiple key-value pairs in one command
-    /// (the batching alternative the paper's §2.2.1 discusses).
-    KvBatchPut = 0xC5,
     /// Vendor-specific: CSD SQL-pushdown task submission.
     CsdExec = 0xD0,
     /// Vendor-specific: CSD filter-result readback.
@@ -64,8 +59,6 @@ impl IoOpcode {
             0xC1 => IoOpcode::KvPut,
             0xC2 => IoOpcode::KvGet,
             0xC3 => IoOpcode::KvDelete,
-            0xC4 => IoOpcode::KvIter,
-            0xC5 => IoOpcode::KvBatchPut,
             0xD0 => IoOpcode::CsdExec,
             0xD1 => IoOpcode::CsdReadResult,
             0xD4 => IoOpcode::CsdCreateTable,
@@ -80,7 +73,6 @@ impl IoOpcode {
             self,
             IoOpcode::Write
                 | IoOpcode::KvPut
-                | IoOpcode::KvBatchPut
                 | IoOpcode::CsdExec
                 | IoOpcode::CsdCreateTable
                 | IoOpcode::CsdLoadRows
@@ -97,8 +89,6 @@ impl fmt::Display for IoOpcode {
             IoOpcode::KvPut => "kv-put",
             IoOpcode::KvGet => "kv-get",
             IoOpcode::KvDelete => "kv-delete",
-            IoOpcode::KvIter => "kv-iter",
-            IoOpcode::KvBatchPut => "kv-batch-put",
             IoOpcode::CsdExec => "csd-exec",
             IoOpcode::CsdReadResult => "csd-read-result",
             IoOpcode::CsdCreateTable => "csd-create-table",
@@ -121,8 +111,6 @@ mod tests {
             IoOpcode::KvPut,
             IoOpcode::KvGet,
             IoOpcode::KvDelete,
-            IoOpcode::KvIter,
-            IoOpcode::KvBatchPut,
             IoOpcode::CsdExec,
             IoOpcode::CsdReadResult,
             IoOpcode::CsdCreateTable,
@@ -136,6 +124,9 @@ mod tests {
     fn unknown_opcode_is_none() {
         assert_eq!(IoOpcode::from_u8(0x7F), None);
         assert_eq!(IoOpcode::from_u8(0xFF), None);
+        // The retired KV iterator and batch-PUT opcodes.
+        assert_eq!(IoOpcode::from_u8(0xC4), None);
+        assert_eq!(IoOpcode::from_u8(0xC5), None);
     }
 
     #[test]

@@ -168,8 +168,6 @@ pub struct FtlStats {
     pub gc_writes: u64,
     /// GC victim erases.
     pub gc_erases: u64,
-    /// Trimmed (deallocated) logical pages.
-    pub trims: u64,
     /// Blocks retired after a program failure (never erased or reused).
     pub bad_blocks: u64,
     /// Page writes remapped to a fresh block after a program failure.
@@ -220,9 +218,6 @@ pub struct Ftl {
     pages_per_block: u32,
     exported_pages: u64,
     stats: FtlStats,
-    /// Erase counts per block, by dense block index — the wear
-    /// distribution.
-    erase_counts: Vec<u32>,
     /// Grown-bad blocks, a bitset by dense block index: retired after a
     /// program failure, excluded from the free list and from GC victim
     /// selection forever. Pages programmed before the failure stay readable
@@ -297,7 +292,6 @@ impl Ftl {
             pages_per_block: cfg.pages_per_block,
             exported_pages: exported,
             stats: FtlStats::default(),
-            erase_counts: vec![0; blocks],
             bad: vec![0; blocks.div_ceil(64)],
             journal: MapJournal::new(),
             relocation_page: Vec::new(),
@@ -333,19 +327,6 @@ impl Ftl {
     /// from the recovered map.
     pub fn is_mapped(&self, lpn: u64) -> bool {
         (lpn as usize) < self.map.len() && self.map[lpn as usize].is_some()
-    }
-
-    /// The wear spread: (min, max, mean) erase counts over blocks that have
-    /// been erased at least once. Returns zeros before any GC.
-    pub fn wear_spread(&self) -> (u32, u32, f64) {
-        let erased = self.erase_counts.iter().copied().filter(|&c| c > 0);
-        let (min, max, sum, blocks) = erased.fold((u32::MAX, 0, 0u64, 0u64), |acc, c| {
-            (acc.0.min(c), acc.1.max(c), acc.2 + c as u64, acc.3 + 1)
-        });
-        if blocks == 0 {
-            return (0, 0, 0.0);
-        }
-        (min, max, sum as f64 / blocks as f64)
     }
 
     fn die_to_ppa(&self, die: usize, block: u32, page: u32) -> Ppa {
@@ -600,33 +581,6 @@ impl Ftl {
         Ok(nand.read_range(self.packing.unpack(ppa), off, len, now, out)?)
     }
 
-    /// Invalidates a logical page (TRIM/deallocate): the mapping is dropped
-    /// and the physical page becomes garbage for GC to reclaim. Subsequent
-    /// reads of `lpn` return [`FtlError::Unmapped`]. The deallocation is
-    /// journaled, so it survives a power cut; the returned instant is when
-    /// the record is durable (`now` for a no-op trim).
-    ///
-    /// # Errors
-    ///
-    /// [`FtlError::LpnOutOfRange`] beyond the exported capacity. Trimming an
-    /// unmapped page is a harmless no-op (as in NVMe Dataset Management).
-    pub fn trim(&mut self, lpn: u64, now: Nanos) -> Result<Nanos, FtlError> {
-        if lpn >= self.exported_pages {
-            return Err(FtlError::LpnOutOfRange {
-                lpn,
-                capacity: self.exported_pages,
-            });
-        }
-        if let Some(ppa) = self.map[lpn as usize].take() {
-            self.invalidate(self.packing.unpack(ppa));
-            self.stats.trims += 1;
-            return Ok(self
-                .journal
-                .append(JournalOp::Trim { lpn }, Nanos::ZERO, now));
-        }
-        Ok(now)
-    }
-
     /// Runs greedy GC until free blocks exceed the threshold (or no victim
     /// remains). Returns the advanced time.
     fn collect_garbage(&mut self, nand: &mut NandArray, mut now: Nanos) -> Result<Nanos, FtlError> {
@@ -666,7 +620,6 @@ impl Ftl {
             self.free_blocks[victim / self.blocks_per_die as usize].push(block);
             self.free_count += 1;
             self.stats.gc_erases += 1;
-            self.erase_counts[victim] += 1;
             self.trace.emit(None, || EventKind::GcCycle {
                 moved_pages: valid_count,
                 erased_blocks: 1,
@@ -761,11 +714,6 @@ impl Ftl {
                         self.map[slot] = prev
                             .filter(|&p| nand.has_data(p))
                             .map(|p| self.packing.pack(p));
-                    }
-                }
-                JournalOp::Trim { lpn } => {
-                    if (lpn as usize) < self.map.len() {
-                        self.map[lpn as usize] = None;
                     }
                 }
                 JournalOp::Retire {
@@ -1103,19 +1051,27 @@ mod tests {
 
     /// One write through `ftl`, checked: the GC it runs first erases the
     /// sweep's pick on the state before the write, and the index still
-    /// matches the sweep after it.
+    /// matches the sweep after it. An erased pick is free, open, or sealed
+    /// again with other pages; one GC left alone is still sealed, holding
+    /// what it held less the page this write superseded.
     fn write_checked(ftl: &mut Ftl, nand: &mut NandArray, lpn: u64, fill: u8, t: Nanos) -> Nanos {
         let expected = full_scan_victim(ftl);
-        let erases_before = ftl.erase_counts.clone();
+        let untouched = expected.and_then(|b| {
+            let row = ftl.owner.get(b)?;
+            let superseded = lpn as u32 + 1;
+            Some(
+                row.iter()
+                    .map(|&o| if o == superseded { 0 } else { o })
+                    .collect::<Vec<_>>(),
+            )
+        });
+        let erases = ftl.stats().gc_erases;
         let t = ftl.write(lpn, &page(fill), nand, t).unwrap();
-        let erased: Vec<usize> = (0..erases_before.len())
-            .filter(|&b| ftl.erase_counts[b] != erases_before[b])
-            .collect();
-        if !erased.is_empty() {
+        if ftl.stats().gc_erases > erases {
             let first = expected.expect("GC erased, so a victim existed");
             assert!(
-                erased.contains(&first),
-                "erased {erased:?}, sweep picks {first}"
+                !sealed(ftl, first) || ftl.owner.get(first).map(<[u32]>::to_vec) != untouched,
+                "GC erased, but not the sweep's pick {first}"
             );
         }
         assert_index_matches_full_scan(ftl);
@@ -1125,9 +1081,9 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-        /// Random overwrites and trims, half of them on an eighth of the
-        /// pages so victims range from empty to nearly full, then a cut and
-        /// recovery: every GC victim is the full-scan reference's pick.
+        /// Random overwrites, half of them on an eighth of the pages so
+        /// victims range from empty to nearly full, then a cut and recovery:
+        /// every GC victim is the full-scan reference's pick.
         #[test]
         fn gc_victims_equal_the_full_scan_reference(
             ops in proptest::collection::vec((0..48u64, 0..16u8), 200..1500),
@@ -1137,12 +1093,7 @@ mod tests {
             let mut t = Nanos::ZERO;
             for (i, (lpn, kind)) in ops.into_iter().enumerate() {
                 let lpn = if kind % 2 == 0 { lpn % 6 } else { lpn };
-                if kind == 1 {
-                    ftl.trim(lpn, t).unwrap();
-                    assert_index_matches_full_scan(&ftl);
-                } else {
-                    t = write_checked(&mut ftl, &mut nand, lpn, i as u8, t);
-                }
+                t = write_checked(&mut ftl, &mut nand, lpn, i as u8, t);
             }
             proptest::prop_assert_eq!(ftl.stats().gc_erases, nand.stats().erases);
             nand.power_cut(t);
@@ -1312,34 +1263,6 @@ mod tests {
     }
 
     #[test]
-    fn trim_unmaps_and_feeds_gc() {
-        let mut nand = tiny_nand();
-        let mut ftl = Ftl::new(&nand, 0.25);
-        let mut t = Nanos::ZERO;
-        t = ftl.write(5, &page(1), &mut nand, t).unwrap();
-        ftl.trim(5, t).unwrap();
-        assert_eq!(
-            read(&mut ftl, 5, &mut nand, t).unwrap_err(),
-            FtlError::Unmapped(5)
-        );
-        // Trimming again is a no-op; out of range errors.
-        ftl.trim(5, t).unwrap();
-        assert!(matches!(
-            ftl.trim(ftl.capacity_pages(), t),
-            Err(FtlError::LpnOutOfRange { .. })
-        ));
-        // Trimmed space is reclaimable: write+trim in a rolling window far
-        // beyond raw capacity; GC must keep up because everything is dead.
-        for i in 0..500u64 {
-            t = ftl.write(i % 8, &page(i as u8), &mut nand, t).unwrap();
-            if i >= 4 {
-                ftl.trim((i - 4) % 8, t).unwrap();
-            }
-        }
-        assert!(ftl.stats().gc_erases > 0);
-    }
-
-    #[test]
     fn write_amplification_is_one_on_a_fresh_device() {
         // Regression: (0 + 0) / 0 must report 1.0, not NaN.
         let stats = FtlStats::default();
@@ -1408,27 +1331,6 @@ mod tests {
             FtlError::Unmapped(7),
             "a never-acked write must not be half-visible"
         );
-    }
-
-    #[test]
-    fn trimmed_lpn_stays_trimmed_after_replay() {
-        let mut nand = tiny_nand();
-        let mut ftl = Ftl::new(&nand, 0.25);
-        let mut t = Nanos::ZERO;
-        t = ftl.write(2, &page(0x22), &mut nand, t).unwrap();
-        t = ftl.write(6, &page(0x66), &mut nand, t).unwrap();
-        let durable = ftl.trim(2, t).unwrap();
-        let t_end = t.max(durable);
-        ftl.power_fail(t_end);
-        let report = ftl.recover(&nand);
-        assert_eq!(report.recovered_mappings, 1);
-        assert_eq!(
-            read(&mut ftl, 2, &mut nand, t_end).unwrap_err(),
-            FtlError::Unmapped(2),
-            "trim must survive journal replay"
-        );
-        let (data, _) = read(&mut ftl, 6, &mut nand, t_end).unwrap();
-        assert_eq!(data, page(0x66));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Append-only FTL mapping-table journal with bounded checkpoints.
 //!
-//! Every mapping-table mutation (host write, GC/migration relocation, TRIM,
-//! block retirement) is recorded here *before* the command is acknowledged:
+//! Every mapping-table mutation (host write, GC/migration relocation, block
+//! retirement) is recorded here *before* the command is acknowledged:
 //! the FTL acks at `max(nand_program_done, record_durable_at)`, the
 //! write-ahead ordering NVLog (arXiv 2408.02911) uses for its NVMe-backed
 //! log. On restart after a power cut the map is rebuilt from the newest
@@ -63,11 +63,6 @@ pub enum JournalOp {
         /// Previous physical location, if the page was mapped before.
         prev: Option<Ppa>,
     },
-    /// `lpn` was unmapped by TRIM.
-    Trim {
-        /// Logical page deallocated.
-        lpn: u64,
-    },
     /// The block was retired (grown bad) and must stay out of the free pool.
     Retire {
         /// Physical channel of the retired block.
@@ -88,8 +83,9 @@ pub(crate) struct JournalRecord {
     pub op: JournalOp,
 }
 
+// Kind 2 was TRIM, which the FTL no longer has; the decoder rejects it like
+// any other unknown kind.
 const KIND_MAP_UPDATE: u8 = 1;
-const KIND_TRIM: u8 = 2;
 const KIND_RETIRE: u8 = 3;
 const FLAG_HAS_PREV: u8 = 1;
 
@@ -129,7 +125,6 @@ fn encode(rec: &JournalRecord) -> [u8; RECORD_BYTES] {
             lpn,
             prev,
         ),
-        JournalOp::Trim { lpn } => (KIND_TRIM, 0, None, lpn, None),
         JournalOp::Retire {
             channel,
             die,
@@ -205,7 +200,6 @@ fn decode(buf: &[u8; RECORD_BYTES]) -> Option<JournalRecord> {
                 prev,
             }
         }
-        KIND_TRIM => JournalOp::Trim { lpn },
         KIND_RETIRE => JournalOp::Retire {
             channel: target.channel,
             die: target.die,
@@ -228,7 +222,7 @@ struct StoredRecord {
     /// this; a cut before it tears the record.
     durable_at: Nanos,
     /// When the NAND program of the record's *target* page completes
-    /// (`Nanos::ZERO` for Trim/Retire). Checkpoints only absorb records
+    /// (`Nanos::ZERO` for Retire). Checkpoints only absorb records
     /// whose targets are already durable.
     target_done: Nanos,
 }
@@ -470,6 +464,15 @@ mod tests {
         }
     }
 
+    /// A mapping of `lpn` to page `lpn` of block 0, with no previous one.
+    fn update(lpn: u64) -> JournalOp {
+        JournalOp::MapUpdate {
+            lpn,
+            ppa: ppa(0, 0, 0, lpn as u32),
+            prev: None,
+        }
+    }
+
     /// The bit-at-a-time CRC-32 the table replaced: the reference.
     fn crc32_bitwise(bytes: &[u8]) -> u32 {
         let mut crc: u32 = 0xFFFF_FFFF;
@@ -604,7 +607,6 @@ mod tests {
                     prev: has_prev.then(|| ppa(pc, pd, pb, pp)),
                 }
             ),
-            1 => any::<u64>().prop_map(|lpn| JournalOp::Trim { lpn }),
             1 => (any::<u16>(), any::<u16>(), any::<u32>())
                 .prop_map(|(channel, die, block)| JournalOp::Retire { channel, die, block }),
         ]
@@ -693,7 +695,6 @@ mod tests {
                 ppa: ppa(0, 0, 0, 0),
                 prev: None,
             },
-            JournalOp::Trim { lpn: 42 },
             JournalOp::Retire {
                 channel: 3,
                 die: 1,
@@ -706,11 +707,29 @@ mod tests {
         }
     }
 
+    /// A record of an unknown kind — 2, the retired TRIM, among them — is
+    /// rejected even under a valid checksum: replay stops there, as at a
+    /// torn record, and applies no mapping change.
+    #[test]
+    fn unknown_kind_is_rejected_under_a_valid_checksum() {
+        let rec = JournalRecord {
+            seq: 1,
+            op: update(5),
+        };
+        for kind in [0, 2, 4, u8::MAX] {
+            let mut buf = encode(&rec);
+            buf[0] = kind;
+            let crc = crc32(&buf[..RECORD_BYTES - 4]);
+            buf[RECORD_BYTES - 4..].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(decode(&buf), None, "kind {kind}");
+        }
+    }
+
     #[test]
     fn corrupted_record_fails_checksum() {
         let rec = JournalRecord {
             seq: 1,
-            op: JournalOp::Trim { lpn: 5 },
+            op: update(5),
         };
         let mut buf = encode(&rec);
         buf[14] ^= 0x40;
@@ -721,8 +740,8 @@ mod tests {
     fn append_is_sequenced_and_durable_on_the_busy_chain() {
         let mut j = MapJournal::new();
         let t0 = Nanos::from_us(10);
-        let d1 = j.append(JournalOp::Trim { lpn: 1 }, Nanos::ZERO, t0);
-        let d2 = j.append(JournalOp::Trim { lpn: 2 }, Nanos::ZERO, t0);
+        let d1 = j.append(update(1), Nanos::ZERO, t0);
+        let d2 = j.append(update(2), Nanos::ZERO, t0);
         assert_eq!(d1, t0 + JOURNAL_APPEND_LATENCY);
         assert_eq!(d2, d1 + JOURNAL_APPEND_LATENCY, "appends serialize");
         assert_eq!(j.live_records(), 2);
@@ -737,15 +756,15 @@ mod tests {
     fn power_cut_tears_exactly_the_in_flight_append() {
         let mut j = MapJournal::new();
         let t0 = Nanos::ZERO;
-        let d1 = j.append(JournalOp::Trim { lpn: 1 }, Nanos::ZERO, t0);
-        let _d2 = j.append(JournalOp::Trim { lpn: 2 }, Nanos::ZERO, t0);
-        let _d3 = j.append(JournalOp::Trim { lpn: 3 }, Nanos::ZERO, t0);
+        let d1 = j.append(update(1), Nanos::ZERO, t0);
+        let _d2 = j.append(update(2), Nanos::ZERO, t0);
+        let _d3 = j.append(update(3), Nanos::ZERO, t0);
         // Cut lands while record 2's program is in flight.
         j.power_cut(d1);
         let (recs, torn) = j.replayable(0);
         assert!(torn, "in-flight append must read back torn");
         assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].op, JournalOp::Trim { lpn: 1 });
+        assert_eq!(recs[0].op, update(1));
         j.truncate_torn();
         assert_eq!(j.live_records(), 1);
         assert_eq!(j.stats.torn_records, 1);
@@ -782,7 +801,7 @@ mod tests {
         // Once the checkpoint is durable, an append prunes the covered
         // record but keeps the in-flight-target one.
         let later = j.durable_horizon() + Nanos::from_us(1);
-        j.append(JournalOp::Trim { lpn: 9 }, Nanos::ZERO, later);
+        j.append(update(9), Nanos::ZERO, later);
         assert_eq!(j.live_records(), 2, "in-flight-target record stays live");
         let base = j.recovery_base().expect("checkpoint exists");
         assert_eq!(base.covers_below, 1);
@@ -795,7 +814,7 @@ mod tests {
     fn cut_before_checkpoint_durable_discards_it() {
         let mut j = MapJournal::new();
         let now = Nanos::ZERO;
-        j.append(JournalOp::Trim { lpn: 1 }, Nanos::ZERO, now);
+        j.append(update(1), Nanos::ZERO, now);
         let before = j.durable_horizon();
         j.write_checkpoint(&[], [], before);
         j.power_cut(before); // checkpoint program still in flight
@@ -811,8 +830,8 @@ mod tests {
         let mut b = MapJournal::new();
         for i in 0..20u64 {
             let now = Nanos::from_us(i * 40);
-            a.append(JournalOp::Trim { lpn: i }, Nanos::ZERO, now);
-            b.append(JournalOp::Trim { lpn: i }, Nanos::ZERO, now);
+            a.append(update(i), Nanos::ZERO, now);
+            b.append(update(i), Nanos::ZERO, now);
         }
         let cut = Nanos::from_us(300);
         a.power_cut(cut);

@@ -1,5 +1,5 @@
 //! Model-based property testing of the FTL: under arbitrary interleavings
-//! of writes, overwrites, trims and the GC they trigger, reads always return
+//! of writes, overwrites, reads and the GC they trigger, reads always return
 //! the most recent write and space accounting never lies.
 
 use bx_hostsim::{Nanos, PAGE_SIZE};
@@ -39,14 +39,12 @@ fn read(
 #[derive(Debug, Clone)]
 enum Op {
     Write(u64),
-    Trim(u64),
     Read(u64),
 }
 
 fn op_strategy(lpns: u64) -> impl Strategy<Value = Op> {
     prop_oneof![
         3 => (0..lpns).prop_map(Op::Write),
-        1 => (0..lpns).prop_map(Op::Trim),
         2 => (0..lpns).prop_map(Op::Read),
     ]
 }
@@ -72,10 +70,6 @@ proptest! {
                     seq += 1;
                     t = ftl.write(lpn, &page(seq), &mut nand, t).unwrap();
                     model.insert(lpn, seq);
-                }
-                Op::Trim(lpn) => {
-                    ftl.trim(lpn, t).unwrap();
-                    model.remove(&lpn);
                 }
                 Op::Read(lpn) => match (read(&mut ftl, lpn, &mut nand, t), model.get(&lpn)) {
                     (Ok((data, t2)), Some(&tag)) => {
@@ -120,11 +114,5 @@ proptest! {
             "write amplification {}",
             stats.write_amplification()
         );
-        // Wear is tracked once GC has run.
-        if stats.gc_erases > 0 {
-            let (min, max, mean) = ftl.wear_spread();
-            prop_assert!(min <= max);
-            prop_assert!(mean >= min as f64 && mean <= max as f64);
-        }
     }
 }

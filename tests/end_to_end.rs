@@ -168,9 +168,8 @@ fn csd_corpus_executes_consistently_across_methods_and_encodings() {
     for q in corpus() {
         let mut session = CsdSession::open(CsdConfig::default());
         session.create_table(&q.schema).unwrap();
-        session
-            .load_rows(&q.schema, &q.generate_rows(2000, 3))
-            .unwrap();
+        let table = q.generate_rows(2000, 3);
+        session.load_rows(&q.schema, &table).unwrap();
 
         let mut matches = Vec::new();
         for encoding in [TaskEncoding::FullSql, TaskEncoding::Segment] {
@@ -192,17 +191,24 @@ fn csd_corpus_executes_consistently_across_methods_and_encodings() {
         );
         assert!(matches[0] > 0, "{}: predicate matched nothing", q.name);
 
-        // The filtered rows satisfy the predicate host-side too.
+        // The fetched rows are exactly the ones the host-side evaluator
+        // keeps from the loaded table, in load order: every returned row
+        // satisfies the predicate, and none that does is missing.
         let pred = bx_csd::parse_predicate(&q.predicate).unwrap();
         let rows = session.fetch_results(&q.schema).unwrap();
         assert_eq!(rows.len(), matches[0] as usize);
-        for row in &rows {
-            assert!(
-                bx_csd::eval(&pred, &q.schema, row, bx_csd::UnknownColumn::Error).unwrap(),
-                "{}: returned row fails the predicate",
-                q.name
-            );
-        }
+        let kept: Vec<_> = table
+            .iter()
+            .filter(|row| {
+                bx_csd::eval(&pred, &q.schema, row, bx_csd::UnknownColumn::Error).unwrap()
+            })
+            .cloned()
+            .collect();
+        assert_eq!(
+            rows, kept,
+            "{}: fetched rows differ from the host filter",
+            q.name
+        );
     }
 }
 
