@@ -181,16 +181,17 @@ fn all_zero_log_entry_is_rejected_and_hides_nothing() {
     // An empty key with an empty value is an all-zero header — what replay
     // takes for the end of a page. It never reaches the log: the driver
     // refuses a PUT with no payload (and the firmware refuses the header,
-    // a guard its unit tests drive), so the PUT after it is never shadowed.
+    // a guard its unit tests drive).
     let mut s = KvStore::open(durable());
     let err = s.put(b"", b"").unwrap_err();
     assert_eq!(
         err,
         KvError::Device(DeviceError::Driver(DriverError::EmptyPayload))
     );
-    s.put(b"k", b"v").unwrap();
-    // An empty key alone is a distinguishable header.
+    // An empty key alone is a distinguishable header: replay steps past it
+    // and indexes the entry that follows it in the log.
     s.put(b"", b"x").unwrap();
+    s.put(b"k", b"v").unwrap();
     s.hard_power_cycle().unwrap();
     assert_eq!(s.get(b"k").unwrap().unwrap(), b"v");
     assert_eq!(s.get(b"").unwrap().unwrap(), b"x");
