@@ -18,13 +18,16 @@ fn main() {
         "{:>8} {:>12} {:>12} {:>12} {:>14} {:>14}",
         "payload", "PRP", "BandSlim", "ByteExpress", "BX vs PRP", "BX vs BandSlim"
     );
-    let mut traffic: Vec<[u64; 3]> = Vec::new();
+    // Each cell is measured once; its mean latency waits for the second
+    // table.
+    let mut latency: Vec<[u64; 3]> = Vec::new();
     for &size in &fig5_sizes() {
-        let mut row = [0u64; 3];
+        let (mut row, mut lat) = ([0u64; 3], [0u64; 3]);
         for (i, method) in paper_methods().into_iter().enumerate() {
             let r = dev.measure_writes(n, size, method).unwrap();
             dev.reset_measurements();
             row[i] = r.traffic.total_bytes() / n as u64;
+            lat[i] = r.mean_latency().as_ns();
             report.push_run(format!("{}_{size}b", method.label()), &r);
         }
         println!(
@@ -36,7 +39,7 @@ fn main() {
             100.0 * (1.0 - row[2] as f64 / row[0] as f64),
             100.0 * (1.0 - row[2] as f64 / row[1] as f64),
         );
-        traffic.push(row);
+        latency.push(lat);
     }
 
     section("Fig 5 (bottom): average transfer latency");
@@ -44,13 +47,7 @@ fn main() {
         "{:>8} {:>12} {:>12} {:>12} {:>14} {:>14}",
         "payload", "PRP", "BandSlim", "ByteExpress", "BX vs PRP", "BX vs BandSlim"
     );
-    for &size in &fig5_sizes() {
-        let mut lat = [0u64; 3];
-        for (i, method) in paper_methods().into_iter().enumerate() {
-            let r = dev.measure_writes(n, size, method).unwrap();
-            dev.reset_measurements();
-            lat[i] = r.mean_latency().as_ns();
-        }
+    for (&size, lat) in fig5_sizes().iter().zip(&latency) {
         println!(
             "{:>7}B {:>10}ns {:>10}ns {:>10}ns {:>13.1}% {:>13.1}%",
             size,

@@ -1,6 +1,7 @@
 //! The driver proper: queue pairs, submit engines, completion polling.
 
 use crate::batch::{BatchSubmission, FlushPolicy};
+use crate::inflight::InflightTable;
 use crate::method::TransferMethod;
 use crate::recovery::{
     is_idempotent, BxRole, CmdContext, DegradeState, RecoveryStats, RetryPolicy,
@@ -228,118 +229,11 @@ impl Inflight {
     }
 }
 
-/// Fixed-layout in-flight command table: a dense slab of `(cid, Inflight)`
-/// slots addressed through a cid→slot index. Lookups/inserts/removals never
-/// hash and never allocate in steady state (slots and the free list retain
-/// capacity), and iteration order is the deterministic slot order — no
-/// randomized-hash order can reach completion or reap ordering.
-#[derive(Debug, Default)]
-struct InflightTable {
-    /// By a cid's low bits: the slot index + 1 of the command in flight
-    /// whose cid has them, 0 for none. A power of two long, from
-    /// [`INDEX_MIN`] entries on the first insert; doubled only when two cids
-    /// in flight share their low bits, which cannot happen while the cids in
-    /// flight span fewer values than the index has entries.
-    slot_of_cid: Vec<u32>,
-    /// Dense slot storage; `None` entries are on the free list.
-    slots: Vec<Option<(u16, Inflight)>>,
-    /// Recycled slot indices.
-    free: Vec<u32>,
-    /// Live entry count.
-    live: usize,
-}
-
-/// Entries of a fresh [`InflightTable`] index (256 B).
-const INDEX_MIN: usize = 64;
-
-impl InflightTable {
-    fn contains(&self, cid: u16) -> bool {
-        self.get(cid).is_some()
-    }
-
-    /// Where `cid` sits in the index. The index is never empty once
-    /// something was inserted, and a lookup before that finds no slot.
-    fn position(&self, cid: u16) -> usize {
-        cid as usize & self.slot_of_cid.len().wrapping_sub(1)
-    }
-
-    /// The slot of `cid`, if it is in flight.
-    fn slot(&self, cid: u16) -> Option<usize> {
-        let slot = self.slot_of_cid.get(self.position(cid))?.checked_sub(1)? as usize;
-        match self.slots.get(slot)? {
-            Some((stored, _)) if *stored == cid => Some(slot),
-            _ => None,
-        }
-    }
-
-    fn get(&self, cid: u16) -> Option<&Inflight> {
-        self.slots[self.slot(cid)?].as_ref().map(|(_, inf)| inf)
-    }
-
-    fn insert(&mut self, cid: u16, inflight: Inflight) {
-        debug_assert!(!self.contains(cid), "cid {cid} already in flight");
-        if self.slot_of_cid.is_empty() {
-            self.slot_of_cid = vec![0; INDEX_MIN];
-        }
-        // At the full cid space every cid has a position of its own.
-        while self.slot_of_cid[self.position(cid)] != 0 && self.slot_of_cid.len() < 1 << 16 {
-            self.widen();
-        }
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                // Free-list entries index slots pushed below.
-                self.slots[slot as usize] = Some((cid, inflight));
-                slot
-            }
-            None => {
-                self.slots.push(Some((cid, inflight)));
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let at = self.position(cid);
-        self.slot_of_cid[at] = slot + 1;
-        self.live += 1;
-    }
-
-    /// Doubles the index and files every command in flight again.
-    fn widen(&mut self) {
-        self.slot_of_cid = vec![0; self.slot_of_cid.len() * 2];
-        let mask = self.slot_of_cid.len() - 1;
-        for (slot, entry) in self.slots.iter().enumerate() {
-            if let Some((cid, _)) = entry {
-                self.slot_of_cid[*cid as usize & mask] = slot as u32 + 1;
-            }
-        }
-    }
-
-    fn remove(&mut self, cid: u16) -> Option<Inflight> {
-        let slot = self.slot(cid)?;
-        let at = self.position(cid);
-        self.slot_of_cid[at] = 0;
-        let (_, inflight) = self.slots[slot].take()?;
-        self.free.push(slot as u32);
-        self.live -= 1;
-        Some(inflight)
-    }
-
-    fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Live entries in slot order (deterministic; callers that need cid
-    /// order sort the cids they collect).
-    fn iter(&self) -> impl Iterator<Item = (u16, &Inflight)> {
-        self.slots
-            .iter()
-            .filter_map(|slot| slot.as_ref().map(|(cid, inf)| (*cid, inf)))
-    }
-}
-
 struct QueuePair {
     sq: SqRing,
     cq: CqRing,
     next_cid: u16,
-    inflight: InflightTable,
+    inflight: InflightTable<Inflight>,
     degrade: DegradeState,
     /// Tail of entries staged in the ring but not yet doorbelled — the
     /// deferral state behind doorbell coalescing. `None` means the device's
@@ -356,8 +250,8 @@ impl QueuePair {
     /// Returns the ring pages, and the mapped pages of every command still
     /// in flight, to the allocator: the pair is gone from the device.
     fn release(self, mem: &mut HostMemory) -> Result<(), MemError> {
-        for slot in self.inflight.slots.into_iter().flatten() {
-            slot.1.free_pages(mem)?;
+        for inflight in self.inflight.into_values() {
+            inflight.free_pages(mem)?;
         }
         mem.free_contiguous(self.sq.region())?;
         mem.free_contiguous(self.cq.region())
@@ -1953,26 +1847,21 @@ impl QueuePair {
     )]
     fn alloc_cid(&mut self) -> u16 {
         // Wrapping CID allocation, skipping ids still in flight.
-        for _ in 0..=u16::MAX {
-            let cid = self.next_cid;
-            self.next_cid = self.next_cid.wrapping_add(1);
-            if !self.inflight.contains(cid) {
-                return cid;
-            }
+        match self.inflight.next_free_cid(&mut self.next_cid) {
+            Some(cid) => cid,
+            None => panic!("no free command identifiers"),
         }
-        panic!("no free command identifiers");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bx_hostsim::{DmaRegion, FaultConfig};
+    use bx_hostsim::FaultConfig;
     use bx_nvme::IoOpcode;
     use bx_pcie::{LinkConfig, TrafficCounters};
     use bx_ssd::{BlockFirmware, ControllerConfig, ExecutionModel, FetchPolicy};
     use bx_trace::Event;
-    use std::collections::BTreeMap;
 
     struct Rig {
         bus: SystemBus,
@@ -2229,179 +2118,6 @@ mod tests {
             }
             assert_eq!(outs[0], outs[1]);
             assert_eq!(observed(&rigs[0]), observed(&rigs[1]), "gauges {gauges}");
-        }
-    }
-
-    /// The parent's in-flight table: a cid→slot index over the full cid
-    /// space, as the reference for the low-bits index.
-    #[derive(Default)]
-    struct FullTable {
-        slot_of_cid: Vec<u32>,
-        slots: Vec<Option<(u16, u64)>>,
-        free: Vec<u32>,
-        live: usize,
-    }
-
-    impl FullTable {
-        fn contains(&self, cid: u16) -> bool {
-            self.slot_of_cid
-                .get(cid as usize)
-                .is_some_and(|&slot| slot > 0)
-        }
-
-        fn insert(&mut self, cid: u16, tag: u64) {
-            if self.slot_of_cid.is_empty() {
-                self.slot_of_cid = vec![0; 1 << 16];
-            }
-            let slot = match self.free.pop() {
-                Some(slot) => {
-                    self.slots[slot as usize] = Some((cid, tag));
-                    slot
-                }
-                None => {
-                    self.slots.push(Some((cid, tag)));
-                    (self.slots.len() - 1) as u32
-                }
-            };
-            self.slot_of_cid[cid as usize] = slot + 1;
-            self.live += 1;
-        }
-
-        fn remove(&mut self, cid: u16) -> Option<u64> {
-            let indexed = self.slot_of_cid.get_mut(cid as usize)?;
-            let slot = indexed.checked_sub(1)?;
-            *indexed = 0;
-            let (_, tag) = self.slots[slot as usize].take()?;
-            self.free.push(slot);
-            self.live -= 1;
-            Some(tag)
-        }
-
-        fn iter(&self) -> impl Iterator<Item = (u16, u64)> + '_ {
-            self.slots.iter().flatten().copied()
-        }
-
-        /// `alloc_cid` over this table.
-        fn alloc_cid(&self, next_cid: &mut u16) -> u16 {
-            loop {
-                let cid = *next_cid;
-                *next_cid = next_cid.wrapping_add(1);
-                if !self.contains(cid) {
-                    return cid;
-                }
-            }
-        }
-    }
-
-    fn inflight(tag: u64) -> Inflight {
-        Inflight {
-            opcode: 0,
-            submitted_at: Nanos::from_ns(tag),
-            deadline: None,
-            pages: Vec::new(),
-            response_len: 0,
-        }
-    }
-
-    fn queue_pair() -> QueuePair {
-        QueuePair {
-            sq: SqRing::new(QueueId(1), DmaRegion::new(PhysAddr(0), 64 * SQE_BYTES), 64),
-            cq: CqRing::new(DmaRegion::new(PhysAddr(0), 64 * CQE_BYTES), 64),
-            next_cid: 0,
-            inflight: InflightTable::default(),
-            degrade: DegradeState::default(),
-            pending_tail: None,
-            pending_cmds: 0,
-            first_pending_at: Nanos::ZERO,
-        }
-    }
-
-    #[test]
-    fn the_index_widens_only_when_two_cids_in_flight_share_low_bits() {
-        let mut t = InflightTable::default();
-        assert!(t.get(0).is_none() && t.remove(0).is_none(), "empty");
-        t.insert(3, inflight(3));
-        t.insert(3 + 63, inflight(66));
-        assert_eq!(t.slot_of_cid.len(), INDEX_MIN);
-        assert!(t.get(3 + 64).is_none(), "same low bits, not in flight");
-        t.insert(3 + 64, inflight(67));
-        assert_eq!(t.slot_of_cid.len(), 2 * INDEX_MIN);
-        t.insert(3 + 4 * 64, inflight(259));
-        assert_eq!(t.slot_of_cid.len(), 8 * INDEX_MIN);
-        for cid in [3, 66, 67, 259] {
-            assert_eq!(t.get(cid).map(|i| i.submitted_at.as_ns()), Some(cid as u64));
-        }
-        assert_eq!(t.remove(67).map(|i| i.submitted_at.as_ns()), Some(67));
-        assert!(t.get(67).is_none() && t.get(3).is_some());
-    }
-
-    proptest::proptest! {
-        /// The low-bits index against the full-space table and a map model,
-        /// over submissions, completions in any order, bursts that run the
-        /// cids far past stragglers (widening the index), jumps of the next
-        /// cid (wrapping it), and removals of cids not in flight: the same
-        /// cids handed out, the same lookups, the same slot order.
-        #[test]
-        fn inflight_table_matches_the_full_index(
-            ops in proptest::collection::vec((0u8..6, proptest::prelude::any::<u16>()), 1..120),
-        ) {
-            let mut qp = queue_pair();
-            let (mut full, mut full_next) = (FullTable::default(), 0u16);
-            let mut model = BTreeMap::new();
-            let mut tag = 0u64;
-            let mut submit = |qp: &mut QueuePair, full: &mut FullTable, full_next: &mut u16, model: &mut BTreeMap<u16, u64>| {
-                let cid = qp.alloc_cid();
-                assert_eq!(cid, full.alloc_cid(full_next));
-                tag += 1;
-                qp.inflight.insert(cid, inflight(tag));
-                full.insert(cid, tag);
-                model.insert(cid, tag);
-                cid
-            };
-            for (op, arg) in ops {
-                match op {
-                    0 | 1 => {
-                        submit(&mut qp, &mut full, &mut full_next, &mut model);
-                    }
-                    2 if !model.is_empty() => {
-                        let cid = *model.keys().nth(arg as usize % model.len()).unwrap();
-                        let want = model.remove(&cid);
-                        assert_eq!(full.remove(cid), want);
-                        assert_eq!(qp.inflight.remove(cid).map(|i| i.submitted_at.as_ns()), want);
-                    }
-                    3 => {
-                        for _ in 0..arg % 300 {
-                            let cid = submit(&mut qp, &mut full, &mut full_next, &mut model);
-                            model.remove(&cid);
-                            full.remove(cid);
-                            qp.inflight.remove(cid);
-                        }
-                    }
-                    4 => {
-                        qp.next_cid = arg;
-                        full_next = arg;
-                    }
-                    _ => {
-                        let want = model.remove(&arg);
-                        assert_eq!(full.remove(arg), want);
-                        assert_eq!(qp.inflight.remove(arg).map(|i| i.submitted_at.as_ns()), want);
-                    }
-                }
-                assert_eq!(qp.inflight.len(), model.len());
-                assert_eq!(full.live, model.len());
-                let order: Vec<(u16, u64)> = qp
-                    .inflight
-                    .iter()
-                    .map(|(cid, i)| (cid, i.submitted_at.as_ns()))
-                    .collect();
-                assert_eq!(order, full.iter().collect::<Vec<_>>(), "slot order");
-                for (&cid, &want) in &model {
-                    assert_eq!(qp.inflight.get(cid).map(|i| i.submitted_at.as_ns()), Some(want));
-                }
-                for probe in [arg, arg.wrapping_add(64), arg ^ 0x8000] {
-                    assert_eq!(qp.inflight.contains(probe), model.contains_key(&probe));
-                }
-            }
         }
     }
 }

@@ -51,6 +51,7 @@
 
 mod batch;
 mod driver;
+mod inflight;
 mod method;
 pub mod reactor;
 mod recovery;

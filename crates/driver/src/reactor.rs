@@ -1,5 +1,5 @@
 //! The completion-driven async reactor (what is left to do on it — its two
-//! host-side cells — is ROADMAP item 3a).
+//! host-side cells — is ROADMAP item 5(a)).
 //!
 //! The synchronous API (`execute` → `poll_completions_into`) expresses one
 //! command per caller at a time; realistic many-client concurrency on top of
@@ -23,8 +23,9 @@
 //!   first poll (SQ backpressure surfaces as `Poll::Pending`, *not* an
 //!   error), a due doorbell rung per the installed [`FlushPolicy`];
 //!   resolves when the dispatcher routes its completion (ring CQE or
-//!   byte-interface status word alike) back to the shard's waker-keyed
-//!   waiter table.
+//!   byte-interface status word alike) back to the shard's waiter table —
+//!   the driver's own cid-indexed table, holding wakers instead of
+//!   commands.
 //! * The **dispatcher** ([`Reactor::turn`]) — flushes every shard's staged
 //!   doorbell, runs the controller, then drains each shard's queue and
 //!   wakes exactly the futures whose completions arrived. The per-queue
@@ -32,7 +33,8 @@
 //!   `(qid, cid)` the device echoes, never by poll order.
 //!
 //! The executor ([`Reactor::run`]) is deliberately minimal and std-only: a
-//! single-threaded poll loop over `Arc`-flagged tasks, with virtual-time
+//! single-threaded poll loop over `Arc`-flagged tasks, each with the one
+//! [`Waker`] built when it was spawned, with virtual-time
 //! idle advancement standing in for an OS timer wheel — when no task is
 //! runnable and no completion is ready but commands are in flight, the
 //! reactor advances the clock so the device (or the timeout reaper) can
@@ -40,6 +42,7 @@
 
 use crate::batch::FlushPolicy;
 use crate::driver::{Completion, DriverError, DriverStats, NvmeDriver};
+use crate::inflight::InflightTable;
 use crate::method::TransferMethod;
 use crate::recovery::{RecoveryStats, RetryPolicy};
 use bx_hostsim::Nanos;
@@ -48,7 +51,6 @@ use bx_pcie::LinkConfig;
 use bx_ssd::{BlockFirmware, Controller, ControllerConfig, ExecutionModel, NandConfig, SystemBus};
 use bx_trace::{EventKind, TraceSink};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -83,8 +85,9 @@ pub(crate) struct ShardStats {
 struct Shard {
     index: u16,
     qid: QueueId,
-    /// Waker-keyed inflight table: cid (on `qid`) → parked future.
-    waiters: BTreeMap<u16, Waiter>,
+    /// cid (on `qid`) → parked future, in the table the driver keeps its
+    /// commands in flight in.
+    waiters: InflightTable<Waiter>,
     /// Futures parked on SQ backpressure, woken after every drain.
     capacity: Vec<Waker>,
     stats: ShardStats,
@@ -219,7 +222,7 @@ impl Reactor {
             .map(|(index, qid)| Shard {
                 index: index as u16,
                 qid,
-                waiters: BTreeMap::new(),
+                waiters: InflightTable::default(),
                 capacity: Vec::new(),
                 stats: ShardStats::default(),
                 drained: Vec::new(),
@@ -342,7 +345,7 @@ impl Reactor {
             }
             let mut shard_dispatched = 0u16;
             for done in shard.drained.drain(..) {
-                match shard.waiters.get_mut(&done.cid) {
+                match shard.waiters.get_mut(done.cid) {
                     Some(waiter) => {
                         waiter.done = Some(done);
                         if let Some(w) = waiter.waker.take() {
@@ -373,6 +376,19 @@ impl Reactor {
             for w in shard.capacity.drain(..) {
                 w.wake();
             }
+            // A future parks its waiter only for a command the driver has in
+            // flight; a future dropped mid-flight leaves the driver's entry
+            // without one.
+            debug_assert!(
+                shard
+                    .waiters
+                    .iter()
+                    .filter(|(_, w)| w.done.is_none())
+                    .count()
+                    <= driver.inflight_len(shard.qid),
+                "shard {} has more waiters than commands in flight",
+                shard.index
+            );
         }
         dispatched
     }
@@ -400,15 +416,21 @@ impl Reactor {
         struct Slot<T> {
             future: Pin<Box<dyn Future<Output = T>>>,
             flag: Arc<WakeFlag>,
+            /// Built once from `flag`, handed to every poll.
+            waker: Waker,
             output: Option<T>,
         }
         let task_count = tasks.len();
         let mut slots: Vec<Slot<T>> = tasks
             .into_iter()
-            .map(|future| Slot {
-                future,
-                flag: Arc::new(WakeFlag::new(true)),
-                output: None,
+            .map(|future| {
+                let flag = Arc::new(WakeFlag::new(true));
+                Slot {
+                    future,
+                    waker: Waker::from(Arc::clone(&flag)),
+                    flag,
+                    output: None,
+                }
             })
             .collect();
         let mut remaining = slots.len();
@@ -419,8 +441,7 @@ impl Reactor {
                     continue;
                 }
                 polled = true;
-                let waker = Waker::from(Arc::clone(&slot.flag));
-                let mut cx = Context::from_waker(&waker);
+                let mut cx = Context::from_waker(&slot.waker);
                 if let Poll::Ready(out) = slot.future.as_mut().poll(&mut cx) {
                     slot.output = Some(out);
                     remaining -= 1;
@@ -580,7 +601,7 @@ impl Future for CommandFuture {
                 }
             }
             FutureState::Waiting { cid } => {
-                let Some(waiter) = shard.waiters.get_mut(&cid) else {
+                let Some(waiter) = shard.waiters.get_mut(cid) else {
                     this.state = FutureState::Done;
                     return Poll::Ready(Err(DriverError::Unsupported(
                         "reactor waiter entry vanished",
@@ -588,7 +609,7 @@ impl Future for CommandFuture {
                 };
                 match waiter.done.take() {
                     Some(done) => {
-                        shard.waiters.remove(&cid);
+                        shard.waiters.remove(cid);
                         this.state = FutureState::Done;
                         Poll::Ready(Ok(done))
                     }
@@ -614,7 +635,7 @@ impl Drop for CommandFuture {
         if let FutureState::Waiting { cid } = self.state {
             if let Ok(mut host) = self.at.host.try_borrow_mut() {
                 if let Some(shard) = host.shards.get_mut(self.at.shard) {
-                    shard.waiters.remove(&cid);
+                    shard.waiters.remove(cid);
                 }
             }
         }

@@ -419,3 +419,90 @@ fn a_shard_is_an_admin_created_queue_pair() {
         assert_eq!(inserted, [shard as u16 + 1; 3], "shard {shard}");
     }
 }
+
+/// One shard carries more clients at once than a fresh cid index has
+/// entries (64), so the index its waiters and its commands share must
+/// widen, and more commands than there are cids, so the cids wrap. Every
+/// completion still reaches the future that submitted it: each write
+/// succeeds with a nonzero latency, the last write to every LBA reads back,
+/// and nothing is left orphaned or in flight.
+#[test]
+fn one_shard_widens_its_cid_index_and_wraps_its_cids() {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    const CLIENTS: u64 = 96;
+    const PER_CLIENT: u64 = 700;
+    const WINDOW: u64 = 8;
+    let mut reactor = Reactor::new(ReactorConfig {
+        shards: 1,
+        nand_io: true,
+        ..ReactorConfig::default()
+    })
+    .expect("reactor construction");
+    let lba = |client: u64, i: u64| (client * WINDOW + i % WINDOW) * 8;
+    let payload = |client: u64, i: u64| {
+        let mut data = vec![client as u8; 64];
+        data[..8].copy_from_slice(&i.to_le_bytes());
+        data
+    };
+    // Commands submitted and not yet resolved, across every client.
+    let (open, peak) = (Rc::new(Cell::new(0u64)), Rc::new(Cell::new(0u64)));
+    let tasks: Vec<Task<Result<(), String>>> = (0..CLIENTS)
+        .map(|client| {
+            let handle = reactor.handle(0);
+            let (open, peak) = (Rc::clone(&open), Rc::clone(&peak));
+            Box::pin(async move {
+                for i in 0..PER_CLIENT {
+                    let write = handle.submit(
+                        write_cmd(lba(client, i), payload(client, i)),
+                        TransferMethod::ByteExpress,
+                    );
+                    open.set(open.get() + 1);
+                    peak.set(peak.get().max(open.get()));
+                    let c = write.await.map_err(|e| format!("write: {e:?}"))?;
+                    open.set(open.get() - 1);
+                    if !c.status.is_success() || c.latency() == Nanos::ZERO {
+                        return Err(format!("client {client} write {i}: {c:?}"));
+                    }
+                }
+                Ok(())
+            }) as _
+        })
+        .collect();
+    for r in reactor.run(tasks) {
+        assert_eq!(r, Ok(()));
+    }
+    assert_eq!(
+        peak.get(),
+        CLIENTS,
+        "every client had a command in flight at once"
+    );
+
+    let reads: Vec<Task<Result<(), String>>> = (0..CLIENTS)
+        .map(|client| {
+            let handle = reactor.handle(0);
+            Box::pin(async move {
+                for i in PER_CLIENT - WINDOW..PER_CLIENT {
+                    let c = handle
+                        .submit(read_cmd(lba(client, i), 64), TransferMethod::Prp)
+                        .await
+                        .map_err(|e| format!("read: {e:?}"))?;
+                    if c.data != Some(payload(client, i)) {
+                        return Err(format!("client {client}: write {i} did not read back"));
+                    }
+                }
+                Ok(())
+            }) as _
+        })
+        .collect();
+    for r in reactor.run(reads) {
+        assert_eq!(r, Ok(()));
+    }
+    let stats = reactor.stats();
+    let expected = CLIENTS * (PER_CLIENT + WINDOW);
+    assert!(expected > 1 << 16, "the cids wrapped");
+    assert_eq!((stats.submitted, stats.completed), (expected, expected));
+    assert_eq!(stats.orphaned, 0);
+    assert_eq!(reactor.inflight(), 0);
+}

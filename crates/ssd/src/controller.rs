@@ -200,6 +200,61 @@ enum DeferredCompletion {
     },
 }
 
+/// The completions in flight under [`ExecutionModel::Pipelined`]. Each
+/// waits in a slot of a slab with a free list; the event queue orders only
+/// `(at, seq, slot)` keys, so a sift moves 24 bytes, not a 64-byte SQE and
+/// its outcome. Keys are pushed as the completions were, so they pop in the
+/// same `(complete_at, dispatch order)` order.
+#[derive(Default)]
+struct Deferred {
+    order: EventQueue<u32>,
+    slots: Vec<Option<DeferredCompletion>>,
+    free: Vec<u32>,
+}
+
+impl Deferred {
+    fn push(&mut self, at: Nanos, ev: DeferredCompletion) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(ev);
+                slot
+            }
+            None => {
+                self.slots.push(Some(ev));
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.order.push(at, slot);
+    }
+
+    /// The earliest completion due at or before `now`, out of its slot.
+    fn pop_due(&mut self, now: Nanos) -> Option<DeferredCompletion> {
+        let (_, slot) = self.order.pop_due(now)?;
+        self.free.push(slot);
+        self.slots[slot as usize].take()
+    }
+
+    fn peek_at(&self) -> Option<Nanos> {
+        self.order.peek_at()
+    }
+
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Slots holding a completion.
+    fn live_slots(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// Drops every completion in flight (power cut, controller reset).
+    fn clear(&mut self) {
+        self.order.clear();
+        self.slots.clear();
+        self.free.clear();
+    }
+}
+
 /// The simulated NVMe controller.
 pub struct Controller {
     bus: SystemBus,
@@ -222,7 +277,7 @@ pub struct Controller {
     execution: ExecutionModel,
     /// Completions scheduled for future virtual instants (always empty
     /// under [`ExecutionModel::Serial`]).
-    deferred: EventQueue<DeferredCompletion>,
+    deferred: Deferred,
     /// Set by a power-cut fault: the device is dark until
     /// [`Controller::power_cycle`] restores it. Every processing entry
     /// point returns immediately while set.
@@ -288,7 +343,7 @@ impl Controller {
             admin: None,
             pending_cqs: BTreeMap::new(),
             execution: cfg.execution_model,
-            deferred: EventQueue::new(),
+            deferred: Deferred::default(),
             powered_off: false,
             scratch_payload: Vec::new(),
             scratch_extents: Vec::new(),
@@ -386,6 +441,11 @@ impl Controller {
         let p = &mut *platform.borrow_mut();
         let mut completed = 0;
         loop {
+            debug_assert_eq!(
+                self.deferred.live_slots(),
+                self.deferred.len(),
+                "every deferred completion has one slot and one key"
+            );
             if self.powered_off {
                 return completed;
             }
@@ -515,7 +575,7 @@ impl Controller {
     fn deliver_due_completions(&mut self, p: &mut Platform) -> usize {
         let mut delivered = 0;
         let now = self.bus.clock.now();
-        while let Some((_, ev)) = self.deferred.pop_due(now) {
+        while let Some(ev) = self.deferred.pop_due(now) {
             // A completion delivery is a processing event: the power cut may
             // land between the media finishing and the CQE reaching the
             // host. The popped completion dies with the rest of the

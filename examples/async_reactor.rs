@@ -4,7 +4,7 @@
 //! shard owning one of its SQ/CQ pairs), spawns a handful of client futures
 //! per shard, and lets each one await a stream of small ByteExpress writes
 //! through the command-future API. Completions are routed back to the
-//! submitting shard by the waker-keyed dispatcher — including the
+//! submitting shard's waiter, found by the cid the device echoes — including the
 //! byte-interface BAR status words, which carry their queue id on the wire.
 //!
 //! For contrast, the same command count then runs through the synchronous

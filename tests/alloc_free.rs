@@ -10,6 +10,10 @@
 //!   buffer, `gather_inline` streams into a recycled scratch `Vec`, and
 //!   completions poll into a caller-owned buffer via
 //!   `poll_completions_into`;
+//! * a census of the async [`Reactor`]: a warm window of client futures
+//!   allocates one payload per command and, per `run`, its slot list and
+//!   one wake flag per task — the waiter tables, wakers and deferred
+//!   completions allocate nothing per command;
 //! * a census over the *public synchronous API* — `Device::write` by every
 //!   transfer method, `Device::read`, `KvStore::{put, get}`,
 //!   `CsdSession::fetch_results` — counting allocations and bytes per
@@ -28,10 +32,13 @@
 )]
 
 use bx_csd::{corpus, CsdConfig, CsdSession, TaskEncoding};
+use bx_driver::reactor::{Reactor, ReactorConfig};
 use bx_driver::Completion;
 use bx_kvssd::{KvStore, KvStoreConfig};
 use byteexpress::{Device, ExecutionModel, IoOpcode, PassthruCmd, QueueId, TransferMethod};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Delegates to `System`, counting allocations while `ARMED` is set.
@@ -156,6 +163,53 @@ fn census(ops: usize, mut op: impl FnMut(usize)) -> Census {
         allocs: ALLOCS.load(Ordering::SeqCst) as f64 / ops as f64,
         bytes: BYTES.load(Ordering::SeqCst) as f64 / ops as f64,
     }
+}
+
+/// The reactor, 4 shards × 8 clients, NAND off: a warm window of 32 768
+/// ByteExpress writes allocates each write's payload and `run`'s own slot
+/// list and wake flags, and nothing else.
+fn census_reactor() {
+    const SHARDS: usize = 4;
+    const CLIENTS: usize = SHARDS * 8;
+    const WRITES: u64 = 32_768;
+    let mut reactor = Reactor::new(ReactorConfig {
+        shards: SHARDS,
+        ..ReactorConfig::default()
+    })
+    .expect("reactor construction");
+    let tasks = |reactor: &Reactor, per_client: u64| -> Vec<Pin<Box<dyn Future<Output = ()>>>> {
+        (0..CLIENTS)
+            .map(|client| {
+                let handle = reactor.handle(client % SHARDS);
+                Box::pin(async move {
+                    for i in 0..per_client {
+                        // The one allocation a write may make: its payload.
+                        let cmd = write_cmd((client as u64 * 64 + i % 64) * 8, 64);
+                        let c = handle
+                            .submit(cmd, TransferMethod::ByteExpress)
+                            .await
+                            .expect("reactor write");
+                        assert!(c.status.is_success());
+                    }
+                }) as _
+            })
+            .collect()
+    };
+    let warm = tasks(&reactor, 256);
+    reactor.run(warm);
+    let window = tasks(&reactor, WRITES / CLIENTS as u64);
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    reactor.run(window);
+    ARMED.store(false, Ordering::SeqCst);
+    let allocs = ALLOCS.load(Ordering::SeqCst);
+    // `run`: its slot list, and one wake flag per task.
+    let per_run = 1 + CLIENTS as u64;
+    assert!(
+        allocs <= WRITES + per_run,
+        "{allocs} allocations for {WRITES} reactor writes"
+    );
+    assert_eq!(reactor.stats().orphaned, 0);
 }
 
 /// `Device::write` by every method and size, NAND off: nothing at all.
@@ -340,6 +394,7 @@ fn pipelined_hot_path_is_allocation_free_in_steady_state() {
         "steady-state pipelined window must not touch the heap ({total} commands)"
     );
 
+    census_reactor();
     census_block_writes();
     census_block_nand();
     census_kv();
