@@ -339,7 +339,7 @@ impl CsdFirmware {
         }
     }
 
-    fn read_result(&mut self, ctx: &FirmwareCtx<'_>, buf_len: usize) -> CommandOutcome {
+    fn read_result(&mut self, ctx: &mut FirmwareCtx<'_>, buf_len: usize) -> CommandOutcome {
         let take = self.result_len.min(buf_len);
         let data = match ctx.dram.read(self.result_off, take) {
             Ok(d) => d.to_vec(),
@@ -399,7 +399,7 @@ impl FirmwareHandler for CsdFirmware {
             },
             Some(IoOpcode::CsdReadResult) => {
                 let buf_len = sqe.data_len() as usize;
-                self.read_result(&ctx, buf_len)
+                self.read_result(&mut ctx, buf_len)
             }
             _ => CommandOutcome::fail(Status::InvalidOpcode, ctx.now),
         }

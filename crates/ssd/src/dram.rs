@@ -6,6 +6,7 @@
 //! named regions, sized like the OpenSSD's 1 GB DRAM by default (scaled down
 //! for tests).
 
+use bx_hostsim::PAGE_SIZE;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -68,9 +69,16 @@ pub struct DramRegion {
 }
 
 /// Byte-addressable device DRAM with named region allocation.
+///
+/// Only a prefix of the capacity is backed: every byte past the highest one
+/// written or borrowed reads as zero without being stored, so a device costs
+/// the bytes its firmware touched — its regions start at offset 0 — and a
+/// power cut drops them instead of mapping a fresh capacity (DESIGN.md §12).
 #[derive(Debug)]
 pub struct DeviceDram {
+    /// The backed prefix.
     bytes: Vec<u8>,
+    capacity: usize,
     next_free: usize,
     /// Ordered by name so any future traversal (debug dumps, telemetry) is
     /// deterministic; lookups here are cold-path firmware configuration.
@@ -81,7 +89,8 @@ impl DeviceDram {
     /// Creates a DRAM of `capacity` bytes.
     pub fn new(capacity: usize) -> Self {
         DeviceDram {
-            bytes: vec![0; capacity],
+            bytes: Vec::new(),
+            capacity,
             next_free: 0,
             regions: BTreeMap::new(),
         }
@@ -89,7 +98,7 @@ impl DeviceDram {
 
     /// Bytes not yet claimed by a region.
     pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.next_free
+        self.capacity - self.next_free
     }
 
     /// Allocates a named region of `len` bytes.
@@ -117,18 +126,34 @@ impl DeviceDram {
         Ok(region)
     }
 
-    fn check(&self, offset: usize, len: usize) -> Result<(), DramError> {
-        if offset
+    /// The end of `len` bytes at `offset`, once they are backed.
+    #[inline]
+    fn backed(&mut self, offset: usize, len: usize) -> Result<usize, DramError> {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.bytes.len() => Ok(end),
+            _ => self.back(offset, len),
+        }
+    }
+
+    /// Extends the backing over `len` bytes at `offset`, inside the
+    /// capacity: to at least twice its length in whole pages, taken zeroed
+    /// from the allocator with the old bytes copied in, never zeroed one by
+    /// one.
+    #[cold]
+    fn back(&mut self, offset: usize, len: usize) -> Result<usize, DramError> {
+        let end = offset
             .checked_add(len)
-            .is_none_or(|end| end > self.bytes.len())
-        {
-            return Err(DramError::OutOfBounds {
+            .filter(|&end| end <= self.capacity)
+            .ok_or(DramError::OutOfBounds {
                 offset,
                 len,
-                capacity: self.bytes.len(),
-            });
-        }
-        Ok(())
+                capacity: self.capacity,
+            })?;
+        let grown = end.max(2 * self.bytes.len()).next_multiple_of(PAGE_SIZE);
+        let mut bytes = vec![0; grown.min(self.capacity)];
+        bytes[..self.bytes.len()].copy_from_slice(&self.bytes);
+        self.bytes = bytes;
+        Ok(end)
     }
 
     /// Writes bytes at an absolute DRAM offset.
@@ -136,20 +161,23 @@ impl DeviceDram {
     /// # Errors
     ///
     /// [`DramError::OutOfBounds`] beyond capacity.
+    #[inline]
     pub fn write(&mut self, offset: usize, data: &[u8]) -> Result<(), DramError> {
-        self.check(offset, data.len())?;
-        self.bytes[offset..offset + data.len()].copy_from_slice(data);
+        let end = self.backed(offset, data.len())?;
+        self.bytes[offset..end].copy_from_slice(data);
         Ok(())
     }
 
-    /// Reads bytes from an absolute DRAM offset.
+    /// Borrows bytes at an absolute DRAM offset, backing them first if they
+    /// were not.
     ///
     /// # Errors
     ///
     /// [`DramError::OutOfBounds`] beyond capacity.
-    pub fn read(&self, offset: usize, len: usize) -> Result<&[u8], DramError> {
-        self.check(offset, len)?;
-        Ok(&self.bytes[offset..offset + len])
+    #[inline]
+    pub fn read(&mut self, offset: usize, len: usize) -> Result<&[u8], DramError> {
+        let end = self.backed(offset, len)?;
+        Ok(&self.bytes[offset..end])
     }
 
     /// Copies `len` bytes from offset `src` to offset `dst` (the ranges may
@@ -159,25 +187,18 @@ impl DeviceDram {
     ///
     /// [`DramError::OutOfBounds`] if either range runs beyond capacity.
     pub fn copy_within(&mut self, src: usize, dst: usize, len: usize) -> Result<(), DramError> {
-        self.check(src, len)?;
-        self.check(dst, len)?;
-        self.bytes.copy_within(src..src + len, dst);
+        let src_end = self.backed(src, len)?;
+        self.backed(dst, len)?;
+        self.bytes.copy_within(src..src_end, dst);
         Ok(())
     }
 
     /// A power cut: DRAM contents are gone. The region *layout* survives —
     /// it is firmware configuration re-derived identically at startup, and
     /// keeping it lets recovery code reuse region handles — but every byte
-    /// reads back as zero.
-    ///
-    /// The buffer is swapped for a fresh zero-initialised one rather than
-    /// filled: the allocator hands back untouched zero pages, so a cut costs
-    /// what the run dirtied, not the capacity. The old buffer is freed first
-    /// so two capacity-sized mappings never coexist.
+    /// reads back as zero: the backing is dropped.
     pub fn wipe(&mut self) {
-        let capacity = self.bytes.len();
         self.bytes = Vec::new();
-        self.bytes = vec![0; capacity];
     }
 }
 
@@ -247,6 +268,103 @@ mod tests {
             d.read(usize::MAX, 1),
             Err(DramError::OutOfBounds { .. })
         ));
+    }
+
+    /// Bytes of the DRAM compared with the flat one: a few pages and a
+    /// ragged end.
+    const CAPACITY: usize = 3 * 4096 + 100;
+
+    /// The DRAM as it was before it backed only what was touched: one
+    /// buffer of the whole capacity, zeroed by a wipe. The reference for
+    /// every byte and error.
+    struct Flat {
+        bytes: Vec<u8>,
+    }
+
+    impl Flat {
+        fn range(&mut self, offset: usize, len: usize) -> Result<&mut [u8], DramError> {
+            let capacity = self.bytes.len();
+            match offset.checked_add(len) {
+                Some(end) if end <= capacity => Ok(&mut self.bytes[offset..end]),
+                _ => Err(DramError::OutOfBounds {
+                    offset,
+                    len,
+                    capacity,
+                }),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Through any interleaving of region claims, writes, reads, copies
+        /// and wipes — inside the backing, past it, across its end and past
+        /// the capacity — the DRAM reads and fails exactly as the flat one
+        /// does.
+        #[test]
+        fn accesses_equal_a_flat_dram(
+            ops in proptest::collection::vec(
+                (0..6u8, 0..CAPACITY + 64, 0..CAPACITY / 2, 0..CAPACITY, proptest::prelude::any::<u8>()),
+                1..60,
+            ),
+        ) {
+            let mut new = DeviceDram::new(CAPACITY);
+            let mut old = Flat { bytes: vec![0; CAPACITY] };
+            let mut regions = 0;
+            for (kind, offset, len, other, byte) in ops {
+                match kind {
+                    0 => {
+                        let got = new.alloc_region(&format!("r{}", regions % 3), len);
+                        if got.is_ok() {
+                            regions += 1;
+                        }
+                        proptest::prop_assert_eq!(new.remaining() + new.next_free, CAPACITY);
+                    }
+                    1 => {
+                        let data: Vec<u8> = (0..len).map(|i| byte ^ i as u8).collect();
+                        let want = old.range(offset, len).map(|r| r.copy_from_slice(&data));
+                        proptest::prop_assert_eq!(new.write(offset, &data), want);
+                    }
+                    2 => {
+                        let want = old.range(offset, len).map(|r| r.to_vec());
+                        proptest::prop_assert_eq!(new.read(offset, len).map(<[u8]>::to_vec), want);
+                    }
+                    3 => {
+                        let want = old.range(other, len).map(|_| ()).and(old.range(offset, len).map(|_| ()));
+                        if want.is_ok() {
+                            old.bytes.copy_within(other..other + len, offset);
+                        }
+                        proptest::prop_assert_eq!(new.copy_within(other, offset, len), want);
+                    }
+                    4 => {
+                        new.wipe();
+                        old.bytes.fill(0);
+                    }
+                    _ => {
+                        let want = old.range(offset, 1).map(|r| r.to_vec());
+                        proptest::prop_assert_eq!(new.read(offset, 1).map(<[u8]>::to_vec), want);
+                    }
+                }
+                proptest::prop_assert!(new.bytes.len() <= CAPACITY);
+            }
+            proptest::prop_assert_eq!(new.read(0, CAPACITY).unwrap(), &old.bytes[..]);
+            proptest::prop_assert!(new.read(0, CAPACITY + 1).is_err());
+        }
+    }
+
+    #[test]
+    fn backs_only_the_prefix_touched_and_a_wipe_drops_it() {
+        let mut d = DeviceDram::new(1 << 20);
+        d.alloc_region("log", 1 << 19).unwrap();
+        assert!(d.bytes.is_empty(), "a region claims no bytes");
+        d.write(100, b"x").unwrap();
+        assert_eq!(d.bytes.len(), PAGE_SIZE, "whole pages");
+        d.write(PAGE_SIZE + 1, b"y").unwrap();
+        assert_eq!(d.bytes.len(), 2 * PAGE_SIZE);
+        d.write(3 * PAGE_SIZE, b"z").unwrap();
+        assert_eq!(d.bytes.len(), 4 * PAGE_SIZE, "at least doubling");
+        d.wipe();
+        assert!(d.bytes.is_empty());
+        assert_eq!(d.read(100, 1).unwrap(), &[0]);
     }
 
     #[test]

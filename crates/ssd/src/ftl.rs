@@ -103,7 +103,7 @@ fn bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 /// of its pages goes stale is two bit flips. Nothing in it depends on a
 /// hash: the victim choice reaches NAND timing, traces, and ultimately wire
 /// bytes.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct VictimIndex {
     /// Words per row.
     words: usize,
@@ -159,6 +159,37 @@ impl VictimIndex {
     }
 }
 
+/// One die's free (erased, unused) blocks: a stack of the blocks handed
+/// back, on top of every block from `fresh` up, which hold nothing and are
+/// handed out in address order without an entry each — as the host's
+/// `PageAllocator` does with frames. Building and recovering an FTL cost the
+/// blocks in use, not the die.
+#[derive(Debug, Clone, Default)]
+struct FreeBlocks {
+    /// Blocks handed back, the next one to hand out last.
+    returned: Vec<u32>,
+    /// Blocks from this one up are free.
+    fresh: u32,
+}
+
+impl FreeBlocks {
+    /// The next free block of a die of `blocks` blocks.
+    fn pop(&mut self, blocks: u32) -> Option<u32> {
+        self.returned.pop().or_else(|| {
+            let block = self.fresh;
+            (block < blocks).then(|| {
+                self.fresh += 1;
+                block
+            })
+        })
+    }
+
+    /// How many blocks of a die of `blocks` blocks are free.
+    fn len(&self, blocks: u32) -> usize {
+        self.returned.len() + (blocks - self.fresh) as usize
+    }
+}
+
 /// GC statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FtlStats {
@@ -188,8 +219,8 @@ impl FtlStats {
 /// A page-mapped FTL over a [`NandArray`].
 #[derive(Debug)]
 pub struct Ftl {
-    /// LPN → PPA map, four bytes a slot with `None` the all-zero pattern:
-    /// it comes from the allocator zeroed and untouched, so building and
+    /// LPN → PPA map, four bytes a slot, as far as the highest LPN mapped:
+    /// every LPN past its end is unmapped. Building, checkpointing and
     /// recovering an FTL cost the pages a run mapped, not the exported
     /// capacity.
     map: Vec<Option<PackedPpa>>,
@@ -204,7 +235,7 @@ pub struct Ftl {
     valid: Vec<u32>,
     victims: VictimIndex,
     /// Free (erased, unused) blocks per die.
-    free_blocks: Vec<Vec<u32>>,
+    free_blocks: Vec<FreeBlocks>,
     /// Σ `free_blocks` lengths: every write compares it with `gc_threshold`.
     free_count: usize,
     /// Active (write frontier) block per die.
@@ -273,16 +304,13 @@ impl Ftl {
         let dies = cfg.total_dies();
         let blocks = dies * cfg.blocks_per_die as usize;
         let exported = ((cfg.total_pages() as f64) * (1.0 - over_provision)).floor() as u64;
-        let free_blocks: Vec<Vec<u32>> = (0..dies)
-            .map(|_| (0..cfg.blocks_per_die).rev().collect())
-            .collect();
         Ftl {
-            map: vec![None; exported as usize],
+            map: Vec::new(),
             packing,
             owner: BlockRows::new(blocks, cfg.pages_per_block as usize),
             valid: vec![0; blocks],
             victims: VictimIndex::new(blocks, cfg.pages_per_block),
-            free_blocks,
+            free_blocks: vec![FreeBlocks::default(); dies],
             free_count: blocks,
             active: vec![None; dies],
             die_cursor: 0,
@@ -326,7 +354,7 @@ impl Ftl {
     /// uses this to re-derive volatile cursors (e.g. the KV log frontier)
     /// from the recovered map.
     pub fn is_mapped(&self, lpn: u64) -> bool {
-        (lpn as usize) < self.map.len() && self.map[lpn as usize].is_some()
+        self.map.get(lpn as usize).is_some_and(Option::is_some)
     }
 
     fn die_to_ppa(&self, die: usize, block: u32, page: u32) -> Ppa {
@@ -359,7 +387,7 @@ impl Ftl {
             self.die_cursor = (self.die_cursor + 1) % dies;
 
             if self.active[die].is_none() {
-                if let Some(block) = self.free_blocks[die].pop() {
+                if let Some(block) = self.free_blocks[die].pop(self.blocks_per_die) {
                     self.free_count -= 1;
                     self.active[die] = Some((block, 0));
                 }
@@ -433,14 +461,26 @@ impl Ftl {
     /// volatile map. `done` is the target page's program-complete instant;
     /// returns when the record itself is durable (the earliest allowed ack).
     fn commit_mapping(&mut self, lpn: u64, ppa: Ppa, done: Nanos, now: Nanos) -> Nanos {
-        let prev = self.map[lpn as usize]
-            .replace(self.packing.pack(ppa))
+        let packed = self.packing.pack(ppa);
+        let prev = self
+            .map_slot(lpn)
+            .replace(packed)
             .map(|old| self.packing.unpack(old));
         if let Some(old) = prev {
             self.invalidate(old);
         }
         self.journal
             .append(JournalOp::MapUpdate { lpn, ppa, prev }, done, now)
+    }
+
+    /// `lpn`'s map slot, the map grown to reach it. Every LPN is below the
+    /// exported capacity, so the map never outgrows it.
+    fn map_slot(&mut self, lpn: u64) -> &mut Option<PackedPpa> {
+        let slot = lpn as usize;
+        if slot >= self.map.len() {
+            self.map.resize(slot + 1, None);
+        }
+        &mut self.map[slot]
     }
 
     /// Claims a page and programs it, remapping on grown-bad blocks: a
@@ -577,7 +617,12 @@ impl Ftl {
                 capacity: self.exported_pages,
             });
         }
-        let ppa = self.map[lpn as usize].ok_or(FtlError::Unmapped(lpn))?;
+        let ppa = self
+            .map
+            .get(lpn as usize)
+            .copied()
+            .flatten()
+            .ok_or(FtlError::Unmapped(lpn))?;
         Ok(nand.read_range(self.packing.unpack(ppa), off, len, now, out)?)
     }
 
@@ -617,7 +662,9 @@ impl Ftl {
             debug_assert_eq!(self.valid[victim], 0, "block {victim} erased live");
             self.victims.remove(0, victim);
             self.owner.release(victim);
-            self.free_blocks[victim / self.blocks_per_die as usize].push(block);
+            self.free_blocks[victim / self.blocks_per_die as usize]
+                .returned
+                .push(block);
             self.free_count += 1;
             self.stats.gc_erases += 1;
             self.trace.emit(None, || EventKind::GcCycle {
@@ -658,27 +705,23 @@ impl Ftl {
     /// per-block validity and the free list from the recovered map and the
     /// NAND array's page states.
     pub fn recover(&mut self, nand: &NandArray) -> RecoveryReport {
-        let dies = self.active.len();
-
-        // A fresh zeroed map, the old one freed first: see the field.
-        self.map = Vec::new();
-        self.map = vec![None; self.exported_pages as usize];
+        // Only blocks with a reverse-map row hold live pages.
+        for b in self.owner.blocks() {
+            self.valid[b] = 0;
+        }
         self.owner.clear();
-        self.valid.fill(0);
         self.victims.clear();
         self.bad.fill(0);
-        self.active = vec![None; dies];
+        self.active.fill(None);
         self.die_cursor = 0;
+        self.map.clear();
 
         let mut report = RecoveryReport::default();
-        // Only slots below this bound can be mapped: the checkpoint's image
-        // and the journal's records name no others.
-        let mut named = 0;
         let from_seq = match self.journal.recovery_base() {
             Some(cp) => {
                 report.from_checkpoint = true;
-                named = cp.map.len().min(self.map.len());
-                self.map[..named].copy_from_slice(&cp.map[..named]);
+                let named = cp.map.len().min(self.exported_pages as usize);
+                self.map.extend_from_slice(&cp.map[..named]);
                 for &(channel, die, block) in &cp.bad {
                     let b = self.block_index(Ppa {
                         channel,
@@ -698,23 +741,21 @@ impl Ftl {
             report.replayed += 1;
             match rec.op {
                 JournalOp::MapUpdate { lpn, ppa, prev } => {
-                    let slot = lpn as usize;
-                    if slot >= self.map.len() {
+                    if lpn >= self.exported_pages {
                         continue;
                     }
-                    named = named.max(slot + 1);
-                    if nand.has_data(ppa) {
-                        self.map[slot] = Some(self.packing.pack(ppa));
+                    let packed = if nand.has_data(ppa) {
+                        Some(self.packing.pack(ppa))
                     } else {
                         // The cut tore the target program: the update was
                         // never acked, so surface the previous (last acked)
                         // version — or nothing if that is torn too, which
                         // means *it* was never acked either.
                         report.torn_mappings += 1;
-                        self.map[slot] = prev
-                            .filter(|&p| nand.has_data(p))
-                            .map(|p| self.packing.pack(p));
-                    }
+                        prev.filter(|&p| nand.has_data(p))
+                            .map(|p| self.packing.pack(p))
+                    };
+                    *self.map_slot(lpn) = packed;
                 }
                 JournalOp::Retire {
                     channel,
@@ -733,43 +774,58 @@ impl Ftl {
         }
         self.journal.truncate_torn();
 
+        // Every block from each die's `fresh` up is free: no NAND row, no
+        // valid page, no bad bit. Raise it past every block in use, which
+        // are the only ones visited below.
+        let bpd = self.blocks_per_die;
+        for free in &mut self.free_blocks {
+            free.returned.clear();
+            free.fresh = 0;
+        }
+        let mut in_use = |b: usize| {
+            let free = &mut self.free_blocks[b / bpd as usize];
+            free.fresh = free.fresh.max(b as u32 % bpd + 1);
+        };
+        nand.blocks_with_rows().for_each(&mut in_use);
+        bits(&self.bad).for_each(&mut in_use);
+
         // Rebuild per-block validity from the recovered map.
-        for (lpn, slot) in self.map[..named].iter().enumerate() {
+        for (lpn, slot) in self.map.iter().enumerate() {
             let Some(ppa) = slot.map(|packed| self.packing.unpack(packed)) else {
                 continue;
             };
             report.recovered_mappings += 1;
-            let b = self.block_index(ppa);
+            let die = ppa.channel as usize * self.dies_per_channel as usize + ppa.die as usize;
+            let b = die * bpd as usize + ppa.block as usize;
             let owner = &mut self.owner.open(b)[ppa.page as usize];
             if *owner == 0 {
                 self.valid[b] += 1;
             }
             *owner = lpn as u32 + 1;
+            let free = &mut self.free_blocks[die];
+            free.fresh = free.fresh.max(ppa.block + 1);
         }
         // Every non-retired block that holds data, or was programmed at all,
         // is sealed: the cut may have burned frontier pages mid-program, so
         // a write frontier never resumes inside a used block, and one with
-        // no live pages is an immediately reclaimable GC victim.
-        let bpd = self.blocks_per_die as usize;
-        let mut free: Vec<Vec<u32>> = Vec::with_capacity(dies);
-        for die in 0..dies {
-            let mut die_free = Vec::new();
-            for block in (0..self.blocks_per_die).rev() {
-                let b = die * bpd + block as usize;
+        // no live pages is an immediately reclaimable GC victim. The free
+        // ones go on the stack highest first, so they are handed out in
+        // address order, as the never-used ones above them are.
+        self.free_count = 0;
+        for (die, free) in self.free_blocks.iter_mut().enumerate() {
+            let first = die * bpd as usize;
+            for b in (first..first + free.fresh as usize).rev() {
                 if has_bit(&self.bad, b) {
                     continue;
                 }
-                let ppa = self.ppa_of(b, 0);
-                if self.valid[b] == 0 && nand.is_block_erased(ppa.channel, ppa.die, block) {
-                    die_free.push(block);
+                if self.valid[b] == 0 && nand.is_block_erased(b) {
+                    free.returned.push((b - first) as u32);
                 } else {
                     self.victims.insert(self.valid[b], b);
                 }
             }
-            free.push(die_free);
+            self.free_count += free.len(bpd);
         }
-        self.free_count = free.iter().map(Vec::len).sum();
-        self.free_blocks = free;
         self.stats.bad_blocks = bits(&self.bad).count() as u64;
 
         self.trace.emit(None, || EventKind::JournalReplay {
@@ -982,6 +1038,13 @@ mod tests {
         }
     }
 
+    impl FreeBlocks {
+        /// Whether the die's `block` is free.
+        fn contains(&self, block: &u32) -> bool {
+            *block >= self.fresh || self.returned.contains(block)
+        }
+    }
+
     /// Whether dense block `b` is sealed, from the free lists, frontiers and
     /// bad set alone: a block that is none of free, open, or retired was
     /// filled (or survived a cut) and is a GC candidate.
@@ -1134,6 +1197,216 @@ mod tests {
             ftl.power_fail(cut);
             ftl.recover(&nand);
             assert_index_matches_full_scan(&ftl);
+        }
+    }
+
+    /// What the recovery before the free lists became a bound and a stack
+    /// rebuilt: a map of the whole exported capacity, and every block of
+    /// the array visited.
+    struct FullScan {
+        map: Vec<Option<PackedPpa>>,
+        valid: Vec<u32>,
+        bad: Vec<u64>,
+        free: Vec<Vec<u32>>,
+        victims: VictimIndex,
+    }
+
+    /// The recovery of `ftl` from its journal as the full scan did it, on
+    /// the journal as the cut left it: call it before [`Ftl::recover`].
+    fn full_scan_recovery(ftl: &Ftl, nand: &NandArray) -> FullScan {
+        let blocks = ftl.valid.len();
+        let mut map = vec![None; ftl.exported_pages as usize];
+        let mut bad = vec![0; blocks.div_ceil(64)];
+        let from_seq = match ftl.journal.recovery_base() {
+            Some(cp) => {
+                let named = cp.map.len().min(map.len());
+                map[..named].copy_from_slice(&cp.map[..named]);
+                for &(channel, die, block) in &cp.bad {
+                    set_bit(
+                        &mut bad,
+                        ftl.block_index(Ppa {
+                            channel,
+                            die,
+                            block,
+                            page: 0,
+                        }),
+                    );
+                }
+                cp.covers_below
+            }
+            None => 0,
+        };
+        for rec in ftl.journal.replayable(from_seq).0 {
+            match rec.op {
+                JournalOp::MapUpdate { lpn, ppa, prev } => {
+                    let Some(slot) = map.get_mut(lpn as usize) else {
+                        continue;
+                    };
+                    let target = if nand.has_data(ppa) {
+                        Some(ppa)
+                    } else {
+                        prev.filter(|&p| nand.has_data(p))
+                    };
+                    *slot = target.map(|p| ftl.packing.pack(p));
+                }
+                JournalOp::Retire {
+                    channel,
+                    die,
+                    block,
+                } => {
+                    set_bit(
+                        &mut bad,
+                        ftl.block_index(Ppa {
+                            channel,
+                            die,
+                            block,
+                            page: 0,
+                        }),
+                    );
+                }
+            }
+        }
+        let mut valid = vec![0; blocks];
+        let mut owner = vec![0u32; blocks * ftl.pages_per_block as usize];
+        for (lpn, packed) in map.iter().enumerate() {
+            if let Some(ppa) = packed.map(|p| ftl.packing.unpack(p)) {
+                let b = ftl.block_index(ppa);
+                let slot = &mut owner[b * ftl.pages_per_block as usize + ppa.page as usize];
+                if *slot == 0 {
+                    valid[b] += 1;
+                }
+                *slot = lpn as u32 + 1;
+            }
+        }
+        let bpd = ftl.blocks_per_die as usize;
+        let mut victims = VictimIndex::new(blocks, ftl.pages_per_block);
+        let mut free = Vec::new();
+        for die in 0..ftl.active.len() {
+            let mut die_free = Vec::new();
+            for block in (0..ftl.blocks_per_die).rev() {
+                let b = die * bpd + block as usize;
+                if has_bit(&bad, b) {
+                    continue;
+                }
+                let ppa = ftl.ppa_of(b, 0);
+                if valid[b] == 0 && nand.is_block_erased(ftl.block_index(ppa)) {
+                    die_free.push(block);
+                } else {
+                    victims.insert(valid[b], b);
+                }
+            }
+            free.push(die_free);
+        }
+        FullScan {
+            map,
+            valid,
+            bad,
+            free,
+            victims,
+        }
+    }
+
+    /// The GC victims an index gives up, in order, as blocks are erased.
+    fn victim_order(mut victims: VictimIndex) -> Vec<(u32, usize)> {
+        std::iter::from_fn(|| {
+            let (valid, b) = victims.first()?;
+            victims.remove(valid, b);
+            Some((valid, b))
+        })
+        .collect()
+    }
+
+    /// Cuts power at `cut`, recovers, and checks the result against the
+    /// full scan's.
+    fn cut_and_compare(
+        ftl: &mut Ftl,
+        nand: &mut NandArray,
+        cut: Nanos,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        nand.power_cut(cut);
+        ftl.power_fail(cut);
+        let want = full_scan_recovery(ftl, nand);
+        ftl.recover(nand);
+        let mut map = ftl.map.clone();
+        proptest::prop_assert!(map.len() <= want.map.len());
+        map.resize(want.map.len(), None);
+        proptest::prop_assert_eq!(map, want.map);
+        proptest::prop_assert_eq!(&ftl.valid, &want.valid);
+        proptest::prop_assert_eq!(&ftl.bad, &want.bad);
+        let bpd = ftl.blocks_per_die;
+        for (die, want_free) in want.free.into_iter().enumerate() {
+            let mut free = ftl.free_blocks[die].clone();
+            let popped: Vec<u32> = std::iter::from_fn(|| free.pop(bpd)).collect();
+            let want_popped: Vec<u32> = want_free.into_iter().rev().collect();
+            proptest::prop_assert_eq!(popped, want_popped, "die {}", die);
+        }
+        let want_count: usize = (0..ftl.free_blocks.len())
+            .map(|d| ftl.free_blocks[d].len(bpd))
+            .sum();
+        proptest::prop_assert_eq!(ftl.free_count, want_count);
+        proptest::prop_assert_eq!(
+            victim_order(ftl.victims.clone()),
+            victim_order(want.victims)
+        );
+        assert_index_matches_full_scan(ftl);
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random schedules of writes over a hot and a cold set — enough to
+        /// run GC on the tiny array — with checkpoints every few records,
+        /// program failures in some runs, and cuts that land between writes
+        /// or with programs in flight, each followed by a recovery and more
+        /// writes: every recovery rebuilds the map, valid counts, bad set,
+        /// free-block pop order, free count and victim order the full scan
+        /// of every block did.
+        #[test]
+        fn recovery_rebuilds_what_the_full_scan_did(
+            threshold in 2..24usize,
+            fail in 0..3u8,
+            seed in proptest::prelude::any::<u64>(),
+            ops in proptest::collection::vec((0..40u64, 0..400u64, 0..24u8), 20..400),
+        ) {
+            use bx_hostsim::{FaultConfig, FaultInjector};
+            use std::cell::RefCell;
+            use std::rc::Rc;
+
+            let mut nand = if fail == 0 { faulty_nand() } else { tiny_nand() };
+            if fail == 0 {
+                nand.set_fault_injector(Rc::new(RefCell::new(FaultInjector::new(FaultConfig {
+                    seed,
+                    nand_program_fail: 0.01,
+                    ..FaultConfig::disabled()
+                }))));
+            }
+            let mut ftl = Ftl::new(&nand, 0.25);
+            ftl.journal.checkpoint_threshold = threshold;
+            // The host issues each write once the last one is acked, so a
+            // cut never lands before an erase the FTL already issued.
+            let mut now = Nanos::ZERO;
+            for (lpn, gap_us, kind) in ops {
+                match kind {
+                    // A cut up to 299 us before the last program completes
+                    // (tearing it, and perhaps its journal record), or after.
+                    0 => {
+                        let cut = (now + Nanos::from_us(gap_us / 2)).saturating_sub(Nanos::from_us(gap_us % 300));
+                        cut_and_compare(&mut ftl, &mut nand, cut.max(Nanos::from_ns(1)))?;
+                        now = now.max(cut);
+                    }
+                    _ => {
+                        let lpn = if kind % 2 == 0 { lpn % 5 } else { lpn };
+                        match ftl.write(lpn, &page(kind), &mut nand, now + Nanos::from_us(gap_us)) {
+                            Ok(done) => now = done,
+                            // A dying array ends the schedule, but not before its
+                            // recovery is checked.
+                            Err(_) => break,
+                        }
+                    }
+                }
+            }
+            cut_and_compare(&mut ftl, &mut nand, now)?;
         }
     }
 

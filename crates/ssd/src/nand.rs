@@ -597,18 +597,19 @@ impl NandArray {
             .unwrap_or(Nanos::ZERO)
     }
 
-    /// Whether every page of the block is in the erased state (never
-    /// programmed since the last erase): whether it has no row. Recovery
-    /// rebuilds the free-block list from this. Erases are modeled atomic at
-    /// issue: a cut mid-erase leaves the block erased, never half-erased.
-    pub(crate) fn is_block_erased(&self, channel: u16, die: u16, block: u32) -> bool {
-        let block = self.cfg.block_index(Ppa {
-            channel,
-            die,
-            block,
-            page: 0,
-        });
+    /// Whether every page of dense block `block` ([`NandConfig`]'s
+    /// die-major index) is in the erased state (never programmed since the
+    /// last erase): whether it has no row. Recovery rebuilds the free-block
+    /// list from this. Erases are modeled atomic at issue: a cut mid-erase
+    /// leaves the block erased, never half-erased.
+    pub(crate) fn is_block_erased(&self, block: usize) -> bool {
         self.slots.get(block).is_none()
+    }
+
+    /// The dense indices of the blocks not erased, in no particular order:
+    /// what recovery visits.
+    pub(crate) fn blocks_with_rows(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slots.blocks()
     }
 
     /// A whole-system power cut at instant `at`: every program whose pulse
@@ -684,6 +685,16 @@ mod tests {
     use bx_hostsim::{FaultConfig, FaultInjector};
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    /// [`NandArray::is_block_erased`] of a block by its coordinates.
+    fn erased(n: &NandArray, channel: u16, die: u16, block: u32) -> bool {
+        n.is_block_erased(n.cfg.block_index(Ppa {
+            channel,
+            die,
+            block,
+            page: 0,
+        }))
+    }
 
     fn array() -> NandArray {
         NandArray::new(NandConfig::small())
@@ -804,10 +815,7 @@ mod tests {
                 want: 4096
             }
         );
-        assert!(
-            n.is_block_erased(0, 0, 1),
-            "a refused program touches nothing"
-        );
+        assert!(erased(&n, 0, 0, 1), "a refused program touches nothing");
     }
 
     #[test]
@@ -977,18 +985,18 @@ mod tests {
     #[test]
     fn block_erased_query_reflects_program_state() {
         let mut n = array();
-        assert!(n.is_block_erased(0, 0, 5));
+        assert!(erased(&n, 0, 0, 5));
         n.program(ppa(0, 0, 5, 0), &vec![3; 4096], Nanos::ZERO)
             .unwrap();
-        assert!(!n.is_block_erased(0, 0, 5));
+        assert!(!erased(&n, 0, 0, 5));
         n.erase(0, 0, 5, Nanos::ZERO).unwrap();
-        assert!(n.is_block_erased(0, 0, 5));
+        assert!(erased(&n, 0, 0, 5));
         // A torn page still counts as programmed (burned) until erased.
         let t = n
             .program(ppa(0, 0, 6, 0), &vec![4; 4096], Nanos::ZERO)
             .unwrap();
         n.power_cut(t.saturating_sub(Nanos::from_ns(1)));
-        assert!(!n.is_block_erased(0, 0, 6));
+        assert!(!erased(&n, 0, 0, 6));
     }
 
     /// A block has a row from its first program — a burned one included —
@@ -1004,13 +1012,13 @@ mod tests {
         let mut n = array();
         n.set_fault_injector(faults.clone());
         let burned = ppa(0, 0, 2, 5);
-        assert!(n.is_block_erased(0, 0, 2));
+        assert!(erased(&n, 0, 0, 2));
         assert_eq!(
             n.program(burned, &[1; 64], Nanos::ZERO),
             Err(NandError::ProgramFailed(burned))
         );
         faults.borrow_mut().reconfigure(FaultConfig::disabled());
-        assert!(!n.is_block_erased(0, 0, 2), "a burn opens the row");
+        assert!(!erased(&n, 0, 0, 2), "a burn opens the row");
         assert!(!n.has_data(burned));
         assert_eq!(n.programmed_len(burned), 0);
         assert_eq!(
@@ -1025,13 +1033,13 @@ mod tests {
         let t1 = n.program(kept, &[3; 300], t).unwrap();
         n.program(torn, &[4; 400], t).unwrap();
         assert_eq!(n.power_cut(t1), 1);
-        assert!(!n.is_block_erased(1, 0, 3));
+        assert!(!erased(&n, 1, 0, 3));
         assert!(n.has_data(kept) && !n.has_data(torn));
         assert_eq!((n.programmed_len(kept), n.programmed_len(torn)), (300, 0));
 
         for (channel, block) in [(0, 2), (1, 3)] {
             n.erase(channel, 0, block, t1).unwrap();
-            assert!(n.is_block_erased(channel, 0, block));
+            assert!(erased(&n, channel, 0, block));
         }
         for at in [burned, beside, kept, torn] {
             assert!(!n.has_data(at));
@@ -1041,11 +1049,11 @@ mod tests {
         // The rows the erases gave back serve the next blocks, zeroed.
         let next = ppa(2, 1, 7, 3);
         n.program(next, &[5; 10], t1).unwrap();
-        assert!(!n.is_block_erased(2, 1, 7) && n.has_data(next));
+        assert!(!erased(&n, 2, 1, 7) && n.has_data(next));
         assert!((0..64)
             .filter(|&p| p != 3)
             .all(|p| !n.has_data(ppa(2, 1, 7, p))));
-        assert!(n.is_block_erased(0, 0, 2) && n.is_block_erased(1, 0, 3));
+        assert!(erased(&n, 0, 0, 2) && erased(&n, 1, 0, 3));
     }
 
     #[test]

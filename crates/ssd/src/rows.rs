@@ -15,6 +15,9 @@ pub(crate) struct BlockRows {
     /// without one, so a fresh table comes from the allocator zeroed.
     row_of: Vec<u32>,
     values: Vec<u32>,
+    /// Per row, the block it belongs to plus one; zero for a row handed
+    /// back. Walking it visits only the blocks in use.
+    block_of: Vec<u32>,
     /// Rows handed back, zeroed, for the next blocks.
     free: Vec<u32>,
 }
@@ -26,6 +29,7 @@ impl BlockRows {
             width,
             row_of: vec![0; blocks],
             values: Vec::new(),
+            block_of: Vec::new(),
             free: Vec::new(),
         }
     }
@@ -54,11 +58,12 @@ impl BlockRows {
             Some(row) => row,
             None => {
                 let row = self.free.pop().unwrap_or_else(|| {
-                    let rows = self.values.len() / self.width;
                     self.values.resize(self.values.len() + self.width, 0);
-                    rows as u32
+                    self.block_of.push(0);
+                    self.block_of.len() as u32 - 1
                 });
                 self.row_of[b] = row + 1;
+                self.block_of[row as usize] = b as u32 + 1;
                 row
             }
         };
@@ -72,14 +77,27 @@ impl BlockRows {
         if let Some(row) = std::mem::take(&mut self.row_of[b]).checked_sub(1) {
             let span = self.span(row);
             self.values[span].fill(0);
+            self.block_of[row as usize] = 0;
             self.free.push(row);
         }
     }
 
-    /// Takes every row back.
+    /// The blocks with a row, in no particular order.
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = usize> + '_ {
+        self.block_of
+            .iter()
+            .filter_map(|&b| b.checked_sub(1).map(|b| b as usize))
+    }
+
+    /// Takes every row back, visiting only the blocks that had one.
     pub(crate) fn clear(&mut self) {
-        self.row_of.fill(0);
+        for &b in &self.block_of {
+            if let Some(b) = b.checked_sub(1) {
+                self.row_of[b as usize] = 0;
+            }
+        }
         self.values.clear();
+        self.block_of.clear();
         self.free.clear();
     }
 }
@@ -96,9 +114,11 @@ mod tests {
         rows.open(0)[0] = 5;
         assert_eq!(rows.get(2), Some(&[0, 7, 0][..]));
         assert_eq!(rows.values.len(), 6, "two rows for two blocks");
+        assert_eq!(rows.blocks().collect::<Vec<_>>(), [2, 0]);
         rows.release(2);
         rows.release(2);
         assert!(rows.get(2).is_none());
+        assert_eq!(rows.blocks().collect::<Vec<_>>(), [0]);
         // The freed row is the next one handed out, zeroed.
         assert_eq!(rows.open(3), &[0, 0, 0]);
         assert_eq!(rows.values.len(), 6);
@@ -106,6 +126,7 @@ mod tests {
         assert_eq!(rows.get(0), Some(&[5, 0, 9][..]));
         rows.clear();
         assert!((0..4).all(|b| rows.get(b).is_none()));
+        assert_eq!(rows.blocks().count(), 0);
         assert_eq!(rows.open(1), &[0, 0, 0]);
     }
 }
