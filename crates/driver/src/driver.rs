@@ -12,7 +12,7 @@ use bx_nvme::passthru::DataDirection;
 use bx_nvme::prp::{self, pages_spanned, PrpError};
 use bx_nvme::sqe::DataPointerKind;
 use bx_nvme::{
-    admin, bandslim, inline, sgl, CompletionEntry, CqRing, IdentifyController, PassthruCmd,
+    admin, bandslim, inline, queue, sgl, CompletionEntry, CqRing, IdentifyController, PassthruCmd,
     QueueId, SqRing, Status, SubmissionEntry, CQE_BYTES, SQE_BYTES,
 };
 use bx_pcie::TrafficClass;
@@ -525,7 +525,7 @@ impl NvmeDriver {
         {
             let p = &mut *platform.borrow_mut();
             let slot = a.sq.push_slot();
-            p.mem.write(a.sq.slot_addr(slot), &sqe.to_bytes())?;
+            p.mem.write(a.sq.slot_addr(slot), sqe.as_bytes())?;
             bus.clock.advance(timing.sqe_insert);
             p.ring_sq_tail(QueueId(0), a.sq.tail());
             self.stats.doorbells += 1;
@@ -922,9 +922,6 @@ impl NvmeDriver {
         };
         inline::set_inline_len(&mut sqe, data.len());
 
-        // Chunks are encoded one at a time into a stack buffer as they are
-        // placed in the ring, so submission is allocation-free.
-        let needed = 1 + n_chunks as u16;
         let (bus, timing) = (&self.bus, &self.timing);
         // Fault hook: lose one chunk of a reassembly train before it is
         // written, modelling a corrupted store that never lands. Only
@@ -935,14 +932,19 @@ impl NvmeDriver {
         // gate on the framing.)
         let lost_chunk = payload_id.and_then(|_| bus.faults.borrow_mut().truncate_train(n_chunks));
         let qp = queue_in(&mut self.queues, qid)?;
-        let depth_limit = qp.sq.depth() - 1;
-        if needed > depth_limit {
-            let max_chunks = (depth_limit - 1) as usize;
+        let depth = qp.sq.depth();
+        // Sized in `usize`: a train of 65 536 chunks or more must be refused
+        // here, not wrap to a small slot count.
+        let depth_limit = usize::from(depth - 1);
+        if 1 + n_chunks > depth_limit {
             return Err(DriverError::PayloadTooLarge {
                 len: data.len(),
-                max: max_chunks * per_chunk,
+                max: (depth_limit - 1) * per_chunk,
             });
         }
+        let written = n_chunks - usize::from(lost_chunk.is_some());
+        // Both fit: the train is shorter than the ring.
+        let (needed, written) = ((1 + n_chunks) as u16, written as u16);
         if !qp.sq.can_push(needed) {
             return Err(DriverError::QueueFull {
                 needed,
@@ -955,29 +957,46 @@ impl NvmeDriver {
         // driver already holds. Here `&mut self` is that lock; its cost is
         // `bx_cmd_insert`. `tests/ordering_stress.rs` exercises the
         // multi-threaded ordering property.
-        let slot = qp.sq.push_slot();
-        p.mem.write(qp.sq.slot_addr(slot), &sqe.to_bytes())?;
+        let slot = qp.sq.push_slots(1 + written);
+        p.mem.write(qp.sq.slot_addr(slot), sqe.as_bytes())?;
         bus.clock.advance(timing.bx_cmd_insert);
-        let mut written = 0u64;
-        let mut chunk = [0u8; inline::BYTEEXPRESS_CHUNK_SIZE];
-        for i in 0..n_chunks {
-            if Some(i) == lost_chunk {
-                continue;
+        let first = queue::wrap_add(slot, 1, depth);
+        match payload_id {
+            // Queue-local chunks are the payload's own bytes, slot after
+            // slot: the train is the payload copied into at most two ring
+            // spans, the last slot zero-padded.
+            None => {
+                let mut off = 0;
+                for (slot, run) in queue::slot_spans(first, n_chunks, depth) {
+                    let addr = qp.sq.slot_addr(slot);
+                    let end = (off + run * SQE_BYTES).min(data.len());
+                    p.mem.write(addr, &data[off..end])?;
+                    let pad = off + run * SQE_BYTES - end;
+                    if pad > 0 {
+                        p.mem.fill(addr.offset((end - off) as u64), pad, 0)?;
+                    }
+                    off += run * SQE_BYTES;
+                }
             }
-            match payload_id {
-                None => inline::encode_chunk_into(data, i, &mut chunk),
-                Some(id) => inline::encode_reassembly_chunk_into(id, data, i, &mut chunk),
-            };
-            let slot = qp.sq.push_slot();
-            p.mem.write(qp.sq.slot_addr(slot), &chunk)?;
-            bus.clock.advance(timing.per_chunk_insert);
-            written += 1;
+            // Reassembly chunks each carry a header, encoded one at a time
+            // into a stack buffer, so submission is allocation-free.
+            Some(id) => {
+                let mut chunk = [0u8; inline::BYTEEXPRESS_CHUNK_SIZE];
+                let mut slot = first;
+                for i in (0..n_chunks).filter(|&i| Some(i) != lost_chunk) {
+                    inline::encode_reassembly_chunk_into(id, data, i, &mut chunk);
+                    p.mem.write(qp.sq.slot_addr(slot), &chunk)?;
+                    slot = queue::wrap_add(slot, 1, depth);
+                }
+            }
         }
+        bus.clock
+            .advance(timing.per_chunk_insert * u64::from(written));
         let tail = qp.sq.tail();
-        self.stats.chunks_written += written;
+        self.stats.chunks_written += u64::from(written);
         bus.trace.emit_cmd(CmdKey::new(qid.0, sqe.cid()), || {
             EventKind::ChunkTrainWrite {
-                chunks: written as u16,
+                chunks: written,
                 bytes: data.len(),
             }
         });
@@ -999,15 +1018,19 @@ impl NvmeDriver {
         } else {
             0
         };
-        let total_cmds = bandslim::commands_for_len(data.len(), embed_cap) as u16;
+        let total_cmds = bandslim::commands_for_len(data.len(), embed_cap);
         {
             let qp = self.queue_mut(qid)?;
-            if total_cmds > qp.sq.depth() - 1 {
+            // Sized in `usize`, like the ByteExpress train: nothing is placed
+            // unless the whole train fits the ring.
+            let depth_limit = usize::from(qp.sq.depth() - 1);
+            if total_cmds > depth_limit {
                 return Err(DriverError::PayloadTooLarge {
                     len: data.len(),
-                    max: (qp.sq.depth() as usize - 2) * bandslim::FRAG_CAPACITY + embed_cap,
+                    max: (depth_limit - 1) * bandslim::FRAG_CAPACITY + embed_cap,
                 });
             }
+            let total_cmds = total_cmds as u16;
             if !qp.sq.can_push(total_cmds) {
                 return Err(DriverError::QueueFull {
                     needed: total_cmds,
@@ -1126,7 +1149,7 @@ impl NvmeDriver {
             return Err(DriverError::QueueFull { needed: 1, free: 0 });
         }
         let slot = qp.sq.push_slot();
-        p.mem.write(qp.sq.slot_addr(slot), &sqe.to_bytes())?;
+        p.mem.write(qp.sq.slot_addr(slot), sqe.as_bytes())?;
         self.bus.clock.advance(insert_cost);
         let tail = qp.sq.tail();
         self.note_sq_tail(p, qid, tail)
@@ -2118,6 +2141,178 @@ mod tests {
             }
             assert_eq!(outs[0], outs[1]);
             assert_eq!(observed(&rigs[0]), observed(&rigs[1]), "gauges {gauges}");
+        }
+    }
+
+    /// A NAND-less traced device with one I/O queue of `depth` slots whose
+    /// empty ring starts at slot `offset`, every slot holding stale bytes.
+    fn ring_rig(depth: u16, offset: u16, policy: FetchPolicy, truncate: bool) -> Rig {
+        let mut bus = SystemBus::new(LinkConfig::gen2_x8(), 4 << 20, 2);
+        bus.enable_trace();
+        let cfg = ControllerConfig {
+            fetch_policy: policy,
+            nand: bx_ssd::NandConfig::disabled(),
+            ..ControllerConfig::default()
+        };
+        let mut ctrl = Controller::new(bus.clone(), cfg, |dram| {
+            Box::new(BlockFirmware::new(dram, false))
+        });
+        let mut driver = NvmeDriver::new(bus.clone());
+        let qid = driver.initialize(&mut ctrl, &[depth]).unwrap()[0];
+        let sq = &mut queue_in(&mut driver.queues, qid).unwrap().sq;
+        sq.push_slots(offset);
+        sq.complete_up_to(sq.tail());
+        let region = sq.region();
+        bus.platform()
+            .borrow_mut()
+            .mem
+            .fill(region.base(), region.len(), 0xEE)
+            .unwrap();
+        if truncate {
+            bus.install_faults(FaultConfig {
+                seed: 7,
+                truncate_train: 1.0,
+                ..FaultConfig::disabled()
+            });
+        }
+        Rig {
+            bus,
+            driver,
+            ctrl,
+            qid,
+        }
+    }
+
+    /// `submit_byteexpress` as it was before trains were written as ring
+    /// spans: every chunk encoded into a stack buffer, one slot claimed,
+    /// written and charged at a time. Kept as the reference the span write
+    /// must equal.
+    fn submit_byteexpress_per_slot(
+        d: &mut NvmeDriver,
+        p: &mut Platform,
+        qid: QueueId,
+        mut sqe: SubmissionEntry,
+        data: &[u8],
+    ) -> Result<(), DriverError> {
+        let caps = d.identify.as_ref().ok_or(DriverError::NotReady)?.vendor;
+        let (payload_id, n_chunks, per_chunk) = if caps.reassembly {
+            let id = d.next_payload_id;
+            d.next_payload_id = d.next_payload_id.wrapping_add(1).max(1);
+            sqe.set_cdw3(id);
+            (
+                Some(id),
+                inline::chunks_for_len_reassembly(data.len()),
+                inline::REASSEMBLY_CHUNK_PAYLOAD,
+            )
+        } else {
+            (
+                None,
+                inline::chunks_for_len(data.len()),
+                inline::BYTEEXPRESS_CHUNK_SIZE,
+            )
+        };
+        inline::set_inline_len(&mut sqe, data.len());
+        let (bus, timing) = (&d.bus, &d.timing);
+        let lost_chunk = payload_id.and_then(|_| bus.faults.borrow_mut().truncate_train(n_chunks));
+        let qp = queue_in(&mut d.queues, qid)?;
+        let depth_limit = usize::from(qp.sq.depth() - 1);
+        if 1 + n_chunks > depth_limit {
+            return Err(DriverError::PayloadTooLarge {
+                len: data.len(),
+                max: (depth_limit - 1) * per_chunk,
+            });
+        }
+        let needed = (1 + n_chunks) as u16;
+        if !qp.sq.can_push(needed) {
+            return Err(DriverError::QueueFull {
+                needed,
+                free: qp.sq.free_slots(),
+            });
+        }
+        let slot = qp.sq.push_slot();
+        p.mem.write(qp.sq.slot_addr(slot), &sqe.to_bytes())?;
+        bus.clock.advance(timing.bx_cmd_insert);
+        let chunks = match payload_id {
+            None => inline::encode_chunks(data),
+            Some(id) => inline::encode_reassembly_chunks(id, data),
+        };
+        let mut written = 0u64;
+        for (i, chunk) in chunks.iter().enumerate() {
+            if Some(i) == lost_chunk {
+                continue;
+            }
+            let slot = qp.sq.push_slot();
+            p.mem.write(qp.sq.slot_addr(slot), chunk)?;
+            bus.clock.advance(timing.per_chunk_insert);
+            written += 1;
+        }
+        let tail = qp.sq.tail();
+        d.stats.chunks_written += written;
+        bus.trace.emit_cmd(CmdKey::new(qid.0, sqe.cid()), || {
+            EventKind::ChunkTrainWrite {
+                chunks: written as u16,
+                bytes: data.len(),
+            }
+        });
+        d.note_sq_tail(p, qid, tail)
+    }
+
+    /// Depths for the span properties: the smallest ring, small ones,
+    /// primes, and the largest prime the default controller admits.
+    const SPAN_DEPTHS: [u16; 8] = [2, 3, 4, 7, 13, 64, 127, 1021];
+
+    proptest::proptest! {
+        /// Writing a train as at most two ring spans leaves exactly what
+        /// the per-slot loop left: ring bytes (padding and untouched stale
+        /// slots included), ring tail, clock, driver stats, per-class link
+        /// counters and trace — for both framings, any depth, any starting
+        /// offset (wrapping ones included) and every length up to one past
+        /// the largest that fits. A reassembly train may lose a chunk.
+        #[test]
+        fn byteexpress_span_write_equals_per_slot(
+            depth_i in 0usize..SPAN_DEPTHS.len(),
+            offset_seed in proptest::prelude::any::<u16>(),
+            len_seed in proptest::prelude::any::<u32>(),
+            reassembly in proptest::prelude::any::<bool>(),
+            truncate in proptest::prelude::any::<bool>(),
+        ) {
+            let depth = SPAN_DEPTHS[depth_i];
+            let offset = offset_seed % depth;
+            let (policy, per_chunk) = if reassembly {
+                (FetchPolicy::Reassembly, inline::REASSEMBLY_CHUNK_PAYLOAD)
+            } else {
+                (FetchPolicy::QueueLocal, inline::BYTEEXPRESS_CHUNK_SIZE)
+            };
+            let fits = usize::from(depth - 2) * per_chunk;
+            let len = 1 + len_seed as usize % (fits + 1);
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+            let mut rigs = [
+                ring_rig(depth, offset, policy, truncate),
+                ring_rig(depth, offset, policy, truncate),
+            ];
+            let mut results = Vec::new();
+            for (per_slot, r) in rigs.iter_mut().enumerate() {
+                let platform = r.bus.platform();
+                let p = &mut *platform.borrow_mut();
+                let mut sqe = SubmissionEntry::io(IoOpcode::Write, 5, 1);
+                sqe.set_data_len(len as u32);
+                results.push(if per_slot == 1 {
+                    submit_byteexpress_per_slot(&mut r.driver, p, r.qid, sqe, &data)
+                } else {
+                    r.driver.submit_byteexpress(p, r.qid, sqe, &data)
+                });
+            }
+            proptest::prop_assert_eq!(&results[0], &results[1]);
+            proptest::prop_assert_eq!(results[0].is_ok(), len <= fits);
+            let ring = |r: &mut Rig| {
+                let sq = &queue_in(&mut r.driver.queues, r.qid).unwrap().sq;
+                let region = sq.region();
+                let bytes = r.bus.platform().borrow().mem.read_vec(region.base(), region.len());
+                (bytes.unwrap(), sq.tail(), r.driver.next_payload_id)
+            };
+            let [a, b] = &mut rigs;
+            proptest::prop_assert_eq!(ring(a), ring(b));
+            proptest::prop_assert_eq!(observed(a), observed(b));
         }
     }
 }

@@ -61,25 +61,14 @@ pub fn encode_head(sqe: &mut SubmissionEntry, payload: &[u8], embed_cap: usize) 
         embed_cap <= HEAD_CAPACITY,
         "embed_cap exceeds head capacity"
     );
-    sqe.set_cdw2((BANDSLIM_MAGIC << 24) | payload.len() as u32);
-    let mut img = sqe.to_bytes();
-    let mut taken = 0usize;
-    for (start, end) in HEAD_REGIONS {
-        while taken < payload.len() && taken < embed_cap {
-            let off = start + taken_in_region(taken, start, end);
-            if off >= end {
-                break;
-            }
-            img[off] = payload[taken];
-            taken += 1;
-        }
-        if taken >= payload.len() || taken >= embed_cap {
-            break;
-        }
-    }
-    *sqe = SubmissionEntry::from_bytes(&img);
-    // Re-apply the tag: the regions above exclude CDW2/CDW3 so it survives,
-    // but be explicit for safety.
+    let taken = payload.len().min(embed_cap);
+    // The regions exclude CDW2/CDW3, so the tag and count written below
+    // never overlap the embedded bytes.
+    let [(a0, a1), (b0, _)] = HEAD_REGIONS;
+    let (first, second) = payload[..taken].split_at(taken.min(a1 - a0));
+    let img = sqe.as_bytes_mut();
+    img[a0..a0 + first.len()].copy_from_slice(first);
+    img[b0..b0 + second.len()].copy_from_slice(second);
     sqe.set_cdw2((BANDSLIM_MAGIC << 24) | payload.len() as u32);
     // Record how many bytes are embedded so the controller can split
     // head-embedded payload from fragment-carried payload.
@@ -91,16 +80,6 @@ pub fn encode_head(sqe: &mut SubmissionEntry, payload: &[u8], embed_cap: usize) 
 /// [`encode_head`] in CDW3).
 pub fn head_embedded(sqe: &SubmissionEntry) -> usize {
     (sqe.cdw3() & 0xFF) as usize
-}
-
-// Offset-within-region bookkeeping for multi-region head embedding.
-fn taken_in_region(taken: usize, start: usize, end: usize) -> usize {
-    let first_len = HEAD_REGIONS[0].1 - HEAD_REGIONS[0].0;
-    if (start, end) == HEAD_REGIONS[0] {
-        taken
-    } else {
-        taken - first_len
-    }
 }
 
 /// Reads the total payload length from a BandSlim head command, or `None`
@@ -118,13 +97,11 @@ pub fn head_len(sqe: &SubmissionEntry) -> Option<usize> {
 /// Panics if `embedded` exceeds [`HEAD_CAPACITY`].
 pub fn decode_head(sqe: &SubmissionEntry, embedded: usize, out: &mut Vec<u8>) {
     assert!(embedded <= HEAD_CAPACITY);
-    let img = sqe.to_bytes();
-    let mut left = embedded;
-    for (start, end) in HEAD_REGIONS {
-        let take = left.min(end - start);
-        out.extend_from_slice(&img[start..start + take]);
-        left -= take;
-    }
+    let img = sqe.as_bytes();
+    let [(a0, a1), (b0, _)] = HEAD_REGIONS;
+    let first = embedded.min(a1 - a0);
+    out.extend_from_slice(&img[a0..a0 + first]);
+    out.extend_from_slice(&img[b0..b0 + (embedded - first)]);
 }
 
 /// Builds a fragment command carrying `data` (≤ 48 bytes) as fragment
@@ -140,9 +117,8 @@ pub fn encode_frag(cid: u16, nsid: u32, frag_no: u32, data: &[u8]) -> Submission
     sqe.set_cid(cid);
     sqe.set_nsid(nsid);
     sqe.set_cdw3(frag_no);
-    let mut img = sqe.to_bytes();
-    img[FRAG_REGION.0..FRAG_REGION.0 + data.len()].copy_from_slice(data);
-    SubmissionEntry::from_bytes(&img)
+    sqe.as_bytes_mut()[FRAG_REGION.0..FRAG_REGION.0 + data.len()].copy_from_slice(data);
+    sqe
 }
 
 /// Whether `sqe` is a BandSlim fragment command.
@@ -159,8 +135,7 @@ pub fn is_frag(sqe: &SubmissionEntry) -> bool {
 /// Panics if `take` exceeds [`FRAG_CAPACITY`].
 pub fn decode_frag(sqe: &SubmissionEntry, take: usize, out: &mut Vec<u8>) -> u32 {
     assert!(take <= FRAG_CAPACITY);
-    let img = sqe.to_bytes();
-    out.extend_from_slice(&img[FRAG_REGION.0..FRAG_REGION.0 + take]);
+    out.extend_from_slice(&sqe.as_bytes()[FRAG_REGION.0..FRAG_REGION.0 + take]);
     sqe.cdw3()
 }
 
@@ -262,5 +237,90 @@ mod tests {
         encode_head(&mut sqe, &payload, HEAD_CAPACITY);
         let back = SubmissionEntry::from_bytes(&sqe.to_bytes());
         assert_eq!(head_bytes(&back, 32), payload);
+    }
+
+    /// A command image with every byte set, so a codec that writes outside
+    /// its regions (or fails to write inside them) shows.
+    fn patterned(seed: u8) -> SubmissionEntry {
+        let mut img = [0u8; 64];
+        for (i, b) in img.iter_mut().enumerate() {
+            *b = seed.wrapping_mul(31).wrapping_add(i as u8) | 0x80;
+        }
+        SubmissionEntry::from_bytes(&img)
+    }
+
+    /// [`encode_head`] as it was: a byte at a time through the image,
+    /// decoded back into the entry. Kept as the reference the in-place
+    /// codec must match.
+    fn encode_head_bytewise(sqe: &mut SubmissionEntry, payload: &[u8], embed_cap: usize) -> usize {
+        sqe.set_cdw2((BANDSLIM_MAGIC << 24) | payload.len() as u32);
+        let mut img = sqe.to_bytes();
+        let first_len = HEAD_REGIONS[0].1 - HEAD_REGIONS[0].0;
+        let mut taken = 0usize;
+        for (start, end) in HEAD_REGIONS {
+            while taken < payload.len() && taken < embed_cap {
+                let in_region = if (start, end) == HEAD_REGIONS[0] {
+                    taken
+                } else {
+                    taken - first_len
+                };
+                let off = start + in_region;
+                if off >= end {
+                    break;
+                }
+                img[off] = payload[taken];
+                taken += 1;
+            }
+            if taken >= payload.len() || taken >= embed_cap {
+                break;
+            }
+        }
+        *sqe = SubmissionEntry::from_bytes(&img);
+        sqe.set_cdw2((BANDSLIM_MAGIC << 24) | payload.len() as u32);
+        sqe.set_cdw3(taken as u32);
+        taken
+    }
+
+    #[test]
+    fn head_codec_matches_bytewise_reference() {
+        for len in 0..=HEAD_CAPACITY + FRAG_CAPACITY {
+            let payload: Vec<u8> = (0..len as u8).map(|b| b ^ 0x5A).collect();
+            for embed_cap in 0..=HEAD_CAPACITY {
+                let (mut fast, mut slow) = (patterned(len as u8), patterned(len as u8));
+                let taken = encode_head(&mut fast, &payload, embed_cap);
+                assert_eq!(taken, encode_head_bytewise(&mut slow, &payload, embed_cap));
+                assert_eq!(
+                    fast.to_bytes(),
+                    slow.to_bytes(),
+                    "len {len} cap {embed_cap}"
+                );
+                assert_eq!(
+                    head_bytes(&fast, taken),
+                    payload[..taken],
+                    "len {len} cap {embed_cap}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn frag_codec_matches_bytewise_reference() {
+        for len in 0..=FRAG_CAPACITY {
+            let data: Vec<u8> = (0..len as u8).map(|b| b.wrapping_mul(7)).collect();
+            let frag = encode_frag(0xA1B2, 9, len as u32, &data);
+            // The reference: a zeroed command's header fields, then the
+            // payload copied into the image and decoded back.
+            let mut want = SubmissionEntry::zeroed();
+            want.set_opcode_raw(FRAG_OPCODE);
+            want.set_cid(0xA1B2);
+            want.set_nsid(9);
+            want.set_cdw3(len as u32);
+            let mut img = want.to_bytes();
+            img[FRAG_REGION.0..FRAG_REGION.0 + len].copy_from_slice(&data);
+            assert_eq!(frag, SubmissionEntry::from_bytes(&img), "len {len}");
+            let mut back = Vec::new();
+            assert_eq!(decode_frag(&frag, len, &mut back), len as u32);
+            assert_eq!(back, data);
+        }
     }
 }

@@ -78,35 +78,6 @@ pub fn chunks_for_len_reassembly(len: usize) -> usize {
     len.div_ceil(REASSEMBLY_CHUNK_PAYLOAD)
 }
 
-/// Writes queue-local chunk `chunk_no` of `payload` into `out`, zero-padding
-/// the tail. Returns the number of payload bytes placed.
-///
-/// The allocation-free counterpart of [`encode_chunks`] for the driver's hot
-/// submit path: the caller owns one stack buffer and encodes each chunk into
-/// it just before pushing the SQ slot, instead of materializing the whole
-/// train as a `Vec`.
-///
-/// # Panics
-///
-/// Panics if `chunk_no` is not a valid chunk index for `payload`
-/// (i.e. `chunk_no >= chunks_for_len(payload.len())`).
-pub fn encode_chunk_into(
-    payload: &[u8],
-    chunk_no: usize,
-    out: &mut [u8; BYTEEXPRESS_CHUNK_SIZE],
-) -> usize {
-    let off = chunk_no * BYTEEXPRESS_CHUNK_SIZE;
-    assert!(
-        off < payload.len() || (payload.is_empty() && chunk_no == 0),
-        "chunk {chunk_no} out of range for {} payload bytes",
-        payload.len()
-    );
-    let take = (payload.len() - off).min(BYTEEXPRESS_CHUNK_SIZE);
-    out[..take].copy_from_slice(&payload[off..off + take]);
-    out[take..].fill(0);
-    take
-}
-
 /// Writes reassembly-mode chunk `chunk_no` of `payload` (header + up to 56
 /// payload bytes, zero-padded) into `out`. Returns the number of payload
 /// bytes placed. The allocation-free counterpart of
@@ -346,23 +317,14 @@ mod tests {
     }
 
     #[test]
-    fn incremental_encoders_match_bulk_encoders() {
-        // The allocation-free per-chunk encoders must produce byte-identical
-        // SQ slot images to the Vec-returning bulk encoders — this is what
-        // keeps the driver rework wire-transparent.
+    fn incremental_encoder_matches_bulk_encoder() {
+        // The allocation-free per-chunk encoder must produce byte-identical
+        // SQ slot images to the Vec-returning bulk encoder — this is what
+        // keeps the driver's reassembly train wire-transparent.
         for len in [1usize, 55, 56, 57, 63, 64, 65, 128, 300, 1000, 4096] {
             let payload: Vec<u8> = (0..len).map(|i| (i * 13 % 256) as u8).collect();
-
-            let bulk = encode_chunks(&payload);
-            let mut slot = [0xA5u8; BYTEEXPRESS_CHUNK_SIZE]; // dirty buffer
-            for (i, expect) in bulk.iter().enumerate() {
-                let placed = encode_chunk_into(&payload, i, &mut slot);
-                assert_eq!(&slot, expect, "queue-local chunk {i} at len {len}");
-                assert!(placed > 0 && placed <= BYTEEXPRESS_CHUNK_SIZE);
-            }
-
             let bulk = encode_reassembly_chunks(0xBEEF, &payload);
-            let mut slot = [0x5Au8; BYTEEXPRESS_CHUNK_SIZE];
+            let mut slot = [0x5Au8; BYTEEXPRESS_CHUNK_SIZE]; // dirty buffer
             for (i, expect) in bulk.iter().enumerate() {
                 let placed = encode_reassembly_chunk_into(0xBEEF, &payload, i, &mut slot);
                 assert_eq!(&slot, expect, "reassembly chunk {i} at len {len}");
@@ -375,6 +337,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn incremental_encoder_rejects_out_of_range_chunk() {
         let mut slot = [0u8; BYTEEXPRESS_CHUNK_SIZE];
-        let _ = encode_chunk_into(&[0u8; 64], 1, &mut slot);
+        let _ = encode_reassembly_chunk_into(1, &[0u8; REASSEMBLY_CHUNK_PAYLOAD], 1, &mut slot);
     }
 }

@@ -134,11 +134,24 @@ impl SqRing {
     /// Panics if the ring is full — callers must check [`SqRing::can_push`];
     /// a real driver blocks or fails the request instead of overrunning.
     pub fn push_slot(&mut self) -> u16 {
-        assert!(self.can_push(1), "SQ overflow on {}", self.id);
-        let idx = self.tail;
-        self.tail = (self.tail + 1) % self.depth;
-        debug_assert!(self.used_slots() >= 1, "push left the ring empty");
-        idx
+        self.push_slots(1)
+    }
+
+    /// Claims `n` consecutive slots (wrapping at the end of the ring) and
+    /// returns the index of the first: one capacity check, one tail move.
+    /// A train of `n` entries then occupies slots `first, first + 1, …`
+    /// modulo the depth — at most two contiguous spans of the region.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `n` slots are free — callers must check
+    /// [`SqRing::can_push`].
+    pub fn push_slots(&mut self, n: u16) -> u16 {
+        assert!(self.can_push(n), "SQ overflow on {}", self.id);
+        let first = self.tail;
+        self.tail = wrap_add(self.tail, n, self.depth);
+        debug_assert!(n == 0 || self.used_slots() >= n, "push left the ring short");
+        first
     }
 
     /// Records the controller's reported head (from a CQE), freeing slots.
@@ -209,7 +222,7 @@ impl CqRing {
     /// phase on wrap.
     pub fn pop_slot(&mut self) -> u16 {
         let idx = self.head;
-        self.head = (self.head + 1) % self.depth;
+        self.head = wrap_add(self.head, 1, self.depth);
         if self.head == 0 {
             self.expected_phase = !self.expected_phase;
         }
@@ -242,12 +255,42 @@ impl CqProducer {
     pub fn produce(&mut self) -> (u16, bool) {
         debug_assert!(self.tail < self.depth, "CQ producer tail out of range");
         let out = (self.tail, self.phase);
-        self.tail = (self.tail + 1) % self.depth;
+        self.tail = wrap_add(self.tail, 1, self.depth);
         if self.tail == 0 {
             self.phase = !self.phase;
         }
         out
     }
+}
+
+/// `(idx + n) mod depth` for `idx < depth` and `n ≤ depth`, by one compare
+/// and subtract instead of a division. Widened so `idx + n` cannot overflow
+/// at depth 65535.
+pub fn wrap_add(idx: u16, n: u16, depth: u16) -> u16 {
+    debug_assert!(idx < depth && n <= depth, "ring step out of range");
+    let next = u32::from(idx) + u32::from(n);
+    let depth = u32::from(depth);
+    (if next >= depth { next - depth } else { next }) as u16
+}
+
+/// The contiguous pieces of a run of `n` slots that starts at slot `first`
+/// of a ring of `depth`, as `(first slot, slots)`: one piece, or two when
+/// the run wraps. A run longer than the ring (only a hostile length asks
+/// for one) laps it, one piece per lap.
+pub fn slot_spans(first: u16, n: usize, depth: u16) -> impl Iterator<Item = (u16, usize)> {
+    debug_assert!(first < depth, "ring index out of range");
+    let (mut at, mut left) = (first, n);
+    std::iter::from_fn(move || {
+        if left == 0 {
+            return None;
+        }
+        let run = left.min(usize::from(depth - at));
+        let span = (at, run);
+        left -= run;
+        // `run` ≤ depth - at, so the step stays in [0, depth].
+        at = wrap_add(at, run as u16, depth);
+        Some(span)
+    })
 }
 
 /// The BAR-resident doorbell registers the controller reads: one SQ-tail
@@ -409,6 +452,55 @@ mod tests {
             assert_eq!(q.used_slots(), outstanding, "step {step}");
             assert_eq!(q.free_slots(), 12 - outstanding, "step {step}");
         }
+    }
+
+    #[test]
+    fn wrap_add_equals_modulo() {
+        for depth in [2u16, 3, 7, 64, 1021, u16::MAX] {
+            for idx in (0..depth).step_by(usize::from(depth / 64).max(1)) {
+                for n in (0..=depth).step_by(usize::from(depth / 64).max(1)) {
+                    let want = (u32::from(idx) + u32::from(n)) % u32::from(depth);
+                    assert_eq!(
+                        u32::from(wrap_add(idx, n, depth)),
+                        want,
+                        "{idx}+{n} mod {depth}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slot_spans_walk_the_ring_slot_by_slot() {
+        for depth in [2u16, 5, 13, 64] {
+            for first in 0..depth {
+                for n in 0..=3 * usize::from(depth) {
+                    let mut slots = Vec::new();
+                    let spans: Vec<_> = slot_spans(first, n, depth).collect();
+                    for &(at, run) in &spans {
+                        assert!(run > 0 && usize::from(at) + run <= usize::from(depth));
+                        slots.extend((0..run).map(|i| at + i as u16));
+                    }
+                    let want: Vec<u16> = (0..n)
+                        .map(|i| ((usize::from(first) + i) % usize::from(depth)) as u16)
+                        .collect();
+                    assert_eq!(slots, want, "first {first} n {n} depth {depth}");
+                    if n < usize::from(depth) {
+                        assert!(spans.len() <= 2);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn push_slots_claims_a_train_at_once() {
+        let mut q = sq(7);
+        q.push_slots(5);
+        q.complete_up_to(5);
+        assert_eq!(q.push_slots(4), 5);
+        assert_eq!((q.tail(), q.used_slots()), (2, 4));
+        assert!(!q.can_push(3));
     }
 
     #[test]

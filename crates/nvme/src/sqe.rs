@@ -1,11 +1,12 @@
 //! The 64-byte submission queue entry.
 //!
-//! Stored as the raw 16 little-endian dwords of the wire format, with typed
-//! accessors over the fields the simulation uses. Keeping the wire image
-//! primary (instead of a field struct that gets serialized) means the
-//! "repurpose a reserved field" trick at the heart of ByteExpress is expressed
-//! exactly the way the kernel patch expresses it: a write into CDW2 of an
-//! otherwise ordinary command.
+//! Stored as the 64-byte wire image itself, with typed accessors that read
+//! and write little-endian dwords in place. Keeping the wire image primary
+//! (instead of a field struct that gets serialized) means the "repurpose a
+//! reserved field" trick at the heart of ByteExpress is expressed exactly the
+//! way the kernel patch expresses it: a write into CDW2 of an otherwise
+//! ordinary command. It also makes placing an entry in the ring a copy of
+//! its bytes, with no encode step.
 
 use crate::opcode::IoOpcode;
 use bx_hostsim::PhysAddr;
@@ -34,7 +35,7 @@ pub enum DataPointerKind {
 /// | 10–15 | CDW10–CDW15 (command-specific)                       |
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SubmissionEntry {
-    raw: [u32; 16],
+    raw: [u8; 64],
 }
 
 // Wire-layout pin: one SQE is exactly one 64-byte SQ slot, in memory and on
@@ -48,7 +49,7 @@ impl SubmissionEntry {
 
     /// An all-zero entry (opcode 0 = Flush; used as a blank slate).
     pub fn zeroed() -> Self {
-        SubmissionEntry { raw: [0; 16] }
+        SubmissionEntry { raw: [0; 64] }
     }
 
     /// Creates an I/O command entry with opcode, command identifier and
@@ -61,16 +62,37 @@ impl SubmissionEntry {
         e
     }
 
+    /// Dword `n` (0..16) of the image.
+    fn dw(&self, n: usize) -> u32 {
+        let b = &self.raw[n * 4..n * 4 + 4];
+        u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+    }
+
+    fn set_dw(&mut self, n: usize, v: u32) {
+        self.raw[n * 4..n * 4 + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// The quadword at byte `off` (dword-aligned) of the image.
+    fn qw(&self, off: usize) -> u64 {
+        let mut b = [0u8; 8];
+        b.copy_from_slice(&self.raw[off..off + 8]);
+        u64::from_le_bytes(b)
+    }
+
+    fn set_qw(&mut self, off: usize, v: u64) {
+        self.raw[off..off + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
     // --- CDW0 ---
 
     /// The raw opcode byte.
     pub fn opcode_raw(&self) -> u8 {
-        (self.raw[0] & 0xFF) as u8
+        self.raw[0]
     }
 
     /// Sets the raw opcode byte.
     pub fn set_opcode_raw(&mut self, op: u8) {
-        self.raw[0] = (self.raw[0] & !0xFF) | op as u32;
+        self.raw[0] = op;
     }
 
     /// The decoded I/O opcode, if recognized.
@@ -80,17 +102,17 @@ impl SubmissionEntry {
 
     /// The command identifier (unique per queue among in-flight commands).
     pub fn cid(&self) -> u16 {
-        (self.raw[0] >> 16) as u16
+        u16::from_le_bytes([self.raw[2], self.raw[3]])
     }
 
     /// Sets the command identifier.
     pub fn set_cid(&mut self, cid: u16) {
-        self.raw[0] = (self.raw[0] & 0x0000_FFFF) | ((cid as u32) << 16);
+        self.raw[2..4].copy_from_slice(&cid.to_le_bytes());
     }
 
     /// How the data pointer should be interpreted (PSDT bits).
     pub fn data_pointer_kind(&self) -> DataPointerKind {
-        if (self.raw[0] >> 14) & 0b11 == 0 {
+        if self.raw[1] >> 6 == 0 {
             DataPointerKind::Prp
         } else {
             DataPointerKind::Sgl
@@ -100,90 +122,79 @@ impl SubmissionEntry {
     /// Selects PRP or SGL data-pointer interpretation.
     pub fn set_data_pointer_kind(&mut self, kind: DataPointerKind) {
         let bits = match kind {
-            DataPointerKind::Prp => 0b00u32,
-            DataPointerKind::Sgl => 0b01u32,
+            DataPointerKind::Prp => 0b00u8,
+            DataPointerKind::Sgl => 0b01u8,
         };
-        self.raw[0] = (self.raw[0] & !(0b11 << 14)) | (bits << 14);
+        self.raw[1] = (self.raw[1] & !(0b11 << 6)) | (bits << 6);
     }
 
     // --- DW1 ---
 
     /// Namespace identifier.
     pub fn nsid(&self) -> u32 {
-        self.raw[1]
+        self.dw(1)
     }
 
     /// Sets the namespace identifier.
     pub fn set_nsid(&mut self, nsid: u32) {
-        self.raw[1] = nsid;
+        self.set_dw(1, nsid);
     }
 
     // --- DW2/DW3 (reserved in ordinary NVM commands) ---
 
     /// Raw CDW2 — the reserved dword ByteExpress repurposes.
     pub fn cdw2(&self) -> u32 {
-        self.raw[2]
+        self.dw(2)
     }
 
     /// Sets raw CDW2.
     pub fn set_cdw2(&mut self, v: u32) {
-        self.raw[2] = v;
+        self.set_dw(2, v);
     }
 
     /// Raw CDW3 (reserved; used by the reassembly extension for a payload id).
     pub(crate) fn cdw3(&self) -> u32 {
-        self.raw[3]
+        self.dw(3)
     }
 
     /// Sets raw CDW3.
     pub fn set_cdw3(&mut self, v: u32) {
-        self.raw[3] = v;
+        self.set_dw(3, v);
     }
 
     // --- DPTR ---
 
     /// PRP entry 1 (byte address of the first data page/offset).
     pub fn prp1(&self) -> PhysAddr {
-        PhysAddr(self.raw[6] as u64 | ((self.raw[7] as u64) << 32))
+        PhysAddr(self.qw(24))
     }
 
     /// Sets PRP entry 1.
     pub fn set_prp1(&mut self, a: PhysAddr) {
-        self.raw[6] = a.0 as u32;
-        self.raw[7] = (a.0 >> 32) as u32;
+        self.set_qw(24, a.0);
     }
 
     /// PRP entry 2 (second page, or PRP-list pointer when >2 pages).
     pub fn prp2(&self) -> PhysAddr {
-        PhysAddr(self.raw[8] as u64 | ((self.raw[9] as u64) << 32))
+        PhysAddr(self.qw(32))
     }
 
     /// Sets PRP entry 2.
     pub fn set_prp2(&mut self, a: PhysAddr) {
-        self.raw[8] = a.0 as u32;
-        self.raw[9] = (a.0 >> 32) as u32;
+        self.set_qw(32, a.0);
     }
 
     /// The 16 DPTR bytes as an SGL descriptor image (valid when
     /// [`SubmissionEntry::data_pointer_kind`] is [`DataPointerKind::Sgl`]).
     pub fn sgl_bytes(&self) -> [u8; 16] {
         let mut out = [0u8; 16];
-        for (i, dw) in self.raw[6..10].iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&dw.to_le_bytes());
-        }
+        out.copy_from_slice(&self.raw[24..40]);
         out
     }
 
     /// Writes an SGL descriptor image into DPTR.
     pub fn set_sgl_bytes(&mut self, bytes: &[u8; 16]) {
-        for i in 0..4 {
-            self.raw[6 + i] = u32::from_le_bytes([
-                bytes[i * 4],
-                bytes[i * 4 + 1],
-                bytes[i * 4 + 2],
-                bytes[i * 4 + 3],
-            ]);
-        }
+        self.raw[24..40].copy_from_slice(bytes);
     }
 
     // --- command-specific dwords ---
@@ -195,7 +206,7 @@ impl SubmissionEntry {
     /// Panics if `n` is outside 10..=15.
     pub fn cdw(&self, n: usize) -> u32 {
         assert!((10..=15).contains(&n), "cdw index {n} out of range");
-        self.raw[n]
+        self.dw(n)
     }
 
     /// Sets command-specific dword `n` (10..=15).
@@ -205,12 +216,12 @@ impl SubmissionEntry {
     /// Panics if `n` is outside 10..=15.
     pub fn set_cdw(&mut self, n: usize, v: u32) {
         assert!((10..=15).contains(&n), "cdw index {n} out of range");
-        self.raw[n] = v;
+        self.set_dw(n, v);
     }
 
     /// Starting LBA for block I/O (CDW10/11).
     pub fn slba(&self) -> u64 {
-        self.raw[10] as u64 | ((self.raw[11] as u64) << 32)
+        self.qw(40)
     }
 
     /// The data-phase transfer length in bytes.
@@ -222,39 +233,37 @@ impl SubmissionEntry {
     /// command-specific dwords free for vendor commands (e.g. a 16-byte key
     /// in CDW10–13).
     pub fn data_len(&self) -> u32 {
-        self.raw[2] & 0x00FF_FFFF
+        self.dw(2) & 0x00FF_FFFF
     }
 
     /// Sets the transfer length with the plain (DPTR) tag. ByteExpress and
     /// BandSlim framing overwrite CDW2 with their own tag + the same length.
     pub fn set_data_len(&mut self, len: u32) {
         assert!(len < (1 << 24), "transfer length {len} exceeds 24 bits");
-        self.raw[2] = len;
+        self.set_dw(2, len);
     }
 
     // --- wire image ---
 
-    /// Encodes to the 64-byte wire image (little-endian dwords).
-    pub fn to_bytes(&self) -> [u8; 64] {
-        let mut out = [0u8; 64];
-        for (i, dw) in self.raw.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&dw.to_le_bytes());
-        }
-        out
+    /// The 64-byte wire image, borrowed: what a ring write copies.
+    pub fn as_bytes(&self) -> &[u8; 64] {
+        &self.raw
     }
 
-    /// Decodes from a 64-byte wire image.
+    /// The wire image, mutably — for the framing codecs in this crate that
+    /// place payload bytes into spare fields.
+    pub(crate) fn as_bytes_mut(&mut self) -> &mut [u8; 64] {
+        &mut self.raw
+    }
+
+    /// A copy of the 64-byte wire image.
+    pub fn to_bytes(&self) -> [u8; 64] {
+        self.raw
+    }
+
+    /// An entry holding a copy of a 64-byte wire image.
     pub fn from_bytes(bytes: &[u8; 64]) -> Self {
-        let mut raw = [0u32; 16];
-        for (i, r) in raw.iter_mut().enumerate() {
-            *r = u32::from_le_bytes([
-                bytes[i * 4],
-                bytes[i * 4 + 1],
-                bytes[i * 4 + 2],
-                bytes[i * 4 + 3],
-            ]);
-        }
-        SubmissionEntry { raw }
+        SubmissionEntry { raw: *bytes }
     }
 }
 

@@ -124,15 +124,27 @@ impl TrafficCounters {
 
     /// Records a TLP stream.
     pub(crate) fn record(&mut self, class: TrafficClass, direction: Direction, stream: &TlpStream) {
-        let wire = stream.wire_bytes() as u64;
+        self.record_n(class, direction, stream, 1);
+    }
+
+    /// Records `n` identical TLP streams at once: the counters end where
+    /// `n` calls to [`TrafficCounters::record`] would leave them.
+    pub(crate) fn record_n(
+        &mut self,
+        class: TrafficClass,
+        direction: Direction,
+        stream: &TlpStream,
+        n: u64,
+    ) {
+        let wire = stream.wire_bytes() as u64 * n;
         match direction {
             Direction::HostToDevice => self.host_to_device_wire += wire,
             Direction::DeviceToHost => self.device_to_host_wire += wire,
         }
         let c = &mut self.per_class[class.index()];
         c.wire_bytes += wire;
-        c.payload_bytes += stream.payload_bytes as u64;
-        c.tlps += stream.count as u64;
+        c.payload_bytes += stream.payload_bytes as u64 * n;
+        c.tlps += stream.count as u64 * n;
     }
 
     /// Total wire bytes in both directions.
@@ -363,6 +375,39 @@ mod tests {
             c.non_doorbell_wire_bytes() + c.class(TrafficClass::Doorbell).wire_bytes,
             c.total_bytes()
         );
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        use crate::tlp::segment_read_requests;
+        for len in [0usize, 1, 4, 63, 64, 65, 256, 257, 4096, 8191] {
+            for (class, direction, stream) in [
+                (
+                    TrafficClass::SqeFetch,
+                    Direction::DeviceToHost,
+                    segment_read_requests(len, 512),
+                ),
+                (
+                    TrafficClass::SqeFetch,
+                    Direction::HostToDevice,
+                    segment_read_completions(len, 256),
+                ),
+                (
+                    TrafficClass::Doorbell,
+                    Direction::HostToDevice,
+                    segment_write(len, 128),
+                ),
+            ] {
+                for n in 0..=40u64 {
+                    let (mut once, mut each) = (TrafficCounters::new(), TrafficCounters::new());
+                    once.record_n(class, direction, &stream, n);
+                    for _ in 0..n {
+                        each.record(class, direction, &stream);
+                    }
+                    assert_eq!(once, each, "{class} len {len} n {n}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -40,8 +40,10 @@ impl PcieLink {
         self.trace = trace;
     }
 
-    fn trace_tlp(&self, class: TrafficClass, dir: Dir, stream: &TlpStream) {
-        self.trace.emit(None, || EventKind::Tlp {
+    /// Emits the TLP stream's event `after` past the current instant.
+    #[inline]
+    fn trace_tlp(&self, after: Nanos, class: TrafficClass, dir: Dir, stream: &TlpStream) {
+        self.trace.emit_after(after, None, || EventKind::Tlp {
             class: class.label(),
             dir,
             wire_bytes: stream.wire_bytes() as u64,
@@ -77,7 +79,7 @@ impl PcieLink {
         let t = self.wire_time_of(&stream) + self.cfg.propagation;
         self.counters
             .record(class, Direction::HostToDevice, &stream);
-        self.trace_tlp(class, Dir::HostToDevice, &stream);
+        self.trace_tlp(Nanos::ZERO, class, Dir::HostToDevice, &stream);
         t
     }
 
@@ -88,7 +90,7 @@ impl PcieLink {
         let t = self.wire_time_of(&stream) + self.cfg.propagation;
         self.counters
             .record(class, Direction::DeviceToHost, &stream);
-        self.trace_tlp(class, Dir::DeviceToHost, &stream);
+        self.trace_tlp(Nanos::ZERO, class, Dir::DeviceToHost, &stream);
         t
     }
 
@@ -99,6 +101,18 @@ impl PcieLink {
     /// Requests are assumed pipelined (one request latency is paid, not one
     /// per MRRS segment), which matches how DMA engines stream large reads.
     pub fn device_read(&mut self, class: TrafficClass, len: usize) -> Nanos {
+        self.device_read_n(class, len, 1, Nanos::ZERO)
+    }
+
+    /// `n` back-to-back device reads of `len` bytes each — a chunk train's
+    /// slots — charged at once: the transfer is segmented once and the
+    /// counters take `n×` its streams. Returns one read's round trip, as
+    /// [`PcieLink::device_read`] does; the caller charges the clock.
+    ///
+    /// A recording trace still gets each read's two [`EventKind::Tlp`]
+    /// events, the `i`-th pair stamped `i × step` past now: where a caller
+    /// that advanced the clock by `step` after each read would have put them.
+    pub fn device_read_n(&mut self, class: TrafficClass, len: usize, n: u64, step: Nanos) -> Nanos {
         let req = segment_read_requests(len, self.cfg.max_read_request_size);
         let cpl = segment_read_completions(len, self.cfg.max_payload_size);
         let t = self.cfg.propagation * 2
@@ -106,10 +120,14 @@ impl PcieLink {
             + self.wire_time_of(&req)
             + self.wire_time_of(&cpl);
         // Requests flow upstream, completions (with data) flow downstream.
-        self.counters.record(class, Direction::DeviceToHost, &req);
-        self.counters.record(class, Direction::HostToDevice, &cpl);
-        self.trace_tlp(class, Dir::DeviceToHost, &req);
-        self.trace_tlp(class, Dir::HostToDevice, &cpl);
+        self.counters
+            .record_n(class, Direction::DeviceToHost, &req, n);
+        self.counters
+            .record_n(class, Direction::HostToDevice, &cpl, n);
+        for i in 0..n {
+            self.trace_tlp(step * i, class, Dir::DeviceToHost, &req);
+            self.trace_tlp(step * i, class, Dir::HostToDevice, &cpl);
+        }
         t
     }
 
@@ -124,8 +142,8 @@ impl PcieLink {
             + self.wire_time_of(&cpl);
         self.counters.record(class, Direction::HostToDevice, &req);
         self.counters.record(class, Direction::DeviceToHost, &cpl);
-        self.trace_tlp(class, Dir::HostToDevice, &req);
-        self.trace_tlp(class, Dir::DeviceToHost, &cpl);
+        self.trace_tlp(Nanos::ZERO, class, Dir::HostToDevice, &req);
+        self.trace_tlp(Nanos::ZERO, class, Dir::DeviceToHost, &cpl);
         t
     }
 }
@@ -216,6 +234,43 @@ mod tests {
             l.reset_counters();
             l.device_read(TrafficClass::PrpData, len);
             assert!(l.counters().total_bytes() > len as u64);
+        }
+    }
+
+    /// One charge for a train equals a read per slot with the clock stepped
+    /// after each: same counters, same round trip, and — traced — the same
+    /// events at the same instants.
+    #[test]
+    fn device_read_n_equals_per_slot_reads() {
+        use bx_hostsim::SimClock;
+        let step = Nanos::from_ns(37);
+        for n in [0u64, 1, 2, 7, 64] {
+            for len in [1usize, 64, 300, 4096] {
+                let (clock_a, clock_b) = (SimClock::new(), SimClock::new());
+                let (trace_a, trace_b) = (
+                    TraceSink::recording(clock_a.clone()),
+                    TraceSink::recording(clock_b.clone()),
+                );
+                let (mut a, mut b) = (link(), link());
+                a.set_trace(trace_a.clone());
+                b.set_trace(trace_b.clone());
+                clock_a.advance(Nanos::from_ns(1_000));
+                clock_b.advance(Nanos::from_ns(1_000));
+                let mut per_slot = None;
+                for _ in 0..n {
+                    per_slot = Some(a.device_read(TrafficClass::SqeFetch, len));
+                    clock_a.advance(step);
+                }
+                let once = b.device_read_n(TrafficClass::SqeFetch, len, n, step);
+                clock_b.advance(step * n);
+                assert_eq!(a.counters(), b.counters(), "n {n} len {len}");
+                assert_eq!(clock_a.now(), clock_b.now());
+                assert_eq!(trace_a.events(), trace_b.events(), "n {n} len {len}");
+                assert_eq!(trace_b.len() as u64, 2 * n);
+                if let Some(t) = per_slot {
+                    assert_eq!(t, once);
+                }
+            }
         }
     }
 }

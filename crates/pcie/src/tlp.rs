@@ -58,6 +58,17 @@ impl TlpStream {
     }
 }
 
+/// TLPs needed to move `len` bytes at most `limit` at a time:
+/// `len.div_ceil(limit)`, without the division for the common transfer that
+/// fits one TLP (a doorbell, an SQE, a CQE).
+fn tlp_count(len: usize, limit: usize) -> usize {
+    if len <= limit {
+        usize::from(len > 0)
+    } else {
+        len.div_ceil(limit)
+    }
+}
+
 /// Segments a posted write of `len` payload bytes into MWr TLPs bounded by
 /// `mps`.
 ///
@@ -70,7 +81,7 @@ impl TlpStream {
 /// configs before they reach the segmenters.
 pub fn segment_write(len: usize, mps: usize) -> TlpStream {
     assert!(mps > 0, "MPS of 0 cannot carry any payload");
-    let count = len.div_ceil(mps);
+    let count = tlp_count(len, mps);
     TlpStream {
         kind: TlpKind::MemWrite,
         count,
@@ -83,7 +94,7 @@ pub fn segment_write(len: usize, mps: usize) -> TlpStream {
 /// `mrrs` must be non-zero; see [`segment_write`].
 pub fn segment_read_requests(len: usize, mrrs: usize) -> TlpStream {
     assert!(mrrs > 0, "MRRS of 0 cannot request any data");
-    let count = len.div_ceil(mrrs);
+    let count = tlp_count(len, mrrs);
     TlpStream {
         kind: TlpKind::MemReadReq,
         count,
@@ -97,7 +108,7 @@ pub fn segment_read_requests(len: usize, mrrs: usize) -> TlpStream {
 /// `mps` must be non-zero; see [`segment_write`].
 pub fn segment_read_completions(len: usize, mps: usize) -> TlpStream {
     assert!(mps > 0, "MPS of 0 cannot carry any payload");
-    let count = len.div_ceil(mps);
+    let count = tlp_count(len, mps);
     TlpStream {
         kind: TlpKind::CplData,
         count,
@@ -189,5 +200,26 @@ mod tests {
         assert_eq!(s.payload_bytes, 64);
         assert_eq!(segment_read_completions(7, 1).count, 7);
         assert_eq!(segment_read_requests(8, 1).count, 8);
+    }
+
+    #[test]
+    fn segment_counts_equal_div_ceil() {
+        // The single-TLP shortcut must agree with the division everywhere.
+        for limit in [128usize, 256, 512, 4096] {
+            for len in 0..=8192usize {
+                let want = len.div_ceil(limit);
+                assert_eq!(segment_write(len, limit).count, want, "write {len}/{limit}");
+                assert_eq!(
+                    segment_read_requests(len, limit).count,
+                    want,
+                    "req {len}/{limit}"
+                );
+                assert_eq!(
+                    segment_read_completions(len, limit).count,
+                    want,
+                    "cpl {len}/{limit}"
+                );
+            }
+        }
     }
 }

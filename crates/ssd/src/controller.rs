@@ -24,7 +24,7 @@ use crate::reassembly::ReassemblyEngine;
 use crate::registers::{Register, RegisterFile};
 use crate::timing::ControllerTiming;
 use bx_hostsim::{EventQueue, Nanos, PhysAddr};
-use bx_nvme::queue::CqProducer;
+use bx_nvme::queue::{self, CqProducer};
 use bx_nvme::sqe::DataPointerKind;
 use bx_nvme::{
     admin, bandslim, inline, prp, sgl, AdminOpcode, CompletionEntry, IdentifyController, IoOpcode,
@@ -157,6 +157,13 @@ struct IoQueue {
     /// A ByteExpress command whose reassembly-mode chunks are still being
     /// fetched (possibly interleaved with other queues).
     inline_pending: Option<PendingInline>,
+}
+
+impl IoQueue {
+    /// Host address of SQ slot `idx`.
+    fn slot_addr(&self, idx: u16) -> PhysAddr {
+        self.sq_base.offset(u64::from(idx) * SQE_BYTES as u64)
+    }
 }
 
 struct PendingInline {
@@ -934,24 +941,35 @@ impl Controller {
 
     /// Fetches a queue-local ByteExpress chunk train following the command.
     ///
-    /// Streams each 64-byte chunk straight into the controller's reusable
-    /// staging buffer — no per-train `Vec<[u8; 64]>` is ever materialized,
-    /// so steady-state gathering is allocation-free once the buffer has
-    /// grown to the largest payload seen.
+    /// Queue-local: the *same* queue's next entries, no switching
+    /// mid-transaction. The train's slots are copied straight into the
+    /// controller's reusable staging buffer, one copy per contiguous ring
+    /// span (two at most, unless a hostile length laps the ring), and the
+    /// link and clock are charged once for the whole train: chunk fetches
+    /// pipeline, so the marginal cost is per-entry processing (Table 1), not
+    /// a fresh DMA round trip — traffic is still charged in full.
     fn gather_inline(&mut self, p: &mut Platform, qi: usize, len: usize) -> Vec<u8> {
         let n = inline::chunks_for_len(len);
         let mut payload = self.take_scratch_payload(len);
         let per_chunk = self.timing.per_chunk_fetch + self.timing.chunk_land;
-        for _ in 0..n {
-            // Queue-local: the *same* queue's next entry, no switching
-            // mid-transaction. Chunk fetches pipeline, so the marginal
-            // cost is per-entry processing (Table 1), not a fresh DMA
-            // round trip — traffic is still charged in full.
-            let img = fetch_entry(p, &mut self.queues[qi], Some(per_chunk));
-            let take = (len - payload.len()).min(img.len());
-            payload.extend_from_slice(&img[..take]);
-            self.stats.chunks_fetched += 1;
+        let q = &mut self.queues[qi];
+        for (slot, run) in queue::slot_spans(q.fetch_head, n, q.sq_depth) {
+            let at = payload.len();
+            let take = (len - at).min(run * SQE_BYTES);
+            payload.resize(at + take, 0);
+            #[expect(
+                clippy::expect_used,
+                reason = "ring geometry is asserted at queue creation; slot math cannot escape the region"
+            )]
+            p.mem
+                .read(q.slot_addr(slot), &mut payload[at..])
+                .expect("SQ ring must be in bounds");
+            q.fetch_head = queue::wrap_add(slot, run as u16, q.sq_depth);
         }
+        p.link
+            .device_read_n(TrafficClass::SqeFetch, SQE_BYTES, n as u64, per_chunk);
+        p.clock.advance(per_chunk * n as u64);
+        self.stats.chunks_fetched += n as u64;
         self.stats.inline_payload_bytes += payload.len() as u64;
         payload
     }
@@ -1081,8 +1099,8 @@ impl Controller {
         1
     }
 
-    /// Consumes one BandSlim fragment; dispatches the head command when the
-    /// payload is complete.
+    /// Consumes one BandSlim fragment into the pending assembly, in place;
+    /// dispatches the head command when the payload is complete.
     fn absorb_bandslim_frag(
         &mut self,
         p: &mut Platform,
@@ -1092,30 +1110,38 @@ impl Controller {
         self.bus.clock.advance(self.timing.bandslim_frag_decode);
         self.stats.frags_consumed += 1;
 
-        let Some(mut pending) = self.queues[qi].bandslim_pending.take() else {
+        let q = &mut self.queues[qi];
+        let Some(pending) = q.bandslim_pending.as_mut() else {
             // Orphan fragment: fail it visibly.
             return self.fail_bandslim(p, qi, sqe.cid());
         };
-        let remaining = pending.total - pending.buf.len();
-        let take = remaining.min(bandslim::FRAG_CAPACITY);
+        let take = (pending.total - pending.buf.len()).min(bandslim::FRAG_CAPACITY);
         let frag_no = bandslim::decode_frag(sqe, take, &mut pending.buf);
-        let completed = if frag_no != pending.next_frag || sqe.cid() != pending.head.cid() {
-            // Out-of-order or cross-command fragment — the serialization
-            // BandSlim requires was violated.
-            self.fail_bandslim(p, qi, pending.head.cid())
-        } else {
+        // Out-of-order or cross-command fragments violate the serialization
+        // BandSlim requires.
+        let in_order = frag_no == pending.next_frag && sqe.cid() == pending.head.cid();
+        if in_order {
             pending.next_frag += 1;
             self.stats.bandslim_payload_bytes += take as u64;
             if pending.buf.len() < pending.total {
-                self.queues[qi].bandslim_pending = Some(pending);
                 return 0;
             }
-            let key = CmdKey::new(self.queues[qi].id.0, pending.head.cid());
+        }
+        // The assembly ends here: dispatched whole, or failed.
+        #[expect(
+            clippy::expect_used,
+            reason = "the assembly was borrowed just above; only this path consumes it"
+        )]
+        let pending = q.bandslim_pending.take().expect("pending assembly");
+        let completed = if in_order {
+            let key = CmdKey::new(q.id.0, pending.head.cid());
             self.bus.trace.emit_cmd(key, || EventKind::DataFetch {
                 kind: "bandslim",
                 bytes: pending.buf.len(),
             });
             self.dispatch_and_complete(p, qi, &pending.head, Some(&pending.buf))
+        } else {
+            self.fail_bandslim(p, qi, pending.head.cid())
         };
         self.recycle_payload(pending.buf);
         completed
@@ -1415,8 +1441,8 @@ impl Controller {
 /// trip — or `pipelined`, the per-entry constant of a chunk that streams
 /// behind its command (Table 1), when given.
 fn fetch_entry(p: &mut Platform, q: &mut IoQueue, pipelined: Option<Nanos>) -> [u8; 64] {
-    let addr = q.sq_base.offset(q.fetch_head as u64 * SQE_BYTES as u64);
-    q.fetch_head = (q.fetch_head + 1) % q.sq_depth;
+    let addr = q.slot_addr(q.fetch_head);
+    q.fetch_head = queue::wrap_add(q.fetch_head, 1, q.sq_depth);
     let mut img = [0u8; 64];
     #[expect(
         clippy::expect_used,
@@ -1537,7 +1563,7 @@ mod tests {
                 .mem
                 .write(addr, img)
                 .unwrap();
-            self.tail = (self.tail + 1) % self.depth;
+            self.tail = queue::wrap_add(self.tail, 1, self.depth);
         }
 
         fn ring(&mut self) {
@@ -1561,7 +1587,7 @@ mod tests {
             if cqe.phase() != self.phase {
                 return None;
             }
-            self.cq_head = (self.cq_head + 1) % self.depth;
+            self.cq_head = queue::wrap_add(self.cq_head, 1, self.depth);
             if self.cq_head == 0 {
                 self.phase = !self.phase;
             }
@@ -2141,5 +2167,85 @@ mod tests {
     fn empty_controller_is_idle() {
         let (_bus, mut ctrl) = setup(false);
         assert_eq!(ctrl.process_available(), 0);
+    }
+
+    /// `gather_inline` as it was before trains were fetched as ring spans:
+    /// one 64-byte fetch, link charge and clock step per chunk. Kept as the
+    /// reference the span gather must equal.
+    fn gather_inline_per_slot(
+        ctrl: &mut Controller,
+        p: &mut Platform,
+        qi: usize,
+        len: usize,
+    ) -> Vec<u8> {
+        let n = inline::chunks_for_len(len);
+        let mut payload = ctrl.take_scratch_payload(len);
+        let per_chunk = ctrl.timing.per_chunk_fetch + ctrl.timing.chunk_land;
+        for _ in 0..n {
+            let img = fetch_entry(p, &mut ctrl.queues[qi], Some(per_chunk));
+            let take = (len - payload.len()).min(img.len());
+            payload.extend_from_slice(&img[..take]);
+            ctrl.stats.chunks_fetched += 1;
+        }
+        ctrl.stats.inline_payload_bytes += payload.len() as u64;
+        payload
+    }
+
+    /// Depths for the span property: the smallest ring, small ones, primes,
+    /// and the largest prime the default controller admits.
+    const SPAN_DEPTHS: [u16; 8] = [2, 3, 4, 7, 13, 64, 127, 1021];
+
+    proptest! {
+        /// Gathering a queue-local train as ring spans with one link charge
+        /// equals the per-slot fetch loop: same payload, fetch head, stats,
+        /// per-class link counters, clock and traced events (each slot's
+        /// TLP pair at its own instant) — at any depth, any starting offset
+        /// (wrapping ones included), and any length from one byte to three
+        /// laps of the ring, which only a hostile command asks for.
+        #[test]
+        fn span_gather_equals_per_slot(
+            depth_i in 0usize..SPAN_DEPTHS.len(),
+            offset_seed in any::<u16>(),
+            len_seed in any::<u32>(),
+            fill in any::<u64>(),
+        ) {
+            let depth = SPAN_DEPTHS[depth_i];
+            let offset = offset_seed % depth;
+            let len = 1 + len_seed as usize % (3 * usize::from(depth) * SQE_BYTES);
+            let ring: Vec<u8> = (0..usize::from(depth) * SQE_BYTES)
+                .map(|i| (fill >> (i % 57)) as u8 ^ i as u8)
+                .collect();
+            let mut sides = Vec::new();
+            for per_slot in [false, true] {
+                let mut bus = SystemBus::new(LinkConfig::gen2_x8(), 32 << 20, 8);
+                let trace = bus.enable_trace();
+                let cfg = ControllerConfig {
+                    nand: NandConfig::disabled(),
+                    ..ControllerConfig::default()
+                };
+                let mut ctrl = Controller::new(bus.clone(), cfg, |dram| {
+                    Box::new(BlockFirmware::new(dram, false))
+                });
+                let drv = MiniDriver::new(&bus, &mut ctrl, depth);
+                ctrl.queues[0].fetch_head = offset;
+                let platform = bus.platform();
+                let p = &mut *platform.borrow_mut();
+                p.mem.write(drv.sq_base, &ring).unwrap();
+                let payload = if per_slot {
+                    gather_inline_per_slot(&mut ctrl, p, 0, len)
+                } else {
+                    ctrl.gather_inline(p, 0, len)
+                };
+                sides.push((
+                    payload,
+                    ctrl.queues[0].fetch_head,
+                    ctrl.stats,
+                    p.link.counters().clone(),
+                    bus.clock.now(),
+                    trace.events(),
+                ));
+            }
+            prop_assert_eq!(&sides[0], &sides[1]);
+        }
     }
 }

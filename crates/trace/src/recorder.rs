@@ -1,7 +1,7 @@
 //! The event sink and its zero-overhead disabled path.
 
 use crate::event::{CmdKey, Event, EventKind};
-use bx_hostsim::SimClock;
+use bx_hostsim::{Nanos, SimClock};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -78,9 +78,18 @@ impl TraceSink {
     /// closure so the disabled path stays free.
     #[inline]
     pub fn emit(&self, cmd: Option<CmdKey>, f: impl FnOnce() -> EventKind) {
+        self.emit_after(Nanos::ZERO, cmd, f);
+    }
+
+    /// Records one event stamped `after` past the current virtual instant,
+    /// for a batched operation that charges the clock once for many steps
+    /// but must leave each step's event where a step-by-step run would
+    /// have stamped it. Same inertness contract as [`TraceSink::emit`].
+    #[inline]
+    pub fn emit_after(&self, after: Nanos, cmd: Option<CmdKey>, f: impl FnOnce() -> EventKind) {
         if let Some(inner) = &self.inner {
             let mut rec = inner.borrow_mut();
-            let at = rec.clock.now();
+            let at = rec.clock.now() + after;
             let kind = f();
             rec.events.push(Event { at, cmd, kind });
         }

@@ -5,7 +5,7 @@ use bx_csd::session::CsdConfig;
 use bx_csd::{corpus, CsdSession, TaskEncoding};
 use bx_kvssd::{KvStore, KvStoreConfig};
 use bx_workloads::{FillRandom, MixGraph};
-use byteexpress::{Device, DeviceError, FetchPolicy, NandConfig, TransferMethod};
+use byteexpress::{Device, DeviceError, DriverError, FetchPolicy, NandConfig, TransferMethod};
 
 /// A NAND page larger than the 4 KB logical block holds one block, its tail
 /// reading as zeros; a page that cannot hold a block is refused when the
@@ -40,6 +40,47 @@ fn nand_pages_other_than_4k() {
                 .err(),
             Some(DeviceError::NandPageSize(page_size))
         );
+    }
+}
+
+/// A train longer than the ring is refused whole, whatever its length: a
+/// ByteExpress train of 65 535 chunks or more must not wrap its slot count
+/// to a small number and overrun the ring, and a BandSlim train of 65 536
+/// commands must place nothing, so the device keeps serving writes after.
+#[test]
+fn oversize_trains_are_refused_before_anything_is_placed() {
+    let too_large = |r: Result<_, DeviceError>, len: usize| match r {
+        Err(DeviceError::Driver(DriverError::PayloadTooLarge { len: l, .. })) => {
+            assert_eq!(l, len)
+        }
+        other => panic!("{len} B: expected PayloadTooLarge, got {other:?}"),
+    };
+    for policy in [FetchPolicy::QueueLocal, FetchPolicy::Reassembly] {
+        let mut dev = Device::builder()
+            .nand_io(false)
+            .fetch_policy(policy)
+            .build();
+        // 65 536 and 65 535 queue-local chunks.
+        for len in [4_194_304, 4_194_240] {
+            too_large(
+                dev.write(0, &vec![7; len], TransferMethod::ByteExpress),
+                len,
+            );
+        }
+        // A head plus 65 535 fragments, embedding in the head or not.
+        for (embed_first, len) in [(true, 32 + 48 * 65_535), (false, 48 * 65_535)] {
+            let method = TransferMethod::BandSlim { embed_first };
+            too_large(dev.write(0, &vec![7; len], method), len);
+        }
+        for method in [
+            TransferMethod::ByteExpress,
+            TransferMethod::BandSlim { embed_first: true },
+        ] {
+            let done = dev
+                .write(1, &[9; 64], method)
+                .expect("the queue still serves");
+            assert!(done.status.is_success());
+        }
     }
 }
 
