@@ -179,19 +179,19 @@ impl DeviceBuilder {
         self
     }
 
-    /// Installs a deterministic fault schedule (seeded from
-    /// `cfg.seed`), shared by the link, controller, and NAND models. The
-    /// admin queue is exempt, so bring-up always succeeds. Pair with
-    /// [`DeviceBuilder::retry_policy`] — faults without recovery surface
-    /// the first lost completion as a `Timeout` error.
+    /// Arms a power cut `cfg.power_cut_after_events` controller scheduling
+    /// events into the device's life, bring-up's admin commands counted
+    /// ([`Device::install_faults`] arms one from now). A command the cut
+    /// catches in flight surfaces as a `Timeout` error: at once, or at its
+    /// deadline with a [`DeviceBuilder::retry_policy`].
     pub fn fault_config(mut self, cfg: FaultConfig) -> Self {
         self.fault_config = Some(cfg);
         self
     }
 
-    /// Installs the driver's timeout/retry/degradation policy. Without one
-    /// every command gets a single attempt and the wire traffic is
-    /// byte-identical to a build without recovery support.
+    /// Installs the driver's timeout policy: the completion deadline past
+    /// which a command on a dark device is reaped. The wire traffic of a
+    /// live run is byte-identical with or without one.
     pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.retry_policy = Some(policy);
         self
@@ -232,7 +232,7 @@ impl DeviceBuilder {
 
     /// Turns on the cross-layer flight recorder: every layer (driver submit
     /// paths, PCIe TLPs, controller fetch/reassembly/completion, NAND, the
-    /// recovery ladder) records virtual-time events into one shared sink,
+    /// timeout reaper) records virtual-time events into one shared sink,
     /// readable via [`Device::trace_events`]. Off by default; a traced run
     /// puts byte-identical traffic on the wire in identical virtual time
     /// (the sink only observes, never advances the clock).
@@ -463,29 +463,28 @@ impl Device {
         self.bus.reset_measurements();
     }
 
-    /// Replaces the fault schedule at runtime (e.g. to start a chaos
-    /// phase, or reseed between runs).
+    /// Arms a power cut `cfg.power_cut_after_events` controller scheduling
+    /// events from now, replacing any armed one.
     pub fn install_faults(&self, cfg: FaultConfig) {
         self.bus.install_faults(cfg);
     }
 
-    /// Turns fault injection off — used by chaos tests to switch into a
-    /// clean verification phase after the storm.
+    /// Disarms the power cut, if one is still armed.
     pub fn disable_faults(&self) {
         self.bus.install_faults(FaultConfig::disabled());
     }
 
-    /// How many faults of each class have been injected so far.
+    /// How many power cuts have fired so far.
     pub fn fault_counters(&self) -> FaultCounters {
         self.bus.fault_counters()
     }
 
-    /// The driver's recovery counters (timeouts, retries, fallbacks…).
+    /// The driver's recovery counters (timeouts).
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.driver.recovery_stats()
     }
 
-    /// Cuts power *right now*, regardless of any armed fault countdown —
+    /// Cuts power *right now*, regardless of any armed countdown —
     /// the crash-schedule harness hook for externally chosen cut points.
     /// Everything volatile (rings, doorbells, DRAM, in-flight programs) is
     /// lost; see [`Device::power_cycle`] to bring the device back.
@@ -718,10 +717,10 @@ pub struct RunReport {
     pub latencies: LatencySamples,
     /// PCIe traffic for the run.
     pub traffic: bx_pcie::TrafficCounters,
-    /// Driver recovery activity during the run (all zero on a clean run
-    /// or when no [`RetryPolicy`] is installed).
+    /// Driver recovery activity during the run (all zero unless a power
+    /// cut caught a command in flight).
     pub recovery: RecoveryStats,
-    /// Faults injected during the run (all zero without a fault schedule).
+    /// Power cuts fired during the run.
     pub faults: FaultCounters,
 }
 

@@ -54,7 +54,7 @@ impl Default for FlushPolicy {
 /// A batch stops at the first command that fails to submit: everything
 /// before it is in the ring and doorbelled (exactly once), everything
 /// after it was not attempted. The caller decides whether to resubmit
-/// the remainder — the recovery ladder treats each accepted command
+/// the remainder — the timeout reaper treats each accepted command
 /// independently, so a partially-acked batch needs no special casing.
 #[derive(Debug)]
 pub struct BatchSubmission {

@@ -3,9 +3,7 @@
 use crate::batch::{BatchSubmission, FlushPolicy};
 use crate::inflight::InflightTable;
 use crate::method::TransferMethod;
-use crate::recovery::{
-    is_idempotent, BxRole, CmdContext, DegradeState, RecoveryStats, RetryPolicy,
-};
+use crate::recovery::{CmdContext, RecoveryStats, RetryPolicy};
 use crate::timing::DriverTiming;
 use bx_hostsim::{HostMemory, MemError, Nanos, PageRef, PhysAddr, PAGE_SIZE};
 use bx_nvme::passthru::DataDirection;
@@ -54,33 +52,14 @@ pub enum DriverError {
     /// The controller does not advertise the capability this submission
     /// needs (per its Identify data).
     Unsupported(&'static str),
-    /// A command missed its completion deadline on every allowed attempt
-    /// (recovery path only; requires a [`RetryPolicy`]).
+    /// A command will never complete: it was reaped past its
+    /// [`RetryPolicy`] deadline on a dark device, or, without a policy, no
+    /// poll could make progress on it any more.
     Timeout {
-        /// Which command (queue, last attempt's cid, opcode).
+        /// Which command (queue, cid, opcode).
         ctx: CmdContext,
-        /// Virtual time spent from first submission to giving up.
+        /// Virtual time spent from submission to giving up.
         waited: Nanos,
-        /// Attempts made (first submission + retries).
-        attempts: u32,
-    },
-    /// A command kept failing with a retriable status until the retry cap
-    /// (recovery path only).
-    RetriesExhausted {
-        /// Which command (queue, last attempt's cid, opcode).
-        ctx: CmdContext,
-        /// Attempts made (first submission + retries).
-        attempts: u32,
-        /// The status of the final failed attempt.
-        last_status: Status,
-    },
-    /// Resubmission during recovery failed at the submit stage; wraps the
-    /// underlying error with the context of the preceding attempt.
-    Submission {
-        /// Which command the retry belonged to.
-        ctx: CmdContext,
-        /// The submit-stage failure.
-        cause: Box<DriverError>,
     },
 }
 
@@ -102,25 +81,8 @@ impl fmt::Display for DriverError {
             DriverError::Unsupported(what) => {
                 write!(f, "controller does not support {what}")
             }
-            DriverError::Timeout {
-                ctx,
-                waited,
-                attempts,
-            } => {
-                write!(
-                    f,
-                    "command timed out ({ctx}) after {attempts} attempt(s), {waited} waited"
-                )
-            }
-            DriverError::RetriesExhausted {
-                ctx,
-                attempts,
-                last_status,
-            } => {
-                write!(f, "retries exhausted ({ctx}) after {attempts} attempt(s), last status {last_status}")
-            }
-            DriverError::Submission { ctx, cause } => {
-                write!(f, "resubmission failed ({ctx}): {cause}")
+            DriverError::Timeout { ctx, waited } => {
+                write!(f, "command timed out ({ctx}), {waited} waited")
             }
         }
     }
@@ -206,8 +168,9 @@ struct Inflight {
     opcode: u8,
     submitted_at: Nanos,
     /// Completion deadline in virtual time; set only when a [`RetryPolicy`]
-    /// is installed. Expired entries are reaped by `poll_completions_into` as
-    /// synthetic `CommandAborted` completions.
+    /// is installed. Past it, and only while the device is dark,
+    /// `poll_completions_into` reaps the entry as a synthetic
+    /// `CommandAborted` completion.
     deadline: Option<Nanos>,
     /// Every host page mapped for the command: the pages of its payload or
     /// response buffer in transfer order, then any PRP/SGL list pages. The
@@ -234,7 +197,6 @@ struct QueuePair {
     cq: CqRing,
     next_cid: u16,
     inflight: InflightTable<Inflight>,
-    degrade: DegradeState,
     /// Tail of entries staged in the ring but not yet doorbelled — the
     /// deferral state behind doorbell coalescing. `None` means the device's
     /// tail view is current.
@@ -344,15 +306,15 @@ impl NvmeDriver {
         self.cq_coalesce = n;
     }
 
-    /// Installs (or with `None`, removes) the timeout/retry/degradation
-    /// policy. With no policy nothing is ever reaped or resubmitted:
-    /// `execute` makes one attempt and reports a lost completion as
-    /// [`DriverError::Timeout`].
+    /// Installs (or with `None`, removes) the timeout policy: a completion
+    /// deadline per command, past which a command in flight on a dark
+    /// device is reaped. With no policy nothing is ever reaped, and a wait
+    /// that can make no progress ends as [`DriverError::Timeout`] at once.
     pub fn set_retry_policy(&mut self, policy: Option<RetryPolicy>) {
         self.retry_policy = policy;
     }
 
-    /// Recovery counters (timeouts, retries, fallbacks, probes…).
+    /// Recovery counters (timeouts).
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.recovery
     }
@@ -369,11 +331,6 @@ impl NvmeDriver {
     pub(crate) fn has_deadline(&self, qid: QueueId) -> bool {
         self.queue(qid)
             .is_some_and(|qp| qp.inflight.iter().any(|(_, cmd)| cmd.deadline.is_some()))
-    }
-
-    /// Whether `qid` is currently degraded from ByteExpress to PRP.
-    pub fn is_degraded(&self, qid: QueueId) -> bool {
-        self.queue(qid).is_some_and(|qp| qp.degrade.degraded)
     }
 
     /// Sets the SGL threshold (the kernel's `sgl_threshold` module param).
@@ -482,7 +439,7 @@ impl NvmeDriver {
     /// Drops every handle into the (now vanished) controller state after a
     /// power cut: queue pairs, the admin queue, cached identify data — and
     /// returns their ring pages, and the pages of commands in flight at the
-    /// cut, to host memory. Host policy knobs — retry, flush, CQ
+    /// cut, to host memory. Host policy knobs — timeout, flush, CQ
     /// coalescing, SGL threshold — and cumulative stats survive; they live
     /// in host memory. The chunk framing does not: it is read from Identify.
     /// Call [`NvmeDriver::initialize`] afterwards, exactly as the kernel
@@ -589,7 +546,6 @@ impl NvmeDriver {
             cq: CqRing::new(cq_region, depth),
             next_cid: 0,
             inflight: InflightTable::default(),
-            degrade: DegradeState::default(),
             pending_tail: None,
             pending_cmds: 0,
             first_pending_at: Nanos::ZERO,
@@ -707,7 +663,7 @@ impl NvmeDriver {
         };
         if let Err(e) = self.place(p, qid, sqe, cmd, method, &mut inflight) {
             // Pages are mapped before the ring-space check; a rejected
-            // command must hand them back or every retry leaks them.
+            // command must hand them back or every rejection leaks them.
             let pages = inflight.free_pages(&mut p.mem)?;
             self.spare_page_lists.push(pages);
             return Err(e);
@@ -923,14 +879,6 @@ impl NvmeDriver {
         inline::set_inline_len(&mut sqe, data.len());
 
         let (bus, timing) = (&self.bus, &self.timing);
-        // Fault hook: lose one chunk of a reassembly train before it is
-        // written, modelling a corrupted store that never lands. Only
-        // reassembly mode tolerates this detectably — the controller parks
-        // the command, the payload never completes, and the stall-eviction
-        // sweep posts DataTransferError. (A queue-local train would silently
-        // desync the in-order gather, so the injector refuses n < 2 and we
-        // gate on the framing.)
-        let lost_chunk = payload_id.and_then(|_| bus.faults.borrow_mut().truncate_train(n_chunks));
         let qp = queue_in(&mut self.queues, qid)?;
         let depth = qp.sq.depth();
         // Sized in `usize`: a train of 65 536 chunks or more must be refused
@@ -942,9 +890,8 @@ impl NvmeDriver {
                 max: (depth_limit - 1) * per_chunk,
             });
         }
-        let written = n_chunks - usize::from(lost_chunk.is_some());
-        // Both fit: the train is shorter than the ring.
-        let (needed, written) = ((1 + n_chunks) as u16, written as u16);
+        // It fits: the train is shorter than the ring.
+        let (needed, written) = ((1 + n_chunks) as u16, n_chunks as u16);
         if !qp.sq.can_push(needed) {
             return Err(DriverError::QueueFull {
                 needed,
@@ -957,7 +904,7 @@ impl NvmeDriver {
         // driver already holds. Here `&mut self` is that lock; its cost is
         // `bx_cmd_insert`. `tests/ordering_stress.rs` exercises the
         // multi-threaded ordering property.
-        let slot = qp.sq.push_slots(1 + written);
+        let slot = qp.sq.push_slots(needed);
         p.mem.write(qp.sq.slot_addr(slot), sqe.as_bytes())?;
         bus.clock.advance(timing.bx_cmd_insert);
         let first = queue::wrap_add(slot, 1, depth);
@@ -983,7 +930,7 @@ impl NvmeDriver {
             Some(id) => {
                 let mut chunk = [0u8; inline::BYTEEXPRESS_CHUNK_SIZE];
                 let mut slot = first;
-                for i in (0..n_chunks).filter(|&i| Some(i) != lost_chunk) {
+                for i in 0..n_chunks {
                     inline::encode_reassembly_chunk_into(id, data, i, &mut chunk);
                     p.mem.write(qp.sq.slot_addr(slot), &chunk)?;
                     slot = queue::wrap_add(slot, 1, depth);
@@ -1262,9 +1209,8 @@ impl NvmeDriver {
     /// placed are doorbelled and returned in
     /// [`BatchSubmission::submitted`]; the offending command's error lands
     /// in [`BatchSubmission::error`] and the rest are not attempted. Each
-    /// accepted command is tracked in flight individually, so the recovery
-    /// ladder (timeout reap, retry, degradation) applies to partially-acked
-    /// batches with no special casing.
+    /// accepted command is tracked in flight individually, so the timeout
+    /// reap applies to partially-acked batches with no special casing.
     pub fn submit_batch(
         &mut self,
         qid: QueueId,
@@ -1296,18 +1242,8 @@ impl NvmeDriver {
     }
 
     fn ring_sq_doorbell(&mut self, p: &mut Platform, qid: QueueId, tail: u16) {
-        // Fault hook: the posted doorbell TLP is lost on the link — the
-        // device's tail view never updates and nothing crosses the wire.
-        // The driver's ring tail already advanced, so a later doorbell on
-        // this queue covers the orphaned entries; until then only the
-        // per-command timeout notices. Admin doorbells are never dropped.
-        if qid.0 != 0 && self.bus.faults.borrow_mut().drop_doorbell() {
-            return;
-        }
         p.ring_sq_tail(qid, tail);
         self.stats.doorbells += 1;
-        // Emitted only for doorbells that actually reached the device; a
-        // fault-dropped ring above leaves no trace, like the wire.
         self.bus
             .trace
             .emit(None, || EventKind::DoorbellRing { tail });
@@ -1339,21 +1275,14 @@ impl NvmeDriver {
             self.flush_staged(p, qid)?;
         }
         let (bus, timing) = (&self.bus, &self.timing);
-        let policy = self.retry_policy;
         let coalesce = self.cq_coalesce as u64;
         let mut cq_rings = 0u64;
         let mut consumed_since_ring = 0u64;
-        let mut spurious = 0u64;
         let qp = queue_in(&mut self.queues, qid)?;
         // One completion, from a byte-interface status word or a ring CQE.
-        // One for a command no longer tracked is late or duplicate, e.g. the
-        // original attempt completing after a timeout reap and resubmission.
-        // Its effect is idempotent by the retry guard; consume and count it
-        // instead of falsifying its submission time.
         let (inflight, spare) = (&mut qp.inflight, &mut self.spare_page_lists);
         let mut consume = |p: &mut Platform, cid: u16, status: Status, result: u32| {
             let cmd = inflight.remove(cid);
-            spurious += u64::from(cmd.is_none() && policy.is_some());
             bus.trace
                 .emit_cmd(CmdKey::new(qid.0, cid), || EventKind::CompletionConsumed {
                     status: status.to_wire(),
@@ -1403,33 +1332,17 @@ impl NvmeDriver {
             }
             consume(p, cqe.cid(), cqe.status(), cqe.result())?;
         }
-        // Timeout detection: reap in-flight commands past their deadline as
-        // synthetic CommandAborted completions (retriable, DNR clear), so a
-        // lost doorbell or dropped CQE surfaces to the caller instead of
-        // hanging the queue. Pages are released here; a late CQE for a
-        // reaped cid lands in the spurious path above. Only active when a
-        // retry policy set the deadlines.
-        let mut reaped = 0u64;
-        if policy.is_some() {
-            let now = bus.clock.now();
-            let mut expired: Vec<u16> = qp
-                .inflight
-                .iter()
-                .filter(|(_, i)| matches!(i.deadline, Some(d) if now > d))
-                .map(|(cid, _)| cid)
-                .collect();
-            // Slab iteration is slot order (deterministic but allocation
-            // history dependent); sort so reaps surface in cid order.
-            expired.sort_unstable();
-            for cid in expired {
-                let inflight = qp.inflight.remove(cid);
-                reaped += 1;
-                bus.trace
-                    .emit_cmd(CmdKey::new(qid.0, cid), || EventKind::TimeoutReap);
-                let done = (cid, Status::CommandAborted, 0);
-                out.push(retire(p, &mut self.spare_page_lists, inflight, done, now)?);
-            }
-        }
+        // Only a dark device's commands are reaped: it will neither fetch
+        // nor complete them before the power cycle resets its queues. A live
+        // device may still fetch a command past its deadline (its doorbell
+        // was staged), so the pages of a command on one are released only
+        // with its completion, or at reset.
+        let reaped = if p.powered_off {
+            let spare = &mut self.spare_page_lists;
+            reap_expired(p, qid, &mut qp.inflight, spare, bus, out)?
+        } else {
+            0
+        };
         if consumed_since_ring > 0 {
             p.ring_cq_head();
             cq_rings += 1;
@@ -1437,7 +1350,6 @@ impl NvmeDriver {
         sample_inflight(&bus.trace, qid, qp.inflight.len());
         self.stats.doorbells += cq_rings;
         self.recovery.timeouts += reaped;
-        self.recovery.spurious_completions += spurious;
         Ok(())
     }
 
@@ -1459,19 +1371,22 @@ impl NvmeDriver {
     /// timeout sweep. Everything polled along the way lands in `out`,
     /// awaited or not.
     ///
-    /// With a [`RetryPolicy`] the clock advances by
-    /// `RetryPolicy::poll_step` after every pass that completed none of
-    /// `cmds`, so the reaper's deadline is always reached. On a device that
-    /// has lost power a pass that yields nothing is followed by one step
-    /// past every poll that could not act either (`skip_dark_polls`).
-    /// Without a policy nothing can unblock a stalled command, so a pass
-    /// that completes none of `cmds` and yields nothing at all gives up.
+    /// A pass that completes none of `cmds` is followed by a
+    /// `RetryPolicy::poll_step` of virtual time when a [`RetryPolicy`] is
+    /// installed and waiting can still help: on a dark device the reaper's
+    /// deadline lies ahead, on a live one a staged doorbell falls due under
+    /// the flush policy. On a dark device a pass that yields nothing is
+    /// followed by one step past every poll that could not act either
+    /// (`skip_dark_polls`). Otherwise nothing can unblock a stalled
+    /// command, so a pass that completes none of `cmds` and yields nothing
+    /// at all gives up.
     ///
     /// # Errors
     ///
-    /// Propagates poll failures. [`DriverError::Timeout`] for a lost
-    /// completion when no policy is installed; the command stays tracked in
-    /// flight, so a later poll still consumes its completion if it arrives.
+    /// Propagates poll failures. [`DriverError::Timeout`] when nothing can
+    /// complete a command; it stays tracked in flight, so a later poll
+    /// still consumes its completion if one arrives, and a reset returns
+    /// its pages.
     pub fn wait_for(
         &mut self,
         qid: QueueId,
@@ -1485,30 +1400,54 @@ impl NvmeDriver {
             self.pump(qid, ctrl, out)?;
             let still = self.still_inflight(qid, cmds).count();
             if still == missing {
-                if let Some(policy) = self.retry_policy {
-                    let step = policy.poll_step();
-                    if out.len() == polled && ctrl.is_powered_off() {
-                        self.skip_dark_polls(qid, step);
+                let dark = ctrl.is_powered_off();
+                match self.retry_policy {
+                    Some(policy) if self.waiting_can_help(qid, dark) => {
+                        let step = policy.poll_step();
+                        if out.len() == polled && dark {
+                            self.skip_dark_polls(qid, step);
+                        }
+                        self.bus.clock.advance(step);
                     }
-                    self.bus.clock.advance(step);
-                } else if out.len() == polled {
-                    let now = self.bus.clock.now();
-                    if let Some((cid, lost)) = self.still_inflight(qid, cmds).next() {
-                        return Err(DriverError::Timeout {
-                            ctx: CmdContext {
-                                qid,
-                                cid,
-                                opcode: lost.opcode,
-                            },
-                            waited: now.saturating_sub(lost.submitted_at),
-                            attempts: 1,
-                        });
+                    _ if out.len() == polled => {
+                        if let Some((cid, _)) = self.still_inflight(qid, cmds).next() {
+                            return Err(self.timeout(qid, cid));
+                        }
                     }
+                    _ => {}
                 }
             }
             missing = still;
         }
         Ok(())
+    }
+
+    /// Whether virtual time alone can still move a command on `qid`: on a
+    /// dark device the reaper takes a command once its deadline passes, on
+    /// a live one a staged tail rings once the flush policy's delay runs
+    /// out.
+    fn waiting_can_help(&self, qid: QueueId, dark: bool) -> bool {
+        if dark {
+            self.has_deadline(qid)
+        } else {
+            self.flush_policy.is_some()
+                && self.queue(qid).is_some_and(|qp| qp.pending_tail.is_some())
+        }
+    }
+
+    /// The [`DriverError::Timeout`] for command `cid` in flight on `qid`:
+    /// the one way a wait gives up on a command, whichever front end waits.
+    pub(crate) fn timeout(&self, qid: QueueId, cid: u16) -> DriverError {
+        let cmd = self.queue(qid).and_then(|qp| qp.inflight.get(cid));
+        let now = self.bus.clock.now();
+        DriverError::Timeout {
+            ctx: CmdContext {
+                qid,
+                cid,
+                opcode: cmd.map_or(0, |c| c.opcode),
+            },
+            waited: now.saturating_sub(cmd.map_or(now, |c| c.submitted_at)),
+        }
     }
 
     /// The members of `cmds` still tracked in flight on `qid`.
@@ -1577,18 +1516,16 @@ impl NvmeDriver {
     }
 
     /// Submit, ring, wait: the synchronous convenience the examples and
-    /// benchmarks use, and the driver's only submit-and-wait loop.
-    ///
-    /// Without a [`RetryPolicy`] the loop runs once: one submission, and a
-    /// lost completion is [`DriverError::Timeout`]. With a policy installed
-    /// (see [`NvmeDriver::set_retry_policy`]) the same wait sits inside the
-    /// recovery ladder: deadline → timeout reap → classified retry with
-    /// capped exponential backoff → ByteExpress→PRP degradation.
+    /// benchmarks use, and the driver's only submit-and-wait loop. One
+    /// attempt: a command the device never completes — one cut down in
+    /// flight by a power cut — is [`DriverError::Timeout`], reaped at its
+    /// [`RetryPolicy`] deadline when one is installed, given up on at once
+    /// otherwise.
     ///
     /// # Errors
     ///
-    /// Propagates submit/poll failures; [`DriverError::Timeout`] /
-    /// [`DriverError::RetriesExhausted`] when the command never succeeds.
+    /// Propagates submit/poll failures; [`DriverError::Timeout`] when the
+    /// command never completes.
     pub fn execute(
         &mut self,
         qid: QueueId,
@@ -1612,169 +1549,29 @@ impl NvmeDriver {
         method: TransferMethod,
         polled: &mut Vec<Completion>,
     ) -> Result<Completion, DriverError> {
-        let started = self.bus.clock.now();
-        let mut attempt: u32 = 0;
-        let mut last_ctx: Option<CmdContext> = None;
-        loop {
-            if attempt > 0 {
-                // Drain stragglers (late CQEs from the previous attempt)
-                // before claiming fresh SQ slots.
-                self.pump(qid, ctrl, polled)?;
-            }
-            let (effective, role) = self.plan_method(qid, cmd, method)?;
-            let submitted = match self.submit(qid, cmd, effective) {
-                Ok(s) => s,
-                Err(e) => {
-                    return Err(match last_ctx {
-                        Some(ctx) => DriverError::Submission {
-                            ctx,
-                            cause: Box::new(e),
-                        },
-                        None => e,
-                    });
-                }
-            };
-            // Synchronous callers see one doorbell per command regardless
-            // of any installed flush policy — and the recovery ladder wants
-            // its deadline clock to start against a visible submission.
-            self.flush_sq(qid)?;
-            let ctx = CmdContext {
-                qid,
-                cid: submitted.cid,
-                opcode: cmd.opcode,
-            };
-            last_ctx = Some(ctx);
-
-            // Returns once our cid has been polled — a real completion, or
-            // the synthetic CommandAborted the timeout reaper posts once
-            // the deadline passes.
-            polled.clear();
-            self.wait_for(qid, ctrl, &[submitted], polled)?;
-            let Some(idx) = polled.iter().position(|c| c.cid == submitted.cid) else {
-                return Err(DriverError::Timeout {
-                    ctx,
-                    waited: self.bus.clock.now().saturating_sub(started),
-                    attempts: attempt + 1,
-                });
-            };
-            let mut completion = polled.swap_remove(idx);
-            completion.submitted_at = started;
-            let Some(policy) = self.retry_policy else {
-                return Ok(completion);
-            };
-
-            let success = completion.status.is_success();
-            self.note_attempt(qid, role, success);
-            if success || !(completion.status.is_retriable() && is_idempotent(cmd.opcode)) {
-                // Done — or non-retriable (or unsafe to repeat): surface the
-                // error status to the caller exactly like the no-policy path.
-                return Ok(completion);
-            }
-            if attempt >= policy.max_retries {
-                self.recovery.retries_exhausted += 1;
-                return Err(if completion.status == Status::CommandAborted {
-                    DriverError::Timeout {
-                        ctx,
-                        waited: self.bus.clock.now().saturating_sub(started),
-                        attempts: attempt + 1,
-                    }
-                } else {
-                    DriverError::RetriesExhausted {
-                        ctx,
-                        attempts: attempt + 1,
-                        last_status: completion.status,
-                    }
-                });
-            }
-            let key = CmdKey::new(ctx.qid.0, ctx.cid);
-            self.bus.trace.emit_cmd(key, || EventKind::Retry {
-                attempt: attempt + 1,
-                backoff: policy.backoff(attempt),
+        let submitted = self.submit(qid, cmd, method)?;
+        // Synchronous callers see one doorbell per command regardless of
+        // any installed flush policy.
+        self.flush_sq(qid)?;
+        // Returns once our cid has been polled — a real completion, or the
+        // synthetic CommandAborted the reaper posts past the deadline.
+        self.wait_for(qid, ctrl, &[submitted], polled)?;
+        let idx = polled
+            .iter()
+            .position(|c| c.cid == submitted.cid)
+            .ok_or_else(|| self.timeout(qid, submitted.cid))?;
+        let completion = polled.swap_remove(idx);
+        if completion.status == Status::CommandAborted {
+            return Err(DriverError::Timeout {
+                ctx: CmdContext {
+                    qid,
+                    cid: submitted.cid,
+                    opcode: cmd.opcode,
+                },
+                waited: completion.latency(),
             });
-            self.bus.clock.advance(policy.backoff(attempt));
-            self.recovery.retries += 1;
-            let retries = self.recovery.retries;
-            self.bus.trace.emit_gauge(|| EventKind::GaugeSample {
-                gauge: "driver_retries",
-                scope: 0,
-                value: retries,
-            });
-            attempt += 1;
         }
-    }
-
-    /// Picks the transfer method for one attempt, honouring the queue's
-    /// degradation state, and reports how ByteExpress was involved.
-    fn plan_method(
-        &mut self,
-        qid: QueueId,
-        cmd: &PassthruCmd,
-        requested: TransferMethod,
-    ) -> Result<(TransferMethod, BxRole), DriverError> {
-        // Degradation is recovery machinery for host→device payloads:
-        // anything else goes out as asked.
-        let policy = match self.retry_policy {
-            Some(p) if cmd.direction == DataDirection::ToDevice => p,
-            _ => return Ok((requested, BxRole::NotBx)),
-        };
-        let resolved = requested.resolve(cmd.data.len());
-        if resolved != TransferMethod::ByteExpress {
-            return Ok((resolved, BxRole::NotBx));
-        }
-        let qp = self.queue_mut(qid)?;
-        if !qp.degrade.degraded {
-            return Ok((TransferMethod::ByteExpress, BxRole::Normal));
-        }
-        qp.degrade.ops_since_probe += 1;
-        if qp.degrade.ops_since_probe >= policy.probe_after {
-            qp.degrade.ops_since_probe = 0;
-            self.recovery.probes += 1;
-            self.bus.trace.emit(None, || EventKind::ProbeIssued);
-            Ok((TransferMethod::ByteExpress, BxRole::Probe))
-        } else {
-            Ok((TransferMethod::Prp, BxRole::Substituted))
-        }
-    }
-
-    /// Feeds one attempt's outcome into the per-queue degradation state
-    /// machine.
-    fn note_attempt(&mut self, qid: QueueId, role: BxRole, success: bool) {
-        let fallback_after = match self.retry_policy {
-            Some(p) => p.fallback_after.max(1),
-            None => return,
-        };
-        let Ok(qp) = self.queue_mut(qid) else {
-            return;
-        };
-        let (mut bx_failed, mut fell_back, mut repromoted) = (false, false, false);
-        match (role, success) {
-            (BxRole::Normal, true) => qp.degrade.consecutive_bx_failures = 0,
-            (BxRole::Normal, false) => {
-                bx_failed = true;
-                qp.degrade.consecutive_bx_failures += 1;
-                if qp.degrade.consecutive_bx_failures >= fallback_after {
-                    qp.degrade.degraded = true;
-                    qp.degrade.ops_since_probe = 0;
-                    fell_back = true;
-                }
-            }
-            (BxRole::Probe, true) => {
-                qp.degrade.degraded = false;
-                qp.degrade.consecutive_bx_failures = 0;
-                repromoted = true;
-            }
-            (BxRole::Probe, false) => bx_failed = true,
-            (BxRole::NotBx | BxRole::Substituted, _) => {}
-        }
-        self.recovery.bx_failures += bx_failed as u64;
-        self.recovery.fallbacks += fell_back as u64;
-        self.recovery.repromotions += repromoted as u64;
-        if fell_back {
-            self.bus.trace.emit(None, || EventKind::QueueDegraded);
-        }
-        if repromoted {
-            self.bus.trace.emit(None, || EventKind::QueueRepromoted);
-        }
+        Ok(completion)
     }
 }
 
@@ -1821,11 +1618,46 @@ fn alloc_rings(
     ))
 }
 
+/// Reaps the commands in flight on `qid` whose deadline has passed, in cid
+/// order, as synthetic `CommandAborted` completions into `out`; returns how
+/// many. The one place a command's pages go back on a timer, so it runs only
+/// on a dark device, whose queues nothing reads again before their reset.
+fn reap_expired(
+    p: &mut Platform,
+    qid: QueueId,
+    inflight: &mut InflightTable<Inflight>,
+    spare: &mut Vec<Vec<PageRef>>,
+    bus: &SystemBus,
+    out: &mut Vec<Completion>,
+) -> Result<u64, MemError> {
+    debug_assert!(
+        p.powered_off,
+        "the reaper frees pages only while the controller is dark"
+    );
+    let now = bus.clock.now();
+    let mut expired: Vec<u16> = inflight
+        .iter()
+        .filter(|(_, i)| matches!(i.deadline, Some(d) if now > d))
+        .map(|(cid, _)| cid)
+        .collect();
+    // Slab iteration is slot order (deterministic but allocation history
+    // dependent); sort so reaps surface in cid order.
+    expired.sort_unstable();
+    for &cid in &expired {
+        let cmd = inflight.remove(cid);
+        bus.trace
+            .emit_cmd(CmdKey::new(qid.0, cid), || EventKind::TimeoutReap);
+        let done = (cid, Status::CommandAborted, 0);
+        out.push(retire(p, spare, cmd, done, now)?);
+    }
+    Ok(expired.len() as u64)
+}
+
 /// Retires one command as `done` — `(cid, status, result)` — at `now`:
 /// copies out the response a successful read left in its buffer, as many
 /// bytes as DW0 (`result`) reports, and returns the command's mapped pages,
-/// their emptied list to `spare`. `inflight` is `None` for a late or
-/// duplicate completion, which has no submission time but its own.
+/// their emptied list to `spare`. `inflight` is `None` for a completion of
+/// a cid not in flight, which has no submission time but its own.
 fn retire(
     p: &mut Platform,
     spare: &mut Vec<Vec<PageRef>>,
@@ -1976,7 +1808,7 @@ mod tests {
         }
     }
 
-    /// `execute`'s recovery ladder over [`wait_stepping`].
+    /// `execute`'s one attempt over [`wait_stepping`].
     fn execute_stepping(
         d: &mut NvmeDriver,
         qid: QueueId,
@@ -1984,63 +1816,28 @@ mod tests {
         cmd: &PassthruCmd,
         method: TransferMethod,
     ) -> Result<Completion, DriverError> {
-        let policy = d.retry_policy.unwrap();
-        let started = d.bus.clock.now();
         let mut polled = Vec::new();
-        for attempt in 0.. {
-            if attempt > 0 {
-                ctrl.process_available();
-                d.poll_completions_into(qid, &mut polled)?;
-            }
-            let (effective, role) = d.plan_method(qid, cmd, method)?;
-            let submitted = d.submit(qid, cmd, effective)?;
-            d.flush_sq(qid)?;
-            polled.clear();
-            wait_stepping(d, qid, ctrl, &[submitted], &mut polled);
-            let idx = polled.iter().position(|c| c.cid == submitted.cid).unwrap();
-            let mut completion = polled.swap_remove(idx);
-            completion.submitted_at = started;
-            let success = completion.status.is_success();
-            d.note_attempt(qid, role, success);
-            if success || !(completion.status.is_retriable() && is_idempotent(cmd.opcode)) {
-                return Ok(completion);
-            }
-            let ctx = CmdContext {
-                qid,
-                cid: submitted.cid,
-                opcode: cmd.opcode,
-            };
-            if attempt >= policy.max_retries {
-                d.recovery.retries_exhausted += 1;
-                assert_eq!(completion.status, Status::CommandAborted);
-                return Err(DriverError::Timeout {
-                    ctx,
-                    waited: d.bus.clock.now().saturating_sub(started),
-                    attempts: attempt + 1,
-                });
-            }
-            let backoff = policy.backoff(attempt);
-            d.bus
-                .trace
-                .emit_cmd(CmdKey::new(qid.0, ctx.cid), || EventKind::Retry {
-                    attempt: attempt + 1,
-                    backoff,
-                });
-            d.bus.clock.advance(backoff);
-            d.recovery.retries += 1;
-            let retries = d.recovery.retries;
-            d.bus.trace.emit_gauge(|| EventKind::GaugeSample {
-                gauge: "driver_retries",
-                scope: 0,
-                value: retries,
+        let submitted = d.submit(qid, cmd, method)?;
+        d.flush_sq(qid)?;
+        wait_stepping(d, qid, ctrl, &[submitted], &mut polled);
+        let idx = polled.iter().position(|c| c.cid == submitted.cid).unwrap();
+        let completion = polled.swap_remove(idx);
+        if completion.status == Status::CommandAborted {
+            return Err(DriverError::Timeout {
+                ctx: CmdContext {
+                    qid,
+                    cid: submitted.cid,
+                    opcode: cmd.opcode,
+                },
+                waited: completion.latency(),
             });
         }
-        unreachable!("the ladder returns by its retry cap")
+        Ok(completion)
     }
 
     /// A write cut down in flight by a power cut `cut_after` processing
     /// events in, on two identical rigs: `execute`, which skips the dark
-    /// polls, leaves everything the stepping ladder does — result, clock,
+    /// polls, leaves everything the stepping wait does — result, clock,
     /// counters, wire and every event, gauges included.
     fn dark_execute_equals_stepping(model: ExecutionModel, fetch: FetchPolicy, cut_after: u64) {
         for gauges in [true, false] {
@@ -2048,7 +1845,6 @@ mod tests {
             for r in [&skip, &step] {
                 r.bus.install_faults(FaultConfig {
                     power_cut_after_events: Some(cut_after),
-                    ..FaultConfig::disabled()
                 });
             }
             let cmd = write(2, 200);
@@ -2063,14 +1859,17 @@ mod tests {
                 TransferMethod::ByteExpress,
             );
             assert!(skip.ctrl.is_powered_off(), "the cut fired");
-            assert!(
-                matches!(skipped, Err(DriverError::Timeout { attempts: 5, .. })),
-                "{skipped:?}"
-            );
+            match &skipped {
+                Err(DriverError::Timeout { ctx, waited }) => {
+                    assert_eq!((ctx.qid, ctx.opcode), (skip.qid, IoOpcode::Write as u8));
+                    assert!(*waited > RetryPolicy::default().timeout, "{waited}");
+                }
+                other => panic!("expected Timeout, got {other:?}"),
+            }
             assert_eq!(skipped, stepped);
             assert_eq!(observed(&skip), observed(&step), "gauges {gauges}");
-            // Five attempts, each waited out to its 5 ms deadline.
-            assert_eq!(skip.driver.recovery_stats().timeouts, 5);
+            // One attempt, waited out to its 5 ms deadline.
+            assert_eq!(skip.driver.recovery_stats().timeouts, 1);
             if gauges {
                 let samples = skip
                     .bus
@@ -2087,7 +1886,7 @@ mod tests {
                         )
                     })
                     .count();
-                assert!(samples > 5 * 250, "one sample per skipped poll: {samples}");
+                assert!(samples > 250, "one sample per skipped poll: {samples}");
             }
         }
     }
@@ -2146,7 +1945,7 @@ mod tests {
 
     /// A NAND-less traced device with one I/O queue of `depth` slots whose
     /// empty ring starts at slot `offset`, every slot holding stale bytes.
-    fn ring_rig(depth: u16, offset: u16, policy: FetchPolicy, truncate: bool) -> Rig {
+    fn ring_rig(depth: u16, offset: u16, policy: FetchPolicy) -> Rig {
         let mut bus = SystemBus::new(LinkConfig::gen2_x8(), 4 << 20, 2);
         bus.enable_trace();
         let cfg = ControllerConfig {
@@ -2168,13 +1967,6 @@ mod tests {
             .mem
             .fill(region.base(), region.len(), 0xEE)
             .unwrap();
-        if truncate {
-            bus.install_faults(FaultConfig {
-                seed: 7,
-                truncate_train: 1.0,
-                ..FaultConfig::disabled()
-            });
-        }
         Rig {
             bus,
             driver,
@@ -2213,7 +2005,6 @@ mod tests {
         };
         inline::set_inline_len(&mut sqe, data.len());
         let (bus, timing) = (&d.bus, &d.timing);
-        let lost_chunk = payload_id.and_then(|_| bus.faults.borrow_mut().truncate_train(n_chunks));
         let qp = queue_in(&mut d.queues, qid)?;
         let depth_limit = usize::from(qp.sq.depth() - 1);
         if 1 + n_chunks > depth_limit {
@@ -2237,10 +2028,7 @@ mod tests {
             Some(id) => inline::encode_reassembly_chunks(id, data),
         };
         let mut written = 0u64;
-        for (i, chunk) in chunks.iter().enumerate() {
-            if Some(i) == lost_chunk {
-                continue;
-            }
+        for chunk in &chunks {
             let slot = qp.sq.push_slot();
             p.mem.write(qp.sq.slot_addr(slot), chunk)?;
             bus.clock.advance(timing.per_chunk_insert);
@@ -2267,14 +2055,13 @@ mod tests {
         /// slots included), ring tail, clock, driver stats, per-class link
         /// counters and trace — for both framings, any depth, any starting
         /// offset (wrapping ones included) and every length up to one past
-        /// the largest that fits. A reassembly train may lose a chunk.
+        /// the largest that fits.
         #[test]
         fn byteexpress_span_write_equals_per_slot(
             depth_i in 0usize..SPAN_DEPTHS.len(),
             offset_seed in proptest::prelude::any::<u16>(),
             len_seed in proptest::prelude::any::<u32>(),
             reassembly in proptest::prelude::any::<bool>(),
-            truncate in proptest::prelude::any::<bool>(),
         ) {
             let depth = SPAN_DEPTHS[depth_i];
             let offset = offset_seed % depth;
@@ -2287,8 +2074,8 @@ mod tests {
             let len = 1 + len_seed as usize % (fits + 1);
             let data: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
             let mut rigs = [
-                ring_rig(depth, offset, policy, truncate),
-                ring_rig(depth, offset, policy, truncate),
+                ring_rig(depth, offset, policy),
+                ring_rig(depth, offset, policy),
             ];
             let mut results = Vec::new();
             for (per_slot, r) in rigs.iter_mut().enumerate() {

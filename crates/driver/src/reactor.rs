@@ -37,8 +37,8 @@
 //! [`Waker`] built when it was spawned, with virtual-time
 //! idle advancement standing in for an OS timer wheel — when no task is
 //! runnable and no completion is ready but commands are in flight, the
-//! reactor advances the clock so the device (or the timeout reaper) can
-//! make progress.
+//! reactor advances the clock so the device (or, on a dark device, the
+//! timeout reaper) can make progress.
 
 use crate::batch::FlushPolicy;
 use crate::driver::{Completion, DriverError, DriverStats, NvmeDriver};
@@ -59,11 +59,12 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
 /// One parked completion waiter: the waker to call and, once the
-/// dispatcher has routed it, the completion itself.
+/// dispatcher has routed it, the completion itself — or the timeout a
+/// command on a dark device with no deadline resolves as.
 #[derive(Debug, Default)]
 struct Waiter {
     waker: Option<Waker>,
-    done: Option<Completion>,
+    done: Option<Result<Completion, DriverError>>,
 }
 
 /// Per-shard counters.
@@ -74,7 +75,8 @@ pub(crate) struct ShardStats {
     /// Completions dispatched to this shard's waiters.
     pub completed: u64,
     /// Completions drained on this shard for a `(qid, cid)` no waiter was
-    /// registered under (a routing bug or a reaped-then-late completion).
+    /// registered under (a routing bug, or the completion of a future
+    /// dropped mid-flight).
     pub orphaned: u64,
 }
 
@@ -119,16 +121,18 @@ pub struct ReactorConfig {
     /// Doorbell-coalescing policy installed on the driver, applied per
     /// queue (`None` = ring per submission).
     pub flush_policy: Option<FlushPolicy>,
-    /// Timeout/retry policy installed on the driver. With one
-    /// installed, a command whose completion never arrives resolves as a
-    /// synthetic `CommandAborted` completion instead of hanging the task.
+    /// Timeout policy installed on the driver. With one installed, a
+    /// command cut down in flight by a power cut resolves as a synthetic
+    /// `CommandAborted` completion at its deadline; without one, as
+    /// `DriverError::Timeout` once nothing else can run.
     pub retry_policy: Option<RetryPolicy>,
     /// Record a flight-recorder trace of the run.
     pub trace: bool,
     /// Virtual-time step for [`Reactor::turn`]'s idle advancement (used
     /// only when nothing is runnable and nothing is ready but commands are
-    /// in flight — e.g. a fault swallowed a doorbell and only the timeout
-    /// reaper can make progress).
+    /// in flight — e.g. a staged doorbell waits out the flush policy's
+    /// delay, or only the timeout reaper can make progress on a dark
+    /// device).
     pub idle_step: Nanos,
 }
 
@@ -347,7 +351,7 @@ impl Reactor {
             for done in shard.drained.drain(..) {
                 match shard.waiters.get_mut(done.cid) {
                     Some(waiter) => {
-                        waiter.done = Some(done);
+                        waiter.done = Some(Ok(done));
                         if let Some(w) = waiter.waker.take() {
                             w.wake();
                         }
@@ -356,10 +360,9 @@ impl Reactor {
                         shard_dispatched = shard_dispatched.saturating_add(1);
                     }
                     None => {
-                        // No future owns this completion: a late status
-                        // word for a reaped command, or a routing bug.
-                        // The drain already counted the spurious case;
-                        // record the orphan so tests can pin zero.
+                        // No future owns this completion: its future was
+                        // dropped mid-flight, or a routing bug. Record the
+                        // orphan so tests can pin zero.
                         shard.stats.orphaned += 1;
                     }
                 }
@@ -398,16 +401,17 @@ impl Reactor {
     ///
     /// The loop polls every woken task, then calls [`Reactor::turn`]; when
     /// neither makes progress but commands are in flight, virtual time
-    /// advances by [`ReactorConfig::idle_step`] so the device (or, with a
-    /// [`RetryPolicy`] installed, the timeout reaper) can break the stall.
+    /// advances by [`ReactorConfig::idle_step`] so the device (or, on a
+    /// dark device with a [`RetryPolicy`] installed, the timeout reaper) can
+    /// break the stall. On a dark device without one, each command a task
+    /// awaits resolves as [`DriverError::Timeout`], as the synchronous wait
+    /// does.
     ///
     /// # Panics
     ///
     /// Panics if the task set deadlocks: some task is pending while no
-    /// completion can ever arrive — no command is in flight (e.g. a future
-    /// awaiting something the reactor does not drive), or the device has
-    /// lost power and no [`RetryPolicy`] gave the commands in flight a
-    /// deadline to be reaped at.
+    /// command it awaits is in flight (e.g. a future awaiting something the
+    /// reactor does not drive).
     #[expect(
         clippy::panic,
         reason = "a pending task no completion can ever wake — failing loudly beats spinning forever"
@@ -463,7 +467,7 @@ impl Reactor {
                         .trace
                         .emit(None, || EventKind::ReactorIdleAdvance { step });
                     self.bus.clock.advance(step);
-                } else {
+                } else if self.time_out_dark_waiters() == 0 {
                     panic!(
                         "reactor deadlock: {remaining} task(s) pending and no command in flight can complete"
                     );
@@ -480,6 +484,38 @@ impl Reactor {
             "run() exits its loop only once every task has completed"
         );
         outputs
+    }
+
+    /// On a dark device, resolves every command a task still awaits as
+    /// [`DriverError::Timeout`] and wakes its task; returns how many. Called
+    /// only once nothing can complete them: a dark device completes nothing,
+    /// and these have no deadline to be reaped at. Their pages stay with the
+    /// driver until a reset returns them.
+    fn time_out_dark_waiters(&self) -> usize {
+        if !self.ctrl.borrow().is_powered_off() {
+            return 0;
+        }
+        let Host { driver, shards } = &mut *self.host.borrow_mut();
+        let mut resolved = 0;
+        for shard in shards {
+            let awaited: Vec<u16> = shard
+                .waiters
+                .iter()
+                .filter(|(_, w)| w.done.is_none())
+                .map(|(cid, _)| cid)
+                .collect();
+            for cid in awaited {
+                let timeout = driver.timeout(shard.qid, cid);
+                if let Some(waiter) = shard.waiters.get_mut(cid) {
+                    waiter.done = Some(Err(timeout));
+                    if let Some(w) = waiter.waker.take() {
+                        w.wake();
+                    }
+                    resolved += 1;
+                }
+            }
+        }
+        resolved
     }
 }
 
@@ -611,7 +647,7 @@ impl Future for CommandFuture {
                     Some(done) => {
                         shard.waiters.remove(cid);
                         this.state = FutureState::Done;
-                        Poll::Ready(Ok(done))
+                        Poll::Ready(done)
                     }
                     None => {
                         waiter.waker = Some(cx.waker().clone());

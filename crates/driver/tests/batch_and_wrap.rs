@@ -8,7 +8,7 @@
 //! under the old math.
 
 use bx_driver::{FlushPolicy, NvmeDriver, RetryPolicy, TransferMethod};
-use bx_hostsim::{FaultConfig, Nanos};
+use bx_hostsim::Nanos;
 use bx_nvme::{IoOpcode, PassthruCmd, QueueId, Status};
 use bx_pcie::LinkConfig;
 use bx_ssd::{BlockFirmware, Controller, ControllerConfig, NandConfig, SystemBus};
@@ -264,33 +264,25 @@ fn cq_coalescing_reduces_head_doorbells() {
     assert_eq!(db_coalesced, 1, "one head update for the batch");
 }
 
-/// A batch whose single flush doorbell is dropped on the wire is fully
-/// reaped by the timeout ladder — each member individually — and a clean
-/// resubmission lands all the data. No special casing for partial batches.
+/// A batch whose one doorbell rings on a dark device is fully reaped at
+/// its deadline — each member individually — and after the power cycle a
+/// clean resubmission lands all the data. No special casing for partial
+/// batches.
 #[test]
-fn dropped_batch_doorbell_reaps_every_member() {
+fn dark_batch_reaps_every_member() {
     let mut r = rig_depth(256);
     r.driver.set_retry_policy(Some(RetryPolicy {
         timeout: Nanos::from_ms(2),
         poll_interval: Nanos::from_us(20),
-        max_retries: 2,
-        backoff_base: Nanos::from_us(50),
-        backoff_cap: Nanos::from_us(800),
-        fallback_after: 3,
-        probe_after: 2,
     }));
-    r.bus.install_faults(FaultConfig {
-        seed: 42,
-        drop_doorbell: 1.0,
-        ..FaultConfig::disabled()
-    });
+    r.ctrl.force_power_cut();
 
     let cmds: Vec<(PassthruCmd, TransferMethod)> = (0..3u64)
         .map(|i| (write_cmd(i * 8, vec![7; 64]), TransferMethod::Prp))
         .collect();
     let batch = r.driver.submit_batch(r.qid, &cmds);
     assert!(batch.all_accepted(), "submission itself succeeds");
-    assert_eq!(r.bus.fault_counters().doorbells_dropped, 1);
+    assert_eq!(r.driver.stats().batch_flushes, 1, "one doorbell");
 
     // Pump past the deadline: the reaper posts synthetic CommandAborted
     // for every batch member.
@@ -311,8 +303,10 @@ fn dropped_batch_doorbell_reaps_every_member() {
     assert_eq!(aborted, 3, "every member reaped individually");
     assert_eq!(r.driver.recovery_stats().timeouts, 3);
 
-    // Faults clear; the same batch goes through and is durable.
-    r.bus.install_faults(FaultConfig::disabled());
+    // Power returns; the same batch goes through and is durable.
+    r.ctrl.power_cycle();
+    r.driver.reset_after_power_cycle().unwrap();
+    r.qid = r.driver.initialize(&mut r.ctrl, &[256]).unwrap()[0];
     let batch = r.driver.submit_batch(r.qid, &cmds);
     assert!(batch.all_accepted());
     let cids: Vec<u16> = batch.submitted.iter().map(|s| s.cid).collect();

@@ -1,5 +1,5 @@
 //! The completion-driven async reactor: multi-shard correctness,
-//! backpressure, byte-interface routing through the dispatcher, fault
+//! backpressure, byte-interface routing through the dispatcher, power-cut
 //! surfacing, and determinism.
 
 use bx_driver::reactor::{Reactor, ReactorConfig};
@@ -27,7 +27,7 @@ type Task<T> = Pin<Box<dyn Future<Output = T>>>;
 
 /// Many clients across 4 shards, each writing then reading back its own
 /// payloads: every command completes successfully on its own shard, data
-/// round-trips, and nothing is orphaned or spurious.
+/// round-trips, and nothing is orphaned or reaped.
 #[test]
 fn multi_shard_clients_round_trip() {
     let mut reactor = Reactor::new(ReactorConfig {
@@ -87,7 +87,6 @@ fn multi_shard_clients_round_trip() {
     assert_eq!(stats.orphaned, 0, "every completion must find its waiter");
     let rec = reactor.recovery_stats();
     assert_eq!(rec.timeouts, 0);
-    assert_eq!(rec.spurious_completions, 0);
     assert_eq!(reactor.inflight(), 0);
 }
 
@@ -162,7 +161,6 @@ fn mmio_byte_routes_through_dispatcher() {
     );
     let rec = reactor.recovery_stats();
     assert_eq!(rec.timeouts, 0);
-    assert_eq!(rec.spurious_completions, 0);
     assert_eq!(reactor.inflight(), 0);
 }
 
@@ -224,12 +222,12 @@ fn async_window_beats_sync_qd1() {
     );
 }
 
-/// A fault that swallows every doorbell: with a retry policy installed the
+/// A command submitted to a dark device: with a retry policy installed the
 /// future resolves with the reaper's synthetic aborted completion instead
 /// of hanging the executor (idle advancement carries the clock to the
 /// deadline).
 #[test]
-fn lost_doorbell_surfaces_as_aborted_completion() {
+fn dark_device_command_surfaces_as_aborted_completion() {
     let mut reactor = Reactor::new(ReactorConfig {
         shards: 1,
         retry_policy: Some(RetryPolicy::default()),
@@ -237,10 +235,7 @@ fn lost_doorbell_surfaces_as_aborted_completion() {
         ..ReactorConfig::default()
     })
     .expect("reactor construction");
-    reactor.bus().install_faults(FaultConfig {
-        drop_doorbell: 1.0,
-        ..FaultConfig::disabled()
-    });
+    reactor.controller().borrow_mut().force_power_cut();
     let handle = reactor.handle(0);
     let task: Task<Result<Completion, DriverError>> = Box::pin(async move {
         handle
@@ -278,15 +273,15 @@ fn zero_shards_is_an_error() {
 }
 
 /// A power cut with no retry policy: the commands in flight have no
-/// deadline and the dark device will never complete them, so `run` takes
-/// its deadlock panic instead of idle-advancing the clock forever.
+/// deadline and the dark device will never complete them, so each resolves
+/// as `DriverError::Timeout` — what the synchronous wait returns there —
+/// instead of the clock idle-advancing forever. Their pages stay with the
+/// driver until a reset.
 #[test]
-#[should_panic(expected = "reactor deadlock")]
-fn dark_device_without_a_retry_policy_is_a_deadlock() {
+fn dark_device_without_a_retry_policy_times_out() {
     let mut reactor = Reactor::new(ReactorConfig::default()).expect("reactor construction");
     reactor.bus().install_faults(FaultConfig {
         power_cut_after_events: Some(3),
-        ..FaultConfig::disabled()
     });
     let tasks: Vec<Task<Result<Completion, DriverError>>> = (0..4u64)
         .map(|i| {
@@ -295,7 +290,34 @@ fn dark_device_without_a_retry_policy_is_a_deadlock() {
             Box::pin(async move { handle.submit(cmd, TransferMethod::ByteExpress).await }) as _
         })
         .collect();
-    reactor.run(tasks);
+    let results = reactor.run(tasks);
+    assert!(
+        reactor.controller().borrow().is_powered_off(),
+        "the cut fired"
+    );
+    let timed_out = results
+        .iter()
+        .filter(|r| matches!(r, Err(DriverError::Timeout { .. })))
+        .count();
+    assert!(timed_out > 0, "{results:?}");
+    for r in &results {
+        match r {
+            Ok(c) => assert!(c.status.is_success(), "{c:?}"),
+            Err(e) => assert!(matches!(e, DriverError::Timeout { .. }), "{e}"),
+        }
+    }
+    assert_eq!(reactor.inflight(), timed_out, "kept until a reset");
+    assert_eq!(reactor.recovery_stats().timeouts, 0, "nothing was reaped");
+}
+
+/// A task awaiting something the reactor does not drive can never be
+/// woken: `run` takes its deadlock panic instead of spinning.
+#[test]
+#[should_panic(expected = "reactor deadlock")]
+fn a_task_the_reactor_does_not_drive_is_a_deadlock() {
+    let mut reactor = Reactor::new(ReactorConfig::default()).expect("reactor construction");
+    let task: Task<()> = Box::pin(std::future::pending());
+    reactor.run(vec![task]);
 }
 
 /// Virtual time is deterministic: two identical multi-shard runs finish at

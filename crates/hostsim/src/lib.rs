@@ -54,6 +54,6 @@ mod time;
 
 pub use clock::SimClock;
 pub use event::EventQueue;
-pub use fault::{FaultConfig, FaultCounters, FaultInjector};
+pub use fault::{FaultConfig, FaultCounters};
 pub use mem::{DmaRegion, HostMemory, MemError, PageAllocator, PageRef, PhysAddr, PAGE_SIZE};
 pub use time::Nanos;

@@ -63,8 +63,8 @@ pub struct KvStoreConfig {
     /// Controller chunk-gathering policy; [`FetchPolicy::Reassembly`] also
     /// switches the driver into reassembly framing.
     pub fetch: FetchPolicy,
-    /// Driver timeout/retry policy — required for crash runs, where lost
-    /// completions are expected rather than a harness bug.
+    /// Driver timeout policy: the deadline after which a command cut down
+    /// in flight by a power cut is given up on.
     pub retry: Option<RetryPolicy>,
     /// Write-through durable PUTs (NAND on): the ack
     /// implies the value survives any power cut. See

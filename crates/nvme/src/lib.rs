@@ -69,4 +69,4 @@ pub use prp::{PrpError, PrpSegments};
 pub use queue::{CqProducer, CqRing, DoorbellArray, QueueId, SqRing, CQE_BYTES, SQE_BYTES};
 pub use sgl::{SglDescriptor, SglError};
 pub use sqe::SubmissionEntry;
-pub use status::{Status, STATUS_DNR_BIT};
+pub use status::Status;

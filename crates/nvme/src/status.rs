@@ -2,11 +2,6 @@
 
 use std::fmt;
 
-/// Bit in the wire status field marking "do not retry" (mirrors NVMe's DNR
-/// bit). Only consulted for [`Status::Unknown`] codes, where the variant
-/// itself carries no retriability semantics.
-pub const STATUS_DNR_BIT: u16 = 0x4000;
-
 /// NVMe completion status (generic command set plus the vendor codes the
 /// computational-storage substrates return).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -36,9 +31,8 @@ pub enum Status {
     /// Vendor: CSD task failed to parse or reference a known table.
     CsdBadTask,
     /// A wire encoding this driver build does not recognize. The raw code is
-    /// preserved so logs and retry classification ([`Status::is_retriable`])
-    /// can still act on it instead of collapsing everything into
-    /// [`Status::InternalError`].
+    /// preserved so logs can still show it instead of collapsing everything
+    /// into [`Status::InternalError`].
     Unknown(u16),
 }
 
@@ -46,28 +40,6 @@ impl Status {
     /// Whether the command succeeded.
     pub fn is_success(self) -> bool {
         self == Status::Success
-    }
-
-    /// Classifies the status for the driver's retry path: `true` for
-    /// transient conditions where resubmitting the same command may succeed
-    /// (transfer glitches, device-internal hiccups, aborts/timeouts), `false`
-    /// for deterministic command faults that would fail identically on every
-    /// attempt (malformed commands, out-of-range addresses, semantic KV/CSD
-    /// errors). Unknown codes are retriable unless the encoding carries the
-    /// [`STATUS_DNR_BIT`].
-    pub fn is_retriable(self) -> bool {
-        match self {
-            Status::DataTransferError | Status::InternalError | Status::CommandAborted => true,
-            Status::Unknown(w) => w & STATUS_DNR_BIT == 0,
-            Status::Success
-            | Status::InvalidOpcode
-            | Status::InvalidField
-            | Status::LbaOutOfRange
-            | Status::CapacityExceeded
-            | Status::KvKeyNotFound
-            | Status::KvInvalidSize
-            | Status::CsdBadTask => false,
-        }
     }
 
     /// Encodes into the CQE status field layout: status code in bits 7:0,
@@ -162,19 +134,6 @@ mod tests {
     fn success_predicate() {
         assert!(Status::Success.is_success());
         assert!(!Status::KvKeyNotFound.is_success());
-    }
-
-    #[test]
-    fn retriability_classification() {
-        assert!(Status::DataTransferError.is_retriable());
-        assert!(Status::InternalError.is_retriable());
-        assert!(Status::CommandAborted.is_retriable());
-        assert!(!Status::Success.is_retriable());
-        assert!(!Status::InvalidOpcode.is_retriable());
-        assert!(!Status::LbaOutOfRange.is_retriable());
-        assert!(!Status::KvKeyNotFound.is_retriable());
-        assert!(Status::Unknown(0x0123).is_retriable());
-        assert!(!Status::Unknown(0x0123 | STATUS_DNR_BIT).is_retriable());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use bx_hostsim::{HostMemory, PhysAddr, PAGE_SIZE};
 use bx_nvme::prp::{pages_spanned, walk, PrpSegments};
-use bx_nvme::{inline, CompletionEntry, Status, SubmissionEntry, STATUS_DNR_BIT};
+use bx_nvme::{inline, CompletionEntry, Status, SubmissionEntry};
 use proptest::prelude::*;
 
 proptest! {
@@ -111,15 +111,5 @@ proptest! {
     #[test]
     fn status_roundtrip_preserves_every_wire_code(code in 0u16..0x8000) {
         prop_assert_eq!(Status::from_wire(code).to_wire(), code);
-    }
-
-    /// A wire code that decodes to `Unknown` with the DNR (do-not-retry)
-    /// bit set must never be classified retriable.
-    #[test]
-    fn unknown_with_dnr_is_never_retriable(code in 0u16..0x8000) {
-        let s = Status::from_wire(code | STATUS_DNR_BIT);
-        if matches!(s, Status::Unknown(_)) {
-            prop_assert!(!s.is_retriable());
-        }
     }
 }

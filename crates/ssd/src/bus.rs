@@ -20,21 +20,16 @@
 //! controller call.) What is left for the end state — entry points taking
 //! `&mut Platform`, no `Rc` — is a signature change.
 //!
-//! The fault injector stays outside the platform, in its own cell:
-//! `NandArray` consults it from inside `FirmwareHandler::handle`, which runs
-//! while the controller holds the platform. The clock and the trace sink are
-//! cell-like handles already and are never borrowed.
+//! The clock and the trace sink are cell-like handles already and are never
+//! borrowed.
 
-use bx_hostsim::{FaultConfig, FaultCounters, FaultInjector, HostMemory, SimClock};
+use bx_hostsim::{FaultConfig, FaultCounters, HostMemory, SimClock};
 use bx_nvme::{DoorbellArray, QueueId, Status, SubmissionEntry};
 use bx_pcie::{LinkConfig, PcieLink, TrafficClass, TrafficCounters};
 use bx_trace::TraceSink;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
-
-/// Shared handle to the platform's fault injector.
-pub type FaultHandle = Rc<RefCell<FaultInjector>>;
 
 /// A BAR-window submission for the PCIe-MMIO byte-interface path (§3.1 of
 /// the paper — the 2B-SSD / ByteFS approach): the host writes the command
@@ -97,6 +92,17 @@ pub struct Platform {
     /// The shared virtual clock ([`SystemBus::clock`]'s timeline), at hand
     /// so a link transaction can charge the latency it returns.
     pub clock: SimClock,
+    /// Controller scheduling events left before the armed power cut fires
+    /// ([`FaultConfig::power_cut_after_events`]); `None` when none is armed
+    /// or the armed one already fired (a cut is one-shot).
+    pub power_cut_after: Option<u64>,
+    /// Power cuts the countdown fired.
+    pub power_cuts: u64,
+    /// Set by a power cut, cleared by the power cycle: the device is dark
+    /// and will never again write to host memory or fetch from it before
+    /// its queues are reset. The one state in which the driver's timeout
+    /// reaper may hand a command's pages back.
+    pub powered_off: bool,
 }
 
 impl Platform {
@@ -119,6 +125,23 @@ impl Platform {
     pub fn ring_cq_head(&mut self) {
         self.host_posted_write(TrafficClass::Doorbell, 4);
     }
+
+    /// Counts down one controller scheduling event toward the armed power
+    /// cut; returns `true` exactly once, on the event the cut lands.
+    pub(crate) fn power_cut_tick(&mut self) -> bool {
+        match self.power_cut_after.as_mut() {
+            None => false,
+            Some(0) => {
+                self.power_cut_after = None;
+                self.power_cuts += 1;
+                true
+            }
+            Some(n) => {
+                *n -= 1;
+                false
+            }
+        }
+    }
 }
 
 /// Shared handles to the simulated platform.
@@ -127,9 +150,6 @@ pub struct SystemBus {
     platform: Rc<RefCell<Platform>>,
     /// The shared virtual clock.
     pub clock: SimClock,
-    /// The shared fault injector (disabled by default; see
-    /// [`SystemBus::install_faults`]).
-    pub faults: FaultHandle,
     /// The flight-recorder sink (disabled by default; see
     /// [`SystemBus::enable_trace`]). Clones share the event buffer.
     pub trace: TraceSink,
@@ -147,9 +167,11 @@ impl SystemBus {
                 doorbells: DoorbellArray::new(queue_pairs),
                 mmio_window: MmioWindow::default(),
                 clock: clock.clone(),
+                power_cut_after: None,
+                power_cuts: 0,
+                powered_off: false,
             })),
             clock,
-            faults: Rc::new(RefCell::new(FaultInjector::disabled())),
             trace: TraceSink::disabled(),
         }
     }
@@ -172,16 +194,17 @@ impl SystemBus {
         sink
     }
 
-    /// Replaces the fault schedule for every component sharing this bus
-    /// (driver, controller, NAND). Pass [`FaultConfig::disabled`] to turn
-    /// injection off, e.g. for a chaos test's verification phase.
+    /// Arms (or with [`FaultConfig::disabled`], disarms) the power-cut
+    /// countdown.
     pub fn install_faults(&self, cfg: FaultConfig) {
-        self.faults.borrow_mut().reconfigure(cfg);
+        self.platform.borrow_mut().power_cut_after = cfg.power_cut_after_events;
     }
 
-    /// Snapshot of how many faults each class has injected so far.
+    /// How many power cuts the countdown has fired.
     pub fn fault_counters(&self) -> FaultCounters {
-        self.faults.borrow().counters()
+        FaultCounters {
+            power_cuts: self.platform.borrow().power_cuts,
+        }
     }
 
     /// A snapshot of the link's traffic counters.
@@ -213,6 +236,34 @@ mod tests {
         assert_eq!(view.traffic().total_bytes(), 28);
         bus.clock.advance(Nanos::from_ns(10));
         assert_eq!(view.clock.now(), Nanos::from_ns(10));
+    }
+
+    #[test]
+    fn power_cut_fires_exactly_once_at_the_scheduled_event() {
+        let bus = SystemBus::new(LinkConfig::gen2_x8(), 1 << 20, 4);
+        bus.install_faults(FaultConfig {
+            power_cut_after_events: Some(3),
+        });
+        let platform = bus.platform();
+        let p = &mut *platform.borrow_mut();
+        assert_eq!(
+            (0..10).map(|_| p.power_cut_tick()).collect::<Vec<_>>(),
+            [false, false, false, true, false, false, false, false, false, false],
+        );
+        assert_eq!(p.power_cuts, 1);
+    }
+
+    #[test]
+    fn power_cut_at_zero_fires_on_first_event() {
+        let bus = SystemBus::new(LinkConfig::gen2_x8(), 1 << 20, 4);
+        bus.install_faults(FaultConfig {
+            power_cut_after_events: Some(0),
+        });
+        assert!(bus.platform().borrow_mut().power_cut_tick());
+        assert!(!bus.platform().borrow_mut().power_cut_tick());
+        assert_eq!(bus.fault_counters().power_cuts, 1);
+        bus.install_faults(FaultConfig::disabled());
+        assert!(!bus.platform().borrow_mut().power_cut_tick());
     }
 
     #[test]

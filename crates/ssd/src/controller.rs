@@ -285,10 +285,6 @@ pub struct Controller {
     /// Completions scheduled for future virtual instants (always empty
     /// under [`ExecutionModel::Serial`]).
     deferred: Deferred,
-    /// Set by a power-cut fault: the device is dark until
-    /// [`Controller::power_cycle`] restores it. Every processing entry
-    /// point returns immediately while set.
-    powered_off: bool,
     /// Reusable host→device payload staging buffer: every gather path —
     /// inline chunks, PRP/SGL data, BandSlim head and fragments — takes it
     /// and fills it, and `recycle_payload` returns the largest buffer seen,
@@ -322,8 +318,6 @@ impl Controller {
         firmware: impl FnOnce(&mut DeviceDram) -> Box<dyn FirmwareHandler>,
     ) -> Self {
         let mut nand = NandArray::new(cfg.nand.clone());
-        // Media faults share the platform's one deterministic schedule.
-        nand.set_fault_injector(bus.faults.clone());
         nand.set_trace(bus.trace.clone());
         let mut ftl = Ftl::new(&nand, OVER_PROVISION);
         ftl.set_trace(bus.trace.clone());
@@ -351,7 +345,6 @@ impl Controller {
             pending_cqs: BTreeMap::new(),
             execution: cfg.execution_model,
             deferred: Deferred::default(),
-            powered_off: false,
             scratch_payload: Vec::new(),
             scratch_extents: Vec::new(),
         }
@@ -453,7 +446,7 @@ impl Controller {
                 self.deferred.len(),
                 "every deferred completion has one slot and one key"
             );
-            if self.powered_off {
+            if p.powered_off {
                 return completed;
             }
             let mut progressed = false;
@@ -462,7 +455,7 @@ impl Controller {
                 completed += delivered;
                 progressed = true;
             }
-            if self.powered_off {
+            if p.powered_off {
                 return completed;
             }
             let evicted = self.evict_stalled_inline(p);
@@ -472,7 +465,7 @@ impl Controller {
             }
             while self.admin_has_work(p) {
                 self.process_admin_one(p);
-                if self.powered_off {
+                if p.powered_off {
                     return completed;
                 }
                 completed += 1;
@@ -482,7 +475,7 @@ impl Controller {
                 completed += n;
                 progressed = true;
             }
-            if self.powered_off {
+            if p.powered_off {
                 return completed;
             }
             // One round-robin pass: every queue with work is served one
@@ -502,7 +495,7 @@ impl Controller {
                 }
                 // A power cut clears `queues`, so the pass's indices are
                 // stale — bail out before touching them.
-                if self.powered_off {
+                if p.powered_off {
                     return completed;
                 }
                 progressed = true;
@@ -645,10 +638,10 @@ impl Controller {
     }
 
     /// Evicts reassembly-mode commands whose chunk train stalled past the
-    /// deadline (e.g. truncated in flight): the parked command fails with
-    /// [`Status::DataTransferError`] — so the driver can retry — and the
-    /// tracker SRAM of every stalled payload is reclaimed instead of leaking
-    /// until controller reset. Returns how many commands were failed.
+    /// deadline: the parked command fails with
+    /// [`Status::DataTransferError`], and the tracker SRAM of every stalled
+    /// payload is reclaimed instead of leaking until controller reset.
+    /// Returns how many commands were failed.
     fn evict_stalled_inline(&mut self, p: &mut Platform) -> usize {
         if self.fetch_policy != FetchPolicy::Reassembly {
             return 0;
@@ -998,17 +991,8 @@ impl Controller {
         }
         let per_chunk =
             self.timing.per_chunk_fetch + self.timing.chunk_land + self.timing.reassembly_account;
-        let mut img = fetch_entry(p, &mut self.queues[qi], Some(per_chunk));
+        let img = fetch_entry(p, &mut self.queues[qi], Some(per_chunk));
         self.stats.chunks_fetched += 1;
-
-        if let Some(mask) = self.bus.faults.borrow_mut().corrupt_chunk_header() {
-            // Flip bits in the total-count byte: the train then can never
-            // complete cleanly, so the fault is always *detectable* (eviction
-            // or a failed last chunk) rather than silently cross-writing
-            // another payload's buffer. Payload-byte corruption would need an
-            // end-to-end CRC to detect — out of scope here.
-            img[6] ^= mask;
-        }
 
         let (hdr, data) = inline::split_reassembly_chunk(&img);
         let accepted = self.reassembly.accept_at(hdr, data, self.bus.clock.now());
@@ -1346,29 +1330,27 @@ impl Controller {
     /// Whether a power cut has fired and [`Controller::power_cycle`] has not
     /// yet restored the device.
     pub fn is_powered_off(&self) -> bool {
-        self.powered_off
+        self.bus.platform().borrow().powered_off
     }
 
-    /// Checks the fault injector's power-cut countdown at one processing
-    /// event; freezes the device if it fires. Returns whether the device is
-    /// (now) dark.
+    /// Ticks the platform's power-cut countdown at one processing event;
+    /// freezes the device if it fires. Returns whether the device is (now)
+    /// dark.
     fn power_tick(&mut self, p: &mut Platform) -> bool {
-        if self.powered_off {
-            return true;
-        }
-        let fired = self.bus.faults.borrow_mut().power_cut_tick();
-        if fired {
+        if !p.powered_off && p.power_cut_tick() {
             self.power_fail(p);
         }
-        self.powered_off
+        p.powered_off
     }
 
-    /// Cuts power immediately, regardless of the fault injector's countdown
-    /// (harness hook for crash-schedule sweeps that pick the cut point
-    /// externally). No-op if already dark.
+    /// Cuts power immediately, regardless of the armed countdown (harness
+    /// hook for crash-schedule sweeps that pick the cut point externally).
+    /// No-op if already dark.
     pub fn force_power_cut(&mut self) {
-        if !self.powered_off {
-            self.power_fail(&mut self.bus.platform().borrow_mut());
+        let platform = self.bus.platform();
+        let p = &mut *platform.borrow_mut();
+        if !p.powered_off {
+            self.power_fail(p);
         }
     }
 
@@ -1391,7 +1373,7 @@ impl Controller {
             torn_pages,
             dropped_trains,
         });
-        self.powered_off = true;
+        p.powered_off = true;
     }
 
     /// Restores power after a cut: rebuilds the FTL from NAND and the
@@ -1405,14 +1387,14 @@ impl Controller {
     pub fn power_cycle(&mut self) -> RecoveryReport {
         let platform = self.bus.platform();
         let p = &mut *platform.borrow_mut();
-        if !self.powered_off {
+        if !p.powered_off {
             self.power_fail(p);
         }
         // Power-on reset of BAR space. MMIO writes aimed at a dark device go
         // nowhere on real hardware, but the simulated doorbell array and MMIO
-        // window live on the bus and still record writes from a host retrying
-        // against the dead controller — without this reset those stale tails
-        // would make bring-up chase phantom SQ entries around the ring.
+        // window live on the bus and still record writes from a host
+        // submitting to the dead controller — without this reset those stale
+        // tails would make bring-up chase phantom SQ entries around the ring.
         self.reset_bar(p);
         let report = self.ftl.recover(&self.nand);
         let ctx = FirmwareCtx {
@@ -1422,7 +1404,7 @@ impl Controller {
             now: self.bus.clock.now(),
         };
         self.firmware.on_power_cycle(ctx);
-        self.powered_off = false;
+        p.powered_off = false;
         report
     }
 
@@ -1465,12 +1447,6 @@ fn post_to_queue(
     cid: u16,
     outcome: &CommandOutcome,
 ) {
-    // Injected completion loss: the CQE (and its MSI) is never posted — no
-    // ring slot is consumed, no traffic charged — leaving the host to time
-    // out and resubmit. The admin queue is exempt so bring-up can't wedge.
-    if q.id.0 != 0 && bus.faults.borrow_mut().drop_completion() {
-        return;
-    }
     bus.clock.advance(timing.cqe_post_overhead);
     let (slot, phase) = q.cq_prod.produce();
     let mut cqe = CompletionEntry::new(cid, q.id.0, q.fetch_head, outcome.status, phase);
@@ -2098,7 +2074,6 @@ mod tests {
         // — the media op is issued but the ack is never posted.
         bus.install_faults(FaultConfig {
             power_cut_after_events: Some(1),
-            ..FaultConfig::disabled()
         });
         let mut sqe = SubmissionEntry::io(IoOpcode::Write, 2, 1);
         sqe.set_cdw(10, 1);

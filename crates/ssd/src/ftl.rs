@@ -8,7 +8,7 @@
 //!
 //! Every mapping mutation is journaled ([`crate::journal::MapJournal`])
 //! before it is acknowledged, and [`Ftl::recover`] rebuilds the full
-//! translation state (map, per-block validity, free list, bad set) from the
+//! translation state (map, per-block validity, free list) from the
 //! newest durable checkpoint plus journal replay after a power cut — the
 //! device-side half of the durable-linearizability contract.
 
@@ -18,15 +18,6 @@ use crate::rows::BlockRows;
 use bx_hostsim::Nanos;
 use bx_trace::{EventKind, TraceSink};
 use std::fmt;
-
-/// Bound on claim→program attempts for one logical write before the FTL
-/// gives up and surfaces the NAND failure (each failed attempt retires a
-/// grown-bad block, so hitting this bound means the media is dying).
-const MAX_PROGRAM_ATTEMPTS: u32 = 8;
-
-/// Bound on bad-block migration recursion depth (a migration's destination
-/// block can itself grow bad).
-const MAX_REMAP_DEPTH: u32 = 4;
 
 /// Errors from FTL operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,7 +85,7 @@ fn bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
-/// The GC victim index: every sealed (fully written), non-retired block,
+/// The GC victim index: every sealed (fully written) block,
 /// filed by its valid-page count. Row `v` is a bitset over dense block
 /// indices (die-major, so index order is `(die, block)` order) of the
 /// blocks with `v` valid pages, and `len[v]` is its population. The greedy
@@ -199,10 +190,6 @@ pub struct FtlStats {
     pub gc_writes: u64,
     /// GC victim erases.
     pub gc_erases: u64,
-    /// Blocks retired after a program failure (never erased or reused).
-    pub bad_blocks: u64,
-    /// Page writes remapped to a fresh block after a program failure.
-    pub program_remaps: u64,
 }
 
 impl FtlStats {
@@ -249,17 +236,11 @@ pub struct Ftl {
     pages_per_block: u32,
     exported_pages: u64,
     stats: FtlStats,
-    /// Grown-bad blocks, a bitset by dense block index: retired after a
-    /// program failure, excluded from the free list and from GC victim
-    /// selection forever. Pages programmed before the failure stay readable
-    /// until migrated off. Checkpoint bad-lists serialize in index order,
-    /// which is address order.
-    bad: Vec<u64>,
     /// The write-ahead mapping journal: acks wait for its records, recovery
     /// replays them.
     journal: MapJournal,
-    /// The one page buffer every relocation (GC, bad-block migration) reads
-    /// into and programs from.
+    /// The one page buffer every GC relocation reads into and programs
+    /// from.
     relocation_page: Vec<u8>,
     /// Flight-recorder sink (inert unless recording).
     trace: TraceSink,
@@ -320,7 +301,6 @@ impl Ftl {
             pages_per_block: cfg.pages_per_block,
             exported_pages: exported,
             stats: FtlStats::default(),
-            bad: vec![0; blocks.div_ceil(64)],
             journal: MapJournal::new(),
             relocation_page: Vec::new(),
             trace: TraceSink::disabled(),
@@ -418,43 +398,13 @@ impl Ftl {
         if *owner != 0 {
             *owner = 0;
             let valid = self.valid[b];
-            // Re-file the block if it is in the victim index (open and
-            // retired blocks are not).
+            // Re-file the block if it is in the victim index (open blocks
+            // are not).
             if self.victims.remove(valid, b) {
                 self.victims.insert(valid - 1, b);
             }
             self.valid[b] = valid - 1;
         }
-    }
-
-    /// Retires grown-bad block `b`: it leaves the write frontier and never
-    /// re-enters the free list or GC victim pool. Journaled so the block
-    /// stays retired across power cycles.
-    fn retire_block(&mut self, b: usize, now: Nanos) {
-        let Ppa {
-            channel,
-            die,
-            block,
-            ..
-        } = self.ppa_of(b, 0);
-        if !has_bit(&self.bad, b) {
-            set_bit(&mut self.bad, b);
-            self.stats.bad_blocks += 1;
-            self.journal.append(
-                JournalOp::Retire {
-                    channel,
-                    die,
-                    block,
-                },
-                Nanos::ZERO,
-                now,
-            );
-        }
-        let die = b / self.blocks_per_die as usize;
-        if self.active[die].map(|(a, _)| a) == Some(block) {
-            self.active[die] = None;
-        }
-        self.victims.remove(self.valid[b], b);
     }
 
     /// Records one mapping update in the journal and installs it in the
@@ -483,60 +433,28 @@ impl Ftl {
         &mut self.map[slot]
     }
 
-    /// Claims a page and programs it, remapping on grown-bad blocks: a
-    /// failed program retires the target block, migrates its live pages
-    /// elsewhere, and retries the write on a fresh page (bounded attempts).
-    fn program_remapped(
+    /// Claims a page and programs it; returns where and when the program
+    /// completes.
+    fn program(
         &mut self,
         lpn: u64,
         data: &[u8],
         nand: &mut NandArray,
-        mut now: Nanos,
-        depth: u32,
+        now: Nanos,
     ) -> Result<(Ppa, Nanos), FtlError> {
-        let mut last_failed = None;
-        for _ in 0..MAX_PROGRAM_ATTEMPTS {
-            let ppa = self.claim_page(lpn)?;
-            match nand.program(ppa, data, now) {
-                Ok(done) => return Ok((ppa, done)),
-                Err(NandError::ProgramFailed(failed)) => {
-                    last_failed = Some(failed);
-                    // The claimed page never got data: unclaim it, then
-                    // retire the block and rescue its earlier live pages.
-                    self.invalidate(failed);
-                    let b = self.block_index(failed);
-                    self.retire_block(b, now);
-                    if depth < MAX_REMAP_DEPTH {
-                        now = self.migrate_block(b, nand, now, depth + 1)?;
-                    }
-                    self.stats.program_remaps += 1;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Err(FtlError::Nand(NandError::ProgramFailed(
-            #[expect(
-                clippy::expect_used,
-                reason = "retry loop bound is a compile-time positive constant, so the loop body ran and set last_failed"
-            )]
-            last_failed.expect("loop ran at least once"),
-        )))
+        let ppa = self.claim_page(lpn)?;
+        Ok((ppa, nand.program(ppa, data, now)?))
     }
 
-    /// Moves every live page off dense block `b` — a retired one, or a GC
-    /// victim. Data stays readable in place until its relocation lands, so
-    /// a mid-migration error leaves no window where an acknowledged write
-    /// is unreachable.
+    /// Moves every live page off GC victim `b`. Data stays readable in
+    /// place until its relocation lands, so a mid-migration error leaves no
+    /// window where an acknowledged write is unreachable.
     fn migrate_block(
         &mut self,
         b: usize,
         nand: &mut NandArray,
         mut now: Nanos,
-        depth: u32,
     ) -> Result<Nanos, FtlError> {
-        // A relocation whose program fails migrates the failed block from
-        // inside this loop; that nested pass finds the buffer taken and
-        // grows its own.
         let mut page = std::mem::take(&mut self.relocation_page);
         for slot in 0..self.pages_per_block {
             let owner = self.owner.get(b).map_or(0, |row| row[slot as usize]);
@@ -547,7 +465,7 @@ impl Ftl {
             let src = self.ppa_of(b, slot);
             page.clear();
             now = nand.read_range(src, 0, nand.programmed_len(src), now, &mut page)?;
-            let (dst, t_prog) = self.program_remapped(lpn, &page, nand, now, depth)?;
+            let (dst, t_prog) = self.program(lpn, &page, nand, now)?;
             now = t_prog;
             self.commit_mapping(lpn, dst, t_prog, now);
             self.stats.gc_writes += 1;
@@ -584,7 +502,7 @@ impl Ftl {
         if self.free_count < self.gc_threshold {
             now = self.collect_garbage(nand, now)?;
         }
-        let (ppa, done) = self.program_remapped(lpn, data, nand, now, 0)?;
+        let (ppa, done) = self.program(lpn, data, nand, now)?;
         let durable = self.commit_mapping(lpn, ppa, done, now);
         self.stats.host_writes += 1;
         self.maybe_checkpoint(now);
@@ -642,7 +560,7 @@ impl Ftl {
                 break;
             }
             // Relocate its `valid_count` live pages.
-            now = self.migrate_block(victim, nand, now, 0)?;
+            now = self.migrate_block(victim, nand, now)?;
             // Never destroy the old copy of a page before its replacement —
             // data *and* the journal record naming it — is on the medium: a
             // cut between erase and relocation-durable would otherwise lose
@@ -681,13 +599,7 @@ impl Ftl {
         if !self.journal.needs_checkpoint() {
             return;
         }
-        let bad: Vec<(u16, u16, u32)> = bits(&self.bad)
-            .map(|b| {
-                let ppa = self.ppa_of(b, 0);
-                (ppa.channel, ppa.die, ppa.block)
-            })
-            .collect();
-        self.journal.write_checkpoint(&self.map, bad, now);
+        self.journal.write_checkpoint(&self.map, [], now);
     }
 
     /// A power cut at instant `at`: the journal loses in-flight appends and
@@ -699,7 +611,7 @@ impl Ftl {
     }
 
     /// Rebuilds the full translation state after a power cut: seed the map
-    /// and bad-block set from the newest durable checkpoint (if any), replay
+    /// from the newest durable checkpoint (if any), replay
     /// the surviving journal tail on top — falling back to a record's
     /// previous PPA when the cut tore its target page — then reconstruct
     /// per-block validity and the free list from the recovered map and the
@@ -711,7 +623,6 @@ impl Ftl {
         }
         self.owner.clear();
         self.victims.clear();
-        self.bad.fill(0);
         self.active.fill(None);
         self.die_cursor = 0;
         self.map.clear();
@@ -722,15 +633,6 @@ impl Ftl {
                 report.from_checkpoint = true;
                 let named = cp.map.len().min(self.exported_pages as usize);
                 self.map.extend_from_slice(&cp.map[..named]);
-                for &(channel, die, block) in &cp.bad {
-                    let b = self.block_index(Ppa {
-                        channel,
-                        die,
-                        block,
-                        page: 0,
-                    });
-                    set_bit(&mut self.bad, b);
-                }
                 cp.covers_below
             }
             None => 0,
@@ -739,44 +641,33 @@ impl Ftl {
         let (records, _torn_tail) = self.journal.replayable(from_seq);
         for rec in &records {
             report.replayed += 1;
-            match rec.op {
-                JournalOp::MapUpdate { lpn, ppa, prev } => {
-                    if lpn >= self.exported_pages {
-                        continue;
-                    }
-                    let packed = if nand.has_data(ppa) {
-                        Some(self.packing.pack(ppa))
-                    } else {
-                        // The cut tore the target program: the update was
-                        // never acked, so surface the previous (last acked)
-                        // version — or nothing if that is torn too, which
-                        // means *it* was never acked either.
-                        report.torn_mappings += 1;
-                        prev.filter(|&p| nand.has_data(p))
-                            .map(|p| self.packing.pack(p))
-                    };
-                    *self.map_slot(lpn) = packed;
-                }
-                JournalOp::Retire {
-                    channel,
-                    die,
-                    block,
-                } => {
-                    let b = self.block_index(Ppa {
-                        channel,
-                        die,
-                        block,
-                        page: 0,
-                    });
-                    set_bit(&mut self.bad, b);
-                }
+            let JournalOp::MapUpdate { lpn, ppa, prev } = rec.op;
+            if lpn >= self.exported_pages {
+                continue;
             }
+            let packed = if nand.has_data(ppa) {
+                Some(self.packing.pack(ppa))
+            } else {
+                // The cut tore the target program: the update was never
+                // acked, so surface the previous (last acked) version — or
+                // nothing if that is torn too, which means *it* was never
+                // acked either.
+                report.torn_mappings += 1;
+                prev.filter(|&p| nand.has_data(p))
+                    .map(|p| self.packing.pack(p))
+            };
+            *self.map_slot(lpn) = packed;
         }
         self.journal.truncate_torn();
+        // GC erases wait for the journal's busy chain, so no page a torn
+        // record names is reused before this snapshot is durable.
+        if report.torn_mappings > 0 {
+            self.journal.checkpoint_recovered(&self.map);
+        }
 
         // Every block from each die's `fresh` up is free: no NAND row, no
-        // valid page, no bad bit. Raise it past every block in use, which
-        // are the only ones visited below.
+        // valid page. Raise it past every block in use, which are the only
+        // ones visited below.
         let bpd = self.blocks_per_die;
         for free in &mut self.free_blocks {
             free.returned.clear();
@@ -787,7 +678,6 @@ impl Ftl {
             free.fresh = free.fresh.max(b as u32 % bpd + 1);
         };
         nand.blocks_with_rows().for_each(&mut in_use);
-        bits(&self.bad).for_each(&mut in_use);
 
         // Rebuild per-block validity from the recovered map.
         for (lpn, slot) in self.map.iter().enumerate() {
@@ -805,8 +695,7 @@ impl Ftl {
             let free = &mut self.free_blocks[die];
             free.fresh = free.fresh.max(ppa.block + 1);
         }
-        // Every non-retired block that holds data, or was programmed at all,
-        // is sealed: the cut may have burned frontier pages mid-program, so
+        // Every block that holds data, or was programmed at all, is sealed: the cut may have burned frontier pages mid-program, so
         // a write frontier never resumes inside a used block, and one with
         // no live pages is an immediately reclaimable GC victim. The free
         // ones go on the stack highest first, so they are handed out in
@@ -815,9 +704,6 @@ impl Ftl {
         for (die, free) in self.free_blocks.iter_mut().enumerate() {
             let first = die * bpd as usize;
             for b in (first..first + free.fresh as usize).rev() {
-                if has_bit(&self.bad, b) {
-                    continue;
-                }
                 if self.valid[b] == 0 && nand.is_block_erased(b) {
                     free.returned.push((b - first) as u32);
                 } else {
@@ -826,7 +712,6 @@ impl Ftl {
             }
             self.free_count += free.len(bpd);
         }
-        self.stats.bad_blocks = bits(&self.bad).count() as u64;
 
         self.trace.emit(None, || EventKind::JournalReplay {
             replayed: report.replayed,
@@ -1045,15 +930,13 @@ mod tests {
         }
     }
 
-    /// Whether dense block `b` is sealed, from the free lists, frontiers and
-    /// bad set alone: a block that is none of free, open, or retired was
-    /// filled (or survived a cut) and is a GC candidate.
+    /// Whether dense block `b` is sealed, from the free lists and frontiers
+    /// alone: a block that is neither free nor open was filled (or survived
+    /// a cut) and is a GC candidate.
     fn sealed(ftl: &Ftl, b: usize) -> bool {
         let bpd = ftl.blocks_per_die as usize;
         let (die, block) = (b / bpd, (b % bpd) as u32);
-        !ftl.free_blocks[die].contains(&block)
-            && ftl.active[die].map(|(a, _)| a) != Some(block)
-            && !has_bit(&ftl.bad, b)
+        !ftl.free_blocks[die].contains(&block) && ftl.active[die].map(|(a, _)| a) != Some(block)
     }
 
     /// The victim a sweep of the whole block table picks: the reference the
@@ -1166,47 +1049,12 @@ mod tests {
         }
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
-
-        /// The same, with program failures retiring blocks — the active one
-        /// mid-write, and destinations mid-migration — and a cut that lands
-        /// with programs in flight.
-        #[test]
-        fn gc_victims_equal_the_full_scan_reference_under_program_failures(
-            seed in proptest::prelude::any::<u64>(),
-        ) {
-            use bx_hostsim::{FaultConfig, FaultInjector};
-            use std::cell::RefCell;
-            use std::rc::Rc;
-
-            let mut nand = faulty_nand();
-            nand.set_fault_injector(Rc::new(RefCell::new(FaultInjector::new(FaultConfig {
-                seed,
-                nand_program_fail: 0.01,
-                ..FaultConfig::disabled()
-            }))));
-            let mut ftl = Ftl::new(&nand, 0.25);
-            let mut t = Nanos::ZERO;
-            for i in 0..1200u32 {
-                t = write_checked(&mut ftl, &mut nand, (i * 7 % 10) as u64, i as u8, t);
-            }
-            proptest::prop_assert!(ftl.stats().bad_blocks > 0 && ftl.stats().gc_erases > 0);
-            let cut = t - Nanos::from_ns(1);
-            nand.power_cut(cut);
-            ftl.power_fail(cut);
-            ftl.recover(&nand);
-            assert_index_matches_full_scan(&ftl);
-        }
-    }
-
     /// What the recovery before the free lists became a bound and a stack
     /// rebuilt: a map of the whole exported capacity, and every block of
     /// the array visited.
     struct FullScan {
         map: Vec<Option<PackedPpa>>,
         valid: Vec<u32>,
-        bad: Vec<u64>,
         free: Vec<Vec<u32>>,
         victims: VictimIndex,
     }
@@ -1216,55 +1064,25 @@ mod tests {
     fn full_scan_recovery(ftl: &Ftl, nand: &NandArray) -> FullScan {
         let blocks = ftl.valid.len();
         let mut map = vec![None; ftl.exported_pages as usize];
-        let mut bad = vec![0; blocks.div_ceil(64)];
         let from_seq = match ftl.journal.recovery_base() {
             Some(cp) => {
                 let named = cp.map.len().min(map.len());
                 map[..named].copy_from_slice(&cp.map[..named]);
-                for &(channel, die, block) in &cp.bad {
-                    set_bit(
-                        &mut bad,
-                        ftl.block_index(Ppa {
-                            channel,
-                            die,
-                            block,
-                            page: 0,
-                        }),
-                    );
-                }
                 cp.covers_below
             }
             None => 0,
         };
         for rec in ftl.journal.replayable(from_seq).0 {
-            match rec.op {
-                JournalOp::MapUpdate { lpn, ppa, prev } => {
-                    let Some(slot) = map.get_mut(lpn as usize) else {
-                        continue;
-                    };
-                    let target = if nand.has_data(ppa) {
-                        Some(ppa)
-                    } else {
-                        prev.filter(|&p| nand.has_data(p))
-                    };
-                    *slot = target.map(|p| ftl.packing.pack(p));
-                }
-                JournalOp::Retire {
-                    channel,
-                    die,
-                    block,
-                } => {
-                    set_bit(
-                        &mut bad,
-                        ftl.block_index(Ppa {
-                            channel,
-                            die,
-                            block,
-                            page: 0,
-                        }),
-                    );
-                }
-            }
+            let JournalOp::MapUpdate { lpn, ppa, prev } = rec.op;
+            let Some(slot) = map.get_mut(lpn as usize) else {
+                continue;
+            };
+            let target = if nand.has_data(ppa) {
+                Some(ppa)
+            } else {
+                prev.filter(|&p| nand.has_data(p))
+            };
+            *slot = target.map(|p| ftl.packing.pack(p));
         }
         let mut valid = vec![0; blocks];
         let mut owner = vec![0u32; blocks * ftl.pages_per_block as usize];
@@ -1285,9 +1103,6 @@ mod tests {
             let mut die_free = Vec::new();
             for block in (0..ftl.blocks_per_die).rev() {
                 let b = die * bpd + block as usize;
-                if has_bit(&bad, b) {
-                    continue;
-                }
                 let ppa = ftl.ppa_of(b, 0);
                 if valid[b] == 0 && nand.is_block_erased(ftl.block_index(ppa)) {
                     die_free.push(block);
@@ -1300,7 +1115,6 @@ mod tests {
         FullScan {
             map,
             valid,
-            bad,
             free,
             victims,
         }
@@ -1332,7 +1146,6 @@ mod tests {
         map.resize(want.map.len(), None);
         proptest::prop_assert_eq!(map, want.map);
         proptest::prop_assert_eq!(&ftl.valid, &want.valid);
-        proptest::prop_assert_eq!(&ftl.bad, &want.bad);
         let bpd = ftl.blocks_per_die;
         for (die, want_free) in want.free.into_iter().enumerate() {
             let mut free = ftl.free_blocks[die].clone();
@@ -1357,30 +1170,16 @@ mod tests {
 
         /// Random schedules of writes over a hot and a cold set — enough to
         /// run GC on the tiny array — with checkpoints every few records,
-        /// program failures in some runs, and cuts that land between writes
-        /// or with programs in flight, each followed by a recovery and more
-        /// writes: every recovery rebuilds the map, valid counts, bad set,
-        /// free-block pop order, free count and victim order the full scan
-        /// of every block did.
+        /// and cuts that land between writes or with programs in flight,
+        /// each followed by a recovery and more writes: every recovery
+        /// rebuilds the map, valid counts, free-block pop order, free count
+        /// and victim order the full scan of every block did.
         #[test]
         fn recovery_rebuilds_what_the_full_scan_did(
             threshold in 2..24usize,
-            fail in 0..3u8,
-            seed in proptest::prelude::any::<u64>(),
             ops in proptest::collection::vec((0..40u64, 0..400u64, 0..24u8), 20..400),
         ) {
-            use bx_hostsim::{FaultConfig, FaultInjector};
-            use std::cell::RefCell;
-            use std::rc::Rc;
-
-            let mut nand = if fail == 0 { faulty_nand() } else { tiny_nand() };
-            if fail == 0 {
-                nand.set_fault_injector(Rc::new(RefCell::new(FaultInjector::new(FaultConfig {
-                    seed,
-                    nand_program_fail: 0.01,
-                    ..FaultConfig::disabled()
-                }))));
-            }
+            let mut nand = tiny_nand();
             let mut ftl = Ftl::new(&nand, 0.25);
             ftl.journal.checkpoint_threshold = threshold;
             // The host issues each write once the last one is acked, so a
@@ -1399,8 +1198,8 @@ mod tests {
                         let lpn = if kind % 2 == 0 { lpn % 5 } else { lpn };
                         match ftl.write(lpn, &page(kind), &mut nand, now + Nanos::from_us(gap_us)) {
                             Ok(done) => now = done,
-                            // A dying array ends the schedule, but not before its
-                            // recovery is checked.
+                            // A full array ends the schedule, but not before
+                            // its recovery is checked.
                             Err(_) => break,
                         }
                     }
@@ -1448,91 +1247,6 @@ mod tests {
     fn bad_op_ratio_panics() {
         let nand = tiny_nand();
         let _ = Ftl::new(&nand, 0.95);
-    }
-
-    /// Bigger array for bad-block tests: each program failure permanently
-    /// retires a block, so the pool must be deep enough to survive the
-    /// injected fault rate.
-    fn faulty_nand() -> NandArray {
-        NandArray::new(NandConfig {
-            channels: 2,
-            dies_per_channel: 2,
-            blocks_per_die: 24,
-            pages_per_block: 8,
-            ..NandConfig::small()
-        })
-    }
-
-    #[test]
-    fn bad_block_remap_preserves_data() {
-        use bx_hostsim::{FaultConfig, FaultInjector};
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        let mut nand = faulty_nand();
-        let faults = Rc::new(RefCell::new(FaultInjector::new(FaultConfig {
-            seed: 1234,
-            nand_program_fail: 0.02,
-            ..FaultConfig::disabled()
-        })));
-        nand.set_fault_injector(faults);
-        let mut ftl = Ftl::new(&nand, 0.25);
-        let mut t = Nanos::ZERO;
-        // Enough writes over a small working set that several programs fail.
-        for i in 0..300u32 {
-            t = ftl
-                .write((i % 6) as u64, &page(i as u8), &mut nand, t)
-                .unwrap();
-        }
-        let s = ftl.stats();
-        assert!(s.bad_blocks > 0, "fault rate should have retired blocks");
-        assert!(s.program_remaps >= s.bad_blocks);
-        // Every logical page still reads back its last write.
-        for lpn in 0..6u64 {
-            let expected = (294 + lpn as u32) as u8;
-            let (data, _) = read(&mut ftl, lpn, &mut nand, t).unwrap();
-            assert_eq!(data, page(expected), "lpn {lpn} lost after remap");
-        }
-    }
-
-    #[test]
-    fn retired_blocks_never_rejoin_free_pool() {
-        use bx_hostsim::{FaultConfig, FaultInjector};
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        let mut nand = faulty_nand();
-        let faults = Rc::new(RefCell::new(FaultInjector::new(FaultConfig {
-            seed: 9,
-            nand_program_fail: 0.02,
-            ..FaultConfig::disabled()
-        })));
-        nand.set_fault_injector(faults);
-        let mut ftl = Ftl::new(&nand, 0.25);
-        let mut t = Nanos::ZERO;
-        for i in 0..1500u32 {
-            t = ftl
-                .write((i % 4) as u64, &page(i as u8), &mut nand, t)
-                .unwrap();
-        }
-        assert!(ftl.stats().bad_blocks > 0);
-        assert!(
-            ftl.stats().gc_erases > 0,
-            "GC must still run around bad blocks"
-        );
-        let bpd = ftl.blocks_per_die as usize;
-        for b in bits(&ftl.bad) {
-            let (die, block) = (b / bpd, (b % bpd) as u32);
-            assert!(
-                !ftl.free_blocks[die].contains(&block),
-                "bad block {b} re-entered the free pool"
-            );
-            assert_ne!(
-                ftl.active[die].map(|(a, _)| a),
-                Some(block),
-                "bad block {b} is an active frontier"
-            );
-        }
     }
 
     #[test]
@@ -1715,43 +1429,5 @@ mod tests {
             state
         };
         assert_eq!(run(), run(), "same history + cut → identical recovery");
-    }
-
-    #[test]
-    fn bad_blocks_survive_power_cycle() {
-        use bx_hostsim::{FaultConfig, FaultInjector};
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        let mut nand = faulty_nand();
-        let faults = Rc::new(RefCell::new(FaultInjector::new(FaultConfig {
-            seed: 77,
-            nand_program_fail: 0.02,
-            ..FaultConfig::disabled()
-        })));
-        nand.set_fault_injector(faults);
-        let mut ftl = Ftl::new(&nand, 0.25);
-        let mut t = Nanos::ZERO;
-        for i in 0..400u32 {
-            t = ftl
-                .write((i % 6) as u64, &page(i as u8), &mut nand, t)
-                .unwrap();
-        }
-        let bad_before = ftl.bad.clone();
-        assert!(
-            bits(&bad_before).next().is_some(),
-            "fault rate should retire blocks"
-        );
-        nand.power_cut(t);
-        ftl.power_fail(t);
-        ftl.recover(&nand);
-        assert_eq!(
-            ftl.bad, bad_before,
-            "retired blocks must stay retired after replay"
-        );
-        let bpd = ftl.blocks_per_die as usize;
-        for b in bits(&ftl.bad) {
-            assert!(!ftl.free_blocks[b / bpd].contains(&((b % bpd) as u32)));
-        }
     }
 }

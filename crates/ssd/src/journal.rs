@@ -1,7 +1,7 @@
 //! Append-only FTL mapping-table journal with bounded checkpoints.
 //!
-//! Every mapping-table mutation (host write, GC/migration relocation, block
-//! retirement) is recorded here *before* the command is acknowledged:
+//! Every mapping-table mutation (host write, GC relocation) is recorded here
+//! *before* the command is acknowledged:
 //! the FTL acks at `max(nand_program_done, record_durable_at)`, the
 //! write-ahead ordering NVLog (arXiv 2408.02911) uses for its NVMe-backed
 //! log. On restart after a power cut the map is rebuilt from the newest
@@ -63,15 +63,6 @@ pub enum JournalOp {
         /// Previous physical location, if the page was mapped before.
         prev: Option<Ppa>,
     },
-    /// The block was retired (grown bad) and must stay out of the free pool.
-    Retire {
-        /// Physical channel of the retired block.
-        channel: u16,
-        /// Die within the channel.
-        die: u16,
-        /// Block index within the die.
-        block: u32,
-    },
 }
 
 /// A decoded record: the op plus its monotonic sequence number.
@@ -83,10 +74,9 @@ pub(crate) struct JournalRecord {
     pub op: JournalOp,
 }
 
-// Kind 2 was TRIM, which the FTL no longer has; the decoder rejects it like
-// any other unknown kind.
+// Kind 2 was TRIM and kind 3 a grown-bad block retirement, neither of which
+// the FTL has any more; the decoder rejects them like any other unknown kind.
 const KIND_MAP_UPDATE: u8 = 1;
-const KIND_RETIRE: u8 = 3;
 const FLAG_HAS_PREV: u8 = 1;
 
 /// CRC-32 remainders of every byte value (IEEE 802.3 polynomial, reflected),
@@ -116,40 +106,14 @@ fn crc32(bytes: &[u8]) -> u32 {
 }
 
 fn encode(rec: &JournalRecord) -> [u8; RECORD_BYTES] {
+    let JournalOp::MapUpdate { lpn, ppa, prev } = rec.op;
     let mut buf = [0u8; RECORD_BYTES];
-    let (kind, flags, target, lpn, prev) = match rec.op {
-        JournalOp::MapUpdate { lpn, ppa, prev } => (
-            KIND_MAP_UPDATE,
-            if prev.is_some() { FLAG_HAS_PREV } else { 0 },
-            Some(ppa),
-            lpn,
-            prev,
-        ),
-        JournalOp::Retire {
-            channel,
-            die,
-            block,
-        } => (
-            KIND_RETIRE,
-            0,
-            Some(Ppa {
-                channel,
-                die,
-                block,
-                page: 0,
-            }),
-            0,
-            None,
-        ),
-    };
-    buf[0] = kind;
-    buf[1] = flags;
-    if let Some(t) = target {
-        buf[2..4].copy_from_slice(&t.channel.to_le_bytes());
-        buf[4..6].copy_from_slice(&t.die.to_le_bytes());
-        buf[6..10].copy_from_slice(&t.block.to_le_bytes());
-        buf[10..14].copy_from_slice(&t.page.to_le_bytes());
-    }
+    buf[0] = KIND_MAP_UPDATE;
+    buf[1] = if prev.is_some() { FLAG_HAS_PREV } else { 0 };
+    buf[2..4].copy_from_slice(&ppa.channel.to_le_bytes());
+    buf[4..6].copy_from_slice(&ppa.die.to_le_bytes());
+    buf[6..10].copy_from_slice(&ppa.block.to_le_bytes());
+    buf[10..14].copy_from_slice(&ppa.page.to_le_bytes());
     buf[14..22].copy_from_slice(&lpn.to_le_bytes());
     if let Some(p) = prev {
         buf[22..24].copy_from_slice(&p.channel.to_le_bytes());
@@ -186,26 +150,19 @@ fn decode(buf: &[u8; RECORD_BYTES]) -> Option<JournalRecord> {
         buf[14], buf[15], buf[16], buf[17], buf[18], buf[19], buf[20], buf[21],
     ]);
     let seq = u32_at(buf, 34);
-    let op = match buf[0] {
-        KIND_MAP_UPDATE => {
-            let prev = (buf[1] & FLAG_HAS_PREV != 0).then(|| Ppa {
-                channel: u16_at(buf, 22),
-                die: u16_at(buf, 24),
-                block: u32_at(buf, 26),
-                page: u32_at(buf, 30),
-            });
-            JournalOp::MapUpdate {
-                lpn,
-                ppa: target,
-                prev,
-            }
-        }
-        KIND_RETIRE => JournalOp::Retire {
-            channel: target.channel,
-            die: target.die,
-            block: target.block,
-        },
-        _ => return None,
+    if buf[0] != KIND_MAP_UPDATE {
+        return None;
+    }
+    let prev = (buf[1] & FLAG_HAS_PREV != 0).then(|| Ppa {
+        channel: u16_at(buf, 22),
+        die: u16_at(buf, 24),
+        block: u32_at(buf, 26),
+        page: u32_at(buf, 30),
+    });
+    let op = JournalOp::MapUpdate {
+        lpn,
+        ppa: target,
+        prev,
     };
     Some(JournalRecord { seq, op })
 }
@@ -221,9 +178,8 @@ struct StoredRecord {
     /// When the journal program for this record completes — acks wait for
     /// this; a cut before it tears the record.
     durable_at: Nanos,
-    /// When the NAND program of the record's *target* page completes
-    /// (`Nanos::ZERO` for Retire). Checkpoints only absorb records
-    /// whose targets are already durable.
+    /// When the NAND program of the record's *target* page completes.
+    /// Checkpoints only absorb records whose targets are already durable.
     target_done: Nanos,
 }
 
@@ -242,13 +198,11 @@ impl StoredRecord {
 /// A persisted map snapshot: replaces every record with `seq < covers_below`.
 #[derive(Debug, Clone)]
 pub(crate) struct Checkpoint {
-    /// All records with `seq < covers_below` are folded into `map`/`bad`
+    /// All records with `seq < covers_below` are folded into `map`
     /// (exclusive bound, so `0` means "covers nothing").
     pub covers_below: u32,
     /// Snapshot of the logical-to-physical map, in the FTL's own slots.
     pub map: Vec<Option<PackedPpa>>,
-    /// Snapshot of the grown-bad block set.
-    pub bad: Vec<(u16, u16, u32)>,
     /// When the snapshot program completed; a cut before this discards it.
     durable_at: Nanos,
 }
@@ -332,7 +286,7 @@ impl MapJournal {
         self.records.len() >= self.checkpoint_threshold
     }
 
-    /// Persists a snapshot of the current map and bad-block set, absorbing
+    /// Persists a snapshot of the current map, absorbing
     /// every record whose *target* is already durable at `now`. Records with
     /// in-flight targets stay live: their map entries in the snapshot may
     /// point at pages a later cut tears, and only their journal records (with
@@ -342,10 +296,14 @@ impl MapJournal {
     /// tail cannot shrink until that one is durable, so a second snapshot
     /// would absorb nothing, only lengthen the busy chain — and a storm of
     /// them would push the last durable snapshot out of the region.
+    ///
+    /// `_retired` is ignored: it was the grown-bad block list, which the FTL
+    /// no longer keeps. It stays in the signature only because the
+    /// standalone `benchmark/` package still passes an empty one.
     pub fn write_checkpoint(
         &mut self,
         map: &[Option<PackedPpa>],
-        bad: impl IntoIterator<Item = (u16, u16, u32)>,
+        _retired: impl IntoIterator<Item = (u16, u16, u32)>,
         now: Nanos,
     ) {
         if self.checkpoints.last().is_some_and(|c| c.durable_at > now) {
@@ -364,7 +322,6 @@ impl MapJournal {
         self.checkpoints.push(Checkpoint {
             covers_below,
             map: map.to_vec(),
-            bad: bad.into_iter().collect(),
             durable_at: self.busy_until,
         });
         // The new snapshot may not be durable yet when a cut lands, in which
@@ -376,6 +333,21 @@ impl MapJournal {
         }
         self.stats.checkpoints += 1;
         self.prune_covered(now);
+    }
+
+    /// Persists a snapshot of the map recovery just rebuilt, covering every
+    /// surviving record: replay resolved each of them, a torn target's
+    /// fallback included. After it, no later recovery replays a record
+    /// whose target the cut tore — a page that GC may since have erased and
+    /// programmed with another LPN's data.
+    pub(crate) fn checkpoint_recovered(&mut self, map: &[Option<PackedPpa>]) {
+        self.busy_until += CHECKPOINT_LATENCY;
+        self.checkpoints.push(Checkpoint {
+            covers_below: self.next_seq,
+            map: map.to_vec(),
+            durable_at: self.busy_until,
+        });
+        self.stats.checkpoints += 1;
     }
 
     /// Drops records absorbed by a checkpoint that is already durable. They
@@ -596,20 +568,16 @@ mod tests {
         },
     }
 
-    /// Every record kind, over every field's whole range.
+    /// A map update over every field's whole range.
     fn op_strategy() -> impl Strategy<Value = JournalOp> {
         let any_ppa = || (any::<u16>(), any::<u16>(), any::<u32>(), any::<u32>());
-        prop_oneof![
-            4 => (any::<u64>(), any_ppa(), any::<bool>(), any_ppa()).prop_map(
-                |(lpn, (c, d, b, p), has_prev, (pc, pd, pb, pp))| JournalOp::MapUpdate {
-                    lpn,
-                    ppa: ppa(c, d, b, p),
-                    prev: has_prev.then(|| ppa(pc, pd, pb, pp)),
-                }
-            ),
-            1 => (any::<u16>(), any::<u16>(), any::<u32>())
-                .prop_map(|(channel, die, block)| JournalOp::Retire { channel, die, block }),
-        ]
+        (any::<u64>(), any_ppa(), any::<bool>(), any_ppa()).prop_map(
+            |(lpn, (c, d, b, p), has_prev, (pc, pd, pb, pp))| JournalOp::MapUpdate {
+                lpn,
+                ppa: ppa(c, d, b, p),
+                prev: has_prev.then(|| ppa(pc, pd, pb, pp)),
+            },
+        )
     }
 
     fn step_strategy() -> impl Strategy<Value = Step> {
@@ -695,11 +663,6 @@ mod tests {
                 ppa: ppa(0, 0, 0, 0),
                 prev: None,
             },
-            JournalOp::Retire {
-                channel: 3,
-                die: 1,
-                block: 60,
-            },
         ] {
             let rec = JournalRecord { seq: 9, op };
             let buf = encode(&rec);
@@ -707,16 +670,17 @@ mod tests {
         }
     }
 
-    /// A record of an unknown kind — 2, the retired TRIM, among them — is
-    /// rejected even under a valid checksum: replay stops there, as at a
-    /// torn record, and applies no mapping change.
+    /// A record of an unknown kind — 2 and 3, the retired TRIM and block
+    /// retirement, among them — is rejected even under a valid checksum:
+    /// replay stops there, as at a torn record, and applies no mapping
+    /// change.
     #[test]
     fn unknown_kind_is_rejected_under_a_valid_checksum() {
         let rec = JournalRecord {
             seq: 1,
             op: update(5),
         };
-        for kind in [0, 2, 4, u8::MAX] {
+        for kind in [0, 2, 3, 4, u8::MAX] {
             let mut buf = encode(&rec);
             buf[0] = kind;
             let crc = crc32(&buf[..RECORD_BYTES - 4]);

@@ -56,7 +56,7 @@ pub mod registers;
 mod rows;
 mod timing;
 
-pub use bus::{FaultHandle, MmioCompletion, MmioSubmission, MmioWindow, Platform, SystemBus};
+pub use bus::{MmioCompletion, MmioSubmission, MmioWindow, Platform, SystemBus};
 pub use controller::{Controller, ControllerConfig, ControllerStats, ExecutionModel, FetchPolicy};
 pub use dram::{DeviceDram, DramError, DramRegion};
 pub use firmware::{BlockFirmware, CommandOutcome, FirmwareCtx, FirmwareHandler};

@@ -17,7 +17,6 @@
 //! reproduce the paper's transfer-latency-only experiments ("with NAND I/O
 //! disabled on the OpenSSD", §4.2).
 
-use crate::bus::FaultHandle;
 use crate::rows::BlockRows;
 use bx_hostsim::Nanos;
 use bx_trace::{EventKind, TraceSink};
@@ -213,11 +212,6 @@ pub enum NandError {
         /// Page size expected.
         want: usize,
     },
-    /// Injected transient program failure; the page is burned and the FTL
-    /// should retire the block and remap the write.
-    ProgramFailed(Ppa),
-    /// Read returned more flipped bits than the ECC can correct.
-    Uncorrectable(Ppa),
 }
 
 impl fmt::Display for NandError {
@@ -229,8 +223,6 @@ impl fmt::Display for NandError {
             NandError::BadLength { got, want } => {
                 write!(f, "bad page data length: got {got}, page is {want}")
             }
-            NandError::ProgramFailed(p) => write!(f, "page program failed at {p}"),
-            NandError::Uncorrectable(p) => write!(f, "uncorrectable read at {p}"),
         }
     }
 }
@@ -240,8 +232,8 @@ impl std::error::Error for NandError {}
 /// Slot of a page never programmed since its block's last erase. Zero, so
 /// a block without a row is erased.
 const ERASED: u32 = 0;
-/// Slot of a programmed page with nothing to read: its program failed or a
-/// power cut tore it. Burned until the block is erased.
+/// Slot of a programmed page with nothing to read: a power cut tore it.
+/// Burned until the block is erased.
 const BURNED: u32 = 1;
 /// Slot values from here up are programmed pages holding
 /// `buffers[slot - HELD]`.
@@ -283,8 +275,6 @@ pub struct NandArray {
     pending_programs: Vec<(Ppa, Nanos)>,
     /// Statistics.
     stats: NandStats,
-    /// Shared fault injector (media faults fire only when installed).
-    faults: Option<FaultHandle>,
     /// Flight-recorder sink (inert unless recording).
     trace: TraceSink,
 }
@@ -298,12 +288,6 @@ pub struct NandStats {
     pub reads: u64,
     /// Blocks erased.
     pub erases: u64,
-    /// Page programs that failed (injected media faults).
-    pub program_failures: u64,
-    /// Reads whose bit flips the ECC corrected transparently.
-    pub ecc_corrected_reads: u64,
-    /// Reads with more flipped bits than the ECC could correct.
-    pub uncorrectable_reads: u64,
 }
 
 impl NandArray {
@@ -322,15 +306,8 @@ impl NandArray {
             die_busy_until: vec![Nanos::ZERO; dies],
             pending_programs: Vec::new(),
             stats: NandStats::default(),
-            faults: None,
             trace: TraceSink::disabled(),
         }
-    }
-
-    /// Installs the platform's shared fault injector; media faults (program
-    /// failures, read bit flips) fire only once this is set.
-    pub(crate) fn set_fault_injector(&mut self, faults: FaultHandle) {
-        self.faults = Some(faults);
     }
 
     /// Installs a flight-recorder sink; program/read/erase operations emit
@@ -417,21 +394,6 @@ impl NandArray {
             return Err(NandError::ProgramWithoutErase(ppa));
         }
         let block = self.cfg.block_index(ppa);
-        // Injected program failure: the program pulse still burns die time and
-        // the page (it stays burned until the block is erased), but no data
-        // lands — the FTL retires the block and remaps.
-        let failed = match &self.faults {
-            Some(f) => f.borrow_mut().nand_program_fail(),
-            None => false,
-        };
-        if failed {
-            self.slots.open(block)[ppa.page as usize] = BURNED;
-            self.stats.program_failures += 1;
-            let die = self.cfg.die_index(ppa);
-            let start = self.die_busy_until[die].max(now);
-            self.die_busy_until[die] = start + self.page_transfer + self.cfg.program_latency;
-            return Err(NandError::ProgramFailed(ppa));
-        }
         let held = data.into();
         let buffer = match self.free_buffers.pop() {
             Some(freed) => {
@@ -459,7 +421,7 @@ impl NandArray {
     /// Reads a page, starting no earlier than `now`, and appends bytes
     /// `off..off + len` of it to `out`; returns the completion instant. The
     /// die senses and transfers the whole page whatever the range — timing,
-    /// statistics, fault draws and the trace event do not depend on it — but
+    /// statistics and the trace event do not depend on it — but
     /// the simulator copies only the bytes asked for. `out` is untouched on
     /// error.
     ///
@@ -468,7 +430,6 @@ impl NandArray {
     /// * [`NandError::BadAddress`] outside the geometry.
     /// * [`NandError::BadLength`] if the range runs past the page end.
     /// * [`NandError::ReadUnwritten`] for never-programmed pages.
-    /// * [`NandError::Uncorrectable`] on an injected read beyond the ECC.
     pub(crate) fn read_range(
         &mut self,
         ppa: Ppa,
@@ -498,20 +459,6 @@ impl NandArray {
         let start = self.die_busy_until[die].max(now);
         let done = start + self.cfg.read_latency + self.page_transfer;
         self.die_busy_until[die] = done;
-        // Injected read disturb: a correctable flip count is fixed by the ECC
-        // (the caller still gets clean data); past the ECC strength the read
-        // fails. Flips are transient — a retry re-draws the schedule.
-        if let Some(f) = &self.faults {
-            let mut f = f.borrow_mut();
-            if let Some(flips) = f.nand_read_flips() {
-                if flips <= f.ecc_correctable_bits() {
-                    self.stats.ecc_corrected_reads += 1;
-                } else {
-                    self.stats.uncorrectable_reads += 1;
-                    return Err(NandError::Uncorrectable(ppa));
-                }
-            }
-        }
         // The slot holds what the program was handed; whatever of the range
         // lies beyond that is the zero tail.
         let stored = &self.buffers[buffer as usize];
@@ -682,9 +629,6 @@ pub(crate) fn shaped_pages() -> Vec<(&'static str, Vec<u8>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bx_hostsim::{FaultConfig, FaultInjector};
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     /// [`NandArray::is_block_erased`] of a block by its coordinates.
     fn erased(n: &NandArray, channel: u16, die: u16, block: u32) -> bool {
@@ -999,35 +943,22 @@ mod tests {
         assert!(!erased(&n, 0, 0, 6));
     }
 
-    /// A block has a row from its first program — a burned one included —
-    /// to its erase, and the three questions recovery and GC ask read it:
-    /// after a burned program, beside a torn page, and after an erase that
-    /// hands the row to the next block zeroed.
+    /// A block has a row from its first program to its erase, and the
+    /// three questions recovery and GC ask read it: after a program, beside
+    /// a torn page, and after an erase that hands the row to the next block
+    /// zeroed.
     #[test]
-    fn block_rows_follow_burns_tears_and_erases() {
-        let faults = Rc::new(RefCell::new(FaultInjector::new(FaultConfig {
-            nand_program_fail: 1.0,
-            ..FaultConfig::disabled()
-        })));
+    fn block_rows_follow_tears_and_erases() {
         let mut n = array();
-        n.set_fault_injector(faults.clone());
-        let burned = ppa(0, 0, 2, 5);
-        assert!(erased(&n, 0, 0, 2));
-        assert_eq!(
-            n.program(burned, &[1; 64], Nanos::ZERO),
-            Err(NandError::ProgramFailed(burned))
-        );
-        faults.borrow_mut().reconfigure(FaultConfig::disabled());
-        assert!(!erased(&n, 0, 0, 2), "a burn opens the row");
-        assert!(!n.has_data(burned));
-        assert_eq!(n.programmed_len(burned), 0);
-        assert_eq!(
-            n.program(burned, &[1; 64], Nanos::ZERO),
-            Err(NandError::ProgramWithoutErase(burned))
-        );
         let beside = ppa(0, 0, 2, 6);
+        assert!(erased(&n, 0, 0, 2));
         let t = n.program(beside, &[2; 100], Nanos::ZERO).unwrap();
+        assert!(!erased(&n, 0, 0, 2), "a program opens the row");
         assert_eq!(n.programmed_len(beside), 100);
+        assert_eq!(
+            n.program(beside, &[1; 64], t),
+            Err(NandError::ProgramWithoutErase(beside))
+        );
 
         let (kept, torn) = (ppa(1, 0, 3, 0), ppa(1, 0, 3, 1));
         let t1 = n.program(kept, &[3; 300], t).unwrap();
@@ -1041,7 +972,7 @@ mod tests {
             n.erase(channel, 0, block, t1).unwrap();
             assert!(erased(&n, channel, 0, block));
         }
-        for at in [burned, beside, kept, torn] {
+        for at in [beside, kept, torn] {
             assert!(!n.has_data(at));
             assert_eq!(n.programmed_len(at), 0);
         }
@@ -1095,25 +1026,12 @@ mod tests {
     proptest::proptest! {
         /// A range read is the matching slice of a whole-page read and is
         /// indistinguishable from it on the die: same completion instant,
-        /// same counters, same fault-injector draws.
+        /// same counters.
         #[test]
         fn read_range_is_a_slice_of_read(
             requests in proptest::collection::vec(range_requests(), 1..60),
-            seed in proptest::prelude::any::<u64>(),
         ) {
-            let faults = || {
-                Rc::new(RefCell::new(FaultInjector::new(FaultConfig {
-                    seed,
-                    nand_read_bitflip: 0.3,
-                    nand_max_flips: 8,
-                    ecc_correctable_bits: 4,
-                    ..FaultConfig::disabled()
-                })))
-            };
-            let (whole_faults, range_faults) = (faults(), faults());
             let (mut whole, mut ranged) = (array(), array());
-            whole.set_fault_injector(whole_faults.clone());
-            ranged.set_fault_injector(range_faults.clone());
             let mut t = Nanos::ZERO;
             for (i, (_, page)) in shaped_pages().iter().enumerate() {
                 whole.program(ppa(0, 0, 0, i as u32), page, t).unwrap();
@@ -1144,13 +1062,7 @@ mod tests {
                 }
                 assert_eq!(ranged.stats(), whole.stats());
                 assert_eq!(die_ready_at(&ranged, at), die_ready_at(&whole, at));
-                assert_eq!(range_faults.borrow().counters(), whole_faults.borrow().counters());
             }
-            // Same number of draws throughout: the next one agrees too.
-            assert_eq!(
-                range_faults.borrow_mut().nand_read_flips(),
-                whole_faults.borrow_mut().nand_read_flips()
-            );
         }
     }
 

@@ -1,7 +1,7 @@
 //! The flight-recorder event taxonomy.
 //!
 //! Every layer of the simulated stack emits [`Event`]s into a shared
-//! [`crate::TraceSink`]: the driver (submit path and recovery ladder), the
+//! [`crate::TraceSink`]: the driver (submit path and timeout reaper), the
 //! PCIe link (one event per TLP batch), the controller (fetch, reassembly,
 //! completion) and the backend (NAND operations, garbage collection). Events
 //! are timestamped in virtual time and — where a command is in scope — tagged
@@ -83,18 +83,10 @@ pub enum EventKind {
     /// The driver consumed a CQE for this command (phase-matched poll).
     CompletionConsumed { status: u16 },
 
-    // ---- driver: recovery ladder ---------------------------------------
-    /// The command's deadline lapsed; the driver reaped it with a synthetic
-    /// aborted status.
+    // ---- driver: recovery ---------------------------------------------
+    /// The command's deadline lapsed on a dark device; the driver reaped it
+    /// with a synthetic aborted status.
     TimeoutReap,
-    /// The command is being retried after a backoff wait.
-    Retry { attempt: u32, backoff: Nanos },
-    /// The queue's ByteExpress path was degraded to PRP.
-    QueueDegraded,
-    /// A probe succeeded and the queue was re-promoted to ByteExpress.
-    QueueRepromoted,
-    /// This command doubles as a ByteExpress probe on a degraded queue.
-    ProbeIssued,
 
     // ---- PCIe link ------------------------------------------------------
     /// One logical transfer on the link (possibly several TLPs).
@@ -193,9 +185,7 @@ impl EventKind {
             | DoorbellRing { .. }
             | BatchFlush { .. }
             | CompletionConsumed { .. } => "driver",
-            TimeoutReap | Retry { .. } | QueueDegraded | QueueRepromoted | ProbeIssued => {
-                "recovery"
-            }
+            TimeoutReap => "recovery",
             Tlp { .. } => "link",
             SqeFetch { .. }
             | InlineGather { .. }
@@ -223,10 +213,6 @@ impl EventKind {
             BatchFlush { .. } => "batch_flush",
             CompletionConsumed { .. } => "completion_consumed",
             TimeoutReap => "timeout_reap",
-            Retry { .. } => "retry",
-            QueueDegraded => "queue_degraded",
-            QueueRepromoted => "queue_repromoted",
-            ProbeIssued => "probe_issued",
             Tlp { .. } => "tlp",
             SqeFetch { .. } => "sqe_fetch",
             InlineGather { .. } => "inline_gather",
@@ -267,13 +253,7 @@ impl EventKind {
                 Value::object([("cmds", cmds.to_value()), ("tail", tail.to_value())])
             }
             CompletionConsumed { status } => Value::object([("status", status.to_value())]),
-            TimeoutReap | QueueDegraded | QueueRepromoted | ProbeIssued => {
-                Value::object(Vec::<(&str, Value)>::new())
-            }
-            Retry { attempt, backoff } => Value::object([
-                ("attempt", attempt.to_value()),
-                ("backoff_ns", backoff.as_ns().to_value()),
-            ]),
+            TimeoutReap => Value::object(Vec::<(&str, Value)>::new()),
             Tlp {
                 class,
                 dir,
@@ -371,10 +351,6 @@ impl fmt::Display for EventKind {
             BatchFlush { cmds, tail } => write!(f, "batch-flush {cmds} cmds tail={tail}"),
             CompletionConsumed { status } => write!(f, "completion status={status:#06x}"),
             TimeoutReap => write!(f, "timeout reap"),
-            Retry { attempt, backoff } => write!(f, "retry #{attempt} after {backoff}"),
-            QueueDegraded => write!(f, "queue degraded to PRP"),
-            QueueRepromoted => write!(f, "queue re-promoted to ByteExpress"),
-            ProbeIssued => write!(f, "ByteExpress probe"),
             Tlp {
                 class,
                 dir,

@@ -3,7 +3,7 @@
 //! A zero-overhead-when-disabled, virtual-time event sink threaded through
 //! every layer of the ByteExpress stack: driver submit paths, the PCIe link,
 //! the controller's fetch/reassembly/completion machinery, the FTL/NAND
-//! backend, and the recovery ladder.
+//! backend, and the driver's timeout reaper.
 //!
 //! The design splits hot path from analysis:
 //!

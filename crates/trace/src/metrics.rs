@@ -257,13 +257,11 @@ impl MetricsRegistry {
     /// Derives the standard command metrics from an event stream:
     ///
     /// - `commands_submitted` / `commands_completed` / `commands_reaped`
-    /// - `retries`, `payload_bytes`
+    /// - `payload_bytes`
     /// - `cmd_latency_ns` histogram (submit → driver-consume, complete spans)
     pub fn from_events(events: &[Event]) -> Self {
         let mut reg = Self::new();
         let spans = reconstruct_spans(events);
-        // Retry events attach to a span via the open-span walk inside
-        // reconstruct_spans; recount them here against each span's labels.
         for span in &spans {
             let labels = LabelSet {
                 queue: span.key.qid,
@@ -280,30 +278,6 @@ impl MetricsRegistry {
                 if let Some(lat) = span.latency() {
                     reg.observe("cmd_latency_ns", labels, lat.as_ns());
                 }
-            }
-        }
-        // Retries are not span-terminal, so count them straight off the
-        // stream against the most recent submit for their key.
-        let mut last_labels: BTreeMap<crate::CmdKey, LabelSet> = BTreeMap::new();
-        for event in events {
-            let Some(key) = event.cmd else { continue };
-            match event.kind {
-                EventKind::SqeInsert { method, opcode, .. } => {
-                    last_labels.insert(
-                        key,
-                        LabelSet {
-                            queue: key.qid,
-                            method,
-                            opcode,
-                        },
-                    );
-                }
-                EventKind::Retry { .. } => {
-                    if let Some(&labels) = last_labels.get(&key) {
-                        reg.inc("retries", labels, 1);
-                    }
-                }
-                _ => {}
             }
         }
         // Gauges ride untagged; the last sample per (gauge, scope) wins —
@@ -525,13 +499,6 @@ mod tests {
                 },
             ),
             mk(10, EventKind::SqeFetch { opcode: 0x01 }),
-            mk(
-                20,
-                EventKind::Retry {
-                    attempt: 1,
-                    backoff: Nanos::from_ns(50),
-                },
-            ),
             mk(900, EventKind::CqePost { status: 0 }),
             mk(1000, EventKind::CompletionConsumed { status: 0 }),
         ];
@@ -543,7 +510,6 @@ mod tests {
         };
         assert_eq!(reg.counters[&("commands_submitted", labels)], 1);
         assert_eq!(reg.counters[&("commands_completed", labels)], 1);
-        assert_eq!(reg.counters[&("retries", labels)], 1);
         assert_eq!(reg.counters[&("payload_bytes", labels)], 64);
         let h = &reg.histograms[&("cmd_latency_ns", labels)];
         assert_eq!(h.count(), 1);

@@ -25,7 +25,7 @@ struct Recorder {
 /// called, no event is constructed, nothing allocates, and neither the clock
 /// nor any counter is touched. A traced run and an untraced run therefore
 /// put byte-identical traffic on the wire in identical virtual time
-/// (asserted by the chaos suite).
+/// (asserted across a power cut by `tests/crash_sweep.rs`).
 ///
 /// Clones share the same event buffer, mirroring how [`SimClock`] clones
 /// share one timeline.

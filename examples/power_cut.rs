@@ -27,7 +27,6 @@ fn main() {
     // lands inside the second write — after media dispatch, before the ack.
     dev.install_faults(FaultConfig {
         power_cut_after_events: Some(1),
-        ..FaultConfig::disabled()
     });
     let torn = dev.write(1, &[0xA5; 512], TransferMethod::ByteExpress);
     println!(

@@ -1,51 +1,23 @@
-//! Chaos stress harness: one fixed-seed run injecting every fault class at
-//! once — link-level doorbell drops, lost completions, truncated/corrupted
-//! inline chunk trains, and NAND program failures + read bit-flips — while
-//! the driver's timeout/retry/degradation ladder keeps the device usable.
+//! Power-cut chaos: one fixed workload loses power three times, each cut
+//! armed at a different event index. Every cut catches one command in
+//! flight; the driver waits out its deadline, the device power-cycles and
+//! the workload carries on with the next cut armed.
 //!
-//! Three invariants, checked at the end of the storm:
-//!
-//! 1. **Acknowledged writes are never lost**: every write the driver
-//!    reported successful reads back bit-exact after faults stop.
-//! 2. **Chunk trains stay coherent across retries**: no payload is ever
-//!    assembled from chunks of two attempts — verified by (1)'s read-backs
-//!    plus the reassembly tracker draining to zero at quiescence.
-//! 3. **The driver always terminates**: every `execute` call returns
-//!    (success, error status, or a context-carrying recovery error) — the
-//!    test completing at all is the proof; nothing hangs or panics.
+//! The power cut is the device's only fault. These tests check that the
+//! flight recorder neither perturbs such a run nor loses track of it.
 
-use byteexpress::ssd::FetchPolicy;
 use byteexpress::{
-    Device, DeviceError, FaultConfig, IoOpcode, Nanos, PassthruCmd, RetryPolicy, TransferMethod,
+    reconstruct_spans, CmdKey, Device, DeviceError, DriverError, Event, FaultConfig, FaultCounters,
+    FetchPolicy, IoOpcode, Nanos, PassthruCmd, RecoveryReport, RecoveryStats, RetryPolicy,
+    TransferMethod,
 };
 
-/// The fixed chaos seed. CI runs this exact storm on every push.
-const CHAOS_SEED: u64 = 0xB17E_0001;
+/// Event counts the successive cuts are armed at. Each is re-armed right
+/// after the power cycle that follows the previous cut.
+const CUTS: [u64; 3] = [37, 53, 71];
 
-fn chaos_config() -> FaultConfig {
-    FaultConfig {
-        seed: CHAOS_SEED,
-        drop_doorbell: 0.04,
-        drop_completion: 0.04,
-        corrupt_chunk_header: 0.04,
-        truncate_train: 0.06,
-        // Program failures permanently retire blocks; keep the rate low
-        // relative to the block budget so the device survives the storm.
-        nand_program_fail: 0.02,
-        nand_read_bitflip: 0.10,
-        nand_max_flips: 2,
-        ecc_correctable_bits: 4,
-        power_cut_after_events: None,
-    }
-}
-
-fn chaos_device() -> Device {
-    Device::builder()
-        .fetch_policy(FetchPolicy::Reassembly)
-        .fault_config(chaos_config())
-        .retry_policy(RetryPolicy::default())
-        .build()
-}
+/// Writes the workload issues, cut ones included.
+const WRITES: usize = 80;
 
 fn write_cmd(lba: u64, data: Vec<u8>) -> PassthruCmd {
     let mut cmd = PassthruCmd::to_device(IoOpcode::Write, 1, data);
@@ -53,14 +25,7 @@ fn write_cmd(lba: u64, data: Vec<u8>) -> PassthruCmd {
     cmd
 }
 
-fn read_cmd(lba: u64, len: usize) -> PassthruCmd {
-    let mut cmd = PassthruCmd::from_device(IoOpcode::Read, 1, len);
-    cmd.cdw10_15[0] = lba as u32;
-    cmd
-}
-
-/// Deterministic mixed payload: size varies 16..=240 B (1–5 reassembly
-/// chunks), contents keyed by the op index.
+/// A payload of 16..=240 B (1–5 reassembly chunks) keyed by the op index.
 fn payload(i: usize) -> Vec<u8> {
     let len = 16 + (i * 37) % 225;
     (0..len).map(|j| (i * 131 + j) as u8).collect()
@@ -74,354 +39,142 @@ fn method(i: usize) -> TransferMethod {
     }
 }
 
-#[test]
-fn chaos_storm_preserves_acknowledged_writes() {
-    const OPS: usize = 250;
-    let mut dev = chaos_device();
-    let mut acked: Vec<(u64, Vec<u8>)> = Vec::new();
-    let (mut failed_status, mut gave_up) = (0u64, 0u64);
-
-    for i in 0..OPS {
-        let data = payload(i);
-        let lba = i as u64;
-        match dev.passthru(&write_cmd(lba, data.clone()), method(i)) {
-            Ok(c) if c.status.is_success() => acked.push((lba, data)),
-            Ok(_) => failed_status += 1,
-            // Invariant 3: failures surface as typed errors, never hangs.
-            Err(DeviceError::Driver(_)) => gave_up += 1,
-            Err(e) => panic!("unexpected error class: {e}"),
-        }
-        // Interleave reads mid-storm: a read that succeeds under fire must
-        // still return exactly what was acknowledged.
-        if i % 4 == 3 && !acked.is_empty() {
-            let (lba, expect) = &acked[i % acked.len()];
-            if let Ok(c) = dev.passthru(&read_cmd(*lba, expect.len()), TransferMethod::Prp) {
-                if c.status.is_success() {
-                    assert_eq!(&c.data.unwrap(), expect, "mid-storm read of lba {lba}");
-                }
-            }
-        }
-    }
-
-    // The storm must have actually stormed: all four fault classes of the
-    // acceptance criteria fired in this single run.
-    let fc = dev.fault_counters();
-    assert!(fc.doorbells_dropped > 0, "link faults fired: {fc:?}");
-    assert!(fc.completions_dropped > 0, "completion loss fired: {fc:?}");
-    assert!(
-        fc.trains_truncated + fc.chunk_headers_corrupted > 0,
-        "chunk-train faults fired: {fc:?}"
-    );
-    assert!(
-        fc.nand_program_failures + fc.nand_read_bitflips > 0,
-        "NAND faults fired: {fc:?}"
-    );
-    assert!(fc.distinct_classes() >= 4, "fault diversity: {fc:?}");
-
-    // And the recovery machinery did real work.
-    let rec = dev.recovery_stats();
-    assert!(rec.timeouts > 0, "timeouts detected: {rec:?}");
-    assert!(rec.retries > 0, "retries performed: {rec:?}");
-    assert!(
-        !acked.is_empty(),
-        "the ladder must land most writes ({failed_status} failed, {gave_up} gave up)"
-    );
-
-    // Quiesce: stop injecting, let the stall-eviction deadline lapse, and
-    // pump the controller once so parked/orphaned state drains.
-    dev.disable_faults();
-    dev.bus().clock.advance(Nanos::from_ms(10));
-    let _ = dev.passthru(
-        &write_cmd(1000, vec![0xFE; 32]),
-        TransferMethod::ByteExpress,
-    );
-
-    // Invariant 1: every acknowledged write reads back bit-exact.
-    for (lba, data) in &acked {
-        let c = dev
-            .passthru(&read_cmd(*lba, data.len()), TransferMethod::Prp)
-            .expect("clean-phase read must not error");
-        assert!(
-            c.status.is_success(),
-            "read of acked lba {lba}: {:?}",
-            c.status
-        );
-        assert_eq!(&c.data.unwrap(), data, "acked lba {lba} lost or corrupted");
-    }
-
-    // Invariant 2: the reassembly tracker is fully drained — no stalled
-    // payload holds SRAM, so no train was left half-assembled.
-    let re = dev.controller().reassembly();
-    assert_eq!(re.sram_used(), 0, "reassembly SRAM leaked");
-    assert_eq!(re.inflight_count(), 0, "phantom in-flight payloads remain");
-
-    // Fresh traffic still flows after the storm (invariant 3, constructive
-    // form: the device is not wedged).
-    let data = vec![0x42; 200];
-    let c = dev
-        .passthru(&write_cmd(2000, data.clone()), TransferMethod::ByteExpress)
-        .unwrap();
-    assert!(c.status.is_success());
-    let c = dev
-        .passthru(&read_cmd(2000, 200), TransferMethod::Prp)
-        .unwrap();
-    assert_eq!(c.data.unwrap(), data);
+fn arm(dev: &Device, after_events: u64) {
+    dev.install_faults(FaultConfig {
+        power_cut_after_events: Some(after_events),
+    });
 }
 
-/// The full storm with event-driven pipelined execution: out-of-order CQE
-/// delivery from the deferred-completion queue must not confuse the
-/// timeout-reap/retry/degradation ladder. Same invariants as the serial
-/// storm — acked writes survive, recovery machinery works, the device
-/// converges to a clean quiescent state — plus determinism of the whole
-/// pipelined fault schedule.
-#[test]
-fn chaos_storm_converges_under_pipelined_execution() {
-    use byteexpress::ExecutionModel;
-
-    let run = || {
-        let mut dev = Device::builder()
-            .fetch_policy(FetchPolicy::Reassembly)
-            .fault_config(chaos_config())
-            .retry_policy(RetryPolicy::default())
-            .execution_model(ExecutionModel::Pipelined)
-            .nand_io(true)
-            .build();
-        let mut acked: Vec<(u64, Vec<u8>)> = Vec::new();
-        for i in 0..150 {
-            let data = payload(i);
-            match dev.passthru(&write_cmd(i as u64, data.clone()), method(i)) {
-                Ok(c) if c.status.is_success() => acked.push((i as u64, data)),
-                Ok(_) => {}
-                Err(DeviceError::Driver(_)) => {}
-                Err(e) => panic!("unexpected error class: {e}"),
-            }
-        }
-
-        // The storm stormed and the ladder climbed, with NAND media (hence
-        // deferred, out-of-order completion times) in the loop.
-        let fc = dev.fault_counters();
-        assert!(fc.distinct_classes() >= 4, "fault diversity: {fc:?}");
-        let rec = dev.recovery_stats();
-        assert!(rec.timeouts > 0, "timeouts detected: {rec:?}");
-        assert!(rec.retries > 0, "retries performed: {rec:?}");
-        assert!(!acked.is_empty(), "the ladder must land most writes");
-
-        // Quiesce and verify convergence: no deferred completion is stuck,
-        // no reassembly state leaks, every acked write reads back bit-exact.
-        dev.disable_faults();
-        dev.bus().clock.advance(Nanos::from_ms(10));
-        let _ = dev.passthru(
-            &write_cmd(1000, vec![0xFE; 32]),
-            TransferMethod::ByteExpress,
-        );
-        assert_eq!(
-            dev.controller().completions_in_flight(),
-            0,
-            "deferred CQEs must drain at quiescence"
-        );
-        let re = dev.controller().reassembly();
-        assert_eq!(re.sram_used(), 0, "reassembly SRAM leaked");
-        assert_eq!(re.inflight_count(), 0, "phantom in-flight payloads remain");
-        for (lba, data) in &acked {
-            let c = dev
-                .passthru(&read_cmd(*lba, data.len()), TransferMethod::Prp)
-                .expect("clean-phase read must not error");
-            assert!(c.status.is_success(), "read of acked lba {lba}");
-            assert_eq!(&c.data.unwrap(), data, "acked lba {lba} lost or corrupted");
-        }
-        (
-            format!("{:?}", dev.fault_counters()),
-            format!("{:?}", dev.recovery_stats()),
-            dev.now(),
-            dev.traffic().total_bytes(),
-            acked.len(),
-        )
-    };
-    assert_eq!(run(), run(), "pipelined storm must be reproducible");
+/// What a chaos run leaves behind.
+struct ChaosRun {
+    traffic: String,
+    now: Nanos,
+    faults: FaultCounters,
+    recovery: RecoveryStats,
+    reports: Vec<RecoveryReport>,
+    /// Span keys of the writes the driver acknowledged.
+    acked: Vec<CmdKey>,
+    events: Vec<Event>,
 }
 
-/// The same storm seed twice produces the exact same fault counts and
-/// recovery behaviour: the chaos harness is reproducible by construction.
-#[test]
-fn chaos_storm_is_deterministic() {
-    let run = || {
-        let mut dev = chaos_device();
-        for i in 0..60 {
-            let _ = dev.passthru(&write_cmd(i as u64, payload(i)), method(i));
-        }
-        (
-            format!("{:?}", dev.fault_counters()),
-            format!("{:?}", dev.recovery_stats()),
-            dev.now(),
-            dev.traffic().total_bytes(),
-        )
-    };
-    assert_eq!(run(), run());
-}
-
-/// FNV-1a over an arbitrary byte stream (same folding as the serial-identity
-/// golden pin).
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-/// The eviction-determinism pin: with randomized-hash maps anywhere in
-/// replay-relevant state, the order stalled chunk trains were evicted in —
-/// and the CQE failures and trace events downstream of it — varied per map
-/// instance. Three executions of the same traced, fixed-seed storm must
-/// produce byte-identical trace fingerprints, and the storm must actually
-/// evict stalled trains (truncated-train faults + the 1 ms inline stall
-/// deadline), or the test proves nothing.
-#[test]
-fn chaos_trace_fingerprint_is_stable_across_runs() {
-    let run = || {
-        let mut dev = Device::builder()
-            .fetch_policy(FetchPolicy::Reassembly)
-            .fault_config(chaos_config())
-            .retry_policy(RetryPolicy::default())
-            .trace(true)
-            .build();
-        for i in 0..120 {
-            let _ = dev.passthru(&write_cmd(i as u64, payload(i)), method(i));
-        }
-        let evicted = dev.controller().reassembly().evicted_count();
-        // Fingerprint timestamp + event name + command tag of every event in
-        // emission order — any reordering anywhere in the stream lands here.
-        let events = dev.trace_events();
-        let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
-        for e in &events {
-            fnv1a(&mut fp, &e.at.as_ns().to_le_bytes());
-            fnv1a(&mut fp, e.kind.name().as_bytes());
-            if let Some(key) = e.cmd {
-                fnv1a(&mut fp, &key.qid.to_le_bytes());
-                fnv1a(&mut fp, &key.cid.to_le_bytes());
-            }
-        }
-        (evicted, events.len() as u64, fp)
-    };
-    let runs = [run(), run(), run()];
-    assert!(
-        runs[0].0 > 0,
-        "the storm must evict stalled trains: {:?}",
-        runs[0]
-    );
-    assert_eq!(runs[0], runs[1], "trace fingerprint drifted between runs");
-    assert_eq!(runs[0], runs[2], "trace fingerprint drifted between runs");
-}
-
-/// Zero overhead when off: a device carrying the full fault/recovery
-/// machinery — injector installed but disabled, retry policy armed — puts
-/// byte-identical traffic on the wire, in identical virtual time, as a
-/// device built without any of it.
-#[test]
-fn disabled_faults_are_byte_identical_on_the_wire() {
-    let workload = |dev: &mut Device| {
-        for i in 0..40 {
-            let data = payload(i);
-            let lba = i as u64;
-            dev.passthru(&write_cmd(lba, data.clone()), method(i))
-                .unwrap();
-            let c = dev
-                .passthru(&read_cmd(lba, data.len()), TransferMethod::Prp)
-                .unwrap();
-            assert_eq!(c.data.unwrap(), data);
-        }
-        (format!("{:?}", dev.traffic()), dev.now())
-    };
-
-    let mut plain = Device::builder()
-        .fetch_policy(FetchPolicy::Reassembly)
-        .build();
-    let mut armed = Device::builder()
-        .fetch_policy(FetchPolicy::Reassembly)
-        .fault_config(FaultConfig::disabled())
-        .retry_policy(RetryPolicy::default())
-        .build();
-
-    let (traffic_plain, t_plain) = workload(&mut plain);
-    let (traffic_armed, t_armed) = workload(&mut armed);
-    assert_eq!(traffic_plain, traffic_armed, "wire traffic must not change");
-    assert_eq!(t_plain, t_armed, "virtual time must not change");
-    assert_eq!(armed.fault_counters().distinct_classes(), 0);
-    assert!(armed.recovery_stats().is_quiet());
-}
-
-/// The flight recorder is provably inert: enabling it changes neither the
-/// final virtual time nor a single wire byte of a fixed-seed chaos run —
-/// the sink observes, it never participates.
-#[test]
-fn trace_recorder_is_inert_under_chaos() {
-    let storm = |trace: bool| {
-        let mut dev = Device::builder()
-            .fetch_policy(FetchPolicy::Reassembly)
-            .fault_config(chaos_config())
-            .retry_policy(RetryPolicy::default())
-            .trace(trace)
-            .build();
-        for i in 0..80 {
-            let _ = dev.passthru(&write_cmd(i as u64, payload(i)), method(i));
-        }
-        (
-            format!("{:?}", dev.traffic()),
-            dev.now(),
-            format!("{:?}", dev.fault_counters()),
-            format!("{:?}", dev.recovery_stats()),
-        )
-    };
-
-    let untraced = storm(false);
-    let traced = storm(true);
-    assert_eq!(untraced.0, traced.0, "wire traffic must not change");
-    assert_eq!(untraced.1, traced.1, "virtual time must not change");
-    assert_eq!(untraced.2, traced.2, "fault schedule must not change");
-    assert_eq!(untraced.3, traced.3, "recovery behaviour must not change");
-}
-
-/// A traced chaos run reconstructs a complete submit → fetch → complete
-/// span for every command the driver acknowledged (the successful attempt's
-/// cid; earlier reaped attempts legitimately stay incomplete).
-#[test]
-fn traced_chaos_run_reconstructs_acked_spans() {
+fn chaos_run(trace: bool) -> ChaosRun {
     let mut dev = Device::builder()
         .fetch_policy(FetchPolicy::Reassembly)
-        .fault_config(chaos_config())
         .retry_policy(RetryPolicy::default())
-        .trace(true)
+        .trace(trace)
         .build();
+    let mut cuts = CUTS.iter();
+    arm(&dev, *cuts.next().unwrap());
 
-    let qid = dev.queues()[0].0;
     let mut acked = Vec::new();
-    for i in 0..120 {
-        let data = payload(i);
-        if let Ok(c) = dev.passthru(&write_cmd(i as u64, data), method(i)) {
-            if c.status.is_success() {
-                acked.push(byteexpress::CmdKey::new(qid, c.cid));
+    let mut reports = Vec::new();
+    for i in 0..WRITES {
+        match dev.passthru(&write_cmd(i as u64, payload(i)), method(i)) {
+            Ok(c) => {
+                assert!(c.status.is_success(), "write {i}: {:?}", c.status);
+                acked.push(CmdKey::new(dev.queues()[0].0, c.cid));
             }
+            Err(DeviceError::Driver(DriverError::Timeout { .. })) => {
+                reports.push(dev.power_cycle().expect("bring-up after the cut"));
+                if let Some(&next) = cuts.next() {
+                    arm(&dev, next);
+                }
+            }
+            Err(e) => panic!("write {i}: unexpected error {e}"),
         }
     }
-    assert!(!acked.is_empty(), "the storm must land some writes");
-
-    let events = dev.trace_events();
-    assert!(
-        !events.is_empty(),
-        "the recorder must have captured the storm"
+    assert_eq!(
+        reports.len(),
+        CUTS.len(),
+        "every cut lands inside the workload"
     );
-    let spans = byteexpress::reconstruct_spans(&events);
-    for key in &acked {
+
+    ChaosRun {
+        traffic: format!("{:?}", dev.traffic()),
+        now: dev.now(),
+        faults: dev.fault_counters(),
+        recovery: dev.recovery_stats(),
+        reports,
+        acked,
+        events: dev.trace_events(),
+    }
+}
+
+/// The flight recorder is inert under chaos: enabling it changes neither
+/// the final virtual time nor a single wire byte of a run that loses power
+/// three times mid-workload — the sink observes, it never participates.
+#[test]
+fn trace_recorder_is_inert_under_chaos() {
+    let untraced = chaos_run(false);
+    let traced = chaos_run(true);
+    assert!(
+        untraced.events.is_empty(),
+        "an untraced run records nothing"
+    );
+    assert_eq!(
+        untraced.faults.power_cuts,
+        CUTS.len() as u64,
+        "every cut fired"
+    );
+    assert_eq!(
+        untraced.recovery.timeouts,
+        CUTS.len() as u64,
+        "each cut caught one command in flight"
+    );
+    assert_eq!(
+        untraced.traffic, traced.traffic,
+        "wire traffic must not change"
+    );
+    assert_eq!(untraced.now, traced.now, "virtual time must not change");
+    assert_eq!(
+        untraced.faults, traced.faults,
+        "the cuts must land at the same events"
+    );
+    assert_eq!(
+        untraced.recovery, traced.recovery,
+        "recovery behaviour must not change"
+    );
+    assert_eq!(
+        untraced.reports, traced.reports,
+        "recovery must rebuild the same state"
+    );
+    assert_eq!(
+        untraced.acked, traced.acked,
+        "the same writes must be acked"
+    );
+}
+
+/// A traced chaos run explains itself: every acknowledged write has a
+/// complete submit → fetch → complete span, and each command a cut caught
+/// in flight has a reaped one — no more, no fewer.
+#[test]
+fn traced_chaos_run_reconstructs_acked_spans() {
+    let run = chaos_run(true);
+    assert_eq!(
+        run.acked.len(),
+        WRITES - CUTS.len(),
+        "every other write is acked"
+    );
+    assert!(
+        !run.events.is_empty(),
+        "the recorder must have captured the run"
+    );
+
+    let spans = reconstruct_spans(&run.events);
+    for key in &run.acked {
         assert!(
             spans.iter().any(|s| s.key == *key && s.is_complete()),
             "no complete span for acknowledged command {key}"
         );
     }
-    // The storm's casualties are visible too: at least one span was reaped
-    // (timeout) given the recovery counters say timeouts happened.
-    if dev.recovery_stats().timeouts > 0 {
-        assert!(
-            spans.iter().any(|s| s.reaped),
-            "timeouts occurred but no span records a reap"
-        );
-    }
+    let reaped: Vec<_> = spans.iter().filter(|s| s.reaped).collect();
+    assert_eq!(
+        reaped.len(),
+        CUTS.len(),
+        "one reaped span per cut: {reaped:?}"
+    );
+    assert!(
+        reaped.iter().all(|s| !s.is_complete()),
+        "a command caught by a cut never completes"
+    );
 }

@@ -9,14 +9,15 @@
 //!
 //! The store runs the hash-log engine in write-through durable mode
 //! (`durable_puts`), where the ack already implies journal + media
-//! durability; the sweep arms the injector's virtual-time countdown at every
-//! event index in turn, so the cut lands on every processing edge the
+//! durability; the sweep arms the power-cut countdown at every event index
+//! in turn, so the cut lands on every processing edge the
 //! controller has: SQE fetch, chunk fetch, post-dispatch (media issued, ack
 //! unposted), deferred CQE delivery.
 
 use bx_kvssd::{KvStore, KvStoreConfig};
 use byteexpress::{
-    ExecutionModel, FaultConfig, FetchPolicy, RecoveryReport, RetryPolicy, TransferMethod,
+    Device, ExecutionModel, FaultConfig, FetchPolicy, IoOpcode, PassthruCmd, RecoveryReport,
+    RecoveryStats, RetryPolicy, TransferMethod,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -67,7 +68,6 @@ fn run_crash_schedule(
     // Arm after bring-up so the countdown indexes workload events only.
     store.device().install_faults(FaultConfig {
         power_cut_after_events: Some(cut_after),
-        ..FaultConfig::disabled()
     });
 
     let mut acked = BTreeMap::new();
@@ -290,4 +290,69 @@ proptest! {
         let b = run_crash_schedule(seed, cut, execution, fetch, 14);
         prop_assert_eq!(a, b);
     }
+}
+
+fn write_cmd(lba: u64, data: Vec<u8>) -> PassthruCmd {
+    let mut cmd = PassthruCmd::to_device(IoOpcode::Write, 1, data);
+    cmd.cdw10_15[0] = lba as u32;
+    cmd
+}
+
+fn read_cmd(lba: u64, len: usize) -> PassthruCmd {
+    let mut cmd = PassthruCmd::from_device(IoOpcode::Read, 1, len);
+    cmd.cdw10_15[0] = lba as u32;
+    cmd
+}
+
+/// A payload of 16..=240 B (1–5 reassembly chunks) keyed by the op index.
+fn payload(i: usize) -> Vec<u8> {
+    let len = 16 + (i * 37) % 225;
+    (0..len).map(|j| (i * 131 + j) as u8).collect()
+}
+
+fn method(i: usize) -> TransferMethod {
+    match i % 3 {
+        0 => TransferMethod::ByteExpress,
+        1 => TransferMethod::hybrid_default(),
+        _ => TransferMethod::Prp,
+    }
+}
+
+/// Zero overhead while a cut is armed but has not fired: a device with a
+/// cut armed past the end of the workload and a retry policy installed puts
+/// byte-identical traffic on the wire, in identical virtual time, as a
+/// device built without either.
+#[test]
+fn an_armed_cut_that_never_fires_is_byte_identical_on_the_wire() {
+    let workload = |dev: &mut Device| {
+        for i in 0..40 {
+            let data = payload(i);
+            let lba = i as u64;
+            dev.passthru(&write_cmd(lba, data.clone()), method(i))
+                .unwrap();
+            let c = dev
+                .passthru(&read_cmd(lba, data.len()), TransferMethod::Prp)
+                .unwrap();
+            assert_eq!(c.data.unwrap(), data);
+        }
+        (format!("{:?}", dev.traffic()), dev.now())
+    };
+
+    let mut plain = Device::builder()
+        .fetch_policy(FetchPolicy::Reassembly)
+        .build();
+    let mut armed = Device::builder()
+        .fetch_policy(FetchPolicy::Reassembly)
+        .fault_config(FaultConfig {
+            power_cut_after_events: Some(u64::MAX),
+        })
+        .retry_policy(RetryPolicy::default())
+        .build();
+
+    let (traffic_plain, t_plain) = workload(&mut plain);
+    let (traffic_armed, t_armed) = workload(&mut armed);
+    assert_eq!(traffic_plain, traffic_armed, "wire traffic must not change");
+    assert_eq!(t_plain, t_armed, "virtual time must not change");
+    assert_eq!(armed.fault_counters().power_cuts, 0);
+    assert_eq!(armed.recovery_stats(), RecoveryStats::default());
 }

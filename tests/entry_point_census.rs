@@ -5,8 +5,8 @@
 //! whichever cell of the product reaches it.
 
 use byteexpress::{
-    Completion, Device, DeviceError, ExecutionModel, FaultConfig, FetchPolicy, FlushPolicy,
-    IoOpcode, PassthruCmd, QueueId, Reactor, ReactorConfig, RetryPolicy, Status, TransferMethod,
+    Completion, Device, DeviceError, ExecutionModel, FetchPolicy, FlushPolicy, IoOpcode,
+    PassthruCmd, QueueId, Reactor, ReactorConfig, RetryPolicy, Status, TransferMethod,
 };
 use std::future::Future;
 use std::pin::Pin;
@@ -21,8 +21,7 @@ const METHODS: [TransferMethod; 6] = [
 ];
 
 /// One chunk, one page, and a PRP list. The longest train is BandSlim's 188
-/// commands; the ring holds two, so a retry fits behind an attempt whose
-/// doorbell was dropped.
+/// commands; the ring holds two.
 const SIZES: [usize; 3] = [64, 1000, 9000];
 const DEPTH: u16 = 512;
 
@@ -47,9 +46,9 @@ type Task = Pin<Box<dyn Future<Output = Result<(), String>>>>;
 /// One cell of the product. Fetch policy, execution model and NAND I/O are
 /// fixed when a device is built; the rest is set per cell on that
 /// device, so the product costs eight builds and eight power cycles, not
-/// 192 — and each cell runs on a device with a history (the queues, mapped
-/// pages and retry state the cells before it left), which a fresh device
-/// per cell would not have.
+/// 192 — and each cell runs on a device with a history (the queues and
+/// mapped pages the cells before it left), which a fresh device per cell
+/// would not have.
 #[derive(Debug, Clone, Copy)]
 struct Cell {
     fetch: FetchPolicy,
@@ -59,18 +58,12 @@ struct Cell {
     nand: bool,
     method: TransferMethod,
     flush: bool,
-    /// Retry policy on, over a schedule that drops a few doorbells and CQEs.
-    faulty: bool,
+    /// Retry policy on: every command carries a deadline, which on a live
+    /// device never reaps it.
+    deadline: bool,
 }
 
 impl Cell {
-    /// Not under the fault schedule: a read whose doorbell was dropped is
-    /// reaped and its buffer freed, yet still runs — into the retry's
-    /// pages — once a later doorbell covers it (ROADMAP item 2).
-    fn reads_back(&self) -> bool {
-        self.nand && !self.faulty
-    }
-
     fn build(&self) -> Device {
         let mut dev = Device::builder()
             .nand_io(self.nand)
@@ -85,8 +78,7 @@ impl Cell {
         dev
     }
 
-    /// A completion is a success; under the fault schedule the ladder may
-    /// have retried on the way there.
+    /// A completion is a success.
     fn check(&self, what: &str, done: Result<Completion, DeviceError>) {
         match done {
             Ok(c) => assert_eq!(c.status, Status::Success, "{what} in {self:?}"),
@@ -97,17 +89,7 @@ impl Cell {
     fn run(&self, dev: &mut Device, seed: u64) {
         let driver = dev.driver_mut();
         driver.set_flush_policy(self.flush.then(FlushPolicy::default));
-        driver.set_retry_policy(self.faulty.then(RetryPolicy::default));
-        dev.install_faults(if self.faulty {
-            FaultConfig {
-                seed,
-                drop_doorbell: 0.03,
-                drop_completion: 0.03,
-                ..FaultConfig::disabled()
-            }
-        } else {
-            FaultConfig::disabled()
-        });
+        driver.set_retry_policy(self.deadline.then(RetryPolicy::default));
         let (q0, q1) = (dev.queues()[0], dev.queues()[1]);
 
         // `execute`: writes at three sizes, read back where stored.
@@ -115,18 +97,15 @@ impl Cell {
             let lba = i as u64 * 8;
             let data = payload(lba + seed, len);
             self.check("write", dev.write(lba, &data, self.method));
-            if self.reads_back() {
+            if self.nand {
                 assert_eq!(dev.read(lba, len).unwrap(), data, "{self:?}");
             }
         }
 
-        // `submit_batch` + `wait_for` across both queues. A batch has no
-        // retry ladder: under the fault schedule a command whose doorbell
-        // or CQE was dropped comes back reaped.
+        // `submit_batch` + `wait_for` across both queues.
         let batch = |q: QueueId| (q, (0..4).map(|i| (40 + i, payload(i, 200))).collect());
         match dev.write_batch(&[batch(q0), batch(q1)], self.method) {
             Ok(done) => assert_eq!(done.iter().map(Vec::len).sum::<usize>(), 8),
-            Err(DeviceError::Command(Status::CommandAborted)) if self.faulty => {}
             Err(e) => panic!("batch in {self:?}: {e}"),
         }
 
@@ -140,10 +119,8 @@ impl Cell {
         dev.driver_mut()
             .poll_completions_into(q1, &mut polled)
             .unwrap();
-        if !self.faulty {
-            assert!(polled.iter().all(|c| c.status.is_success()), "{self:?}");
-            assert_eq!(dev.driver_mut().inflight_len(q1), 0, "{self:?}");
-        }
+        assert!(polled.iter().all(|c| c.status.is_success()), "{self:?}");
+        assert_eq!(dev.driver_mut().inflight_len(q1), 0, "{self:?}");
 
         // Queue deletion and re-creation under the freed id.
         dev.delete_io_queue(q1).unwrap();
@@ -157,7 +134,6 @@ impl Cell {
     fn cut_and_cycle(&self, dev: &mut Device) {
         dev.driver_mut().set_flush_policy(None);
         dev.driver_mut().set_retry_policy(None);
-        dev.disable_faults();
         let acked = payload(5, SIZES[2]);
         self.check("write", dev.write(24, &acked, TransferMethod::ByteExpress));
         let q0 = dev.queues()[0];
@@ -189,15 +165,15 @@ fn every_entry_point_across_the_configuration_product() {
                     nand,
                     method: METHODS[0],
                     flush: false,
-                    faulty: false,
+                    deadline: false,
                 };
                 let mut dev = cell.build();
                 dev.reset_measurements();
                 for method in METHODS {
-                    for (flush, faulty) in
+                    for (flush, deadline) in
                         [(false, false), (true, false), (false, true), (true, true)]
                     {
-                        (cell.method, cell.flush, cell.faulty) = (method, flush, faulty);
+                        (cell.method, cell.flush, cell.deadline) = (method, flush, deadline);
                         seed += 1;
                         cell.run(&mut dev, seed);
                     }

@@ -1,22 +1,15 @@
 //! `Device::write_batch` and `Device::write` share one submit-and-wait
 //! engine (DESIGN.md §15), so they agree where the old hand-written loops
 //! had drifted apart: a zero poll interval cannot hang a batch, a rejected
-//! queue does not strand the queues rung before it, and a lost completion
-//! without a retry policy is an error rather than a panic.
+//! queue does not strand the queues rung before it, and a completion lost
+//! to a power cut without a retry policy is an error rather than a panic.
 
 use byteexpress::driver::DriverError;
 use byteexpress::nvme::inline::MAX_INLINE_LEN;
 use byteexpress::{
-    Device, DeviceBuilder, DeviceError, FaultConfig, IoOpcode, Nanos, PassthruCmd, QueueId,
+    Device, DeviceBuilder, DeviceError, FlushPolicy, IoOpcode, Nanos, PassthruCmd, QueueId,
     Reactor, ReactorConfig, RetryPolicy, Status, TransferMethod,
 };
-
-fn drop_every_doorbell() -> FaultConfig {
-    FaultConfig {
-        drop_doorbell: 1.0,
-        ..FaultConfig::disabled()
-    }
-}
 
 fn items(n: u64) -> Vec<(u64, Vec<u8>)> {
     (0..n).map(|i| (i * 8, vec![i as u8; 64])).collect()
@@ -27,13 +20,12 @@ fn zero_poll_interval_batch_times_out_instead_of_hanging() {
     let timeout = Nanos::from_us(50);
     let mut dev = DeviceBuilder::new()
         .nand_io(false)
-        .fault_config(drop_every_doorbell())
         .retry_policy(RetryPolicy {
             timeout,
             poll_interval: Nanos::ZERO,
-            ..RetryPolicy::default()
         })
         .build();
+    dev.force_power_cut();
     let q = dev.queues()[0];
     let t0 = dev.now();
     let err = dev
@@ -82,14 +74,12 @@ fn rejected_queue_does_not_strand_the_queues_before_it() {
 
 #[test]
 fn lost_completion_without_policy_is_an_error_not_a_panic() {
-    let mut dev = Device::builder()
-        .nand_io(false)
-        .fault_config(drop_every_doorbell())
-        .build();
+    let mut dev = Device::builder().nand_io(false).build();
+    dev.force_power_cut();
     let q = dev.queues()[0];
     let lost = |r: Result<(), DeviceError>| match r {
-        Err(DeviceError::Driver(DriverError::Timeout { attempts: 1, .. })) => {}
-        other => panic!("expected a single-attempt Timeout, got {other:?}"),
+        Err(DeviceError::Driver(DriverError::Timeout { .. })) => {}
+        other => panic!("expected a Timeout, got {other:?}"),
     };
     lost(
         dev.write(0, &[0xAB; 64], TransferMethod::ByteExpress)
@@ -99,6 +89,54 @@ fn lost_completion_without_policy_is_an_error_not_a_panic() {
         dev.write_batch(&[(q, items(3))], TransferMethod::Prp)
             .map(|_| ()),
     );
+}
+
+/// A write whose doorbell is still staged when its deadline passes, on a
+/// live device: the reaper leaves it alone — the device will still fetch
+/// it, and its pages with it — so once a later write rings the doorbell
+/// both complete and both LBAs read back their own bytes. A reaper that
+/// freed the first write's page at the deadline would let the second
+/// write's payload land in it, and LBA 0 would read back those bytes.
+#[test]
+fn a_staged_command_past_its_deadline_on_a_live_device_is_not_reaped() {
+    for method in [TransferMethod::Prp, TransferMethod::Sgl] {
+        let mut dev = Device::builder()
+            .retry_policy(RetryPolicy {
+                timeout: Nanos::from_us(5),
+                ..RetryPolicy::default()
+            })
+            .flush_policy(FlushPolicy {
+                max_batch: 16,
+                max_delay: Nanos::from_ms(1),
+            })
+            .build();
+        dev.driver_mut().set_sgl_threshold(0);
+        let q = dev.queues()[0];
+        let block = |lba: u64, fill: u8| {
+            let mut cmd = PassthruCmd::to_device(IoOpcode::Write, 1, vec![fill; 4096]);
+            cmd.cdw10_15[0] = lba as u32;
+            cmd
+        };
+        let (a, b) = (block(0, 0xA1), block(1, 0xB2));
+
+        let mut out = Vec::new();
+        dev.driver_mut().submit(q, &a, method).unwrap();
+        for _ in 0..10 {
+            dev.bus().clock.advance(Nanos::from_us(1));
+            dev.controller_mut().process_available();
+            dev.driver_mut().poll_completions_into(q, &mut out).unwrap();
+        }
+        dev.driver_mut().submit(q, &b, method).unwrap();
+        dev.driver_mut().flush_sq(q).unwrap();
+        dev.controller_mut().process_available();
+        dev.driver_mut().poll_completions_into(q, &mut out).unwrap();
+
+        assert_eq!(dev.read(0, 4096).unwrap(), a.data, "{method:?}: LBA 0");
+        assert_eq!(dev.read(1, 4096).unwrap(), b.data, "{method:?}: LBA 1");
+        let statuses: Vec<Status> = out.iter().map(|c| c.status).collect();
+        assert_eq!(statuses, [Status::Success; 2], "{method:?}");
+        assert_eq!(dev.recovery_stats().timeouts, 0, "{method:?}");
+    }
 }
 
 /// Leaves a three-page PRP write (data pages plus a list page) and a read
