@@ -1,8 +1,9 @@
 //! # bx-bench — the figure/table printing harness
 //!
-//! One binary per evaluation artifact in the paper. They print; they gate
-//! nothing — regressions are caught by the test suite and by `bxperf`
-//! (`benchmark/`, `BENCHMARK.json`).
+//! One binary per evaluation artifact in the paper. They print; host-time
+//! regressions are caught by `bxperf` (`benchmark/`, `BENCHMARK.json`).
+//! Their output is virtual time and counts, so CI pins the sha256 of each
+//! bin's `-- 200 --json` stdout (`ci.yml`).
 //!
 //! | Binary     | Prints                                                          |
 //! |------------|-----------------------------------------------------------------|
@@ -13,7 +14,6 @@
 //! | `fig7`     | Fig 7 CSD pushdown traffic + throughput                         |
 //! | `table1`   | Table 1 driver-submit / controller-fetch overheads              |
 //! | `ablation` | Beyond the paper: hybrid threshold, reassembly tax, MPS/PCIe-gen/SGL sweeps, MMIO baseline, doorbell batching, Serial vs Pipelined QD sweep |
-//! | `energy`   | Link energy per op / per payload byte (§1's power motivation)   |
 //! | `trace`    | Writes Chrome-trace/Perfetto files + timelines under `target/trace/` |
 //!
 //! Run each with `cargo run -p bx-bench --release --bin <name> [-- n_ops]`.

@@ -78,12 +78,10 @@ pub struct DeviceBuilder {
     queue_count: usize,
     fetch_policy: FetchPolicy,
     firmware: Option<FirmwareFactory>,
-    fault_config: Option<FaultConfig>,
     retry_policy: Option<RetryPolicy>,
     flush_policy: Option<FlushPolicy>,
     cq_coalesce: u16,
     trace: bool,
-    trace_gauges: bool,
     execution_model: ExecutionModel,
 }
 
@@ -106,12 +104,10 @@ impl Default for DeviceBuilder {
             queue_count: 1,
             fetch_policy: FetchPolicy::QueueLocal,
             firmware: None,
-            fault_config: None,
             retry_policy: None,
             flush_policy: None,
             cq_coalesce: 0,
             trace: false,
-            trace_gauges: false,
             execution_model: ExecutionModel::Serial,
         }
     }
@@ -179,16 +175,6 @@ impl DeviceBuilder {
         self
     }
 
-    /// Arms a power cut `cfg.power_cut_after_events` controller scheduling
-    /// events into the device's life, bring-up's admin commands counted
-    /// ([`Device::install_faults`] arms one from now). A command the cut
-    /// catches in flight surfaces as a `Timeout` error: at once, or at its
-    /// deadline with a [`DeviceBuilder::retry_policy`].
-    pub fn fault_config(mut self, cfg: FaultConfig) -> Self {
-        self.fault_config = Some(cfg);
-        self
-    }
-
     /// Installs the driver's timeout policy: the completion deadline past
     /// which a command on a dark device is reaped. The wire traffic of a
     /// live run is byte-identical with or without one.
@@ -241,19 +227,6 @@ impl DeviceBuilder {
         self
     }
 
-    /// Additionally records instantaneous utilization gauges (SQ backlog,
-    /// in-flight commands, reassembly SRAM, FTL journal depth) sampled at
-    /// controller and driver processing edges. Implies [`DeviceBuilder::trace`].
-    /// Separate from plain tracing so the default traced event stream —
-    /// which golden fingerprints pin — is unchanged unless asked for.
-    pub fn trace_gauges(mut self, enabled: bool) -> Self {
-        self.trace_gauges = enabled;
-        if enabled {
-            self.trace = true;
-        }
-        self
-    }
-
     /// Builds the device, performing the full NVMe bring-up: admin queue
     /// registers, controller enable, Identify, and admin-command queue
     /// creation.
@@ -300,12 +273,6 @@ impl DeviceBuilder {
             // Must precede controller/driver construction: they copy the
             // sink handle from the bus.
             bus.enable_trace();
-            if self.trace_gauges {
-                bus.trace.enable_gauges();
-            }
-        }
-        if let Some(cfg) = self.fault_config {
-            bus.install_faults(cfg);
         }
         let nand_enabled = self.nand.enabled;
         let cfg = ControllerConfig {
@@ -402,32 +369,6 @@ impl Device {
     /// The I/O queue ids, in creation order.
     pub fn queues(&self) -> &[QueueId] {
         &self.qids
-    }
-
-    /// Adds an I/O queue pair at runtime (admin Create-IO-CQ/SQ commands).
-    ///
-    /// # Errors
-    ///
-    /// [`DeviceError::Driver`] if creation fails.
-    pub fn add_io_queue(&mut self, depth: u16) -> Result<QueueId, DeviceError> {
-        let qid = self.driver.create_io_queue(&mut self.ctrl, depth)?;
-        self.qids.push(qid);
-        self.queue_depths.push(depth);
-        Ok(qid)
-    }
-
-    /// Deletes an I/O queue pair at runtime (admin commands, SQ then CQ).
-    ///
-    /// # Errors
-    ///
-    /// [`DeviceError::Driver`] if the controller rejects deletion.
-    pub fn delete_io_queue(&mut self, qid: QueueId) -> Result<(), DeviceError> {
-        self.driver.delete_io_queue(&mut self.ctrl, qid)?;
-        if let Some(i) = self.qids.iter().position(|&q| q == qid) {
-            self.qids.remove(i);
-            self.queue_depths.remove(i);
-        }
-        Ok(())
     }
 
     /// Mutable access to the driver (threshold/mode reconfiguration).

@@ -80,8 +80,8 @@ pub use bx_ssd::{
 
 // The flight recorder's user-facing pieces.
 pub use bx_trace::{
-    chrome_trace_json, openmetrics, reconstruct_spans, timeline, validate_openmetrics, CmdKey,
-    Event, EventKind, MetricsRegistry, TraceSink,
+    chrome_trace_json, reconstruct_spans, timeline, CmdKey, Event, EventKind, MetricsRegistry,
+    TraceSink,
 };
 
 // Full substrate crates for advanced use.

@@ -16,7 +16,7 @@ use bx_nvme::{
 use bx_pcie::TrafficClass;
 use bx_ssd::registers::{Register, RegisterFile, CC_ENABLE};
 use bx_ssd::{Controller, Platform, SystemBus};
-use bx_trace::{CmdKey, EventKind, TraceSink};
+use bx_trace::{CmdKey, EventKind};
 use std::fmt;
 
 /// Errors from driver operations.
@@ -672,7 +672,6 @@ impl NvmeDriver {
         self.stats.submissions += 1;
         let qp = queue_in(&mut self.queues, qid)?;
         qp.inflight.insert(cid, inflight);
-        sample_inflight(&self.bus.trace, qid, qp.inflight.len());
         Ok(SubmittedCmd {
             queue: qid,
             cid,
@@ -740,7 +739,14 @@ impl NvmeDriver {
             DataDirection::FromDevice => {
                 // Reads return over a PRP-described host buffer no matter
                 // which submit method the caller named (ByteExpress targets
-                // host→device small payloads).
+                // host→device small payloads). The SQE's length field is 24
+                // bits wide: refuse before a page is mapped.
+                if cmd.response_len > inline::MAX_INLINE_LEN {
+                    return Err(DriverError::PayloadTooLarge {
+                        len: cmd.response_len,
+                        max: inline::MAX_INLINE_LEN,
+                    });
+                }
                 self.alloc_response_buf(&mut p.mem, cmd.response_len, &mut sqe, inflight)?;
                 sqe.set_data_len(cmd.response_len as u32);
                 self.bus
@@ -901,9 +907,8 @@ impl NvmeDriver {
 
         // The critical section the paper leans on (§3.3.2): command and
         // chunks are placed contiguously under the per-SQ lock the kernel
-        // driver already holds. Here `&mut self` is that lock; its cost is
-        // `bx_cmd_insert`. `tests/ordering_stress.rs` exercises the
-        // multi-threaded ordering property.
+        // driver already holds. Here `&mut self` is that lock, so the borrow
+        // checker holds the ordering property; its cost is `bx_cmd_insert`.
         let slot = qp.sq.push_slots(needed);
         p.mem.write(qp.sq.slot_addr(slot), sqe.as_bytes())?;
         bus.clock.advance(timing.bx_cmd_insert);
@@ -1165,15 +1170,15 @@ impl NvmeDriver {
     }
 
     /// Flushes `qid` if its oldest staged command has exceeded the flush
-    /// policy's max-delay bound. Called from the poll path (where virtual
-    /// time advances while submissions sit staged) and from the reactor's
-    /// `poll_submit`, which lets the installed [`FlushPolicy`] decide
-    /// whether a doorbell is due without forcing one per call.
+    /// policy's max-delay bound. The reactor's `poll_submit` calls it, which
+    /// lets the installed [`FlushPolicy`] decide whether a doorbell is due
+    /// without forcing one per call; [`NvmeDriver::poll_completions_into`]
+    /// makes the same check itself.
     ///
     /// # Errors
     ///
     /// [`DriverError::UnknownQueue`] for a bad queue id.
-    pub fn flush_sq_if_due(&mut self, qid: QueueId) -> Result<(), DriverError> {
+    pub(crate) fn flush_sq_if_due(&mut self, qid: QueueId) -> Result<(), DriverError> {
         if self.flush_is_due(qid)? {
             self.flush_sq(qid)?;
         }
@@ -1347,7 +1352,6 @@ impl NvmeDriver {
             p.ring_cq_head();
             cq_rings += 1;
         }
-        sample_inflight(&bus.trace, qid, qp.inflight.len());
         self.stats.doorbells += cq_rings;
         self.recovery.timeouts += reaped;
         Ok(())
@@ -1462,9 +1466,8 @@ impl NvmeDriver {
     }
 
     /// After a poll of `qid` that yielded nothing from a dark controller,
-    /// advances the clock past every further poll, `step` apart, that could
-    /// not act either — so the next poll is the first that can — and emits
-    /// the `driver_inflight` sample each of them would have, at its instant.
+    /// advances the clock in one step past every further poll, `step` apart,
+    /// that could not act either, so the next poll is the first that can.
     /// Nothing reaches the host from a dark device, so a poll can act only
     /// by reaping a command past its deadline or by ringing a staged tail
     /// past the flush policy's delay. Skips nothing when neither will ever
@@ -1505,14 +1508,7 @@ impl NvmeDriver {
         else {
             return;
         };
-        if !self.bus.trace.gauges_enabled() {
-            self.bus.clock.advance(Nanos::from_ns(skipped));
-            return;
-        }
-        for _ in 0..idle {
-            self.bus.clock.advance(Nanos::from_ns(step));
-            sample_inflight(&self.bus.trace, qid, qp.inflight.len());
-        }
+        self.bus.clock.advance(Nanos::from_ns(skipped));
     }
 
     /// Submit, ring, wait: the synchronous convenience the examples and
@@ -1582,16 +1578,6 @@ fn queue_in(queues: &mut [Option<QueuePair>], qid: QueueId) -> Result<&mut Queue
         .get_mut(qid.0 as usize)
         .and_then(Option::as_mut)
         .ok_or(DriverError::UnknownQueue(qid))
-}
-
-/// Samples the `driver_inflight` gauge: `depth` commands in flight on
-/// `qid`.
-fn sample_inflight(trace: &TraceSink, qid: QueueId, depth: usize) {
-    trace.emit_gauge(|| EventKind::GaugeSample {
-        gauge: "driver_inflight",
-        scope: u32::from(qid.0),
-        value: depth as u64,
-    });
 }
 
 /// Allocates SQ and CQ rings of `depth` entries; the CQ zeroed.
@@ -1725,14 +1711,11 @@ mod tests {
         qid: QueueId,
     }
 
-    /// A NAND-backed block device with the default retry policy, traced
-    /// with gauges on or off, holding two completed writes.
-    fn rig(model: ExecutionModel, fetch_policy: FetchPolicy, gauges: bool) -> Rig {
+    /// A traced NAND-backed block device with the default retry policy,
+    /// holding two completed writes.
+    fn rig(model: ExecutionModel, fetch_policy: FetchPolicy) -> Rig {
         let mut bus = SystemBus::new(LinkConfig::gen2_x8(), 4 << 20, 2);
-        let trace = bus.enable_trace();
-        if gauges {
-            trace.enable_gauges();
-        }
+        bus.enable_trace();
         let cfg = ControllerConfig {
             execution_model: model,
             fetch_policy,
@@ -1838,57 +1821,40 @@ mod tests {
     /// A write cut down in flight by a power cut `cut_after` processing
     /// events in, on two identical rigs: `execute`, which skips the dark
     /// polls, leaves everything the stepping wait does — result, clock,
-    /// counters, wire and every event, gauges included.
+    /// counters, wire and every event, the `TimeoutReap` included.
     fn dark_execute_equals_stepping(model: ExecutionModel, fetch: FetchPolicy, cut_after: u64) {
-        for gauges in [true, false] {
-            let (mut skip, mut step) = (rig(model, fetch, gauges), rig(model, fetch, gauges));
-            for r in [&skip, &step] {
-                r.bus.install_faults(FaultConfig {
-                    power_cut_after_events: Some(cut_after),
-                });
-            }
-            let cmd = write(2, 200);
-            let skipped =
-                skip.driver
-                    .execute(skip.qid, &mut skip.ctrl, &cmd, TransferMethod::ByteExpress);
-            let stepped = execute_stepping(
-                &mut step.driver,
-                step.qid,
-                &mut step.ctrl,
-                &cmd,
-                TransferMethod::ByteExpress,
-            );
-            assert!(skip.ctrl.is_powered_off(), "the cut fired");
-            match &skipped {
-                Err(DriverError::Timeout { ctx, waited }) => {
-                    assert_eq!((ctx.qid, ctx.opcode), (skip.qid, IoOpcode::Write as u8));
-                    assert!(*waited > RetryPolicy::default().timeout, "{waited}");
-                }
-                other => panic!("expected Timeout, got {other:?}"),
-            }
-            assert_eq!(skipped, stepped);
-            assert_eq!(observed(&skip), observed(&step), "gauges {gauges}");
-            // One attempt, waited out to its 5 ms deadline.
-            assert_eq!(skip.driver.recovery_stats().timeouts, 1);
-            if gauges {
-                let samples = skip
-                    .bus
-                    .trace
-                    .events()
-                    .iter()
-                    .filter(|e| {
-                        matches!(
-                            e.kind,
-                            EventKind::GaugeSample {
-                                gauge: "driver_inflight",
-                                ..
-                            }
-                        )
-                    })
-                    .count();
-                assert!(samples > 250, "one sample per skipped poll: {samples}");
-            }
+        let (mut skip, mut step) = (rig(model, fetch), rig(model, fetch));
+        for r in [&skip, &step] {
+            r.bus.install_faults(FaultConfig {
+                power_cut_after_events: Some(cut_after),
+            });
         }
+        let cmd = write(2, 200);
+        let skipped =
+            skip.driver
+                .execute(skip.qid, &mut skip.ctrl, &cmd, TransferMethod::ByteExpress);
+        let stepped = execute_stepping(
+            &mut step.driver,
+            step.qid,
+            &mut step.ctrl,
+            &cmd,
+            TransferMethod::ByteExpress,
+        );
+        assert!(skip.ctrl.is_powered_off(), "the cut fired");
+        match &skipped {
+            Err(DriverError::Timeout { ctx, waited }) => {
+                assert_eq!((ctx.qid, ctx.opcode), (skip.qid, IoOpcode::Write as u8));
+                assert!(*waited > RetryPolicy::default().timeout, "{waited}");
+            }
+            other => panic!("expected Timeout, got {other:?}"),
+        }
+        assert_eq!(skipped, stepped);
+        // The reap instant: the `TimeoutReap` event's stamp and the clock.
+        let events = skip.bus.trace.events();
+        assert!(events.iter().any(|e| e.kind == EventKind::TimeoutReap));
+        assert_eq!(observed(&skip), observed(&step));
+        // One attempt, waited out to its 5 ms deadline.
+        assert_eq!(skip.driver.recovery_stats().timeouts, 1);
     }
 
     #[test]
@@ -1910,37 +1876,35 @@ mod tests {
     /// them, then at the one that reaps the first, as stepping does.
     #[test]
     fn dark_wait_stops_at_a_flush_due_inside_the_skipped_window() {
-        for gauges in [true, false] {
-            let mut rigs = [
-                rig(ExecutionModel::Serial, FetchPolicy::QueueLocal, gauges),
-                rig(ExecutionModel::Serial, FetchPolicy::QueueLocal, gauges),
-            ];
-            let mut outs = [Vec::new(), Vec::new()];
-            for (side, (r, out)) in rigs.iter_mut().zip(&mut outs).enumerate() {
-                r.driver.set_flush_policy(Some(FlushPolicy {
-                    max_batch: 16,
-                    max_delay: Nanos::from_us(1_010),
-                }));
-                r.ctrl.force_power_cut();
-                let sub: Vec<SubmittedCmd> = (2..4)
-                    .map(|lba| {
-                        let cmd = write(lba, 64);
-                        r.driver.submit(r.qid, &cmd, TransferMethod::Prp).unwrap()
-                    })
-                    .collect();
-                for waited in [&sub[..1], &sub[1..]] {
-                    if side == 0 {
-                        r.driver.wait_for(r.qid, &mut r.ctrl, waited, out).unwrap();
-                    } else {
-                        wait_stepping(&mut r.driver, r.qid, &mut r.ctrl, waited, out);
-                    }
+        let mut rigs = [
+            rig(ExecutionModel::Serial, FetchPolicy::QueueLocal),
+            rig(ExecutionModel::Serial, FetchPolicy::QueueLocal),
+        ];
+        let mut outs = [Vec::new(), Vec::new()];
+        for (side, (r, out)) in rigs.iter_mut().zip(&mut outs).enumerate() {
+            r.driver.set_flush_policy(Some(FlushPolicy {
+                max_batch: 16,
+                max_delay: Nanos::from_us(1_010),
+            }));
+            r.ctrl.force_power_cut();
+            let sub: Vec<SubmittedCmd> = (2..4)
+                .map(|lba| {
+                    let cmd = write(lba, 64);
+                    r.driver.submit(r.qid, &cmd, TransferMethod::Prp).unwrap()
+                })
+                .collect();
+            for waited in [&sub[..1], &sub[1..]] {
+                if side == 0 {
+                    r.driver.wait_for(r.qid, &mut r.ctrl, waited, out).unwrap();
+                } else {
+                    wait_stepping(&mut r.driver, r.qid, &mut r.ctrl, waited, out);
                 }
-                assert_eq!(r.driver.stats().batch_flushes, 1, "the staged pair rang");
-                assert_eq!(r.driver.recovery_stats().timeouts, 2);
             }
-            assert_eq!(outs[0], outs[1]);
-            assert_eq!(observed(&rigs[0]), observed(&rigs[1]), "gauges {gauges}");
+            assert_eq!(r.driver.stats().batch_flushes, 1, "the staged pair rang");
+            assert_eq!(r.driver.recovery_stats().timeouts, 2);
         }
+        assert_eq!(outs[0], outs[1]);
+        assert_eq!(observed(&rigs[0]), observed(&rigs[1]));
     }
 
     /// A NAND-less traced device with one I/O queue of `depth` slots whose

@@ -60,9 +60,12 @@ fn io_through_admin_created_queue() {
     );
 }
 
+/// A queue pair deleted under its commands returns every host page they
+/// and its rings held, and drops what waits in the BAR window for it; a new
+/// pair takes the freed id and starts clean.
 #[test]
 fn queue_delete_then_recreate() {
-    let (bus, mut ctrl, mut driver) = default_platform();
+    let (bus, mut ctrl, mut driver) = platform(ControllerConfig::default());
     let free_pages = || free_pages(&bus);
     driver.initialize(&mut ctrl, &[]).unwrap();
     let q1 = driver.create_io_queue(&mut ctrl, 64).unwrap();
@@ -70,8 +73,40 @@ fn queue_delete_then_recreate() {
     let q2 = driver.create_io_queue(&mut ctrl, 64).unwrap();
     assert_ne!(q1, q2);
 
+    // Strand a three-page PRP write (data pages plus a list page), a read
+    // (a response page) and a byte-interface write, which waits in the BAR
+    // window: submitted, never processed.
+    let stranded = [
+        (
+            PassthruCmd::to_device(bx_nvme::IoOpcode::Write, 1, vec![0x3C; 3 * 4096]),
+            TransferMethod::Prp,
+        ),
+        (
+            PassthruCmd::from_device(bx_nvme::IoOpcode::Read, 1, 4096),
+            TransferMethod::Prp,
+        ),
+        (
+            PassthruCmd::to_device(bx_nvme::IoOpcode::Write, 1, vec![0x5A; 64]),
+            TransferMethod::MmioByte,
+        ),
+    ];
+    for (cmd, method) in &stranded {
+        driver.submit(q1, cmd, *method).expect("submit");
+    }
+    assert_eq!(free_pages(), one_pair - 2 - 5);
+
     driver.delete_io_queue(&mut ctrl, q1).unwrap();
-    assert_eq!(free_pages(), one_pair, "q1's ring pages must come back");
+    assert_eq!(
+        free_pages(),
+        one_pair,
+        "q1's ring and command pages must come back"
+    );
+    let window_is_empty = {
+        let platform = bus.platform();
+        let window = &platform.borrow().mmio_window;
+        window.submissions.is_empty() && window.completions.is_empty()
+    };
+    assert!(window_is_empty, "a deleted pair's MMIO command outlived it");
     // q1 is gone: submissions fail driver-side.
     let err = driver
         .submit(
@@ -90,9 +125,23 @@ fn queue_delete_then_recreate() {
             TransferMethod::ByteExpress,
         )
         .unwrap();
-    // A new queue can be created after deletion, and takes the freed id.
+    // A new queue can be created after deletion, and takes the freed id. It
+    // starts clean: none of q1's doorbelled commands, or the stale bytes in
+    // the recycled frames, reach it.
     let q3 = driver.create_io_queue(&mut ctrl, 64).unwrap();
     assert_eq!(q3, q1);
+    assert_eq!(free_pages(), one_pair - 2);
+    let data = vec![0xA7; 512];
+    let mut write = PassthruCmd::to_device(bx_nvme::IoOpcode::Write, 1, data.clone());
+    write.cdw10_15[0] = 3;
+    let mut read = PassthruCmd::from_device(bx_nvme::IoOpcode::Read, 1, data.len());
+    read.cdw10_15[0] = 3;
+    let wrote = driver.execute(q3, &mut ctrl, &write, TransferMethod::ByteExpress);
+    assert_eq!(wrote.map(|c| c.status), Ok(Status::Success));
+    let got = driver
+        .execute(q3, &mut ctrl, &read, TransferMethod::Prp)
+        .unwrap();
+    assert_eq!(got.data, Some(data));
     assert_eq!(free_pages(), one_pair - 2);
 }
 

@@ -46,12 +46,10 @@
 
 mod config;
 mod counters;
-mod energy;
 mod link;
 pub mod tlp;
 
 pub use config::{Generation, LinkConfig, LinkConfigError};
 pub use counters::{ClassBytes, TrafficClass, TrafficCounters};
-pub use energy::{EnergyModel, Picojoules};
 pub use link::PcieLink;
 pub use tlp::{TlpKind, TlpStream};

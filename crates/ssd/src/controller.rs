@@ -404,12 +404,6 @@ impl Controller {
         self.stats
     }
 
-    /// Completions dispatched but not yet delivered (always 0 under
-    /// [`ExecutionModel::Serial`]).
-    pub fn completions_in_flight(&self) -> usize {
-        self.deferred.len()
-    }
-
     /// NAND statistics.
     pub fn nand_stats(&self) -> crate::nand::NandStats {
         self.nand.stats()
@@ -515,58 +509,8 @@ impl Controller {
                     }
                     None => return completed,
                 }
-            } else {
-                self.sample_gauges(p);
             }
         }
-    }
-
-    /// Emits one instantaneous utilization sample per controller gauge —
-    /// per-queue SQ backlog (doorbell'd but unfetched slots), deferred
-    /// completions in flight, reassembly-SRAM occupancy, and FTL journal
-    /// depth. Gated on [`bx_trace::TraceSink::gauges_enabled`]: in plain
-    /// traced runs the closures never evaluate and the event stream is
-    /// unchanged, which the serial-identity fingerprint pins. Called at the
-    /// end of every `process_available` pass that made progress, so samples
-    /// land exactly at processing edges in virtual time.
-    fn sample_gauges(&self, p: &Platform) {
-        if !self.bus.trace.gauges_enabled() {
-            return;
-        }
-        for q in &self.queues {
-            let tail = p.doorbells.sq_tail(q.id);
-            let backlog = if tail >= q.fetch_head {
-                tail - q.fetch_head
-            } else {
-                q.sq_depth - q.fetch_head + tail
-            };
-            let scope = u32::from(q.id.0);
-            self.bus.trace.emit_gauge(|| EventKind::GaugeSample {
-                gauge: "ctrl_sq_backlog",
-                scope,
-                value: u64::from(backlog),
-            });
-        }
-        self.bus.trace.emit_gauge(|| EventKind::GaugeSample {
-            gauge: "completions_in_flight",
-            scope: 0,
-            value: self.deferred.len() as u64,
-        });
-        self.bus.trace.emit_gauge(|| EventKind::GaugeSample {
-            gauge: "reassembly_sram_bytes",
-            scope: 0,
-            value: self.reassembly.sram_used() as u64,
-        });
-        self.bus.trace.emit_gauge(|| EventKind::GaugeSample {
-            gauge: "reassembly_inflight",
-            scope: 0,
-            value: self.reassembly.inflight_count() as u64,
-        });
-        self.bus.trace.emit_gauge(|| EventKind::GaugeSample {
-            gauge: "ftl_journal_depth",
-            scope: 0,
-            value: self.ftl.journal_depth() as u64,
-        });
     }
 
     /// Delivers every deferred completion due at or before the current
@@ -2135,7 +2079,7 @@ mod tests {
         assert_eq!(bus.platform().borrow().doorbells.sq_tail(QueueId(1)), 0);
         ctrl.power_cycle();
         assert!(!ctrl.is_powered_off());
-        assert_eq!(ctrl.completions_in_flight(), 0);
+        assert_eq!(ctrl.deferred.len(), 0);
     }
 
     #[test]

@@ -250,11 +250,6 @@ impl MapJournal {
         }
     }
 
-    /// Records currently live (not yet absorbed by a durable checkpoint).
-    pub(crate) fn live_records(&self) -> usize {
-        self.records.len()
-    }
-
     /// The instant the last journal program completes. The FTL waits through
     /// this horizon before erasing blocks that hold superseded copies:
     /// destroying an old version is only safe once the record naming its
@@ -642,7 +637,7 @@ mod tests {
                         now = at;
                     }
                 }
-                prop_assert_eq!(journal.live_records(), naive.records.len());
+                prop_assert_eq!(journal.records.len(), naive.records.len());
                 prop_assert_eq!(journal.stats, naive.stats);
                 prop_assert_eq!(journal.replayable(0), naive.replayable(0));
                 prop_assert_eq!(journal.durable_horizon(), naive.busy_until);
@@ -708,7 +703,7 @@ mod tests {
         let d2 = j.append(update(2), Nanos::ZERO, t0);
         assert_eq!(d1, t0 + JOURNAL_APPEND_LATENCY);
         assert_eq!(d2, d1 + JOURNAL_APPEND_LATENCY, "appends serialize");
-        assert_eq!(j.live_records(), 2);
+        assert_eq!(j.records.len(), 2);
         let (recs, torn) = j.replayable(1);
         assert!(!torn);
         assert_eq!(recs.len(), 1, "from_seq is inclusive");
@@ -730,7 +725,7 @@ mod tests {
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].op, update(1));
         j.truncate_torn();
-        assert_eq!(j.live_records(), 1);
+        assert_eq!(j.records.len(), 1);
         assert_eq!(j.stats.torn_records, 1);
         let (recs, torn) = j.replayable(0);
         assert!(!torn);
@@ -766,7 +761,7 @@ mod tests {
         // record but keeps the in-flight-target one.
         let later = j.durable_horizon() + Nanos::from_us(1);
         j.append(update(9), Nanos::ZERO, later);
-        assert_eq!(j.live_records(), 2, "in-flight-target record stays live");
+        assert_eq!(j.records.len(), 2, "in-flight-target record stays live");
         let base = j.recovery_base().expect("checkpoint exists");
         assert_eq!(base.covers_below, 1);
         let (recs, _) = j.replayable(base.covers_below);

@@ -160,19 +160,6 @@ pub enum EventKind {
     /// commands were still in flight, and advanced virtual time to let the
     /// device (or the timeout reaper) make progress.
     ReactorIdleAdvance { step: Nanos },
-
-    // ---- telemetry ------------------------------------------------------
-    /// An instantaneous utilization sample taken at a processing edge.
-    /// `gauge` names the series; `scope` disambiguates instances (a queue
-    /// id, `(channel << 16) | die`, or 0 for a device-global gauge). Only
-    /// emitted when the sink's gauge sampling is switched on
-    /// ([`crate::TraceSink::enable_gauges`]), so plain traced runs keep
-    /// their exact event stream.
-    GaugeSample {
-        gauge: &'static str,
-        scope: u32,
-        value: u64,
-    },
 }
 
 impl EventKind {
@@ -199,7 +186,6 @@ impl EventKind {
             PowerCut { .. } => "controller",
             JournalReplay { .. } => "nand",
             ReactorDispatch { .. } | ReactorIdleAdvance { .. } => "reactor",
-            GaugeSample { .. } => "gauge",
         }
     }
 
@@ -228,7 +214,6 @@ impl EventKind {
             JournalReplay { .. } => "journal_replay",
             ReactorDispatch { .. } => "reactor_dispatch",
             ReactorIdleAdvance { .. } => "reactor_idle_advance",
-            GaugeSample { .. } => "gauge_sample",
         }
     }
 
@@ -320,15 +305,6 @@ impl EventKind {
                 ("completions", completions.to_value()),
             ]),
             ReactorIdleAdvance { step } => Value::object([("step_ns", step.as_ns().to_value())]),
-            GaugeSample {
-                gauge,
-                scope,
-                value,
-            } => Value::object([
-                ("gauge", gauge.to_value()),
-                ("scope", scope.to_value()),
-                ("value", value.to_value()),
-            ]),
         }
     }
 }
@@ -402,11 +378,6 @@ impl fmt::Display for EventKind {
                 "reactor-dispatch shard={shard} completions={completions}"
             ),
             ReactorIdleAdvance { step } => write!(f, "reactor-idle-advance step={step}"),
-            GaugeSample {
-                gauge,
-                scope,
-                value,
-            } => write!(f, "gauge {gauge}[{scope}]={value}"),
         }
     }
 }

@@ -12,13 +12,12 @@
 //!   closure is never evaluated, nothing allocates, and wire traffic +
 //!   virtual time are byte-identical to an untraced run.
 //! - **Analysis** is offline over the recorded stream: span reconstruction
-//!   ([`reconstruct_spans`]), a label-aware [`MetricsRegistry`] with
-//!   log2-bucketed histograms and last-sample gauges, and exporters
-//!   ([`chrome_trace_json`] for `chrome://tracing`/Perfetto, [`timeline`]
-//!   for terminals, [`openmetrics`] for Prometheus-style scrapes).
+//!   ([`reconstruct_spans`]), a label-aware [`MetricsRegistry`] of counters
+//!   and log2-bucketed histograms, and exporters ([`chrome_trace_json`] for
+//!   `chrome://tracing`/Perfetto, [`timeline`] for terminals).
 //!
-//! See DESIGN.md §8 for the event taxonomy and span model, §13 for the
-//! telemetry plane (gauges, OpenMetrics mapping).
+//! See DESIGN.md §8 for the event taxonomy and span model, §13 for metrics
+//! derivation.
 
 #![forbid(unsafe_code)]
 // No input may panic the library, and nothing may depend on hash order: a
@@ -39,13 +38,11 @@
 mod event;
 mod export;
 mod metrics;
-mod openmetrics;
 mod recorder;
 mod span;
 
 pub use event::{CmdKey, Dir, Event, EventKind};
 pub use export::{chrome_trace_json, timeline};
 pub use metrics::MetricsRegistry;
-pub use openmetrics::{openmetrics, validate_openmetrics, OpenMetricsSummary};
 pub use recorder::TraceSink;
 pub use span::{reconstruct_spans, Span};

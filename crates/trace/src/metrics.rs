@@ -1,7 +1,7 @@
 //! Label-aware metrics: counters and log2-bucketed histograms keyed by
 //! `{queue, method, opcode}`.
 
-use crate::event::{Event, EventKind};
+use crate::event::Event;
 use crate::span::reconstruct_spans;
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
@@ -59,10 +59,6 @@ impl Histogram {
 
     pub(crate) fn count(&self) -> u64 {
         self.count
-    }
-
-    pub(crate) fn sum(&self) -> u64 {
-        self.sum
     }
 
     pub(crate) fn min(&self) -> Option<u64> {
@@ -124,20 +120,6 @@ impl Histogram {
         }
         Some(u64::MAX)
     }
-
-    /// Non-empty buckets as cumulative `(le, count_at_or_below)` pairs —
-    /// the OpenMetrics `_bucket` series shape. `le` is this bucket's
-    /// inclusive upper bound; the final pair's count equals
-    /// [`Histogram::count`] (the exporter adds the `+Inf` line).
-    pub(crate) fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        let mut cum = 0u64;
-        for (_, hi, n) in self.buckets() {
-            cum = cum.saturating_add(n);
-            out.push((hi, cum));
-        }
-        out
-    }
 }
 
 impl Serialize for Histogram {
@@ -198,10 +180,6 @@ impl Serialize for LabelSet {
 pub struct MetricsRegistry {
     counters: BTreeMap<(&'static str, LabelSet), u64>,
     histograms: BTreeMap<(&'static str, LabelSet), Histogram>,
-    /// Last-sampled gauge values, keyed by `(gauge name, scope)` — the
-    /// scope is the [`crate::EventKind::GaugeSample`] disambiguator (queue
-    /// id, packed channel/die, or 0).
-    gauges: BTreeMap<(&'static str, u32), u64>,
 }
 
 impl MetricsRegistry {
@@ -212,20 +190,6 @@ impl MetricsRegistry {
     pub(crate) fn inc(&mut self, name: &'static str, labels: LabelSet, by: u64) {
         let c = self.counters.entry((name, labels)).or_insert(0);
         *c = c.saturating_add(by);
-    }
-
-    /// Sets an instantaneous gauge value (last write wins).
-    pub(crate) fn set_gauge(&mut self, name: &'static str, scope: u32, value: u64) {
-        self.gauges.insert((name, scope), value);
-    }
-
-    /// The last-sampled value of a gauge, if any sample was recorded.
-    pub fn gauge(&self, name: &'static str, scope: u32) -> Option<u64> {
-        self.gauges.get(&(name, scope)).copied()
-    }
-
-    pub(crate) fn gauges(&self) -> impl Iterator<Item = (&'static str, u32, u64)> + '_ {
-        self.gauges.iter().map(|(&(n, s), &v)| (n, s, v))
     }
 
     pub(crate) fn observe(&mut self, name: &'static str, labels: LabelSet, value: u64) {
@@ -280,18 +244,6 @@ impl MetricsRegistry {
                 }
             }
         }
-        // Gauges ride untagged; the last sample per (gauge, scope) wins —
-        // the registry's gauge view is the state at end of stream.
-        for event in events {
-            if let EventKind::GaugeSample {
-                gauge,
-                scope,
-                value,
-            } = event.kind
-            {
-                reg.set_gauge(gauge, scope, value);
-            }
-        }
         reg
     }
 }
@@ -316,16 +268,6 @@ impl Serialize for MetricsRegistry {
                         ("name", name.to_value()),
                         ("labels", labels.to_value()),
                         ("histogram", hist.to_value()),
-                    ])
-                })),
-            ),
-            (
-                "gauges",
-                Value::array(self.gauges().map(|(name, scope, value)| {
-                    Value::object([
-                        ("name", name.to_value()),
-                        ("scope", scope.to_value()),
-                        ("value", value.to_value()),
                     ])
                 })),
             ),
@@ -355,7 +297,7 @@ impl fmt::Display for MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::CmdKey;
+    use crate::event::{CmdKey, EventKind};
     use bx_hostsim::Nanos;
 
     #[test]
@@ -442,43 +384,9 @@ mod tests {
         h.record(u64::MAX); // sample at the top of the range: bucket 63
         h.record(u64::MAX);
         assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), u64::MAX); // saturated, not wrapped
+        assert_eq!(h.sum, u64::MAX); // saturated, not wrapped
         assert_eq!(h.max(), Some(u64::MAX));
         assert_eq!(h.percentile_upper_bound(99.0), Some(u64::MAX));
-    }
-
-    #[test]
-    fn cumulative_buckets_are_nondecreasing_and_total() {
-        let mut h = Histogram::new();
-        for v in [1, 2, 3, 100, 5000] {
-            h.record(v);
-        }
-        let cum = h.cumulative_buckets();
-        assert!(cum.windows(2).all(|w| w[0].1 <= w[1].1 && w[0].0 < w[1].0));
-        assert_eq!(cum.last().unwrap().1, h.count());
-    }
-
-    #[test]
-    fn gauges_keep_last_sample_per_scope() {
-        let mk = |at: u64, gauge, scope, value| Event {
-            at: Nanos::from_ns(at),
-            cmd: None,
-            kind: EventKind::GaugeSample {
-                gauge,
-                scope,
-                value,
-            },
-        };
-        let events = vec![
-            mk(0, "sq_backlog", 1, 5),
-            mk(10, "sq_backlog", 2, 9),
-            mk(20, "sq_backlog", 1, 2),
-        ];
-        let reg = MetricsRegistry::from_events(&events);
-        assert_eq!(reg.gauge("sq_backlog", 1), Some(2));
-        assert_eq!(reg.gauge("sq_backlog", 2), Some(9));
-        assert_eq!(reg.gauge("sq_backlog", 3), None);
-        assert_eq!(reg.gauges().count(), 2);
     }
 
     #[test]
@@ -513,6 +421,6 @@ mod tests {
         assert_eq!(reg.counters[&("payload_bytes", labels)], 64);
         let h = &reg.histograms[&("cmd_latency_ns", labels)];
         assert_eq!(h.count(), 1);
-        assert_eq!(h.sum(), 1000);
+        assert_eq!(h.sum, 1000);
     }
 }

@@ -8,10 +8,6 @@ use std::rc::Rc;
 struct Recorder {
     clock: SimClock,
     events: Vec<Event>,
-    /// Whether [`TraceSink::emit_gauge`] records. Off by default so a plain
-    /// traced run's event stream (and anything fingerprinting it) is
-    /// unchanged by the existence of gauge instrumentation.
-    gauges: bool,
 }
 
 /// A cheaply cloneable handle to the flight recorder.
@@ -40,37 +36,18 @@ impl TraceSink {
         Self { inner: None }
     }
 
-    /// A recording sink stamping events from `clock`. Gauge sampling starts
-    /// off; see [`TraceSink::enable_gauges`].
+    /// A recording sink stamping events from `clock`.
     pub fn recording(clock: SimClock) -> Self {
         Self {
             inner: Some(Rc::new(RefCell::new(Recorder {
                 clock,
                 events: Vec::new(),
-                gauges: false,
             }))),
         }
     }
 
     pub(crate) fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Switches gauge sampling on for this recorder (shared by all clones).
-    /// No-op on a disabled sink. Separate from plain recording so the
-    /// default traced event stream — which golden fingerprints pin — is
-    /// byte-identical whether or not gauge instrumentation exists.
-    pub fn enable_gauges(&self) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().gauges = true;
-        }
-    }
-
-    /// Whether [`TraceSink::emit_gauge`] currently records.
-    pub fn gauges_enabled(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|inner| inner.borrow().gauges)
     }
 
     /// Records one event. `f` is only invoked when the sink is recording;
@@ -99,27 +76,6 @@ impl TraceSink {
     #[inline]
     pub fn emit_cmd(&self, cmd: CmdKey, f: impl FnOnce() -> EventKind) {
         self.emit(Some(cmd), f);
-    }
-
-    /// Records a gauge sample, but only when gauge sampling is enabled
-    /// (see [`TraceSink::enable_gauges`]); otherwise the closure is never
-    /// evaluated — same inertness contract as [`TraceSink::emit`], with one
-    /// extra gate so ordinary traced runs skip gauge events entirely.
-    #[inline]
-    pub fn emit_gauge(&self, f: impl FnOnce() -> EventKind) {
-        if let Some(inner) = &self.inner {
-            let mut rec = inner.borrow_mut();
-            if !rec.gauges {
-                return;
-            }
-            let at = rec.clock.now();
-            let kind = f();
-            rec.events.push(Event {
-                at,
-                cmd: None,
-                kind,
-            });
-        }
     }
 
     /// Snapshot of all recorded events, in emission order. Empty when
@@ -190,49 +146,6 @@ mod tests {
         assert_eq!(events[0].at, Nanos::ZERO);
         assert_eq!(events[1].at, Nanos::from_ns(250));
         assert_eq!(events[1].cmd, Some(CmdKey::new(1, 7)));
-    }
-
-    #[test]
-    fn gauge_emission_requires_explicit_opt_in() {
-        let sink = TraceSink::recording(SimClock::new());
-        let mut ran = false;
-        sink.emit_gauge(|| {
-            ran = true;
-            EventKind::GaugeSample {
-                gauge: "sq_backlog",
-                scope: 1,
-                value: 3,
-            }
-        });
-        assert!(!ran, "gauge closure must not run before enable_gauges");
-        assert!(sink.is_empty());
-        assert!(!sink.gauges_enabled());
-
-        sink.enable_gauges();
-        assert!(sink.gauges_enabled());
-        sink.emit_gauge(|| EventKind::GaugeSample {
-            gauge: "sq_backlog",
-            scope: 1,
-            value: 3,
-        });
-        assert_eq!(sink.len(), 1);
-
-        // The flag is shared by clones, like the buffer.
-        let clone = sink.clone();
-        assert!(clone.gauges_enabled());
-    }
-
-    #[test]
-    fn disabled_sink_ignores_gauge_opt_in() {
-        let sink = TraceSink::disabled();
-        sink.enable_gauges();
-        assert!(!sink.gauges_enabled());
-        sink.emit_gauge(|| EventKind::GaugeSample {
-            gauge: "x",
-            scope: 0,
-            value: 0,
-        });
-        assert!(sink.is_empty());
     }
 
     #[test]

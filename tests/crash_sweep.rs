@@ -343,11 +343,11 @@ fn an_armed_cut_that_never_fires_is_byte_identical_on_the_wire() {
         .build();
     let mut armed = Device::builder()
         .fetch_policy(FetchPolicy::Reassembly)
-        .fault_config(FaultConfig {
-            power_cut_after_events: Some(u64::MAX),
-        })
         .retry_policy(RetryPolicy::default())
         .build();
+    armed.install_faults(FaultConfig {
+        power_cut_after_events: Some(u64::MAX),
+    });
 
     let (traffic_plain, t_plain) = workload(&mut plain);
     let (traffic_armed, t_armed) = workload(&mut armed);

@@ -84,6 +84,28 @@ fn oversize_trains_are_refused_before_anything_is_placed() {
     }
 }
 
+/// A read longer than the SQE's 24-bit length field is refused before a
+/// response page is mapped, and the longest block-aligned read that fits
+/// still completes. NAND off: the small array holds fewer blocks than that.
+#[test]
+fn oversize_read_is_refused_before_a_page_is_mapped() {
+    let mut dev = Device::builder().nand_io(false).build();
+    let free_pages = |dev: &Device| dev.bus().platform().borrow().mem.allocator().free_pages();
+    let idle = free_pages(&dev);
+    let len = 1 << 24;
+    match dev.read(0, len) {
+        Err(DeviceError::Driver(DriverError::PayloadTooLarge { len: l, .. })) => {
+            assert_eq!(l, len)
+        }
+        other => panic!("expected PayloadTooLarge, got {other:?}"),
+    }
+    assert_eq!(free_pages(&dev), idle, "a refused read kept host pages");
+
+    let got = dev.read(0, len - 4096).unwrap();
+    assert_eq!(got.len(), len - 4096);
+    assert_eq!(free_pages(&dev), idle);
+}
+
 #[test]
 fn block_device_all_methods_integrity() {
     let mut dev = Device::builder().build();

@@ -1,6 +1,6 @@
 //! Entry-point census: every public entry point of the driver and the
-//! controller, driven across the configuration product with tracing and
-//! gauges on. The platform is one cell borrowed at the entry points
+//! controller, driven across the configuration product with tracing on.
+//! The platform is one cell borrowed at the entry points
 //! (`bx_ssd::bus`); a path that nested two borrows would panic here, in
 //! whichever cell of the product reaches it.
 
@@ -71,7 +71,7 @@ impl Cell {
             .queue_depth(DEPTH)
             .fetch_policy(self.fetch)
             .execution_model(self.model)
-            .trace_gauges(true)
+            .trace(true)
             .build();
         // Below the kernel's threshold SGL would go out as PRP.
         dev.driver_mut().set_sgl_threshold(0);
@@ -113,7 +113,6 @@ impl Cell {
         let cmd = write_cmd(80, payload(80, 300));
         let mut polled = Vec::new();
         dev.driver_mut().submit(q1, &cmd, self.method).unwrap();
-        dev.driver_mut().flush_sq_if_due(q1).unwrap();
         dev.driver_mut().flush_sq(q1).unwrap();
         dev.controller_mut().process_available();
         dev.driver_mut()
@@ -121,12 +120,6 @@ impl Cell {
             .unwrap();
         assert!(polled.iter().all(|c| c.status.is_success()), "{self:?}");
         assert_eq!(dev.driver_mut().inflight_len(q1), 0, "{self:?}");
-
-        // Queue deletion and re-creation under the freed id.
-        dev.delete_io_queue(q1).unwrap();
-        assert_eq!(dev.add_io_queue(DEPTH), Ok(q1), "{self:?}");
-        let done = dev.passthru_on(q1, &cmd, self.method);
-        self.check("write on the re-created queue", done);
     }
 
     /// A cut with a command of every method in flight, then the full

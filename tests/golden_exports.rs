@@ -1,9 +1,8 @@
 //! Golden-file tests for the trace exporters.
 //!
-//! A fixed-seed 8-command run is exported through all three text exporters
-//! — Perfetto/Chrome-trace JSON, the terminal timeline, and the OpenMetrics
-//! exposition — and compared byte-for-byte against checked-in files under
-//! `tests/golden/`. Exporter drift (renamed fields, reordered lines,
+//! A fixed-seed 8-command run is exported through both text exporters
+//! — Perfetto/Chrome-trace JSON and the terminal timeline — and compared
+//! byte-for-byte against checked-in files under `tests/golden/`. Exporter drift (renamed fields, reordered lines,
 //! changed formatting) fails `cargo test` instead of waiting for eyeballs.
 //!
 //! To regenerate after an *intentional* format change:
@@ -14,19 +13,17 @@
 //!
 //! then review the diff like any other code change.
 
-use byteexpress::{
-    chrome_trace_json, openmetrics, timeline, Device, MetricsRegistry, TransferMethod,
-};
+use byteexpress::{chrome_trace_json, timeline, Device, TransferMethod};
 use std::path::PathBuf;
 
 /// The fixed workload: 8 ByteExpress writes, deterministic payloads, one
-/// queue. Gauges on, so the OpenMetrics golden also pins gauge families.
+/// queue.
 fn golden_events() -> Vec<byteexpress::Event> {
     let mut dev = Device::builder()
         .nand_io(true)
         .queue_count(1)
         .queue_depth(64)
-        .trace_gauges(true)
+        .trace(true)
         .build();
     let batch: Vec<(u64, Vec<u8>)> = (0..8u64)
         .map(|n| {
@@ -76,12 +73,6 @@ fn perfetto_export_matches_golden() {
 #[test]
 fn timeline_export_matches_golden() {
     check("timeline.txt", &timeline(&golden_events()));
-}
-
-#[test]
-fn openmetrics_export_matches_golden() {
-    let reg = MetricsRegistry::from_events(&golden_events());
-    check("openmetrics.txt", &openmetrics(&reg));
 }
 
 #[test]
