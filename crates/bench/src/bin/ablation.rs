@@ -6,12 +6,11 @@
 //! 3. Max-Payload-Size sensitivity (TLP segmentation granularity).
 //! 4. PCIe generation sensitivity (§5: "higher-bandwidth PCIe generations
 //!    could influence the relative impact of data movement optimizations").
-//! 5. SGL threshold (§5: Linux's 32 KB default vs reconfigured).
-//! 6. The §3.1 MMIO byte-interface baseline.
-//! 7. Doorbell batching (doorbell TLPs per command, unbatched vs groups of 8).
-//! 8. Serial vs Pipelined execution across queue depths (window IOPS, p99).
+//! 5. The §3.1 MMIO byte-interface baseline.
+//! 6. Doorbell batching (doorbell TLPs per command, unbatched vs groups of 8).
+//! 7. Serial vs Pipelined execution across queue depths (window IOPS, p99).
 //!
-//! Sections 7 and 8 run fixed-size schedules (128 and 4 × QD writes) and
+//! Sections 6 and 7 run fixed-size schedules (128 and 4 × QD writes) and
 //! ignore `n_ops`. Nothing here is asserted: the properties behind the
 //! numbers are pinned by `crates/driver/tests/batch_and_wrap.rs` and
 //! `tests/pipelined_exec.rs`.
@@ -25,7 +24,7 @@ use byteexpress::{
 };
 use serde::Value;
 
-/// Deterministic (lba, bytes) schedule for sections 7–8: sizes walk
+/// Deterministic (lba, bytes) schedule for sections 6–7: sizes walk
 /// 16..=256 B, i.e. 1 to 4 ByteExpress chunks.
 fn schedule(n: usize) -> Vec<(u64, Vec<u8>)> {
     let mut seed: u64 = 0xB1E55ED;
@@ -222,35 +221,8 @@ fn main() {
          ByteExpress removes are link-speed independent)"
     );
 
-    // --- 5. SGL threshold ---
-    section("Ablation 5: SGL threshold (64 B writes via TransferMethod::Sgl)");
-    println!(
-        "{:>11} {:>14} {:>16}",
-        "threshold", "traffic/op", "engaged path"
-    );
-    for threshold in [0usize, 4096, 32 * 1024] {
-        let mut dev = Device::builder().nand_io(false).build();
-        dev.driver_mut().set_sgl_threshold(threshold);
-        let r = dev.measure_writes(n, 64, TransferMethod::Sgl).unwrap();
-        let engaged = if dev.controller().stats().sgl_payload_bytes > 0 {
-            "SGL (fine-grained)"
-        } else {
-            "PRP (fallback)"
-        };
-        println!(
-            "{:>10}B {:>12} B {:>16}",
-            threshold,
-            fmt_bytes(r.traffic.total_bytes() / n as u64),
-            engaged
-        );
-    }
-    println!(
-        "(the Linux default of 32 KB routes every small payload over PRP — \
-         the configuration the paper optimizes)"
-    );
-
-    // --- 6. MMIO byte-interface baseline ---
-    section("Ablation 6: the §3.1 MMIO byte-interface baseline (2B-SSD style)");
+    // --- 5. MMIO byte-interface baseline ---
+    section("Ablation 5: the §3.1 MMIO byte-interface baseline (2B-SSD style)");
     println!(
         "{:>8} {:>14} {:>14} {:>14} | {:>12} {:>12} {:>12}",
         "payload", "MMIO lat", "BX lat", "PRP lat", "MMIO traffic", "BX traffic", "PRP traffic"
@@ -281,8 +253,8 @@ fn main() {
          is exactly why the paper pursues the SQ-inline design instead)"
     );
 
-    // --- 7. doorbell batching ---
-    section("Ablation 7: doorbell batching (128 ByteExpress writes, 16-256 B, 2 queues)");
+    // --- 6. doorbell batching ---
+    section("Ablation 6: doorbell batching (128 ByteExpress writes, 16-256 B, 2 queues)");
     println!(
         "{:>12} {:>14} {:>14} {:>20}",
         "submission", "doorbell TLPs", "doorbells/cmd", "non-doorbell wire"
@@ -308,8 +280,8 @@ fn main() {
     }
     println!("(batching moves when the bell rings, never what crosses the wire)");
 
-    // --- 8. execution model ---
-    section("Ablation 8: Serial vs Pipelined execution (4 queues x QD writes, NAND on)");
+    // --- 7. execution model ---
+    section("Ablation 7: Serial vs Pipelined execution (4 queues x QD writes, NAND on)");
     println!(
         "{:>6} {:>14} {:>16} {:>9} {:>14} {:>14}",
         "QD", "serial IOPS", "pipelined IOPS", "speedup", "serial p99", "pipelined p99"

@@ -5,8 +5,8 @@
 //! method the paper evaluates:
 //!
 //! * [`TransferMethod::Prp`] — the conventional page-granular path (§2.3).
-//! * [`TransferMethod::Sgl`] — scatter-gather, used only above the Linux
-//!   default 32 KB threshold unless reconfigured (§5).
+//! * [`TransferMethod::Sgl`] — scatter-gather: a byte-granular data-block
+//!   descriptor per page, at every size.
 //! * [`TransferMethod::BandSlim`] — the CMD-based state of the art (§3.2):
 //!   payload embedded in the head command plus serialized fragment commands.
 //! * [`TransferMethod::ByteExpress`] — the paper's contribution (§3.3): the
@@ -15,9 +15,10 @@
 //! * [`TransferMethod::Hybrid`] — threshold switching (§4.2): ByteExpress
 //!   below the threshold, PRP above.
 //!
-//! The ByteExpress driver change is deliberately shaped like the paper's
-//! (<30 LoC inside `nvme_queue_rq`): mark the reserved field with the
-//! payload length, append the chunks, ring the doorbell once.
+//! Each method is one `place` in `transfer`, behind one dispatch. The
+//! ByteExpress one is shaped like the paper's change (<30 LoC inside
+//! `nvme_queue_rq`): mark the reserved field with the payload length, append
+//! the chunks, ring the doorbell once.
 //!
 //! On top of the per-command engines sits doorbell-coalesced batching
 //! ([`NvmeDriver::submit_batch`] + [`FlushPolicy`]): SQEs and chunk trains
@@ -49,6 +50,7 @@
 )]
 #![warn(missing_docs)]
 
+mod admin;
 mod batch;
 mod driver;
 mod inflight;
@@ -56,6 +58,7 @@ mod method;
 pub mod reactor;
 mod recovery;
 mod timing;
+mod transfer;
 
 pub use batch::{BatchSubmission, FlushPolicy};
 pub use driver::{Completion, DriverError, DriverStats, NvmeDriver, SubmittedCmd};

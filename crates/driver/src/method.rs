@@ -7,9 +7,9 @@ use std::fmt;
 pub enum TransferMethod {
     /// Conventional NVMe PRP: page-granular DMA (the paper's baseline).
     Prp,
-    /// Scatter-Gather List: fine-grained DMA, but only engaged above the
-    /// driver's SGL threshold (Linux default 32 KB, §5); below it, PRP is
-    /// used, exactly like the kernel.
+    /// Scatter-Gather List: byte-granular DMA at every size. Linux's policy
+    /// of PRP below a 32 KB threshold is not modelled; `Hybrid` expresses a
+    /// size switch.
     Sgl,
     /// BandSlim (ICPP '24): payload embedded into command fields across a
     /// serialized train of commands. `embed_first` controls whether the head

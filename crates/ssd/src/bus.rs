@@ -6,8 +6,7 @@
 //! is visible to the controller on its next poll, and every DMA flows
 //! through one set of traffic counters.
 //! The simulation is single-threaded (deterministic virtual time), so shared
-//! ownership is `Rc<RefCell<_>>`; the multi-threaded ordering stress harness
-//! lives separately in the driver crate.
+//! ownership is `Rc<RefCell<_>>`.
 //!
 //! Everything host and device both touch is one [`Platform`] behind one
 //! cell, and one rule says who borrows it: **a public entry point of

@@ -3,11 +3,11 @@
 //! A software model of the paper's device side (the Cosmos+ OpenSSD):
 //!
 //! * `controller` — the NVMe controller loop: doorbell polling, 64-byte SQE
-//!   fetch, payload gathering over PRP / SGL / BandSlim fragments /
-//!   **ByteExpress inline chunks** (queue-local or out-of-order reassembly),
-//!   firmware dispatch, and completion posting. The ByteExpress change is the
-//!   same ~20 lines it is in the OpenSSD firmware: after fetching a tagged
-//!   SQE, keep fetching entries from the same queue.
+//!   fetch, firmware dispatch, completion posting (`admin`, `power`: the
+//!   admin queue and the power cut). `gather` holds one payload gather per
+//!   transfer method: PRP / SGL, BandSlim fragments and **ByteExpress inline
+//!   chunks** (queue-local or out-of-order reassembly): after fetching a
+//!   tagged SQE, keep fetching entries from the same queue.
 //! * `nand` / `ftl` — a channel/die-parallel NAND array with
 //!   erase-before-program discipline and a page-mapped FTL with greedy GC,
 //!   so NAND-on experiments (Fig 6) carry realistic background costs.
@@ -43,14 +43,17 @@
 )]
 #![warn(missing_docs)]
 
+mod admin;
 mod bus;
 mod controller;
 mod dram;
 mod firmware;
 mod ftl;
+mod gather;
 mod journal;
 mod nand;
 mod pages;
+mod power;
 mod reassembly;
 pub mod registers;
 mod rows;

@@ -374,7 +374,7 @@ impl ReassemblyEngine {
     /// ago and that never completed (e.g. a truncated chunk train), so the
     /// tracking SRAM is reclaimed instead of leaking until reset. The
     /// controller discards the returned ids: it fails the owning commands
-    /// from its own parked-command sweep (`evict_stalled_inline`).
+    /// from its own parked-command sweep (`gather::byteexpress::evict_stalled`).
     ///
     /// Evicted ids are returned in **ascending payload-id order** (the index
     /// is a `BTreeMap`), so the sweep is deterministic across runs — pinned
@@ -383,7 +383,7 @@ impl ReassemblyEngine {
     /// The deadline boundary is EXCLUSIVE: a payload aged exactly `deadline`
     /// survives; eviction requires age strictly greater. This must agree
     /// with the parked-command check in the controller's
-    /// `evict_stalled_inline` — both sides are pinned by
+    /// `gather::byteexpress::evict_stalled` — both sides are pinned by
     /// `stall_eviction_boundary_is_exclusive` tests.
     pub fn evict_stalled(&mut self, now: Nanos, deadline: Nanos) -> Vec<u32> {
         let slots = &self.slots;

@@ -7,7 +7,7 @@
 //! * the original one: a hand-pumped 10k-command pipelined ByteExpress
 //!   submit→complete window performs **zero** heap allocations — in-flight
 //!   command state lives in a slab, inline chunks encode into a stack
-//!   buffer, `gather_inline` streams into a recycled scratch `Vec`, and
+//!   buffer, `gather_train` streams into a recycled scratch `Vec`, and
 //!   completions poll into a caller-owned buffer via
 //!   `poll_completions_into`;
 //! * a census of the async [`Reactor`]: a warm window of client futures

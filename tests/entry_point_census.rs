@@ -65,17 +65,14 @@ struct Cell {
 
 impl Cell {
     fn build(&self) -> Device {
-        let mut dev = Device::builder()
+        Device::builder()
             .nand_io(self.nand)
             .queue_count(2)
             .queue_depth(DEPTH)
             .fetch_policy(self.fetch)
             .execution_model(self.model)
             .trace(true)
-            .build();
-        // Below the kernel's threshold SGL would go out as PRP.
-        dev.driver_mut().set_sgl_threshold(0);
-        dev
+            .build()
     }
 
     /// A completion is a success.

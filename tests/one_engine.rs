@@ -110,7 +110,6 @@ fn a_staged_command_past_its_deadline_on_a_live_device_is_not_reaped() {
                 max_delay: Nanos::from_ms(1),
             })
             .build();
-        dev.driver_mut().set_sgl_threshold(0);
         let q = dev.queues()[0];
         let block = |lba: u64, fill: u8| {
             let mut cmd = PassthruCmd::to_device(IoOpcode::Write, 1, vec![fill; 4096]);

@@ -177,13 +177,12 @@ fn claim_table1_marginal_costs() {
     );
 }
 
-/// §5: SGL with the threshold reconfigured to 0 also avoids page-granular
+/// §5: SGL, byte-granular at every size, also avoids page-granular
 /// traffic — but ByteExpress still wins on protocol overhead (no descriptor
 /// fetch, no separate DMA setup).
 #[test]
 fn claim_sgl_comparison() {
     let mut dev = Device::builder().nand_io(false).build();
-    dev.driver_mut().set_sgl_threshold(0);
     let sgl = traffic_per_op(&mut dev, 64, TransferMethod::Sgl);
     let prp = traffic_per_op(&mut dev, 64, TransferMethod::Prp);
     let bx = traffic_per_op(&mut dev, 64, TransferMethod::ByteExpress);
