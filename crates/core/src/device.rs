@@ -3,7 +3,8 @@
 
 use crate::stats::LatencySamples;
 use bx_driver::{
-    Completion, DriverError, FlushPolicy, NvmeDriver, RecoveryStats, RetryPolicy, TransferMethod,
+    CmdContext, Completion, DriverError, FlushPolicy, NvmeDriver, RecoveryStats, RetryPolicy,
+    TransferMethod,
 };
 use bx_hostsim::{FaultConfig, FaultCounters, Nanos, PAGE_SIZE};
 use bx_nvme::{IoOpcode, PassthruCmd, QueueId, Status};
@@ -300,6 +301,7 @@ impl DeviceBuilder {
             qids,
             queue_depths,
             write_cmd: PassthruCmd::to_device(IoOpcode::Write, 1, Vec::new()),
+            polled: Vec::new(),
         })
     }
 }
@@ -312,11 +314,46 @@ fn set_block_write(cmd: &mut PassthruCmd, lba: u64, data: &[u8]) {
     cmd.set_data(data);
 }
 
-/// The block-write passthrough command for `data` at `lba`.
-fn block_write_cmd(lba: u64, data: &[u8]) -> PassthruCmd {
-    let mut cmd = PassthruCmd::to_device(IoOpcode::Write, 1, Vec::new());
-    set_block_write(&mut cmd, lba, data);
-    cmd
+/// A flush policy whose bounds never fire: under it a batch rings only at
+/// the `flush_sq` that ends it.
+const NEVER_FLUSHES: FlushPolicy = FlushPolicy {
+    max_batch: u16::MAX,
+    max_delay: Nanos::from_ns(u64::MAX),
+};
+
+/// Submit, ring, wait: one attempt at `cmd` on `qid`, polling into
+/// `polled`. A command the device never completes — one cut down in flight
+/// by a power cut — is [`DriverError::Timeout`], reaped at its
+/// [`RetryPolicy`] deadline when one is installed, given up on at once
+/// otherwise.
+fn execute(
+    driver: &mut NvmeDriver,
+    ctrl: &mut Controller,
+    polled: &mut Vec<Completion>,
+    qid: QueueId,
+    cmd: &PassthruCmd,
+    method: TransferMethod,
+) -> Result<Completion, DriverError> {
+    polled.clear();
+    let submitted = driver.submit(qid, cmd, method)?;
+    // Synchronous callers see one doorbell per command regardless of any
+    // installed flush policy.
+    driver.flush_sq(qid)?;
+    // Returns once our cid has been polled — a real completion, or the
+    // synthetic CommandAborted the reaper posts past the deadline.
+    driver.wait_for(qid, ctrl, &[submitted], polled)?;
+    let idx = polled.iter().position(|c| c.cid == submitted.cid);
+    match idx.map(|i| polled.swap_remove(i)) {
+        Some(done) if done.status != Status::CommandAborted => Ok(done),
+        aborted => Err(DriverError::Timeout {
+            ctx: CmdContext {
+                qid,
+                cid: submitted.cid,
+                opcode: cmd.opcode,
+            },
+            waited: aborted.map_or(Nanos::ZERO, |c| c.latency()),
+        }),
+    }
 }
 
 /// A ready-to-use simulated NVMe device with its host driver.
@@ -332,9 +369,11 @@ pub struct Device {
     /// Depth of each queue in `qids`, kept in lockstep so a power cycle can
     /// re-create the same topology.
     queue_depths: Vec<u16>,
-    /// [`Device::write`]'s command, refilled per call so its payload buffer
-    /// is reused.
+    /// The block write of [`Device::write`] and [`Device::write_batch`],
+    /// refilled per command so its payload buffer is reused.
     write_cmd: PassthruCmd,
+    /// The poll buffer of every submit-and-wait.
+    polled: Vec<Completion>,
 }
 
 impl fmt::Debug for Device {
@@ -493,7 +532,8 @@ impl Device {
         cmd: &PassthruCmd,
         method: TransferMethod,
     ) -> Result<Completion, DeviceError> {
-        Ok(self.driver.execute(qid, &mut self.ctrl, cmd, method)?)
+        let (driver, ctrl, polled) = (&mut self.driver, &mut self.ctrl, &mut self.polled);
+        Ok(execute(driver, ctrl, polled, qid, cmd, method)?)
     }
 
     /// Writes `data` at logical block `lba` using `method`.
@@ -508,10 +548,8 @@ impl Device {
         method: TransferMethod,
     ) -> Result<Completion, DeviceError> {
         set_block_write(&mut self.write_cmd, lba, data);
-        let qid = self.qids[0];
-        let completion = self
-            .driver
-            .execute(qid, &mut self.ctrl, &self.write_cmd, method)?;
+        let (driver, ctrl, polled) = (&mut self.driver, &mut self.ctrl, &mut self.polled);
+        let completion = execute(driver, ctrl, polled, self.qids[0], &self.write_cmd, method)?;
         if !completion.status.is_success() {
             return Err(DeviceError::Command(completion.status));
         }
@@ -520,11 +558,12 @@ impl Device {
 
     /// Writes batches of `(lba, data)` pairs, one batch per queue. Each
     /// batch goes out with a single coalesced SQ doorbell (intermediate
-    /// flushes only if an installed [`FlushPolicy`]'s bounds trigger), and
-    /// every batch is submitted before any completion is reaped, so all
-    /// queues' commands are visible to the controller at once. Under
-    /// [`ExecutionModel::Pipelined`] their media time overlaps — this is
-    /// the entry point for multi-queue / queue-depth scaling measurements.
+    /// flushes only if an installed [`FlushPolicy`]'s bounds trigger; the
+    /// driver's policy is left as found), and every batch is submitted
+    /// before any completion is reaped, so all queues' commands are visible
+    /// to the controller at once. Under [`ExecutionModel::Pipelined`] their
+    /// media time overlaps — this is the entry point for multi-queue /
+    /// queue-depth scaling measurements.
     /// Queues are then waited on in submission order; returns per-batch
     /// completions, each in submission order.
     ///
@@ -539,27 +578,34 @@ impl Device {
         batches: &[QueueBatch],
         method: TransferMethod,
     ) -> Result<Vec<Vec<Completion>>, DeviceError> {
+        // Each batch stages under the installed flush policy or, with none,
+        // under one that never fires; the `flush_sq` after it rings.
+        let found = self.driver.set_flush_policy(None);
+        self.driver.set_flush_policy(found.or(Some(NEVER_FLUSHES)));
         let mut error = None;
         let mut rung = Vec::with_capacity(batches.len());
         for (qid, items) in batches {
-            let cmds: Vec<(PassthruCmd, TransferMethod)> = items
-                .iter()
-                .map(|(lba, data)| (block_write_cmd(*lba, data), method))
-                .collect();
-            let batch = self.driver.submit_batch(*qid, &cmds);
-            rung.push((*qid, batch.submitted));
-            if let Some(e) = batch.error {
+            let mut submitted = Vec::with_capacity(items.len());
+            let refused = items.iter().find_map(|(lba, data)| {
+                set_block_write(&mut self.write_cmd, *lba, data);
+                let placed = self.driver.submit(*qid, &self.write_cmd, method);
+                placed.map(|s| submitted.push(s)).err()
+            });
+            let flushed = self.driver.flush_sq(*qid);
+            rung.push((*qid, submitted));
+            if let Some(e) = refused.or(flushed.err()) {
                 error = Some(DeviceError::Driver(e));
                 break;
             }
         }
+        self.driver.set_flush_policy(found);
         let mut out = Vec::with_capacity(rung.len());
-        let mut polled = Vec::new();
+        let polled = &mut self.polled;
         for (qid, submitted) in &rung {
             polled.clear();
             if let Err(e) = self
                 .driver
-                .wait_for(*qid, &mut self.ctrl, submitted, &mut polled)
+                .wait_for(*qid, &mut self.ctrl, submitted, polled)
             {
                 error.get_or_insert(DeviceError::Driver(e));
                 continue;

@@ -1,7 +1,7 @@
 //! The driver proper: queue pairs, submit engines, completion polling.
 
 use crate::admin::AdminQueue;
-use crate::batch::{BatchSubmission, FlushPolicy};
+use crate::batch::FlushPolicy;
 use crate::inflight::InflightTable;
 use crate::method::TransferMethod;
 use crate::recovery::{CmdContext, RecoveryStats, RetryPolicy};
@@ -242,8 +242,6 @@ pub struct NvmeDriver {
     /// Addresses of the data pages of the command being mapped, for
     /// [`bx_nvme::prp::describe`]. Refilled per command.
     pub(crate) page_addrs: Vec<PhysAddr>,
-    /// [`NvmeDriver::execute`]'s poll buffer.
-    polled: Vec<Completion>,
 }
 
 impl fmt::Debug for NvmeDriver {
@@ -272,15 +270,15 @@ impl NvmeDriver {
             cq_coalesce: 0,
             spare_page_lists: Vec::new(),
             page_addrs: Vec::new(),
-            polled: Vec::new(),
         }
     }
 
     /// Installs (or with `None`, removes) the doorbell-coalescing flush
-    /// policy. See [`FlushPolicy`]; without one every submission rings
-    /// the SQ tail doorbell immediately, as a conventional driver does.
-    pub fn set_flush_policy(&mut self, policy: Option<FlushPolicy>) {
-        self.flush_policy = policy;
+    /// policy, returning the one it replaces. See [`FlushPolicy`]; without
+    /// one every submission rings the SQ tail doorbell immediately, as a
+    /// conventional driver does.
+    pub fn set_flush_policy(&mut self, policy: Option<FlushPolicy>) -> Option<FlushPolicy> {
+        std::mem::replace(&mut self.flush_policy, policy)
     }
 
     /// Sets the CQ head doorbell cadence: ring after every `n` consumed
@@ -327,6 +325,9 @@ impl NvmeDriver {
     }
 
     /// Submits a passthrough command using `method` for its data phase.
+    /// Without a [`FlushPolicy`] it rings the SQ tail doorbell; under one it
+    /// stages the tail, rings once a bound is hit, and ends with the due
+    /// check [`NvmeDriver::poll_completions_into`] starts with.
     ///
     /// # Errors
     ///
@@ -371,6 +372,9 @@ impl NvmeDriver {
         self.stats.submissions += 1;
         let qp = queue_in(&mut self.queues, qid)?;
         qp.inflight.insert(cid, inflight);
+        // A tail staged before a submit that stages none (`MmioByte` only
+        // advances the clock) may have fallen due meanwhile.
+        self.flush_if_due(p, qid)?;
         Ok(SubmittedCmd {
             queue: qid,
             cid,
@@ -455,80 +459,20 @@ impl NvmeDriver {
         Ok(true)
     }
 
-    /// Flushes `qid` if its oldest staged command has exceeded the flush
-    /// policy's max-delay bound. The reactor's `poll_submit` calls it, which
-    /// lets the installed [`FlushPolicy`] decide whether a doorbell is due
-    /// without forcing one per call; [`NvmeDriver::poll_completions_into`]
-    /// makes the same check itself.
-    ///
-    /// # Errors
-    ///
-    /// [`DriverError::UnknownQueue`] for a bad queue id.
-    pub(crate) fn flush_sq_if_due(&mut self, qid: QueueId) -> Result<(), DriverError> {
-        if self.flush_is_due(qid)? {
-            self.flush_sq(qid)?;
-        }
-        Ok(())
-    }
-
-    /// Whether the oldest command staged on `qid` has outwaited the flush
-    /// policy's max-delay bound.
-    fn flush_is_due(&mut self, qid: QueueId) -> Result<bool, DriverError> {
+    /// Rings `qid`'s staged tail if its oldest command has outwaited the
+    /// flush policy's max-delay bound: the check every submit and poll ends
+    /// or starts with, wherever virtual time is observed.
+    fn flush_if_due(&mut self, p: &mut Platform, qid: QueueId) -> Result<(), DriverError> {
         let Some(policy) = self.flush_policy else {
-            return Ok(false);
+            return Ok(());
         };
         let now = self.bus.clock.now();
         let qp = queue_in(&mut self.queues, qid)?;
-        Ok(
-            qp.pending_tail.is_some()
-                && now.saturating_sub(qp.first_pending_at) >= policy.max_delay,
-        )
-    }
-
-    /// Submits a group of commands to one queue, ringing the SQ tail
-    /// doorbell once for the whole group — §3.2's one-doorbell-per-train,
-    /// extended to one doorbell per *batch of trains*. SQEs and ByteExpress
-    /// chunk trains are packed back-to-back in the ring.
-    ///
-    /// If an installed [`FlushPolicy`]'s max-batch bound is hit midway the
-    /// intermediate flushes ring as configured; the final flush always
-    /// happens before this returns, so the controller can fetch every
-    /// accepted command. Without a policy the whole batch coalesces into a
-    /// single doorbell.
-    ///
-    /// On a mid-batch submit error the batch stops early: commands already
-    /// placed are doorbelled and returned in
-    /// [`BatchSubmission::submitted`]; the offending command's error lands
-    /// in [`BatchSubmission::error`] and the rest are not attempted. Each
-    /// accepted command is tracked in flight individually, so the timeout
-    /// reap applies to partially-acked batches with no special casing.
-    pub fn submit_batch(
-        &mut self,
-        qid: QueueId,
-        cmds: &[(PassthruCmd, TransferMethod)],
-    ) -> BatchSubmission {
-        // Deferral must be active for the duration of the batch even when
-        // no policy is installed; restored before returning.
-        let restore = self.flush_policy;
-        if restore.is_none() {
-            self.flush_policy = Some(FlushPolicy::unbounded());
+        let waited = now.saturating_sub(qp.first_pending_at);
+        if qp.pending_tail.is_some() && waited >= policy.max_delay {
+            self.flush_staged(p, qid)?;
         }
-        let mut submitted = Vec::with_capacity(cmds.len());
-        let mut error = None;
-        for (cmd, method) in cmds {
-            match self.submit(qid, cmd, *method) {
-                Ok(s) => submitted.push(s),
-                Err(e) => {
-                    error = Some(e);
-                    break;
-                }
-            }
-        }
-        self.flush_policy = restore;
-        if let Err(e) = self.flush_sq(qid) {
-            error = error.or(Some(e));
-        }
-        BatchSubmission { submitted, error }
+        Ok(())
     }
 
     fn ring_sq_doorbell(&mut self, p: &mut Platform, qid: QueueId, tail: u16) {
@@ -561,9 +505,7 @@ impl NvmeDriver {
         // Staged SQ tails past the flush policy's delay bound ring here —
         // the poll loop is where virtual time advances while submissions
         // sit deferred.
-        if self.flush_is_due(qid)? {
-            self.flush_staged(p, qid)?;
-        }
+        self.flush_if_due(p, qid)?;
         let (bus, timing) = (&self.bus, &self.timing);
         let coalesce = self.cq_coalesce as u64;
         let mut cq_rings = 0u64;
@@ -784,65 +726,6 @@ impl NvmeDriver {
         };
         self.bus.clock.advance(Nanos::from_ns(skipped));
     }
-
-    /// Submit, ring, wait: the synchronous convenience the examples and
-    /// benchmarks use, and the driver's only submit-and-wait loop. One
-    /// attempt: a command the device never completes — one cut down in
-    /// flight by a power cut — is [`DriverError::Timeout`], reaped at its
-    /// [`RetryPolicy`] deadline when one is installed, given up on at once
-    /// otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Propagates submit/poll failures; [`DriverError::Timeout`] when the
-    /// command never completes.
-    pub fn execute(
-        &mut self,
-        qid: QueueId,
-        ctrl: &mut Controller,
-        cmd: &PassthruCmd,
-        method: TransferMethod,
-    ) -> Result<Completion, DriverError> {
-        let mut polled = std::mem::take(&mut self.polled);
-        polled.clear();
-        let done = self.execute_polling_into(qid, ctrl, cmd, method, &mut polled);
-        self.polled = polled;
-        done
-    }
-
-    /// [`NvmeDriver::execute`] over a caller-owned poll buffer.
-    fn execute_polling_into(
-        &mut self,
-        qid: QueueId,
-        ctrl: &mut Controller,
-        cmd: &PassthruCmd,
-        method: TransferMethod,
-        polled: &mut Vec<Completion>,
-    ) -> Result<Completion, DriverError> {
-        let submitted = self.submit(qid, cmd, method)?;
-        // Synchronous callers see one doorbell per command regardless of
-        // any installed flush policy.
-        self.flush_sq(qid)?;
-        // Returns once our cid has been polled — a real completion, or the
-        // synthetic CommandAborted the reaper posts past the deadline.
-        self.wait_for(qid, ctrl, &[submitted], polled)?;
-        let idx = polled
-            .iter()
-            .position(|c| c.cid == submitted.cid)
-            .ok_or_else(|| self.timeout(qid, submitted.cid))?;
-        let completion = polled.swap_remove(idx);
-        if completion.status == Status::CommandAborted {
-            return Err(DriverError::Timeout {
-                ctx: CmdContext {
-                    qid,
-                    cid: submitted.cid,
-                    opcode: cmd.opcode,
-                },
-                waited: completion.latency(),
-            });
-        }
-        Ok(completion)
-    }
 }
 
 /// The pair `qid` names — borrowing the queue table alone, so the caller
@@ -981,12 +864,8 @@ pub(crate) mod tests {
         driver.set_retry_policy(Some(RetryPolicy::default()));
         let qid = driver.initialize(&mut ctrl, &[64]).unwrap()[0];
         for lba in 0..2 {
-            let done = driver.execute(
-                qid,
-                &mut ctrl,
-                &write(lba, 200),
-                TransferMethod::ByteExpress,
-            );
+            let cmd = write(lba, 200);
+            let done = execute(&mut driver, qid, &mut ctrl, &cmd, waiting);
             assert!(done.unwrap().status.is_success());
         }
         Rig {
@@ -1044,18 +923,33 @@ pub(crate) mod tests {
         }
     }
 
-    /// `execute`'s one attempt over [`wait_stepping`].
-    fn execute_stepping(
+    type Wait =
+        fn(&mut NvmeDriver, QueueId, &mut Controller, &[SubmittedCmd], &mut Vec<Completion>);
+
+    /// [`NvmeDriver::wait_for`] as a [`Wait`].
+    fn waiting(
+        d: &mut NvmeDriver,
+        qid: QueueId,
+        ctrl: &mut Controller,
+        cmds: &[SubmittedCmd],
+        out: &mut Vec<Completion>,
+    ) {
+        d.wait_for(qid, ctrl, cmds, out).unwrap();
+    }
+
+    /// One attempt at a ByteExpress `cmd`, as `Device` makes it: submit,
+    /// ring, `wait`, and a reaped command as [`DriverError::Timeout`].
+    fn execute(
         d: &mut NvmeDriver,
         qid: QueueId,
         ctrl: &mut Controller,
         cmd: &PassthruCmd,
-        method: TransferMethod,
+        wait: Wait,
     ) -> Result<Completion, DriverError> {
         let mut polled = Vec::new();
-        let submitted = d.submit(qid, cmd, method)?;
+        let submitted = d.submit(qid, cmd, TransferMethod::ByteExpress)?;
         d.flush_sq(qid)?;
-        wait_stepping(d, qid, ctrl, &[submitted], &mut polled);
+        wait(d, qid, ctrl, &[submitted], &mut polled);
         let idx = polled.iter().position(|c| c.cid == submitted.cid).unwrap();
         let completion = polled.swap_remove(idx);
         if completion.status == Status::CommandAborted {
@@ -1072,7 +966,7 @@ pub(crate) mod tests {
     }
 
     /// A write cut down in flight by a power cut `cut_after` processing
-    /// events in, on two identical rigs: `execute`, which skips the dark
+    /// events in, on two identical rigs: `wait_for`, which skips the dark
     /// polls, leaves everything the stepping wait does — result, clock,
     /// counters, wire and every event, the `TimeoutReap` included.
     fn dark_execute_equals_stepping(model: ExecutionModel, fetch: FetchPolicy, cut_after: u64) {
@@ -1083,15 +977,13 @@ pub(crate) mod tests {
             });
         }
         let cmd = write(2, 200);
-        let skipped =
-            skip.driver
-                .execute(skip.qid, &mut skip.ctrl, &cmd, TransferMethod::ByteExpress);
-        let stepped = execute_stepping(
+        let skipped = execute(&mut skip.driver, skip.qid, &mut skip.ctrl, &cmd, waiting);
+        let stepped = execute(
             &mut step.driver,
             step.qid,
             &mut step.ctrl,
             &cmd,
-            TransferMethod::ByteExpress,
+            wait_stepping,
         );
         assert!(skip.ctrl.is_powered_off(), "the cut fired");
         match &skipped {

@@ -20,18 +20,18 @@
 //! `nvme_queue_rq`): mark the reserved field with the payload length, append
 //! the chunks, ring the doorbell once.
 //!
-//! On top of the per-command engines sits doorbell-coalesced batching
-//! ([`NvmeDriver::submit_batch`] + [`FlushPolicy`]): SQEs and chunk trains
-//! for many commands are packed back-to-back and the tail doorbell rings
-//! once per batch, with CQ-side completion coalescing to match.
+//! On top of the per-command engines sits doorbell coalescing
+//! ([`FlushPolicy`]): SQEs and chunk trains for many commands are packed
+//! back-to-back and the tail doorbell rings once per group, with CQ-side
+//! completion coalescing to match.
 //!
-//! Every way of driving a command is the same four calls —
-//! [`NvmeDriver::submit`], [`NvmeDriver::flush_sq`],
-//! `Controller::process_available`, [`NvmeDriver::poll_completions_into`].
-//! Blocking callers loop over them in [`NvmeDriver::wait_for`] (under
-//! [`NvmeDriver::execute`] and `Device::write_batch`); the async
-//! [`Reactor`] makes the same calls from [`Reactor::turn`] without
-//! blocking.
+//! The driver has four I/O entry points: [`NvmeDriver::submit`],
+//! [`NvmeDriver::flush_sq`], [`NvmeDriver::poll_completions_into`] and
+//! [`NvmeDriver::wait_for`], the one blocking wait, which loops over
+//! `Controller::process_available` and the poll. Every way of driving a
+//! command is those calls: `Device::{write, passthru, write_batch}` submit,
+//! flush and wait; the async [`Reactor`] submits, flushes and polls from
+//! [`Reactor::turn`] without blocking.
 
 #![forbid(unsafe_code)]
 // No input may panic the library, and nothing may depend on hash order: a
@@ -60,7 +60,7 @@ mod recovery;
 mod timing;
 mod transfer;
 
-pub use batch::{BatchSubmission, FlushPolicy};
+pub use batch::FlushPolicy;
 pub use driver::{Completion, DriverError, DriverStats, NvmeDriver, SubmittedCmd};
 pub use method::TransferMethod;
 pub use reactor::{CommandFuture, Reactor, ReactorConfig, ReactorStats, ShardHandle};

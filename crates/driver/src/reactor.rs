@@ -1,13 +1,13 @@
 //! The completion-driven async reactor (what is left to do on it — its two
 //! host-side cells — is ROADMAP item 5(a)).
 //!
-//! The synchronous API (`execute` → `poll_completions_into`) expresses one
-//! command per caller at a time; realistic many-client concurrency on top of
-//! the pipelined controller needs commands from *many* logical clients in
-//! flight together, each resolving independently when its completion
-//! arrives. This module provides that as an io_uring-style reactor over
-//! the same four calls the synchronous path makes — `submit`, `flush_sq`
-//! (and `flush_sq_if_due`), `Controller::process_available`,
+//! The synchronous API (`Device::write`: submit, flush, `wait_for`)
+//! expresses one command per caller at a time; realistic many-client
+//! concurrency on top of the pipelined controller needs commands from
+//! *many* logical clients in flight together, each resolving independently
+//! when its completion arrives. This module provides that as an
+//! io_uring-style reactor over the calls the synchronous path makes —
+//! `submit`, `flush_sq`, `Controller::process_available`,
 //! `poll_completions_into` — with no layer in between:
 //!
 //! * **Shards** — thread-per-core style ownership over **one**
@@ -21,7 +21,7 @@
 //!   pretending the clock itself scales.
 //! * [`CommandFuture`] — one in-flight command: [`NvmeDriver::submit`] on
 //!   first poll (SQ backpressure surfaces as `Poll::Pending`, *not* an
-//!   error), a due doorbell rung per the installed [`FlushPolicy`];
+//!   error), which rings a due doorbell per the installed [`FlushPolicy`];
 //!   resolves when the dispatcher routes its completion (ring CQE or
 //!   byte-interface status word alike) back to the shard's waiter table —
 //!   the driver's own cid-indexed table, holding wakers instead of
@@ -629,9 +629,6 @@ impl Future for CommandFuture {
                                 done: None,
                             },
                         );
-                        // Let the flush policy ring a due doorbell now
-                        // rather than waiting for the executor to go idle.
-                        let _ = driver.flush_sq_if_due(qid);
                         Poll::Pending
                     }
                 }

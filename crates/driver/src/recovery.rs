@@ -4,8 +4,8 @@
 //! Queues, arXiv 2105.08706): a dark controller writes nothing to host
 //! memory, so a command in flight on it completes only when the driver
 //! gives up on it. A dark device stays dark until a power cycle, so no
-//! resubmission could succeed either; `execute` makes one attempt, and the
-//! deadline is what ends it (DESIGN.md §7).
+//! resubmission could succeed either; `Device`'s submit-and-wait makes one
+//! attempt, and the deadline is what ends it (DESIGN.md §7).
 
 use bx_hostsim::Nanos;
 use bx_nvme::QueueId;
@@ -15,10 +15,10 @@ use std::fmt;
 ///
 /// Installing a policy (see `NvmeDriver::set_retry_policy`) gives every
 /// command a completion deadline. On a dark device a command past it is
-/// reaped, and `execute` reports it as `DriverError::Timeout`. Without a
-/// policy the wait gives up as soon as a poll can no longer make progress,
-/// with the same error. Either way the wire traffic of a live run is
-/// byte-identical.
+/// reaped as a `CommandAborted` completion, which `Device` reports as
+/// `DriverError::Timeout`. Without a policy the wait gives up as soon as a
+/// poll can no longer make progress, with the same error. Either way the
+/// wire traffic of a live run is byte-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Per-command completion deadline.

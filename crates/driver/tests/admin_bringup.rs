@@ -9,6 +9,9 @@ use bx_ssd::{
     CSTS_READY,
 };
 
+mod common;
+use common::execute;
+
 fn platform(cfg: ControllerConfig) -> (SystemBus, Controller, NvmeDriver) {
     let bus = SystemBus::new(LinkConfig::gen2_x8(), 64 << 20, 8);
     let nand_io = cfg.nand.enabled;
@@ -49,9 +52,14 @@ fn io_through_admin_created_queue() {
     assert_eq!(qid.0, 1, "first I/O queue is qid 1 (0 is admin)");
 
     let cmd = PassthruCmd::to_device(bx_nvme::IoOpcode::Write, 1, vec![7u8; 100]);
-    let c = driver
-        .execute(qid, &mut ctrl, &cmd, TransferMethod::ByteExpress)
-        .unwrap();
+    let c = execute(
+        &mut driver,
+        qid,
+        &mut ctrl,
+        &cmd,
+        TransferMethod::ByteExpress,
+    )
+    .unwrap();
     assert_eq!(c.status, Status::Success);
     assert_eq!(
         ctrl.stats().admin_commands,
@@ -117,14 +125,14 @@ fn queue_delete_then_recreate() {
         .unwrap_err();
     assert_eq!(err, DriverError::UnknownQueue(q1));
     // q2 still works.
-    driver
-        .execute(
-            q2,
-            &mut ctrl,
-            &PassthruCmd::to_device(bx_nvme::IoOpcode::Write, 1, vec![1; 64]),
-            TransferMethod::ByteExpress,
-        )
-        .unwrap();
+    execute(
+        &mut driver,
+        q2,
+        &mut ctrl,
+        &PassthruCmd::to_device(bx_nvme::IoOpcode::Write, 1, vec![1; 64]),
+        TransferMethod::ByteExpress,
+    )
+    .unwrap();
     // A new queue can be created after deletion, and takes the freed id. It
     // starts clean: none of q1's doorbelled commands, or the stale bytes in
     // the recycled frames, reach it.
@@ -136,11 +144,15 @@ fn queue_delete_then_recreate() {
     write.cdw10_15[0] = 3;
     let mut read = PassthruCmd::from_device(bx_nvme::IoOpcode::Read, 1, data.len());
     read.cdw10_15[0] = 3;
-    let wrote = driver.execute(q3, &mut ctrl, &write, TransferMethod::ByteExpress);
+    let wrote = execute(
+        &mut driver,
+        q3,
+        &mut ctrl,
+        &write,
+        TransferMethod::ByteExpress,
+    );
     assert_eq!(wrote.map(|c| c.status), Ok(Status::Success));
-    let got = driver
-        .execute(q3, &mut ctrl, &read, TransferMethod::Prp)
-        .unwrap();
+    let got = execute(&mut driver, q3, &mut ctrl, &read, TransferMethod::Prp).unwrap();
     assert_eq!(got.data, Some(data));
     assert_eq!(free_pages(), one_pair - 2);
 }
@@ -168,9 +180,14 @@ fn refused_sq_does_not_strand_its_cq() {
     let q2 = driver.create_io_queue(&mut ctrl, 64).unwrap();
     assert_eq!(q2.0, 2);
     let cmd = PassthruCmd::to_device(bx_nvme::IoOpcode::Write, 1, vec![7u8; 100]);
-    let c = driver
-        .execute(q2, &mut ctrl, &cmd, TransferMethod::ByteExpress)
-        .unwrap();
+    let c = execute(
+        &mut driver,
+        q2,
+        &mut ctrl,
+        &cmd,
+        TransferMethod::ByteExpress,
+    )
+    .unwrap();
     assert_eq!(c.status, Status::Success);
 }
 
@@ -202,7 +219,13 @@ fn initialize_is_not_reentrant_and_its_error_paths_free_everything() {
     assert_eq!(ctrl.stats().admin_commands, admin_cmds);
     // The admin queue and the pair under it are the ones the controller
     // latched: both still work.
-    let done = driver.execute(qid, &mut ctrl, &cmd, TransferMethod::ByteExpress);
+    let done = execute(
+        &mut driver,
+        qid,
+        &mut ctrl,
+        &cmd,
+        TransferMethod::ByteExpress,
+    );
     assert_eq!(done.map(|c| c.status), Ok(Status::Success));
     driver.create_io_queue(&mut ctrl, 64).unwrap();
 
@@ -224,7 +247,13 @@ fn initialize_is_not_reentrant_and_its_error_paths_free_everything() {
     assert!(!ctrl.is_ready(), "a failed probe disables the controller");
     // The next attempt starts clean on both ends.
     let qid = driver.initialize(&mut ctrl, &[64]).unwrap()[0];
-    let done = driver.execute(qid, &mut ctrl, &cmd, TransferMethod::ByteExpress);
+    let done = execute(
+        &mut driver,
+        qid,
+        &mut ctrl,
+        &cmd,
+        TransferMethod::ByteExpress,
+    );
     assert_eq!(done.map(|c| c.status), Ok(Status::Success));
 }
 
@@ -267,9 +296,7 @@ fn controller_without_byteexpress_cap_gates_the_driver() {
         .unwrap_err();
     assert_eq!(err, DriverError::Unsupported("ByteExpress inline transfer"));
     // PRP still works — the compatibility story the paper emphasizes.
-    driver
-        .execute(qid, &mut ctrl, &cmd, TransferMethod::Prp)
-        .unwrap();
+    execute(&mut driver, qid, &mut ctrl, &cmd, TransferMethod::Prp).unwrap();
 }
 
 /// Chunk framing is the controller's fetch policy as Identify reports it:
@@ -290,9 +317,15 @@ fn chunk_framing_follows_identify_with_no_driver_setting() {
             let qid = driver.initialize(&mut ctrl, &[64]).unwrap()[0];
             let headers = driver.identify().map(|id| id.vendor.reassembly);
             assert_eq!(headers, Some(fetch_policy == FetchPolicy::Reassembly));
-            let wrote = driver.execute(qid, &mut ctrl, &write, TransferMethod::ByteExpress);
+            let wrote = execute(
+                &mut driver,
+                qid,
+                &mut ctrl,
+                &write,
+                TransferMethod::ByteExpress,
+            );
             assert_eq!(wrote.map(|c| c.status), Ok(Status::Success));
-            let got = driver.execute(qid, &mut ctrl, &read, TransferMethod::Prp);
+            let got = execute(&mut driver, qid, &mut ctrl, &read, TransferMethod::Prp);
             assert_eq!(
                 got.unwrap().data.as_ref(),
                 Some(&payload),
@@ -342,14 +375,14 @@ fn stale_bytes_in_fresh_rings_are_never_fetched() {
                 let lba = cycle * 8 + i as u64;
                 let mut write = PassthruCmd::to_device(bx_nvme::IoOpcode::Write, 1, payload(lba));
                 write.cdw10_15[0] = lba as u32;
-                let wrote = driver.execute(qid, &mut ctrl, &write, *method);
+                let wrote = execute(&mut driver, qid, &mut ctrl, &write, *method);
                 assert_eq!(wrote.map(|c| c.status), Ok(Status::Success), "{method}");
             }
             // Everything written so far, this cycle's and the last one's.
             for lba in (0..=cycle).flat_map(|c| c * 8..c * 8 + 3) {
                 let mut read = PassthruCmd::from_device(bx_nvme::IoOpcode::Read, 1, 150);
                 read.cdw10_15[0] = lba as u32;
-                let got = driver.execute(qid, &mut ctrl, &read, TransferMethod::Prp);
+                let got = execute(&mut driver, qid, &mut ctrl, &read, TransferMethod::Prp);
                 assert_eq!(
                     got.unwrap().data,
                     Some(payload(lba)),

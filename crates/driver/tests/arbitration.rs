@@ -71,14 +71,9 @@ fn grants(sink: &TraceSink) -> Vec<(u16, u16)> {
 fn round_robin_alternates_across_queues() {
     let mut r = rig(FetchPolicy::QueueLocal);
     for i in 0..6u64 {
-        r.driver.submit_batch(
-            r.qa,
-            &[(write_cmd(i * 8, vec![1; 64]), TransferMethod::Prp)],
-        );
-        r.driver.submit_batch(
-            r.qb,
-            &[(write_cmd(i * 8, vec![2; 64]), TransferMethod::Prp)],
-        );
+        let (a, b) = (write_cmd(i * 8, vec![1; 64]), write_cmd(i * 8, vec![2; 64]));
+        r.driver.submit(r.qa, &a, TransferMethod::Prp).unwrap();
+        r.driver.submit(r.qb, &b, TransferMethod::Prp).unwrap();
     }
     r.sink.clear();
     r.ctrl.process_available();
@@ -104,10 +99,9 @@ fn round_robin_interleaves_reassembly_chunks_across_queues() {
     let data_b: Vec<u8> = (0..200).map(|i| ((i * 3) % 256) as u8).collect();
     for (q, lba, data) in [(r.qa, 0, &data_a), (r.qb, 8, &data_b)] {
         let cmd = write_cmd(lba, data.clone());
-        let submitted = r
-            .driver
-            .submit_batch(q, &[(cmd, TransferMethod::ByteExpress)]);
-        assert!(submitted.all_accepted());
+        r.driver
+            .submit(q, &cmd, TransferMethod::ByteExpress)
+            .unwrap();
     }
 
     r.sink.clear();
@@ -138,8 +132,7 @@ fn round_robin_interleaves_reassembly_chunks_across_queues() {
 
         let mut read = PassthruCmd::from_device(IoOpcode::Read, 1, data.len());
         read.cdw10_15[0] = lba as u32;
-        let submitted = r.driver.submit_batch(q, &[(read, TransferMethod::Prp)]);
-        assert!(submitted.all_accepted());
+        r.driver.submit(q, &read, TransferMethod::Prp).unwrap();
         r.ctrl.process_available();
         done.clear();
         r.driver.poll_completions_into(q, &mut done).unwrap();

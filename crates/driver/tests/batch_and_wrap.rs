@@ -7,11 +7,14 @@
 //! (spurious `QueueFull`) or over-admitted (overwrote unfetched entries)
 //! under the old math.
 
-use bx_driver::{FlushPolicy, NvmeDriver, RetryPolicy, TransferMethod};
+use bx_driver::{DriverError, FlushPolicy, NvmeDriver, RetryPolicy, SubmittedCmd, TransferMethod};
 use bx_hostsim::Nanos;
 use bx_nvme::{IoOpcode, PassthruCmd, QueueId, Status};
 use bx_pcie::LinkConfig;
 use bx_ssd::{BlockFirmware, Controller, ControllerConfig, NandConfig, SystemBus};
+
+mod common;
+use common::execute;
 
 struct Rig {
     bus: SystemBus,
@@ -52,6 +55,31 @@ fn read_cmd(lba: u64, len: usize) -> PassthruCmd {
     cmd
 }
 
+/// Submits `cmds` to `qid` under the installed flush policy or, with none,
+/// one that never fires, then rings once — a batch as `Device::write_batch`
+/// places one. Stops at the first refusal: returns what was placed, and the
+/// refusal.
+fn submit_batch(
+    d: &mut NvmeDriver,
+    qid: QueueId,
+    cmds: &[(PassthruCmd, TransferMethod)],
+) -> (Vec<SubmittedCmd>, Option<DriverError>) {
+    let never = FlushPolicy {
+        max_batch: u16::MAX,
+        max_delay: Nanos::from_ns(u64::MAX),
+    };
+    let found = d.set_flush_policy(None);
+    d.set_flush_policy(found.or(Some(never)));
+    let mut submitted = Vec::new();
+    let refused = cmds.iter().find_map(|(cmd, method)| {
+        let placed = d.submit(qid, cmd, *method);
+        placed.map(|s| submitted.push(s)).err()
+    });
+    d.set_flush_policy(found);
+    let flushed = d.flush_sq(qid);
+    (submitted, refused.or(flushed.err()))
+}
+
 /// Drains every cid in `cids`, pumping controller + poll; panics if the
 /// rig goes idle before all complete.
 fn drain(r: &mut Rig, cids: &[u16]) -> Vec<bx_driver::Completion> {
@@ -84,26 +112,24 @@ fn byteexpress_train_straddles_wrap_at_odd_depth() {
     // 5 slots per train on a 6-usable-slot ring: every second train wraps.
     for lap in 0..10u64 {
         let data: Vec<u8> = (0..200).map(|i| ((i + lap as usize) % 256) as u8).collect();
-        let c = r
-            .driver
-            .execute(
-                r.qid,
-                &mut r.ctrl,
-                &write_cmd(lap * 8, data.clone()),
-                TransferMethod::ByteExpress,
-            )
-            .unwrap();
+        let c = execute(
+            &mut r.driver,
+            r.qid,
+            &mut r.ctrl,
+            &write_cmd(lap * 8, data.clone()),
+            TransferMethod::ByteExpress,
+        )
+        .unwrap();
         assert_eq!(c.status, Status::Success, "lap {lap}");
 
-        let back = r
-            .driver
-            .execute(
-                r.qid,
-                &mut r.ctrl,
-                &read_cmd(lap * 8, 200),
-                TransferMethod::Prp,
-            )
-            .unwrap();
+        let back = execute(
+            &mut r.driver,
+            r.qid,
+            &mut r.ctrl,
+            &read_cmd(lap * 8, 200),
+            TransferMethod::Prp,
+        )
+        .unwrap();
         assert_eq!(back.data.unwrap(), data, "lap {lap} integrity");
     }
     // 10 writes x 4 chunks each actually crossed the ring.
@@ -119,26 +145,24 @@ fn bandslim_train_straddles_wrap_at_odd_depth() {
         let data: Vec<u8> = (0..200)
             .map(|i| ((i * 7 + lap as usize) % 256) as u8)
             .collect();
-        let c = r
-            .driver
-            .execute(
-                r.qid,
-                &mut r.ctrl,
-                &write_cmd(lap * 8, data.clone()),
-                TransferMethod::BandSlim { embed_first: true },
-            )
-            .unwrap();
+        let c = execute(
+            &mut r.driver,
+            r.qid,
+            &mut r.ctrl,
+            &write_cmd(lap * 8, data.clone()),
+            TransferMethod::BandSlim { embed_first: true },
+        )
+        .unwrap();
         assert_eq!(c.status, Status::Success, "lap {lap}");
 
-        let back = r
-            .driver
-            .execute(
-                r.qid,
-                &mut r.ctrl,
-                &read_cmd(lap * 8, 200),
-                TransferMethod::Prp,
-            )
-            .unwrap();
+        let back = execute(
+            &mut r.driver,
+            r.qid,
+            &mut r.ctrl,
+            &read_cmd(lap * 8, 200),
+            TransferMethod::Prp,
+        )
+        .unwrap();
         assert_eq!(back.data.unwrap(), data, "lap {lap} integrity");
     }
 }
@@ -158,9 +182,9 @@ fn batch_rings_one_sq_doorbell() {
         .collect();
 
     let before = r.driver.stats().doorbells;
-    let batch = r.driver.submit_batch(r.qid, &cmds);
-    assert!(batch.all_accepted(), "{:?}", batch.error);
-    assert_eq!(batch.submitted.len(), 8);
+    let (submitted, error) = submit_batch(&mut r.driver, r.qid, &cmds);
+    assert!(error.is_none(), "{error:?}");
+    assert_eq!(submitted.len(), 8);
     assert_eq!(
         r.driver.stats().doorbells - before,
         1,
@@ -169,20 +193,19 @@ fn batch_rings_one_sq_doorbell() {
     assert_eq!(r.driver.stats().batch_flushes, 1);
     assert_eq!(r.driver.stats().batched_cmds, 8);
 
-    let cids: Vec<u16> = batch.submitted.iter().map(|s| s.cid).collect();
+    let cids: Vec<u16> = submitted.iter().map(|s| s.cid).collect();
     let completions = drain(&mut r, &cids);
     assert!(completions.iter().all(|c| c.status.is_success()));
 
     for i in 0..8u64 {
-        let back = r
-            .driver
-            .execute(
-                r.qid,
-                &mut r.ctrl,
-                &read_cmd(i * 8, 64),
-                TransferMethod::Prp,
-            )
-            .unwrap();
+        let back = execute(
+            &mut r.driver,
+            r.qid,
+            &mut r.ctrl,
+            &read_cmd(i * 8, 64),
+            TransferMethod::Prp,
+        )
+        .unwrap();
         assert_eq!(back.data.unwrap(), vec![i as u8; 64], "cmd {i}");
     }
 }
@@ -247,8 +270,8 @@ fn cq_coalescing_reduces_head_doorbells() {
         let cmds: Vec<(PassthruCmd, TransferMethod)> = (0..8u64)
             .map(|i| (write_cmd(i * 8, vec![5; 64]), TransferMethod::ByteExpress))
             .collect();
-        let batch = r.driver.submit_batch(r.qid, &cmds);
-        assert!(batch.all_accepted());
+        let (_, error) = submit_batch(&mut r.driver, r.qid, &cmds);
+        assert!(error.is_none());
         r.ctrl.process_available();
         let before = r.driver.stats().doorbells;
         let mut got = Vec::new();
@@ -280,8 +303,8 @@ fn dark_batch_reaps_every_member() {
     let cmds: Vec<(PassthruCmd, TransferMethod)> = (0..3u64)
         .map(|i| (write_cmd(i * 8, vec![7; 64]), TransferMethod::Prp))
         .collect();
-    let batch = r.driver.submit_batch(r.qid, &cmds);
-    assert!(batch.all_accepted(), "submission itself succeeds");
+    let (_, error) = submit_batch(&mut r.driver, r.qid, &cmds);
+    assert!(error.is_none(), "submission itself succeeds");
     assert_eq!(r.driver.stats().batch_flushes, 1, "one doorbell");
 
     // Pump past the deadline: the reaper posts synthetic CommandAborted
@@ -307,21 +330,20 @@ fn dark_batch_reaps_every_member() {
     r.ctrl.power_cycle();
     r.driver.reset_after_power_cycle().unwrap();
     r.qid = r.driver.initialize(&mut r.ctrl, &[256]).unwrap()[0];
-    let batch = r.driver.submit_batch(r.qid, &cmds);
-    assert!(batch.all_accepted());
-    let cids: Vec<u16> = batch.submitted.iter().map(|s| s.cid).collect();
+    let (submitted, error) = submit_batch(&mut r.driver, r.qid, &cmds);
+    assert!(error.is_none());
+    let cids: Vec<u16> = submitted.iter().map(|s| s.cid).collect();
     let completions = drain(&mut r, &cids);
     assert!(completions.iter().all(|c| c.status.is_success()));
     for i in 0..3u64 {
-        let back = r
-            .driver
-            .execute(
-                r.qid,
-                &mut r.ctrl,
-                &read_cmd(i * 8, 64),
-                TransferMethod::Prp,
-            )
-            .unwrap();
+        let back = execute(
+            &mut r.driver,
+            r.qid,
+            &mut r.ctrl,
+            &read_cmd(i * 8, 64),
+            TransferMethod::Prp,
+        )
+        .unwrap();
         assert_eq!(back.data.unwrap(), vec![7; 64]);
     }
 }
@@ -340,19 +362,22 @@ fn batch_stops_at_first_error_but_flushes_prefix() {
         (write_cmd(16, vec![3; 64]), TransferMethod::ByteExpress),
     ];
     let before = r.driver.stats().doorbells;
-    let batch = r.driver.submit_batch(r.qid, &cmds);
-    assert_eq!(batch.submitted.len(), 1, "only the first was placed");
-    assert!(batch.error.is_some());
-    assert!(!batch.all_accepted());
+    let (submitted, error) = submit_batch(&mut r.driver, r.qid, &cmds);
+    assert_eq!(submitted.len(), 1, "only the first was placed");
+    assert_eq!(error, Some(DriverError::QueueFull { needed: 7, free: 5 }));
     assert_eq!(r.driver.stats().doorbells - before, 1, "prefix flushed");
 
-    let cids: Vec<u16> = batch.submitted.iter().map(|s| s.cid).collect();
+    let cids: Vec<u16> = submitted.iter().map(|s| s.cid).collect();
     let completions = drain(&mut r, &cids);
     assert_eq!(completions[0].status, Status::Success);
-    let back = r
-        .driver
-        .execute(r.qid, &mut r.ctrl, &read_cmd(0, 64), TransferMethod::Prp)
-        .unwrap();
+    let back = execute(
+        &mut r.driver,
+        r.qid,
+        &mut r.ctrl,
+        &read_cmd(0, 64),
+        TransferMethod::Prp,
+    )
+    .unwrap();
     assert_eq!(back.data.unwrap(), vec![1; 64]);
 }
 
@@ -375,9 +400,9 @@ fn batching_moves_doorbells_not_wire_bytes() {
         let before = r.bus.traffic();
         let db_before = r.driver.stats().doorbells;
         for batch in cmds.chunks(group) {
-            let placed = r.driver.submit_batch(r.qid, batch);
-            assert!(placed.all_accepted(), "{:?}", placed.error);
-            let cids: Vec<u16> = placed.submitted.iter().map(|s| s.cid).collect();
+            let (placed, error) = submit_batch(&mut r.driver, r.qid, batch);
+            assert!(error.is_none(), "{error:?}");
+            let cids: Vec<u16> = placed.iter().map(|s| s.cid).collect();
             let done = drain(&mut r, &cids);
             assert!(done.iter().all(|c| c.status.is_success()));
         }

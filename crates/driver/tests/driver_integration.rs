@@ -7,6 +7,9 @@ use bx_nvme::{IoOpcode, PassthruCmd, QueueId, Status};
 use bx_pcie::{LinkConfig, TrafficClass};
 use bx_ssd::{BlockFirmware, Controller, ControllerConfig, FetchPolicy, NandConfig, SystemBus};
 
+mod common;
+use common::execute;
+
 struct Rig {
     bus: SystemBus,
     driver: NvmeDriver,
@@ -62,26 +65,24 @@ fn all_methods_round_trip_payload() {
         let mut r = rig(true);
         for (lba, len) in [(0u64, 17usize), (1, 64), (2, 100), (3, 300), (4, 5000)] {
             let data: Vec<u8> = (0..len).map(|i| (i * 31 % 256) as u8).collect();
-            let c = r
-                .driver
-                .execute(
-                    r.qid,
-                    &mut r.ctrl,
-                    &write_cmd(lba * 8, data.clone()),
-                    method,
-                )
-                .unwrap();
+            let c = execute(
+                &mut r.driver,
+                r.qid,
+                &mut r.ctrl,
+                &write_cmd(lba * 8, data.clone()),
+                method,
+            )
+            .unwrap();
             assert_eq!(c.status, Status::Success, "{method} write len {len}");
 
-            let c = r
-                .driver
-                .execute(
-                    r.qid,
-                    &mut r.ctrl,
-                    &read_cmd(lba * 8, len),
-                    TransferMethod::Prp,
-                )
-                .unwrap();
+            let c = execute(
+                &mut r.driver,
+                r.qid,
+                &mut r.ctrl,
+                &read_cmd(lba * 8, len),
+                TransferMethod::Prp,
+            )
+            .unwrap();
             assert_eq!(c.status, Status::Success);
             assert_eq!(c.data.unwrap(), data, "{method} integrity at len {len}");
         }
@@ -95,9 +96,14 @@ fn traffic_ordering_at_64_bytes() {
     let measure = |method: TransferMethod| -> u64 {
         let mut r = rig(false);
         let before = r.bus.traffic();
-        r.driver
-            .execute(r.qid, &mut r.ctrl, &write_cmd(0, vec![7; 64]), method)
-            .unwrap();
+        execute(
+            &mut r.driver,
+            r.qid,
+            &mut r.ctrl,
+            &write_cmd(0, vec![7; 64]),
+            method,
+        )
+        .unwrap();
         r.bus.traffic().since(&before).total_bytes()
     };
     let prp = measure(TransferMethod::Prp);
@@ -117,10 +123,14 @@ fn traffic_ordering_at_64_bytes() {
 fn latency_shape_across_sizes() {
     let measure = |method: TransferMethod, len: usize| -> u64 {
         let mut r = rig(false);
-        let c = r
-            .driver
-            .execute(r.qid, &mut r.ctrl, &write_cmd(0, vec![1; len]), method)
-            .unwrap();
+        let c = execute(
+            &mut r.driver,
+            r.qid,
+            &mut r.ctrl,
+            &write_cmd(0, vec![1; len]),
+            method,
+        )
+        .unwrap();
         c.latency().as_ns()
     };
 
@@ -164,15 +174,25 @@ fn hybrid_switches_at_threshold() {
     let mut r = rig(false);
     let method = TransferMethod::Hybrid { threshold: 256 };
 
-    r.driver
-        .execute(r.qid, &mut r.ctrl, &write_cmd(0, vec![1; 256]), method)
-        .unwrap();
+    execute(
+        &mut r.driver,
+        r.qid,
+        &mut r.ctrl,
+        &write_cmd(0, vec![1; 256]),
+        method,
+    )
+    .unwrap();
     assert_eq!(r.ctrl.stats().inline_payload_bytes, 256);
     assert_eq!(r.ctrl.stats().prp_payload_bytes, 0);
 
-    r.driver
-        .execute(r.qid, &mut r.ctrl, &write_cmd(0, vec![1; 257]), method)
-        .unwrap();
+    execute(
+        &mut r.driver,
+        r.qid,
+        &mut r.ctrl,
+        &write_cmd(0, vec![1; 257]),
+        method,
+    )
+    .unwrap();
     assert_eq!(r.ctrl.stats().inline_payload_bytes, 256, "257 B goes PRP");
     assert_eq!(r.ctrl.stats().prp_payload_bytes, 257);
 }
@@ -183,14 +203,14 @@ fn hybrid_switches_at_threshold() {
 fn sgl_is_byte_granular() {
     let mut r = rig(false);
     let before = r.bus.traffic();
-    r.driver
-        .execute(
-            r.qid,
-            &mut r.ctrl,
-            &write_cmd(16, vec![3; 64]),
-            TransferMethod::Sgl,
-        )
-        .unwrap();
+    execute(
+        &mut r.driver,
+        r.qid,
+        &mut r.ctrl,
+        &write_cmd(16, vec![3; 64]),
+        TransferMethod::Sgl,
+    )
+    .unwrap();
     let delta = r.bus.traffic().since(&before);
     assert_eq!(delta.class(TrafficClass::SglData).payload_bytes, 64);
     assert!(
@@ -198,14 +218,14 @@ fn sgl_is_byte_granular() {
         "fine-grained SGL write should move far less than a page"
     );
 
-    r.driver
-        .execute(
-            r.qid,
-            &mut r.ctrl,
-            &write_cmd(8, vec![2; 40 * 1024]),
-            TransferMethod::Sgl,
-        )
-        .unwrap();
+    execute(
+        &mut r.driver,
+        r.qid,
+        &mut r.ctrl,
+        &write_cmd(8, vec![2; 40 * 1024]),
+        TransferMethod::Sgl,
+    )
+    .unwrap();
     assert_eq!(r.ctrl.stats().sgl_payload_bytes, 64 + 40 * 1024);
     assert_eq!(r.ctrl.stats().prp_payload_bytes, 0);
 }
@@ -216,27 +236,27 @@ fn doorbell_counts_per_method() {
     // Deltas: bring-up rang the admin queue's doorbells.
     let mut r = rig(false);
     let bringup = r.driver.stats().doorbells;
-    r.driver
-        .execute(
-            r.qid,
-            &mut r.ctrl,
-            &write_cmd(0, vec![1; 256]),
-            TransferMethod::ByteExpress,
-        )
-        .unwrap();
+    execute(
+        &mut r.driver,
+        r.qid,
+        &mut r.ctrl,
+        &write_cmd(0, vec![1; 256]),
+        TransferMethod::ByteExpress,
+    )
+    .unwrap();
     // 1 SQ doorbell for the whole train + 1 CQ head doorbell.
     assert_eq!(r.driver.stats().doorbells - bringup, 2);
     assert_eq!(r.driver.stats().chunks_written, 4);
 
     let mut r = rig(false);
-    r.driver
-        .execute(
-            r.qid,
-            &mut r.ctrl,
-            &write_cmd(0, vec![1; 256]),
-            TransferMethod::BandSlim { embed_first: true },
-        )
-        .unwrap();
+    execute(
+        &mut r.driver,
+        r.qid,
+        &mut r.ctrl,
+        &write_cmd(0, vec![1; 256]),
+        TransferMethod::BandSlim { embed_first: true },
+    )
+    .unwrap();
     // Head + ceil((256-32)/48)=5 frags = 6 SQ doorbells + 1 CQ doorbell.
     assert_eq!(r.driver.stats().frags_issued, 5);
     assert_eq!(r.driver.stats().doorbells - bringup, 7);
@@ -246,24 +266,22 @@ fn doorbell_counts_per_method() {
 #[test]
 fn end_to_end_latency_composition() {
     let mut r = rig(false);
-    let c64 = r
-        .driver
-        .execute(
-            r.qid,
-            &mut r.ctrl,
-            &write_cmd(0, vec![1; 64]),
-            TransferMethod::ByteExpress,
-        )
-        .unwrap();
-    let c128 = r
-        .driver
-        .execute(
-            r.qid,
-            &mut r.ctrl,
-            &write_cmd(0, vec![1; 128]),
-            TransferMethod::ByteExpress,
-        )
-        .unwrap();
+    let c64 = execute(
+        &mut r.driver,
+        r.qid,
+        &mut r.ctrl,
+        &write_cmd(0, vec![1; 64]),
+        TransferMethod::ByteExpress,
+    )
+    .unwrap();
+    let c128 = execute(
+        &mut r.driver,
+        r.qid,
+        &mut r.ctrl,
+        &write_cmd(0, vec![1; 128]),
+        TransferMethod::ByteExpress,
+    )
+    .unwrap();
     // One more chunk: +28 ns submit, +440 ns controller fetch/land.
     assert_eq!(
         c128.latency().as_ns() - c64.latency().as_ns(),
@@ -334,13 +352,23 @@ fn ring_bounded_size_limits_are_exact() {
             };
 
             let data: Vec<u8> = (0..max).map(|i| (i * 7 + max) as u8).collect();
-            let c = driver
-                .execute(qid, &mut ctrl, &write_cmd(8, data.clone()), method)
-                .unwrap();
+            let c = execute(
+                &mut driver,
+                qid,
+                &mut ctrl,
+                &write_cmd(8, data.clone()),
+                method,
+            )
+            .unwrap();
             assert_eq!(c.status, Status::Success, "{case}: write of {max} B");
-            let c = driver
-                .execute(qid, &mut ctrl, &read_cmd(8, max), TransferMethod::Prp)
-                .unwrap();
+            let c = execute(
+                &mut driver,
+                qid,
+                &mut ctrl,
+                &read_cmd(8, max),
+                TransferMethod::Prp,
+            )
+            .unwrap();
             assert_eq!(c.data.unwrap(), data, "{case}: {max} B landed");
 
             let err = driver
@@ -415,14 +443,14 @@ fn prp_pages_recycled_across_ops() {
     let mut r = rig(false);
     let free_before = r.bus.platform().borrow().mem.allocator().free_pages();
     for i in 0..200u64 {
-        r.driver
-            .execute(
-                r.qid,
-                &mut r.ctrl,
-                &write_cmd(i, vec![1; 4096]),
-                TransferMethod::Prp,
-            )
-            .unwrap();
+        execute(
+            &mut r.driver,
+            r.qid,
+            &mut r.ctrl,
+            &write_cmd(i, vec![1; 4096]),
+            TransferMethod::Prp,
+        )
+        .unwrap();
     }
     assert_eq!(
         r.bus.platform().borrow().mem.allocator().free_pages(),
@@ -437,15 +465,23 @@ fn nand_mode_affects_latency() {
     let mut on = rig(true);
     let mut off = rig(false);
     let cmd = write_cmd(0, vec![1; 64]);
-    let t_on = on
-        .driver
-        .execute(on.qid, &mut on.ctrl, &cmd, TransferMethod::ByteExpress)
-        .unwrap()
-        .latency();
-    let t_off = off
-        .driver
-        .execute(off.qid, &mut off.ctrl, &cmd, TransferMethod::ByteExpress)
-        .unwrap()
-        .latency();
+    let t_on = execute(
+        &mut on.driver,
+        on.qid,
+        &mut on.ctrl,
+        &cmd,
+        TransferMethod::ByteExpress,
+    )
+    .unwrap()
+    .latency();
+    let t_off = execute(
+        &mut off.driver,
+        off.qid,
+        &mut off.ctrl,
+        &cmd,
+        TransferMethod::ByteExpress,
+    )
+    .unwrap()
+    .latency();
     assert!(t_on > t_off + Nanos::from_us(100), "NAND program dominates");
 }

@@ -9,6 +9,9 @@ use bx_pcie::LinkConfig;
 use bx_ssd::{BlockFirmware, Controller, ControllerConfig, NandConfig, SystemBus};
 use bx_trace::{reconstruct_spans, MetricsRegistry};
 
+mod common;
+use common::execute;
+
 /// A traced NAND-less device with one I/O queue of `depth` slots.
 fn rig(depth: u16) -> (SystemBus, NvmeDriver, Controller, QueueId) {
     let mut bus = SystemBus::new(LinkConfig::gen2_x8(), 64 << 20, 8);
@@ -121,9 +124,14 @@ fn lost_completion_without_policy_is_a_timeout_error() {
     let (_bus, mut driver, mut ctrl, qid) = rig(64);
     ctrl.force_power_cut();
     let cmd = write_cmd(0, vec![0x44; 64]);
-    let err = driver
-        .execute(qid, &mut ctrl, &cmd, TransferMethod::ByteExpress)
-        .unwrap_err();
+    let err = execute(
+        &mut driver,
+        qid,
+        &mut ctrl,
+        &cmd,
+        TransferMethod::ByteExpress,
+    )
+    .unwrap_err();
     match err {
         DriverError::Timeout { ctx, .. } => {
             assert_eq!(ctx.qid, qid);
@@ -137,9 +145,14 @@ fn lost_completion_without_policy_is_a_timeout_error() {
     ctrl.power_cycle();
     driver.reset_after_power_cycle().unwrap();
     let qid = driver.initialize(&mut ctrl, &[64]).unwrap()[0];
-    let next = driver
-        .execute(qid, &mut ctrl, &cmd, TransferMethod::ByteExpress)
-        .unwrap();
+    let next = execute(
+        &mut driver,
+        qid,
+        &mut ctrl,
+        &cmd,
+        TransferMethod::ByteExpress,
+    )
+    .unwrap();
     assert!(next.status.is_success());
     assert_eq!(driver.inflight_len(qid), 0);
 }

@@ -11,6 +11,9 @@ use bx_ssd::{BlockFirmware, Controller, ControllerConfig, ExecutionModel, NandCo
 use std::future::Future;
 use std::pin::Pin;
 
+mod common;
+use common::execute;
+
 fn write_cmd(lba: u64, data: Vec<u8>) -> PassthruCmd {
     let mut cmd = PassthruCmd::to_device(IoOpcode::Write, 1, data);
     cmd.cdw10_15[0] = lba as u32;
@@ -166,7 +169,7 @@ fn mmio_byte_routes_through_dispatcher() {
 
 /// The reactor earns its keep: 32 client futures on 4 shards finish 256
 /// NAND-backed ByteExpress writes in at most two thirds of the virtual time
-/// the synchronous QD-1 `execute` loop needs for the same writes on an
+/// the synchronous QD-1 submit-and-wait loop needs for the same writes on an
 /// identical single-queue platform — ≥ 1.5× the IOPS (measured ≈ 24×: QD 1
 /// serializes every NAND program, concurrent futures overlap the dies).
 #[test]
@@ -210,9 +213,14 @@ fn async_window_beats_sync_qd1() {
     let qid = driver.initialize(&mut ctrl, &[256]).unwrap()[0];
     for i in 0..CLIENTS * PER_CLIENT {
         let cmd = write_cmd(i * 8, vec![i as u8; 64]);
-        let c = driver
-            .execute(qid, &mut ctrl, &cmd, TransferMethod::ByteExpress)
-            .expect("sync write");
+        let c = execute(
+            &mut driver,
+            qid,
+            &mut ctrl,
+            &cmd,
+            TransferMethod::ByteExpress,
+        )
+        .expect("sync write");
         assert!(c.status.is_success());
     }
     let sync_ns = bus.clock.now().as_ns();

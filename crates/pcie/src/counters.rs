@@ -1,4 +1,8 @@
-//! Traffic counters and the PCM-style measurement facade.
+//! Traffic counters: TLP wire bytes (header, framing and payload) per
+//! direction, and wire bytes, payload bytes and TLP counts per
+//! [`TrafficClass`]. They count every TLP the link model carries, doorbells
+//! included. Which meter the paper's PCM numbers correspond to is ROADMAP
+//! item 18.
 
 use crate::tlp::TlpStream;
 use serde::Serialize;

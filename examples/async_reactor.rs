@@ -8,7 +8,7 @@
 //! byte-interface BAR status words, which carry their queue id on the wire.
 //!
 //! For contrast, the same command count then runs through the synchronous
-//! QD1 `execute` loop; with pipelined execution the concurrent window
+//! QD1 `Device::write` loop; with pipelined execution the concurrent window
 //! finishes at a fraction of the virtual time.
 //!
 //! Run with: `cargo run --example async_reactor --release`

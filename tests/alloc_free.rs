@@ -23,8 +23,11 @@
 //!   the firmware's response, and NAND-on writes only what the page store
 //!   keeps.
 //!
-//! The file holds exactly one `#[test]` so no sibling test thread can
-//! allocate while the counter is armed.
+//! Only the allocations of the thread that arms the counter count. The file
+//! holds exactly one `#[test]`, but libtest's main thread runs beside it
+//! and allocates twice when it first blocks waiting for the test's result.
+//! On a loaded machine that wait can begin after the counter is armed. Its
+//! "running for over 60 seconds" warning allocates too.
 
 #![allow(
     unsafe_code,
@@ -37,14 +40,25 @@ use bx_driver::Completion;
 use bx_kvssd::{KvStore, KvStoreConfig};
 use byteexpress::{Device, ExecutionModel, IoOpcode, PassthruCmd, QueueId, TransferMethod};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Delegates to `System`, counting allocations while `ARMED` is set.
+/// Delegates to `System`, counting the allocations of a thread while its
+/// `ARMED` is set.
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Const-initialised and without a destructor, so reading it never
+    /// allocates.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread's allocations count.
+fn armed() -> bool {
+    ARMED.with(Cell::get)
+}
 /// Allocations and reallocations.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Bytes asked for: allocation sizes plus what reallocations grew by.
@@ -52,7 +66,7 @@ static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
@@ -60,7 +74,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
@@ -68,7 +82,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             let grown = new_size.saturating_sub(layout.size());
             BYTES.fetch_add(grown as u64, Ordering::Relaxed);
@@ -154,11 +168,11 @@ struct Census {
 fn census(ops: usize, mut op: impl FnMut(usize)) -> Census {
     ALLOCS.store(0, Ordering::SeqCst);
     BYTES.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ARMED.set(true);
     for i in 0..ops {
         op(i);
     }
-    ARMED.store(false, Ordering::SeqCst);
+    ARMED.set(false);
     Census {
         allocs: ALLOCS.load(Ordering::SeqCst) as f64 / ops as f64,
         bytes: BYTES.load(Ordering::SeqCst) as f64 / ops as f64,
@@ -199,9 +213,9 @@ fn census_reactor() {
     reactor.run(warm);
     let window = tasks(&reactor, WRITES / CLIENTS as u64);
     ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ARMED.set(true);
     reactor.run(window);
-    ARMED.store(false, Ordering::SeqCst);
+    ARMED.set(false);
     let allocs = ALLOCS.load(Ordering::SeqCst);
     // `run`: its slot list, and one wake flag per task.
     let per_run = 1 + CLIENTS as u64;

@@ -89,7 +89,8 @@ impl Cell {
         driver.set_retry_policy(self.deadline.then(RetryPolicy::default));
         let (q0, q1) = (dev.queues()[0], dev.queues()[1]);
 
-        // `execute`: writes at three sizes, read back where stored.
+        // `Device::write` (submit, `flush_sq`, `wait_for`): writes at three
+        // sizes, read back where stored.
         for (i, len) in SIZES.into_iter().enumerate() {
             let lba = i as u64 * 8;
             let data = payload(lba + seed, len);
@@ -99,7 +100,8 @@ impl Cell {
             }
         }
 
-        // `submit_batch` + `wait_for` across both queues.
+        // A `submit` loop and one `flush_sq` per queue, then `wait_for`,
+        // across both queues.
         let batch = |q: QueueId| (q, (0..4).map(|i| (40 + i, payload(i, 200))).collect());
         match dev.write_batch(&[batch(q0), batch(q1)], self.method) {
             Ok(done) => assert_eq!(done.iter().map(Vec::len).sum::<usize>(), 8),

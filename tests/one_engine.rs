@@ -3,6 +3,7 @@
 //! had drifted apart: a zero poll interval cannot hang a batch, a rejected
 //! queue does not strand the queues rung before it, and a completion lost
 //! to a power cut without a retry policy is an error rather than a panic.
+//! A batch leaves the driver's flush policy as it found it.
 
 use byteexpress::driver::DriverError;
 use byteexpress::nvme::inline::MAX_INLINE_LEN;
@@ -187,4 +188,53 @@ fn reactor_and_device_bring_up_the_same_way() {
     let by_reactor = reactor.controller().borrow().stats().admin_commands;
     assert_eq!(by_reactor, 1 + 2 * 4);
     assert_eq!(by_reactor, dev.controller().stats().admin_commands);
+}
+
+/// `write_batch` stages each queue's batch under the driver's flush policy
+/// or, with none installed, under one that never fires, rings once per
+/// queue, and leaves the policy it found in place: after a full batch, and
+/// after one a refused member stopped, whether the refusal is `QueueFull`
+/// or an oversize `PayloadTooLarge`.
+#[test]
+fn write_batch_leaves_the_flush_policy_as_it_found_it() {
+    let installed = FlushPolicy {
+        max_batch: 2,
+        max_delay: Nanos::from_ms(1),
+    };
+    let oversized = (0u64, vec![0u8; MAX_INLINE_LEN + 1]);
+    for found in [None, Some(installed)] {
+        // Depth 8: seven usable slots, three 64 B ByteExpress writes.
+        let mut dev = Device::builder().nand_io(false).queue_depth(8).build();
+        let q = dev.queues()[0];
+        let batch = |dev: &mut Device, writes: Vec<(u64, Vec<u8>)>| {
+            dev.driver_mut().set_flush_policy(found);
+            let before = dev.driver_mut().stats();
+            let done = dev.write_batch(&[(q, writes)], TransferMethod::ByteExpress);
+            let after = dev.driver_mut().stats();
+            assert_eq!(dev.driver_mut().set_flush_policy(None), found);
+            assert_eq!(dev.driver_mut().inflight_len(q), 0);
+            (done, after.batch_flushes - before.batch_flushes)
+        };
+        // Full: three writes, rung once, or at the second under max_batch 2
+        // and again by the final flush.
+        let (done, flushes) = batch(&mut dev, items(3));
+        assert_eq!(done.map(|d| d[0].len()), Ok(3), "{found:?}");
+        assert_eq!(flushes, if found.is_some() { 2 } else { 1 }, "{found:?}");
+        // Stopped by `QueueFull`: the fourth write needs two slots, one is
+        // free; the three before it still ring and complete.
+        let (done, flushes) = batch(&mut dev, items(4));
+        let full = DeviceError::Driver(DriverError::QueueFull { needed: 2, free: 1 });
+        assert_eq!(done.unwrap_err(), full, "{found:?}");
+        assert_eq!(flushes, if found.is_some() { 2 } else { 1 }, "{found:?}");
+        // Stopped by `PayloadTooLarge` after one write.
+        let (done, flushes) = batch(&mut dev, vec![(8, vec![1; 64]), oversized.clone()]);
+        assert!(
+            matches!(
+                done,
+                Err(DeviceError::Driver(DriverError::PayloadTooLarge { .. }))
+            ),
+            "{found:?}: {done:?}"
+        );
+        assert_eq!(flushes, 1, "{found:?}");
+    }
 }
