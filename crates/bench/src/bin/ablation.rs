@@ -19,8 +19,8 @@
 
 use bx_bench::{bench_args, fmt_bytes, section, JsonReport};
 use byteexpress::{
-    Device, ExecutionModel, FetchPolicy, FlushPolicy, LatencySamples, LinkConfig, Nanos,
-    QueueBatch, TransferMethod,
+    Device, ExecutionModel, FetchPolicy, LatencySamples, LinkConfig, Nanos, QueueBatch,
+    TransferMethod,
 };
 use serde::Value;
 
@@ -49,10 +49,6 @@ fn doorbell_run(ops: &[(u64, Vec<u8>)], group: u16) -> (u64, u64) {
         .nand_io(true)
         .queue_count(2)
         .cq_coalesce(group)
-        .flush_policy(FlushPolicy {
-            max_batch: group,
-            max_delay: Nanos::from_ms(1),
-        })
         .build();
     let queues = dev.queues().to_vec();
     let before = dev.traffic(); // excludes the admin bring-up doorbells

@@ -3,8 +3,7 @@
 
 use crate::stats::LatencySamples;
 use bx_driver::{
-    CmdContext, Completion, DriverError, FlushPolicy, NvmeDriver, RecoveryStats, RetryPolicy,
-    TransferMethod,
+    CmdContext, Completion, DriverError, NvmeDriver, RecoveryStats, RetryPolicy, TransferMethod,
 };
 use bx_hostsim::{FaultConfig, FaultCounters, Nanos, PAGE_SIZE};
 use bx_nvme::{IoOpcode, PassthruCmd, QueueId, Status};
@@ -80,7 +79,6 @@ pub struct DeviceBuilder {
     fetch_policy: FetchPolicy,
     firmware: Option<FirmwareFactory>,
     retry_policy: Option<RetryPolicy>,
-    flush_policy: Option<FlushPolicy>,
     cq_coalesce: u16,
     trace: bool,
     execution_model: ExecutionModel,
@@ -106,7 +104,6 @@ impl Default for DeviceBuilder {
             fetch_policy: FetchPolicy::QueueLocal,
             firmware: None,
             retry_policy: None,
-            flush_policy: None,
             cq_coalesce: 0,
             trace: false,
             execution_model: ExecutionModel::Serial,
@@ -181,17 +178,6 @@ impl DeviceBuilder {
     /// live run is byte-identical with or without one.
     pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.retry_policy = Some(policy);
-        self
-    }
-
-    /// Installs the driver's doorbell-coalescing flush policy: SQ tail
-    /// doorbells are deferred and rung once per batch, bounded by the
-    /// policy's max-batch count and max virtual-time delay. Without one,
-    /// every submission rings its own doorbell. Synchronous `write`/`read`
-    /// calls flush per command either way; the batching win shows through
-    /// [`Device::write_batch`].
-    pub fn flush_policy(mut self, policy: FlushPolicy) -> Self {
-        self.flush_policy = Some(policy);
         self
     }
 
@@ -290,7 +276,6 @@ impl DeviceBuilder {
         let mut ctrl = Controller::new(bus.clone(), cfg, firmware);
         let mut driver = NvmeDriver::new(bus.clone());
         driver.set_retry_policy(self.retry_policy);
-        driver.set_flush_policy(self.flush_policy);
         driver.set_cq_coalesce(self.cq_coalesce);
         let queue_depths = vec![self.queue_depth; self.queue_count];
         let qids = driver.initialize(&mut ctrl, &queue_depths)?;
@@ -314,13 +299,6 @@ fn set_block_write(cmd: &mut PassthruCmd, lba: u64, data: &[u8]) {
     cmd.set_data(data);
 }
 
-/// A flush policy whose bounds never fire: under it a batch rings only at
-/// the `flush_sq` that ends it.
-const NEVER_FLUSHES: FlushPolicy = FlushPolicy {
-    max_batch: u16::MAX,
-    max_delay: Nanos::from_ns(u64::MAX),
-};
-
 /// Submit, ring, wait: one attempt at `cmd` on `qid`, polling into
 /// `polled`. A command the device never completes — one cut down in flight
 /// by a power cut — is [`DriverError::Timeout`], reaped at its
@@ -336,8 +314,7 @@ fn execute(
 ) -> Result<Completion, DriverError> {
     polled.clear();
     let submitted = driver.submit(qid, cmd, method)?;
-    // Synchronous callers see one doorbell per command regardless of any
-    // installed flush policy.
+    // Synchronous callers see one doorbell per command, staged or not.
     driver.flush_sq(qid)?;
     // Returns once our cid has been polled — a real completion, or the
     // synthetic CommandAborted the reaper posts past the deadline.
@@ -557,13 +534,12 @@ impl Device {
     }
 
     /// Writes batches of `(lba, data)` pairs, one batch per queue. Each
-    /// batch goes out with a single coalesced SQ doorbell (intermediate
-    /// flushes only if an installed [`FlushPolicy`]'s bounds trigger; the
-    /// driver's policy is left as found), and every batch is submitted
-    /// before any completion is reaped, so all queues' commands are visible
-    /// to the controller at once. Under [`ExecutionModel::Pipelined`] their
-    /// media time overlaps — this is the entry point for multi-queue /
-    /// queue-depth scaling measurements.
+    /// batch is staged and goes out with a single coalesced SQ doorbell
+    /// (the driver's staging setting is left as found), and every batch is
+    /// submitted before any completion is reaped, so all queues' commands
+    /// are visible to the controller at once. Under
+    /// [`ExecutionModel::Pipelined`] their media time overlaps — this is
+    /// the entry point for multi-queue / queue-depth scaling measurements.
     /// Queues are then waited on in submission order; returns per-batch
     /// completions, each in submission order.
     ///
@@ -578,10 +554,8 @@ impl Device {
         batches: &[QueueBatch],
         method: TransferMethod,
     ) -> Result<Vec<Vec<Completion>>, DeviceError> {
-        // Each batch stages under the installed flush policy or, with none,
-        // under one that never fires; the `flush_sq` after it rings.
-        let found = self.driver.set_flush_policy(None);
-        self.driver.set_flush_policy(found.or(Some(NEVER_FLUSHES)));
+        // Each batch stages; the `flush_sq` after it rings.
+        let found = self.driver.set_staged(true);
         let mut error = None;
         let mut rung = Vec::with_capacity(batches.len());
         for (qid, items) in batches {
@@ -598,7 +572,7 @@ impl Device {
                 break;
             }
         }
-        self.driver.set_flush_policy(found);
+        self.driver.set_staged(found);
         let mut out = Vec::with_capacity(rung.len());
         let polled = &mut self.polled;
         for (qid, submitted) in &rung {

@@ -67,8 +67,8 @@ pub use stats::LatencySamples;
 
 // The pieces users routinely touch, re-exported at the top level.
 pub use bx_driver::{
-    Completion, DriverError, DriverTiming, FlushPolicy, NvmeDriver, Reactor, ReactorConfig,
-    RecoveryStats, RetryPolicy, ShardHandle, TransferMethod,
+    Completion, DriverError, DriverTiming, NvmeDriver, Reactor, ReactorConfig, RecoveryStats,
+    RetryPolicy, ShardHandle, TransferMethod,
 };
 pub use bx_hostsim::{EventQueue, FaultConfig, FaultCounters, Nanos, PhysAddr};
 pub use bx_nvme::{IoOpcode, PassthruCmd, QueueId, Status, SubmissionEntry};

@@ -3,7 +3,7 @@
 
 use crate::driver::{DriverError, NvmeDriver, QueuePair};
 use crate::inflight::InflightTable;
-use bx_hostsim::{DmaRegion, HostMemory, Nanos, PAGE_SIZE};
+use bx_hostsim::{DmaRegion, HostMemory, PAGE_SIZE};
 use bx_nvme::{
     admin, CompletionEntry, CqRing, IdentifyController, QueueId, SqRing, Status, SubmissionEntry,
     CQE_BYTES, SQE_BYTES,
@@ -216,7 +216,6 @@ impl NvmeDriver {
             inflight: InflightTable::default(),
             pending_tail: None,
             pending_cmds: 0,
-            first_pending_at: Nanos::ZERO,
         });
         Ok(id)
     }

@@ -1,7 +1,6 @@
 //! The driver proper: queue pairs, submit engines, completion polling.
 
 use crate::admin::AdminQueue;
-use crate::batch::FlushPolicy;
 use crate::inflight::InflightTable;
 use crate::method::TransferMethod;
 use crate::recovery::{CmdContext, RecoveryStats, RetryPolicy};
@@ -52,8 +51,8 @@ pub enum DriverError {
     /// needs (per its Identify data).
     Unsupported(&'static str),
     /// A command will never complete: it was reaped past its
-    /// [`RetryPolicy`] deadline on a dark device, or, without a policy, no
-    /// poll could make progress on it any more.
+    /// [`RetryPolicy`] deadline on a dark device, or no poll could make
+    /// progress on it any more.
     Timeout {
         /// Which command (queue, cid, opcode).
         ctx: CmdContext,
@@ -200,9 +199,6 @@ pub(crate) struct QueuePair {
     pub(crate) pending_tail: Option<u16>,
     /// Commands staged since the last doorbell.
     pub(crate) pending_cmds: u16,
-    /// When the oldest staged command was placed (for the flush policy's
-    /// max-delay bound).
-    pub(crate) first_pending_at: Nanos,
 }
 
 impl QueuePair {
@@ -230,9 +226,9 @@ pub struct NvmeDriver {
     pub(crate) stats: DriverStats,
     retry_policy: Option<RetryPolicy>,
     recovery: RecoveryStats,
-    /// When set, SQ tail doorbells are deferred and coalesced per its
-    /// bounds; when `None` every submission rings immediately.
-    flush_policy: Option<FlushPolicy>,
+    /// When set, `submit` stages its SQ tail and only `flush_sq` rings it;
+    /// when clear every submission rings immediately.
+    staged: bool,
     /// CQ head doorbell cadence: ring after every N consumed CQEs.
     /// 0 means once per poll sweep (the maximally coalesced default);
     /// 1 reproduces a naive per-CQE driver.
@@ -266,19 +262,20 @@ impl NvmeDriver {
             stats: DriverStats::default(),
             retry_policy: None,
             recovery: RecoveryStats::default(),
-            flush_policy: None,
+            staged: false,
             cq_coalesce: 0,
             spare_page_lists: Vec::new(),
             page_addrs: Vec::new(),
         }
     }
 
-    /// Installs (or with `None`, removes) the doorbell-coalescing flush
-    /// policy, returning the one it replaces. See [`FlushPolicy`]; without
-    /// one every submission rings the SQ tail doorbell immediately, as a
-    /// conventional driver does.
-    pub fn set_flush_policy(&mut self, policy: Option<FlushPolicy>) -> Option<FlushPolicy> {
-        std::mem::replace(&mut self.flush_policy, policy)
+    /// Turns doorbell staging on or off, returning the old setting. Staged,
+    /// [`NvmeDriver::submit`] leaves its SQ tail for
+    /// [`NvmeDriver::flush_sq`] to ring, so a run of submissions shares one
+    /// doorbell; unstaged (the default), every submission rings its own, as
+    /// a conventional driver does.
+    pub fn set_staged(&mut self, staged: bool) -> bool {
+        std::mem::replace(&mut self.staged, staged)
     }
 
     /// Sets the CQ head doorbell cadence: ring after every `n` consumed
@@ -325,9 +322,9 @@ impl NvmeDriver {
     }
 
     /// Submits a passthrough command using `method` for its data phase.
-    /// Without a [`FlushPolicy`] it rings the SQ tail doorbell; under one it
-    /// stages the tail, rings once a bound is hit, and ends with the due
-    /// check [`NvmeDriver::poll_completions_into`] starts with.
+    /// Unstaged it rings the SQ tail doorbell; staged
+    /// ([`NvmeDriver::set_staged`]) it leaves the tail for
+    /// [`NvmeDriver::flush_sq`].
     ///
     /// # Errors
     ///
@@ -372,9 +369,6 @@ impl NvmeDriver {
         self.stats.submissions += 1;
         let qp = queue_in(&mut self.queues, qid)?;
         qp.inflight.insert(cid, inflight);
-        // A tail staged before a submit that stages none (`MmioByte` only
-        // advances the clock) may have fallen due meanwhile.
-        self.flush_if_due(p, qid)?;
         Ok(SubmittedCmd {
             queue: qid,
             cid,
@@ -398,29 +392,20 @@ impl NvmeDriver {
     }
 
     /// Routes `qid`'s freshly advanced SQ tail either straight to the
-    /// doorbell (no flush policy) or into the queue's deferral state, ringing
-    /// only when the policy's max-batch or max-delay bound is hit.
+    /// doorbell or, staged, into the queue's deferral state for
+    /// [`NvmeDriver::flush_sq`].
     pub(crate) fn note_sq_tail(
         &mut self,
         p: &mut Platform,
         qid: QueueId,
     ) -> Result<(), DriverError> {
-        let now = self.bus.clock.now();
         let qp = queue_in(&mut self.queues, qid)?;
         let tail = qp.sq.tail();
-        let Some(policy) = self.flush_policy else {
+        if self.staged {
+            qp.pending_tail = Some(tail);
+            qp.pending_cmds += 1;
+        } else {
             self.ring_sq_doorbell(p, qid, tail);
-            return Ok(());
-        };
-        if qp.pending_tail.is_none() {
-            qp.first_pending_at = now;
-        }
-        qp.pending_tail = Some(tail);
-        qp.pending_cmds += 1;
-        if qp.pending_cmds >= policy.max_batch.max(1)
-            || now.saturating_sub(qp.first_pending_at) >= policy.max_delay
-        {
-            self.flush_staged(p, qid)?;
         }
         Ok(())
     }
@@ -433,46 +418,20 @@ impl NvmeDriver {
     ///
     /// [`DriverError::UnknownQueue`] for a bad queue id.
     pub fn flush_sq(&mut self, qid: QueueId) -> Result<bool, DriverError> {
-        // The reactor calls this per shard per turn: look before borrowing.
-        if queue_in(&mut self.queues, qid)?.pending_tail.is_none() {
-            return Ok(false);
-        }
-        let platform = self.bus.platform();
-        let p = &mut *platform.borrow_mut();
-        self.flush_staged(p, qid)
-    }
-
-    /// [`NvmeDriver::flush_sq`] below the entry point.
-    fn flush_staged(&mut self, p: &mut Platform, qid: QueueId) -> Result<bool, DriverError> {
         let qp = queue_in(&mut self.queues, qid)?;
+        // The reactor calls this per shard per turn: look before borrowing.
         let Some(tail) = qp.pending_tail.take() else {
             return Ok(false);
         };
-        let cmds = qp.pending_cmds;
-        qp.pending_cmds = 0;
+        let cmds = std::mem::take(&mut qp.pending_cmds);
         self.stats.batch_flushes += 1;
         self.stats.batched_cmds += cmds as u64;
         self.bus
             .trace
             .emit(None, || EventKind::BatchFlush { cmds, tail });
-        self.ring_sq_doorbell(p, qid, tail);
+        let platform = self.bus.platform();
+        self.ring_sq_doorbell(&mut platform.borrow_mut(), qid, tail);
         Ok(true)
-    }
-
-    /// Rings `qid`'s staged tail if its oldest command has outwaited the
-    /// flush policy's max-delay bound: the check every submit and poll ends
-    /// or starts with, wherever virtual time is observed.
-    fn flush_if_due(&mut self, p: &mut Platform, qid: QueueId) -> Result<(), DriverError> {
-        let Some(policy) = self.flush_policy else {
-            return Ok(());
-        };
-        let now = self.bus.clock.now();
-        let qp = queue_in(&mut self.queues, qid)?;
-        let waited = now.saturating_sub(qp.first_pending_at);
-        if qp.pending_tail.is_some() && waited >= policy.max_delay {
-            self.flush_staged(p, qid)?;
-        }
-        Ok(())
     }
 
     fn ring_sq_doorbell(&mut self, p: &mut Platform, qid: QueueId, tail: u16) {
@@ -502,10 +461,6 @@ impl NvmeDriver {
     ) -> Result<(), DriverError> {
         let platform = self.bus.platform();
         let p = &mut *platform.borrow_mut();
-        // Staged SQ tails past the flush policy's delay bound ring here —
-        // the poll loop is where virtual time advances while submissions
-        // sit deferred.
-        self.flush_if_due(p, qid)?;
         let (bus, timing) = (&self.bus, &self.timing);
         let coalesce = self.cq_coalesce as u64;
         let mut cq_rings = 0u64;
@@ -592,13 +547,12 @@ impl NvmeDriver {
     ///
     /// A pass that completes none of `cmds` is followed by a
     /// `RetryPolicy::poll_step` of virtual time when a [`RetryPolicy`] is
-    /// installed and waiting can still help: on a dark device the reaper's
-    /// deadline lies ahead, on a live one a staged doorbell falls due under
-    /// the flush policy. On a dark device a pass that yields nothing is
-    /// followed by one step past every poll that could not act either
-    /// (`skip_dark_polls`). Otherwise nothing can unblock a stalled
-    /// command, so a pass that completes none of `cmds` and yields nothing
-    /// at all gives up.
+    /// installed and the device is dark with a reaper's deadline ahead; a
+    /// pass that yields nothing there is followed by one step past every
+    /// poll that could not act either (`skip_dark_polls`). Otherwise
+    /// nothing can unblock a stalled command — a staged tail no
+    /// [`NvmeDriver::flush_sq`] rang included — so a pass that completes
+    /// none of `cmds` and yields nothing at all gives up.
     ///
     /// # Errors
     ///
@@ -620,11 +574,10 @@ impl NvmeDriver {
             self.poll_completions_into(qid, out)?;
             let still = self.still_inflight(qid, cmds).count();
             if still == missing {
-                let dark = ctrl.is_powered_off();
                 match self.retry_policy {
-                    Some(policy) if self.waiting_can_help(qid, dark) => {
+                    Some(policy) if ctrl.is_powered_off() && self.has_deadline(qid) => {
                         let step = policy.poll_step();
-                        if out.len() == polled && dark {
+                        if out.len() == polled {
                             self.skip_dark_polls(qid, step);
                         }
                         self.bus.clock.advance(step);
@@ -640,19 +593,6 @@ impl NvmeDriver {
             missing = still;
         }
         Ok(())
-    }
-
-    /// Whether virtual time alone can still move a command on `qid`: on a
-    /// dark device the reaper takes a command once its deadline passes, on
-    /// a live one a staged tail rings once the flush policy's delay runs
-    /// out.
-    fn waiting_can_help(&self, qid: QueueId, dark: bool) -> bool {
-        if dark {
-            self.has_deadline(qid)
-        } else {
-            self.flush_policy.is_some()
-                && self.queue(qid).is_some_and(|qp| qp.pending_tail.is_some())
-        }
     }
 
     /// The [`DriverError::Timeout`] for command `cid` in flight on `qid`:
@@ -685,46 +625,26 @@ impl NvmeDriver {
     /// advances the clock in one step past every further poll, `step` apart,
     /// that could not act either, so the next poll is the first that can.
     /// Nothing reaches the host from a dark device, so a poll can act only
-    /// by reaping a command past its deadline or by ringing a staged tail
-    /// past the flush policy's delay. Skips nothing when neither will ever
-    /// happen.
+    /// by reaping a command past its deadline. Skips nothing when no command
+    /// has one.
     fn skip_dark_polls(&self, qid: QueueId, step: Nanos) {
         let Some(qp) = self.queue(qid) else {
             return;
         };
         let (now, step) = (self.bus.clock.now().as_ns(), step.as_ns());
         // Polls are numbered from 1, the next one, at `now + k * step`. The
-        // reaper takes a command at the first poll past its deadline, the
-        // flush happens at the first one `max_delay` after staging.
-        let reap = qp
+        // reaper takes a command at the first poll past its deadline.
+        let first_reap = qp
             .inflight
             .iter()
             .filter_map(|(_, cmd)| cmd.deadline)
-            .map(|deadline| deadline.as_ns().saturating_sub(now) / step + 1);
-        let flush = self
-            .flush_policy
-            .filter(|_| qp.pending_tail.is_some())
-            .map(|policy| {
-                let waited = now.saturating_sub(qp.first_pending_at.as_ns());
-                policy
-                    .max_delay
-                    .as_ns()
-                    .saturating_sub(waited)
-                    .div_ceil(step)
-                    .max(1)
-            });
-        let Some(idle) = reap.chain(flush).min().map(|first| first - 1) else {
-            return;
-        };
-        // A flush delay near `u64::MAX` ns would run the clock over; such a
-        // wait never ends either way, so keep stepping.
-        let Some(skipped) = step
-            .checked_mul(idle)
-            .filter(|s| now.checked_add(*s).is_some())
-        else {
-            return;
-        };
-        self.bus.clock.advance(Nanos::from_ns(skipped));
+            .map(|deadline| deadline.as_ns().saturating_sub(now) / step + 1)
+            .min();
+        // `step * idle` never passes the earliest deadline, so never runs the
+        // clock over.
+        if let Some(idle) = first_reap.map(|first| first - 1) {
+            self.bus.clock.advance(Nanos::from_ns(step * idle));
+        }
     }
 }
 
@@ -1014,41 +934,5 @@ pub(crate) mod tests {
     fn dark_wait_pipelined_reassembly_cut_mid_train() {
         // The SQE fetch and one of the train's four chunks.
         dark_execute_equals_stepping(ExecutionModel::Pipelined, FetchPolicy::Reassembly, 2);
-    }
-
-    /// Two writes staged under a flush policy whose delay runs out while
-    /// the device is dark: the skipped wait stops at the poll that rings
-    /// them, then at the one that reaps the first, as stepping does.
-    #[test]
-    fn dark_wait_stops_at_a_flush_due_inside_the_skipped_window() {
-        let mut rigs = [
-            rig(ExecutionModel::Serial, FetchPolicy::QueueLocal),
-            rig(ExecutionModel::Serial, FetchPolicy::QueueLocal),
-        ];
-        let mut outs = [Vec::new(), Vec::new()];
-        for (side, (r, out)) in rigs.iter_mut().zip(&mut outs).enumerate() {
-            r.driver.set_flush_policy(Some(FlushPolicy {
-                max_batch: 16,
-                max_delay: Nanos::from_us(1_010),
-            }));
-            r.ctrl.force_power_cut();
-            let sub: Vec<SubmittedCmd> = (2..4)
-                .map(|lba| {
-                    let cmd = write(lba, 64);
-                    r.driver.submit(r.qid, &cmd, TransferMethod::Prp).unwrap()
-                })
-                .collect();
-            for waited in [&sub[..1], &sub[1..]] {
-                if side == 0 {
-                    r.driver.wait_for(r.qid, &mut r.ctrl, waited, out).unwrap();
-                } else {
-                    wait_stepping(&mut r.driver, r.qid, &mut r.ctrl, waited, out);
-                }
-            }
-            assert_eq!(r.driver.stats().batch_flushes, 1, "the staged pair rang");
-            assert_eq!(r.driver.recovery_stats().timeouts, 2);
-        }
-        assert_eq!(outs[0], outs[1]);
-        assert_eq!(observed(&rigs[0]), observed(&rigs[1]));
     }
 }

@@ -21,9 +21,9 @@
 //! the chunks, ring the doorbell once.
 //!
 //! On top of the per-command engines sits doorbell coalescing
-//! ([`FlushPolicy`]): SQEs and chunk trains for many commands are packed
-//! back-to-back and the tail doorbell rings once per group, with CQ-side
-//! completion coalescing to match.
+//! ([`NvmeDriver::set_staged`]): staged, SQEs and chunk trains for many
+//! commands are packed back-to-back and the tail doorbell rings once per
+//! [`NvmeDriver::flush_sq`], with CQ-side completion coalescing to match.
 //!
 //! The driver has four I/O entry points: [`NvmeDriver::submit`],
 //! [`NvmeDriver::flush_sq`], [`NvmeDriver::poll_completions_into`] and
@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 
 mod admin;
-mod batch;
 mod driver;
 mod inflight;
 mod method;
@@ -60,7 +59,6 @@ mod recovery;
 mod timing;
 mod transfer;
 
-pub use batch::FlushPolicy;
 pub use driver::{Completion, DriverError, DriverStats, NvmeDriver, SubmittedCmd};
 pub use method::TransferMethod;
 pub use reactor::{CommandFuture, Reactor, ReactorConfig, ReactorStats, ShardHandle};

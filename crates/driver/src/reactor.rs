@@ -21,7 +21,7 @@
 //!   pretending the clock itself scales.
 //! * [`CommandFuture`] — one in-flight command: [`NvmeDriver::submit`] on
 //!   first poll (SQ backpressure surfaces as `Poll::Pending`, *not* an
-//!   error), which rings a due doorbell per the installed [`FlushPolicy`];
+//!   error), which stages its doorbell for the next turn to ring;
 //!   resolves when the dispatcher routes its completion (ring CQE or
 //!   byte-interface status word alike) back to the shard's waiter table —
 //!   the driver's own cid-indexed table, holding wakers instead of
@@ -40,7 +40,6 @@
 //! reactor advances the clock so the device (or, on a dark device, the
 //! timeout reaper) can make progress.
 
-use crate::batch::FlushPolicy;
 use crate::driver::{Completion, DriverError, DriverStats, NvmeDriver};
 use crate::inflight::InflightTable;
 use crate::method::TransferMethod;
@@ -118,9 +117,6 @@ pub struct ReactorConfig {
     /// Controller execution model; [`ExecutionModel::Pipelined`] is what
     /// makes multi-shard overlap visible in virtual time.
     pub execution_model: ExecutionModel,
-    /// Doorbell-coalescing policy installed on the driver, applied per
-    /// queue (`None` = ring per submission).
-    pub flush_policy: Option<FlushPolicy>,
     /// Timeout policy installed on the driver. With one installed, a
     /// command cut down in flight by a power cut resolves as a synthetic
     /// `CommandAborted` completion at its deadline; without one, as
@@ -130,8 +126,8 @@ pub struct ReactorConfig {
     pub trace: bool,
     /// Virtual-time step for [`Reactor::turn`]'s idle advancement (used
     /// only when nothing is runnable and nothing is ready but commands are
-    /// in flight — e.g. a staged doorbell waits out the flush policy's
-    /// delay, or only the timeout reaper can make progress on a dark
+    /// in flight — e.g. a pipelined device's completions lie ahead in
+    /// virtual time, or only the timeout reaper can make progress on a dark
     /// device).
     pub idle_step: Nanos,
 }
@@ -143,7 +139,6 @@ impl Default for ReactorConfig {
             queue_depth: 256,
             nand_io: false,
             execution_model: ExecutionModel::Pipelined,
-            flush_policy: Some(FlushPolicy::default()),
             retry_policy: None,
             trace: false,
             idle_step: Nanos::from_us(10),
@@ -217,7 +212,9 @@ impl Reactor {
             Box::new(BlockFirmware::new(dram, nand_io))
         });
         let mut driver = NvmeDriver::new(bus.clone());
-        driver.set_flush_policy(cfg.flush_policy);
+        // Submissions stage their tails; each turn rings them, one doorbell
+        // per shard for every submission since the last.
+        driver.set_staged(true);
         driver.set_retry_policy(cfg.retry_policy);
         let shards = driver
             .initialize(&mut ctrl, &vec![cfg.queue_depth; shards_n])?

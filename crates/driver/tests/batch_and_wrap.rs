@@ -7,7 +7,7 @@
 //! (spurious `QueueFull`) or over-admitted (overwrote unfetched entries)
 //! under the old math.
 
-use bx_driver::{DriverError, FlushPolicy, NvmeDriver, RetryPolicy, SubmittedCmd, TransferMethod};
+use bx_driver::{DriverError, NvmeDriver, RetryPolicy, SubmittedCmd, TransferMethod};
 use bx_hostsim::Nanos;
 use bx_nvme::{IoOpcode, PassthruCmd, QueueId, Status};
 use bx_pcie::LinkConfig;
@@ -55,27 +55,21 @@ fn read_cmd(lba: u64, len: usize) -> PassthruCmd {
     cmd
 }
 
-/// Submits `cmds` to `qid` under the installed flush policy or, with none,
-/// one that never fires, then rings once — a batch as `Device::write_batch`
-/// places one. Stops at the first refusal: returns what was placed, and the
-/// refusal.
+/// Submits `cmds` to `qid` staged, then rings once — a batch as
+/// `Device::write_batch` places one. Stops at the first refusal: returns
+/// what was placed, and the refusal.
 fn submit_batch(
     d: &mut NvmeDriver,
     qid: QueueId,
     cmds: &[(PassthruCmd, TransferMethod)],
 ) -> (Vec<SubmittedCmd>, Option<DriverError>) {
-    let never = FlushPolicy {
-        max_batch: u16::MAX,
-        max_delay: Nanos::from_ns(u64::MAX),
-    };
-    let found = d.set_flush_policy(None);
-    d.set_flush_policy(found.or(Some(never)));
+    let found = d.set_staged(true);
     let mut submitted = Vec::new();
     let refused = cmds.iter().find_map(|(cmd, method)| {
         let placed = d.submit(qid, cmd, *method);
         placed.map(|s| submitted.push(s)).err()
     });
-    d.set_flush_policy(found);
+    d.set_staged(found);
     let flushed = d.flush_sq(qid);
     (submitted, refused.or(flushed.err()))
 }
@@ -210,53 +204,43 @@ fn batch_rings_one_sq_doorbell() {
     }
 }
 
-/// An installed flush policy groups free-running submissions: max_batch 4
-/// over 8 submissions produces exactly 2 doorbells.
+/// A staged tail nobody rang strands its command: nothing rings it but
+/// `flush_sq`, so `wait_for` gives up at once as `Timeout`, with or without
+/// a retry policy, stepping no virtual time. The command stays in flight:
+/// the missing `flush_sq` and one more wait complete it on one SQ doorbell.
 #[test]
-fn flush_policy_batches_by_count() {
-    let mut r = rig_depth(256);
-    r.driver.set_flush_policy(Some(FlushPolicy {
-        max_batch: 4,
-        max_delay: Nanos::from_ms(100),
-    }));
-    let before = r.driver.stats().doorbells;
-    let mut cids = Vec::new();
-    for i in 0..8u64 {
+fn a_wait_on_an_unrung_staged_tail_times_out_at_once() {
+    for policy in [None, Some(RetryPolicy::default())] {
+        let mut r = rig_depth(256);
+        r.driver.set_retry_policy(policy);
+        r.driver.set_staged(true);
         let s = r
             .driver
-            .submit(r.qid, &write_cmd(i * 8, vec![3; 64]), TransferMethod::Prp)
+            .submit(r.qid, &write_cmd(0, vec![9; 64]), TransferMethod::Prp)
             .unwrap();
-        cids.push(s.cid);
-    }
-    assert_eq!(r.driver.stats().doorbells - before, 2, "two groups of four");
-    assert_eq!(r.driver.stats().batch_flushes, 2);
-    let completions = drain(&mut r, &cids);
-    assert!(completions.iter().all(|c| c.status.is_success()));
-}
+        let (t0, before) = (r.bus.clock.now(), r.driver.stats());
+        let mut out = Vec::new();
+        let err = r.driver.wait_for(r.qid, &mut r.ctrl, &[s], &mut out);
+        assert!(
+            matches!(err, Err(DriverError::Timeout { ctx, .. }) if ctx.cid == s.cid),
+            "{policy:?}: {err:?}"
+        );
+        assert_eq!(r.bus.clock.now(), t0, "{policy:?}: no poll step taken");
+        assert_eq!(r.driver.stats(), before, "{policy:?}: nothing rang");
+        assert!(out.is_empty(), "{policy:?}");
+        assert_eq!(r.driver.inflight_len(r.qid), 1, "{policy:?}");
 
-/// A staged submission older than max_delay is flushed from the poll path,
-/// so a slow producer can never strand commands in the ring.
-#[test]
-fn flush_policy_flushes_stale_batch_on_poll() {
-    let mut r = rig_depth(256);
-    r.driver.set_flush_policy(Some(FlushPolicy {
-        max_batch: 64,
-        max_delay: Nanos::from_us(10),
-    }));
-    let before = r.driver.stats().doorbells;
-    let s = r
-        .driver
-        .submit(r.qid, &write_cmd(0, vec![9; 64]), TransferMethod::Prp)
-        .unwrap();
-    assert_eq!(
-        r.driver.stats().doorbells - before,
-        0,
-        "one command stays staged"
-    );
-    r.bus.clock.advance(Nanos::from_us(20));
-    let completions = drain(&mut r, &[s.cid]);
-    assert_eq!(completions[0].status, Status::Success);
-    assert_eq!(r.driver.stats().doorbells - before, 2, "1 SQ (due) + 1 CQ");
+        assert!(r.driver.flush_sq(r.qid).unwrap());
+        r.driver
+            .wait_for(r.qid, &mut r.ctrl, &[s], &mut out)
+            .unwrap();
+        assert_eq!(out.len(), 1, "{policy:?}");
+        assert_eq!((out[0].cid, out[0].status), (s.cid, Status::Success));
+        assert_eq!(r.driver.inflight_len(r.qid), 0, "{policy:?}");
+        let after = r.driver.stats();
+        assert_eq!(after.batch_flushes - before.batch_flushes, 1, "{policy:?}");
+        assert_eq!(after.doorbells - before.doorbells, 2, "1 SQ + 1 CQ");
+    }
 }
 
 /// CQ-side coalescing: reaping a batch of completions with `cq_coalesce`

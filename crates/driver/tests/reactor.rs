@@ -3,7 +3,7 @@
 //! surfacing, and determinism.
 
 use bx_driver::reactor::{Reactor, ReactorConfig};
-use bx_driver::{Completion, DriverError, FlushPolicy, NvmeDriver, RetryPolicy, TransferMethod};
+use bx_driver::{Completion, DriverError, NvmeDriver, RetryPolicy, TransferMethod};
 use bx_hostsim::{FaultConfig, Nanos};
 use bx_nvme::{IoOpcode, PassthruCmd};
 use bx_pcie::LinkConfig;
@@ -91,17 +91,23 @@ fn multi_shard_clients_round_trip() {
     let rec = reactor.recovery_stats();
     assert_eq!(rec.timeouts, 0);
     assert_eq!(reactor.inflight(), 0);
+    // The reactor stages every submission and its turns ring them: each
+    // command rode a coalesced doorbell, shared with the shard's others.
+    let driver = reactor.driver_stats();
+    assert_eq!(driver.batched_cmds, expected, "every submission was staged");
+    assert!(driver.batch_flushes < expected, "{driver:?}");
 }
 
 /// More concurrent futures than the queue has slots: backpressure parks
 /// them (Poll::Pending, not an error) and every one eventually completes.
+/// Staged tails hold their slots until a turn rings them, so the ring
+/// genuinely fills: the first doorbell carries a full ring.
 #[test]
 fn backpressure_parks_and_releases() {
     let mut reactor = Reactor::new(ReactorConfig {
         shards: 1,
         queue_depth: 8,
-        // One doorbell per submission: the SQ genuinely fills.
-        flush_policy: None,
+        trace: true,
         ..ReactorConfig::default()
     })
     .expect("reactor construction");
@@ -123,6 +129,19 @@ fn backpressure_parks_and_releases() {
         assert!(c.status.is_success());
     }
     assert_eq!(reactor.stats().orphaned, 0);
+    // Seven of the 32 fit before the first turn; the other 25 parked.
+    let flushed: Vec<u16> = reactor
+        .trace()
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            bx_trace::EventKind::BatchFlush { cmds, .. } => Some(cmds),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(flushed.first(), Some(&7), "{flushed:?}");
+    assert!(flushed.iter().all(|&cmds| cmds <= 7), "{flushed:?}");
+    assert_eq!(flushed.iter().map(|&c| u64::from(c)).sum::<u64>(), 32);
 }
 
 /// Byte-interface commands through the reactor: the dispatcher routes each
@@ -239,7 +258,6 @@ fn dark_device_command_surfaces_as_aborted_completion() {
     let mut reactor = Reactor::new(ReactorConfig {
         shards: 1,
         retry_policy: Some(RetryPolicy::default()),
-        flush_policy: None,
         ..ReactorConfig::default()
     })
     .expect("reactor construction");
@@ -336,7 +354,6 @@ fn runs_are_deterministic() {
         let mut reactor = Reactor::new(ReactorConfig {
             shards: 4,
             execution_model: ExecutionModel::Pipelined,
-            flush_policy: Some(FlushPolicy::default()),
             ..ReactorConfig::default()
         })
         .expect("reactor construction");

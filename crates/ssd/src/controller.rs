@@ -61,6 +61,9 @@ pub enum ExecutionModel {
 /// Device DRAM capacity in bytes.
 const DRAM_CAPACITY: usize = 64 << 20;
 
+/// SRAM budget for the reassembly engine, bytes.
+const REASSEMBLY_SRAM: usize = 64 << 10;
+
 /// FTL over-provisioning ratio.
 const OVER_PROVISION: f64 = 0.25;
 
@@ -74,8 +77,6 @@ pub struct ControllerConfig {
     pub nand: NandConfig,
     /// Chunk-gathering policy.
     pub fetch_policy: FetchPolicy,
-    /// SRAM budget for the reassembly engine, bytes.
-    pub reassembly_sram: usize,
     /// How long a reassembly-mode command may sit parked without its chunk
     /// train completing before the controller evicts it and posts a
     /// [`Status::DataTransferError`] completion (reclaiming tracker SRAM
@@ -96,7 +97,6 @@ impl Default for ControllerConfig {
             timing: ControllerTiming::default(),
             nand: NandConfig::small(),
             fetch_policy: FetchPolicy::QueueLocal,
-            reassembly_sram: 64 << 10,
             inline_stall_deadline: Nanos::from_ms(1),
             identify: IdentifyController::default(),
             execution_model: ExecutionModel::default(),
@@ -314,7 +314,7 @@ impl Controller {
             nand,
             ftl,
             dram,
-            reassembly: ReassemblyEngine::new(cfg.reassembly_sram),
+            reassembly: ReassemblyEngine::new(REASSEMBLY_SRAM),
             stall_deadline: cfg.inline_stall_deadline,
             stats: ControllerStats::default(),
             regs: RegisterFile::new(4096),

@@ -5,8 +5,8 @@
 //! whichever cell of the product reaches it.
 
 use byteexpress::{
-    Completion, Device, DeviceError, ExecutionModel, FetchPolicy, FlushPolicy, IoOpcode,
-    PassthruCmd, QueueId, Reactor, ReactorConfig, RetryPolicy, Status, TransferMethod,
+    Completion, Device, DeviceError, ExecutionModel, FetchPolicy, IoOpcode, PassthruCmd, QueueId,
+    Reactor, ReactorConfig, RetryPolicy, Status, TransferMethod,
 };
 use std::future::Future;
 use std::pin::Pin;
@@ -57,7 +57,8 @@ struct Cell {
     /// mode, which stores nothing.
     nand: bool,
     method: TransferMethod,
-    flush: bool,
+    /// Doorbell staging on: `submit` leaves its tail for `flush_sq`.
+    staged: bool,
     /// Retry policy on: every command carries a deadline, which on a live
     /// device never reaps it.
     deadline: bool,
@@ -85,7 +86,7 @@ impl Cell {
 
     fn run(&self, dev: &mut Device, seed: u64) {
         let driver = dev.driver_mut();
-        driver.set_flush_policy(self.flush.then(FlushPolicy::default));
+        driver.set_staged(self.staged);
         driver.set_retry_policy(self.deadline.then(RetryPolicy::default));
         let (q0, q1) = (dev.queues()[0], dev.queues()[1]);
 
@@ -124,7 +125,7 @@ impl Cell {
     /// A cut with a command of every method in flight, then the full
     /// bring-up; what was acked before the cut is still there.
     fn cut_and_cycle(&self, dev: &mut Device) {
-        dev.driver_mut().set_flush_policy(None);
+        dev.driver_mut().set_staged(false);
         dev.driver_mut().set_retry_policy(None);
         let acked = payload(5, SIZES[2]);
         self.check("write", dev.write(24, &acked, TransferMethod::ByteExpress));
@@ -156,16 +157,16 @@ fn every_entry_point_across_the_configuration_product() {
                     model,
                     nand,
                     method: METHODS[0],
-                    flush: false,
+                    staged: false,
                     deadline: false,
                 };
                 let mut dev = cell.build();
                 dev.reset_measurements();
                 for method in METHODS {
-                    for (flush, deadline) in
+                    for (staged, deadline) in
                         [(false, false), (true, false), (false, true), (true, true)]
                     {
-                        (cell.method, cell.flush, cell.deadline) = (method, flush, deadline);
+                        (cell.method, cell.staged, cell.deadline) = (method, staged, deadline);
                         seed += 1;
                         cell.run(&mut dev, seed);
                     }

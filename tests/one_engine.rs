@@ -3,13 +3,13 @@
 //! had drifted apart: a zero poll interval cannot hang a batch, a rejected
 //! queue does not strand the queues rung before it, and a completion lost
 //! to a power cut without a retry policy is an error rather than a panic.
-//! A batch leaves the driver's flush policy as it found it.
+//! A batch leaves the driver's staging setting as it found it.
 
 use byteexpress::driver::DriverError;
 use byteexpress::nvme::inline::MAX_INLINE_LEN;
 use byteexpress::{
-    Device, DeviceBuilder, DeviceError, FlushPolicy, IoOpcode, Nanos, PassthruCmd, QueueId,
-    Reactor, ReactorConfig, RetryPolicy, Status, TransferMethod,
+    Device, DeviceBuilder, DeviceError, IoOpcode, Nanos, PassthruCmd, QueueId, Reactor,
+    ReactorConfig, RetryPolicy, Status, TransferMethod,
 };
 
 fn items(n: u64) -> Vec<(u64, Vec<u8>)> {
@@ -106,11 +106,8 @@ fn a_staged_command_past_its_deadline_on_a_live_device_is_not_reaped() {
                 timeout: Nanos::from_us(5),
                 ..RetryPolicy::default()
             })
-            .flush_policy(FlushPolicy {
-                max_batch: 16,
-                max_delay: Nanos::from_ms(1),
-            })
             .build();
+        dev.driver_mut().set_staged(true);
         let q = dev.queues()[0];
         let block = |lba: u64, fill: u8| {
             let mut cmd = PassthruCmd::to_device(IoOpcode::Write, 1, vec![fill; 4096]);
@@ -190,42 +187,36 @@ fn reactor_and_device_bring_up_the_same_way() {
     assert_eq!(by_reactor, dev.controller().stats().admin_commands);
 }
 
-/// `write_batch` stages each queue's batch under the driver's flush policy
-/// or, with none installed, under one that never fires, rings once per
-/// queue, and leaves the policy it found in place: after a full batch, and
-/// after one a refused member stopped, whether the refusal is `QueueFull`
-/// or an oversize `PayloadTooLarge`.
+/// `write_batch` stages each queue's batch whether or not the driver was
+/// staging, rings once per queue, and leaves the setting it found in place:
+/// after a full batch, and after one a refused member stopped, whether the
+/// refusal is `QueueFull` or an oversize `PayloadTooLarge`.
 #[test]
 fn write_batch_leaves_the_flush_policy_as_it_found_it() {
-    let installed = FlushPolicy {
-        max_batch: 2,
-        max_delay: Nanos::from_ms(1),
-    };
     let oversized = (0u64, vec![0u8; MAX_INLINE_LEN + 1]);
-    for found in [None, Some(installed)] {
+    for found in [false, true] {
         // Depth 8: seven usable slots, three 64 B ByteExpress writes.
         let mut dev = Device::builder().nand_io(false).queue_depth(8).build();
         let q = dev.queues()[0];
         let batch = |dev: &mut Device, writes: Vec<(u64, Vec<u8>)>| {
-            dev.driver_mut().set_flush_policy(found);
+            dev.driver_mut().set_staged(found);
             let before = dev.driver_mut().stats();
             let done = dev.write_batch(&[(q, writes)], TransferMethod::ByteExpress);
             let after = dev.driver_mut().stats();
-            assert_eq!(dev.driver_mut().set_flush_policy(None), found);
+            assert_eq!(dev.driver_mut().set_staged(false), found);
             assert_eq!(dev.driver_mut().inflight_len(q), 0);
             (done, after.batch_flushes - before.batch_flushes)
         };
-        // Full: three writes, rung once, or at the second under max_batch 2
-        // and again by the final flush.
+        // Full: three writes, rung once by the final flush.
         let (done, flushes) = batch(&mut dev, items(3));
         assert_eq!(done.map(|d| d[0].len()), Ok(3), "{found:?}");
-        assert_eq!(flushes, if found.is_some() { 2 } else { 1 }, "{found:?}");
+        assert_eq!(flushes, 1, "{found:?}");
         // Stopped by `QueueFull`: the fourth write needs two slots, one is
         // free; the three before it still ring and complete.
         let (done, flushes) = batch(&mut dev, items(4));
         let full = DeviceError::Driver(DriverError::QueueFull { needed: 2, free: 1 });
         assert_eq!(done.unwrap_err(), full, "{found:?}");
-        assert_eq!(flushes, if found.is_some() { 2 } else { 1 }, "{found:?}");
+        assert_eq!(flushes, 1, "{found:?}");
         // Stopped by `PayloadTooLarge` after one write.
         let (done, flushes) = batch(&mut dev, vec![(8, vec![1; 64]), oversized.clone()]);
         assert!(
